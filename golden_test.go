@@ -18,8 +18,11 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/golden files fro
 // surfaces: every controller kind and policy that existed before the
 // shared coloop core, plus the corners that exercise its machinery
 // (conditional branches, warm start, multi-replica fan-out, sub-unity
-// duration factors). New controller kinds are deliberately absent —
-// the goldens pin the refactor, not the feature.
+// duration factors), plus the proactive admit and zigzag supervisors.
+// The admit cases pin the admission-denial counts at every
+// scale: a backlogged 16-PE platform with denials in the 10⁵ range,
+// and a hold so short (retryAfter 1e-300) that t+retryAfter rounds to
+// t, where a denial does not outlast the query that made it.
 func closedLoopGoldenCases() []struct {
 	name string
 	req  Request
@@ -31,6 +34,15 @@ func closedLoopGoldenCases() []struct {
 			Tasks:         24,
 			BranchDensity: 0.4,
 		},
+	}
+	// backlog is the online benchmark's shape: 16 PEs under bursty
+	// arrivals, busy enough that admission holds pile up.
+	backlog := func(s StreamSpec) StreamSpec {
+		s.MinFactor = 0.8
+		s.Replicas = 2
+		s.Arrivals = StreamArrivalParams{Horizon: 600, Sources: 8, Rate: 0.2, BurstMean: 2}
+		s.Platform = ScenarioPlatformParams{PEs: 16}
+		return s
 	}
 	return []struct {
 		name string
@@ -53,6 +65,14 @@ func closedLoopGoldenCases() []struct {
 			func(r *Request) { r.Policy = StreamPolicyCoolest })},
 		{"stream_greedy", NewRequest(FlowStream, WithStream(StreamSpec{Seed: 4, SimSeed: 1, MinFactor: 0.75, Replicas: 2}),
 			func(r *Request) { r.Policy = StreamPolicyGreedy })},
+		{"stream_admit_backlog", NewRequest(FlowStream, WithStream(backlog(StreamSpec{Seed: 3, SimSeed: 5})),
+			func(r *Request) { r.Policy = StreamPolicyAdmit })},
+		{"stream_zigzag", NewRequest(FlowStream, WithStream(backlog(StreamSpec{Seed: 6, SimSeed: 2})),
+			func(r *Request) { r.Policy = StreamPolicyZigzag })},
+		{"stream_admit_tiny_retry", NewRequest(FlowStream, WithStream(backlog(StreamSpec{Seed: 2, SimSeed: 5, RetryAfter: 1e-300})),
+			func(r *Request) { r.Policy = StreamPolicyAdmit })},
+		{"simulate_bm1_admit", NewRequest(FlowSimulate, WithBenchmark("Bm1"),
+			WithSimulate(SimulateSpec{Controller: "admit", Replicas: 2, MinFactor: 0.85, Seed: 13}))},
 	}
 }
 
