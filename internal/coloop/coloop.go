@@ -274,18 +274,20 @@ const riseCurveCap = 4096
 // fast-tier fraction of its asymptotic rise, and gating on the
 // asymptote collapses predictive admission into one more temperature
 // threshold (every task's forecast clears the band, however short the
-// task). The forecaster samples each PE block's actual unit-step
+// task). The forecaster reads each PE block's actual unit-step
 // self-response on the model's own integrator, so the rise a
 // supervisor is quoted is the rise the candidate could physically
 // cause within its worst-case duration.
 type RiseForecaster struct {
 	dtSec  float64
-	curves [][]float64 // per PE: self-rise (K/W) after step i+1 of 1 W
+	curves [][]float64 // per PE: self-rise (K/W) after step i+1 of 1 W, shared read-only
 }
 
-// NewRiseForecaster samples the unit-step self-response of every PE
+// NewRiseForecaster looks up the unit-step self-response of every PE
 // block at dtSec granularity out to maxDurSec (clamped to riseCurveCap
-// steps). Blocks shared by several PEs are integrated once.
+// steps). The curves come from the model's memo (hotspot.Model.StepRise),
+// so after the first run on a model this is a lookup, and blocks shared
+// by several PEs share one curve.
 func NewRiseForecaster(model *hotspot.Model, peBlock []int, dtSec, maxDurSec float64) (*RiseForecaster, error) {
 	if !(dtSec > 0) {
 		return nil, fmt.Errorf("coloop: forecaster step %g must be positive", dtSec)
@@ -297,29 +299,12 @@ func NewRiseForecaster(model *hotspot.Model, peBlock []int, dtSec, maxDurSec flo
 	if steps > riseCurveCap {
 		steps = riseCurveCap
 	}
-	ambient := model.Config().AmbientC
-	byBlock := make(map[int][]float64)
 	f := &RiseForecaster{dtSec: dtSec, curves: make([][]float64, len(peBlock))}
 	for pe, b := range peBlock {
-		if curve, ok := byBlock[b]; ok {
-			f.curves[pe] = curve
-			continue
-		}
-		tr, err := model.NewTransient(dtSec)
+		curve, err := model.StepRise(b, dtSec, steps)
 		if err != nil {
 			return nil, err
 		}
-		unit := make([]float64, model.NumBlocks())
-		unit[b] = 1
-		temps := make([]float64, model.NumBlocks())
-		curve := make([]float64, steps)
-		for i := range curve {
-			if err := tr.StepVecInto(temps, unit); err != nil {
-				return nil, err
-			}
-			curve[i] = temps[b] - ambient
-		}
-		byBlock[b] = curve
 		f.curves[pe] = curve
 	}
 	return f, nil

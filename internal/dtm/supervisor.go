@@ -103,6 +103,14 @@ type Supervisor interface {
 	// temperature by riseC may start now (the caller's loop time).
 	// Implementations may record per-block retry-after state; Reset
 	// clears it.
+	//
+	// A denial at now whose hold outlasts the instant — RetryAfter with
+	// now+RetryAfter > now in floating point — sticks: every later
+	// query of block b at the same now, with the same temps and
+	// whatever riseC, is denied too, until the next ScaleInto or Reset.
+	// Dispatchers rely on this to count such re-asks without making
+	// them. A denial whose now+RetryAfter rounds to now promises
+	// nothing.
 	Admit(b int, temps []float64, riseC, now float64) Admission
 	// Proactive reports whether Admit can ever deny. Callers skip the
 	// admission bookkeeping entirely for reactive supervisors, keeping

@@ -51,6 +51,13 @@ type Model struct {
 	truncated bool
 	rowMu     sync.RWMutex
 	rowCache  map[int][]float64
+
+	// Transient memo, per step size (most recently used first, at most
+	// maxStepMemos entries): the backward-Euler factorization every
+	// Transient at that step shares, and the unit-step self-rise curves
+	// StepRise extends on demand.
+	stepMu    sync.Mutex
+	stepMemos []*stepMemo
 }
 
 // NewModel builds the thermal network for fp under cfg. The floorplan

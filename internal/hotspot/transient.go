@@ -19,14 +19,18 @@ type Transient struct {
 }
 
 // NewTransient creates a transient simulation with time step dt seconds.
+// Transients at the same step share the model's memoized factorization
+// of C/dt + G, so only the first one pays for it.
 func (m *Model) NewTransient(dt float64) (*Transient, error) {
-	st, err := linalg.NewBackwardEulerStepper(m.denseG(), m.caps, dt)
+	m.stepMu.Lock()
+	memo, err := m.stepMemoLocked(dt)
+	m.stepMu.Unlock()
 	if err != nil {
-		return nil, fmt.Errorf("hotspot: transient init: %w", err)
+		return nil, err
 	}
 	return &Transient{
 		m:       m,
-		stepper: st,
+		stepper: memo.factor.NewStepper(),
 		state:   make([]float64, m.total),
 		next:    make([]float64, m.total),
 		pbuf:    make([]float64, m.total),
@@ -134,4 +138,99 @@ func (tr *Transient) Run(samples [][]float64) ([]Temps, error) {
 		out = append(out, t)
 	}
 	return out, nil
+}
+
+// maxStepMemos bounds how many step sizes a model memoizes: each holds
+// a dense factorization of all nodes (as large as the dense conductance
+// image itself), and a long-lived cached model asked for ever new steps
+// must not grow without limit. Flows step one model at one size, so two
+// entries cover a flow plus a stray request. Evicted entries are rebuilt
+// bit-identically on the next request.
+const maxStepMemos = 2
+
+// stepMemo is the transient state a model memoizes for one step size.
+type stepMemo struct {
+	dt     float64
+	factor *linalg.BackwardEulerFactor // factored C/dt + G, read-only
+	curves map[int]*riseCurve          // by block, see StepRise
+}
+
+// riseCurve is one block's unit-step self-rise curve together with the
+// node state its integration has reached, so extending the curve
+// continues the very same integration.
+type riseCurve struct {
+	rise  []float64 // block rise (K/W) after step i+1 of 1 W
+	state []float64 // node state after len(rise) steps
+}
+
+// stepMemoLocked returns (building on first request) the memo for step
+// dt, moving it to the front of the recency list. m.stepMu must be held.
+func (m *Model) stepMemoLocked(dt float64) (*stepMemo, error) {
+	for i, sm := range m.stepMemos {
+		if sm.dt == dt {
+			copy(m.stepMemos[1:i+1], m.stepMemos[:i])
+			m.stepMemos[0] = sm
+			return sm, nil
+		}
+	}
+	f, err := linalg.NewBackwardEulerFactor(m.denseG(), m.caps, dt)
+	if err != nil {
+		return nil, fmt.Errorf("hotspot: transient init: %w", err)
+	}
+	sm := &stepMemo{dt: dt, factor: f, curves: make(map[int]*riseCurve)}
+	if len(m.stepMemos) < maxStepMemos {
+		m.stepMemos = append(m.stepMemos, nil)
+	}
+	copy(m.stepMemos[1:], m.stepMemos)
+	m.stepMemos[0] = sm
+	return sm, nil
+}
+
+// StepRise returns block b's unit-step self-rise curve at step dt
+// seconds: element i is the rise (K/W) of block b over ambient after
+// step i+1 of a 1 W load on b alone, starting from ambient — exactly
+// what a fresh Transient stepped under that load reports. Curves are
+// memoized per (block, dt) and extended on demand by continuing the
+// same integration, so any prefix or extension is bit-identical to a
+// fresh run. The result is shared read-only state; callers must not
+// modify it. Safe for concurrent use.
+func (m *Model) StepRise(b int, dt float64, steps int) ([]float64, error) {
+	if b < 0 || b >= m.n {
+		return nil, fmt.Errorf("hotspot: step-rise block %d out of range [0,%d)", b, m.n)
+	}
+	if steps < 0 {
+		return nil, fmt.Errorf("hotspot: negative step-rise length %d", steps)
+	}
+	m.stepMu.Lock()
+	defer m.stepMu.Unlock()
+	memo, err := m.stepMemoLocked(dt)
+	if err != nil {
+		return nil, err
+	}
+	c := memo.curves[b]
+	if c == nil {
+		c = &riseCurve{state: make([]float64, m.total)}
+		memo.curves[b] = c
+	}
+	if have := len(c.rise); have < steps {
+		// Extend into a fresh array: slices handed out earlier keep
+		// reading the old one, whose elements never change.
+		rise := make([]float64, have, steps)
+		copy(rise, c.rise)
+		stepper := memo.factor.NewStepper()
+		unit := make([]float64, m.total)
+		unit[b] = 1
+		state, next := c.state, make([]float64, m.total)
+		ambient := m.cfg.AmbientC
+		for i := have; i < steps; i++ {
+			if err := stepper.StepInto(next, state, unit); err != nil {
+				return nil, fmt.Errorf("hotspot: transient step: %w", err)
+			}
+			state, next = next, state
+			// Through °C and back, as Transient.StepVecInto reports it.
+			rise = append(rise, (state[b]+ambient)-ambient)
+		}
+		c.rise, c.state = rise, state
+	}
+	return c.rise[:steps:steps], nil
 }

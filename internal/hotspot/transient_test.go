@@ -3,6 +3,8 @@ package hotspot
 import (
 	"math"
 	"testing"
+
+	"thermalsched/internal/linalg"
 )
 
 func TestTransientStartsAtAmbient(t *testing.T) {
@@ -206,5 +208,124 @@ func TestSetRiseWarmStartIsFixedPoint(t *testing.T) {
 	}
 	if err := tr.SetRise(rise[:3]); err == nil {
 		t.Error("short rise vector accepted")
+	}
+}
+
+// freshStepRise integrates block b's unit-step self-response on a
+// stepper with a factorization of its own — the unmemoized path
+// StepRise must reproduce bit for bit.
+func freshStepRise(t *testing.T, m *Model, b int, dt float64, steps int) []float64 {
+	t.Helper()
+	st, err := linalg.NewBackwardEulerStepper(m.denseG(), m.caps, dt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &Transient{m: m, stepper: st, state: make([]float64, m.total),
+		next: make([]float64, m.total), pbuf: make([]float64, m.total)}
+	unit := make([]float64, m.n)
+	unit[b] = 1
+	temps := make([]float64, m.n)
+	out := make([]float64, steps)
+	for i := range out {
+		if err := tr.StepVecInto(temps, unit); err != nil {
+			t.Fatal(err)
+		}
+		out[i] = temps[b] - m.cfg.AmbientC
+	}
+	return out
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// StepRise memoizes per (block, dt) and extends on demand; whichever
+// length is asked first, every answer is bit-identical to a fresh
+// integration, across step sizes and past memo eviction.
+func TestStepRiseMatchesFreshIntegration(t *testing.T) {
+	const short, long = 7, 60
+	for _, order := range [][]int{{short, long}, {long, short}} {
+		m := model4(t)
+		ref := model4(t)
+		// More step sizes than the memo keeps, revisited, so evicted
+		// entries are rebuilt.
+		dts := []float64{0.01, 0.05, 0.2, 0.5, 1, 0.01}
+		for _, dt := range dts {
+			for b := 0; b < m.NumBlocks(); b++ {
+				want := freshStepRise(t, ref, b, dt, long)
+				for _, steps := range order {
+					got, err := m.StepRise(b, dt, steps)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !sameBits(got, want[:steps]) {
+						t.Fatalf("order %v dt %g block %d: %d-step curve differs from a fresh integration",
+							order, dt, b, steps)
+					}
+				}
+			}
+		}
+		if len(m.stepMemos) > maxStepMemos {
+			t.Errorf("%d step sizes memoized, want at most %d", len(m.stepMemos), maxStepMemos)
+		}
+	}
+}
+
+// Transients built on the shared factorization step bit-identically to
+// one with its own factorization.
+func TestNewTransientSharedFactorMatchesFresh(t *testing.T) {
+	m := model4(t)
+	if _, err := m.StepRise(1, 0.05, 3); err != nil { // memoize the factor first
+		t.Fatal(err)
+	}
+	shared, err := m.NewTransient(0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := linalg.NewBackwardEulerStepper(m.denseG(), m.caps, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	own := &Transient{m: m, stepper: st, state: make([]float64, m.total),
+		next: make([]float64, m.total), pbuf: make([]float64, m.total)}
+	p := []float64{6, 1, 0, 3}
+	a, b := make([]float64, m.n), make([]float64, m.n)
+	for step := 0; step < 40; step++ {
+		if err := shared.StepVecInto(a, p); err != nil {
+			t.Fatal(err)
+		}
+		if err := own.StepVecInto(b, p); err != nil {
+			t.Fatal(err)
+		}
+		if !sameBits(a, b) {
+			t.Fatalf("step %d: shared-factor temps %v, own-factor temps %v", step, a, b)
+		}
+	}
+}
+
+func TestStepRiseValidation(t *testing.T) {
+	m := model4(t)
+	if _, err := m.StepRise(-1, 0.1, 3); err == nil {
+		t.Error("negative block accepted")
+	}
+	if _, err := m.StepRise(m.NumBlocks(), 0.1, 3); err == nil {
+		t.Error("out-of-range block accepted")
+	}
+	if _, err := m.StepRise(0, 0.1, -1); err == nil {
+		t.Error("negative length accepted")
+	}
+	if _, err := m.StepRise(0, 0, 3); err == nil {
+		t.Error("zero step accepted")
+	}
+	if got, err := m.StepRise(0, 0.1, 0); err != nil || len(got) != 0 {
+		t.Errorf("zero-length curve = %v, %v", got, err)
 	}
 }

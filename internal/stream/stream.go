@@ -156,7 +156,11 @@ type Result struct {
 	// AdmissionDenials counts dispatch attempts the thermal supervisor
 	// refused (zero without a proactive supervisor). Re-asking a PE
 	// still under an admission hold counts again: the figure measures
-	// supervisor pressure on the dispatcher, not distinct holds.
+	// supervisor pressure on the dispatcher, not distinct holds. A
+	// re-ask at the same dispatch instant as a denial that holds past
+	// it is counted without querying the supervisor again — the answer
+	// is fixed by the supervisor contract — so the count is the same
+	// as if every ask had been made.
 	AdmissionDenials int
 	// OfflineBound is the clairvoyant lower bound on the makespan of
 	// any offline schedule of the realized trace; Price is
@@ -302,18 +306,67 @@ func Run(ctx context.Context, in Input, cfg Config) (*Result, error) {
 
 	edf := policy != PolicyFIFO && policy != PolicyRandom
 
+	// Capability depends on the task type alone, so the dispatcher
+	// counts idle PEs per type: jobSlot[j] is job j's dense type slot,
+	// peSlots[pe] the slots PE pe can run. idleCap[s] counts the idle PEs
+	// able to run slot s; openCap[s] those of them not under an
+	// admission hold at the current dispatch instant.
+	jobSlot := make([]int, n)
+	peSlots := make([][]int, nPE)
+	slotOf := make(map[int]int)
+	for j, job := range in.Jobs {
+		s, ok := slotOf[job.Type]
+		if !ok {
+			s = len(slotOf)
+			slotOf[job.Type] = s
+			for pe := range peSlots {
+				if capable[j*nPE+pe] {
+					peSlots[pe] = append(peSlots[pe], s)
+				}
+			}
+		}
+		jobSlot[j] = s
+	}
+	idleCap := make([]int, len(slotOf))
+	openCap := make([]int, len(slotOf))
+	for pe := range peSlots {
+		for _, s := range peSlots[pe] {
+			idleCap[s]++
+		}
+	}
+	// heldAt[pe] == instant marks a PE the supervisor refused at the
+	// current dispatch instant (instant counts dispatch calls).
+	heldAt := make([]int, nPE)
+	instant := 0
+
 	// admits asks the supervisor whether job j may start on pe at time
 	// t, forecasting the block's rise as self-influence × job power
 	// saturated over the job's WCET (the realized duration is future
 	// knowledge). Reactive/no supervision always admits without a query.
+	//
+	// Within one dispatch instant temperatures are frozen and the
+	// supervisor is not stepped, so a denial whose hold outlasts the
+	// instant (t+RetryAfter > t; see dtm.Supervisor.Admit) answers
+	// every later ask of that PE at t: those asks are counted as
+	// denials without querying again.
 	admits := func(j, pe int, t float64) bool {
 		if !proactive {
 			return true
+		}
+		if heldAt[pe] == instant {
+			res.AdmissionDenials++
+			return false
 		}
 		adm := in.Supervisor.Admit(peBlock[pe], temps,
 			forecast.Rise(pe, pow[j*nPE+pe], wcet[j*nPE+pe]*cfg.TimeScale), t)
 		if !adm.OK {
 			res.AdmissionDenials++
+			if t+adm.RetryAfter > t {
+				heldAt[pe] = instant
+				for _, s := range peSlots[pe] {
+					openCap[s]--
+				}
+			}
 			return false
 		}
 		return true
@@ -322,8 +375,9 @@ func Run(ctx context.Context, in Input, cfg Config) (*Result, error) {
 	// pickPE chooses an idle capable (and admitted) PE for job j per the
 	// policy, or ok=false when none qualifies. The thermal policies read
 	// temps — last step's temperatures, the one-step sensing delay.
+	idle := make([]int, 0, nPE)
 	pickPE := func(j int, t float64) (int, bool, error) {
-		var idle []int
+		idle = idle[:0]
 		for pe := range running {
 			if running[pe] < 0 && capable[j*nPE+pe] && admits(j, pe, t) {
 				idle = append(idle, pe)
@@ -371,7 +425,14 @@ func Run(ctx context.Context, in Input, cfg Config) (*Result, error) {
 	// further placement is possible. FIFO/random serve strictly in
 	// arrival order (head-of-line blocking included); the thermal
 	// policies serve in EDF order and may bypass an unplaceable head.
+	//
+	// A job none of whose capable idle PEs is open — every one is held,
+	// or none is idle — is refused by all of them: its asks are counted
+	// in O(1) without being made. The supervisor is thus queried at most
+	// once per held idle PE per instant, not once per pending job × PE.
 	dispatch := func(t float64) error {
+		instant++
+		copy(openCap, idleCap)
 		for len(pending) > 0 {
 			placed := -1
 			var onPE int
@@ -380,6 +441,12 @@ func Run(ctx context.Context, in Input, cfg Config) (*Result, error) {
 				limit = len(pending)
 			}
 			for idx := 0; idx < limit; idx++ {
+				if s := jobSlot[pending[idx]]; openCap[s] == 0 {
+					if proactive {
+						res.AdmissionDenials += idleCap[s]
+					}
+					continue
+				}
 				pe, ok, err := pickPE(pending[idx], t)
 				if err != nil {
 					return err
@@ -398,6 +465,10 @@ func Run(ctx context.Context, in Input, cfg Config) (*Result, error) {
 			running[onPE] = j
 			finishAt[onPE] = records[j].Finish
 			curPow[onPE] = pow[j*nPE+onPE]
+			for _, s := range peSlots[onPE] {
+				idleCap[s]--
+				openCap[s]--
+			}
 		}
 		return nil
 	}
@@ -417,6 +488,9 @@ func Run(ctx context.Context, in Input, cfg Config) (*Result, error) {
 					running[pe] = -1
 					curPow[pe] = 0
 					completed++
+					for _, s := range peSlots[pe] {
+						idleCap[s]++
+					}
 				}
 			}
 			grew := false

@@ -3,6 +3,7 @@ package stream_test
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"thermalsched/internal/cosynth"
@@ -273,5 +274,67 @@ func TestParsePolicy(t *testing.T) {
 	}
 	if _, err := stream.ParsePolicy("clairvoyant"); err == nil {
 		t.Error("unknown policy accepted")
+	}
+}
+
+// countingSupervisor forwards to a real supervisor and records every
+// Admit query, so a test can see which asks the dispatcher made.
+type countingSupervisor struct {
+	dtm.Supervisor
+	queries int
+	// held[b] is the instant of block b's last holding denial; a
+	// repeated query of b at that instant is a wasted re-ask.
+	held    map[int]float64
+	reasked int
+}
+
+func (c *countingSupervisor) Admit(b int, temps []float64, riseC, now float64) dtm.Admission {
+	c.queries++
+	if at, ok := c.held[b]; ok && at == now {
+		c.reasked++
+	}
+	adm := c.Supervisor.Admit(b, temps, riseC, now)
+	if !adm.OK && now+adm.RetryAfter > now {
+		c.held[b] = now
+	}
+	return adm
+}
+
+// After a denial that holds past the instant, the dispatcher must not
+// query the supervisor about that PE again at the same instant: each
+// idle PE is asked at most once per dispatch instant once it is held.
+// The re-asks still count as denials, so the result is unchanged.
+func TestRunQueriesHeldPEOncePerInstant(t *testing.T) {
+	spec := scenario.StreamSpec{Seed: 3,
+		Arrivals: scenario.ArrivalParams{Horizon: 600, Sources: 8, Rate: 0.2, BurstMean: 2},
+		Platform: scenario.PlatformParams{PEs: 16}}
+	in := testInput(t, spec)
+	cfg := stream.Config{DT: 1, TimeScale: 0.1, MinFactor: 0.8, Seed: 5}
+	for _, pol := range []string{stream.PolicyAdmit, stream.PolicyZigzag} {
+		cfg.Policy = pol
+		plain := in
+		plain.Supervisor = supervisorFor(t, pol, cfg.DT)
+		want, err := stream.Run(context.Background(), plain, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", pol, err)
+		}
+		counted := in
+		sup := &countingSupervisor{Supervisor: supervisorFor(t, pol, cfg.DT), held: map[int]float64{}}
+		counted.Supervisor = sup
+		got, err := stream.Run(context.Background(), counted, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", pol, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: wrapping the supervisor changed the result", pol)
+		}
+		if sup.reasked != 0 {
+			t.Errorf("%s: %d queries re-asked a PE already held at that instant", pol, sup.reasked)
+		}
+		if got.AdmissionDenials <= sup.queries {
+			t.Errorf("%s: %d denials from %d queries; want the held re-asks counted without a query",
+				pol, got.AdmissionDenials, sup.queries)
+		}
+		t.Logf("%s: %d denials, %d supervisor queries", pol, got.AdmissionDenials, sup.queries)
 	}
 }
