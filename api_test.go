@@ -1,6 +1,7 @@
 package thermalsched
 
 import (
+	"context"
 	"testing"
 )
 
@@ -8,15 +9,11 @@ import (
 // examples and downstream users would.
 
 func TestFacadeQuickstartPath(t *testing.T) {
-	lib, err := StandardLibrary()
-	if err != nil {
-		t.Fatal(err)
-	}
 	g, err := Benchmark("Bm1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunPlatform(g, lib, ThermalAware)
+	res, err := testEngine(t).Platform(context.Background(), g, WithPolicy(ThermalAware))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,17 +105,12 @@ func TestFacadeCoSynthesis(t *testing.T) {
 	if testing.Short() {
 		t.Skip("co-synthesis skipped in -short mode")
 	}
-	lib, err := StandardLibrary()
-	if err != nil {
-		t.Fatal(err)
-	}
 	g, err := Benchmark("Bm1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunCoSynthesisConfig(g, lib, CoSynthConfig{
-		Policy: MinTaskEnergy, FloorplanGenerations: 5,
-	})
+	res, err := testEngine(t).CoSynthesize(context.Background(), g,
+		WithPolicy(MinTaskEnergy), WithFloorplanGenerations(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,15 +120,11 @@ func TestFacadeCoSynthesis(t *testing.T) {
 }
 
 func TestFacadeSimAndDTM(t *testing.T) {
-	lib, err := StandardLibrary()
-	if err != nil {
-		t.Fatal(err)
-	}
 	g, err := Benchmark("Bm1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := RunPlatform(g, lib, ThermalAware)
+	run, err := testEngine(t).Platform(context.Background(), g, WithPolicy(ThermalAware))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,11 +167,7 @@ func TestFacadeSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep skipped in -short mode")
 	}
-	lib, err := StandardLibrary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunSweep(lib, 4, 3)
+	res, err := testEngine(t).Sweep(context.Background(), 4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,11 +194,7 @@ func TestFacadeConditionalGraph(t *testing.T) {
 	if len(probs) != 12 {
 		t.Errorf("probabilities length %d", len(probs))
 	}
-	lib, err := StandardLibrary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	run, err := RunPlatform(g, lib, MinTaskEnergy)
+	run, err := testEngine(t).Platform(context.Background(), g, WithPolicy(MinTaskEnergy))
 	if err != nil {
 		t.Fatal(err)
 	}

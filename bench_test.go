@@ -706,7 +706,7 @@ func BenchmarkHotSpotSteadyStateLarge(b *testing.B) {
 	for i := 0; i < 8; i++ {
 		p[i*31] = 3 + float64(i)
 	}
-	for _, solver := range []string{hotspot.SolverDense, hotspot.SolverSparse, hotspot.SolverPCG} {
+	for _, solver := range hotspot.SolverNames() {
 		b.Run(solver, func(b *testing.B) {
 			cfg := hotspot.DefaultConfig()
 			cfg.Solver = solver

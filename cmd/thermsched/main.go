@@ -39,6 +39,7 @@ import (
 	"strings"
 
 	"thermalsched"
+	"thermalsched/internal/hotspot"
 	"thermalsched/internal/taskgraph"
 )
 
@@ -53,7 +54,7 @@ func main() {
 		seed      = flag.Int64("seed", -1, "run seed (0 is a valid seed, honored verbatim; negative = default)")
 		count     = flag.Int("count", 0, "sweep graph count (0 = default)")
 		parallel  = flag.Int("parallelism", 0, "search parallelism for cosynthesis (0 = engine default GOMAXPROCS, 1 = serial; results are byte-identical at every value)")
-		solver    = flag.String("solver", "", "thermal solver backend: dense, sparse, pcg (default dense; all backends agree to ≤1e-6 K)")
+		solver    = flag.String("solver", "", fmt.Sprintf("thermal solver backend %v (default dense; backends agree to ≤1e-6 K)", hotspot.SolverNames()))
 		asJSON    = flag.Bool("json", false, "emit the serializable Response schema as JSON")
 
 		// FlowSimulate knobs (closed-loop DTM co-simulation).

@@ -25,8 +25,8 @@ import (
 // NewEngine, keep it for the life of the process, and feed it Requests.
 // It owns the technology library, the parsed paper benchmarks, and a
 // bounded cache of thermal-model factorizations keyed by floorplan and
-// configuration, so repeated runs skip the setup the legacy free
-// functions redid on every call. An Engine is safe for concurrent use.
+// configuration, so repeated runs skip rebuilding models they have
+// already factored. An Engine is safe for concurrent use.
 type Engine struct {
 	lib     *Library
 	thermal ThermalConfig
@@ -41,9 +41,12 @@ type Engine struct {
 	models *search.LRU[*hotspot.Model]
 	// scenarios memoizes generated synthetic scenarios by fingerprint,
 	// so a campaign's policies share one generation per scenario;
-	// streams does the same for generated online workloads.
-	scenarios *fpCache[*Scenario]
-	streams   *fpCache[*StreamWorkload]
+	// streams does the same for generated online workloads. Cached
+	// values are immutable (scheduling never mutates its input graph
+	// and libraries are read-only), so one instance serves concurrent
+	// workers.
+	scenarios *search.LRU[*Scenario]
+	streams   *search.LRU[*StreamWorkload]
 	benches   map[string]*Graph
 	ordered   []string // benchmark names in paper order
 	// simTokens is the engine-wide parallelism pool for simulate-flow
@@ -92,7 +95,7 @@ func WithThermalConfig(cfg ThermalConfig) Option {
 
 // WithSolverBackend selects the steady-state thermal solver backend for
 // every flow the Engine runs: one of hotspot.SolverNames (dense, the
-// golden reference and the default; sparse; pcg). Equivalent to setting
+// golden reference and the default; or sparse). Equivalent to setting
 // ThermalConfig.Solver through WithThermalConfig, and overridable per
 // run via Request.Solver.
 func WithSolverBackend(name string) Option {
@@ -162,8 +165,8 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		thermal:   o.thermal,
 		workers:   o.workers,
 		models:    search.NewLRU[*hotspot.Model](o.cacheSize),
-		scenarios: newFPCache[*Scenario](DefaultScenarioCacheSize),
-		streams:   newFPCache[*StreamWorkload](DefaultScenarioCacheSize),
+		scenarios: search.NewLRU[*Scenario](DefaultScenarioCacheSize),
+		streams:   search.NewLRU[*StreamWorkload](DefaultScenarioCacheSize),
 		benches:   make(map[string]*Graph),
 		simTokens: make(chan struct{}, o.workers),
 		search:    search.NewPool(o.searchPar),
@@ -393,8 +396,8 @@ func (e *Engine) ScalingTable(ctx context.Context, sizes []int, pes int, seed in
 }
 
 // platform executes the platform flow with the engine's thermal model
-// cache wired in. lib is explicit so the deprecated free functions can
-// route caller-supplied libraries through the shared engine.
+// cache wired in. lib is explicit because generated scenarios bring
+// their own library.
 func (e *Engine) platform(ctx context.Context, g *Graph, lib *Library, cfg cosynth.PlatformConfig) (*FlowResult, error) {
 	if cfg.Models == nil {
 		cfg.Models = e.modelProvider()
@@ -769,27 +772,9 @@ func modelKey(fp *floorplan.Floorplan, cfg hotspot.Config) string {
 	if slv == "" {
 		slv = hotspot.SolverDense
 	}
-	fmt.Fprintf(&b, "slv=%s,pcgtol=%g|", slv, cfg.PCGTolerance)
+	fmt.Fprintf(&b, "slv=%s|", slv)
 	for _, blk := range fp.Blocks() {
 		fmt.Fprintf(&b, "%s:%g,%g,%g,%g;", blk.Name, blk.Rect.X, blk.Rect.Y, blk.Rect.W, blk.Rect.H)
 	}
 	return b.String()
-}
-
-// Default engine backing the deprecated package-level functions. It is
-// built lazily so programs that construct their own Engine never pay
-// for it.
-var (
-	defaultEngineOnce sync.Once
-	defaultEngineVal  *Engine
-	defaultEngineErr  error
-)
-
-// DefaultEngine returns the lazily-built shared Engine the deprecated
-// package-level functions run on.
-func DefaultEngine() (*Engine, error) {
-	defaultEngineOnce.Do(func() {
-		defaultEngineVal, defaultEngineErr = NewEngine()
-	})
-	return defaultEngineVal, defaultEngineErr
 }

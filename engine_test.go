@@ -8,13 +8,17 @@ import (
 	"testing"
 	"time"
 
+	"thermalsched/internal/cosynth"
+	"thermalsched/internal/experiments"
 	"thermalsched/internal/floorplan"
 	"thermalsched/internal/hotspot"
 )
 
-// Golden equivalence: the deprecated free functions and the new Engine
-// must agree bit-for-bit, so old call sites migrate without any metric
-// drift.
+// Golden equivalence: the Engine and the uncached flow functions it
+// wraps must agree bit-for-bit given the same config, so the model
+// cache never changes a metric. The test names keep the deprecated
+// package-level wrappers they were written against; those wrappers
+// promised exactly the uncached results compared here.
 
 func testEngine(t *testing.T) *Engine {
 	t.Helper()
@@ -39,9 +43,9 @@ func TestEngineMatchesDeprecatedRunPlatform(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			old, err := RunPlatform(g, lib, policy)
+			old, err := cosynth.RunPlatform(g, lib, PlatformConfig{Policy: policy})
 			if err != nil {
-				t.Fatalf("%s/%s wrapper: %v", name, policy, err)
+				t.Fatalf("%s/%s uncached: %v", name, policy, err)
 			}
 			resp, err := e.Run(context.Background(), NewRequest(
 				FlowPlatform, WithBenchmark(name), WithPolicy(policy),
@@ -50,7 +54,7 @@ func TestEngineMatchesDeprecatedRunPlatform(t *testing.T) {
 				t.Fatalf("%s/%s engine: %v", name, policy, err)
 			}
 			if *resp.Metrics != old.Metrics {
-				t.Errorf("%s/%s metrics diverge:\n  wrapper %+v\n  engine  %+v",
+				t.Errorf("%s/%s metrics diverge:\n  uncached %+v\n  engine   %+v",
 					name, policy, old.Metrics, *resp.Metrics)
 			}
 		}
@@ -74,11 +78,11 @@ func TestEngineMatchesDeprecatedRunCoSynthesis(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		old, err := RunCoSynthesisConfig(g, lib, CoSynthConfig{
+		old, err := cosynth.RunCoSynthesis(g, lib, CoSynthConfig{
 			Policy: MinTaskEnergy, FloorplanGenerations: gens,
 		})
 		if err != nil {
-			t.Fatalf("%s wrapper: %v", name, err)
+			t.Fatalf("%s uncached: %v", name, err)
 		}
 		resp, err := e.Run(context.Background(), NewRequest(
 			FlowCoSynthesis,
@@ -90,7 +94,7 @@ func TestEngineMatchesDeprecatedRunCoSynthesis(t *testing.T) {
 			t.Fatalf("%s engine: %v", name, err)
 		}
 		if *resp.Metrics != old.Metrics {
-			t.Errorf("%s metrics diverge:\n  wrapper %+v\n  engine  %+v",
+			t.Errorf("%s metrics diverge:\n  uncached %+v\n  engine   %+v",
 				name, old.Metrics, *resp.Metrics)
 		}
 	}
@@ -105,7 +109,7 @@ func TestEngineMatchesDeprecatedRunSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old, err := RunSweep(lib, 3, 7)
+	old, err := experiments.RunSweep(lib, 3, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +120,7 @@ func TestEngineMatchesDeprecatedRunSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(old, resp.Sweep) {
-		t.Errorf("sweep diverges:\n  wrapper %+v\n  engine  %+v", old, resp.Sweep)
+		t.Errorf("sweep diverges:\n  uncached %+v\n  engine   %+v", old, resp.Sweep)
 	}
 }
 

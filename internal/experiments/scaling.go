@@ -22,7 +22,7 @@ type ScalingRow struct {
 	MaxTempC float64 `json:"maxTempC"`
 	AvgTempC float64 `json:"avgTempC"`
 	// Solver records the steady-state solver backend the row's thermal
-	// inquiries ran on (dense, sparse or pcg), so a table is
+	// inquiries ran on (dense or sparse), so a table is
 	// self-describing when backends are compared side by side.
 	Solver string `json:"solver"`
 	// CacheHits and CacheMisses are the thermal-model cache's deltas

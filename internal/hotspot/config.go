@@ -67,35 +67,23 @@ type Config struct {
 	// AmbientC is the ambient temperature in °C.
 	AmbientC float64
 	// Solver selects the steady-state solver backend: SolverDense (the
-	// golden reference; also the default when empty), SolverSparse
+	// golden reference; also the default when empty) or SolverSparse
 	// (sparse Cholesky with a min-degree ordering and an on-demand
-	// truncated influence representation — the large-platform backend)
-	// or SolverPCG (Jacobi-preconditioned conjugate gradient, the
-	// factorization-free ablation path). All backends are deterministic;
-	// sparse agrees with dense to ≤1e-6 K on the paper's benchmarks.
+	// truncated influence representation — the large-platform backend).
+	// Both backends are deterministic; sparse agrees with dense to
+	// ≤1e-6 K on the paper's benchmarks.
 	Solver string
-	// PCGTolerance is the relative residual tolerance of the PCG
-	// backend; zero selects DefaultPCGTolerance. Ignored by the direct
-	// backends.
-	PCGTolerance float64
 }
 
 // Solver backend names accepted by Config.Solver.
 const (
 	SolverDense  = "dense"
 	SolverSparse = "sparse"
-	SolverPCG    = "pcg"
 )
-
-// DefaultPCGTolerance is the PCG backend's relative residual tolerance
-// when Config.PCGTolerance is zero: tight enough that block
-// temperatures agree with the direct solvers well inside the 1e-6 K
-// dense-vs-sparse contract.
-const DefaultPCGTolerance = 1e-10
 
 // SolverNames returns the accepted solver backend names, for CLI help
 // strings and validation messages.
-func SolverNames() []string { return []string{SolverDense, SolverSparse, SolverPCG} }
+func SolverNames() []string { return []string{SolverDense, SolverSparse} }
 
 // SolverKind returns the effective solver backend: Solver, with the
 // empty string normalized to SolverDense. Cache keys and reports use
@@ -156,12 +144,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("hotspot: ambient %g °C below absolute zero", c.AmbientC)
 	}
 	switch c.Solver {
-	case "", SolverDense, SolverSparse, SolverPCG:
+	case "", SolverDense, SolverSparse:
 	default:
 		return fmt.Errorf("hotspot: unknown solver %q (want one of %v)", c.Solver, SolverNames())
-	}
-	if !(c.PCGTolerance >= 0) || c.PCGTolerance >= 1 {
-		return fmt.Errorf("hotspot: PCGTolerance %g out of [0,1)", c.PCGTolerance)
 	}
 	return nil
 }

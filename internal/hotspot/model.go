@@ -42,7 +42,7 @@ type Model struct {
 	influ     []float64 // n×n row-major; symmetric since G is
 	influErr  error
 
-	// Truncated influence representation (sparse/pcg backends): rows of
+	// Truncated influence representation (sparse backend): rows of
 	// S are solved and cached one at a time, on demand, so a scheduler
 	// touching k blocks holds k rows instead of the n×n matrix, and an
 	// inquiry with k powered blocks costs k·n multiply-adds instead of
@@ -91,7 +91,7 @@ func NewModel(fp *floorplan.Floorplan, cfg Config) (*Model, error) {
 	// builder accumulates duplicates in insertion order, so its Dense()
 	// image is bitwise identical to the historical direct Matrix.Add
 	// assembly — the dense path stays the byte-for-byte golden
-	// reference while the sparse backends share one assembly.
+	// reference while the sparse backend shares one assembly.
 	gb := linalg.NewSparseBuilder(total)
 	addConductance := func(i, j int, g float64) {
 		gb.Add(i, i, g)
@@ -201,18 +201,6 @@ func NewModel(fp *floorplan.Floorplan, cfg Config) (*Model, error) {
 			return nil, fmt.Errorf("hotspot: conductance matrix not SPD (floorplan degenerate?): %w", err)
 		}
 		m.solv = f
-		m.truncated = true
-		m.rowCache = make(map[int][]float64)
-	case SolverPCG:
-		tol := cfg.PCGTolerance
-		if tol == 0 {
-			tol = DefaultPCGTolerance
-		}
-		s, err := linalg.NewPCG(m.csr, tol, 0)
-		if err != nil {
-			return nil, fmt.Errorf("hotspot: conductance matrix not SPD (floorplan degenerate?): %w", err)
-		}
-		m.solv = s
 		m.truncated = true
 		m.rowCache = make(map[int][]float64)
 	}
@@ -456,7 +444,7 @@ func (m *Model) ensureInfluence() error {
 // temperature rise of block i per watt injected into each block. The
 // matrix is symmetric (G is), so row i is also block i's column of heat
 // reach. Under the dense backend the whole matrix is built on first
-// use; under the truncated backends only the requested row is solved
+// use; under the sparse backend only the requested row is solved
 // and cached. The returned slice is shared read-only state — callers
 // must not modify it.
 func (m *Model) InfluenceRow(i int) ([]float64, error) {

@@ -1,11 +1,11 @@
-// Package linalg implements the small dense linear-algebra kernels the
-// thermal RC model needs: matrices, LU and Cholesky factorizations,
-// a conjugate-gradient solver, and implicit/explicit ODE steppers.
+// Package linalg implements the small linear-algebra kernels the
+// thermal RC model needs: dense and CSR matrices, LU and dense/sparse
+// Cholesky factorizations, and the implicit backward-Euler ODE stepper.
 //
 // The Go standard library ships no numerics, and this reproduction is
-// offline-only, so everything here is written from scratch. Matrices are
-// dense row-major float64; the thermal networks in this repository are a
-// few dozen to a few hundred nodes, well within dense-solver territory.
+// offline-only, so everything here is written from scratch. Dense
+// matrices are row-major float64; sparse ones are CSR under a
+// min-degree ordering, for networks beyond dense-solver territory.
 package linalg
 
 import (

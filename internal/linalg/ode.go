@@ -10,8 +10,8 @@ import (
 //	C·dT/dt = P(t) − G·T
 //
 // with diagonal capacitance C, conductance G and power injection P.
-// BackwardEuler is unconditionally stable and is the default integrator;
-// RK4 is provided for cross-checking accuracy on small steps.
+// BackwardEuler is unconditionally stable and is the integrator every
+// transient solve uses.
 
 // BackwardEulerFactor is the factored left-hand side (C/dt + G) of the
 // implicit scheme (C/dt + G)·T₊ = C/dt·T + P. It is read-only after
@@ -112,36 +112,4 @@ func (s *BackwardEulerStepper) StepInto(dst, t, p []float64) error {
 		s.rhs[i] = f.caps[i]/f.dt*t[i] + p[i]
 	}
 	return f.lu.SolveInto(dst, s.rhs)
-}
-
-// RK4Step advances C·dT/dt = p − G·t by one explicit classical
-// Runge-Kutta step of size dt and returns the new state. Explicit
-// integration of a stiff RC network needs small dt; this exists to
-// cross-validate BackwardEulerStepper in tests.
-func RK4Step(g *Matrix, c, t, p []float64, dt float64) []float64 {
-	deriv := func(state []float64) []float64 {
-		gt := g.MulVec(state)
-		d := make([]float64, len(state))
-		for i := range d {
-			d[i] = (p[i] - gt[i]) / c[i]
-		}
-		return d
-	}
-	k1 := deriv(t)
-	k2 := deriv(addScaled(t, dt/2, k1))
-	k3 := deriv(addScaled(t, dt/2, k2))
-	k4 := deriv(addScaled(t, dt, k3))
-	out := make([]float64, len(t))
-	for i := range out {
-		out[i] = t[i] + dt/6*(k1[i]+2*k2[i]+2*k3[i]+k4[i])
-	}
-	return out
-}
-
-func addScaled(base []float64, s float64, v []float64) []float64 {
-	out := make([]float64, len(base))
-	for i := range out {
-		out[i] = base[i] + s*v[i]
-	}
-	return out
 }

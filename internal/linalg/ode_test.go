@@ -47,7 +47,7 @@ func TestBackwardEulerReachesSteadyState(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want, err := SolveLU(g, p)
+	want, err := luSolve(g, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestBackwardEulerAgreesWithRK4(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rk = RK4Step(g, c, rk, p, dt)
+		rk = rk4Step(g, c, rk, p, dt)
 	}
 	if !vecAlmostEq(be, rk, 1e-3) {
 		t.Errorf("backward Euler %v vs RK4 %v", be, rk)
@@ -181,4 +181,36 @@ func TestStepIntoMatchesStepAndDoesNotAllocate(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("StepInto allocates %v per run", n)
 	}
+}
+
+// rk4Step advances C·dT/dt = p − G·t by one explicit classical
+// Runge-Kutta step of size dt and returns the new state. Explicit
+// integration of a stiff RC network needs small dt; this is the
+// reference BackwardEulerStepper is cross-validated against.
+func rk4Step(g *Matrix, c, t, p []float64, dt float64) []float64 {
+	deriv := func(state []float64) []float64 {
+		gt := g.MulVec(state)
+		d := make([]float64, len(state))
+		for i := range d {
+			d[i] = (p[i] - gt[i]) / c[i]
+		}
+		return d
+	}
+	k1 := deriv(t)
+	k2 := deriv(addScaled(t, dt/2, k1))
+	k3 := deriv(addScaled(t, dt/2, k2))
+	k4 := deriv(addScaled(t, dt, k3))
+	out := make([]float64, len(t))
+	for i := range out {
+		out[i] = t[i] + dt/6*(k1[i]+2*k2[i]+2*k3[i]+k4[i])
+	}
+	return out
+}
+
+func addScaled(base []float64, s float64, v []float64) []float64 {
+	out := make([]float64, len(base))
+	for i := range out {
+		out[i] = base[i] + s*v[i]
+	}
+	return out
 }

@@ -14,18 +14,13 @@ var ErrSingular = errors.New("linalg: matrix is singular to working precision")
 // positive definite.
 var ErrNotSPD = errors.New("linalg: matrix is not symmetric positive definite")
 
-// ErrNoConverge is returned by iterative solvers that exhaust their
-// iteration budget.
-var ErrNoConverge = errors.New("linalg: iterative solver did not converge")
-
 // LU is an LU factorization with partial pivoting: P·A = L·U.
-// It is the workhorse behind steady-state and backward-Euler transient
-// thermal solves; factor once, solve many right-hand sides.
+// It factors the backward-Euler transient system; factor once, solve
+// many right-hand sides.
 type LU struct {
-	n    int
-	lu   *Matrix // packed L (unit diagonal, strictly below) and U (on/above diagonal)
-	piv  []int   // piv[k] = row swapped into position k at step k
-	sign float64 // permutation parity, for Det
+	n   int
+	lu  *Matrix // packed L (unit diagonal, strictly below) and U (on/above diagonal)
+	piv []int   // piv[k] = row swapped into position k at step k
 }
 
 // luPivotRelTol is the relative singularity threshold of FactorLU: a
@@ -43,7 +38,7 @@ func FactorLU(a *Matrix) (*LU, error) {
 		return nil, fmt.Errorf("linalg: FactorLU needs square matrix, got %dx%d", a.Rows(), a.Cols())
 	}
 	n := a.Rows()
-	f := &LU{n: n, lu: a.Clone(), piv: make([]int, n), sign: 1}
+	f := &LU{n: n, lu: a.Clone(), piv: make([]int, n)}
 	lu := f.lu
 	tiny := luPivotRelTol * a.MaxAbs()
 	for k := 0; k < n; k++ {
@@ -60,7 +55,6 @@ func FactorLU(a *Matrix) (*LU, error) {
 		}
 		f.piv[k] = p
 		if p != k {
-			f.sign = -f.sign
 			for j := 0; j < n; j++ {
 				vp, vk := lu.At(p, j), lu.At(k, j)
 				lu.Set(p, j, vk)
@@ -129,27 +123,9 @@ func (f *LU) SolveInto(x, b []float64) error {
 	return nil
 }
 
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	d := f.sign
-	for i := 0; i < f.n; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
-}
-
-// SolveLU is a convenience wrapper: factor a and solve a·x = b once.
-func SolveLU(a *Matrix, b []float64) ([]float64, error) {
-	f, err := FactorLU(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(b)
-}
-
 // Cholesky is the factorization A = L·Lᵀ of a symmetric positive-definite
 // matrix. Thermal conductance matrices are SPD by construction, so this is
-// the preferred steady-state solver; LU remains the general fallback.
+// the dense steady-state solver.
 type Cholesky struct {
 	n int
 	l *Matrix // lower triangular
@@ -235,94 +211,4 @@ func (c *Cholesky) SolveInto(x, b []float64) error {
 		x[i] = s / c.l.At(i, i)
 	}
 	return nil
-}
-
-// SolveSPD solves a·x = b for an SPD matrix, trying Cholesky first and
-// falling back to LU if the matrix fails the SPD checks (e.g. because of
-// asymmetric rounding in network assembly).
-func SolveSPD(a *Matrix, b []float64) ([]float64, error) {
-	if c, err := FactorCholesky(a); err == nil {
-		return c.Solve(b)
-	}
-	return SolveLU(a, b)
-}
-
-// SolveTridiag solves a tridiagonal system with the Thomas algorithm.
-// sub, diag, sup are the sub-, main and super-diagonals; len(sub) and
-// len(sup) must be len(diag)-1. The inputs are not modified.
-func SolveTridiag(sub, diag, sup, b []float64) ([]float64, error) {
-	n := len(diag)
-	if n == 0 {
-		return nil, errors.New("linalg: SolveTridiag empty system")
-	}
-	if len(sub) != n-1 || len(sup) != n-1 || len(b) != n {
-		return nil, fmt.Errorf("linalg: SolveTridiag inconsistent lengths sub=%d diag=%d sup=%d b=%d",
-			len(sub), len(diag), len(sup), len(b))
-	}
-	c := make([]float64, n-1)
-	d := make([]float64, n)
-	if diag[0] == 0 {
-		return nil, ErrSingular
-	}
-	if n > 1 {
-		c[0] = sup[0] / diag[0]
-	}
-	d[0] = b[0] / diag[0]
-	for i := 1; i < n; i++ {
-		den := diag[i] - sub[i-1]*c[i-1]
-		if den == 0 {
-			return nil, ErrSingular
-		}
-		if i < n-1 {
-			c[i] = sup[i] / den
-		}
-		d[i] = (b[i] - sub[i-1]*d[i-1]) / den
-	}
-	x := make([]float64, n)
-	x[n-1] = d[n-1]
-	for i := n - 2; i >= 0; i-- {
-		x[i] = d[i] - c[i]*x[i+1]
-	}
-	return x, nil
-}
-
-// CG solves the SPD system a·x = b with the conjugate-gradient method,
-// starting from the zero vector, to relative residual tol (on ‖b‖) within
-// maxIter iterations. It exists as an ablation/verification path for the
-// direct solvers and for larger grids.
-func CG(a *Matrix, b []float64, tol float64, maxIter int) ([]float64, error) {
-	n := len(b)
-	if a.Rows() != n || a.Cols() != n {
-		return nil, fmt.Errorf("linalg: CG dimension mismatch %dx%d vs %d", a.Rows(), a.Cols(), n)
-	}
-	x := make([]float64, n)
-	r := make([]float64, n)
-	copy(r, b)
-	p := make([]float64, n)
-	copy(p, b)
-	bnorm := Norm2(b)
-	if bnorm == 0 {
-		return x, nil
-	}
-	rs := Dot(r, r)
-	for it := 0; it < maxIter; it++ {
-		ap := a.MulVec(p)
-		den := Dot(p, ap)
-		if den <= 0 {
-			return nil, ErrNotSPD
-		}
-		alpha := rs / den
-		AXPY(alpha, p, x)
-		AXPY(-alpha, ap, r)
-		rsNew := Dot(r, r)
-		if math.Sqrt(rsNew) <= tol*bnorm {
-			return x, nil
-		}
-		beta := rsNew / rs
-		for i := range p {
-			p[i] = r[i] + beta*p[i]
-		}
-		rs = rsNew
-	}
-	return nil, ErrNoConverge
 }

@@ -2,16 +2,25 @@ package linalg
 
 import (
 	"errors"
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
+// luSolve factors a and solves a·x = b once: the dense reference the
+// other solvers are checked against.
+func luSolve(a *Matrix, b []float64) ([]float64, error) {
+	f, err := FactorLU(a)
+	if err != nil {
+		return nil, err
+	}
+	return f.Solve(b)
+}
+
 func TestLUSolveKnown(t *testing.T) {
 	// 2x + y = 5; x + 3y = 10  →  x = 1, y = 3
 	a := NewMatrixFrom(2, 2, []float64{2, 1, 1, 3})
-	x, err := SolveLU(a, []float64{5, 10})
+	x, err := luSolve(a, []float64{5, 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +32,7 @@ func TestLUSolveKnown(t *testing.T) {
 func TestLUNeedsPivoting(t *testing.T) {
 	// Zero in the (0,0) position forces a row swap.
 	a := NewMatrixFrom(2, 2, []float64{0, 1, 1, 0})
-	x, err := SolveLU(a, []float64{2, 3})
+	x, err := luSolve(a, []float64{2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +43,7 @@ func TestLUNeedsPivoting(t *testing.T) {
 
 func TestLUSingular(t *testing.T) {
 	a := NewMatrixFrom(2, 2, []float64{1, 2, 2, 4})
-	if _, err := SolveLU(a, []float64{1, 2}); !errors.Is(err, ErrSingular) {
+	if _, err := luSolve(a, []float64{1, 2}); !errors.Is(err, ErrSingular) {
 		t.Errorf("err = %v, want ErrSingular", err)
 	}
 }
@@ -52,22 +61,6 @@ func TestLURHSLength(t *testing.T) {
 	}
 	if _, err := f.Solve([]float64{1, 2}); err == nil {
 		t.Error("Solve with wrong rhs length should error")
-	}
-}
-
-func TestLUDet(t *testing.T) {
-	a := NewMatrixFrom(2, 2, []float64{3, 8, 4, 6})
-	f, err := FactorLU(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(f.Det(), -14, 1e-10) {
-		t.Errorf("Det = %v, want -14", f.Det())
-	}
-	// Determinant of identity is 1 regardless of pivoting.
-	fi, _ := FactorLU(Identity(4))
-	if !almostEq(fi.Det(), 1, 1e-12) {
-		t.Errorf("Det(I) = %v", fi.Det())
 	}
 }
 
@@ -134,94 +127,6 @@ func TestCholeskyRHSLength(t *testing.T) {
 	}
 }
 
-func TestSolveSPDFallsBackToLU(t *testing.T) {
-	// Not SPD (asymmetric) but solvable: SolveSPD must still succeed.
-	a := NewMatrixFrom(2, 2, []float64{2, 1, 0, 3})
-	x, err := SolveSPD(a, []float64{5, 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !vecAlmostEq(x, []float64{1.5, 2}, 1e-12) {
-		t.Errorf("x = %v, want [1.5 2]", x)
-	}
-}
-
-func TestSolveTridiag(t *testing.T) {
-	// System: [2 1 0; 1 2 1; 0 1 2] x = [4 8 8] → x = [1 2 3]
-	x, err := SolveTridiag(
-		[]float64{1, 1},
-		[]float64{2, 2, 2},
-		[]float64{1, 1},
-		[]float64{4, 8, 8},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !vecAlmostEq(x, []float64{1, 2, 3}, 1e-12) {
-		t.Errorf("x = %v, want [1 2 3]", x)
-	}
-}
-
-func TestSolveTridiagErrors(t *testing.T) {
-	if _, err := SolveTridiag(nil, nil, nil, nil); err == nil {
-		t.Error("empty system should error")
-	}
-	if _, err := SolveTridiag([]float64{1}, []float64{1, 1}, []float64{1, 1}, []float64{1, 1}); err == nil {
-		t.Error("inconsistent lengths should error")
-	}
-	if _, err := SolveTridiag([]float64{1}, []float64{0, 1}, []float64{1}, []float64{1, 1}); !errors.Is(err, ErrSingular) {
-		t.Error("zero leading pivot should be ErrSingular")
-	}
-}
-
-func TestSolveTridiagSingleElement(t *testing.T) {
-	x, err := SolveTridiag(nil, []float64{4}, nil, []float64{8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !vecAlmostEq(x, []float64{2}, 0) {
-		t.Errorf("x = %v, want [2]", x)
-	}
-}
-
-func TestCGMatchesDirect(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	a := randomSPD(rng, 8)
-	want := make([]float64, 8)
-	for i := range want {
-		want[i] = rng.NormFloat64()
-	}
-	b := a.MulVec(want)
-	got, err := CG(a, b, 1e-12, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !vecAlmostEq(got, want, 1e-6) {
-		t.Errorf("CG = %v, want %v", got, want)
-	}
-}
-
-func TestCGZeroRHS(t *testing.T) {
-	x, err := CG(Identity(3), []float64{0, 0, 0}, 1e-10, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !vecAlmostEq(x, []float64{0, 0, 0}, 0) {
-		t.Errorf("CG zero rhs = %v", x)
-	}
-}
-
-func TestCGErrors(t *testing.T) {
-	if _, err := CG(NewMatrix(2, 2), []float64{1, 2, 3}, 1e-10, 10); err == nil {
-		t.Error("dimension mismatch should error")
-	}
-	// Indefinite matrix: p·Ap goes non-positive.
-	indef := NewMatrixFrom(2, 2, []float64{-1, 0, 0, -1})
-	if _, err := CG(indef, []float64{1, 1}, 1e-10, 10); !errors.Is(err, ErrNotSPD) {
-		t.Errorf("err = %v, want ErrNotSPD", err)
-	}
-}
-
 // Property: LU solves random SPD systems to high accuracy.
 func TestLURandomSPDProperty(t *testing.T) {
 	f := func(seed int64) bool {
@@ -233,7 +138,7 @@ func TestLURandomSPDProperty(t *testing.T) {
 			want[i] = rng.NormFloat64() * 10
 		}
 		b := a.MulVec(want)
-		got, err := SolveLU(a, b)
+		got, err := luSolve(a, b)
 		if err != nil {
 			return false
 		}
@@ -254,33 +159,16 @@ func TestCholeskyMatchesLUProperty(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		xc, err1 := SolveSPD(a, b)
-		xl, err2 := SolveLU(a, b)
+		c, err := FactorCholesky(a)
+		if err != nil {
+			return false
+		}
+		xc, err1 := c.Solve(b)
+		xl, err2 := luSolve(a, b)
 		if err1 != nil || err2 != nil {
 			return false
 		}
 		return vecAlmostEq(xc, xl, 1e-7*(1+NormInf(xl)))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: det(A) via LU matches cofactor expansion for 3×3 matrices.
-func TestDetMatches3x3Cofactor(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m := randomMatrix(rng, 3, 3)
-		a, b, c := m.At(0, 0), m.At(0, 1), m.At(0, 2)
-		d, e, g := m.At(1, 0), m.At(1, 1), m.At(1, 2)
-		h, i, j := m.At(2, 0), m.At(2, 1), m.At(2, 2)
-		want := a*(e*j-g*i) - b*(d*j-g*h) + c*(d*i-e*h)
-		f3, err := FactorLU(m)
-		if err != nil {
-			// Singular random matrix: essentially never, but acceptable.
-			return math.Abs(want) < 1e-9
-		}
-		return almostEq(f3.Det(), want, 1e-9*(1+math.Abs(want)))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

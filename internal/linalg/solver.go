@@ -1,10 +1,9 @@
 package linalg
 
-// SteadySolver is a factored (or preconditioned) linear system ready to
-// answer A·x = b solves. The hotspot steady-state path holds one behind
-// this interface so the dense Cholesky reference, the sparse Cholesky
-// backend and the PCG backend are interchangeable; SolveInto is the
-// zero-allocation hot form everywhere.
+// SteadySolver is a factored linear system ready to answer A·x = b
+// solves. The hotspot steady-state path holds one behind this interface
+// so the dense Cholesky reference and the sparse Cholesky backend are
+// interchangeable; SolveInto is the zero-allocation hot form everywhere.
 type SteadySolver interface {
 	// N returns the system dimension.
 	N() int
@@ -24,5 +23,4 @@ var (
 	_ SteadySolver = (*LU)(nil)
 	_ SteadySolver = (*Cholesky)(nil)
 	_ SteadySolver = (*SparseCholesky)(nil)
-	_ SteadySolver = (*PCG)(nil)
 )

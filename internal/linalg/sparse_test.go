@@ -3,7 +3,6 @@ package linalg
 import (
 	"errors"
 	"math"
-	"math/rand"
 	"testing"
 )
 
@@ -149,9 +148,9 @@ func TestSparseCholeskyOrderedSolvesAccurately(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
-	want, err := SolveLU(m, b)
+	want, err := luSolve(m, b)
 	if err != nil {
-		t.Fatalf("SolveLU: %v", err)
+		t.Fatalf("luSolve: %v", err)
 	}
 	for i := range x {
 		if math.Abs(x[i]-want[i]) > 1e-9*(1+math.Abs(want[i])) {
@@ -221,74 +220,6 @@ func TestMinDegreeOrderingDefersDenseRow(t *testing.T) {
 	}
 }
 
-func TestPCGMatchesDirect(t *testing.T) {
-	m, a := gridLaplacian(8, 8, 0.6, 0.03)
-	s, err := NewPCG(a, 1e-12, 0)
-	if err != nil {
-		t.Fatalf("NewPCG: %v", err)
-	}
-	n := a.N()
-	b := make([]float64, n)
-	rng := rand.New(rand.NewSource(7))
-	for i := range b {
-		b[i] = rng.Float64()*4 - 2
-	}
-	x, err := s.Solve(b)
-	if err != nil {
-		t.Fatalf("PCG Solve: %v", err)
-	}
-	want, err := SolveLU(m, b)
-	if err != nil {
-		t.Fatalf("SolveLU: %v", err)
-	}
-	for i := range x {
-		if math.Abs(x[i]-want[i]) > 1e-8*(1+math.Abs(want[i])) {
-			t.Fatalf("x[%d] = %v, want %v", i, x[i], want[i])
-		}
-	}
-	// Determinism: two solves of the same system are bitwise equal.
-	x2, err := s.Solve(b)
-	if err != nil {
-		t.Fatalf("second Solve: %v", err)
-	}
-	for i := range x {
-		if x[i] != x2[i] {
-			t.Fatalf("PCG not deterministic at %d: %v vs %v", i, x[i], x2[i])
-		}
-	}
-}
-
-func TestPCGNoConverge(t *testing.T) {
-	_, a := gridLaplacian(4, 4, 1, 0.01)
-	s, err := NewPCG(a, 1e-14, 1)
-	if err != nil {
-		t.Fatalf("NewPCG: %v", err)
-	}
-	b := make([]float64, a.N())
-	for i := range b {
-		b[i] = 1
-	}
-	if _, err := s.Solve(b); !errors.Is(err, ErrNoConverge) {
-		t.Fatalf("err = %v, want ErrNoConverge", err)
-	}
-}
-
-func TestPCGRejectsBadInputs(t *testing.T) {
-	_, a := gridLaplacian(3, 3, 1, 0.1)
-	if _, err := NewPCG(a, 0, 0); err == nil {
-		t.Fatal("NewPCG accepted zero tolerance")
-	}
-	if _, err := NewPCG(a, 1, 0); err == nil {
-		t.Fatal("NewPCG accepted tolerance 1")
-	}
-	b := NewSparseBuilder(2)
-	b.Add(0, 0, 1)
-	// Missing diagonal at row 1.
-	if _, err := NewPCG(b.Build(), 1e-10, 0); !errors.Is(err, ErrNotSPD) {
-		t.Fatalf("err = %v, want ErrNotSPD for non-positive diagonal", err)
-	}
-}
-
 // TestCholeskyNearSingular is the satellite regression test: both the
 // dense and sparse Cholesky factorizations must report ErrSingular on
 // a conductance network that is singular to working precision (a
@@ -350,10 +281,6 @@ func TestSparseSolveIntoAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatalf("factor: %v", err)
 	}
-	pcg, err := NewPCG(a, 1e-10, 0)
-	if err != nil {
-		t.Fatalf("NewPCG: %v", err)
-	}
 	n := a.N()
 	b := make([]float64, n)
 	x := make([]float64, n)
@@ -364,21 +291,11 @@ func TestSparseSolveIntoAllocFree(t *testing.T) {
 	if err := f.SolveInto(x, b); err != nil {
 		t.Fatalf("warm-up: %v", err)
 	}
-	if err := pcg.SolveInto(x, b); err != nil {
-		t.Fatalf("warm-up: %v", err)
-	}
 	if n := testing.AllocsPerRun(20, func() {
 		if err := f.SolveInto(x, b); err != nil {
 			t.Fatalf("SolveInto: %v", err)
 		}
 	}); n != 0 {
 		t.Fatalf("SparseCholesky.SolveInto allocates %v per run after warm-up", n)
-	}
-	if n := testing.AllocsPerRun(20, func() {
-		if err := pcg.SolveInto(x, b); err != nil {
-			t.Fatalf("SolveInto: %v", err)
-		}
-	}); n != 0 {
-		t.Fatalf("PCG.SolveInto allocates %v per run after warm-up", n)
 	}
 }

@@ -118,7 +118,11 @@ func AllocateAndScheduleCtx(ctx context.Context, g *taskgraph.Graph, arch Archit
 	readyOn := func(task, pe int) float64 {
 		t := 0.0
 		for _, e := range preds[task] {
-			p := assignments[e.From]
+			// By pointer, not by copy: a copied Assignment goes through
+			// a stack slot, and whether its 16-byte stores forward to
+			// the loads below depends on the frame's alignment — a
+			// ~25% swing of the whole ASP from unrelated frame changes.
+			p := &assignments[e.From]
 			r := p.Finish
 			if p.PE != pe {
 				r += e.Data * arch.BusTimePerUnit

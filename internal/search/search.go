@@ -91,10 +91,10 @@ func (p *Pool) Map(n int, fn func(i int) error) error {
 
 // LRU is a mutex-guarded least-recently-used cache from string keys to
 // values, with hit/miss counters — the memo behind the floorplanner's
-// expression-fingerprint cache. For deterministic eviction (and so
-// deterministic hit/miss accounting across parallelism levels), do the
-// Get/Put calls of one search serially; the lock only guards against
-// accidental concurrent use.
+// expression-fingerprint cache and the root Engine's model, scenario
+// and stream caches. It is safe for concurrent use; for deterministic
+// eviction (and so deterministic hit/miss accounting across
+// parallelism levels), do the Get/Put calls of one search serially.
 type LRU[V any] struct {
 	mu     sync.Mutex
 	cap    int

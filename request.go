@@ -391,8 +391,8 @@ type Request struct {
 
 	// Solver overrides the engine's steady-state thermal solver backend
 	// for this request: one of hotspot.SolverNames (dense, the golden
-	// reference; sparse; pcg). Empty keeps the engine's setting
-	// (WithSolverBackend, default dense). All backends are deterministic
+	// reference; or sparse). Empty keeps the engine's setting
+	// (WithSolverBackend, default dense). Both backends are deterministic
 	// and agree to ≤1e-6 K on the paper benchmarks; FlowGenerate never
 	// builds a thermal model, so Validate rejects the override there.
 	Solver string `json:"solver,omitempty"`
@@ -667,7 +667,7 @@ func (r *Request) Validate() error {
 		return fieldErr("parallelism", "parallelism on a %q request (only the cosynthesis, simulate and stream flows consume it)", r.Flow)
 	}
 	switch r.Solver {
-	case "", hotspot.SolverDense, hotspot.SolverSparse, hotspot.SolverPCG:
+	case "", hotspot.SolverDense, hotspot.SolverSparse:
 	default:
 		return fieldErr("solver", "unknown solver %q (want one of %v)", r.Solver, hotspot.SolverNames())
 	}

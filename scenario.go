@@ -3,7 +3,6 @@ package thermalsched
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"thermalsched/internal/scenario"
 )
@@ -88,78 +87,27 @@ func scenarioReport(sc *Scenario) (*ScenarioReport, error) {
 // the cache only needs to hold a campaign's working set.
 const DefaultScenarioCacheSize = 128
 
-// fpCache memoizes fingerprint-keyed generated artifacts (scenarios,
-// stream workloads). The cached values are immutable once generated
-// (scheduling never mutates its input graph and libraries are
-// read-only), so one cached instance can serve concurrent workers.
-type fpCache[V any] struct {
-	mu     sync.Mutex
-	cap    int
-	byFP   map[string]V
-	hits   uint64
-	misses uint64
-}
-
-func newFPCache[V any](capacity int) *fpCache[V] {
-	return &fpCache[V]{cap: capacity, byFP: make(map[string]V)}
-}
-
-// get returns the cached value for a fingerprint, if present.
-func (c *fpCache[V]) get(fp string) (V, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	v, ok := c.byFP[fp]
-	if ok {
-		c.hits++
-	} else {
-		c.misses++
-	}
-	return v, ok
-}
-
-// put inserts a value, evicting an arbitrary entry when full (the
-// access pattern is a campaign sweeping its scenario set in order, so
-// recency tracking would buy nothing).
-func (c *fpCache[V]) put(fp string, v V) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.byFP[fp]; !ok && len(c.byFP) >= c.cap {
-		//thermalvet:allow mapiter(eviction victim choice affects only cache hit rates, never results: entries are keyed by fingerprint and regeneration is deterministic)
-		for k := range c.byFP {
-			delete(c.byFP, k)
-			break
-		}
-	}
-	c.byFP[fp] = v
-}
-
-func (c *fpCache[V]) stats() (hits, misses uint64, size int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses, len(c.byFP)
-}
-
 // scenarioFor returns the (possibly cached) scenario for a spec.
 func (e *Engine) scenarioFor(spec ScenarioSpec) (*Scenario, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	fp := spec.Fingerprint()
-	if sc, ok := e.scenarios.get(fp); ok {
+	if sc, ok := e.scenarios.Get(fp); ok {
 		return sc, nil
 	}
 	sc, err := scenario.Generate(spec)
 	if err != nil {
 		return nil, err
 	}
-	e.scenarios.put(fp, sc)
+	e.scenarios.Put(fp, sc)
 	return sc, nil
 }
 
 // ScenarioCacheStats reports the generated-scenario cache's hit/miss
 // counters and current size, for observability and tests.
 func (e *Engine) ScenarioCacheStats() (hits, misses uint64, size int) {
-	return e.scenarios.stats()
+	return e.scenarios.Stats()
 }
 
 // runGenerateFlow materializes the requested scenario and serializes it

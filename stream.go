@@ -237,21 +237,21 @@ func (e *Engine) streamFor(spec StreamSpec) (*StreamWorkload, error) {
 		return nil, err
 	}
 	fp := ws.Fingerprint()
-	if wl, ok := e.streams.get(fp); ok {
+	if wl, ok := e.streams.Get(fp); ok {
 		return wl, nil
 	}
 	wl, err := scenario.GenerateStream(ws)
 	if err != nil {
 		return nil, err
 	}
-	e.streams.put(fp, wl)
+	e.streams.Put(fp, wl)
 	return wl, nil
 }
 
 // StreamCacheStats reports the generated-workload cache's hit/miss
 // counters and current size, for observability and tests.
 func (e *Engine) StreamCacheStats() (hits, misses uint64, size int) {
-	return e.streams.stats()
+	return e.streams.Stats()
 }
 
 // StreamReport is the FlowStream payload: the workload's realized

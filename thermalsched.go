@@ -22,12 +22,9 @@
 //	))
 //	fmt.Printf("peak %.1f °C\n", resp.Metrics.MaxTemp)
 //
-// Engine.Platform and Engine.CoSynthesize are the typed counterparts
-// returning full FlowResults (schedule, floorplan, thermal model), and
-// cmd/thermschedd serves Engine.Run over HTTP/JSON. The package-level
-// RunPlatform/RunCoSynthesis/RunSweep functions predate the Engine;
-// they remain as thin deprecated wrappers over a shared default Engine
-// and return results identical to earlier releases.
+// Engine.Platform, Engine.CoSynthesize and Engine.Sweep are the typed
+// counterparts returning full results (schedule, floorplan, thermal
+// model), and cmd/thermschedd serves Engine.Run over HTTP/JSON.
 //
 // Beyond the paper's four benchmarks, the generate and campaign flows
 // run the same machinery on synthetic workloads: seeded random task
@@ -41,11 +38,19 @@
 //	internal/scenario    synthetic scenarios: seeded graph + platform generators
 //	internal/sched       the ASP: policies Baseline, H1–H3, ThermalAware
 //	internal/floorplan   slicing-tree GA/SA floorplanner, platform layouts
+//	internal/linalg      dense/sparse Cholesky, LU, backward-Euler stepper
 //	internal/hotspot     compact thermal RC model (steady state, transient)
 //	internal/power       power profiles, traces, leakage feedback
 //	internal/cosynth     the two flows of the paper's Figure 1
 //	internal/experiments Tables 1–3, the sweep, DTM and scaling studies
+//	internal/sim         discrete-event replay with actual execution times
+//	internal/dtm         thermal supervisors: toggle, PI, admit, zig-zag
+//	internal/coloop      closed-loop co-simulation core, rise forecaster
+//	internal/runtime     the simulate flow's schedule/thermal/DTM loop
+//	internal/stream      online dispatcher and placement policies
+//	internal/search      deterministic parallel search pool and LRU memo
 //	internal/service     request validation/routing for cmd/thermschedd
+//	internal/jobs        async job tier: coalescing, journal, eviction
 package thermalsched
 
 import (
@@ -185,48 +190,6 @@ type (
 	CoSynthConfig = cosynth.CoSynthConfig
 )
 
-// RunPlatform schedules g on the paper's fixed platform of four
-// identical PEs under the given policy (Fig. 1b).
-//
-// Deprecated: use Engine.Run with FlowPlatform or Engine.Platform. This
-// wrapper runs on the shared DefaultEngine and returns metrics
-// identical to earlier releases.
-func RunPlatform(g *Graph, lib *Library, policy Policy) (*FlowResult, error) {
-	return RunPlatformConfig(g, lib, PlatformConfig{Policy: policy})
-}
-
-// RunPlatformConfig is RunPlatform with full configuration control.
-//
-// Deprecated: use Engine.Run with FlowPlatform or Engine.Platform.
-func RunPlatformConfig(g *Graph, lib *Library, cfg PlatformConfig) (*FlowResult, error) {
-	e, err := DefaultEngine()
-	if err != nil {
-		return nil, err
-	}
-	return e.platform(context.Background(), g, lib, cfg)
-}
-
-// RunCoSynthesis runs the co-synthesis flow (Fig. 1a): deadline-driven
-// PE selection with floorplanning and thermal extraction in the loop.
-//
-// Deprecated: use Engine.Run with FlowCoSynthesis or
-// Engine.CoSynthesize. This wrapper runs on the shared DefaultEngine
-// and returns metrics identical to earlier releases.
-func RunCoSynthesis(g *Graph, lib *Library, policy Policy) (*FlowResult, error) {
-	return RunCoSynthesisConfig(g, lib, CoSynthConfig{Policy: policy})
-}
-
-// RunCoSynthesisConfig is RunCoSynthesis with full configuration control.
-//
-// Deprecated: use Engine.Run with FlowCoSynthesis or Engine.CoSynthesize.
-func RunCoSynthesisConfig(g *Graph, lib *Library, cfg CoSynthConfig) (*FlowResult, error) {
-	e, err := DefaultEngine()
-	if err != nil {
-		return nil, err
-	}
-	return e.cosynthesize(context.Background(), g, lib, cfg)
-}
-
 // Power-domain types.
 type (
 	// PowerProfile is the per-PE power timeline of a schedule.
@@ -335,18 +298,3 @@ type (
 	// ScalingRow is one task-count point of the scaling study.
 	ScalingRow = experiments.ScalingRow
 )
-
-// RunSweep compares the power-aware and thermal-aware ASPs over count
-// random task graphs on the platform flow.
-//
-// Deprecated: use Engine.Run with FlowSweep or Engine.Sweep. This
-// wrapper runs on the shared DefaultEngine's model cache and returns
-// results identical to earlier releases.
-func RunSweep(lib *Library, count int, seed int64) (*SweepResult, error) {
-	e, err := DefaultEngine()
-	if err != nil {
-		return nil, err
-	}
-	return experiments.RunSweepWith(context.Background(), lib, count, seed,
-		cosynth.PlatformConfig{Models: e.modelProvider()})
-}

@@ -72,6 +72,13 @@ func validationCases() []struct {
 			field: "parallelism",
 			cli:   []string{"-flow", "platform", "-benchmark", "Bm1", "-parallelism", "4"},
 		},
+		{
+			name: `solver "pcg"`,
+			req: thermalsched.Request{Flow: thermalsched.FlowPlatform,
+				Benchmark: "Bm1", Policy: "thermal", Solver: "pcg"},
+			field: "solver",
+			cli:   []string{"-flow", "platform", "-benchmark", "Bm1", "-solver", "pcg"},
+		},
 	}
 }
 
