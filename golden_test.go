@@ -11,7 +11,7 @@ import (
 )
 
 // -update rewrites the closed-loop golden files from current behavior.
-// Run it only when a change to simulate/stream output is intentional.
+// Run it only when a change to simulate/stream/dtm output is intentional.
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden files from current behavior")
 
 // closedLoopGoldenCases spans the pre-existing simulate and stream
@@ -23,6 +23,8 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/golden files fro
 // scale: a backlogged 16-PE platform with denials in the 10⁵ range,
 // and a hold so short (retryAfter 1e-300) that t+retryAfter rounds to
 // t, where a denial does not outlast the query that made it.
+// The dtm cases pin the open-loop replay flow under both of its
+// controllers.
 func closedLoopGoldenCases() []struct {
 	name string
 	req  Request
@@ -73,10 +75,14 @@ func closedLoopGoldenCases() []struct {
 			func(r *Request) { r.Policy = StreamPolicyAdmit })},
 		{"simulate_bm1_admit", NewRequest(FlowSimulate, WithBenchmark("Bm1"),
 			WithSimulate(SimulateSpec{Controller: "admit", Replicas: 2, MinFactor: 0.85, Seed: 13}))},
+		{"dtm_bm1_toggle", NewRequest(FlowDTM, WithBenchmark("Bm1"),
+			WithDTM(DTMSpec{Controller: "toggle", MinFactor: 0.85, SimSeed: 7}))},
+		{"dtm_bm2_pi", NewRequest(FlowDTM, WithBenchmark("Bm2"),
+			WithDTM(DTMSpec{Controller: "pi"}))},
 	}
 }
 
-// TestClosedLoopGolden pins the simulate and stream flows byte-for-byte
+// TestClosedLoopGolden pins the simulate, stream and dtm flows byte-for-byte
 // against checked-in responses captured before the internal/coloop
 // extraction: the shared-core refactor must be behavior-preserving on
 // every pre-existing spec. ElapsedMS is zeroed — it is documented as
