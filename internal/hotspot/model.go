@@ -26,6 +26,11 @@ type Model struct {
 	solv  linalg.SteadySolver // factored/preconditioned backend per cfg.SolverKind
 	caps  []float64           // node heat capacities (transient)
 
+	// order is the min-degree elimination order of csr. Sparse-backend
+	// models compute it in NewModel for the steady factor; dense-backend
+	// models compute it on their first transient factor, under stepMu.
+	order []int
+
 	// The dense image of csr, materialized on demand: the transient
 	// stepper and Conductance() still consume a dense matrix, and the
 	// dense solver path factors it eagerly. Sparse-backend models that
@@ -196,7 +201,8 @@ func NewModel(fp *floorplan.Floorplan, cfg Config) (*Model, error) {
 		}
 		m.solv = chol
 	case SolverSparse:
-		f, err := linalg.FactorSparseCholeskyOrdered(m.csr, linalg.MinDegreeOrdering(m.csr))
+		m.order = linalg.MinDegreeOrdering(m.csr)
+		f, err := linalg.FactorSparseCholeskyOrdered(m.csr, m.order)
 		if err != nil {
 			return nil, fmt.Errorf("hotspot: conductance matrix not SPD (floorplan degenerate?): %w", err)
 		}

@@ -173,7 +173,14 @@ func (m *Model) stepMemoLocked(dt float64) (*stepMemo, error) {
 			return sm, nil
 		}
 	}
-	f, err := linalg.NewBackwardEulerFactor(m.denseG(), m.caps, dt)
+	// Every backend steps under the min-degree order, so transient
+	// trajectories do not depend on the steady-state backend; it also
+	// reproduces the dispatch tie-breaks of the earlier dense-LU
+	// stepper, which natural order does not.
+	if m.order == nil {
+		m.order = linalg.MinDegreeOrdering(m.csr)
+	}
+	f, err := linalg.NewBackwardEulerFactor(m.csr, m.caps, dt, m.order)
 	if err != nil {
 		return nil, fmt.Errorf("hotspot: transient init: %w", err)
 	}

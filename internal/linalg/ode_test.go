@@ -5,6 +5,41 @@ import (
 	"testing"
 )
 
+// csrOf compresses a dense matrix into CSR, storing every nonzero and
+// the whole diagonal.
+func csrOf(a *Matrix) *CSR {
+	b := NewSparseBuilder(a.Rows())
+	for i := 0; i < a.Rows(); i++ {
+		for j := 0; j < a.Cols(); j++ {
+			if v := a.At(i, j); v != 0 || i == j {
+				b.Add(i, j, v)
+			}
+		}
+	}
+	return b.Build()
+}
+
+// newStepper factors the backward-Euler system of the dense conductance
+// matrix g in natural order and returns a stepper over it.
+func newStepper(t *testing.T, g *Matrix, c []float64, dt float64) *BackwardEulerStepper {
+	t.Helper()
+	f, err := NewBackwardEulerFactor(csrOf(g), c, dt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f.NewStepper()
+}
+
+// advance runs steps in-place backward-Euler steps from state under p.
+func advance(t *testing.T, st *BackwardEulerStepper, state, p []float64, steps int) {
+	t.Helper()
+	for i := 0; i < steps; i++ {
+		if err := st.StepInto(state, state, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // A single RC node: C·dT/dt = P − G·T has the closed form
 // T(t) = P/G + (T0 − P/G)·exp(−G·t/C).
 func TestBackwardEulerSingleNodeConvergesToAnalytic(t *testing.T) {
@@ -12,18 +47,10 @@ func TestBackwardEulerSingleNodeConvergesToAnalytic(t *testing.T) {
 	c := []float64{4.0}                      // C = 4 J/K
 	p := []float64{10.0}                     // P = 10 W
 	dt := 0.001
-	st, err := NewBackwardEulerStepper(g, c, dt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := newStepper(t, g, c, dt)
 	state := []float64{0}
 	steps := 2000
-	for i := 0; i < steps; i++ {
-		state, err = st.Step(state, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+	advance(t, st, state, p, steps)
 	tEnd := float64(steps) * dt
 	analytic := 5.0 + (0-5.0)*math.Exp(-2.0*tEnd/4.0)
 	if !almostEq(state[0], analytic, 0.01) {
@@ -36,18 +63,14 @@ func TestBackwardEulerReachesSteadyState(t *testing.T) {
 	g := NewMatrixFrom(2, 2, []float64{3, -1, -1, 2})
 	c := []float64{1, 1}
 	p := []float64{5, 0}
-	st, err := NewBackwardEulerStepper(g, c, 0.05)
+	st := newStepper(t, g, c, 0.05)
+	state := []float64{0, 0}
+	advance(t, st, state, p, 5000)
+	chol, err := FactorCholesky(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	state := []float64{0, 0}
-	for i := 0; i < 5000; i++ {
-		state, err = st.Step(state, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := luSolve(g, p)
+	want, err := chol.Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,16 +84,10 @@ func TestBackwardEulerStability(t *testing.T) {
 	g := NewMatrixFrom(2, 2, []float64{1000, -1, -1, 1000})
 	c := []float64{1e-3, 1e-3}
 	p := []float64{1, 1}
-	st, err := NewBackwardEulerStepper(g, c, 10.0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := newStepper(t, g, c, 10.0)
 	state := []float64{100, -100}
 	for i := 0; i < 50; i++ {
-		state, err = st.Step(state, p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		advance(t, st, state, p, 1)
 		if math.IsNaN(state[0]) || math.Abs(state[0]) > 1e6 {
 			t.Fatalf("diverged at step %d: %v", i, state)
 		}
@@ -82,17 +99,11 @@ func TestBackwardEulerAgreesWithRK4(t *testing.T) {
 	c := []float64{2, 3}
 	p := []float64{7, 1}
 	dt := 1e-4
-	st, err := NewBackwardEulerStepper(g, c, dt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := newStepper(t, g, c, dt)
 	be := []float64{0, 0}
 	rk := []float64{0, 0}
 	for i := 0; i < 5000; i++ {
-		be, err = st.Step(be, p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		advance(t, st, be, p, 1)
 		rk = rk4Step(g, c, rk, p, dt)
 	}
 	if !vecAlmostEq(be, rk, 1e-3) {
@@ -100,27 +111,87 @@ func TestBackwardEulerAgreesWithRK4(t *testing.T) {
 	}
 }
 
+// Stepping under a fill-reducing order gathers the right-hand side into
+// factor order and scatters the solution back; it must agree with the
+// natural-order integration to rounding, and with a dense Cholesky
+// solve of the same system step for step.
+func TestBackwardEulerOrderedMatchesNatural(t *testing.T) {
+	g, a := gridLaplacian(6, 5, 0.7, 0.03)
+	n := a.N()
+	c := make([]float64, n)
+	p := make([]float64, n)
+	for i := range c {
+		c[i] = 0.5 + float64(i%4)
+		p[i] = float64((i * 7) % 5)
+	}
+	const dt = 0.2
+	perm := MinDegreeOrdering(a)
+	ordered, err := NewBackwardEulerFactor(a, c, dt, perm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	natural, err := NewBackwardEulerFactor(a, c, dt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lhs := g.Clone()
+	for i := 0; i < n; i++ {
+		lhs.Add(i, i, c[i]/dt)
+	}
+	ref, err := FactorCholesky(lhs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	so, sn := ordered.NewStepper(), natural.NewStepper()
+	xo, xn, xr := make([]float64, n), make([]float64, n), make([]float64, n)
+	rhs := make([]float64, n)
+	for step := 0; step < 50; step++ {
+		advance(t, so, xo, p, 1)
+		advance(t, sn, xn, p, 1)
+		for i := range rhs {
+			rhs[i] = c[i]/dt*xr[i] + p[i]
+		}
+		if err := ref.SolveInto(xr, rhs); err != nil {
+			t.Fatal(err)
+		}
+		for i := range xo {
+			if math.Abs(xo[i]-xn[i]) > 1e-12*(1+math.Abs(xn[i])) || math.Abs(xo[i]-xr[i]) > 1e-12*(1+math.Abs(xr[i])) {
+				t.Fatalf("step %d node %d: ordered %v natural %v dense %v", step, i, xo[i], xn[i], xr[i])
+			}
+		}
+	}
+	if ordered.Dt() != dt {
+		t.Errorf("Dt = %v", ordered.Dt())
+	}
+}
+
 func TestBackwardEulerStepperValidation(t *testing.T) {
-	g := Identity(2)
+	g := csrOf(Identity(2))
 	c := []float64{1, 1}
+	noDiag := NewSparseBuilder(2)
+	noDiag.Add(0, 0, 1)
 	cases := []struct {
 		name string
 		f    func() error
 	}{
-		{"non-square", func() error {
-			_, err := NewBackwardEulerStepper(NewMatrix(2, 3), c, 0.1)
-			return err
-		}},
 		{"cap length", func() error {
-			_, err := NewBackwardEulerStepper(g, []float64{1}, 0.1)
+			_, err := NewBackwardEulerFactor(g, []float64{1}, 0.1, nil)
 			return err
 		}},
 		{"zero dt", func() error {
-			_, err := NewBackwardEulerStepper(g, c, 0)
+			_, err := NewBackwardEulerFactor(g, c, 0, nil)
 			return err
 		}},
 		{"negative capacitance", func() error {
-			_, err := NewBackwardEulerStepper(g, []float64{1, -1}, 0.1)
+			_, err := NewBackwardEulerFactor(g, []float64{1, -1}, 0.1, nil)
+			return err
+		}},
+		{"missing diagonal", func() error {
+			_, err := NewBackwardEulerFactor(noDiag.Build(), c, 0.1, nil)
+			return err
+		}},
+		{"bad permutation", func() error {
+			_, err := NewBackwardEulerFactor(g, c, 0.1, []int{0, 0})
 			return err
 		}},
 	}
@@ -131,39 +202,42 @@ func TestBackwardEulerStepperValidation(t *testing.T) {
 			}
 		})
 	}
-	st, err := NewBackwardEulerStepper(g, c, 0.1)
+	f, err := NewBackwardEulerFactor(g, c, 0.1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := f.NewStepper()
 	if st.Dt() != 0.1 {
 		t.Errorf("Dt = %v", st.Dt())
 	}
-	if _, err := st.Step([]float64{1}, []float64{1, 1}); err == nil {
-		t.Error("Step with short state should error")
+	if err := st.StepInto(make([]float64, 2), []float64{1}, []float64{1, 1}); err == nil {
+		t.Error("StepInto with short state should error")
 	}
 }
 
-func TestStepIntoMatchesStepAndDoesNotAllocate(t *testing.T) {
-	g := NewMatrixFrom(2, 2, []float64{2, -1, -1, 2})
-	c := []float64{1, 2}
-	s, err := NewBackwardEulerStepper(g, c, 0.1)
+// StepInto writes dst without touching t or p, so stepping in place
+// (dst aliasing t) gives the same state as stepping into a fresh
+// vector, and neither form allocates.
+func TestStepIntoAliasesAndDoesNotAllocate(t *testing.T) {
+	_, a := gridLaplacian(3, 3, 1, 0.1)
+	n := a.N()
+	c := make([]float64, n)
+	state := make([]float64, n)
+	p := make([]float64, n)
+	for i := range c {
+		c[i] = 1 + float64(i)
+		state[i] = float64(i % 3)
+	}
+	p[4] = 4
+	f, err := NewBackwardEulerFactor(a, c, 0.1, MinDegreeOrdering(a))
 	if err != nil {
 		t.Fatal(err)
 	}
-	state := []float64{1, 3}
-	p := []float64{4, 0}
-	want, err := s.Step(state, p)
-	if err != nil {
+	s := f.NewStepper()
+	want := make([]float64, n)
+	if err := s.StepInto(want, state, p); err != nil {
 		t.Fatal(err)
 	}
-	got := make([]float64, 2)
-	if err := s.StepInto(got, state, p); err != nil {
-		t.Fatal(err)
-	}
-	if !vecAlmostEq(got, want, 0) {
-		t.Errorf("StepInto = %v, Step = %v", got, want)
-	}
-	// dst aliasing the state is the natural in-place stepping form.
 	alias := append([]float64(nil), state...)
 	if err := s.StepInto(alias, alias, p); err != nil {
 		t.Fatal(err)
@@ -174,6 +248,7 @@ func TestStepIntoMatchesStepAndDoesNotAllocate(t *testing.T) {
 	if err := s.StepInto(make([]float64, 1), state, p); err == nil {
 		t.Error("short dst accepted")
 	}
+	got := make([]float64, n)
 	if n := testing.AllocsPerRun(100, func() {
 		if err := s.StepInto(got, state, p); err != nil {
 			t.Fatal(err)

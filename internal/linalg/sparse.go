@@ -27,12 +27,21 @@ func (a *CSR) NNZ() int { return len(a.vals) }
 // At returns the element at row i, column j (0 when not stored).
 // It is O(log row-length); hot paths should iterate rows directly.
 func (a *CSR) At(i, j int) float64 {
-	lo, hi := a.rowPtr[i], a.rowPtr[i+1]
-	k := lo + sort.SearchInts(a.colIdx[lo:hi], j)
-	if k < hi && a.colIdx[k] == j {
+	if k := a.index(i, j); k >= 0 {
 		return a.vals[k]
 	}
 	return 0
+}
+
+// index returns the position of entry (i, j) in vals, or -1 when it is
+// not stored.
+func (a *CSR) index(i, j int) int {
+	lo, hi := a.rowPtr[i], a.rowPtr[i+1]
+	k := lo + sort.SearchInts(a.colIdx[lo:hi], j)
+	if k < hi && a.colIdx[k] == j {
+		return k
+	}
+	return -1
 }
 
 // MaxAbs returns the largest absolute stored value.
