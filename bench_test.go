@@ -446,11 +446,33 @@ func BenchmarkHotSpotModelBuild(b *testing.B) {
 }
 
 func BenchmarkHotSpotTransientStep(b *testing.B) {
-	fp, err := floorplan.Grid("b", 16, 4e-6)
+	benchTransientStep(b, 16, hotspot.DefaultConfig())
+}
+
+// BenchmarkHotSpotTransientStepGrid measures one backward-Euler step
+// on grid floorplans of growing size: the per-step cost follows the
+// sparse factor's nonzeros, not the node count squared. The models use
+// the sparse steady backend only to keep setup cheap; transients step
+// the same way on either backend. -short skips the 1024-block size.
+func BenchmarkHotSpotTransientStepGrid(b *testing.B) {
+	cfg := hotspot.DefaultConfig()
+	cfg.Solver = hotspot.SolverSparse
+	for _, blocks := range []int{16, 64, 256, 1024} {
+		b.Run(fmt.Sprintf("blocks=%d", blocks), func(b *testing.B) {
+			if blocks > 256 && testing.Short() {
+				b.Skip("1024-block grid skipped under -short")
+			}
+			benchTransientStep(b, blocks, cfg)
+		})
+	}
+}
+
+func benchTransientStep(b *testing.B, blocks int, cfg hotspot.Config) {
+	fp, err := floorplan.Grid("b", blocks, 4e-6)
 	if err != nil {
 		b.Fatal(err)
 	}
-	m, err := hotspot.NewModel(fp, hotspot.DefaultConfig())
+	m, err := hotspot.NewModel(fp, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -458,11 +480,11 @@ func BenchmarkHotSpotTransientStep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p := make([]float64, 16)
+	p := make([]float64, blocks)
 	for i := range p {
 		p[i] = 2
 	}
-	dst := make([]float64, 16)
+	dst := make([]float64, blocks)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,6 +1,9 @@
 package coloop
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -112,5 +115,126 @@ func TestRiseForecasterParallelSharedModel(t *testing.T) {
 			t.Fatal(errs[i])
 		}
 		checkCurves(t, "parallel", f, want)
+	}
+}
+
+// stepHooks returns hooks whose micro loop deposits a deterministic,
+// PE- and step-dependent energy, never finishes on its own unless done
+// says so, and reports stalls and cancellations as typed errors.
+func stepHooks(step func(now, stepEnd float64) error, done func() bool) Hooks {
+	return Hooks{
+		Done:      done,
+		Step:      step,
+		Stalled:   func(steps int) error { return stalledError(steps) },
+		Cancelled: func(cause error) error { return cancelledError{cause} },
+	}
+}
+
+type stalledError int
+
+func (e stalledError) Error() string { return fmt.Sprintf("stalled after %d steps", int(e)) }
+
+type cancelledError struct{ cause error }
+
+func (e cancelledError) Error() string { return "cancelled: " + e.cause.Error() }
+
+// Core.Energy is exactly the sum of the energies the hooks deposited,
+// in step then PE order, and PerPEEnergy splits it per PE.
+func TestCoreEnergyIsSumOfDepositedStepEnergy(t *testing.T) {
+	peBlock := []int{0, 1, 2, 0}
+	c, err := New(Config{Model: rowModel(t, 3), PEBlock: peBlock, DT: 2, TimeScale: 0.05,
+		MaxSteps: 100, TrackPerPE: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want float64
+	wantPerPE := make([]float64, len(peBlock))
+	steps := 0
+	step := func(now, stepEnd float64) error {
+		for pe := range c.StepEnergy {
+			if c.StepEnergy[pe] != 0 {
+				return fmt.Errorf("step %d: StepEnergy[%d] = %v not zeroed", steps, pe, c.StepEnergy[pe])
+			}
+			e := 0.1*float64(pe+1) + 0.37*float64(steps%5)
+			c.StepEnergy[pe] = e
+			want += e
+			wantPerPE[pe] += e
+		}
+		steps++
+		return nil
+	}
+	if err := c.Run(context.Background(), stepHooks(step, func() bool { return steps == 40 })); err != nil {
+		t.Fatal(err)
+	}
+	if c.Steps != 40 {
+		t.Fatalf("Steps = %d, want 40", c.Steps)
+	}
+	if c.Energy != want {
+		t.Errorf("Energy = %v, sum of deposited step energy %v", c.Energy, want)
+	}
+	for pe, e := range c.PerPEEnergy {
+		if e != wantPerPE[pe] {
+			t.Errorf("PerPEEnergy[%d] = %v, deposited %v", pe, e, wantPerPE[pe])
+		}
+	}
+	if !(c.PeakTempC > c.cfg.Model.Config().AmbientC) {
+		t.Errorf("PeakTempC %v did not rise above ambient", c.PeakTempC)
+	}
+}
+
+// A run that never finishes is stopped with Stalled after exactly
+// MaxSteps steps.
+func TestCoreStallsAtExactlyMaxSteps(t *testing.T) {
+	const maxSteps = 37
+	c, err := New(Config{Model: rowModel(t, 2), PEBlock: []int{0, 1}, DT: 1, TimeScale: 0.1, MaxSteps: maxSteps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	step := func(now, stepEnd float64) error { calls++; return nil }
+	err = c.Run(context.Background(), stepHooks(step, func() bool { return false }))
+	var stalled stalledError
+	if !errors.As(err, &stalled) {
+		t.Fatalf("Run = %v, want the Stalled hook's error", err)
+	}
+	if int(stalled) != maxSteps || c.Steps != maxSteps || calls != maxSteps {
+		t.Errorf("stalled at %d, Steps %d, micro-loop calls %d; want all %d", int(stalled), c.Steps, calls, maxSteps)
+	}
+}
+
+// A cancelled context is reported through Cancelled within
+// ctxCheckInterval steps of the cancellation, and before any step when
+// the context is already done.
+func TestCoreReportsCancellationWithinCheckInterval(t *testing.T) {
+	for _, cancelAt := range []int{0, 1, ctxCheckInterval - 1, ctxCheckInterval, 3*ctxCheckInterval + 5} {
+		c, err := New(Config{Model: rowModel(t, 2), PEBlock: []int{0, 1}, DT: 1, TimeScale: 0.1,
+			MaxSteps: 10 * ctxCheckInterval})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		calls := 0
+		if cancelAt == 0 {
+			cancel()
+		}
+		step := func(now, stepEnd float64) error {
+			calls++
+			if calls == cancelAt {
+				cancel()
+			}
+			return nil
+		}
+		err = c.Run(ctx, stepHooks(step, func() bool { return false }))
+		cancel()
+		var cancelled cancelledError
+		if !errors.As(err, &cancelled) || !errors.Is(cancelled.cause, context.Canceled) {
+			t.Fatalf("cancel at %d: Run = %v, want the Cancelled hook's error", cancelAt, err)
+		}
+		if cancelAt == 0 && c.Steps != 0 {
+			t.Errorf("context done before Run, but %d steps ran", c.Steps)
+		}
+		if c.Steps < cancelAt || c.Steps-cancelAt > ctxCheckInterval {
+			t.Errorf("cancel at step %d reported after %d steps, want within %d", cancelAt, c.Steps, ctxCheckInterval)
+		}
 	}
 }

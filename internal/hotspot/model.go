@@ -23,20 +23,13 @@ type Model struct {
 	// Ambient is the reference (ground).
 	total int
 	csr   *linalg.CSR         // conductance matrix (relative-to-ambient formulation)
-	solv  linalg.SteadySolver // factored/preconditioned backend per cfg.SolverKind
+	solv  linalg.SteadySolver // factored steady-state backend per cfg.SolverKind
 	caps  []float64           // node heat capacities (transient)
 
 	// order is the min-degree elimination order of csr. Sparse-backend
 	// models compute it in NewModel for the steady factor; dense-backend
 	// models compute it on their first transient factor, under stepMu.
 	order []int
-
-	// The dense image of csr, materialized on demand: the transient
-	// stepper and Conductance() still consume a dense matrix, and the
-	// dense solver path factors it eagerly. Sparse-backend models that
-	// never step a transient never pay the n² expansion.
-	gOnce sync.Once
-	g     *linalg.Matrix
 
 	// Influence matrix: because the RC network is linear, steady-state
 	// block temperature rise is an affine function of block power,
@@ -195,7 +188,7 @@ func NewModel(fp *floorplan.Floorplan, cfg Config) (*Model, error) {
 	m.csr = gb.Build()
 	switch cfg.SolverKind() {
 	case SolverDense:
-		chol, err := linalg.FactorCholesky(m.denseG())
+		chol, err := linalg.FactorCholesky(m.csr.Dense())
 		if err != nil {
 			return nil, fmt.Errorf("hotspot: conductance matrix not SPD (floorplan degenerate?): %w", err)
 		}
@@ -211,13 +204,6 @@ func NewModel(fp *floorplan.Floorplan, cfg Config) (*Model, error) {
 		m.rowCache = make(map[int][]float64)
 	}
 	return m, nil
-}
-
-// denseG materializes (once) and returns the dense image of the
-// conductance matrix. Callers must treat it as read-only.
-func (m *Model) denseG() *linalg.Matrix {
-	m.gOnce.Do(func() { m.g = m.csr.Dense() })
-	return m.g
 }
 
 // Config returns the model's configuration.
@@ -511,11 +497,6 @@ func (m *Model) SteadyNodeRise(blockPower []float64) ([]float64, error) {
 	}
 	return rise, nil
 }
-
-// Conductance exposes the raw conductance matrix (a dense clone) for
-// tests and diagnostics. It is identical across solver backends — only
-// the factorization differs.
-func (m *Model) Conductance() *linalg.Matrix { return m.denseG().Clone() }
 
 // ConductanceNNZ returns the number of structural nonzeros of the
 // sparse conductance matrix, for diagnostics and sparsity assertions.

@@ -190,7 +190,7 @@ func TestTempsAccessors(t *testing.T) {
 
 func TestConductanceMatrixSymmetric(t *testing.T) {
 	m := model4(t)
-	g := m.Conductance()
+	g := m.csr.Dense()
 	if !g.IsSymmetric(1e-9 * g.MaxAbs()) {
 		t.Error("conductance matrix not symmetric")
 	}

@@ -55,7 +55,7 @@ func TestConfigValidateSolver(t *testing.T) {
 func TestConductanceIdenticalAcrossBackends(t *testing.T) {
 	dense := solverModel(t, 12, SolverDense)
 	sparse := solverModel(t, 12, SolverSparse)
-	gd, gs := dense.Conductance(), sparse.Conductance()
+	gd, gs := dense.csr.Dense(), sparse.csr.Dense()
 	for i := 0; i < gd.Rows(); i++ {
 		for j := 0; j < gd.Cols(); j++ {
 			if gd.At(i, j) != gs.At(i, j) {

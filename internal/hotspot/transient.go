@@ -141,9 +141,9 @@ func (tr *Transient) Run(samples [][]float64) ([]Temps, error) {
 }
 
 // maxStepMemos bounds how many step sizes a model memoizes: each holds
-// a dense factorization of all nodes (as large as the dense conductance
-// image itself), and a long-lived cached model asked for ever new steps
-// must not grow without limit. Flows step one model at one size, so two
+// a sparse factorization of all nodes plus the rise curves integrated
+// on it, and a long-lived cached model asked for ever new steps must
+// not grow without limit. Flows step one model at one size, so two
 // entries cover a flow plus a stray request. Evicted entries are rebuilt
 // bit-identically on the next request.
 const maxStepMemos = 2
@@ -174,9 +174,10 @@ func (m *Model) stepMemoLocked(dt float64) (*stepMemo, error) {
 		}
 	}
 	// Every backend steps under the min-degree order, so transient
-	// trajectories do not depend on the steady-state backend; it also
-	// reproduces the dispatch tie-breaks of the earlier dense-LU
-	// stepper, which natural order does not.
+	// trajectories do not depend on the steady-state backend. The order
+	// also sets the rounding: it keeps every dispatch tie-break of the
+	// dense-LU stepper this integrator replaced, where natural order
+	// flips near-tied online dispatch decisions.
 	if m.order == nil {
 		m.order = linalg.MinDegreeOrdering(m.csr)
 	}

@@ -1,6 +1,7 @@
 // Package linalg implements the small linear-algebra kernels the
-// thermal RC model needs: dense and CSR matrices, LU and dense/sparse
-// Cholesky factorizations, and the implicit backward-Euler ODE stepper.
+// thermal RC model needs: dense and CSR matrices, dense and sparse
+// Cholesky factorizations, and the implicit backward-Euler ODE stepper
+// on sparse Cholesky.
 //
 // The Go standard library ships no numerics, and this reproduction is
 // offline-only, so everything here is written from scratch. Dense
@@ -72,13 +73,6 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
-// Row returns a copy of row i.
-func (m *Matrix) Row(i int) []float64 {
-	out := make([]float64, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
-}
-
 // MulVec computes y = m·x. It panics on dimension mismatch.
 func (m *Matrix) MulVec(x []float64) []float64 {
 	if len(x) != m.cols {
@@ -94,57 +88,6 @@ func (m *Matrix) MulVec(x []float64) []float64 {
 		y[i] = s
 	}
 	return y
-}
-
-// Mul returns the matrix product m·n.
-func (m *Matrix) Mul(n *Matrix) *Matrix {
-	if m.cols != n.rows {
-		panic(fmt.Sprintf("linalg: Mul dimension mismatch: %dx%d · %dx%d", m.rows, m.cols, n.rows, n.cols))
-	}
-	out := NewMatrix(m.rows, n.cols)
-	for i := 0; i < m.rows; i++ {
-		for k := 0; k < m.cols; k++ {
-			a := m.At(i, k)
-			if a == 0 {
-				continue
-			}
-			for j := 0; j < n.cols; j++ {
-				out.Add(i, j, a*n.At(k, j))
-			}
-		}
-	}
-	return out
-}
-
-// Transpose returns mᵀ.
-func (m *Matrix) Transpose() *Matrix {
-	t := NewMatrix(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			t.Set(j, i, m.At(i, j))
-		}
-	}
-	return t
-}
-
-// Scale multiplies every element by s, in place, and returns m.
-func (m *Matrix) Scale(s float64) *Matrix {
-	for i := range m.data {
-		m.data[i] *= s
-	}
-	return m
-}
-
-// AddMatrix returns m + n as a new matrix.
-func (m *Matrix) AddMatrix(n *Matrix) *Matrix {
-	if m.rows != n.rows || m.cols != n.cols {
-		panic("linalg: AddMatrix dimension mismatch")
-	}
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] += n.data[i]
-	}
-	return out
 }
 
 // IsSymmetric reports whether m is square and symmetric within tol.
@@ -191,21 +134,6 @@ func (m *Matrix) String() string {
 // Vector helpers. Vectors are plain []float64 so callers can use them
 // without wrapping; these functions centralize the arithmetic.
 
-// Dot returns the inner product of a and b.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("linalg: Dot length mismatch")
-	}
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 { return math.Sqrt(Dot(v, v)) }
-
 // NormInf returns the max-abs norm of v.
 func NormInf(v []float64) float64 {
 	var mx float64
@@ -215,49 +143,6 @@ func NormInf(v []float64) float64 {
 		}
 	}
 	return mx
-}
-
-// AXPY computes y += a·x in place.
-func AXPY(a float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic("linalg: AXPY length mismatch")
-	}
-	for i := range x {
-		y[i] += a * x[i]
-	}
-}
-
-// SubVec returns a-b as a new vector.
-func SubVec(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic("linalg: SubVec length mismatch")
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] - b[i]
-	}
-	return out
-}
-
-// AddVec returns a+b as a new vector.
-func AddVec(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic("linalg: AddVec length mismatch")
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out
-}
-
-// ScaleVec returns s·v as a new vector.
-func ScaleVec(s float64, v []float64) []float64 {
-	out := make([]float64, len(v))
-	for i := range v {
-		out[i] = s * v[i]
-	}
-	return out
 }
 
 // Mean returns the arithmetic mean of v, 0 for an empty slice.

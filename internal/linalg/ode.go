@@ -86,29 +86,8 @@ type BackwardEulerStepper struct {
 	z []float64 // right-hand side, then solution, in factor order
 }
 
-// NewBackwardEulerStepper builds a stepper for conductance matrix g,
-// diagonal capacitances c and fixed step dt (seconds) over a
-// factorization of its own under the elimination order perm.
-func NewBackwardEulerStepper(g *CSR, c []float64, dt float64, perm []int) (*BackwardEulerStepper, error) {
-	f, err := NewBackwardEulerFactor(g, c, dt, perm)
-	if err != nil {
-		return nil, err
-	}
-	return f.NewStepper(), nil
-}
-
 // Dt returns the fixed step size.
 func (s *BackwardEulerStepper) Dt() float64 { return s.f.dt }
-
-// Step advances the state t by one step under power injection p and
-// returns the new state. t and p are not modified.
-func (s *BackwardEulerStepper) Step(t, p []float64) ([]float64, error) {
-	next := make([]float64, s.f.n)
-	if err := s.StepInto(next, t, p); err != nil {
-		return nil, err
-	}
-	return next, nil
-}
 
 // StepInto advances the state t by one step under power injection p,
 // writing the new state into dst without allocating. dst may alias t

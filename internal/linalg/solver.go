@@ -13,14 +13,10 @@ type SteadySolver interface {
 }
 
 // N returns the system dimension.
-func (f *LU) N() int { return f.n }
-
-// N returns the system dimension.
 func (c *Cholesky) N() int { return c.n }
 
 // Compile-time checks that every backend satisfies the interface.
 var (
-	_ SteadySolver = (*LU)(nil)
 	_ SteadySolver = (*Cholesky)(nil)
 	_ SteadySolver = (*SparseCholesky)(nil)
 )

@@ -148,9 +148,13 @@ func TestSparseCholeskyOrderedSolvesAccurately(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
-	want, err := luSolve(m, b)
+	dense, err := FactorCholesky(m)
 	if err != nil {
-		t.Fatalf("luSolve: %v", err)
+		t.Fatalf("FactorCholesky: %v", err)
+	}
+	want, err := dense.Solve(b)
+	if err != nil {
+		t.Fatalf("dense Solve: %v", err)
 	}
 	for i := range x {
 		if math.Abs(x[i]-want[i]) > 1e-9*(1+math.Abs(want[i])) {
@@ -223,8 +227,8 @@ func TestMinDegreeOrderingDefersDenseRow(t *testing.T) {
 // TestCholeskyNearSingular is the satellite regression test: both the
 // dense and sparse Cholesky factorizations must report ErrSingular on
 // a conductance network that is singular to working precision (a
-// floating island with only a vanishing leak to ground), matching
-// FactorLU's contract instead of producing a NaN/garbage factor.
+// floating island with only a vanishing leak to ground), instead of
+// producing a NaN/garbage factor.
 func TestCholeskyNearSingular(t *testing.T) {
 	n := 4
 	g := 1.0
@@ -249,9 +253,6 @@ func TestCholeskyNearSingular(t *testing.T) {
 	}
 	if _, err := FactorSparseCholesky(b.Build()); !errors.Is(err, ErrSingular) {
 		t.Fatalf("sparse err = %v, want ErrSingular", err)
-	}
-	if _, err := FactorLU(m); !errors.Is(err, ErrSingular) {
-		t.Fatalf("LU err = %v, want ErrSingular", err)
 	}
 	// A healthy leak still factors fine on the identical topology.
 	m2, a2 := gridLaplacian(2, 2, g, 0.01)

@@ -8,11 +8,12 @@ import (
 )
 
 // cholPivotRelTol is the shared relative singularity threshold of the
-// Cholesky factorizations (dense and sparse), mirroring luPivotRelTol:
-// a pivot this far below the matrix's largest element means the
-// conductance network is singular to working precision (e.g. a block
-// thermally disconnected from the sink), and deserves ErrSingular
-// rather than a NaN-laden factor.
+// Cholesky factorizations (dense and sparse): a pivot this far below
+// the matrix's largest element means the conductance network is
+// singular to working precision (e.g. a block thermally disconnected
+// from the sink), and deserves ErrSingular rather than a NaN-laden
+// factor. An exact-zero test would let near-singular systems through
+// and amplify rounding noise into garbage solutions.
 const cholPivotRelTol = 1e-12
 
 // SparseCholesky is the factorization P·A·Pᵀ = L·Lᵀ of a symmetric
@@ -53,7 +54,7 @@ func FactorSparseCholesky(a *CSR) (*SparseCholesky, error) {
 // the same loose tolerance as the dense path) or a pivot is
 // non-positive, and ErrSingular when a pivot falls below
 // cholPivotRelTol times the matrix's max-abs element — the same
-// near-singular contract as FactorLU.
+// near-singular contract as the dense FactorCholesky.
 func FactorSparseCholeskyOrdered(a *CSR, perm []int) (*SparseCholesky, error) {
 	n := a.n
 	inv, err := invertPermutation(n, perm)

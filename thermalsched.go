@@ -38,7 +38,7 @@
 //	internal/scenario    synthetic scenarios: seeded graph + platform generators
 //	internal/sched       the ASP: policies Baseline, H1–H3, ThermalAware
 //	internal/floorplan   slicing-tree GA/SA floorplanner, platform layouts
-//	internal/linalg      dense/sparse Cholesky, LU, backward-Euler stepper
+//	internal/linalg      dense/sparse Cholesky, sparse backward-Euler stepper
 //	internal/hotspot     compact thermal RC model (steady state, transient)
 //	internal/power       power profiles, traces, leakage feedback
 //	internal/cosynth     the two flows of the paper's Figure 1
