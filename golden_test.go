@@ -7,15 +7,15 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
-// -update rewrites the closed-loop golden files from current behavior.
-// Run it only when a change to simulate/stream/dtm output is intentional.
+// -update rewrites every golden file from current behavior. Run it only
+// when a change to a flow's output is intentional.
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden files from current behavior")
 
-// closedLoopGoldenCases spans the pre-existing simulate and stream
-// surfaces: every controller kind and policy that existed before the
+// goldenCases pins every flow. The simulate and stream cases span every controller kind and policy that existed before the
 // shared coloop core, plus the corners that exercise its machinery
 // (conditional branches, warm start, multi-replica fan-out, sub-unity
 // duration factors), plus the proactive admit and zigzag supervisors.
@@ -24,8 +24,15 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/golden files fro
 // and a hold so short (retryAfter 1e-300) that t+retryAfter rounds to
 // t, where a denial does not outlast the query that made it.
 // The dtm cases pin the open-loop replay flow under both of its
-// controllers.
-func closedLoopGoldenCases() []struct {
+// controllers. The platform cases pin every benchmark under the
+// thermal ASP and the baseline, Gantt chart included; the cosynthesis
+// cases pin the benchmark shape (Bm1 capped at 4 PEs with 2 GA
+// generations, floorplan text included), one uncapped run (Bm2 under
+// h3, cheap because the power heuristic skips the thermal inquiries)
+// and Bm4 at the benchmark shape, whose short GA keeps shape-curve
+// tie-breaks in the floorplanner visible in the chosen layout; and the sweep, generate and campaign cases pin one small
+// instance of each generated-input flow.
+func goldenCases() []struct {
 	name string
 	req  Request
 } {
@@ -46,7 +53,7 @@ func closedLoopGoldenCases() []struct {
 		s.Platform = ScenarioPlatformParams{PEs: 16}
 		return s
 	}
-	return []struct {
+	cases := []struct {
 		name string
 		req  Request
 	}{
@@ -79,20 +86,52 @@ func closedLoopGoldenCases() []struct {
 			WithDTM(DTMSpec{Controller: "toggle", MinFactor: 0.85, SimSeed: 7}))},
 		{"dtm_bm2_pi", NewRequest(FlowDTM, WithBenchmark("Bm2"),
 			WithDTM(DTMSpec{Controller: "pi"}))},
+		{"cosynthesis_bm1_capped", NewRequest(FlowCoSynthesis, WithBenchmark("Bm1"),
+			WithMaxPEs(4), WithFloorplanGenerations(2), WithGantt())},
+		{"cosynthesis_bm2_h3", NewRequest(FlowCoSynthesis, WithBenchmark("Bm2"),
+			WithPolicy(MinTaskEnergy))},
+		{"cosynthesis_bm4_capped", NewRequest(FlowCoSynthesis, WithBenchmark("Bm4"),
+			WithMaxPEs(4), WithFloorplanGenerations(2))},
+		{"sweep_3", NewRequest(FlowSweep, WithSweepCount(3), WithSeed(3))},
+		{"generate_layered", NewRequest(FlowGenerate, WithScenario(ScenarioSpec{
+			Seed: 4, Graph: ScenarioGraphParams{Tasks: 30, Shape: "layered"}}))},
+		{"generate_series_parallel", NewRequest(FlowGenerate, WithScenario(ScenarioSpec{
+			Seed: 4, Graph: ScenarioGraphParams{Tasks: 30, Shape: "series-parallel"},
+			Platform: ScenarioPlatformParams{PEs: 6, MinSpeed: 0.5, MaxSpeed: 2, Layout: "row"}}))},
+		{"generate_conditional", NewRequest(FlowGenerate, WithScenario(condScenario))},
+		{"campaign_static", NewRequest(FlowCampaign, WithCampaign(CampaignSpec{
+			Scenarios: 3, Seed: 2, MinTasks: 15, MaxTasks: 30}))},
+		{"campaign_simulate", NewRequest(FlowCampaign, WithCampaign(CampaignSpec{
+			Scenarios: 2, Seed: 5, MinTasks: 15, MaxTasks: 25,
+			Simulate: &SimulateSpec{Replicas: 2, MinFactor: 0.8, Seed: 3}}))},
+		{"campaign_stream", NewRequest(FlowCampaign, WithCampaign(CampaignSpec{
+			Scenarios: 2, Seed: 7, Stream: &StreamSpec{Replicas: 2, MinFactor: 0.8}}))},
 	}
+	for _, b := range []string{"Bm1", "Bm2", "Bm3", "Bm4"} {
+		for _, p := range []Policy{ThermalAware, Baseline} {
+			cases = append(cases, struct {
+				name string
+				req  Request
+			}{
+				"platform_" + strings.ToLower(b) + "_" + p.String(),
+				NewRequest(FlowPlatform, WithBenchmark(b), WithPolicy(p), WithGantt()),
+			})
+		}
+	}
+	return cases
 }
 
-// TestClosedLoopGolden pins the simulate, stream and dtm flows byte-for-byte
-// against checked-in responses captured before the internal/coloop
-// extraction: the shared-core refactor must be behavior-preserving on
-// every pre-existing spec. ElapsedMS is zeroed — it is documented as
-// excluded from the byte-identity contract.
+// TestClosedLoopGolden pins every flow byte-for-byte against checked-in
+// responses: a refactor must be behavior-preserving on every spec. The
+// name dates from the first cases, which pinned the closed-loop flows
+// across the internal/coloop extraction. ElapsedMS is zeroed — it is
+// documented as excluded from the byte-identity contract.
 func TestClosedLoopGolden(t *testing.T) {
 	engine, err := NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range closedLoopGoldenCases() {
+	for _, tc := range goldenCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, err := engine.Run(context.Background(), tc.req)
 			if err != nil {
