@@ -202,15 +202,16 @@ func main() {
 	if *gantt {
 		req.IncludeGantt = true
 	}
-	if *tempW > 0 {
+	// Non-zero numeric knobs pass through verbatim, negative values
+	// included, so Validate rejects them with the same diagnostic the
+	// API surfaces.
+	if *tempW != 0 {
 		req.TempWeight = tempW
 	}
-	if *count > 0 {
+	if *count != 0 {
 		req.SweepCount = *count
 	}
 	if *parallel != 0 {
-		// Negative values flow through so Validate rejects them with
-		// the same diagnostic the API surfaces.
 		req.Parallelism = *parallel
 	}
 	req.Solver = *solver

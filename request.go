@@ -654,6 +654,14 @@ func (r *Request) Validate() error {
 	if r.BusTimePerUnit < 0 {
 		return fieldErr("busTimePerUnit", "negative bus rate %g", r.BusTimePerUnit)
 	}
+	for _, w := range []struct {
+		field string
+		v     *float64
+	}{{"tempWeight", r.TempWeight}, {"powerWeight", r.PowerWeight}, {"energyWeight", r.EnergyWeight}} {
+		if w.v != nil && *w.v < 0 {
+			return fieldErr(w.field, "negative %s %g", w.field, *w.v)
+		}
+	}
 	if r.MaxPEs < 0 {
 		return fieldErr("maxPEs", "negative MaxPEs %d", r.MaxPEs)
 	}

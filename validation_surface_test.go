@@ -79,8 +79,35 @@ func validationCases() []struct {
 			field: "solver",
 			cli:   []string{"-flow", "platform", "-benchmark", "Bm1", "-solver", "pcg"},
 		},
+		{
+			name: "negative tempWeight",
+			req: thermalsched.Request{Flow: thermalsched.FlowPlatform,
+				Benchmark: "Bm1", Policy: "thermal", TempWeight: ptr(-1.0)},
+			field: "tempWeight",
+			cli:   []string{"-flow", "platform", "-benchmark", "Bm1", "-tempweight", "-1"},
+		},
+		{
+			name: "negative powerWeight",
+			req: thermalsched.Request{Flow: thermalsched.FlowPlatform,
+				Benchmark: "Bm1", Policy: "h1", PowerWeight: ptr(-1.0)},
+			field: "powerWeight",
+		},
+		{
+			name: "negative energyWeight",
+			req: thermalsched.Request{Flow: thermalsched.FlowPlatform,
+				Benchmark: "Bm1", Policy: "h3", EnergyWeight: ptr(-1.0)},
+			field: "energyWeight",
+		},
+		{
+			name:  "negative sweep count",
+			req:   thermalsched.Request{Flow: thermalsched.FlowSweep, Policy: "thermal", SweepCount: -3},
+			field: "sweepCount",
+			cli:   []string{"-flow", "sweep", "-count", "-3"},
+		},
 	}
 }
+
+func ptr[T any](v T) *T { return &v }
 
 func TestValidationMessagesSharedAcrossSurfaces(t *testing.T) {
 	engine, err := thermalsched.NewEngine()
@@ -146,7 +173,8 @@ func TestValidationMessagesSharedAcrossSurfaces(t *testing.T) {
 
 // The CLI prints the same canonical text on its stderr. Subprocess
 // round-trips are slow, so this covers the cases whose flags map
-// directly; -short skips it like the other subprocess suites.
+// directly (a case with no cli flags has no CLI spelling); -short
+// skips it like the other subprocess suites.
 func TestValidationMessagesMatchCLI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI subprocess skipped in -short mode")
@@ -155,6 +183,9 @@ func TestValidationMessagesMatchCLI(t *testing.T) {
 		t.Skip("go toolchain not on PATH")
 	}
 	for _, tc := range validationCases() {
+		if tc.cli == nil {
+			continue
+		}
 		verr := tc.req.Validate()
 		if verr == nil {
 			t.Fatalf("%s: Validate accepted the request", tc.name)
