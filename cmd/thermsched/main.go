@@ -11,6 +11,7 @@
 //	thermsched -graph my.tg -policy h3 -gantt
 //	thermsched -flow cosynthesis -benchmark Bm2 -json
 //	thermsched -flow cosynthesis -benchmark Bm2 -parallelism 4 -json
+//	thermsched -flow cosynthesis -benchmark Bm1 -maxpes 4 -fpgens 2 -flp out.flp
 //	thermsched -flow simulate -benchmark Bm3 -replicas 16 -seed 1 -json
 //	thermsched -flow generate -tasks 80 -pes 8 -seed 7 -json
 //	thermsched -flow platform -tasks 80 -pes 8 -seed 7
@@ -27,7 +28,8 @@
 // (periodic sources plus Poisson/bursty aperiodic arrivals) and
 // dispatches it with -policy fifo|random|coolest|greedy. With -json the
 // output is the same serializable Response schema that cmd/thermschedd
-// serves over HTTP.
+// serves over HTTP. -flp writes the response's floorplan in HotSpot
+// .flp form, which cmd/hotspotsim reads.
 package main
 
 import (
@@ -56,6 +58,11 @@ func main() {
 		parallel  = flag.Int("parallelism", 0, "search parallelism for cosynthesis (0 = engine default GOMAXPROCS, 1 = serial; results are byte-identical at every value)")
 		solver    = flag.String("solver", "", fmt.Sprintf("thermal solver backend %v (default dense; backends agree to ≤1e-6 K)", hotspot.SolverNames()))
 		asJSON    = flag.Bool("json", false, "emit the serializable Response schema as JSON")
+
+		// FlowCoSynthesis knobs.
+		maxPEs = flag.Int("maxpes", 0, "cosynthesis: maximum PEs in the architecture (0 = default 6)")
+		fpGens = flag.Int("fpgens", 0, "cosynthesis: GA floorplanner generations per candidate (0 = default 30)")
+		flpOut = flag.String("flp", "", "write the response's floorplan to this .flp file (cosynthesis)")
 
 		// FlowSimulate knobs (closed-loop DTM co-simulation).
 		controller = flag.String("controller", "", "simulate controller: toggle, pi, none, admit, zigzag (default toggle)")
@@ -214,6 +221,12 @@ func main() {
 	if *parallel != 0 {
 		req.Parallelism = *parallel
 	}
+	if *maxPEs != 0 {
+		req.MaxPEs = *maxPEs
+	}
+	if *fpGens != 0 {
+		req.FloorplanGenerations = *fpGens
+	}
 	req.Solver = *solver
 	switch req.Flow {
 	case thermalsched.FlowSimulate:
@@ -292,6 +305,14 @@ func main() {
 	resp, err := engine.Run(context.Background(), req)
 	if err != nil {
 		fatal(err)
+	}
+	if *flpOut != "" {
+		if resp.Floorplan == "" {
+			fatal(fmt.Errorf("-flp: the %s flow returns no floorplan", resp.Flow))
+		}
+		if err := os.WriteFile(*flpOut, []byte(resp.Floorplan), 0o644); err != nil {
+			fatal(err)
+		}
 	}
 
 	if *asJSON {

@@ -104,6 +104,20 @@ func validationCases() []struct {
 			field: "sweepCount",
 			cli:   []string{"-flow", "sweep", "-count", "-3"},
 		},
+		{
+			name: "negative maxPEs",
+			req: thermalsched.Request{Flow: thermalsched.FlowCoSynthesis,
+				Benchmark: "Bm1", Policy: "thermal", MaxPEs: -1},
+			field: "maxPEs",
+			cli:   []string{"-flow", "cosynthesis", "-benchmark", "Bm1", "-maxpes", "-1"},
+		},
+		{
+			name: "negative floorplanGenerations",
+			req: thermalsched.Request{Flow: thermalsched.FlowCoSynthesis,
+				Benchmark: "Bm1", Policy: "thermal", FloorplanGenerations: -1},
+			field: "floorplanGenerations",
+			cli:   []string{"-flow", "cosynthesis", "-benchmark", "Bm1", "-fpgens", "-1"},
+		},
 	}
 }
 
