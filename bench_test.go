@@ -58,7 +58,7 @@ func BenchmarkTable1Platform(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, g := range s.Graphs {
 			for _, p := range policies {
-				res, err := cosynth.RunPlatform(g, s.Lib, cosynth.PlatformConfig{Policy: p})
+				res, err := cosynth.RunPlatform(context.Background(), g, s.Lib, cosynth.PlatformConfig{Policy: p})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -116,7 +116,7 @@ func BenchmarkFigure1Flows(b *testing.B) {
 	}
 	b.Run("Fig1a_CoSynthesis", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := cosynth.RunCoSynthesis(g, lib, cosynth.CoSynthConfig{
+			if _, err := cosynth.RunCoSynthesis(context.Background(), g, lib, cosynth.CoSynthConfig{
 				Policy: sched.ThermalAware, FloorplanGenerations: 10,
 			}); err != nil {
 				b.Fatal(err)
@@ -125,7 +125,7 @@ func BenchmarkFigure1Flows(b *testing.B) {
 	})
 	b.Run("Fig1b_Platform", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := cosynth.RunPlatform(g, lib, cosynth.PlatformConfig{
+			if _, err := cosynth.RunPlatform(context.Background(), g, lib, cosynth.PlatformConfig{
 				Policy: sched.ThermalAware,
 			}); err != nil {
 				b.Fatal(err)
@@ -170,7 +170,7 @@ func BenchmarkAblationFloorplanGAvsSA(b *testing.B) {
 			cfg.Generations = 20
 			cfg.Eval = eval
 			cfg.Power = powerMap
-			res, err := floorplan.RunGA(blocks, cfg)
+			res, err := floorplan.RunGA(context.Background(), blocks, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -185,7 +185,7 @@ func BenchmarkAblationFloorplanGAvsSA(b *testing.B) {
 			cfg := floorplan.DefaultSAConfig()
 			cfg.Eval = eval
 			cfg.Power = powerMap
-			res, err := floorplan.RunSA(blocks, cfg)
+			res, err := floorplan.RunSA(context.Background(), blocks, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -214,7 +214,7 @@ func BenchmarkAblationTempWeight(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := sched.DefaultConfig(sched.ThermalAware)
 				cfg.TempWeight = w
-				res, err := cosynth.RunPlatform(g, lib, cosynth.PlatformConfig{
+				res, err := cosynth.RunPlatform(context.Background(), g, lib, cosynth.PlatformConfig{
 					Policy: sched.ThermalAware, Sched: &cfg,
 				})
 				if err != nil {
@@ -242,7 +242,7 @@ func BenchmarkExtensionLeakageLoop(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := cosynth.RunPlatform(g, lib, cosynth.PlatformConfig{Policy: sched.MinTaskEnergy})
+	res, err := cosynth.RunPlatform(context.Background(), g, lib, cosynth.PlatformConfig{Policy: sched.MinTaskEnergy})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func BenchmarkExtensionDTM(b *testing.B) {
 	}
 	for _, p := range []sched.Policy{sched.Baseline, sched.ThermalAware} {
 		b.Run(p.String(), func(b *testing.B) {
-			run, err := cosynth.RunPlatform(g, lib, cosynth.PlatformConfig{Policy: p})
+			run, err := cosynth.RunPlatform(context.Background(), g, lib, cosynth.PlatformConfig{Policy: p})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -346,7 +346,7 @@ func BenchmarkRobustnessSweep(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunSweep(lib, 20, 7)
+		res, err := experiments.RunSweep(context.Background(), lib, 20, 7, cosynth.PlatformConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -366,7 +366,7 @@ func BenchmarkSimExecute(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	run, err := cosynth.RunPlatform(g, lib, cosynth.PlatformConfig{Policy: sched.MinTaskEnergy})
+	run, err := cosynth.RunPlatform(context.Background(), g, lib, cosynth.PlatformConfig{Policy: sched.MinTaskEnergy})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -516,7 +516,7 @@ func BenchmarkSchedulerPolicies(b *testing.B) {
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := sched.AllocateAndSchedule(g, arch, lib, cfg); err != nil {
+				if _, err := sched.AllocateAndSchedule(context.Background(), g, arch, lib, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -569,7 +569,7 @@ func BenchmarkConditionalTaskGraphs(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	run, err := cosynth.RunPlatform(g, lib, cosynth.PlatformConfig{Policy: sched.MinTaskEnergy})
+	run, err := cosynth.RunPlatform(context.Background(), g, lib, cosynth.PlatformConfig{Policy: sched.MinTaskEnergy})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -628,7 +628,7 @@ func BenchmarkFloorplanGA(b *testing.B) {
 				cfg.Parallelism = p
 				cfg.Eval = eval
 				cfg.Power = powerMap
-				res, err := floorplan.RunGA(blocks, cfg)
+				res, err := floorplan.RunGA(context.Background(), blocks, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -657,7 +657,7 @@ func BenchmarkCoSynthesis(b *testing.B) {
 	for _, p := range []int{1, 4} {
 		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := cosynth.RunCoSynthesis(g, lib, cosynth.CoSynthConfig{
+				res, err := cosynth.RunCoSynthesis(context.Background(), g, lib, cosynth.CoSynthConfig{
 					Policy: sched.ThermalAware, FloorplanGenerations: 10, Parallelism: p,
 				})
 				if err != nil {

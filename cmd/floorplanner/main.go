@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -70,7 +71,7 @@ func main() {
 		} else {
 			cfg.TempWeight = 0
 		}
-		res, err = floorplan.RunGA(blocks, cfg)
+		res, err = floorplan.RunGA(context.Background(), blocks, cfg)
 	case "sa":
 		cfg := floorplan.DefaultSAConfig()
 		cfg.Seed = *seed
@@ -82,7 +83,7 @@ func main() {
 		} else {
 			cfg.TempWeight = 0
 		}
-		res, err = floorplan.RunSA(blocks, cfg)
+		res, err = floorplan.RunSA(context.Background(), blocks, cfg)
 	default:
 		fatal(fmt.Errorf("unknown algorithm %q (want ga or sa)", *algo))
 	}

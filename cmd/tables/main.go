@@ -55,7 +55,7 @@ func main() {
 	s.FloorplanGenerations = *fpGens
 	defer func() {
 		if *sweep > 0 {
-			r, err := experiments.RunSweep(s.Lib, *sweep, *sweepSeed)
+			r, err := experiments.RunSweep(context.Background(), s.Lib, *sweep, *sweepSeed, cosynth.PlatformConfig{})
 			if err != nil {
 				fatal(err)
 			}

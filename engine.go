@@ -376,7 +376,7 @@ func (e *Engine) Sweep(ctx context.Context, count int, seed int64) (*SweepResult
 // sweep is the request-aware body of Sweep: hs carries the thermal
 // calibration (possibly a per-request solver override from thermalFor).
 func (e *Engine) sweep(ctx context.Context, count int, seed int64, hs *ThermalConfig) (*SweepResult, error) {
-	return experiments.RunSweepWith(ctx, e.lib, count, seed, cosynth.PlatformConfig{
+	return experiments.RunSweep(ctx, e.lib, count, seed, cosynth.PlatformConfig{
 		HotSpot: hs,
 		Models:  e.modelProvider(),
 	})
@@ -402,7 +402,7 @@ func (e *Engine) platform(ctx context.Context, g *Graph, lib *Library, cfg cosyn
 	if cfg.Models == nil {
 		cfg.Models = e.modelProvider()
 	}
-	return cosynth.RunPlatformCtx(ctx, g, lib, cfg)
+	return cosynth.RunPlatform(ctx, g, lib, cfg)
 }
 
 // cosynthesize executes the co-synthesis flow with the engine's thermal
@@ -417,7 +417,7 @@ func (e *Engine) cosynthesize(ctx context.Context, g *Graph, lib *Library, cfg c
 	if cfg.Search == nil && cfg.Parallelism == 0 {
 		cfg.Search = e.search
 	}
-	res, err := cosynth.RunCoSynthesisCtx(ctx, g, lib, cfg)
+	res, err := cosynth.RunCoSynthesis(ctx, g, lib, cfg)
 	if err != nil {
 		return nil, err
 	}

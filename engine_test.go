@@ -43,7 +43,7 @@ func TestEngineMatchesDeprecatedRunPlatform(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			old, err := cosynth.RunPlatform(g, lib, PlatformConfig{Policy: policy})
+			old, err := cosynth.RunPlatform(context.Background(), g, lib, PlatformConfig{Policy: policy})
 			if err != nil {
 				t.Fatalf("%s/%s uncached: %v", name, policy, err)
 			}
@@ -78,7 +78,7 @@ func TestEngineMatchesDeprecatedRunCoSynthesis(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		old, err := cosynth.RunCoSynthesis(g, lib, CoSynthConfig{
+		old, err := cosynth.RunCoSynthesis(context.Background(), g, lib, CoSynthConfig{
 			Policy: MinTaskEnergy, FloorplanGenerations: gens,
 		})
 		if err != nil {
@@ -109,7 +109,7 @@ func TestEngineMatchesDeprecatedRunSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old, err := experiments.RunSweep(lib, 3, 7)
+	old, err := experiments.RunSweep(context.Background(), lib, 3, 7, PlatformConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

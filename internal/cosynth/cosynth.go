@@ -94,20 +94,17 @@ func (c *CoSynthConfig) withDefaults(lib *techlib.Library) (CoSynthConfig, error
 // thermal objective when the policy is thermal-aware) and scheduling
 // with the configured ASP; finally it prunes PEs that the deadline does
 // not need, minimizing cost.
-func RunCoSynthesis(g *taskgraph.Graph, lib *techlib.Library, cfg CoSynthConfig) (*Result, error) {
-	return RunCoSynthesisCtx(context.Background(), g, lib, cfg)
-}
-
-// RunCoSynthesisCtx is RunCoSynthesis with cancellation: ctx is checked
-// before every candidate-architecture evaluation and threaded into the
-// GA floorplanner and the ASP, so long co-synthesis runs abort promptly.
+//
+// ctx is checked before every candidate-architecture evaluation and
+// threaded into the GA floorplanner and the ASP, so long co-synthesis
+// runs abort promptly.
 //
 // With Parallelism > 1 (or a shared Search pool) each neighborhood of
 // candidate architectures is enumerated serially, evaluated
 // concurrently, and selected in submission order, so the search visits
 // exactly the architectures the serial flow visits and the Result is
 // byte-identical for every parallelism level.
-func RunCoSynthesisCtx(ctx context.Context, g *taskgraph.Graph, lib *techlib.Library, cfg CoSynthConfig) (*Result, error) {
+func RunCoSynthesis(ctx context.Context, g *taskgraph.Graph, lib *techlib.Library, cfg CoSynthConfig) (*Result, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
@@ -451,7 +448,7 @@ func evaluate(ctx context.Context, g *taskgraph.Graph, lib *techlib.Library, typ
 
 	// Pilot schedule (heuristic 3) for the floorplanner's power estimates.
 	pilotCfg := sched.DefaultConfig(sched.MinTaskEnergy)
-	pilot, err := sched.AllocateAndScheduleCtx(ctx, g, arch, lib, pilotCfg)
+	pilot, err := sched.AllocateAndSchedule(ctx, g, arch, lib, pilotCfg)
 	if err != nil {
 		return nil, fmt.Errorf("cosynth: pilot schedule: %w", err)
 	}
@@ -488,7 +485,7 @@ func evaluate(ctx context.Context, g *taskgraph.Graph, lib *techlib.Library, typ
 	} else {
 		gaCfg.TempWeight = 0
 	}
-	fpRes, err := floorplan.RunGACtx(ctx, blocks, gaCfg)
+	fpRes, err := floorplan.RunGA(ctx, blocks, gaCfg)
 	if err != nil {
 		return nil, fmt.Errorf("cosynth: floorplanning: %w", err)
 	}
@@ -510,7 +507,7 @@ func evaluate(ctx context.Context, g *taskgraph.Graph, lib *techlib.Library, typ
 	if c.Policy == sched.ThermalAware {
 		sc.Oracle = oracle
 	}
-	s, err := sched.AllocateAndScheduleCtx(ctx, g, arch, lib, sc)
+	s, err := sched.AllocateAndSchedule(ctx, g, arch, lib, sc)
 	if err != nil {
 		return nil, fmt.Errorf("cosynth: schedule on %s: %w", arch.Name, err)
 	}

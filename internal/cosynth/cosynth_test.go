@@ -1,6 +1,7 @@
 package cosynth
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -29,7 +30,7 @@ func bm(t testing.TB, name string) *taskgraph.Graph {
 }
 
 func TestRunPlatformBaseline(t *testing.T) {
-	res, err := RunPlatform(bm(t, "Bm1"), stdLib(t), PlatformConfig{Policy: sched.Baseline})
+	res, err := RunPlatform(context.Background(), bm(t, "Bm1"), stdLib(t), PlatformConfig{Policy: sched.Baseline})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestRunPlatformAllPolicies(t *testing.T) {
 	lib := stdLib(t)
 	g := bm(t, "Bm1")
 	for _, p := range sched.Policies() {
-		res, err := RunPlatform(g, lib, PlatformConfig{Policy: p})
+		res, err := RunPlatform(context.Background(), g, lib, PlatformConfig{Policy: p})
 		if err != nil {
 			t.Fatalf("%v: %v", p, err)
 		}
@@ -70,11 +71,11 @@ func TestRunPlatformAllPolicies(t *testing.T) {
 func TestRunPlatformThermalBeatsBaselineTemps(t *testing.T) {
 	lib := stdLib(t)
 	g := bm(t, "Bm3")
-	base, err := RunPlatform(g, lib, PlatformConfig{Policy: sched.Baseline})
+	base, err := RunPlatform(context.Background(), g, lib, PlatformConfig{Policy: sched.Baseline})
 	if err != nil {
 		t.Fatal(err)
 	}
-	therm, err := RunPlatform(g, lib, PlatformConfig{Policy: sched.ThermalAware})
+	therm, err := RunPlatform(context.Background(), g, lib, PlatformConfig{Policy: sched.ThermalAware})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestRunPlatformThermalBeatsBaselineTemps(t *testing.T) {
 func TestRunPlatformCustomHotSpotConfig(t *testing.T) {
 	hs := hotspot.DefaultConfig()
 	hs.AmbientC = 25
-	res, err := RunPlatform(bm(t, "Bm1"), stdLib(t), PlatformConfig{
+	res, err := RunPlatform(context.Background(), bm(t, "Bm1"), stdLib(t), PlatformConfig{
 		Policy: sched.Baseline, HotSpot: &hs,
 	})
 	if err != nil {
@@ -107,7 +108,7 @@ func TestRunCoSynthesisMeetsDeadline(t *testing.T) {
 	lib := stdLib(t)
 	for _, name := range []string{"Bm1", "Bm2"} {
 		g := bm(t, name)
-		res, err := RunCoSynthesis(g, lib, CoSynthConfig{
+		res, err := RunCoSynthesis(context.Background(), g, lib, CoSynthConfig{
 			Policy: sched.MinTaskEnergy, FloorplanGenerations: 10,
 		})
 		if err != nil {
@@ -134,7 +135,7 @@ func TestRunCoSynthesisMeetsDeadline(t *testing.T) {
 func TestRunCoSynthesisThermalFlow(t *testing.T) {
 	lib := stdLib(t)
 	g := bm(t, "Bm1")
-	res, err := RunCoSynthesis(g, lib, CoSynthConfig{
+	res, err := RunCoSynthesis(context.Background(), g, lib, CoSynthConfig{
 		Policy: sched.ThermalAware, FloorplanGenerations: 10,
 	})
 	if err != nil {
@@ -152,7 +153,7 @@ func TestRunCoSynthesisUsesFewPEs(t *testing.T) {
 	// Cost-driven selection should not instantiate more PEs than MaxPEs
 	// and should prune unneeded ones.
 	lib := stdLib(t)
-	res, err := RunCoSynthesis(bm(t, "Bm1"), lib, CoSynthConfig{
+	res, err := RunCoSynthesis(context.Background(), bm(t, "Bm1"), lib, CoSynthConfig{
 		Policy: sched.Baseline, FloorplanGenerations: 5, MaxPEs: 5,
 	})
 	if err != nil {
@@ -166,15 +167,15 @@ func TestRunCoSynthesisUsesFewPEs(t *testing.T) {
 func TestRunCoSynthesisErrors(t *testing.T) {
 	lib := stdLib(t)
 	g := bm(t, "Bm1")
-	if _, err := RunCoSynthesis(g, lib, CoSynthConfig{
+	if _, err := RunCoSynthesis(context.Background(), g, lib, CoSynthConfig{
 		Policy: sched.Baseline, CandidateTypes: []string{"nonexistent"},
 	}); err == nil {
 		t.Error("unknown candidate type accepted")
 	}
-	if _, err := RunCoSynthesis(g, lib, CoSynthConfig{Policy: sched.Baseline, MaxPEs: -1}); err == nil {
+	if _, err := RunCoSynthesis(context.Background(), g, lib, CoSynthConfig{Policy: sched.Baseline, MaxPEs: -1}); err == nil {
 		t.Error("negative MaxPEs accepted")
 	}
-	if _, err := RunCoSynthesis(taskgraph.NewGraph("empty", 1), lib, CoSynthConfig{}); err == nil {
+	if _, err := RunCoSynthesis(context.Background(), taskgraph.NewGraph("empty", 1), lib, CoSynthConfig{}); err == nil {
 		t.Error("empty graph accepted")
 	}
 }
@@ -186,11 +187,11 @@ func TestRunCoSynthesisErrors(t *testing.T) {
 func TestPlatformCoolerThanCoSynthesisThermal(t *testing.T) {
 	lib := stdLib(t)
 	g := bm(t, "Bm1")
-	plat, err := RunPlatform(g, lib, PlatformConfig{Policy: sched.ThermalAware})
+	plat, err := RunPlatform(context.Background(), g, lib, PlatformConfig{Policy: sched.ThermalAware})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cos, err := RunCoSynthesis(g, lib, CoSynthConfig{
+	cos, err := RunCoSynthesis(context.Background(), g, lib, CoSynthConfig{
 		Policy: sched.ThermalAware, FloorplanGenerations: 10,
 	})
 	if err != nil {

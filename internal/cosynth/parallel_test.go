@@ -35,7 +35,7 @@ func TestCoSynthesisParallelMatchesSerial(t *testing.T) {
 	lib := stdLib(t)
 	g := bm(t, "Bm1")
 	for _, policy := range []sched.Policy{sched.MinTaskEnergy, sched.ThermalAware} {
-		serial, err := RunCoSynthesis(g, lib, CoSynthConfig{
+		serial, err := RunCoSynthesis(context.Background(), g, lib, CoSynthConfig{
 			Policy: policy, FloorplanGenerations: 8, Parallelism: 1,
 		})
 		if err != nil {
@@ -43,7 +43,7 @@ func TestCoSynthesisParallelMatchesSerial(t *testing.T) {
 		}
 		want := cosynthKey(t, serial)
 		for _, p := range []int{2, 4} {
-			got, err := RunCoSynthesis(g, lib, CoSynthConfig{
+			got, err := RunCoSynthesis(context.Background(), g, lib, CoSynthConfig{
 				Policy: policy, FloorplanGenerations: 8, Parallelism: p,
 			})
 			if err != nil {
@@ -62,7 +62,7 @@ func TestCoSynthesisSharedPoolAndStats(t *testing.T) {
 	lib := stdLib(t)
 	g := bm(t, "Bm1")
 	pool := search.NewPool(4)
-	res, err := RunCoSynthesisCtx(context.Background(), g, lib, CoSynthConfig{
+	res, err := RunCoSynthesis(context.Background(), g, lib, CoSynthConfig{
 		Policy: sched.ThermalAware, FloorplanGenerations: 8, Search: pool,
 	})
 	if err != nil {
@@ -74,7 +74,7 @@ func TestCoSynthesisSharedPoolAndStats(t *testing.T) {
 	if res.SearchMemoHits <= 0 {
 		t.Errorf("SearchMemoHits = %d, want > 0 (convergent GA populations revisit genomes)", res.SearchMemoHits)
 	}
-	serial, err := RunCoSynthesis(g, lib, CoSynthConfig{
+	serial, err := RunCoSynthesis(context.Background(), g, lib, CoSynthConfig{
 		Policy: sched.ThermalAware, FloorplanGenerations: 8,
 	})
 	if err != nil {

@@ -112,14 +112,8 @@ func platformFloorplan(lib *techlib.Library, arch sched.Architecture, desc *Plat
 
 // RunPlatform executes the platform-based flow: schedule g on the fixed
 // 4-PE platform under the configured policy and extract the final
-// temperature profile.
-func RunPlatform(g *taskgraph.Graph, lib *techlib.Library, cfg PlatformConfig) (*Result, error) {
-	return RunPlatformCtx(context.Background(), g, lib, cfg)
-}
-
-// RunPlatformCtx is RunPlatform with cancellation threaded into the
-// ASP's greedy loop.
-func RunPlatformCtx(ctx context.Context, g *taskgraph.Graph, lib *techlib.Library, cfg PlatformConfig) (*Result, error) {
+// temperature profile. ctx is threaded into the ASP's greedy loop.
+func RunPlatform(ctx context.Context, g *taskgraph.Graph, lib *techlib.Library, cfg PlatformConfig) (*Result, error) {
 	bus := cfg.BusTimePerUnit
 	if bus == 0 {
 		bus = DefaultBusTimePerUnit
@@ -140,7 +134,7 @@ func RunPlatformCtx(ctx context.Context, g *taskgraph.Graph, lib *techlib.Librar
 	if cfg.Policy == sched.ThermalAware {
 		sc.Oracle = oracle
 	}
-	s, err := sched.AllocateAndScheduleCtx(ctx, g, arch, lib, sc)
+	s, err := sched.AllocateAndSchedule(ctx, g, arch, lib, sc)
 	if err != nil {
 		return nil, fmt.Errorf("cosynth: platform schedule: %w", err)
 	}

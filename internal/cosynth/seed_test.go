@@ -1,6 +1,7 @@
 package cosynth
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -48,7 +49,7 @@ func TestSeedZeroAndOneProduceDifferentFloorplans(t *testing.T) {
 		cfg := floorplan.DefaultGAConfig()
 		cfg.Generations = 8
 		cfg.Seed = seed
-		res, err := floorplan.RunGA(blocks, cfg)
+		res, err := floorplan.RunGA(context.Background(), blocks, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -69,7 +69,7 @@ func (s *Suite) RunTableDTM(set DTMSettings) (*DTMTable, error) {
 		label := benchLabel(g)
 		t.Benchmarks = append(t.Benchmarks, label)
 		for _, p := range []sched.Policy{sched.MinTaskEnergy, sched.ThermalAware} {
-			res, err := cosynth.RunPlatform(g, s.Lib, cosynth.PlatformConfig{Policy: p})
+			res, err := cosynth.RunPlatform(context.Background(), g, s.Lib, cosynth.PlatformConfig{Policy: p})
 			if err != nil {
 				return nil, fmt.Errorf("experiments: dtm table %s/%s: %w", g.Name, p, err)
 			}

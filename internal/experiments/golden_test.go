@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -40,7 +41,7 @@ func TestGoldenTable3Platform(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := cosynth.RunPlatform(graph, lib, cosynth.PlatformConfig{Policy: g.policy})
+		res, err := cosynth.RunPlatform(context.Background(), graph, lib, cosynth.PlatformConfig{Policy: g.policy})
 		if err != nil {
 			t.Fatalf("%s/%s: %v", g.bench, g.policy, err)
 		}
@@ -69,11 +70,11 @@ func TestGoldenThermalWinsEveryBenchmark(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := cosynth.RunPlatform(g, lib, cosynth.PlatformConfig{Policy: sched.MinTaskEnergy})
+		p, err := cosynth.RunPlatform(context.Background(), g, lib, cosynth.PlatformConfig{Policy: sched.MinTaskEnergy})
 		if err != nil {
 			t.Fatal(err)
 		}
-		th, err := cosynth.RunPlatform(g, lib, cosynth.PlatformConfig{Policy: sched.ThermalAware})
+		th, err := cosynth.RunPlatform(context.Background(), g, lib, cosynth.PlatformConfig{Policy: sched.ThermalAware})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -103,7 +103,7 @@ func RunScalingTable(ctx context.Context, sizes []int, pes int, seed int64, base
 		}
 		//thermalvet:allow walltime(SchedMillis measures scheduler latency for the scaling table; the table is documented deterministic modulo wall-clock)
 		start := time.Now()
-		res, err := cosynth.RunPlatformCtx(ctx, sc.Graph, sc.Lib, cfg)
+		res, err := cosynth.RunPlatform(ctx, sc.Graph, sc.Lib, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: scaling %d tasks: %w", n, err)
 		}

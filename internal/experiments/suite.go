@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"thermalsched/internal/cosynth"
@@ -74,7 +75,7 @@ func (s *Suite) CoSynthCell(g *taskgraph.Graph, p sched.Policy) (Cell, error) {
 	if c, ok := s.cosynthCache[key]; ok {
 		return c, nil
 	}
-	res, err := cosynth.RunCoSynthesis(g, s.Lib, cosynth.CoSynthConfig{
+	res, err := cosynth.RunCoSynthesis(context.Background(), g, s.Lib, cosynth.CoSynthConfig{
 		Policy:               p,
 		FloorplanGenerations: s.FloorplanGenerations,
 	})
@@ -93,7 +94,7 @@ func (s *Suite) PlatformCell(g *taskgraph.Graph, p sched.Policy) (Cell, error) {
 	if c, ok := s.platformCache[key]; ok {
 		return c, nil
 	}
-	res, err := cosynth.RunPlatform(g, s.Lib, cosynth.PlatformConfig{Policy: p})
+	res, err := cosynth.RunPlatform(context.Background(), g, s.Lib, cosynth.PlatformConfig{Policy: p})
 	if err != nil {
 		return Cell{}, fmt.Errorf("experiments: platform %s/%s: %w", g.Name, p, err)
 	}

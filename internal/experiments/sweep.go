@@ -55,22 +55,12 @@ func tallyOutcome(delta float64, wins, ties *int) {
 
 // RunSweep generates count random task graphs (sizes spanning the
 // paper's benchmark range) and compares heuristic 3 against the
-// thermal-aware ASP on the platform flow.
-func RunSweep(lib *techlib.Library, count int, seed int64) (*SweepResult, error) {
-	return RunSweepCtx(context.Background(), lib, count, seed)
-}
-
-// RunSweepCtx is RunSweep with cancellation threaded into every
-// scheduling run of the study.
-func RunSweepCtx(ctx context.Context, lib *techlib.Library, count int, seed int64) (*SweepResult, error) {
-	return RunSweepWith(ctx, lib, count, seed, cosynth.PlatformConfig{})
-}
-
-// RunSweepWith additionally takes a base platform configuration whose
-// HotSpot, Models and BusTimePerUnit settings apply to every run of the
-// study — the Engine passes its thermal calibration and model cache
-// here. Policy and Sched are set per run and ignored on base.
-func RunSweepWith(ctx context.Context, lib *techlib.Library, count int, seed int64, base cosynth.PlatformConfig) (*SweepResult, error) {
+// thermal-aware ASP on the platform flow, with ctx threaded into every
+// scheduling run of the study. The HotSpot, Models and BusTimePerUnit
+// settings of base apply to every run — the Engine passes its thermal
+// calibration and model cache here; the zero value uses the defaults.
+// Policy and Sched are set per run and ignored on base.
+func RunSweep(ctx context.Context, lib *techlib.Library, count int, seed int64, base cosynth.PlatformConfig) (*SweepResult, error) {
 	if count < 1 {
 		return nil, fmt.Errorf("experiments: sweep count %d", count)
 	}
@@ -95,13 +85,13 @@ func RunSweepWith(ctx context.Context, lib *techlib.Library, count int, seed int
 		}
 		pCfg := base
 		pCfg.Policy, pCfg.Sched = sched.MinTaskEnergy, nil
-		pRes, err := cosynth.RunPlatformCtx(ctx, g, lib, pCfg)
+		pRes, err := cosynth.RunPlatform(ctx, g, lib, pCfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: sweep %d power run: %w", i, err)
 		}
 		tCfg := base
 		tCfg.Policy, tCfg.Sched = sched.ThermalAware, nil
-		tRes, err := cosynth.RunPlatformCtx(ctx, g, lib, tCfg)
+		tRes, err := cosynth.RunPlatform(ctx, g, lib, tCfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: sweep %d thermal run: %w", i, err)
 		}

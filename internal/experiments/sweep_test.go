@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"thermalsched/internal/cosynth"
 	"thermalsched/internal/techlib"
 )
 
@@ -15,7 +17,7 @@ func TestRunSweepStatisticalWin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunSweep(lib, 30, 7)
+	res, err := RunSweep(context.Background(), lib, 30, 7, cosynth.PlatformConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +89,7 @@ func TestRunSweepValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunSweep(lib, 0, 1); err == nil {
+	if _, err := RunSweep(context.Background(), lib, 0, 1, cosynth.PlatformConfig{}); err == nil {
 		t.Error("zero count accepted")
 	}
 }

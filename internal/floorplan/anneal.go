@@ -62,17 +62,12 @@ func DefaultSAConfig() SAConfig {
 }
 
 // RunSA searches for a slicing floorplan with simulated annealing over
-// the same move set the GA mutates with.
-func RunSA(blocks []Block, cfg SAConfig) (*Result, error) {
-	return RunSACtx(context.Background(), blocks, cfg)
-}
-
-// RunSACtx is RunSA with the same per-evaluation cancellation contract
-// as RunGACtx: ctx is checked before every packing evaluation (the
-// unit of work — a Stockmeyer pack plus, under a thermal objective, a
-// full model build and solve) and a ctx-wrapping error is returned
-// promptly after cancellation.
-func RunSACtx(ctx context.Context, blocks []Block, cfg SAConfig) (*Result, error) {
+// the same move set the GA mutates with, under RunGA's per-evaluation
+// cancellation contract: ctx is checked before every packing
+// evaluation (the unit of work — a Stockmeyer pack plus, under a
+// thermal objective, a full model build and solve) and a ctx-wrapping
+// error is returned promptly after cancellation.
+func RunSA(ctx context.Context, blocks []Block, cfg SAConfig) (*Result, error) {
 	if len(blocks) == 0 {
 		return nil, fmt.Errorf("floorplan: no blocks to place")
 	}

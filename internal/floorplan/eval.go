@@ -16,7 +16,7 @@ import (
 const memoSize = 4096
 
 // evaluator is the scoring half of the generate/evaluate split shared
-// by RunGACtx and RunSACtx. Candidates are packed and thermally solved
+// by RunGA and RunSA. Candidates are packed and thermally solved
 // by pure functions of the expression, so batches can be evaluated
 // concurrently over a bounded pool and merged in submission order —
 // results are byte-identical at every parallelism level. A memo keyed

@@ -88,12 +88,7 @@ type individual struct {
 }
 
 // RunGA searches for a slicing floorplan of blocks minimizing the
-// weighted area/temperature objective.
-func RunGA(blocks []Block, cfg GAConfig) (*Result, error) {
-	return RunGACtx(context.Background(), blocks, cfg)
-}
-
-// RunGACtx is RunGA with cancellation: the search checks ctx before
+// weighted area/temperature objective. The search checks ctx before
 // every packing evaluation (the unit of work — a Stockmeyer pack plus,
 // under a thermal objective, a full model build and solve) and returns
 // a ctx-wrapping error promptly after cancellation.
@@ -103,7 +98,7 @@ func RunGA(blocks []Block, cfg GAConfig) (*Result, error) {
 // seeded RNG up front, scored over cfg.Parallelism workers through a
 // memoizing evaluator, and merged in submission order — the Result is
 // byte-identical for every parallelism level.
-func RunGACtx(ctx context.Context, blocks []Block, cfg GAConfig) (*Result, error) {
+func RunGA(ctx context.Context, blocks []Block, cfg GAConfig) (*Result, error) {
 	if len(blocks) == 0 {
 		return nil, fmt.Errorf("floorplan: no blocks to place")
 	}

@@ -51,7 +51,7 @@ func TestRunGAParallelMatchesSerial(t *testing.T) {
 					}
 					serialCfg := base
 					serialCfg.Parallelism = 1
-					serial, err := RunGA(blocks, serialCfg)
+					serial, err := RunGA(context.Background(), blocks, serialCfg)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -59,7 +59,7 @@ func TestRunGAParallelMatchesSerial(t *testing.T) {
 					for _, p := range levels {
 						cfg := base
 						cfg.Parallelism = p
-						got, err := RunGA(blocks, cfg)
+						got, err := RunGA(context.Background(), blocks, cfg)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -91,7 +91,7 @@ func TestRunSAParallelMatchesSerial(t *testing.T) {
 			}
 			serialCfg := base
 			serialCfg.Parallelism = 1
-			serial, err := RunSA(blocks, serialCfg)
+			serial, err := RunSA(context.Background(), blocks, serialCfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,7 +99,7 @@ func TestRunSAParallelMatchesSerial(t *testing.T) {
 			for _, p := range levels {
 				cfg := base
 				cfg.Parallelism = p
-				got, err := RunSA(blocks, cfg)
+				got, err := RunSA(context.Background(), blocks, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -128,7 +128,7 @@ func TestRunGASeedEvaluatedOnceAndEvalsCounted(t *testing.T) {
 		return tallPenaltyEval(fp, pw)
 	}
 	cfg.Power = map[string]float64{}
-	res, err := RunGA(blocks, cfg)
+	res, err := RunGA(context.Background(), blocks, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestRunSASeedEvaluatedOnceAndEvalsCounted(t *testing.T) {
 		return tallPenaltyEval(fp, pw)
 	}
 	cfg.Power = map[string]float64{}
-	res, err := RunSA(blocks, cfg)
+	res, err := RunSA(context.Background(), blocks, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestRunSASeedEvaluatedOnceAndEvalsCounted(t *testing.T) {
 	}
 }
 
-func TestRunSACtxCancellation(t *testing.T) {
+func TestRunSACancellation(t *testing.T) {
 	blocks := flexBlocks(6, 1e-6)
 	ctx, cancel := context.WithCancel(context.Background())
 	evals := 0
@@ -182,7 +182,7 @@ func TestRunSACtxCancellation(t *testing.T) {
 		return tallPenaltyEval(fp, pw)
 	}
 	cfg.Power = map[string]float64{}
-	_, err := RunSACtx(ctx, blocks, cfg)
+	_, err := RunSA(ctx, blocks, cfg)
 	if err == nil {
 		t.Fatal("cancelled SA returned no error")
 	}
@@ -194,7 +194,7 @@ func TestRunSACtxCancellation(t *testing.T) {
 	}
 }
 
-func TestRunGACtxCancellationParallel(t *testing.T) {
+func TestRunGACancellationParallel(t *testing.T) {
 	blocks := flexBlocks(6, 1e-6)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -202,7 +202,7 @@ func TestRunGACtxCancellationParallel(t *testing.T) {
 	cfg.Parallelism = 4
 	cfg.Eval = tallPenaltyEval
 	cfg.Power = map[string]float64{}
-	if _, err := RunGACtx(ctx, blocks, cfg); !errors.Is(err, context.Canceled) {
+	if _, err := RunGA(ctx, blocks, cfg); !errors.Is(err, context.Canceled) {
 		t.Errorf("parallel GA with cancelled ctx returned %v, want context.Canceled", err)
 	}
 }
@@ -224,7 +224,7 @@ func TestRunGAParallelErrorDeterministic(t *testing.T) {
 		cfg.Parallelism = p
 		cfg.Eval = boom
 		cfg.Power = map[string]float64{}
-		_, err := RunGA(blocks, cfg)
+		_, err := RunGA(context.Background(), blocks, cfg)
 		return err
 	}
 	serial := run(1)
@@ -247,7 +247,7 @@ func TestRunGAMemoAccountingInvariants(t *testing.T) {
 	blocks := flexBlocks(7, 1e-6)
 	cfg := DefaultGAConfig()
 	cfg.Generations = 15
-	res, err := RunGA(blocks, cfg)
+	res, err := RunGA(context.Background(), blocks, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package floorplan
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -17,7 +18,7 @@ func TestRunGAFindsTightPacking(t *testing.T) {
 	blocks := flexBlocks(6, 1e-6)
 	cfg := DefaultGAConfig()
 	cfg.Generations = 40
-	res, err := RunGA(blocks, cfg)
+	res, err := RunGA(context.Background(), blocks, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,11 +43,11 @@ func TestRunGADeterministicForSeed(t *testing.T) {
 	blocks := flexBlocks(5, 1e-6)
 	cfg := DefaultGAConfig()
 	cfg.Generations = 10
-	a, err := RunGA(blocks, cfg)
+	a, err := RunGA(context.Background(), blocks, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunGA(blocks, cfg)
+	b, err := RunGA(context.Background(), blocks, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +68,11 @@ func TestRunGAThermalObjectiveSteersSearch(t *testing.T) {
 	thermal.TempWeight = 5
 	thermal.Power = map[string]float64{}
 
-	resA, err := RunGA(blocks, areaOnly)
+	resA, err := RunGA(context.Background(), blocks, areaOnly)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resT, err := RunGA(blocks, thermal)
+	resT, err := RunGA(context.Background(), blocks, thermal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,21 +90,21 @@ func TestRunGAThermalObjectiveSteersSearch(t *testing.T) {
 }
 
 func TestRunGAErrors(t *testing.T) {
-	if _, err := RunGA(nil, DefaultGAConfig()); err == nil {
+	if _, err := RunGA(context.Background(), nil, DefaultGAConfig()); err == nil {
 		t.Error("empty block list accepted")
 	}
 	cfg := DefaultGAConfig()
 	cfg.PopulationSize = 1
-	if _, err := RunGA(flexBlocks(3, 1e-6), cfg); err == nil {
+	if _, err := RunGA(context.Background(), flexBlocks(3, 1e-6), cfg); err == nil {
 		t.Error("tiny population accepted")
 	}
-	if _, err := RunGA([]Block{{Name: "x", Area: -1, MinAspect: 1, MaxAspect: 1}}, DefaultGAConfig()); err == nil {
+	if _, err := RunGA(context.Background(), []Block{{Name: "x", Area: -1, MinAspect: 1, MaxAspect: 1}}, DefaultGAConfig()); err == nil {
 		t.Error("invalid block accepted")
 	}
 }
 
 func TestRunGASingleBlock(t *testing.T) {
-	res, err := RunGA(flexBlocks(1, 1e-6), DefaultGAConfig())
+	res, err := RunGA(context.Background(), flexBlocks(1, 1e-6), DefaultGAConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestRunGASingleBlock(t *testing.T) {
 
 func TestRunSAFindsTightPacking(t *testing.T) {
 	blocks := flexBlocks(6, 1e-6)
-	res, err := RunSA(blocks, DefaultSAConfig())
+	res, err := RunSA(context.Background(), blocks, DefaultSAConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +129,11 @@ func TestRunSAFindsTightPacking(t *testing.T) {
 
 func TestRunSADeterministicForSeed(t *testing.T) {
 	blocks := flexBlocks(4, 1e-6)
-	a, err := RunSA(blocks, DefaultSAConfig())
+	a, err := RunSA(context.Background(), blocks, DefaultSAConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunSA(blocks, DefaultSAConfig())
+	b, err := RunSA(context.Background(), blocks, DefaultSAConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,12 +143,12 @@ func TestRunSADeterministicForSeed(t *testing.T) {
 }
 
 func TestRunSAErrors(t *testing.T) {
-	if _, err := RunSA(nil, DefaultSAConfig()); err == nil {
+	if _, err := RunSA(context.Background(), nil, DefaultSAConfig()); err == nil {
 		t.Error("empty block list accepted")
 	}
 	cfg := DefaultSAConfig()
 	cfg.CoolingRate = 1.5
-	if _, err := RunSA(flexBlocks(3, 1e-6), cfg); err == nil {
+	if _, err := RunSA(context.Background(), flexBlocks(3, 1e-6), cfg); err == nil {
 		t.Error("bad cooling rate accepted")
 	}
 }
@@ -156,7 +157,7 @@ func TestRunSAWithThermalEvaluator(t *testing.T) {
 	cfg := DefaultSAConfig()
 	cfg.Eval = tallPenaltyEval
 	cfg.Power = map[string]float64{}
-	res, err := RunSA(flexBlocks(4, 1e-6), cfg)
+	res, err := RunSA(context.Background(), flexBlocks(4, 1e-6), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func platformRun(t *testing.T, bench string, policy sched.Policy) *cosynth.Resul
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cosynth.RunPlatform(g, lib, cosynth.PlatformConfig{Policy: policy})
+	res, err := cosynth.RunPlatform(context.Background(), g, lib, cosynth.PlatformConfig{Policy: policy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func ctgPlatform(t *testing.T) (*sched.Schedule, *cosynth.Result) {
 			t.Fatal(err)
 		}
 	}
-	res, err := cosynth.RunPlatform(g, lib, cosynth.PlatformConfig{Policy: sched.Baseline})
+	res, err := cosynth.RunPlatform(context.Background(), g, lib, cosynth.PlatformConfig{Policy: sched.Baseline})
 	if err != nil {
 		t.Fatal(err)
 	}

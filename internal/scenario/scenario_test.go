@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -293,7 +294,7 @@ func TestScenarioSchedulesOnGeneratedPlatform(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, policy := range []sched.Policy{sched.MinTaskEnergy, sched.ThermalAware} {
-		res, err := cosynth.RunPlatform(s.Graph, s.Lib, cosynth.PlatformConfig{
+		res, err := cosynth.RunPlatform(context.Background(), s.Graph, s.Lib, cosynth.PlatformConfig{
 			Policy:   policy,
 			Platform: &cosynth.PlatformDesc{TypeNames: s.PETypeNames, Layout: s.Layout},
 		})

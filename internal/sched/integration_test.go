@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -108,13 +109,13 @@ func TestThermalAwareBeatsBaselineOnPlatform(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	base, err := AllocateAndSchedule(g, arch, lib, DefaultConfig(Baseline))
+	base, err := AllocateAndSchedule(context.Background(), g, arch, lib, DefaultConfig(Baseline))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig(ThermalAware)
 	cfg.Oracle = oracle
-	therm, err := AllocateAndSchedule(g, arch, lib, cfg)
+	therm, err := AllocateAndSchedule(context.Background(), g, arch, lib, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestAllBenchmarksFeasibleOnPlatform(t *testing.T) {
 			if p == ThermalAware {
 				cfg.Oracle = oracle
 			}
-			s, err := AllocateAndSchedule(g, arch, lib, cfg)
+			s, err := AllocateAndSchedule(context.Background(), g, arch, lib, cfg)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", g.Name, p, err)
 			}
@@ -209,7 +210,7 @@ func TestRandomGraphsScheduleValidProperty(t *testing.T) {
 		if p == ThermalAware {
 			cfg.Oracle = oracle
 		}
-		s, err := AllocateAndSchedule(g, arch, lib, cfg)
+		s, err := AllocateAndSchedule(context.Background(), g, arch, lib, cfg)
 		if err != nil {
 			return false
 		}
@@ -254,7 +255,7 @@ func TestMakespanLowerBoundsProperty(t *testing.T) {
 		if p == ThermalAware {
 			cfg.Oracle = oracle
 		}
-		s, err := AllocateAndSchedule(g, arch, lib, cfg)
+		s, err := AllocateAndSchedule(context.Background(), g, arch, lib, cfg)
 		if err != nil {
 			return false
 		}

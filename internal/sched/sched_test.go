@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -182,7 +183,7 @@ func (fakeOracle) AvgTemp(pePower []float64) (float64, error) {
 func TestBaselineChainSchedule(t *testing.T) {
 	lib := testLib(t)
 	g := chainGraph(t, 1000)
-	s, err := AllocateAndSchedule(g, twoPEArch(0), lib, DefaultConfig(Baseline))
+	s, err := AllocateAndSchedule(context.Background(), g, twoPEArch(0), lib, DefaultConfig(Baseline))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +203,7 @@ func TestBaselineChainSchedule(t *testing.T) {
 func TestBaselineUsesParallelism(t *testing.T) {
 	lib := testLib(t)
 	g := forkGraph(t, 1000)
-	s, err := AllocateAndSchedule(g, twoPEArch(0), lib, DefaultConfig(Baseline))
+	s, err := AllocateAndSchedule(context.Background(), g, twoPEArch(0), lib, DefaultConfig(Baseline))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +221,7 @@ func TestCommunicationDelaysRespected(t *testing.T) {
 	g := chainGraph(t, 1000)
 	// Make cross-PE communication very expensive: chain should stay on
 	// one PE.
-	s, err := AllocateAndSchedule(g, twoPEArch(50), lib, DefaultConfig(Baseline))
+	s, err := AllocateAndSchedule(context.Background(), g, twoPEArch(50), lib, DefaultConfig(Baseline))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +242,7 @@ func TestHeuristic3PrefersLowEnergyPE(t *testing.T) {
 	g := chainGraph(t, 1000)
 	cfg := DefaultConfig(MinTaskEnergy)
 	cfg.EnergyWeight = 1.0 // dominate: always pick the low-energy PE
-	s, err := AllocateAndSchedule(g, twoPEArch(0), lib, cfg)
+	s, err := AllocateAndSchedule(context.Background(), g, twoPEArch(0), lib, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +266,7 @@ func TestHeuristic1PrefersLowPowerPE(t *testing.T) {
 	g := chainGraph(t, 1000)
 	cfg := DefaultConfig(MinTaskPower)
 	cfg.PowerWeight = 1000 // dominate
-	s, err := AllocateAndSchedule(g, twoPEArch(0), lib, cfg)
+	s, err := AllocateAndSchedule(context.Background(), g, twoPEArch(0), lib, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +287,7 @@ func TestHeuristic2BalancesPEPower(t *testing.T) {
 	g := forkGraph(t, 10000)
 	cfg := DefaultConfig(MinPEPower)
 	cfg.PowerWeight = 500
-	s, err := AllocateAndSchedule(g, arch, lib, cfg)
+	s, err := AllocateAndSchedule(context.Background(), g, arch, lib, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +310,7 @@ func TestThermalAwareBalancesLoad(t *testing.T) {
 	cfg := DefaultConfig(ThermalAware)
 	cfg.Oracle = fakeOracle{}
 	cfg.TempWeight = 100
-	s, err := AllocateAndSchedule(g, arch, lib, cfg)
+	s, err := AllocateAndSchedule(context.Background(), g, arch, lib, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,21 +338,21 @@ func TestSchedulerErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	archP := Architecture{Name: "p", PEs: []PE{{Name: "x", Type: 0}}}
-	if _, err := AllocateAndSchedule(g, archP, partial, DefaultConfig(Baseline)); err == nil {
+	if _, err := AllocateAndSchedule(context.Background(), g, archP, partial, DefaultConfig(Baseline)); err == nil {
 		t.Error("uncoverable graph scheduled")
 	}
 
 	// Invalid architecture.
-	if _, err := AllocateAndSchedule(g, Architecture{Name: "e"}, lib, DefaultConfig(Baseline)); err == nil {
+	if _, err := AllocateAndSchedule(context.Background(), g, Architecture{Name: "e"}, lib, DefaultConfig(Baseline)); err == nil {
 		t.Error("empty arch accepted")
 	}
 	// Invalid graph.
-	if _, err := AllocateAndSchedule(taskgraph.NewGraph("e", 1), twoPEArch(0), lib, DefaultConfig(Baseline)); err == nil {
+	if _, err := AllocateAndSchedule(context.Background(), taskgraph.NewGraph("e", 1), twoPEArch(0), lib, DefaultConfig(Baseline)); err == nil {
 		t.Error("empty graph accepted")
 	}
 	// Invalid config.
 	bad := DefaultConfig(ThermalAware) // no oracle
-	if _, err := AllocateAndSchedule(g, twoPEArch(0), lib, bad); err == nil {
+	if _, err := AllocateAndSchedule(context.Background(), g, twoPEArch(0), lib, bad); err == nil {
 		t.Error("oracle-less thermal config accepted")
 	}
 }
@@ -359,7 +360,7 @@ func TestSchedulerErrors(t *testing.T) {
 func TestScheduleMetrics(t *testing.T) {
 	lib := testLib(t)
 	g := chainGraph(t, 1000)
-	s, err := AllocateAndSchedule(g, twoPEArch(0), lib, DefaultConfig(Baseline))
+	s, err := AllocateAndSchedule(context.Background(), g, twoPEArch(0), lib, DefaultConfig(Baseline))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +394,7 @@ func TestScheduleValidateCatchesCorruption(t *testing.T) {
 	lib := testLib(t)
 	g := chainGraph(t, 1000)
 	fresh := func() *Schedule {
-		s, err := AllocateAndSchedule(g, twoPEArch(0), lib, DefaultConfig(Baseline))
+		s, err := AllocateAndSchedule(context.Background(), g, twoPEArch(0), lib, DefaultConfig(Baseline))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -436,7 +437,7 @@ func TestOverlapDetection(t *testing.T) {
 		}
 	}
 	arch := Architecture{Name: "solo", PEs: []PE{{Name: "a", Type: 0}}}
-	s, err := AllocateAndSchedule(g, arch, lib, DefaultConfig(Baseline))
+	s, err := AllocateAndSchedule(context.Background(), g, arch, lib, DefaultConfig(Baseline))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,11 +460,11 @@ func TestDeterministicScheduling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := AllocateAndSchedule(g, twoPEArch(0.1), lib, DefaultConfig(MinTaskEnergy))
+	a, err := AllocateAndSchedule(context.Background(), g, twoPEArch(0.1), lib, DefaultConfig(MinTaskEnergy))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := AllocateAndSchedule(g, twoPEArch(0.1), lib, DefaultConfig(MinTaskEnergy))
+	b, err := AllocateAndSchedule(context.Background(), g, twoPEArch(0.1), lib, DefaultConfig(MinTaskEnergy))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,16 +21,12 @@ import (
 // The returned schedule may miss the deadline; callers (co-synthesis)
 // check MeetsDeadline and react. Scheduling only fails on structural
 // problems: invalid inputs or a task no PE in arch can run.
-func AllocateAndSchedule(g *taskgraph.Graph, arch Architecture, lib *techlib.Library, cfg Config) (*Schedule, error) {
-	return AllocateAndScheduleCtx(context.Background(), g, arch, lib, cfg)
-}
-
-// AllocateAndScheduleCtx is AllocateAndSchedule with cancellation: the
-// greedy loop checks ctx before every task commitment (each step of a
-// thermal-aware run issues tasks×PEs thermal inquiries, so this is the
-// natural abort granularity) and returns a ctx-wrapping error promptly
-// after cancellation.
-func AllocateAndScheduleCtx(ctx context.Context, g *taskgraph.Graph, arch Architecture, lib *techlib.Library, cfg Config) (*Schedule, error) {
+//
+// The greedy loop checks ctx before every task commitment (each step
+// of a thermal-aware run issues tasks×PEs thermal inquiries, so this is
+// the natural abort granularity) and returns a ctx-wrapping error
+// promptly after cancellation.
+func AllocateAndSchedule(ctx context.Context, g *taskgraph.Graph, arch Architecture, lib *techlib.Library, cfg Config) (*Schedule, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -104,13 +105,13 @@ func TestGoldenFastOracleMatchesSlow(t *testing.T) {
 		}
 		cfgFast := DefaultConfig(ThermalAware)
 		cfgFast.Oracle = fast
-		sFast, err := AllocateAndSchedule(g, arch, lib, cfgFast)
+		sFast, err := AllocateAndSchedule(context.Background(), g, arch, lib, cfgFast)
 		if err != nil {
 			t.Fatalf("%s fast: %v", bench, err)
 		}
 		cfgSlow := DefaultConfig(ThermalAware)
 		cfgSlow.Oracle = slow
-		sSlow, err := AllocateAndSchedule(g, arch, lib, cfgSlow)
+		sSlow, err := AllocateAndSchedule(context.Background(), g, arch, lib, cfgSlow)
 		if err != nil {
 			t.Fatalf("%s slow: %v", bench, err)
 		}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -44,7 +45,7 @@ func ctgSchedule(t *testing.T) *sched.Schedule {
 		Name: "duo",
 		PEs:  []sched.PE{{Name: "p0", Type: 0}, {Name: "p1", Type: 1}},
 	}
-	s, err := sched.AllocateAndSchedule(g, arch, lib, sched.DefaultConfig(sched.Baseline))
+	s, err := sched.AllocateAndSchedule(context.Background(), g, arch, lib, sched.DefaultConfig(sched.Baseline))
 	if err != nil {
 		t.Fatal(err)
 	}

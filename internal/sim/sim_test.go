@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -23,7 +24,7 @@ func platformSchedule(t testing.TB, bench string, policy sched.Policy) *sched.Sc
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cosynth.RunPlatform(g, lib, cosynth.PlatformConfig{Policy: policy})
+	res, err := cosynth.RunPlatform(context.Background(), g, lib, cosynth.PlatformConfig{Policy: policy})
 	if err != nil {
 		t.Fatal(err)
 	}

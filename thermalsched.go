@@ -139,13 +139,13 @@ func Policies() []Policy { return sched.Policies() }
 // AllocateAndSchedule runs the ASP directly on an explicit architecture.
 // Most callers want Engine.Run or Engine.Platform instead.
 func AllocateAndSchedule(g *Graph, arch Architecture, lib *Library, cfg SchedConfig) (*Schedule, error) {
-	return sched.AllocateAndSchedule(g, arch, lib, cfg)
+	return sched.AllocateAndSchedule(context.Background(), g, arch, lib, cfg)
 }
 
 // AllocateAndScheduleCtx is AllocateAndSchedule with cancellation
 // threaded into the ASP's greedy loop.
 func AllocateAndScheduleCtx(ctx context.Context, g *Graph, arch Architecture, lib *Library, cfg SchedConfig) (*Schedule, error) {
-	return sched.AllocateAndScheduleCtx(ctx, g, arch, lib, cfg)
+	return sched.AllocateAndSchedule(ctx, g, arch, lib, cfg)
 }
 
 // Thermal model types.
@@ -172,7 +172,7 @@ func NewThermalModel(fp *Floorplan, cfg ThermalConfig) (*ThermalModel, error) {
 
 // FloorplanGA runs the thermal-aware genetic-algorithm floorplanner.
 func FloorplanGA(blocks []FloorplanBlock, cfg floorplan.GAConfig) (*floorplan.Result, error) {
-	return floorplan.RunGA(blocks, cfg)
+	return floorplan.RunGA(context.Background(), blocks, cfg)
 }
 
 // DefaultGAConfig returns the floorplanner's default GA parameters.
