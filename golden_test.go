@@ -15,27 +15,32 @@ import (
 // when a change to a flow's output is intentional.
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden files from current behavior")
 
-// goldenCases pins every flow. The simulate and stream cases span every controller kind and policy that existed before the
-// shared coloop core, plus the corners that exercise its machinery
-// (conditional branches, warm start, multi-replica fan-out, sub-unity
-// duration factors), plus the proactive admit and zigzag supervisors.
-// The admit cases pin the admission-denial counts at every
-// scale: a backlogged 16-PE platform with denials in the 10⁵ range,
-// and a hold so short (retryAfter 1e-300) that t+retryAfter rounds to
-// t, where a denial does not outlast the query that made it.
-// The dtm cases pin the open-loop replay flow under both of its
-// controllers. The platform cases pin every benchmark under the
-// thermal ASP and the baseline, Gantt chart included; the cosynthesis
-// cases pin the benchmark shape (Bm1 capped at 4 PEs with 2 GA
-// generations, floorplan text included), one uncapped run (Bm2 under
-// h3, cheap because the power heuristic skips the thermal inquiries)
-// and Bm4 at the benchmark shape, whose short GA keeps shape-curve
-// tie-breaks in the floorplanner visible in the chosen layout; and the sweep, generate and campaign cases pin one small
-// instance of each generated-input flow.
-func goldenCases() []struct {
+type goldenCase struct {
 	name string
 	req  Request
-} {
+}
+
+// goldenCases pins every flow. The simulate and stream cases span
+// every controller kind and policy that existed before the shared
+// coloop core, plus the corners that exercise its machinery
+// (conditional branches, warm start, multi-replica fan-out, sub-unity
+// duration factors), plus the proactive admit and zigzag supervisors.
+// The admit cases pin the admission-denial counts at every scale: a
+// backlogged 16-PE platform with denials in the 10⁵ range, and a hold
+// so short (retryAfter 1e-300) that t+retryAfter rounds to t, where a
+// denial does not outlast the query that made it. The dtm cases pin
+// the open-loop replay flow under both of its controllers.
+//
+// The platform cases pin every benchmark under the thermal ASP and
+// the baseline, Gantt chart included. The cosynthesis cases pin the
+// benchmark shape (Bm1 capped at 4 PEs with 2 GA generations,
+// floorplan text included), one uncapped run (Bm2 under h3, cheap
+// because the power heuristic skips the thermal inquiries), and Bm4 at
+// the benchmark shape, whose short GA leaves the floorplanner's
+// shape-curve tie-breaks visible in the chosen layout. The sweep,
+// generate and campaign cases pin one small instance of each
+// generated-input flow.
+func goldenCases() []goldenCase {
 	condScenario := ScenarioSpec{
 		Name: "golden-cond",
 		Seed: 5,
@@ -53,10 +58,7 @@ func goldenCases() []struct {
 		s.Platform = ScenarioPlatformParams{PEs: 16}
 		return s
 	}
-	cases := []struct {
-		name string
-		req  Request
-	}{
+	cases := []goldenCase{
 		{"simulate_bm1_toggle", NewRequest(FlowSimulate, WithBenchmark("Bm1"),
 			WithSimulate(SimulateSpec{Controller: "toggle", Replicas: 3, MinFactor: 0.85, Seed: 7}))},
 		{"simulate_bm2_pi_warm", NewRequest(FlowSimulate, WithBenchmark("Bm2"),
@@ -109,13 +111,8 @@ func goldenCases() []struct {
 	}
 	for _, b := range []string{"Bm1", "Bm2", "Bm3", "Bm4"} {
 		for _, p := range []Policy{ThermalAware, Baseline} {
-			cases = append(cases, struct {
-				name string
-				req  Request
-			}{
-				"platform_" + strings.ToLower(b) + "_" + p.String(),
-				NewRequest(FlowPlatform, WithBenchmark(b), WithPolicy(p), WithGantt()),
-			})
+			cases = append(cases, goldenCase{"platform_" + strings.ToLower(b) + "_" + p.String(),
+				NewRequest(FlowPlatform, WithBenchmark(b), WithPolicy(p), WithGantt())})
 		}
 	}
 	return cases

@@ -81,21 +81,21 @@ func validationCases() []struct {
 		},
 		{
 			name: "negative tempWeight",
-			req: thermalsched.Request{Flow: thermalsched.FlowPlatform,
-				Benchmark: "Bm1", Policy: "thermal", TempWeight: ptr(-1.0)},
+			req: thermalsched.NewRequest(thermalsched.FlowPlatform,
+				thermalsched.WithBenchmark("Bm1"), thermalsched.WithTempWeight(-1)),
 			field: "tempWeight",
 			cli:   []string{"-flow", "platform", "-benchmark", "Bm1", "-tempweight", "-1"},
 		},
 		{
 			name: "negative powerWeight",
-			req: thermalsched.Request{Flow: thermalsched.FlowPlatform,
-				Benchmark: "Bm1", Policy: "h1", PowerWeight: ptr(-1.0)},
+			req: thermalsched.NewRequest(thermalsched.FlowPlatform, thermalsched.WithBenchmark("Bm1"),
+				thermalsched.WithPolicy(thermalsched.MinTaskPower), thermalsched.WithPowerWeight(-1)),
 			field: "powerWeight",
 		},
 		{
 			name: "negative energyWeight",
-			req: thermalsched.Request{Flow: thermalsched.FlowPlatform,
-				Benchmark: "Bm1", Policy: "h3", EnergyWeight: ptr(-1.0)},
+			req: thermalsched.NewRequest(thermalsched.FlowPlatform, thermalsched.WithBenchmark("Bm1"),
+				thermalsched.WithPolicy(thermalsched.MinTaskEnergy), thermalsched.WithEnergyWeight(-1)),
 			field: "energyWeight",
 		},
 		{
@@ -120,8 +120,6 @@ func validationCases() []struct {
 		},
 	}
 }
-
-func ptr[T any](v T) *T { return &v }
 
 func TestValidationMessagesSharedAcrossSurfaces(t *testing.T) {
 	engine, err := thermalsched.NewEngine()
