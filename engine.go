@@ -2,7 +2,9 @@ package thermalsched
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -748,21 +750,30 @@ func (e *Engine) SearchMemoStats() (evals, memoHits uint64) {
 
 // modelKey fingerprints a (floorplan, thermal config) pair. Floorplans
 // are keyed by exact block geometry, so two floorplans solve to the
-// same factorization iff they are the same layout. The Config fields
-// are serialized explicitly, field by field — a reflective "%+v" would
-// silently produce colliding (pointer addresses) or unstable keys if
-// Config ever gained pointer or slice fields. The thermalvet fpfields
-// analyzer checks the registration below statically: a Config field
-// missing from this serialization fails the lint job by name.
+// same factorization iff they are the same layout. The key is raw
+// bytes: every float as its IEEE-754 bits, every string behind its
+// length, so distinct inputs cannot concatenate to one key. The Config
+// fields are serialized explicitly, field by field — a reflective dump
+// would silently produce colliding (pointer addresses) or unstable
+// keys if Config ever gained pointer or slice fields. The thermalvet
+// fpfields analyzer checks the registration below statically: a
+// Config field missing from this serialization fails the lint job by
+// name.
 //
 //thermalvet:serializes hotspot.Config
 func modelKey(fp *floorplan.Floorplan, cfg hotspot.Config) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "si=%g,die=%g,sivh=%g,iface=%g,spk=%g,spt=%g,spvh=%g,sps=%g,ring=%g,conv=%g,sinkc=%g,amb=%g,",
+	blocks := fp.Blocks()
+	// 12 Config floats and the solver name, then per block a name and
+	// four floats.
+	b := make([]byte, 0, 128+48*len(blocks))
+	for _, v := range [...]float64{
 		cfg.SiliconConductivity, cfg.DieThickness, cfg.SiliconVolumetricHeat,
 		cfg.InterfaceResistivity, cfg.SpreaderConductivity, cfg.SpreaderThickness,
 		cfg.SpreaderVolumetricHeat, cfg.SpreaderToSinkResistance, cfg.SpreaderRingWidth,
-		cfg.ConvectionResistance, cfg.SinkHeatCapacity, cfg.AmbientC)
+		cfg.ConvectionResistance, cfg.SinkHeatCapacity, cfg.AmbientC,
+	} {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
 	// The solver backend is part of the key: a cached model carries its
 	// backend-specific factorization and influence representation, so a
 	// dense and a sparse run over one floorplan must never share an
@@ -772,9 +783,17 @@ func modelKey(fp *floorplan.Floorplan, cfg hotspot.Config) string {
 	if slv == "" {
 		slv = hotspot.SolverDense
 	}
-	fmt.Fprintf(&b, "slv=%s|", slv)
-	for _, blk := range fp.Blocks() {
-		fmt.Fprintf(&b, "%s:%g,%g,%g,%g;", blk.Name, blk.Rect.X, blk.Rect.Y, blk.Rect.W, blk.Rect.H)
+	b = appendKeyString(b, slv)
+	for _, blk := range blocks {
+		b = appendKeyString(b, blk.Name)
+		for _, v := range [...]float64{blk.Rect.X, blk.Rect.Y, blk.Rect.W, blk.Rect.H} {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
 	}
-	return b.String()
+	return string(b)
+}
+
+// appendKeyString appends s to a modelKey behind its length.
+func appendKeyString(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }

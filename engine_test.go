@@ -2,8 +2,10 @@ package thermalsched
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -11,6 +13,7 @@ import (
 	"thermalsched/internal/cosynth"
 	"thermalsched/internal/experiments"
 	"thermalsched/internal/floorplan"
+	"thermalsched/internal/geom"
 	"thermalsched/internal/hotspot"
 )
 
@@ -476,6 +479,59 @@ func TestModelKeyDistinctConfigs(t *testing.T) {
 	}
 	if modelKey(fp2, base) == k0 {
 		t.Error("distinct floorplans share a model key")
+	}
+
+	// The key holds every block's exact geometry and name: a one-ulp
+	// move, a rename and a name swap each change it, and so does a name
+	// split that would concatenate to the same bytes without the length
+	// prefixes.
+	plan := func(t *testing.T, blocks ...floorplan.Placed) *floorplan.Floorplan {
+		t.Helper()
+		fp := floorplan.New()
+		for _, b := range blocks {
+			if err := fp.AddBlock(b.Name, b.Rect); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return fp
+	}
+	ra, rb := geom.NewRect(0, 0, 1e-3, 1e-3), geom.NewRect(1e-3, 0, 1e-3, 1e-3)
+	ref := modelKey(plan(t, floorplan.Placed{Name: "a", Rect: ra}, floorplan.Placed{Name: "b", Rect: rb}), base)
+	for i := 0; i < 4; i++ {
+		r := rb
+		c := [...]*float64{&r.X, &r.Y, &r.W, &r.H}[i]
+		*c = math.Nextafter(*c, math.Inf(1))
+		if modelKey(plan(t, floorplan.Placed{Name: "a", Rect: ra}, floorplan.Placed{Name: "b", Rect: r}), base) == ref {
+			t.Errorf("moving coordinate %d of a block one ulp did not change the model key", i)
+		}
+	}
+	variants := map[string]*floorplan.Floorplan{
+		"rename": plan(t, floorplan.Placed{Name: "a", Rect: ra}, floorplan.Placed{Name: "c", Rect: rb}),
+		"swap":   plan(t, floorplan.Placed{Name: "b", Rect: ra}, floorplan.Placed{Name: "a", Rect: rb}),
+	}
+	for name, v := range variants {
+		if modelKey(v, base) == ref {
+			t.Errorf("%s: model key unchanged", name)
+		}
+	}
+	// Without length prefixes, "a" + bits(ra) + "b" + bits(rb) equals one
+	// block named "a" + bits(ra) + "b" placed at rb.
+	var glued []byte
+	glued = append(glued, 'a')
+	for _, v := range [...]float64{ra.X, ra.Y, ra.W, ra.H} {
+		glued = binary.LittleEndian.AppendUint64(glued, math.Float64bits(v))
+	}
+	glued = append(glued, 'b')
+	if modelKey(plan(t, floorplan.Placed{Name: string(glued), Rect: rb}), base) == ref {
+		t.Error("block names glued across a rectangle share a model key")
+	}
+	// The same at the solver/first-block boundary: "dense"+"ab" against
+	// "densea"+"b".
+	split := base
+	split.Solver = hotspot.SolverDense + "a"
+	if modelKey(plan(t, floorplan.Placed{Name: "b", Rect: ra}), split) ==
+		modelKey(plan(t, floorplan.Placed{Name: "ab", Rect: ra}), dense) {
+		t.Error("solver and block names split differently share a model key")
 	}
 }
 

@@ -105,7 +105,7 @@ func RunSA(ctx context.Context, blocks []Block, cfg SAConfig) (*Result, error) {
 			// serially from the current state before evaluating anything.
 			cands, uniforms = cands[:0], uniforms[:0]
 			for k := 0; k < n; k++ {
-				cands = append(cands, mutateExpr(cloneExpr(cur), len(blocks), rng, 1))
+				cands = append(cands, mutateExpr(cloneExpr(cur), rng, 1))
 				uniforms = append(uniforms, rng.Float64())
 			}
 			inds, err := h.scoreBatch(ctx, cands)

@@ -132,7 +132,7 @@ func RunGA(ctx context.Context, blocks []Block, cfg GAConfig) (*Result, error) {
 	// serially and scored as one batch.
 	mutants := make([]Expression, 0, cfg.PopulationSize-1)
 	for len(mutants) < cfg.PopulationSize-1 {
-		mutants = append(mutants, mutateExpr(cloneExpr(seedExpr), len(blocks), rng, 1+rng.Intn(4)))
+		mutants = append(mutants, mutateExpr(cloneExpr(seedExpr), rng, 1+rng.Intn(4)))
 	}
 	scored, err := h.scoreBatch(ctx, mutants)
 	if err != nil {
@@ -163,7 +163,7 @@ func RunGA(ctx context.Context, blocks []Block, cfg GAConfig) (*Result, error) {
 				child = cloneExpr(a.expr)
 			}
 			if rng.Float64() < cfg.MutationRate {
-				child = mutateExpr(child, len(blocks), rng, 1+rng.Intn(3))
+				child = mutateExpr(child, rng, 1+rng.Intn(3))
 			}
 			children = append(children, child)
 		}
@@ -220,7 +220,7 @@ func cloneExpr(e Expression) Expression {
 //	M2: complement a cut operator (H <-> V).
 //	M3: swap an adjacent operand/operator pair when the ballot property
 //	    allows it.
-func mutateExpr(e Expression, nBlocks int, rng *rand.Rand, n int) Expression {
+func mutateExpr(e Expression, rng *rand.Rand, n int) Expression {
 	if len(e) < 3 {
 		return e // a single block admits no moves
 	}
@@ -240,13 +240,15 @@ func mutateExpr(e Expression, nBlocks int, rng *rand.Rand, n int) Expression {
 			}
 		case 2:
 			// Try a few random adjacent swaps until one preserves validity.
+			// A swap keeps the operands a permutation, so only the
+			// ballot property can break.
 			for try := 0; try < 8; try++ {
 				i := rng.Intn(len(e) - 1)
 				if e[i].IsOperator() == e[i+1].IsOperator() {
 					continue
 				}
 				e[i], e[i+1] = e[i+1], e[i]
-				if ValidExpression(e, nBlocks) == nil {
+				if ballot(e) {
 					break
 				}
 				e[i], e[i+1] = e[i+1], e[i] // undo
@@ -254,6 +256,21 @@ func mutateExpr(e Expression, nBlocks int, rng *rand.Rand, n int) Expression {
 		}
 	}
 	return e
+}
+
+// ballot reports whether every prefix of e holds more operands than
+// operators, the part of ValidExpression an operand/operator swap can
+// break.
+func ballot(e Expression) bool {
+	depth := 0
+	for _, g := range e {
+		if !g.IsOperator() {
+			depth++
+		} else if depth--; depth < 1 {
+			return false
+		}
+	}
+	return true
 }
 
 func randOperand(e Expression, rng *rand.Rand) int {

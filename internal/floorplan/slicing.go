@@ -1,9 +1,10 @@
 package floorplan
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"thermalsched/internal/geom"
 )
@@ -85,13 +86,12 @@ func InitialExpression(n int) Expression {
 	return e
 }
 
-// shape is one feasible (w, h) realization of a subtree. For leaves,
-// choice records which discrete block shape was used; for internal nodes,
-// li/ri record the child shape indices that produced this realization.
+// shape is one feasible (w, h) realization of a subtree. For internal
+// nodes, li/ri record the child shape indices that produced this
+// realization; leaves leave them zero.
 type shape struct {
 	w, h   float64
 	li, ri int // indices into the children's shape lists (internal nodes)
-	choice int // leaf only: index into the block's candidate list
 }
 
 // shapesPerBlock controls how many discrete aspect ratios are sampled per
@@ -116,7 +116,7 @@ func blockShapes(b Block) []shape {
 		}
 		h := math.Sqrt(b.Area * ar)
 		w := b.Area / h
-		out = append(out, shape{w: w, h: h, choice: i})
+		out = append(out, shape{w: w, h: h})
 	}
 	return out
 }
@@ -127,11 +127,11 @@ func prune(ss []shape) []shape {
 	if len(ss) <= 1 {
 		return ss
 	}
-	sort.Slice(ss, func(i, j int) bool {
-		if ss[i].w != ss[j].w {
-			return ss[i].w < ss[j].w
+	slices.SortFunc(ss, func(a, b shape) int {
+		if a.w != b.w {
+			return cmp.Compare(a.w, b.w)
 		}
-		return ss[i].h < ss[j].h
+		return cmp.Compare(a.h, b.h)
 	})
 	out := ss[:0]
 	bestH := math.Inf(1)
@@ -186,21 +186,54 @@ func buildTree(e Expression, blocks []Block) (*node, error) {
 // combine merges two children's shape curves under an operator.
 // Vertical cut: widths add, heights max. Horizontal cut: heights add,
 // widths max.
+//
+// It is Stockmeyer's merge (Stockmeyer 1983). Both child lists are
+// staircases, so a non-dominated pair is met by walking them from the
+// narrow, tall end under a vertical cut, or from the wide, short end
+// under a horizontal one. Each step emits the current pair and advances
+// the binding child (the taller under V, the wider under H), or both on
+// a tie; the walk ends when the binding child has no next shape. That
+// is at most len(ls)+len(rs)-1 candidates instead of every pair, and
+// prune applies the dominance tolerance and the length cap to them.
 func combine(op Gene, ls, rs []shape) []shape {
-	out := make([]shape, 0, len(ls)*len(rs))
-	for li, l := range ls {
-		for ri, r := range rs {
-			var s shape
-			if op == OpV {
-				s = shape{w: l.w + r.w, h: math.Max(l.h, r.h)}
-			} else {
-				s = shape{w: math.Max(l.w, r.w), h: l.h + r.h}
-			}
-			s.li, s.ri = li, ri
-			out = append(out, s)
+	li, lstep, lend := walkOrder(op, ls)
+	ri, rstep, rend := walkOrder(op, rs)
+	out := make([]shape, 0, len(ls)+len(rs)-1)
+	for {
+		l, r := ls[li], rs[ri]
+		s := shape{li: li, ri: ri}
+		var lx, rx float64 // the extents the cut takes the max of
+		if op == OpV {
+			s.w, s.h = l.w+r.w, math.Max(l.h, r.h)
+			lx, rx = l.h, r.h
+		} else {
+			s.w, s.h = math.Max(l.w, r.w), l.h+r.h
+			lx, rx = l.w, r.w
+		}
+		out = append(out, s)
+		advL, advR := !(lx < rx), !(rx < lx)
+		if advL && li == lend || advR && ri == rend {
+			return prune(out)
+		}
+		if advL {
+			li += lstep
+		}
+		if advR {
+			ri += rstep
 		}
 	}
-	return prune(out)
+}
+
+// walkOrder returns where combine starts in ss, its step and its last
+// index. Leaf lists from blockShapes run from short to tall; pruned
+// lists run from narrow (tall) to wide (short). Both are walked in
+// place, because a parent's li/ri index the stored list.
+func walkOrder(op Gene, ss []shape) (first, step, last int) {
+	tallFirst := ss[0].h > ss[len(ss)-1].h
+	if tallFirst == (op == OpV) {
+		return 0, 1, len(ss) - 1
+	}
+	return len(ss) - 1, -1, 0
 }
 
 // realize assigns concrete rectangles: the subtree rooted at n takes the

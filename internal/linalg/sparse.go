@@ -121,20 +121,37 @@ func (b *SparseBuilder) Add(i, j int, v float64) {
 // builder may be reused afterwards (further Adds extend the same
 // triplet log), but callers in this repository build exactly once.
 func (b *SparseBuilder) Build() *CSR {
-	// Sort an index permutation by (row, col), stably: ties keep
+	// Order an index permutation by (row, col), stably: ties keep
 	// insertion order, so summing duplicates in permuted order equals
-	// summing them in insertion order per coordinate.
-	perm := make([]int, len(b.rows))
-	for i := range perm {
-		perm[i] = i
+	// summing them in insertion order per coordinate. A counting sort
+	// by row keeps insertion order within each row; a stable insertion
+	// sort by column then orders each (short) row.
+	next := make([]int, b.n+1)
+	for _, i := range b.rows {
+		next[i+1]++
 	}
-	sort.SliceStable(perm, func(x, y int) bool {
-		px, py := perm[x], perm[y]
-		if b.rows[px] != b.rows[py] {
-			return b.rows[px] < b.rows[py]
+	for i := 0; i < b.n; i++ {
+		next[i+1] += next[i]
+	}
+	perm := make([]int, len(b.rows))
+	for p, i := range b.rows {
+		perm[next[i]] = p
+		next[i]++
+	}
+	// next[i] is now the end of row i, so row i is perm[next[i-1]:next[i]].
+	lo := 0
+	for _, hi := range next[:b.n] {
+		row := perm[lo:hi]
+		for x := 1; x < len(row); x++ {
+			p, c := row[x], b.cols[row[x]]
+			y := x
+			for ; y > 0 && b.cols[row[y-1]] > c; y-- {
+				row[y] = row[y-1]
+			}
+			row[y] = p
 		}
-		return b.cols[px] < b.cols[py]
-	})
+		lo = hi
+	}
 	a := &CSR{n: b.n, rowPtr: make([]int, b.n+1)}
 	lastI, lastJ := -1, -1
 	for _, p := range perm {

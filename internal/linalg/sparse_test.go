@@ -3,6 +3,7 @@ package linalg
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -298,5 +299,58 @@ func TestSparseSolveIntoAllocFree(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("SparseCholesky.SolveInto allocates %v per run after warm-up", n)
+	}
+}
+
+// Build must sum duplicate coordinates in insertion order whatever the
+// order the rows and columns arrive in: random triplets with repeated
+// coordinates and magnitudes far apart (so the summation order shows
+// in the last bits), shuffled, with empty rows, and with one row
+// holding every entry, all match a sequential dense Add replay bit for
+// bit.
+func TestSparseBuilderDuplicateOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	value := func() float64 { return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(33)-16)) }
+	cases := []struct {
+		name    string
+		n, adds int
+		row     func() int
+	}{
+		{"scattered", 9, 400, func() int { return rng.Intn(9) }},
+		{"empty rows", 12, 300, func() int { return 3 * rng.Intn(4) }},
+		{"one row", 6, 300, func() int { return 4 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := NewMatrix(tc.n, tc.n)
+			b := NewSparseBuilder(tc.n)
+			type triplet struct {
+				i, j int
+				v    float64
+			}
+			ts := make([]triplet, tc.adds)
+			for k := range ts {
+				ts[k] = triplet{tc.row(), rng.Intn(tc.n), value()}
+			}
+			rng.Shuffle(len(ts), func(x, y int) { ts[x], ts[y] = ts[y], ts[x] })
+			for _, e := range ts {
+				m.Add(e.i, e.j, e.v)
+				b.Add(e.i, e.j, e.v)
+			}
+			a := b.Build()
+			for i := 0; i < tc.n; i++ {
+				cols := a.colIdx[a.rowPtr[i]:a.rowPtr[i+1]]
+				for k := 1; k < len(cols); k++ {
+					if cols[k] <= cols[k-1] {
+						t.Fatalf("row %d columns %v not strictly increasing", i, cols)
+					}
+				}
+				for j := 0; j < tc.n; j++ {
+					if got, want := a.At(i, j), m.At(i, j); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("[%d,%d] = %v, dense Add replay has %v", i, j, got, want)
+					}
+				}
+			}
+		})
 	}
 }
