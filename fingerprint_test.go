@@ -1,6 +1,7 @@
 package thermalsched
 
 import (
+	"encoding/json"
 	"reflect"
 	"testing"
 )
@@ -163,6 +164,123 @@ func TestRequestFingerprintGraphSensitivity(t *testing.T) {
 	for name, mut := range muts {
 		if mk(mut) == base {
 			t.Errorf("perturbing graph %s did not change the fingerprint", name)
+		}
+	}
+}
+
+// fullSimulateSpec sets every SimulateSpec field to a non-default
+// value. Fields are assigned one by one rather than through a
+// composite literal, so the helper does not depend on how the spec
+// groups its supervisor knobs.
+func fullSimulateSpec() SimulateSpec {
+	var s SimulateSpec
+	s.Controller = "admit"
+	s.TriggerC, s.Hysteresis, s.Throttle = 81, 1.5, 0.45
+	s.SetpointC, s.Kp, s.Ki, s.MinScale = 79, 0.06, 0.003, 0.2
+	s.FairC, s.SeriousC, s.CriticalC = 70, 78, 86
+	s.SeriousScale, s.CriticalScale = 0.65, 0.35
+	s.RetryAfter, s.CoolTime = 3, 4
+	s.DT, s.TimeScale = 0.5, 0.05
+	s.MinFactor, s.Seed = 0.8, 9
+	s.Conditional, s.WarmStart = true, true
+	s.Replicas = 3
+	return s
+}
+
+// fullStreamSpec does the same for StreamSpec.
+func fullStreamSpec() StreamSpec {
+	var s StreamSpec
+	s.Name = "pinned"
+	s.Seed = 4
+	s.Arrivals = StreamArrivalParams{Horizon: 300, Sources: 2, Rate: 0.1, BurstMean: 2, Laxity: 3}
+	s.Platform = ScenarioPlatformParams{PEs: 6, MinSpeed: 0.5, MaxSpeed: 2, Layout: "row"}
+	s.DT, s.TimeScale = 0.5, 0.05
+	s.MinFactor, s.SimSeed = 0.8, 6
+	s.Replicas = 2
+	s.FairC, s.SeriousC, s.CriticalC = 70, 78, 86
+	s.SeriousScale, s.CriticalScale = 0.65, 0.35
+	s.RetryAfter, s.Hysteresis, s.CoolTime = 3, 1.5, 4
+	return s
+}
+
+// Request fingerprints are persistent: the async job tier coalesces a
+// resubmitted request onto a journaled result by fingerprint, across
+// restarts. These requests set every supervisor knob (and the defaulted
+// forms), so any change to a spec's serialization or defaults that
+// moves a key shows up here by name.
+func TestRequestFingerprintPinned(t *testing.T) {
+	sim := fullSimulateSpec()
+	st := fullStreamSpec()
+	campSim := fullSimulateSpec()
+	campSim.Controller = ""
+	cases := []struct {
+		name string
+		req  Request
+		want string
+	}{
+		{"simulate-full", NewRequest(FlowSimulate, WithBenchmark("Bm2"), WithSimulate(sim)), "11bd1f96192998a9"},
+		{"simulate-default", NewRequest(FlowSimulate, WithBenchmark("Bm1")), "000aad43dc28491c"},
+		{"stream-full", NewRequest(FlowStream, WithStream(st),
+			func(r *Request) { r.Policy = StreamPolicyAdmit }), "802d84aa293f6876"},
+		{"stream-default", NewRequest(FlowStream, WithStream(StreamSpec{Seed: 1})), "180e8458509f84e6"},
+		{"campaign-simulate", NewRequest(FlowCampaign, WithCampaign(CampaignSpec{
+			Scenarios: 3, Seed: 2, Policies: []string{"thermal"},
+			Controllers: []string{"toggle", "admit", "zigzag"}, Simulate: &campSim})), "8f92797d52627164"},
+		{"campaign-stream", NewRequest(FlowCampaign, WithCampaign(CampaignSpec{
+			Scenarios: 2, Seed: 7, Policies: []string{"greedy", "admit"}, Stream: &st})), "41de1c986a4f6835"},
+	}
+	for _, tc := range cases {
+		if err := tc.req.Validate(); err != nil {
+			t.Errorf("%s: pinned request is invalid: %v", tc.name, err)
+		}
+		if got := tc.req.Fingerprint(); got != tc.want {
+			t.Errorf("%s: fingerprint %s, pinned %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// The supervisor knobs keep their flat JSON keys: a fully populated
+// spec marshals to this JSON object (compared as an object, so key
+// order is free), and the object decodes back to an equal spec.
+func TestSupervisorSpecWire(t *testing.T) {
+	cases := []struct {
+		name string
+		spec any
+		back func([]byte) (any, error)
+		want string
+	}{
+		{"simulate", fullSimulateSpec(), func(b []byte) (any, error) {
+			var s SimulateSpec
+			err := json.Unmarshal(b, &s)
+			return s, err
+		}, `{"controller":"admit","triggerC":81,"hysteresis":1.5,"throttle":0.45,"setpointC":79,"kp":0.06,"ki":0.003,"minScale":0.2,"fairC":70,"seriousC":78,"criticalC":86,"seriousScale":0.65,"criticalScale":0.35,"retryAfter":3,"coolTime":4,"dt":0.5,"timeScale":0.05,"minFactor":0.8,"seed":9,"conditional":true,"warmStart":true,"replicas":3}`},
+		{"stream", fullStreamSpec(), func(b []byte) (any, error) {
+			var s StreamSpec
+			err := json.Unmarshal(b, &s)
+			return s, err
+		}, `{"name":"pinned","seed":4,"arrivals":{"horizon":300,"sources":2,"rate":0.1,"burstMean":2,"laxity":3},"platform":{"pes":6,"minSpeed":0.5,"maxSpeed":2,"layout":"row"},"dt":0.5,"timeScale":0.05,"minFactor":0.8,"simSeed":6,"replicas":2,"fairC":70,"seriousC":78,"criticalC":86,"seriousScale":0.65,"criticalScale":0.35,"retryAfter":3,"hysteresis":1.5,"coolTime":4}`},
+	}
+	for _, tc := range cases {
+		blob, err := json.Marshal(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got, want map[string]any
+		if err := json.Unmarshal(blob, &got); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal([]byte(tc.want), &want); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s spec JSON\n  got  %s\n  want %s", tc.name, blob, tc.want)
+		}
+		back, err := tc.back([]byte(tc.want))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(back, tc.spec) {
+			t.Errorf("%s spec JSON decodes to %+v, want %+v", tc.name, back, tc.spec)
 		}
 	}
 }

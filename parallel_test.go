@@ -3,7 +3,9 @@ package thermalsched
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"testing"
+	"time"
 )
 
 // respJSON marshals a response with the wall-clock field zeroed, for
@@ -158,5 +160,66 @@ func TestRequestParallelismValidation(t *testing.T) {
 	}
 	if _, err := NewEngine(WithSearchParallelism(0)); err == nil {
 		t.Error("zero engine search parallelism accepted")
+	}
+}
+
+// The simulate flow must be byte-identical across parallelism levels:
+// replica fan-out order is a scheduling detail, never a result detail.
+// That holds for a request-level Parallelism and for a request that
+// inherits the engine's WithSearchParallelism; and a multi-replica run
+// cancelled mid fan-out reports the cancellation promptly.
+func TestSimulateFlowParallelismByteIdentical(t *testing.T) {
+	req := func(parallelism, replicas int) Request {
+		r := NewRequest(FlowSimulate, WithBenchmark("Bm2"), WithSimulate(SimulateSpec{
+			Controller: "admit", Replicas: replicas, MinFactor: 0.7, Seed: 5,
+		}))
+		r.Parallelism = parallelism
+		return r
+	}
+	ctx := context.Background()
+	e := testEngine(t)
+	serial, err := e.Run(ctx, req(1, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := respJSON(t, serial)
+	for _, p := range []int{2, 4} {
+		got, err := e.Run(ctx, req(p, 6))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if respJSON(t, got) != want {
+			t.Errorf("parallelism %d response diverged from serial", p)
+		}
+	}
+	for _, sp := range []int{1, 4} {
+		pe, err := NewEngine(WithSearchParallelism(sp))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := pe.Run(ctx, req(0, 6))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if respJSON(t, got) != want {
+			t.Errorf("engine search parallelism %d response diverged from serial", sp)
+		}
+	}
+
+	// Thousands of replicas take far longer than the cancellation
+	// delay, so the run is cut inside the replica fan-out.
+	for _, p := range []int{1, 4} {
+		cctx, cancel := context.WithCancel(ctx)
+		time.AfterFunc(50*time.Millisecond, cancel)
+		start := time.Now()
+		_, err := e.Run(cctx, req(p, MaxSimulateReplicas))
+		elapsed := time.Since(start)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("parallelism %d: cancelled run returned %v, want context.Canceled", p, err)
+		}
+		if elapsed > 5*time.Second {
+			t.Errorf("parallelism %d: cancellation took %v, want a prompt abort", p, elapsed)
+		}
 	}
 }
