@@ -12,6 +12,7 @@ import (
 	"thermalsched/internal/hotspot"
 	"thermalsched/internal/power"
 	"thermalsched/internal/sched"
+	"thermalsched/internal/search"
 	"thermalsched/internal/sim"
 	"thermalsched/internal/taskgraph"
 	"thermalsched/internal/techlib"
@@ -658,7 +659,7 @@ func BenchmarkCoSynthesis(b *testing.B) {
 		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res, err := cosynth.RunCoSynthesis(context.Background(), g, lib, cosynth.CoSynthConfig{
-					Policy: sched.ThermalAware, FloorplanGenerations: 10, Parallelism: p,
+					Policy: sched.ThermalAware, FloorplanGenerations: 10, Search: search.NewPool(p),
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -39,9 +39,11 @@ func admissionDuelSpec() *thermalsched.SimulateSpec {
 		MinFactor: 0.7,
 		TimeScale: 0.05,
 		TriggerC:  80,
-		FairC:     70, SeriousC: 78, CriticalC: 86,
-		SeriousScale: 0.7, CriticalScale: 0.4,
-		RetryAfter: 2,
+		SupervisorSpec: thermalsched.SupervisorSpec{
+			FairC: 70, SeriousC: 78, CriticalC: 86,
+			SeriousScale: 0.7, CriticalScale: 0.4,
+			RetryAfter: 2,
+		},
 	}
 }
 

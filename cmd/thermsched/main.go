@@ -55,7 +55,7 @@ func main() {
 		tempW     = flag.Float64("tempweight", 0, "override the thermal DC weight (0 = default)")
 		seed      = flag.Int64("seed", -1, "run seed (0 is a valid seed, honored verbatim; negative = default)")
 		count     = flag.Int("count", 0, "sweep graph count (0 = default)")
-		parallel  = flag.Int("parallelism", 0, "search parallelism for cosynthesis (0 = engine default GOMAXPROCS, 1 = serial; results are byte-identical at every value)")
+		parallel  = flag.Int("parallelism", 0, "parallelism for cosynthesis search and simulate/stream replicas (0 = engine default GOMAXPROCS, 1 = serial; results are byte-identical at every value)")
 		solver    = flag.String("solver", "", fmt.Sprintf("thermal solver backend %v (default dense; backends agree to ≤1e-6 K)", hotspot.SolverNames()))
 		asJSON    = flag.Bool("json", false, "emit the serializable Response schema as JSON")
 
@@ -146,6 +146,15 @@ func main() {
 		}
 		return spec
 	}
+	supervisor := thermalsched.SupervisorSpec{
+		FairC:         *fairC,
+		SeriousC:      *seriousC,
+		CriticalC:     *criticalC,
+		SeriousScale:  *serScale,
+		CriticalScale: *critScale,
+		RetryAfter:    *retryAfter,
+		CoolTime:      *coolTime,
+	}
 	streamSpec := func() *thermalsched.StreamSpec {
 		spec := &thermalsched.StreamSpec{
 			Arrivals: thermalsched.StreamArrivalParams{
@@ -161,16 +170,10 @@ func main() {
 				MaxSpeed: *maxSpeed,
 				Layout:   *layout,
 			},
-			MinFactor:     *minFactor,
-			SimSeed:       *simSeed,
-			Replicas:      *replicas,
-			FairC:         *fairC,
-			SeriousC:      *seriousC,
-			CriticalC:     *criticalC,
-			SeriousScale:  *serScale,
-			CriticalScale: *critScale,
-			RetryAfter:    *retryAfter,
-			CoolTime:      *coolTime,
+			MinFactor:      *minFactor,
+			SimSeed:        *simSeed,
+			Replicas:       *replicas,
+			SupervisorSpec: supervisor,
 		}
 		if *seed >= 0 {
 			spec.Seed = *seed
@@ -179,19 +182,13 @@ func main() {
 	}
 	simulateSpec := func() *thermalsched.SimulateSpec {
 		spec := &thermalsched.SimulateSpec{
-			Controller:    *controller,
-			TriggerC:      *trigger,
-			SetpointC:     *trigger,
-			Replicas:      *replicas,
-			MinFactor:     *minFactor,
-			WarmStart:     *warmStart,
-			FairC:         *fairC,
-			SeriousC:      *seriousC,
-			CriticalC:     *criticalC,
-			SeriousScale:  *serScale,
-			CriticalScale: *critScale,
-			RetryAfter:    *retryAfter,
-			CoolTime:      *coolTime,
+			Controller:     *controller,
+			TriggerC:       *trigger,
+			SetpointC:      *trigger,
+			Replicas:       *replicas,
+			MinFactor:      *minFactor,
+			WarmStart:      *warmStart,
+			SupervisorSpec: supervisor,
 		}
 		if *seed >= 0 {
 			spec.Seed = *seed

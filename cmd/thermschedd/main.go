@@ -42,7 +42,7 @@ func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
 		workers     = flag.Int("workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
-		parallelism = flag.Int("parallelism", 0, "co-synthesis search parallelism (0 = per-request / GOMAXPROCS)")
+		parallelism = flag.Int("parallelism", 0, "engine pool size for co-synthesis search and simulate/stream replicas (0 = GOMAXPROCS; a request's parallelism overrides it)")
 		inflight    = flag.Int("inflight", service.DefaultMaxInFlight, "max requests executing at once")
 		maxBatch    = flag.Int("maxbatch", service.DefaultMaxBatch, "max requests per batch call")
 		cache       = flag.Int("cache", thermalsched.DefaultModelCacheSize, "thermal-model cache entries (0 disables)")

@@ -51,15 +51,12 @@ type Engine struct {
 	streams   *search.LRU[*StreamWorkload]
 	benches   map[string]*Graph
 	ordered   []string // benchmark names in paper order
-	// simTokens is the engine-wide parallelism pool for simulate-flow
-	// replica fan-out; see runSimulateFlow.
-	simTokens chan struct{}
-	// search is the engine-wide parallel search backbone
-	// (WithSearchParallelism): one token pool shared by every
-	// co-synthesis run's candidate fan-out and GA floorplanner, so
-	// search parallelism composes with the RunBatch worker pool without
-	// oversubscription — acquisition is non-blocking and saturated jobs
-	// run inline on their worker.
+	// search is the engine-wide token pool (WithSearchParallelism):
+	// one pool shared by every co-synthesis run's candidate fan-out and
+	// GA floorplanner and by the simulate and stream flows' replica
+	// fan-out, so request parallelism composes with the RunBatch worker
+	// pool without oversubscription — acquisition is non-blocking and
+	// saturated jobs run inline on their worker. See poolFor.
 	search *search.Pool
 	// searchEvals/searchMemoHits aggregate the floorplanner's memo
 	// accounting across every co-synthesis run; see SearchMemoStats.
@@ -117,12 +114,13 @@ func WithModelCacheSize(n int) Option {
 
 // WithSearchParallelism bounds the engine's parallel search backbone:
 // the concurrent candidate evaluations of the co-synthesis architecture
-// loops and the GA floorplanner inside them (default: GOMAXPROCS; 1
-// runs every search serially, the historical behavior). Candidates are
-// always generated serially from the seeded RNG and merged in
-// submission order, so results are byte-identical at every setting —
-// parallelism only changes wall-clock. Requests can override the value
-// per run via Request.Parallelism.
+// loops and the GA floorplanner inside them, and the concurrent
+// Monte-Carlo replicas of the simulate and stream flows (default:
+// GOMAXPROCS; 1 runs every search and replica serially). Candidates
+// and replicas are always generated serially from their seeds and
+// merged in submission order, so results are byte-identical at every
+// setting — parallelism only changes wall-clock. Requests can override
+// the value per run via Request.Parallelism.
 func WithSearchParallelism(n int) Option {
 	return func(o *engineOptions) { o.searchPar = n }
 }
@@ -170,7 +168,6 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		scenarios: search.NewLRU[*Scenario](DefaultScenarioCacheSize),
 		streams:   search.NewLRU[*StreamWorkload](DefaultScenarioCacheSize),
 		benches:   make(map[string]*Graph),
-		simTokens: make(chan struct{}, o.workers),
 		search:    search.NewPool(o.searchPar),
 	}
 	for _, name := range taskgraph.BenchmarkNames() {
@@ -365,6 +362,7 @@ func (e *Engine) CoSynthesize(ctx context.Context, g *Graph, opts ...RequestOpti
 		return nil, err
 	}
 	cfg.HotSpot = e.thermalFor(&req)
+	cfg.Search = e.poolFor(&req)
 	return e.cosynthesize(ctx, g, e.lib, cfg)
 }
 
@@ -407,17 +405,22 @@ func (e *Engine) platform(ctx context.Context, g *Graph, lib *Library, cfg cosyn
 	return cosynth.RunPlatform(ctx, g, lib, cfg)
 }
 
+// poolFor returns the token pool a request fans out on: a pool of its
+// own when the request sets Parallelism, otherwise the engine-wide
+// pool, so concurrent RunBatch workers draw parallelism from one
+// budget.
+func (e *Engine) poolFor(req *Request) *search.Pool {
+	if req.Parallelism > 0 {
+		return search.NewPool(req.Parallelism)
+	}
+	return e.search
+}
+
 // cosynthesize executes the co-synthesis flow with the engine's thermal
-// model cache and parallel search backbone wired in. A request-level
-// Parallelism (cfg.Parallelism > 0) builds its own bounded pool;
-// otherwise the engine-wide shared pool applies, so concurrent RunBatch
-// workers draw search parallelism from one budget.
+// model cache wired in; callers set cfg.Search from poolFor.
 func (e *Engine) cosynthesize(ctx context.Context, g *Graph, lib *Library, cfg cosynth.CoSynthConfig) (*FlowResult, error) {
 	if cfg.Models == nil {
 		cfg.Models = e.modelProvider()
-	}
-	if cfg.Search == nil && cfg.Parallelism == 0 {
-		cfg.Search = e.search
 	}
 	res, err := cosynth.RunCoSynthesis(ctx, g, lib, cfg)
 	if err != nil {
@@ -461,6 +464,7 @@ func (e *Engine) runCoSynthFlow(ctx context.Context, req *Request) (*Response, e
 		return nil, err
 	}
 	cfg.HotSpot = e.thermalFor(req)
+	cfg.Search = e.poolFor(req)
 	if in.scen != nil && cfg.CandidateTypes == nil {
 		// A generated scenario brings its own library; co-synthesis
 		// selects from its PE palette rather than the standard one.
@@ -566,36 +570,32 @@ func (e *Engine) runDTMFlow(ctx context.Context, req *Request) (*Response, error
 // pi) adapt to the supervisor contract behind the spec's ladder shim;
 // admit and zigzag are proactive and gate dispatches through Admit.
 func simSupervisor(spec SimulateSpec) (ThermalSupervisor, error) {
-	ladder := spec.ladder()
+	var c DTMController
+	var err error
 	switch spec.Controller {
 	case "toggle":
-		c, err := dtm.NewToggleController(spec.TriggerC, spec.Hysteresis, spec.Throttle)
-		if err != nil {
-			return nil, err
-		}
-		return dtm.Supervise(c, ladder)
+		c, err = dtm.NewToggleController(spec.TriggerC, spec.Hysteresis, spec.Throttle)
 	case "pi":
-		c, err := dtm.NewPIController(spec.SetpointC, spec.Kp, spec.Ki, spec.MinScale)
-		if err != nil {
-			return nil, err
-		}
-		return dtm.Supervise(c, ladder)
-	case "admit":
-		return dtm.NewAdmitController(ladder, spec.SeriousScale, spec.CriticalScale, spec.RetryAfter, spec.Hysteresis)
-	case "zigzag":
-		// A true idle gap (CoolScale 0), one supervisor step per DT.
-		return dtm.NewZigZagController(ladder, spec.CoolTime, spec.DT, 0)
+		c, err = dtm.NewPIController(spec.SetpointC, spec.Kp, spec.Ki, spec.MinScale)
+	case "admit", "zigzag":
+		return spec.supervisor(spec.Controller, spec.DT)
 	case "none":
 		return nil, nil
 	default: // unreachable after Validate
 		return nil, fmt.Errorf("thermalsched: unknown simulate controller %q", spec.Controller)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return dtm.Supervise(c, spec.ladder())
 }
 
 // runSimulateFlow schedules on the platform, then co-simulates the
 // schedule, the transient thermal model and the DTM controller in
-// lockstep — Replicas seeded Monte-Carlo runs fanned across the
-// engine's worker pool (replica i draws its realization from Seed+i).
+// lockstep — Replicas seeded Monte-Carlo runs fanned across poolFor's
+// token pool (replica i draws its realization from Seed+i). Results
+// are byte-identical at every parallelism level: replicas land in a
+// slice by index and every aggregate is computed in index order.
 func (e *Engine) runSimulateFlow(ctx context.Context, req *Request) (*Response, error) {
 	in, err := e.resolveInput(req)
 	if err != nil {
@@ -614,14 +614,15 @@ func (e *Engine) runSimulateFlow(ctx context.Context, req *Request) (*Response, 
 	spec := req.Simulate.withDefaults()
 
 	results := make([]*rt.Result, spec.Replicas)
-	errs := make([]error, spec.Replicas)
-	runReplica := func(i int) {
+	err = e.poolFor(req).Map(spec.Replicas, func(i int) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		sup, err := simSupervisor(spec)
 		if err != nil {
-			errs[i] = err
-			return
+			return err
 		}
-		rcfg := rt.Config{
+		results[i], err = rt.Simulate(ctx, res.Schedule, res.Model, rt.Config{
 			DT:         spec.DT,
 			TimeScale:  spec.TimeScale,
 			Supervisor: sup,
@@ -631,48 +632,14 @@ func (e *Engine) runSimulateFlow(ctx context.Context, req *Request) (*Response, 
 				Seed:        spec.Seed + int64(i),
 				Conditional: spec.Conditional,
 			},
-		}
-		results[i], errs[i] = rt.Simulate(ctx, res.Schedule, res.Model, rcfg)
-	}
-	// Replica fan-out draws extra parallelism from the engine-wide token
-	// pool (shared with every concurrently running simulate flow, sized
-	// to the worker count): when a token is free the replica runs on its
-	// own goroutine, otherwise it runs inline here. This keeps the total
-	// number of concurrent co-simulations bounded by the pool size even
-	// when RunBatch workers each hit this path at once — a per-request
-	// pool would multiply up to workers² goroutines. A request-level
-	// Parallelism narrows this run to its own pool of P−1 tokens plus
-	// the inline slot (P=1 is fully serial); either way results are
-	// byte-identical — only wall-clock changes.
-	tokens := e.simTokens
-	if req.Parallelism > 0 {
-		tokens = make(chan struct{}, req.Parallelism-1)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < spec.Replicas; i++ {
-		if ctx.Err() != nil {
-			break
-		}
-		select {
-		case tokens <- struct{}{}:
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-tokens }()
-				runReplica(i)
-			}(i)
-		default:
-			runReplica(i)
-		}
-	}
-	wg.Wait()
+		})
+		return err
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 
 	makespans := make([]float64, spec.Replicas)

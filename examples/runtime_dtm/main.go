@@ -27,13 +27,13 @@ func main() {
 	// benchmarks' steady-state peaks, so only thermally unbalanced
 	// schedules spend much time above it.
 	spec := thermalsched.SimulateSpec{
-		Controller: "toggle",
-		TriggerC:   82,
-		Hysteresis: 2,
-		Throttle:   0.5,
-		Replicas:   8,
-		MinFactor:  0.85,
-		Seed:       1,
+		Controller:     "toggle",
+		TriggerC:       82,
+		Throttle:       0.5,
+		SupervisorSpec: thermalsched.SupervisorSpec{Hysteresis: 2},
+		Replicas:       8,
+		MinFactor:      0.85,
+		Seed:           1,
 	}
 
 	fmt.Println("Closed-loop DTM comparison (toggle @ 82 °C, throttle 0.5, 8 replicas)")

@@ -134,7 +134,8 @@ func (r *Request) Fingerprint() string {
 // the only form the flows ever consume — under the given tag, shared by
 // the request's own spec and the campaign's embedded one.
 //
-//thermalvet:serializes SimulateSpec
+//thermalvet:serializes SimulateSpec skip(SupervisorSpec)
+//thermalvet:serializes SupervisorSpec
 func fpSimulateSpec(w io.Writer, tag string, s SimulateSpec) {
 	fmt.Fprintf(w, "%s%s|%g|%g|%g|%g|%g|%g|%g|%g|%g|%g|%g|%g|%g|%g|%g|%g|%g|%d|%t|%t|%d|",
 		tag, s.Controller, s.TriggerC, s.Hysteresis, s.Throttle, s.SetpointC, s.Kp, s.Ki,

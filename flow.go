@@ -232,28 +232,6 @@ func validSimulateController(name string) bool {
 	return false
 }
 
-// validateSupervisorKnobs checks the thermal-supervisor knob ranges
-// shared by the simulate and stream specs; prefix is the JSON path
-// ("simulate" or "stream"). Call on a withDefaults() copy so zero
-// (defaulted) knobs are already resolved.
-func validateSupervisorKnobs(prefix string, fairC, seriousC, criticalC, seriousScale, criticalScale, retryAfter, coolTime float64) error {
-	if !(fairC < seriousC && seriousC < criticalC) {
-		return fieldErr(prefix+".fairC", "thermal-state ladder must ascend (fair %g, serious %g, critical %g)",
-			fairC, seriousC, criticalC)
-	}
-	if seriousScale < 0 || seriousScale > 1 || criticalScale < 0 || criticalScale > 1 {
-		return fieldErr(prefix+".seriousScale", "admission scales (serious %g, critical %g) out of [0, 1]",
-			seriousScale, criticalScale)
-	}
-	if !(retryAfter > 0) {
-		return fieldErr(prefix+".retryAfter", "admission RetryAfter %g must be positive", retryAfter)
-	}
-	if !(coolTime > 0) {
-		return fieldErr(prefix+".coolTime", "zig-zag CoolTime %g must be positive", coolTime)
-	}
-	return nil
-}
-
 func validateSimulateFlow(r *Request) error {
 	s := r.Simulate
 	if s == nil {
@@ -274,9 +252,7 @@ func validateSimulateFlow(r *Request) error {
 	if s.MinFactor < 0 || s.MinFactor > 1 {
 		return fieldErr("simulate.minFactor", "simulate MinFactor %g out of (0, 1]", s.MinFactor)
 	}
-	n := s.withDefaults()
-	return validateSupervisorKnobs("simulate", n.FairC, n.SeriousC, n.CriticalC,
-		n.SeriousScale, n.CriticalScale, n.RetryAfter, n.CoolTime)
+	return s.withDefaults().SupervisorSpec.validate("simulate")
 }
 
 func validateStreamFlow(r *Request) error {

@@ -80,7 +80,7 @@ func goldenCases() []goldenCase {
 			func(r *Request) { r.Policy = StreamPolicyAdmit })},
 		{"stream_zigzag", NewRequest(FlowStream, WithStream(backlog(StreamSpec{Seed: 6, SimSeed: 2})),
 			func(r *Request) { r.Policy = StreamPolicyZigzag })},
-		{"stream_admit_tiny_retry", NewRequest(FlowStream, WithStream(backlog(StreamSpec{Seed: 2, SimSeed: 5, RetryAfter: 1e-300})),
+		{"stream_admit_tiny_retry", NewRequest(FlowStream, WithStream(backlog(StreamSpec{Seed: 2, SimSeed: 5, SupervisorSpec: SupervisorSpec{RetryAfter: 1e-300}})),
 			func(r *Request) { r.Policy = StreamPolicyAdmit })},
 		{"simulate_bm1_admit", NewRequest(FlowSimulate, WithBenchmark("Bm1"),
 			WithSimulate(SimulateSpec{Controller: "admit", Replicas: 2, MinFactor: 0.85, Seed: 13}))},

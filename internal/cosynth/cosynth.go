@@ -44,16 +44,14 @@ type CoSynthConfig struct {
 	// Models supplies thermal models; nil means hotspot.NewModel. The
 	// Engine layer injects its factorization cache here.
 	Models ModelProvider
-	// Parallelism bounds the concurrent candidate-architecture
-	// evaluations of the co-synthesis neighborhood loops and, through
-	// the shared token pool, the GA floorplanner's packing evaluations
-	// inside each. Candidate enumeration and selection stay serial and
-	// in submission order, so the Result is byte-identical for every
-	// value. 0 and 1 both mean serial.
-	Parallelism int
-	// Search shares an enclosing token pool (the Engine passes its
-	// process-wide pool so concurrent requests compose without
-	// oversubscription). When set it takes precedence over Parallelism.
+	// Search is the token pool bounding the concurrent
+	// candidate-architecture evaluations of the co-synthesis
+	// neighborhood loops and the GA floorplanner's packing evaluations
+	// inside each; nil means serial. The Engine passes its process-wide
+	// pool (or a request's own) so concurrent requests compose without
+	// oversubscription. Candidate enumeration and selection stay serial
+	// and in submission order, so the Result is byte-identical for every
+	// pool size.
 	Search *search.Pool
 }
 
@@ -99,11 +97,11 @@ func (c *CoSynthConfig) withDefaults(lib *techlib.Library) (CoSynthConfig, error
 // threaded into the GA floorplanner and the ASP, so long co-synthesis
 // runs abort promptly.
 //
-// With Parallelism > 1 (or a shared Search pool) each neighborhood of
-// candidate architectures is enumerated serially, evaluated
-// concurrently, and selected in submission order, so the search visits
-// exactly the architectures the serial flow visits and the Result is
-// byte-identical for every parallelism level.
+// With a parallel Search pool each neighborhood of candidate
+// architectures is enumerated serially, evaluated concurrently, and
+// selected in submission order, so the search visits exactly the
+// architectures the serial flow visits and the Result is byte-identical
+// for every parallelism level.
 func RunCoSynthesis(ctx context.Context, g *taskgraph.Graph, lib *techlib.Library, cfg CoSynthConfig) (*Result, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -113,9 +111,6 @@ func RunCoSynthesis(ctx context.Context, g *taskgraph.Graph, lib *techlib.Librar
 		return nil, err
 	}
 	pool := c.Search
-	if pool == nil {
-		pool = search.NewPool(c.Parallelism)
-	}
 
 	// Search accounting: floorplanner packing evaluations and memo hits
 	// summed over every candidate architecture explored, reported on the
@@ -135,7 +130,7 @@ func RunCoSynthesis(ctx context.Context, g *taskgraph.Graph, lib *techlib.Librar
 	evaluateAll := func(optss [][]int) ([]*Result, error) {
 		out := make([]*Result, len(optss))
 		err := pool.Map(len(optss), func(i int) error {
-			r, err := evaluate(ctx, g, lib, optss[i], c, pool)
+			r, err := evaluate(ctx, g, lib, optss[i], c)
 			if err != nil {
 				return err
 			}
@@ -216,7 +211,7 @@ func RunCoSynthesis(ctx context.Context, g *taskgraph.Graph, lib *techlib.Librar
 	}
 
 	types := []int{seedType.idx} // current architecture as a type multiset
-	best, err := evaluate(ctx, g, lib, types, c, pool)
+	best, err := evaluate(ctx, g, lib, types, c)
 	if err != nil {
 		return nil, err
 	}
@@ -382,7 +377,7 @@ func RunCoSynthesis(ctx context.Context, g *taskgraph.Graph, lib *techlib.Librar
 				results := make([]*Result, len(opts))
 				errs := make([]error, len(opts))
 				_ = pool.Map(len(opts), func(i int) error {
-					results[i], errs[i] = evaluate(ctx, g, lib, opts[i], c, pool)
+					results[i], errs[i] = evaluate(ctx, g, lib, opts[i], c)
 					return nil
 				})
 				account(results...)
@@ -399,7 +394,7 @@ func RunCoSynthesis(ctx context.Context, g *taskgraph.Graph, lib *techlib.Librar
 				continue
 			}
 			for i := range opts {
-				r, err := evaluate(ctx, g, lib, opts[i], c, pool)
+				r, err := evaluate(ctx, g, lib, opts[i], c)
 				if err != nil {
 					return nil, err
 				}
@@ -419,9 +414,9 @@ func RunCoSynthesis(ctx context.Context, g *taskgraph.Graph, lib *techlib.Librar
 // evaluate builds a concrete architecture from a type multiset,
 // floorplans it, wires the thermal model, runs the ASP, and scores it.
 // It is safe for concurrent use (the neighborhood fan-out calls it from
-// pool workers); pool is shared with the GA floorplanner so nested
+// pool workers); c.Search is shared with the GA floorplanner so nested
 // parallelism stays within one budget.
-func evaluate(ctx context.Context, g *taskgraph.Graph, lib *techlib.Library, types []int, c CoSynthConfig, pool *search.Pool) (*Result, error) {
+func evaluate(ctx context.Context, g *taskgraph.Graph, lib *techlib.Library, types []int, c CoSynthConfig) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("cosynth: cancelled: %w", err)
 	}
@@ -467,7 +462,7 @@ func evaluate(ctx context.Context, g *taskgraph.Graph, lib *techlib.Library, typ
 	gaCfg := floorplan.DefaultGAConfig()
 	gaCfg.Generations = c.FloorplanGenerations
 	gaCfg.Seed = c.Seed
-	gaCfg.Pool = pool
+	gaCfg.Pool = c.Search
 	if c.Policy == sched.ThermalAware {
 		gaCfg.Eval = func(fp *floorplan.Floorplan, power map[string]float64) (float64, error) {
 			m, err := c.Models.newModel(fp, hs)

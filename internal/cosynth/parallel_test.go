@@ -36,7 +36,7 @@ func TestCoSynthesisParallelMatchesSerial(t *testing.T) {
 	g := bm(t, "Bm1")
 	for _, policy := range []sched.Policy{sched.MinTaskEnergy, sched.ThermalAware} {
 		serial, err := RunCoSynthesis(context.Background(), g, lib, CoSynthConfig{
-			Policy: policy, FloorplanGenerations: 8, Parallelism: 1,
+			Policy: policy, FloorplanGenerations: 8,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -44,7 +44,7 @@ func TestCoSynthesisParallelMatchesSerial(t *testing.T) {
 		want := cosynthKey(t, serial)
 		for _, p := range []int{2, 4} {
 			got, err := RunCoSynthesis(context.Background(), g, lib, CoSynthConfig{
-				Policy: policy, FloorplanGenerations: 8, Parallelism: p,
+				Policy: policy, FloorplanGenerations: 8, Search: search.NewPool(p),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -56,7 +56,7 @@ func TestCoSynthesisParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// A shared pool (the Engine's wiring) behaves like Parallelism, and the
+// A shared pool (the Engine's wiring) gives the serial result, and the
 // final Result aggregates the floorplanner's search accounting.
 func TestCoSynthesisSharedPoolAndStats(t *testing.T) {
 	lib := stdLib(t)

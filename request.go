@@ -4,6 +4,7 @@ import (
 	"strings"
 
 	"thermalsched/internal/cosynth"
+	"thermalsched/internal/dtm"
 	"thermalsched/internal/hotspot"
 	"thermalsched/internal/sched"
 	"thermalsched/internal/taskgraph"
@@ -190,6 +191,116 @@ func (s *DTMSpec) withDefaults() DTMSpec {
 	return out
 }
 
+// SupervisorSpec holds the thermal-supervisor knobs the simulate and
+// stream flows share. Both specs embed it without a JSON tag, so its
+// keys sit flat beside theirs. The zero value uses the documented
+// defaults.
+type SupervisorSpec struct {
+	// FairC, SeriousC and CriticalC are the supervisor's thermal-state
+	// ladder — the ascending thresholds splitting temperatures into
+	// nominal/fair/serious/critical. Defaults: 72/80/88 °C (serious at
+	// the simulate flow's default toggle trigger). Every simulate
+	// controller classifies on the ladder; the admit and zigzag
+	// supervisors additionally deny admissions from it.
+	FairC     float64 `json:"fairC,omitempty"`
+	SeriousC  float64 `json:"seriousC,omitempty"`
+	CriticalC float64 `json:"criticalC,omitempty"`
+	// SeriousScale and CriticalScale are the admit supervisor's
+	// graduated safety-net throttle factors for blocks that reach the
+	// corresponding state despite admission control (defaults 0.7,
+	// 0.4). Stream jobs are non-preemptive and run at nominal speed, so
+	// on that flow the factors only shape the supervisor's state
+	// bookkeeping — admission denial is how it acts on the dispatcher.
+	SeriousScale  float64 `json:"seriousScale,omitempty"`
+	CriticalScale float64 `json:"criticalScale,omitempty"`
+	// RetryAfter is the admit supervisor's admission-hold length in
+	// schedule time units: a denied PE refuses further starts for this
+	// long before the forecast is consulted again (default 2).
+	RetryAfter float64 `json:"retryAfter,omitempty"`
+	// Hysteresis is the state-demotion margin in °C (default 2): a
+	// block leaves a thermal state only after cooling that far below
+	// the state's entry threshold. The simulate flow's toggle
+	// controller un-throttles that far below its trigger.
+	Hysteresis float64 `json:"hysteresis,omitempty"`
+	// CoolTime is the zigzag supervisor's forced cooling-gap length in
+	// schedule time units (default 5), rounded up to whole DT steps.
+	CoolTime float64 `json:"coolTime,omitempty"`
+}
+
+func (s SupervisorSpec) withDefaults() SupervisorSpec {
+	if s.FairC == 0 {
+		s.FairC = 72
+	}
+	if s.SeriousC == 0 {
+		s.SeriousC = 80
+	}
+	if s.CriticalC == 0 {
+		s.CriticalC = 88
+	}
+	if s.SeriousScale == 0 {
+		s.SeriousScale = 0.7
+	}
+	if s.CriticalScale == 0 {
+		s.CriticalScale = 0.4
+	}
+	if s.RetryAfter == 0 {
+		s.RetryAfter = 2
+	}
+	if s.Hysteresis == 0 {
+		s.Hysteresis = 2
+	}
+	if s.CoolTime == 0 {
+		s.CoolTime = 5
+	}
+	return s
+}
+
+// ladder lowers the spec's thermal-state thresholds. Call on a
+// withDefaults() copy.
+func (s SupervisorSpec) ladder() Ladder {
+	return Ladder{FairC: s.FairC, SeriousC: s.SeriousC, CriticalC: s.CriticalC}
+}
+
+// validate checks the knob ranges; prefix is the JSON path ("simulate"
+// or "stream"). Call on a withDefaults() copy so zero (defaulted) knobs
+// are already resolved.
+func (s SupervisorSpec) validate(prefix string) error {
+	if s.Hysteresis < 0 {
+		return fieldErr(prefix+".hysteresis", "negative hysteresis %g", s.Hysteresis)
+	}
+	if !(s.FairC < s.SeriousC && s.SeriousC < s.CriticalC) {
+		return fieldErr(prefix+".fairC", "thermal-state ladder must ascend (fair %g, serious %g, critical %g)",
+			s.FairC, s.SeriousC, s.CriticalC)
+	}
+	if s.SeriousScale < 0 || s.SeriousScale > 1 || s.CriticalScale < 0 || s.CriticalScale > 1 {
+		return fieldErr(prefix+".seriousScale", "admission scales (serious %g, critical %g) out of [0, 1]",
+			s.SeriousScale, s.CriticalScale)
+	}
+	if !(s.RetryAfter > 0) {
+		return fieldErr(prefix+".retryAfter", "admission RetryAfter %g must be positive", s.RetryAfter)
+	}
+	if !(s.CoolTime > 0) {
+		return fieldErr(prefix+".coolTime", "zig-zag CoolTime %g must be positive", s.CoolTime)
+	}
+	return nil
+}
+
+// supervisor materializes a fresh admit or zigzag supervisor, or nil
+// for any other kind; dt is the loop step the zigzag gap rounds up to.
+// Each replica gets its own instance: supervisors carry per-run state
+// (admission holds, cooling gaps) and are not safe for concurrent use.
+// Call on a withDefaults() copy.
+func (s SupervisorSpec) supervisor(kind string, dt float64) (ThermalSupervisor, error) {
+	switch kind {
+	case "admit":
+		return dtm.NewAdmitController(s.ladder(), s.SeriousScale, s.CriticalScale, s.RetryAfter, s.Hysteresis)
+	case "zigzag":
+		// A true idle gap (CoolScale 0), one supervisor step per DT.
+		return dtm.NewZigZagController(s.ladder(), s.CoolTime, dt, 0)
+	}
+	return nil, nil
+}
+
 // SimulateSpec parameterizes the FlowSimulate closed-loop co-simulation.
 // The zero value uses the documented defaults.
 type SimulateSpec struct {
@@ -202,40 +313,21 @@ type SimulateSpec struct {
 	// 0801.4238); "none" disables thermal management — the unthrottled
 	// reference run.
 	Controller string `json:"controller,omitempty"`
-	// TriggerC, Hysteresis and Throttle parameterize the toggle
-	// controller. Defaults: 80 °C trigger, 2 °C hysteresis, 0.5 throttle
-	// — the trigger sits just below the paper benchmarks' steady-state
-	// peaks, so a thermally unbalanced schedule throttles visibly. The
-	// admit controller shares Hysteresis as its state-demotion margin.
-	TriggerC   float64 `json:"triggerC,omitempty"`
-	Hysteresis float64 `json:"hysteresis,omitempty"`
-	Throttle   float64 `json:"throttle,omitempty"`
+	// TriggerC and Throttle parameterize the toggle controller, with
+	// SupervisorSpec.Hysteresis as its band. Defaults: 80 °C trigger,
+	// 0.5 throttle — the trigger sits just below the paper benchmarks'
+	// steady-state peaks, so a thermally unbalanced schedule throttles
+	// visibly.
+	TriggerC float64 `json:"triggerC,omitempty"`
+	Throttle float64 `json:"throttle,omitempty"`
 	// SetpointC, Kp, Ki and MinScale parameterize the PI controller.
 	// Defaults: 80 °C setpoint, Kp 0.05, Ki 0.002, MinScale 0.1.
 	SetpointC float64 `json:"setpointC,omitempty"`
 	Kp        float64 `json:"kp,omitempty"`
 	Ki        float64 `json:"ki,omitempty"`
 	MinScale  float64 `json:"minScale,omitempty"`
-	// FairC, SeriousC and CriticalC are the supervisor's thermal-state
-	// ladder — the ascending thresholds splitting temperatures into
-	// nominal/fair/serious/critical. Defaults: 72/80/88 °C (serious at
-	// the historical toggle trigger). Every controller classifies on the
-	// ladder; admit and zigzag additionally deny admissions from it.
-	FairC     float64 `json:"fairC,omitempty"`
-	SeriousC  float64 `json:"seriousC,omitempty"`
-	CriticalC float64 `json:"criticalC,omitempty"`
-	// SeriousScale and CriticalScale are the admit controller's
-	// graduated safety-net throttle factors for blocks that reach the
-	// corresponding state despite admission control (defaults 0.7, 0.4).
-	SeriousScale  float64 `json:"seriousScale,omitempty"`
-	CriticalScale float64 `json:"criticalScale,omitempty"`
-	// RetryAfter is the admit controller's admission-hold length in
-	// schedule time units: a denied PE refuses further starts for this
-	// long before the forecast is consulted again (default 2).
-	RetryAfter float64 `json:"retryAfter,omitempty"`
-	// CoolTime is the zigzag controller's forced cooling-gap length in
-	// schedule time units (default 5), rounded up to whole DT steps.
-	CoolTime float64 `json:"coolTime,omitempty"`
+	// SupervisorSpec holds the ladder, admit and zigzag knobs.
+	SupervisorSpec
 	// DT is the co-simulation step in schedule time units (default 1);
 	// TimeScale converts one schedule time unit to seconds of transient
 	// simulation (default 0.1).
@@ -255,7 +347,7 @@ type SimulateSpec struct {
 	// steady-state operating point instead of cold ambient.
 	WarmStart bool `json:"warmStart,omitempty"`
 	// Replicas is the number of seeded Monte-Carlo runs to fan across
-	// the engine's worker pool (default 1, at most
+	// the engine's search pool (default 1, at most
 	// MaxSimulateReplicas).
 	Replicas int `json:"replicas,omitempty"`
 }
@@ -276,9 +368,6 @@ func (s *SimulateSpec) withDefaults() SimulateSpec {
 	if out.TriggerC == 0 {
 		out.TriggerC = 80
 	}
-	if out.Hysteresis == 0 {
-		out.Hysteresis = 2
-	}
 	if out.Throttle == 0 {
 		out.Throttle = 0.5
 	}
@@ -294,27 +383,7 @@ func (s *SimulateSpec) withDefaults() SimulateSpec {
 	if out.MinScale == 0 {
 		out.MinScale = 0.1
 	}
-	if out.FairC == 0 {
-		out.FairC = 72
-	}
-	if out.SeriousC == 0 {
-		out.SeriousC = 80
-	}
-	if out.CriticalC == 0 {
-		out.CriticalC = 88
-	}
-	if out.SeriousScale == 0 {
-		out.SeriousScale = 0.7
-	}
-	if out.CriticalScale == 0 {
-		out.CriticalScale = 0.4
-	}
-	if out.RetryAfter == 0 {
-		out.RetryAfter = 2
-	}
-	if out.CoolTime == 0 {
-		out.CoolTime = 5
-	}
+	out.SupervisorSpec = out.SupervisorSpec.withDefaults()
 	if out.DT == 0 {
 		out.DT = 1
 	}
@@ -328,12 +397,6 @@ func (s *SimulateSpec) withDefaults() SimulateSpec {
 		out.Replicas = 1
 	}
 	return out
-}
-
-// ladder lowers the spec's thermal-state thresholds. Call on a
-// withDefaults() copy.
-func (s SimulateSpec) ladder() Ladder {
-	return Ladder{FairC: s.FairC, SeriousC: s.SeriousC, CriticalC: s.CriticalC}
 }
 
 // Request is one JSON-serializable unit of work for an Engine. Build it
@@ -379,10 +442,9 @@ type Request struct {
 	// floorplan-packing evaluations of the search-driven cosynthesis
 	// flow, and on concurrent Monte-Carlo replicas of the simulate and
 	// stream flows (Validate rejects it on other flows, which never
-	// consume it). 0 uses the engine's setting (WithSearchParallelism /
-	// WithWorkers, default GOMAXPROCS); 1 forces the serial path.
-	// Results are byte-identical at every value — only wall-clock
-	// changes.
+	// consume it). 0 uses the engine's pool (WithSearchParallelism,
+	// default GOMAXPROCS); 1 forces the serial path. Results are
+	// byte-identical at every value — only wall-clock changes.
 	Parallelism int `json:"parallelism,omitempty"`
 	// Seed drives the GA floorplanner (FlowCoSynthesis) or the graph
 	// generator (FlowSweep). Nil keeps the historical default (1); an
@@ -740,7 +802,6 @@ func (r *Request) cosynthConfig() (cosynth.CoSynthConfig, error) {
 		MaxPEs:               r.MaxPEs,
 		BusTimePerUnit:       r.BusTimePerUnit,
 		FloorplanGenerations: r.FloorplanGenerations,
-		Parallelism:          r.Parallelism,
 	}
 	if r.Seed != nil {
 		cfg.Seed = *r.Seed

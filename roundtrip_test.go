@@ -140,7 +140,8 @@ func TestSimulateZigzagResponseIdenticalAcrossSurfaces(t *testing.T) {
 			thermalsched.WithBenchmark("Bm2"),
 			thermalsched.WithPolicy(thermalsched.ThermalAware),
 			thermalsched.WithSimulate(thermalsched.SimulateSpec{
-				Controller: "zigzag", Replicas: 2, Seed: 5, MinFactor: 0.8, WarmStart: true, CoolTime: 3,
+				Controller: "zigzag", Replicas: 2, Seed: 5, MinFactor: 0.8, WarmStart: true,
+				SupervisorSpec: thermalsched.SupervisorSpec{CoolTime: 3},
 			}),
 		),
 		[]string{"-flow", "simulate", "-benchmark", "Bm2", "-policy", "thermal",

@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
-	"sync"
 
 	"thermalsched/internal/cosynth"
-	"thermalsched/internal/dtm"
 	"thermalsched/internal/scenario"
 	"thermalsched/internal/sched"
 	"thermalsched/internal/stream"
@@ -74,32 +72,13 @@ type StreamSpec struct {
 	// draws (replica i uses SimSeed + i), verbatim.
 	SimSeed int64 `json:"simSeed,omitempty"`
 	// Replicas is the number of seeded Monte-Carlo dispatch runs to fan
-	// across the engine's worker pool (default 1, at most
+	// across the engine's search pool (default 1, at most
 	// MaxSimulateReplicas).
 	Replicas int `json:"replicas,omitempty"`
-	// FairC, SeriousC and CriticalC are the thermal supervisor's state
-	// ladder (defaults 72/80/88 °C), consumed by the admit and zigzag
-	// policies; the other policies never build a supervisor.
-	FairC     float64 `json:"fairC,omitempty"`
-	SeriousC  float64 `json:"seriousC,omitempty"`
-	CriticalC float64 `json:"criticalC,omitempty"`
-	// SeriousScale and CriticalScale are the admit policy's graduated
-	// safety-net throttle factors (defaults 0.7, 0.4). Stream jobs are
-	// non-preemptive and run at nominal speed, so on this flow the
-	// factors only shape the supervisor's state bookkeeping — admission
-	// denial is how the supervisor acts on the dispatcher.
-	SeriousScale  float64 `json:"seriousScale,omitempty"`
-	CriticalScale float64 `json:"criticalScale,omitempty"`
-	// RetryAfter is the admit policy's admission-hold length in schedule
-	// time units (default 2).
-	RetryAfter float64 `json:"retryAfter,omitempty"`
-	// Hysteresis is the admit policy's state-demotion margin in °C
-	// (default 2): a block leaves a thermal state only after cooling
-	// that far below the state's entry threshold.
-	Hysteresis float64 `json:"hysteresis,omitempty"`
-	// CoolTime is the zigzag policy's forced cooling-gap length in
-	// schedule time units (default 5), rounded up to whole DT steps.
-	CoolTime float64 `json:"coolTime,omitempty"`
+	// SupervisorSpec holds the thermal-supervisor knobs, consumed by
+	// the admit and zigzag policies; the other policies never build a
+	// supervisor.
+	SupervisorSpec
 }
 
 func (s *StreamSpec) withDefaults() StreamSpec {
@@ -119,30 +98,7 @@ func (s *StreamSpec) withDefaults() StreamSpec {
 	if out.Replicas == 0 {
 		out.Replicas = 1
 	}
-	if out.FairC == 0 {
-		out.FairC = 72
-	}
-	if out.SeriousC == 0 {
-		out.SeriousC = 80
-	}
-	if out.CriticalC == 0 {
-		out.CriticalC = 88
-	}
-	if out.SeriousScale == 0 {
-		out.SeriousScale = 0.7
-	}
-	if out.CriticalScale == 0 {
-		out.CriticalScale = 0.4
-	}
-	if out.RetryAfter == 0 {
-		out.RetryAfter = 2
-	}
-	if out.Hysteresis == 0 {
-		out.Hysteresis = 2
-	}
-	if out.CoolTime == 0 {
-		out.CoolTime = 5
-	}
+	out.SupervisorSpec = out.SupervisorSpec.withDefaults()
 	return out
 }
 
@@ -177,11 +133,7 @@ func (s *StreamSpec) validate() error {
 	if n.Replicas > MaxSimulateReplicas {
 		return fieldErr("stream.replicas", "%d replicas exceed the limit %d", n.Replicas, MaxSimulateReplicas)
 	}
-	if n.Hysteresis < 0 {
-		return fieldErr("stream.hysteresis", "negative hysteresis %g", s.Hysteresis)
-	}
-	return validateSupervisorKnobs("stream", n.FairC, n.SeriousC, n.CriticalC,
-		n.SeriousScale, n.CriticalScale, n.RetryAfter, n.CoolTime)
+	return n.SupervisorSpec.validate("stream")
 }
 
 // fingerprint digests the normalized spec, field by field: the workload
@@ -189,7 +141,8 @@ func (s *StreamSpec) validate() error {
 // key), the dispatch half serializes explicitly. The thermalvet
 // fpfields analyzer checks the registration statically.
 //
-//thermalvet:serializes StreamSpec
+//thermalvet:serializes StreamSpec skip(SupervisorSpec)
+//thermalvet:serializes SupervisorSpec
 func (s *StreamSpec) fingerprint() string {
 	n := s.withDefaults()
 	ws := scenario.StreamSpec{Name: n.Name, Seed: n.Seed, Arrivals: n.Arrivals, Platform: n.Platform}
@@ -199,28 +152,6 @@ func (s *StreamSpec) fingerprint() string {
 		n.FairC, n.SeriousC, n.CriticalC, n.SeriousScale, n.CriticalScale, n.RetryAfter,
 		n.Hysteresis, n.CoolTime)
 	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// ladder lowers the spec's thermal-state thresholds. Call on a
-// withDefaults() copy.
-func (s StreamSpec) ladder() Ladder {
-	return Ladder{FairC: s.FairC, SeriousC: s.SeriousC, CriticalC: s.CriticalC}
-}
-
-// streamSupervisor materializes a fresh thermal supervisor for one
-// dispatch replica of the policy, or nil for the policies that run
-// unsupervised. Each replica gets its own instance: supervisors carry
-// per-run state (admission holds, cooling gaps) and are not safe for
-// concurrent use. Call on a withDefaults() spec.
-func streamSupervisor(policy string, spec StreamSpec) (ThermalSupervisor, error) {
-	switch policy {
-	case stream.PolicyAdmit:
-		return dtm.NewAdmitController(spec.ladder(), spec.SeriousScale, spec.CriticalScale, spec.RetryAfter, spec.Hysteresis)
-	case stream.PolicyZigzag:
-		// A true idle gap (CoolScale 0), one supervisor step per DT.
-		return dtm.NewZigZagController(spec.ladder(), spec.CoolTime, spec.DT, 0)
-	}
-	return nil, nil
 }
 
 // GenerateStreamWorkload builds the workload described by the spec's
@@ -293,7 +224,7 @@ type StreamReport struct {
 
 // runStreamFlow resolves the workload, builds its platform substrate
 // through the shared cosynth path (thermal-model cache included), and
-// fans Replicas seeded online dispatches across the worker pool —
+// fans Replicas seeded online dispatches across the search pool —
 // replica i draws its realization from SimSeed + i. Results are
 // byte-identical at every parallelism level: replicas land in a slice
 // by index and every aggregate is computed in index order.
@@ -321,23 +252,23 @@ func (e *Engine) runStreamFlow(ctx context.Context, req *Request) (*Response, er
 		jobs[i] = stream.Job{ID: j.ID, Type: j.Type, Arrival: j.Arrival, Deadline: j.Deadline}
 	}
 
+	// Each replica gets its own influence oracle and supervisor: both
+	// are incremental state, not safe for concurrent use, and oracle
+	// rows are built lazily so unused policies pay nothing.
 	results := make([]*stream.Result, spec.Replicas)
-	errs := make([]error, spec.Replicas)
-	runReplica := func(i int) {
-		// Each replica gets its own influence oracle and supervisor:
-		// both are incremental state, not safe for concurrent use, and
-		// oracle rows are built lazily so unused policies pay nothing.
+	err = e.poolFor(req).Map(spec.Replicas, func(i int) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		oracle, err := sched.NewModelOracle(model, arch)
 		if err != nil {
-			errs[i] = err
-			return
+			return err
 		}
-		sup, err := streamSupervisor(policy, spec)
+		sup, err := spec.supervisor(policy, spec.DT)
 		if err != nil {
-			errs[i] = err
-			return
+			return err
 		}
-		results[i], errs[i] = stream.Run(ctx, stream.Input{
+		results[i], err = stream.Run(ctx, stream.Input{
 			Jobs:       jobs,
 			Lib:        wl.Lib,
 			Arch:       arch,
@@ -351,42 +282,13 @@ func (e *Engine) runStreamFlow(ctx context.Context, req *Request) (*Response, er
 			MinFactor: spec.MinFactor,
 			Seed:      spec.SimSeed + int64(i),
 		})
-	}
-	// Replica fan-out mirrors runSimulateFlow: extra parallelism comes
-	// from the engine-wide token pool so concurrent RunBatch workers
-	// stay bounded; a request-level Parallelism narrows this run to its
-	// own pool of P−1 tokens plus the inline slot (P=1 is fully
-	// serial). Either way results are byte-identical — only wall-clock
-	// changes.
-	tokens := e.simTokens
-	if req.Parallelism > 0 {
-		tokens = make(chan struct{}, req.Parallelism-1)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < spec.Replicas; i++ {
-		if ctx.Err() != nil {
-			break
-		}
-		select {
-		case tokens <- struct{}{}:
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-tokens }()
-				runReplica(i)
-			}(i)
-		default:
-			runReplica(i)
-		}
-	}
-	wg.Wait()
+		return err
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 
 	makespans := make([]float64, spec.Replicas)
