@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"thermalsched/internal/dtm"
 	"thermalsched/internal/stream"
 )
 
@@ -206,15 +207,58 @@ func validateGenerateFlow(r *Request) error {
 }
 
 func validateDTMFlow(r *Request) error {
-	if r.DTM == nil {
+	d := r.DTM
+	if d == nil {
 		return nil
 	}
-	switch r.DTM.Controller {
+	switch d.Controller {
 	case "", "toggle", "pi":
-		return nil
+	default:
+		return fieldErr("dtm.controller", "unknown DTM controller %q (want toggle or pi)", d.Controller)
 	}
-	return fieldErr("dtm.controller", "unknown DTM controller %q (want toggle or pi)", r.DTM.Controller)
+	if d.Passes < 0 {
+		return fieldErr("dtm.passes", "negative pass count %d", d.Passes)
+	}
+	if d.Passes > MaxDTMPasses {
+		return fieldErr("dtm.passes", "%d passes exceed the limit %d", d.Passes, MaxDTMPasses)
+	}
+	if d.SampleDT < 0 {
+		return fieldErr("dtm.sampleDT", "negative sample interval %g", d.SampleDT)
+	}
+	if d.TimeScale < 0 {
+		return fieldErr("dtm.timeScale", "negative time scale %g", d.TimeScale)
+	}
+	if d.MinFactor < 0 || d.MinFactor > 1 {
+		return fieldErr("dtm.minFactor", "dtm MinFactor %g out of (0, 1]", d.MinFactor)
+	}
+	n := d.withDefaults()
+	return validateReactiveKnobs("dtm", n.Hysteresis, n.Throttle, n.Kp, n.Ki, n.MinScale)
 }
+
+// validateReactiveKnobs checks the toggle and PI controller knobs with
+// the dtm constructors' own range checks, one knob per call so the
+// error names its field; prefix is the JSON path ("dtm" or
+// "simulate"). Call with withDefaults() values.
+func validateReactiveKnobs(prefix string, hysteresis, throttle, kp, ki, minScale float64) error {
+	for _, k := range []struct {
+		field string
+		err   error
+	}{
+		{"hysteresis", errOf(dtm.NewToggleController(0, hysteresis, 0))},
+		{"throttle", errOf(dtm.NewToggleController(0, 0, throttle))},
+		{"kp", errOf(dtm.NewPIController(0, kp, 0, 0))},
+		{"ki", errOf(dtm.NewPIController(0, 0, ki, 0))},
+		{"minScale", errOf(dtm.NewPIController(0, 0, 0, minScale))},
+	} {
+		if k.err != nil {
+			return fieldErr(prefix+"."+k.field, "%v", k.err)
+		}
+	}
+	return nil
+}
+
+// errOf drops a constructor's value and keeps its error.
+func errOf[T any](_ T, err error) error { return err }
 
 // simulateControllers is the FlowSimulate controller-kind value set, in
 // help order.
@@ -252,7 +296,11 @@ func validateSimulateFlow(r *Request) error {
 	if s.MinFactor < 0 || s.MinFactor > 1 {
 		return fieldErr("simulate.minFactor", "simulate MinFactor %g out of (0, 1]", s.MinFactor)
 	}
-	return s.withDefaults().SupervisorSpec.validate("simulate")
+	n := s.withDefaults()
+	if err := n.SupervisorSpec.validate("simulate"); err != nil {
+		return err
+	}
+	return validateReactiveKnobs("simulate", n.Hysteresis, n.Throttle, n.Kp, n.Ki, n.MinScale)
 }
 
 func validateStreamFlow(r *Request) error {

@@ -148,8 +148,11 @@ type PIController struct {
 
 // NewPIController returns a PI controller for the given setpoint.
 func NewPIController(setpointC, kp, ki, minScale float64) (*PIController, error) {
-	if kp < 0 || ki < 0 {
-		return nil, fmt.Errorf("dtm: negative gains (kp %g, ki %g)", kp, ki)
+	if kp < 0 {
+		return nil, fmt.Errorf("dtm: negative gain Kp %g", kp)
+	}
+	if ki < 0 {
+		return nil, fmt.Errorf("dtm: negative gain Ki %g", ki)
 	}
 	if minScale < 0 || minScale > 1 {
 		return nil, fmt.Errorf("dtm: MinScale %g out of [0, 1]", minScale)

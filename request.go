@@ -352,10 +352,16 @@ type SimulateSpec struct {
 	Replicas int `json:"replicas,omitempty"`
 }
 
-// MaxSimulateReplicas caps SimulateSpec.Replicas: each replica is a
-// full co-simulation with its own transient state, so an unbounded
-// count would let a single service request monopolize the process.
-const MaxSimulateReplicas = 4096
+// MaxSimulateReplicas caps SimulateSpec.Replicas (and
+// StreamSpec.Replicas): each replica is a full co-simulation with its
+// own transient state, so an unbounded count would let a single
+// service request monopolize the process. MaxDTMPasses caps
+// DTMSpec.Passes for the same reason: every pass replays the whole
+// power trace through the transient model.
+const (
+	MaxSimulateReplicas = 4096
+	MaxDTMPasses        = 1024
+)
 
 func (s *SimulateSpec) withDefaults() SimulateSpec {
 	out := SimulateSpec{}

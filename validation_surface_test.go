@@ -14,24 +14,24 @@ import (
 	"thermalsched/internal/service"
 )
 
+// validationCase names a request shape, the field its FieldError
+// names, and the CLI flags that reproduce it (nil when no flag
+// spelling exists).
+type validationCase struct {
+	name  string
+	req   thermalsched.Request
+	field string
+	cli   []string
+}
+
 // One validation message per surface is the consolidation contract:
 // Request.Validate's typed field error is the text the service's 400
 // body carries verbatim (plus the machine-readable field name), and
 // the text the CLI prints to stderr. These cases cover the redesigned
 // flows — each names the request shape, the expected field and the CLI
 // flags that reproduce it.
-func validationCases() []struct {
-	name  string
-	req   thermalsched.Request
-	field string
-	cli   []string
-} {
-	return []struct {
-		name  string
-		req   thermalsched.Request
-		field string
-		cli   []string
-	}{
+func validationCases() []validationCase {
+	return []validationCase{
 		{
 			name:  "unknown flow",
 			req:   thermalsched.Request{Flow: "psychic"},
@@ -118,7 +118,54 @@ func validationCases() []struct {
 			field: "floorplanGenerations",
 			cli:   []string{"-flow", "cosynthesis", "-benchmark", "Bm1", "-fpgens", "-1"},
 		},
+		// A negative pass count used to panic in makeslice on a RunBatch
+		// worker, ending the service process.
+		dtmCase("negative passes", thermalsched.DTMSpec{Passes: -1}, "dtm.passes"),
+		dtmCase("passes over the cap", thermalsched.DTMSpec{Passes: thermalsched.MaxDTMPasses + 1}, "dtm.passes"),
+		dtmCase("negative sampleDT", thermalsched.DTMSpec{SampleDT: -10}, "dtm.sampleDT"),
+		dtmCase("negative dtm timeScale", thermalsched.DTMSpec{TimeScale: -0.1}, "dtm.timeScale"),
+		dtmCase("dtm minFactor above 1", thermalsched.DTMSpec{MinFactor: 1.5}, "dtm.minFactor"),
+		dtmCase("negative dtm minFactor", thermalsched.DTMSpec{MinFactor: -0.5}, "dtm.minFactor"),
+		dtmCase("negative dtm hysteresis", thermalsched.DTMSpec{Hysteresis: -1}, "dtm.hysteresis"),
+		dtmCase("dtm throttle of 1", thermalsched.DTMSpec{Throttle: 1}, "dtm.throttle"),
+		dtmCase("negative dtm kp", thermalsched.DTMSpec{Controller: "pi", Kp: -1}, "dtm.kp"),
+		dtmCase("negative dtm ki", thermalsched.DTMSpec{Controller: "pi", Ki: -1}, "dtm.ki"),
+		dtmCase("dtm minScale above 1", thermalsched.DTMSpec{Controller: "pi", MinScale: 2}, "dtm.minScale"),
+		simulateCase("negative simulate hysteresis", thermalsched.SimulateSpec{
+			SupervisorSpec: thermalsched.SupervisorSpec{Hysteresis: -1}}, "simulate.hysteresis", nil),
+		simulateCase("simulate throttle above 1", thermalsched.SimulateSpec{Throttle: 1.5}, "simulate.throttle", nil),
+		simulateCase("negative simulate kp", thermalsched.SimulateSpec{Controller: "pi", Kp: -1}, "simulate.kp", nil),
+		simulateCase("negative simulate ki", thermalsched.SimulateSpec{Controller: "pi", Ki: -1}, "simulate.ki", nil),
+		simulateCase("simulate minScale above 1", thermalsched.SimulateSpec{Controller: "pi", MinScale: 1.5}, "simulate.minScale", nil),
+		simulateCase("simulate ladder out of order", thermalsched.SimulateSpec{
+			SupervisorSpec: thermalsched.SupervisorSpec{FairC: 90}}, "simulate.fairC", []string{"-fairc", "90"}),
+		simulateCase("negative simulate coolTime", thermalsched.SimulateSpec{
+			SupervisorSpec: thermalsched.SupervisorSpec{CoolTime: -1}}, "simulate.coolTime", []string{"-cooltime", "-1"}),
+		{
+			name: "negative stream retryAfter",
+			req: thermalsched.Request{Flow: thermalsched.FlowStream, Stream: &thermalsched.StreamSpec{
+				Seed: 1, SupervisorSpec: thermalsched.SupervisorSpec{RetryAfter: -1}}},
+			field: "stream.retryAfter",
+			cli:   []string{"-flow", "stream", "-seed", "1", "-retryafter", "-1"},
+		},
 	}
+}
+
+// dtmCase is a Bm1 dtm request carrying spec; the CLI has no dtm knobs.
+func dtmCase(name string, spec thermalsched.DTMSpec, field string) validationCase {
+	return validationCase{name: name, field: field, req: thermalsched.NewRequest(thermalsched.FlowDTM,
+		thermalsched.WithBenchmark("Bm1"), thermalsched.WithDTM(spec))}
+}
+
+// simulateCase is a Bm1 simulate request carrying spec; flags, when
+// set, are the CLI spelling of spec.
+func simulateCase(name string, spec thermalsched.SimulateSpec, field string, flags []string) validationCase {
+	tc := validationCase{name: name, field: field, req: thermalsched.NewRequest(thermalsched.FlowSimulate,
+		thermalsched.WithBenchmark("Bm1"), thermalsched.WithSimulate(spec))}
+	if flags != nil {
+		tc.cli = append([]string{"-flow", "simulate", "-benchmark", "Bm1"}, flags...)
+	}
+	return tc
 }
 
 func TestValidationMessagesSharedAcrossSurfaces(t *testing.T) {
