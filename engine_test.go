@@ -365,7 +365,7 @@ func TestEngineConcurrentThermalRunsShareModel(t *testing.T) {
 }
 
 // The simulate flow is deterministic for a seeded request even though
-// replicas fan out across the worker pool: two runs — and a fresh
+// replicas fan out across the search pool: two runs — and a fresh
 // engine — produce the identical report.
 func TestEngineSimulateFlowDeterministic(t *testing.T) {
 	req := NewRequest(FlowSimulate,

@@ -223,3 +223,39 @@ func TestSimulateFlowParallelismByteIdentical(t *testing.T) {
 		}
 	}
 }
+
+// Simulate and stream replicas draw from the same engine-wide pool as
+// co-synthesis: concurrent RunBatch workers fanning replicas out at once
+// each still produce their standalone serial response. (CI runs it
+// under -race.)
+func TestRunBatchComposesWithReplicaPool(t *testing.T) {
+	e, err := NewEngine(WithWorkers(4), WithSearchParallelism(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	reqs := []Request{
+		NewRequest(FlowSimulate, WithBenchmark("Bm1"), WithSimulate(SimulateSpec{Replicas: 6, MinFactor: 0.7, Seed: 1})),
+		NewRequest(FlowSimulate, WithBenchmark("Bm2"), WithSimulate(SimulateSpec{Controller: "zigzag", Replicas: 6, MinFactor: 0.7})),
+		NewRequest(FlowStream, WithStream(StreamSpec{Seed: 3, MinFactor: 0.7, Replicas: 6})),
+		NewRequest(FlowStream, WithStream(StreamSpec{Seed: 4, MinFactor: 0.7, Replicas: 6}),
+			func(r *Request) { r.Policy = StreamPolicyAdmit }),
+	}
+	resps, err := e.RunBatch(ctx, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, req := range reqs {
+		if resps[i].Error != "" {
+			t.Fatalf("batch entry %d failed: %s", i, resps[i].Error)
+		}
+		req.Parallelism = 1
+		serial, err := e.Run(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if respJSON(t, resps[i]) != respJSON(t, serial) {
+			t.Errorf("batch entry %d (%s) diverged from its serial run", i, req.Flow)
+		}
+	}
+}

@@ -37,7 +37,7 @@ const (
 	// lockstep (closed loop): throttling stretches the affected tasks,
 	// feeding back into makespan, deadline misses and subsequent power.
 	// With Replicas > 1 it fans seeded Monte-Carlo runs across the
-	// engine's worker pool and reports percentile statistics.
+	// engine's search pool and reports percentile statistics.
 	FlowSimulate FlowKind = "simulate"
 	// FlowGenerate materializes a synthetic scenario (random task graph
 	// plus heterogeneous platform) from Request.Scenario and returns
@@ -138,7 +138,7 @@ type DTMSpec struct {
 	SampleDT  float64 `json:"sampleDT,omitempty"`
 	TimeScale float64 `json:"timeScale,omitempty"`
 	// Passes loops the schedule's power trace to let the die warm up
-	// (default 4).
+	// (default 4, at most MaxDTMPasses).
 	Passes int `json:"passes,omitempty"`
 	// MinFactor is the executor's execution-time factor lower bound in
 	// (0, 1] (default 1: replay the worst case); SimSeed drives the
