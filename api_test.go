@@ -135,31 +135,34 @@ func TestFacadeSimAndDTM(t *testing.T) {
 	if exec.Makespan > run.Schedule.Makespan {
 		t.Error("actual makespan exceeds worst case")
 	}
-	trace, err := exec.Trace(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples, err := trace.Reorder(run.Model.BlockNames())
-	if err != nil {
-		t.Fatal(err)
-	}
 	toggle, err := NewToggleDTM(88, 3, 0.4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunDTM(run.Model, toggle, samples, 0.1)
+	sup, err := SuperviseDTM(toggle, Ladder{FairC: 72, SeriousC: 80, CriticalC: 88})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Steps != len(samples) {
-		t.Errorf("DTM ran %d steps for %d samples", res.Steps, len(samples))
+	temps := []float64{90, 70, 70, 70}
+	scale := make([]float64, len(temps))
+	if err := sup.ScaleInto(scale, temps); err != nil {
+		t.Fatal(err)
+	}
+	if scale[0] != 0.4 || scale[1] != 1 {
+		t.Errorf("toggle scales %v, want the 90 °C block at 0.4 and the rest at 1", scale)
+	}
+	if s := sup.StateOf(0, temps); s.String() != "critical" {
+		t.Errorf("90 °C classified %v, want critical", s)
 	}
 	pi, err := NewPIDTM(85, 0.05, 0.002, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunDTM(run.Model, pi, samples, 0.1); err != nil {
+	if err := pi.ScaleInto(scale, temps); err != nil {
 		t.Fatal(err)
+	}
+	if !(scale[0] < 1) || scale[1] != 1 {
+		t.Errorf("PI scales %v, want only the block above the setpoint throttled", scale)
 	}
 }
 

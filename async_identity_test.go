@@ -29,9 +29,6 @@ func asyncFlows() map[string]thermalsched.Request {
 			thermalsched.WithFloorplanGenerations(4)),
 		"sweep": thermalsched.NewRequest(thermalsched.FlowSweep,
 			thermalsched.WithSweepCount(3), thermalsched.WithSeed(7)),
-		"dtm": thermalsched.NewRequest(thermalsched.FlowDTM,
-			thermalsched.WithBenchmark("Bm1"), thermalsched.WithPolicy(thermalsched.ThermalAware),
-			thermalsched.WithDTM(thermalsched.DTMSpec{Controller: "toggle", TriggerC: 80, Passes: 2})),
 		"simulate": thermalsched.NewRequest(thermalsched.FlowSimulate,
 			thermalsched.WithBenchmark("Bm2"), thermalsched.WithPolicy(thermalsched.ThermalAware),
 			thermalsched.WithSimulate(thermalsched.SimulateSpec{Replicas: 2, Seed: 3, MinFactor: 0.8})),

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"thermalsched/internal/cosynth"
-	"thermalsched/internal/dtm"
 	"thermalsched/internal/experiments"
 	"thermalsched/internal/floorplan"
 	"thermalsched/internal/hotspot"
@@ -281,62 +280,6 @@ func maxOf(v []float64) float64 {
 		}
 	}
 	return m
-}
-
-// BenchmarkExtensionDTM compares dynamic-thermal-management throttling
-// under the baseline and the thermal-aware schedules: the statically
-// balanced schedule should need less run-time throttling (extension to
-// the paper's reference [2]).
-func BenchmarkExtensionDTM(b *testing.B) {
-	lib, err := techlib.StandardLibrary()
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := taskgraph.Benchmark("Bm1")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, p := range []sched.Policy{sched.Baseline, sched.ThermalAware} {
-		b.Run(p.String(), func(b *testing.B) {
-			run, err := cosynth.RunPlatform(context.Background(), g, lib, cosynth.PlatformConfig{Policy: p})
-			if err != nil {
-				b.Fatal(err)
-			}
-			exec, err := sim.Execute(run.Schedule, sim.Options{MinFactor: 1, Seed: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			trace, err := exec.Trace(2)
-			if err != nil {
-				b.Fatal(err)
-			}
-			samples, err := trace.Reorder(run.Model.BlockNames())
-			if err != nil {
-				b.Fatal(err)
-			}
-			// Loop the schedule several times so the die approaches its
-			// operating point (0.02 s per schedule time unit).
-			looped := make([][]float64, 0, len(samples)*10)
-			for k := 0; k < 10; k++ {
-				looped = append(looped, samples...)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ctrl, err := dtm.NewToggleController(88, 3, 0.4)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := dtm.Run(run.Model, ctrl, looped, 2*0.02)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					b.Logf("%s: peak %.2f °C, throttled %.1f%%, slowdown %.2f%%",
-						p, res.PeakTemp, 100*res.ThrottledFraction, 100*res.Slowdown())
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkRobustnessSweep runs the randomized power-aware vs

@@ -99,7 +99,9 @@ func (c *CampaignSpec) withDefaults() CampaignSpec {
 	return out
 }
 
-// Validate reports the first problem with the campaign parameters.
+// Validate reports the first problem with the campaign parameters. A
+// bad knob in the nested simulate or stream spec is a *FieldError
+// naming its full path ("campaign.simulate.hysteresis").
 func (c *CampaignSpec) Validate() error {
 	n := c.withDefaults()
 	if n.Scenarios < 0 {
@@ -139,10 +141,9 @@ func (c *CampaignSpec) Validate() error {
 			return err
 		}
 	}
-	if s := n.Simulate; s != nil {
-		if !validSimulateController(s.Controller) {
-			return fmt.Errorf("thermalsched: unknown campaign simulate controller %q (want one of %v)",
-				s.Controller, simulateControllers)
+	if n.Simulate != nil {
+		if err := n.Simulate.validate("campaign.simulate"); err != nil {
+			return err
 		}
 	}
 	if len(n.Controllers) > 0 {
@@ -170,7 +171,7 @@ func (c *CampaignSpec) Validate() error {
 		if n.Template != nil {
 			return fmt.Errorf("thermalsched: campaign stream mode uses the stream spec as its template; remove template")
 		}
-		if err := n.Stream.validate(); err != nil {
+		if err := n.Stream.validate("campaign.stream"); err != nil {
 			return err
 		}
 	}

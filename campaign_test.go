@@ -102,7 +102,6 @@ func TestScenarioRunsThroughEveryGraphFlow(t *testing.T) {
 	}{
 		{FlowPlatform, nil},
 		{FlowCoSynthesis, nil},
-		{FlowDTM, nil},
 		{FlowSimulate, []RequestOption{WithSimulate(SimulateSpec{Replicas: 2, Seed: 1})}},
 	} {
 		opts := append([]RequestOption{WithScenario(spec)}, tc.opts...)

@@ -371,10 +371,6 @@ func printHuman(resp *thermalsched.Response) {
 	if resp.Sweep != nil {
 		fmt.Print(resp.Sweep)
 	}
-	if d := resp.DTM; d != nil {
-		fmt.Printf("dtm        %s: peak %.2f °C, throttled %.1f%%, slowdown %.1f%% over %d steps\n",
-			d.Controller, d.PeakTempC, 100*d.ThrottledFraction, 100*d.Slowdown, d.Steps)
-	}
 	if s := resp.Simulate; s != nil {
 		fmt.Printf("simulate   %s over %d replica(s), static makespan %.1f, deadline %.1f\n",
 			s.Controller, s.Replicas, s.StaticMakespan, s.Deadline)

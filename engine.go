@@ -506,63 +506,6 @@ func (e *Engine) runSweepFlow(ctx context.Context, req *Request) (*Response, err
 	return &Response{Flow: FlowSweep, Sweep: res}, nil
 }
 
-func (e *Engine) runDTMFlow(ctx context.Context, req *Request) (*Response, error) {
-	in, err := e.resolveInput(req)
-	if err != nil {
-		return nil, err
-	}
-	cfg, err := req.platformConfig()
-	if err != nil {
-		return nil, err
-	}
-	cfg.HotSpot = e.thermalFor(req)
-	cfg.Platform = in.platform
-	res, err := e.platform(ctx, in.graph, in.lib, cfg)
-	if err != nil {
-		return nil, err
-	}
-	spec := req.DTM.withDefaults()
-	var ctrl DTMController
-	switch spec.Controller {
-	case "toggle":
-		ctrl, err = dtm.NewToggleController(spec.TriggerC, spec.Hysteresis, spec.Throttle)
-	case "pi":
-		ctrl, err = dtm.NewPIController(spec.SetpointC, spec.Kp, spec.Ki, spec.MinScale)
-	default: // unreachable after Validate
-		err = fmt.Errorf("thermalsched: unknown DTM controller %q", spec.Controller)
-	}
-	if err != nil {
-		return nil, err
-	}
-	exec, err := sim.Execute(res.Schedule, sim.Options{MinFactor: spec.MinFactor, Seed: spec.SimSeed})
-	if err != nil {
-		return nil, err
-	}
-	trace, err := exec.Trace(spec.SampleDT)
-	if err != nil {
-		return nil, err
-	}
-	pass, err := trace.Reorder(res.Model.BlockNames())
-	if err != nil {
-		return nil, err
-	}
-	samples := make([][]float64, 0, len(pass)*spec.Passes)
-	for i := 0; i < spec.Passes; i++ {
-		samples = append(samples, pass...)
-	}
-	dtmRes, err := dtm.Run(res.Model, ctrl, samples, spec.SampleDT*spec.TimeScale)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := flowResponse(FlowDTM, cfg.Policy, res, req.IncludeGantt, false)
-	if err != nil {
-		return nil, err
-	}
-	resp.DTM = dtmReport(spec.Controller, dtmRes)
-	in.stamp(resp)
-	return resp, nil
-}
-
 // simSupervisor materializes a fresh thermal supervisor for the spec.
 // Each replica gets its own instance: supervisors carry per-run state
 // (throttle latches, PI integrals, admission holds, cooling gaps) and

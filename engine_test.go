@@ -246,31 +246,6 @@ func TestEngineRequestJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestEngineDTMFlow(t *testing.T) {
-	e := testEngine(t)
-	resp, err := e.Run(context.Background(), NewRequest(
-		FlowDTM,
-		WithBenchmark("Bm1"),
-		WithPolicy(ThermalAware),
-		WithDTM(DTMSpec{Controller: "toggle", TriggerC: 80, Passes: 2}),
-	))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.DTM == nil {
-		t.Fatal("dtm flow returned no DTM report")
-	}
-	if resp.DTM.Steps <= 0 {
-		t.Errorf("dtm ran %d steps", resp.DTM.Steps)
-	}
-	if resp.DTM.PeakTempC <= DefaultThermalConfig().AmbientC {
-		t.Errorf("dtm peak %v not above ambient", resp.DTM.PeakTempC)
-	}
-	if resp.Metrics == nil || !resp.Metrics.Feasible {
-		t.Errorf("dtm flow lost the underlying schedule metrics: %+v", resp.Metrics)
-	}
-}
-
 func TestEngineModelCacheReuse(t *testing.T) {
 	e := testEngine(t)
 	for i := 0; i < 3; i++ {
@@ -300,8 +275,8 @@ func TestEngineRequestValidation(t *testing.T) {
 		{Flow: FlowPlatform, Benchmark: "Bm1", Policy: "coldest"},   // unknown policy
 		{Flow: FlowSweep, Benchmark: "Bm1"},                         // sweep with input graph
 		{Flow: FlowPlatform, Benchmark: "Bm1", MaxPEs: -1},
-		{Flow: FlowPlatform, Benchmark: "Bm1", DTM: &DTMSpec{}}, // dtm knobs on platform
-		{Flow: FlowDTM, Benchmark: "Bm1", DTM: &DTMSpec{Controller: "bangbang"}},
+		{Flow: FlowPlatform, Benchmark: "Bm1", Simulate: &SimulateSpec{}}, // simulate knobs on platform
+		{Flow: "dtm", Benchmark: "Bm1"},                                   // the deleted open-loop flow
 	}
 	for i, req := range bad {
 		if _, err := e.Run(context.Background(), req); err == nil {

@@ -32,10 +32,10 @@ import (
 //     backend", which only coincides with an explicit "dense" when the
 //     engine default happens to be dense — the fingerprint cannot see
 //     the engine. Keeping them distinct is the safe (one-way) direction.
-//   - The other pointer-typed knobs (TempWeight, …, DTM, Simulate,
-//     Campaign) serialize presence plus value, except DTM and Simulate
-//     which serialize their withDefaults() normalization — the only
-//     form the flows ever consume — so a nil spec, a zero spec and an
+//   - The other pointer-typed knobs (TempWeight, …, Simulate,
+//     Campaign) serialize presence plus value, except Simulate which
+//     serializes its withDefaults() normalization — the only form the
+//     flow ever consumes — so a nil spec, a zero spec and an
 //     explicitly-default-valued spec all share one fingerprint.
 //
 // Distinct fingerprints do NOT imply distinct responses (two different
@@ -46,7 +46,6 @@ import (
 //thermalvet:serializes GraphSpec
 //thermalvet:serializes TaskSpec
 //thermalvet:serializes EdgeSpec
-//thermalvet:serializes DTMSpec
 //thermalvet:serializes CampaignSpec
 func (r *Request) Fingerprint() string {
 	h := fnv.New64a()
@@ -92,10 +91,10 @@ func (r *Request) Fingerprint() string {
 		// half keyed like the stream cache, dispatch half normalized).
 		fmt.Fprintf(h, "st+%s|", r.Stream.fingerprint())
 	}
-	d := r.DTM.withDefaults()
-	fmt.Fprintf(h, "dtm:%s|%g|%g|%g|%g|%g|%g|%g|%g|%g|%d|%g|%d|",
-		d.Controller, d.TriggerC, d.Hysteresis, d.Throttle, d.SetpointC, d.Kp, d.Ki,
-		d.MinScale, d.SampleDT, d.TimeScale, d.Passes, d.MinFactor, d.SimSeed)
+	// The deleted open-loop dtm flow's spec always hashed in its
+	// defaulted form; keeping that segment verbatim keeps every
+	// journaled result reachable under its old fingerprint.
+	fmt.Fprint(h, "dtm:toggle|85|3|0.4|85|0.05|0.002|0.1|10|0.1|4|1|0|")
 	s := r.Simulate.withDefaults()
 	fpSimulateSpec(h, "sim:", s)
 	c := r.Campaign.withDefaults()

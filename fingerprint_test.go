@@ -65,7 +65,6 @@ func TestRequestFingerprintSensitivity(t *testing.T) {
 			r.Scenario = &ScenarioSpec{Seed: 7, Graph: ScenarioGraphParams{Tasks: 30}}
 			return r
 		}(base),
-		"DTM":      func(r Request) Request { r.DTM = &DTMSpec{TriggerC: 90}; return r }(base),
 		"Simulate": func(r Request) Request { r.Simulate = &SimulateSpec{Replicas: 2}; return r }(base),
 		"Campaign": func(r Request) Request { r.Campaign = &CampaignSpec{Scenarios: 3}; return r }(base),
 	}
@@ -87,7 +86,7 @@ func TestRequestFingerprintSensitivity(t *testing.T) {
 }
 
 // The documented canonicalizations: nil Seed is seed 1; nil and
-// zero-valued DTM/Simulate specs are the calibrated defaults; campaign
+// zero-valued Simulate specs are the calibrated defaults; campaign
 // spec defaults are normalized; but a campaign's Simulate presence is
 // semantic and an explicit seed 0 is not seed 1.
 func TestRequestFingerprintNormalization(t *testing.T) {
@@ -99,13 +98,6 @@ func TestRequestFingerprintNormalization(t *testing.T) {
 	zero := NewRequest(FlowSweep, WithSeed(0))
 	if zero.Fingerprint() == a.Fingerprint() {
 		t.Error("explicit seed 0 collapsed into the nil-seed default")
-	}
-
-	dtmNil := NewRequest(FlowDTM, WithBenchmark("Bm1"))
-	dtmZero := NewRequest(FlowDTM, WithBenchmark("Bm1"), WithDTM(DTMSpec{}))
-	dtmDefault := NewRequest(FlowDTM, WithBenchmark("Bm1"), WithDTM(DTMSpec{TriggerC: 85}))
-	if dtmNil.Fingerprint() != dtmZero.Fingerprint() || dtmNil.Fingerprint() != dtmDefault.Fingerprint() {
-		t.Error("nil, zero and explicitly-default DTM specs must share a fingerprint")
 	}
 
 	simNil := NewRequest(FlowSimulate, WithBenchmark("Bm1"))
@@ -132,8 +124,8 @@ func TestRequestFingerprintNormalization(t *testing.T) {
 // This keeps one slim runtime pin on the top-level Request as
 // belt-and-braces for builds that skip vet.
 func TestRequestFingerprintCoversFields(t *testing.T) {
-	if n := reflect.TypeOf(Request{}).NumField(); n != 22 {
-		t.Errorf("Request now has %d fields (pinned 22); extend Request.Fingerprint's explicit serialization (fpfields enforces the rest)", n)
+	if n := reflect.TypeOf(Request{}).NumField(); n != 21 {
+		t.Errorf("Request now has %d fields (pinned 21); extend Request.Fingerprint's explicit serialization (fpfields enforces the rest)", n)
 	}
 }
 

@@ -109,13 +109,6 @@ func flowTable() []flowSpec {
 			validate: validateSweepFlow,
 		},
 		{
-			kind:     FlowDTM,
-			summary:  "open-loop dynamic-thermal-management transient study",
-			input:    flowInputOne,
-			run:      (*Engine).runDTMFlow,
-			validate: validateDTMFlow,
-		},
-		{
 			kind:        FlowSimulate,
 			summary:     "closed-loop DTM co-simulation with Monte-Carlo replicas",
 			input:       flowInputOne,
@@ -206,57 +199,6 @@ func validateGenerateFlow(r *Request) error {
 	return nil
 }
 
-func validateDTMFlow(r *Request) error {
-	d := r.DTM
-	if d == nil {
-		return nil
-	}
-	switch d.Controller {
-	case "", "toggle", "pi":
-	default:
-		return fieldErr("dtm.controller", "unknown DTM controller %q (want toggle or pi)", d.Controller)
-	}
-	if d.Passes < 0 {
-		return fieldErr("dtm.passes", "negative pass count %d", d.Passes)
-	}
-	if d.Passes > MaxDTMPasses {
-		return fieldErr("dtm.passes", "%d passes exceed the limit %d", d.Passes, MaxDTMPasses)
-	}
-	if d.SampleDT < 0 {
-		return fieldErr("dtm.sampleDT", "negative sample interval %g", d.SampleDT)
-	}
-	if d.TimeScale < 0 {
-		return fieldErr("dtm.timeScale", "negative time scale %g", d.TimeScale)
-	}
-	if d.MinFactor < 0 || d.MinFactor > 1 {
-		return fieldErr("dtm.minFactor", "dtm MinFactor %g out of (0, 1]", d.MinFactor)
-	}
-	n := d.withDefaults()
-	return validateReactiveKnobs("dtm", n.Hysteresis, n.Throttle, n.Kp, n.Ki, n.MinScale)
-}
-
-// validateReactiveKnobs checks the toggle and PI controller knobs with
-// the dtm constructors' own range checks, one knob per call so the
-// error names its field; prefix is the JSON path ("dtm" or
-// "simulate"). Call with withDefaults() values.
-func validateReactiveKnobs(prefix string, hysteresis, throttle, kp, ki, minScale float64) error {
-	for _, k := range []struct {
-		field string
-		err   error
-	}{
-		{"hysteresis", errOf(dtm.NewToggleController(0, hysteresis, 0))},
-		{"throttle", errOf(dtm.NewToggleController(0, 0, throttle))},
-		{"kp", errOf(dtm.NewPIController(0, kp, 0, 0))},
-		{"ki", errOf(dtm.NewPIController(0, 0, ki, 0))},
-		{"minScale", errOf(dtm.NewPIController(0, 0, 0, minScale))},
-	} {
-		if k.err != nil {
-			return fieldErr(prefix+"."+k.field, "%v", k.err)
-		}
-	}
-	return nil
-}
-
 // errOf drops a constructor's value and keeps its error.
 func errOf[T any](_ T, err error) error { return err }
 
@@ -277,34 +219,55 @@ func validSimulateController(name string) bool {
 }
 
 func validateSimulateFlow(r *Request) error {
-	s := r.Simulate
-	if s == nil {
+	if r.Simulate == nil {
 		return nil
 	}
+	return r.Simulate.validate("simulate")
+}
+
+// validate checks the spec's knobs; prefix is its JSON path
+// ("simulate", or "campaign.simulate" inside a campaign). The toggle
+// and PI knobs go through the dtm constructors' own range checks, one
+// knob per call so the error names its field.
+func (s *SimulateSpec) validate(prefix string) error {
 	if !validSimulateController(s.Controller) {
-		return fieldErr("simulate.controller", "unknown simulate controller %q (want one of %v)", s.Controller, simulateControllers)
+		return fieldErr(prefix+".controller", "unknown simulate controller %q (want one of %v)", s.Controller, simulateControllers)
 	}
 	if s.Replicas < 0 {
-		return fieldErr("simulate.replicas", "negative replica count %d", s.Replicas)
+		return fieldErr(prefix+".replicas", "negative replica count %d", s.Replicas)
 	}
 	if s.Replicas > MaxSimulateReplicas {
-		return fieldErr("simulate.replicas", "%d replicas exceed the limit %d", s.Replicas, MaxSimulateReplicas)
+		return fieldErr(prefix+".replicas", "%d replicas exceed the limit %d", s.Replicas, MaxSimulateReplicas)
 	}
 	if s.DT < 0 || s.TimeScale < 0 {
-		return fieldErr("simulate.dt", "negative simulate step (dt %g, timeScale %g)", s.DT, s.TimeScale)
+		return fieldErr(prefix+".dt", "negative simulate step (dt %g, timeScale %g)", s.DT, s.TimeScale)
 	}
 	if s.MinFactor < 0 || s.MinFactor > 1 {
-		return fieldErr("simulate.minFactor", "simulate MinFactor %g out of (0, 1]", s.MinFactor)
+		return fieldErr(prefix+".minFactor", "simulate MinFactor %g out of (0, 1]", s.MinFactor)
 	}
 	n := s.withDefaults()
-	if err := n.SupervisorSpec.validate("simulate"); err != nil {
+	if err := n.SupervisorSpec.validate(prefix); err != nil {
 		return err
 	}
-	return validateReactiveKnobs("simulate", n.Hysteresis, n.Throttle, n.Kp, n.Ki, n.MinScale)
+	for _, k := range []struct {
+		field string
+		err   error
+	}{
+		{"hysteresis", errOf(dtm.NewToggleController(0, n.Hysteresis, 0))},
+		{"throttle", errOf(dtm.NewToggleController(0, 0, n.Throttle))},
+		{"kp", errOf(dtm.NewPIController(0, n.Kp, 0, 0))},
+		{"ki", errOf(dtm.NewPIController(0, 0, n.Ki, 0))},
+		{"minScale", errOf(dtm.NewPIController(0, 0, 0, n.MinScale))},
+	} {
+		if k.err != nil {
+			return fieldErr(prefix+"."+k.field, "%v", k.err)
+		}
+	}
+	return nil
 }
 
 func validateStreamFlow(r *Request) error {
-	return r.Stream.validate()
+	return r.Stream.validate("stream")
 }
 
 // checkPolicy validates the request's Policy field against the flow's

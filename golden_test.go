@@ -28,8 +28,7 @@ type goldenCase struct {
 // The admit cases pin the admission-denial counts at every scale: a
 // backlogged 16-PE platform with denials in the 10⁵ range, and a hold
 // so short (retryAfter 1e-300) that t+retryAfter rounds to t, where a
-// denial does not outlast the query that made it. The dtm cases pin
-// the open-loop replay flow under both of its controllers.
+// denial does not outlast the query that made it.
 //
 // The platform cases pin every benchmark under the thermal ASP and
 // the baseline, Gantt chart included. The cosynthesis cases pin the
@@ -84,10 +83,6 @@ func goldenCases() []goldenCase {
 			func(r *Request) { r.Policy = StreamPolicyAdmit })},
 		{"simulate_bm1_admit", NewRequest(FlowSimulate, WithBenchmark("Bm1"),
 			WithSimulate(SimulateSpec{Controller: "admit", Replicas: 2, MinFactor: 0.85, Seed: 13}))},
-		{"dtm_bm1_toggle", NewRequest(FlowDTM, WithBenchmark("Bm1"),
-			WithDTM(DTMSpec{Controller: "toggle", MinFactor: 0.85, SimSeed: 7}))},
-		{"dtm_bm2_pi", NewRequest(FlowDTM, WithBenchmark("Bm2"),
-			WithDTM(DTMSpec{Controller: "pi"}))},
 		{"cosynthesis_bm1_capped", NewRequest(FlowCoSynthesis, WithBenchmark("Bm1"),
 			WithMaxPEs(4), WithFloorplanGenerations(2), WithGantt())},
 		{"cosynthesis_bm2_h3", NewRequest(FlowCoSynthesis, WithBenchmark("Bm2"),

@@ -26,22 +26,16 @@
 // ZigZagController (forced idle-slack cooling gaps) implement the
 // proactive side.
 //
-// Note that Run is the *open-loop* variant: it drives a fixed,
-// precomputed power trace through the controller, so throttling scales
-// power but cannot slow execution down — the performance cost is only
-// the denied-energy proxy (RunResult.Slowdown). The closed-loop
-// variant, in which throttling stretches the affected tasks and feeds
-// back into makespan and deadline misses, is the shared stepping core
-// internal/coloop under internal/runtime (the Engine's "simulate" flow)
-// and internal/stream; both consume this package's Supervisor
-// implementations directly.
+// The package holds no stepping loop of its own: the closed-loop
+// co-simulation core internal/coloop steps the transient model, applies
+// the supervisor's scales by stretching the running tasks (so throttling
+// feeds back into makespan and deadline misses) and honours its
+// admission decisions. internal/runtime (the Engine's "simulate" flow)
+// and internal/stream both drive this package's Supervisor
+// implementations through it.
 package dtm
 
-import (
-	"fmt"
-
-	"thermalsched/internal/hotspot"
-)
+import "fmt"
 
 // Controller scales each PE's requested power based on observed block
 // temperatures, writing per-block multipliers in [0, 1] into a
@@ -209,119 +203,4 @@ func maxf(a, b float64) float64 {
 		return a
 	}
 	return b
-}
-
-// RunResult summarizes a DTM transient run.
-type RunResult struct {
-	PeakTemp float64 // hottest block temperature observed, °C
-	// ThrottledFraction is the fraction of (block, step) pairs that ran
-	// below full power — the DTM performance cost proxy.
-	ThrottledFraction float64
-	// EnergyDelivered is Σ scaled power × dt: the work the PEs actually
-	// got through, relative to EnergyRequested.
-	EnergyDelivered float64
-	EnergyRequested float64
-	Steps           int
-	// StateFractions is the fraction of (block, step) pairs spent in
-	// each thermal state (indexed by ThermalState): the supervisor-eye
-	// view of the run — how long the die dwelt at nominal vs fair vs
-	// serious vs critical.
-	StateFractions [NumThermalStates]float64
-}
-
-// Slowdown returns the fraction of requested energy that throttling
-// denied, a proxy for the execution-time penalty DTM causes.
-func (r RunResult) Slowdown() float64 {
-	if r.EnergyRequested == 0 {
-		return 0
-	}
-	return 1 - r.EnergyDelivered/r.EnergyRequested
-}
-
-// Run drives a transient simulation of the power samples (per-block, in
-// model block order, one per step) under the controller. The controller
-// observes the temperatures after each step and its scales apply to the
-// next step's power — a one-step sensing delay, as in a real DTM loop.
-// The loop reuses fixed scratch buffers, so a step allocates nothing.
-//
-// Run is the open-loop study: the power trace is fixed before the
-// controller sees it, so throttling scales power but never reshapes the
-// trace — the execution itself cannot slow down, and the performance
-// cost is only the denied-energy proxy (RunResult.Slowdown). The
-// closed-loop counterpart is internal/coloop, the shared stepping core
-// under internal/runtime and internal/stream, where the supervisor's
-// scales stretch running tasks and its admission decisions delay
-// dispatches, both feeding back into the subsequent power the model
-// sees. A reactive Controller is adapted to the supervisor contract
-// behind the DefaultLadder shim; pass a Supervisor to RunSupervised
-// directly to control the ladder.
-func Run(model *hotspot.Model, ctrl Controller, samples [][]float64, dt float64) (*RunResult, error) {
-	if ctrl == nil {
-		return nil, fmt.Errorf("dtm: nil controller")
-	}
-	sup, ok := ctrl.(Supervisor)
-	if !ok {
-		var err error
-		if sup, err = Supervise(ctrl, DefaultLadder); err != nil {
-			return nil, err
-		}
-	}
-	return RunSupervised(model, sup, samples, dt)
-}
-
-// RunSupervised is Run with an explicit Supervisor: the same open-loop
-// transient study, additionally tallying the per-state dwell fractions
-// the supervisor's ladder induces.
-func RunSupervised(model *hotspot.Model, sup Supervisor, samples [][]float64, dt float64) (*RunResult, error) {
-	if sup == nil {
-		return nil, fmt.Errorf("dtm: nil supervisor")
-	}
-	tr, err := model.NewTransient(dt)
-	if err != nil {
-		return nil, err
-	}
-	sup.Reset()
-	n := model.NumBlocks()
-	scale := make([]float64, n)
-	for i := range scale {
-		scale[i] = 1
-	}
-	res := &RunResult{}
-	scaled := make([]float64, n)
-	temps := make([]float64, n)
-	for step, p := range samples {
-		if len(p) != n {
-			return nil, fmt.Errorf("dtm: sample %d has %d blocks, want %d", step, len(p), n)
-		}
-		throttledBlocks := 0
-		for i, w := range p {
-			scaled[i] = w * scale[i]
-			res.EnergyRequested += w * dt
-			res.EnergyDelivered += scaled[i] * dt
-			if scale[i] < 1 {
-				throttledBlocks++
-			}
-		}
-		res.ThrottledFraction += float64(throttledBlocks) / float64(n)
-		if err := tr.StepVecInto(temps, scaled); err != nil {
-			return nil, err
-		}
-		for i, t := range temps {
-			if t > res.PeakTemp {
-				res.PeakTemp = t
-			}
-			res.StateFractions[sup.StateOf(i, temps)]++
-		}
-		if err := sup.ScaleInto(scale, temps); err != nil {
-			return nil, err
-		}
-		res.Steps++
-	}
-	if res.Steps > 0 {
-		res.ThrottledFraction /= float64(res.Steps)
-		for i := range res.StateFractions {
-			res.StateFractions[i] /= float64(res.Steps * n)
-		}
-	}
-	return res, nil
 }

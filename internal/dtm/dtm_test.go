@@ -21,6 +21,55 @@ func model4(t testing.TB) *hotspot.Model {
 	return m
 }
 
+// openRun summarizes runOpen: the hottest block temperature, the
+// fraction of (block, step) pairs that ran below full power, and the
+// share of requested energy the throttling denied.
+type openRun struct {
+	peak, throttled, slowdown float64
+}
+
+// runOpen steps the model's transient through fixed per-block power
+// samples under ctrl. The controller observes the temperatures after
+// each step and its scales apply to the next step's power — a one-step
+// sensing delay, as in a real DTM loop.
+func runOpen(t *testing.T, m *hotspot.Model, ctrl Controller, samples [][]float64, dt float64) openRun {
+	t.Helper()
+	tr, err := m.NewTransient(dt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl.Reset()
+	n := m.NumBlocks()
+	scale, scaled, temps := make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := range scale {
+		scale[i] = 1
+	}
+	var r openRun
+	var requested, delivered float64
+	for _, p := range samples {
+		for i, w := range p {
+			scaled[i] = w * scale[i]
+			requested += w
+			delivered += scaled[i]
+			if scale[i] < 1 {
+				r.throttled++
+			}
+		}
+		if err := tr.StepVecInto(temps, scaled); err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range temps {
+			r.peak = math.Max(r.peak, v)
+		}
+		if err := ctrl.ScaleInto(scale, temps); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.throttled /= float64(len(samples) * n)
+	r.slowdown = 1 - delivered/requested
+	return r
+}
+
 // hotSamples produces a sustained high-power workload that would exceed
 // the trigger temperature without DTM.
 func hotSamples(steps int) [][]float64 {
@@ -61,33 +110,27 @@ func TestPIControllerValidation(t *testing.T) {
 func TestToggleCapsTemperature(t *testing.T) {
 	m := model4(t)
 	// Unmanaged run for reference.
-	unmanaged, err := Run(m, noopController{}, hotSamples(4000), 0.002)
-	if err != nil {
-		t.Fatal(err)
-	}
+	unmanaged := runOpen(t, m, noopController{}, hotSamples(4000), 0.002)
 	ctrl, err := NewToggleController(85, 3, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	managed, err := Run(m, ctrl, hotSamples(4000), 0.002)
-	if err != nil {
-		t.Fatal(err)
+	managed := runOpen(t, m, ctrl, hotSamples(4000), 0.002)
+	if unmanaged.peak <= 85 {
+		t.Fatalf("test workload too cool to exercise DTM: %v", unmanaged.peak)
 	}
-	if unmanaged.PeakTemp <= 85 {
-		t.Fatalf("test workload too cool to exercise DTM: %v", unmanaged.PeakTemp)
-	}
-	if managed.PeakTemp >= unmanaged.PeakTemp {
-		t.Errorf("DTM did not reduce peak: %v vs %v", managed.PeakTemp, unmanaged.PeakTemp)
+	if managed.peak >= unmanaged.peak {
+		t.Errorf("DTM did not reduce peak: %v vs %v", managed.peak, unmanaged.peak)
 	}
 	// Overshoot past the trigger is bounded (one sensing step plus RC lag).
-	if managed.PeakTemp > 92 {
-		t.Errorf("managed peak %v overshoots the 85 °C trigger too far", managed.PeakTemp)
+	if managed.peak > 92 {
+		t.Errorf("managed peak %v overshoots the 85 °C trigger too far", managed.peak)
 	}
-	if managed.ThrottledFraction <= 0 {
+	if managed.throttled <= 0 {
 		t.Error("throttling never engaged")
 	}
-	if managed.Slowdown() <= 0 || managed.Slowdown() >= 1 {
-		t.Errorf("slowdown = %v, want (0, 1)", managed.Slowdown())
+	if managed.slowdown <= 0 || managed.slowdown >= 1 {
+		t.Errorf("slowdown = %v, want (0, 1)", managed.slowdown)
 	}
 }
 
@@ -127,16 +170,13 @@ func TestPIControllerTracksSetpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(m, ctrl, hotSamples(6000), 0.002)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runOpen(t, m, ctrl, hotSamples(6000), 0.002)
 	// PI control should keep the peak near the setpoint (a few degrees
 	// of transient overshoot is inherent to the one-step sensing delay).
-	if res.PeakTemp > 88 {
-		t.Errorf("PI peak %v too far above the 82 °C setpoint", res.PeakTemp)
+	if res.peak > 88 {
+		t.Errorf("PI peak %v too far above the 82 °C setpoint", res.peak)
 	}
-	if res.Slowdown() <= 0 {
+	if res.slowdown <= 0 {
 		t.Error("PI never throttled a hot workload")
 	}
 }
@@ -154,27 +194,6 @@ func TestPIControllerIdleBelowSetpoint(t *testing.T) {
 		if v != 1 {
 			t.Errorf("scale[%d] = %v below setpoint, want 1", i, v)
 		}
-	}
-}
-
-func TestRunValidation(t *testing.T) {
-	m := model4(t)
-	if _, err := Run(m, nil, hotSamples(1), 0.002); err == nil {
-		t.Error("nil controller accepted")
-	}
-	ctrl, _ := NewToggleController(85, 3, 0.3)
-	if _, err := Run(m, ctrl, [][]float64{{1, 2}}, 0.002); err == nil {
-		t.Error("short sample accepted")
-	}
-	if _, err := Run(m, ctrl, nil, 0.002); err != nil {
-		t.Errorf("empty run should succeed: %v", err)
-	}
-	res, err := Run(m, ctrl, nil, 0.002)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Slowdown() != 0 {
-		t.Error("empty run slowdown should be 0")
 	}
 }
 
@@ -221,19 +240,13 @@ func TestBalancedLoadThrottlesLess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	concentrated, err := Run(m, ctrl, mk([]float64{15, 3, 3, 3}, 5000), 0.002)
-	if err != nil {
-		t.Fatal(err)
-	}
-	balanced, err := Run(m, ctrl, mk([]float64{6, 6, 6, 6}, 5000), 0.002)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if balanced.Slowdown() >= concentrated.Slowdown() {
+	concentrated := runOpen(t, m, ctrl, mk([]float64{15, 3, 3, 3}, 5000), 0.002)
+	balanced := runOpen(t, m, ctrl, mk([]float64{6, 6, 6, 6}, 5000), 0.002)
+	if balanced.slowdown >= concentrated.slowdown {
 		t.Errorf("balanced slowdown %v should be below concentrated %v",
-			balanced.Slowdown(), concentrated.Slowdown())
+			balanced.slowdown, concentrated.slowdown)
 	}
-	if math.IsNaN(balanced.PeakTemp) {
+	if math.IsNaN(balanced.peak) {
 		t.Error("NaN peak")
 	}
 }

@@ -512,6 +512,51 @@ func TestJournalSkipsTornTail(t *testing.T) {
 	}
 }
 
+// A journal written while the open-loop dtm flow existed holds records
+// whose request carries a "dtm" spec and whose response a "dtm" section.
+// Replay decodes leniently: such a record comes back done without that
+// section, and the records after it still load and serve coalescing.
+func TestJournalReplaysDeletedDTMFlow(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	later := req("Bm2")
+	journal := `{"v":1,"id":"j-old-1","fingerprint":"6d1c0b0a4e5f3a21","flow":"dtm","state":"done",` +
+		`"submittedAt":1,"startedAt":2,"finishedAt":3,` +
+		`"request":{"flow":"dtm","benchmark":"Bm1","dtm":{"controller":"toggle","triggerC":80,"passes":2}},` +
+		`"response":{"flow":"dtm","graph":"Bm1","policy":"thermal",` +
+		`"metrics":{"totalPowerW":9.5,"maxTempC":83.29,"avgTempC":70.1,"makespan":683.4,"feasible":true,"cost":0},` +
+		`"dtm":{"controller":"toggle","steps":274,"peakTempC":81.9,"throttledFraction":0.12,` +
+		`"energyDelivered":610.2,"energyRequested":650.7,"slowdown":0.062},"elapsedMs":4.2}}` + "\n" +
+		fmt.Sprintf(`{"v":1,"id":"j-old-2","fingerprint":%q,"flow":"platform","state":"done",`+
+			`"submittedAt":4,"startedAt":5,"finishedAt":6,"request":{"flow":"platform","benchmark":"Bm2"},`+
+			`"response":{"flow":"platform","graph":"Bm2","elapsedMs":1}}`+"\n", later.Fingerprint())
+	if err := os.WriteFile(path, []byte(journal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	f := &fakeEval{}
+	m := openTest(t, f, Config{JournalPath: path})
+	if s := m.Stats(); s.Counters.Replayed != 2 {
+		t.Fatalf("replayed %d records, want 2", s.Counters.Replayed)
+	}
+	old, err := m.Get("j-old-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if old.State != StateDone || old.Flow != "dtm" {
+		t.Fatalf("dtm record replayed as %s/%s, want done/dtm", old.State, old.Flow)
+	}
+	if r := old.Response; r == nil || r.Metrics == nil || r.Metrics.Makespan != 683.4 {
+		t.Errorf("dtm record lost its schedule metrics: %+v", r)
+	}
+	b, err := m.Submit(later)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.State != StateDone || !b.FromJournal || f.runs.Load() != 0 {
+		t.Errorf("record after the dtm one not served from the journal: %+v (%d runs)", b, f.runs.Load())
+	}
+}
+
 func TestRateLimiter(t *testing.T) {
 	l := NewRateLimiter(1, 2)
 	now := time.Unix(0, 0)

@@ -3,10 +3,10 @@
 // (hotspot.Transient) and a dynamic-thermal-management controller
 // (internal/dtm).
 //
-// The open-loop dtm.Run feeds a *fixed* power trace through the
-// controller: throttling scales power but nothing slows down, so the
-// performance cost of DTM is only a proxy (denied energy). This package
-// models the real feedback: the executor and the thermal model advance
+// Scaling a fixed power trace would let throttling cut power without
+// slowing anything down, leaving the performance cost of DTM only a
+// proxy (denied energy). This package models the real feedback: the
+// executor and the thermal model advance
 // in lockstep steps of DT schedule time units, the controller observes
 // the block temperatures after every step, and when it throttles a PE's
 // power by factor s the task currently executing there stretches — its

@@ -166,55 +166,6 @@ func TestUnconditionalRunIgnoresProbabilities(t *testing.T) {
 	}
 }
 
-// Skipped-branch PEs contribute zero power to the transient trace: the
-// power-trace columns of a PE whose every task was skipped must be
-// all-zero, and executed tasks must still appear. This is the trace the
-// closed-loop runtime (internal/runtime) and the open-loop dtm.Run both
-// feed from.
-func TestConditionalTraceSkippedPEZeroPower(t *testing.T) {
-	s := ctgSchedule(t)
-	sawSkippedPE := false
-	for seed := int64(0); seed < 20; seed++ {
-		res, err := Execute(s, Options{MinFactor: 1, Seed: seed, Conditional: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		trace, err := res.Trace(2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		executedOn := make([]bool, len(s.Arch.PEs))
-		assignedOn := make([]bool, len(s.Arch.PEs))
-		for _, rec := range res.Records {
-			assignedOn[rec.PE] = true
-			if !rec.Skipped {
-				executedOn[rec.PE] = true
-			}
-		}
-		var colSum [8]float64
-		for _, row := range trace.Samples {
-			for pe, w := range row {
-				colSum[pe] += w
-			}
-		}
-		for pe := range s.Arch.PEs {
-			if assignedOn[pe] && !executedOn[pe] {
-				sawSkippedPE = true
-				if colSum[pe] != 0 {
-					t.Errorf("seed %d: PE %d hosts only skipped tasks yet traces %g W·samples",
-						seed, pe, colSum[pe])
-				}
-			}
-			if executedOn[pe] && colSum[pe] <= 0 {
-				t.Errorf("seed %d: PE %d executed tasks but traces no power", seed, pe)
-			}
-		}
-	}
-	if !sawSkippedPE {
-		t.Error("no seed produced a PE with only skipped tasks; assertion never exercised")
-	}
-}
-
 // Realize and Execute share one deterministic-seed contract: the
 // durations Execute realizes are exactly the Realization's, and the
 // same seed draws the same branches.

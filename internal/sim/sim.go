@@ -1,8 +1,7 @@
 // Package sim is a discrete-event executor for schedules produced by the
 // ASP: it replays a schedule with *actual* execution times (a seeded
 // fraction of each task's WCET), preserving the task→PE mapping and each
-// PE's dispatch order, and reports the realized timing, energy, and a
-// power trace suitable for transient thermal simulation or DTM studies.
+// PE's dispatch order, and reports the realized timing and energy.
 //
 // The paper evaluates worst-case schedules only; this executor is the
 // run-time companion that shows WCET-based guarantees hold under
@@ -12,11 +11,9 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 
-	"thermalsched/internal/hotspot"
 	"thermalsched/internal/sched"
 )
 
@@ -355,54 +352,4 @@ func (r *Result) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Trace converts the realized execution into a power trace sampled at dt
-// (schedule time units per sample), in architecture PE order, ready for
-// hotspot transient simulation. Samples cover the half-open intervals
-// [k·dt, (k+1)·dt) up to the makespan: a run whose makespan is an exact
-// multiple of dt gets exactly Makespan/dt samples, with no trailing
-// all-zero cooling step.
-func (r *Result) Trace(dt float64) (*hotspot.PowerTrace, error) {
-	if dt <= 0 {
-		return nil, fmt.Errorf("sim: trace step must be positive, got %g", dt)
-	}
-	nPE := len(r.Schedule.Arch.PEs)
-	// Half-open-interval guard: ceil with a relative epsilon so a
-	// makespan computed as k·dt (possibly off by float rounding) yields
-	// k samples, not k+1 — relative, so the guard holds for long traces
-	// where the absolute rounding error of the ratio exceeds any fixed
-	// epsilon.
-	ratio := r.Makespan / dt
-	steps := int(math.Ceil(ratio * (1 - 1e-12)))
-	trace := &hotspot.PowerTrace{Names: r.Schedule.Arch.PENames()}
-	for k := 0; k < steps; k++ {
-		t0, t1 := float64(k)*dt, float64(k+1)*dt
-		row := make([]float64, nPE)
-		for _, rec := range r.Records {
-			if rec.Skipped {
-				continue
-			}
-			lo, hi := maxf(rec.Start, t0), minf(rec.Finish, t1)
-			if hi > lo {
-				row[rec.PE] += rec.Power * (hi - lo) / dt
-			}
-		}
-		trace.Samples = append(trace.Samples, row)
-	}
-	return trace, nil
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minf(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }

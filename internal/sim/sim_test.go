@@ -8,7 +8,6 @@ import (
 	"testing/quick"
 
 	"thermalsched/internal/cosynth"
-	"thermalsched/internal/hotspot"
 	"thermalsched/internal/sched"
 	"thermalsched/internal/taskgraph"
 	"thermalsched/internal/techlib"
@@ -137,54 +136,6 @@ func TestResultValidateCatchesCorruption(t *testing.T) {
 	}
 }
 
-func TestTraceFeedsHotSpot(t *testing.T) {
-	s := platformSchedule(t, "Bm1", sched.ThermalAware)
-	res, err := Execute(s, Options{MinFactor: 0.8, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	trace, err := res.Trace(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := trace.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Trace energy (Σ power × dt) must match the realized energy.
-	var total float64
-	for _, row := range trace.Samples {
-		for _, w := range row {
-			total += w * 10
-		}
-	}
-	if math.Abs(total-res.Energy) > 1e-6*(1+res.Energy) {
-		t.Errorf("trace energy %v, realized %v", total, res.Energy)
-	}
-	// And it must drive the thermal model.
-	lib, err := techlib.StandardLibrary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, model, _, err := cosynth.BuildPlatform(lib, cosynth.DefaultBusTimePerUnit, hotspot.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples, err := trace.Reorder(model.BlockNames())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := model.NewTransient(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.Run(samples); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := res.Trace(0); err == nil {
-		t.Error("zero trace step accepted")
-	}
-}
-
 // Property: for random factors and seeds, execution is always valid and
 // never later/hungrier than the worst case.
 func TestExecuteProperty(t *testing.T) {
@@ -202,57 +153,5 @@ func TestExecuteProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
-	}
-}
-
-// A makespan that is an exact multiple of dt must produce exactly
-// Makespan/dt samples: the old `int(Makespan/dt)+1` sizing appended a
-// trailing all-zero power row, padding every transient/DTM run with a
-// spurious cooling step.
-func TestTraceNoTrailingZeroSample(t *testing.T) {
-	s := platformSchedule(t, "Bm1", sched.Baseline)
-	res, err := Execute(s, Options{MinFactor: 1, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, div := range []int{1, 3, 7} {
-		dt := res.Makespan / float64(div)
-		trace, err := res.Trace(dt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(trace.Samples) != div {
-			t.Fatalf("dt = makespan/%d: %d samples, want %d", div, len(trace.Samples), div)
-		}
-		last := trace.Samples[len(trace.Samples)-1]
-		var power float64
-		for _, w := range last {
-			power += w
-		}
-		if power <= 0 {
-			t.Errorf("dt = makespan/%d: trailing sample is all-zero", div)
-		}
-	}
-	// dt longer than the makespan still yields the single covering sample.
-	trace, err := res.Trace(res.Makespan * 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(trace.Samples) != 1 {
-		t.Errorf("oversized dt: %d samples, want 1", len(trace.Samples))
-	}
-	// Energy is conserved whatever the sampling step.
-	trace, err = res.Trace(res.Makespan / 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total float64
-	for _, row := range trace.Samples {
-		for _, w := range row {
-			total += w * res.Makespan / 5
-		}
-	}
-	if math.Abs(total-res.Energy) > 1e-6*(1+res.Energy) {
-		t.Errorf("trace energy %v, realized %v", total, res.Energy)
 	}
 }

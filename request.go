@@ -1,6 +1,7 @@
 package thermalsched
 
 import (
+	"errors"
 	"strings"
 
 	"thermalsched/internal/cosynth"
@@ -25,13 +26,6 @@ const (
 	// FlowSweep is the randomized robustness study: power-aware vs
 	// thermal-aware over many generated graphs.
 	FlowSweep FlowKind = "sweep"
-	// FlowDTM schedules on the platform, replays the schedule in the
-	// discrete-event executor, and drives the transient thermal model
-	// under a dynamic-thermal-management controller. The power trace is
-	// fixed before the controller sees it (open loop): throttling scales
-	// power but cannot slow execution down. FlowSimulate is the
-	// closed-loop counterpart.
-	FlowDTM FlowKind = "dtm"
 	// FlowSimulate schedules on the platform and then co-simulates the
 	// schedule, the transient thermal model and a DTM controller in
 	// lockstep (closed loop): throttling stretches the affected tasks,
@@ -116,81 +110,6 @@ func (s *GraphSpec) Graph() (*Graph, error) {
 	return g, nil
 }
 
-// DTMSpec parameterizes the FlowDTM run-time study. The zero value uses
-// the documented defaults.
-type DTMSpec struct {
-	// Controller is "toggle" (default) or "pi".
-	Controller string `json:"controller,omitempty"`
-	// TriggerC, Hysteresis and Throttle parameterize the toggle
-	// controller. Defaults: 85 °C trigger, 3 °C hysteresis, 0.4 throttle.
-	TriggerC   float64 `json:"triggerC,omitempty"`
-	Hysteresis float64 `json:"hysteresis,omitempty"`
-	Throttle   float64 `json:"throttle,omitempty"`
-	// SetpointC, Kp, Ki and MinScale parameterize the PI controller.
-	// Defaults: 85 °C setpoint, Kp 0.05, Ki 0.002, MinScale 0.1.
-	SetpointC float64 `json:"setpointC,omitempty"`
-	Kp        float64 `json:"kp,omitempty"`
-	Ki        float64 `json:"ki,omitempty"`
-	MinScale  float64 `json:"minScale,omitempty"`
-	// SampleDT is the power-trace sampling interval in schedule time
-	// units (default 10); TimeScale converts one schedule time unit to
-	// seconds of transient simulation (default 0.1).
-	SampleDT  float64 `json:"sampleDT,omitempty"`
-	TimeScale float64 `json:"timeScale,omitempty"`
-	// Passes loops the schedule's power trace to let the die warm up
-	// (default 4, at most MaxDTMPasses).
-	Passes int `json:"passes,omitempty"`
-	// MinFactor is the executor's execution-time factor lower bound in
-	// (0, 1] (default 1: replay the worst case); SimSeed drives the
-	// per-task factors.
-	MinFactor float64 `json:"minFactor,omitempty"`
-	SimSeed   int64   `json:"simSeed,omitempty"`
-}
-
-func (s *DTMSpec) withDefaults() DTMSpec {
-	out := DTMSpec{}
-	if s != nil {
-		out = *s
-	}
-	if out.Controller == "" {
-		out.Controller = "toggle"
-	}
-	if out.TriggerC == 0 {
-		out.TriggerC = 85
-	}
-	if out.Hysteresis == 0 {
-		out.Hysteresis = 3
-	}
-	if out.Throttle == 0 {
-		out.Throttle = 0.4
-	}
-	if out.SetpointC == 0 {
-		out.SetpointC = 85
-	}
-	if out.Kp == 0 {
-		out.Kp = 0.05
-	}
-	if out.Ki == 0 {
-		out.Ki = 0.002
-	}
-	if out.MinScale == 0 {
-		out.MinScale = 0.1
-	}
-	if out.SampleDT == 0 {
-		out.SampleDT = 10
-	}
-	if out.TimeScale == 0 {
-		out.TimeScale = 0.1
-	}
-	if out.Passes == 0 {
-		out.Passes = 4
-	}
-	if out.MinFactor == 0 {
-		out.MinFactor = 1
-	}
-	return out
-}
-
 // SupervisorSpec holds the thermal-supervisor knobs the simulate and
 // stream flows share. Both specs embed it without a JSON tag, so its
 // keys sit flat beside theirs. The zero value uses the documented
@@ -261,8 +180,8 @@ func (s SupervisorSpec) ladder() Ladder {
 	return Ladder{FairC: s.FairC, SeriousC: s.SeriousC, CriticalC: s.CriticalC}
 }
 
-// validate checks the knob ranges; prefix is the JSON path ("simulate"
-// or "stream"). Call on a withDefaults() copy so zero (defaulted) knobs
+// validate checks the knob ranges; prefix is the JSON path of the
+// embedding spec ("simulate", "stream" or their campaign forms). Call on a withDefaults() copy so zero (defaulted) knobs
 // are already resolved.
 func (s SupervisorSpec) validate(prefix string) error {
 	if s.Hysteresis < 0 {
@@ -355,13 +274,8 @@ type SimulateSpec struct {
 // MaxSimulateReplicas caps SimulateSpec.Replicas (and
 // StreamSpec.Replicas): each replica is a full co-simulation with its
 // own transient state, so an unbounded count would let a single
-// service request monopolize the process. MaxDTMPasses caps
-// DTMSpec.Passes for the same reason: every pass replays the whole
-// power trace through the transient model.
-const (
-	MaxSimulateReplicas = 4096
-	MaxDTMPasses        = 1024
-)
+// service request monopolize the process.
+const MaxSimulateReplicas = 4096
 
 func (s *SimulateSpec) withDefaults() SimulateSpec {
 	out := SimulateSpec{}
@@ -468,9 +382,6 @@ type Request struct {
 	// SweepCount is the number of random graphs FlowSweep evaluates
 	// (default 4).
 	SweepCount int `json:"sweepCount,omitempty"`
-
-	// DTM tunes FlowDTM; nil uses the defaults documented on DTMSpec.
-	DTM *DTMSpec `json:"dtm,omitempty"`
 
 	// Simulate tunes FlowSimulate; nil uses the defaults documented on
 	// SimulateSpec.
@@ -604,11 +515,6 @@ func WithSweepCount(n int) RequestOption {
 	return func(r *Request) { r.SweepCount = n }
 }
 
-// WithDTM tunes the FlowDTM controller and simulation.
-func WithDTM(spec DTMSpec) RequestOption {
-	return func(r *Request) { r.DTM = &spec }
-}
-
 // WithSimulate tunes the FlowSimulate closed-loop co-simulation.
 func WithSimulate(spec SimulateSpec) RequestOption {
 	return func(r *Request) { r.Simulate = &spec }
@@ -699,6 +605,12 @@ func (r *Request) Validate() error {
 	}
 	if r.Campaign != nil {
 		if err := r.Campaign.Validate(); err != nil {
+			// A nested spec's FieldError already names its full path
+			// ("campaign.simulate.hysteresis"); keep it.
+			var fe *FieldError
+			if errors.As(err, &fe) {
+				return fe
+			}
 			return fieldErr("campaign", "%v", err)
 		}
 	}
@@ -746,9 +658,6 @@ func (r *Request) Validate() error {
 	case "", hotspot.SolverDense, hotspot.SolverSparse:
 	default:
 		return fieldErr("solver", "unknown solver %q (want one of %v)", r.Solver, hotspot.SolverNames())
-	}
-	if r.DTM != nil && r.Flow != FlowDTM {
-		return fieldErr("dtm", "dtm parameters on a %q request", r.Flow)
 	}
 	if r.Simulate != nil && r.Flow != FlowSimulate {
 		return fieldErr("simulate", "simulate parameters on a %q request", r.Flow)

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"thermalsched/internal/cosynth"
-	"thermalsched/internal/dtm"
 )
 
 // PEInfo describes one processing element of a response's architecture.
@@ -22,19 +21,6 @@ type PEStat struct {
 	Name   string  `json:"name"`
 	PowerW float64 `json:"powerW"`
 	TempC  float64 `json:"tempC"`
-}
-
-// DTMReport summarizes a FlowDTM transient run.
-type DTMReport struct {
-	Controller        string  `json:"controller"`
-	Steps             int     `json:"steps"`
-	PeakTempC         float64 `json:"peakTempC"`
-	ThrottledFraction float64 `json:"throttledFraction"`
-	EnergyDelivered   float64 `json:"energyDelivered"`
-	EnergyRequested   float64 `json:"energyRequested"`
-	// Slowdown is the fraction of requested energy denied by
-	// throttling — a proxy for the execution-time penalty of DTM.
-	Slowdown float64 `json:"slowdown"`
 }
 
 // Stats summarizes one metric across Monte-Carlo replicas. Percentiles
@@ -114,7 +100,7 @@ type Response struct {
 	// run executed on (the cache key clients can reuse).
 	Fingerprint string `json:"fingerprint,omitempty"`
 	// Metrics are the paper's table columns (platform, cosynthesis and
-	// dtm flows).
+	// simulate flows).
 	Metrics *FlowMetrics `json:"metrics,omitempty"`
 	// Architecture lists the scheduled PEs; PerPE their steady-state
 	// power and temperature.
@@ -126,8 +112,6 @@ type Response struct {
 	Gantt string `json:"gantt,omitempty"`
 	// Sweep carries the FlowSweep aggregate.
 	Sweep *SweepResult `json:"sweep,omitempty"`
-	// DTM carries the FlowDTM transient summary.
-	DTM *DTMReport `json:"dtm,omitempty"`
 	// Simulate carries the FlowSimulate closed-loop summary.
 	Simulate *SimulateReport `json:"simulate,omitempty"`
 	// Scenario carries the FlowGenerate payload: the generated
@@ -144,8 +128,8 @@ type Response struct {
 	Error string `json:"error,omitempty"`
 }
 
-// flowResponse assembles the shared parts of a platform/cosynthesis/dtm
-// response from a flow result.
+// flowResponse assembles the shared parts of a platform/cosynthesis/
+// simulate response from a flow result.
 func flowResponse(flow FlowKind, policy Policy, res *cosynth.Result, includeGantt, includePlan bool) (*Response, error) {
 	resp := &Response{
 		Flow:    flow,
@@ -183,17 +167,4 @@ func flowResponse(flow FlowKind, policy Policy, res *cosynth.Result, includeGant
 		resp.Gantt = res.Schedule.Gantt()
 	}
 	return resp, nil
-}
-
-// dtmReport converts a controller run into the response summary.
-func dtmReport(controller string, r *dtm.RunResult) *DTMReport {
-	return &DTMReport{
-		Controller:        controller,
-		Steps:             r.Steps,
-		PeakTempC:         r.PeakTemp,
-		ThrottledFraction: r.ThrottledFraction,
-		EnergyDelivered:   r.EnergyDelivered,
-		EnergyRequested:   r.EnergyRequested,
-		Slowdown:          r.Slowdown(),
-	}
 }

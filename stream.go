@@ -108,32 +108,34 @@ func (s StreamSpec) workloadSpec() scenario.StreamSpec {
 }
 
 // validate reports the first problem with the stream parameters, as a
-// typed field error. The nil receiver reports the missing spec — the
-// registry's validate hook calls this for every FlowStream request.
-func (s *StreamSpec) validate() error {
+// typed field error; prefix is the spec's JSON path ("stream", or
+// "campaign.stream" inside a campaign). The nil receiver reports the
+// missing spec — the registry's validate hook calls this for every
+// FlowStream request.
+func (s *StreamSpec) validate(prefix string) error {
 	if s == nil {
-		return fieldErr("stream", "a stream request needs a stream spec")
+		return fieldErr(prefix, "a stream request needs a stream spec")
 	}
 	if err := s.workloadSpec().Validate(); err != nil {
-		return fieldErr("stream", "%v", err)
+		return fieldErr(prefix, "%v", err)
 	}
 	n := s.withDefaults()
 	if n.DT < 0 || n.TimeScale < 0 {
-		return fieldErr("stream.dt", "negative stream step (dt %g, timeScale %g)", s.DT, s.TimeScale)
+		return fieldErr(prefix+".dt", "negative stream step (dt %g, timeScale %g)", s.DT, s.TimeScale)
 	}
 	if !(n.DT > 0) || !(n.TimeScale > 0) {
-		return fieldErr("stream.dt", "stream step must be positive (dt %g, timeScale %g)", n.DT, n.TimeScale)
+		return fieldErr(prefix+".dt", "stream step must be positive (dt %g, timeScale %g)", n.DT, n.TimeScale)
 	}
 	if n.MinFactor < 0 || n.MinFactor > 1 {
-		return fieldErr("stream.minFactor", "stream MinFactor %g out of (0, 1]", s.MinFactor)
+		return fieldErr(prefix+".minFactor", "stream MinFactor %g out of (0, 1]", s.MinFactor)
 	}
 	if n.Replicas < 0 {
-		return fieldErr("stream.replicas", "negative replica count %d", s.Replicas)
+		return fieldErr(prefix+".replicas", "negative replica count %d", s.Replicas)
 	}
 	if n.Replicas > MaxSimulateReplicas {
-		return fieldErr("stream.replicas", "%d replicas exceed the limit %d", n.Replicas, MaxSimulateReplicas)
+		return fieldErr(prefix+".replicas", "%d replicas exceed the limit %d", n.Replicas, MaxSimulateReplicas)
 	}
-	return n.SupervisorSpec.validate("stream")
+	return n.SupervisorSpec.validate(prefix)
 }
 
 // fingerprint digests the normalized spec, field by field: the workload

@@ -205,7 +205,9 @@ func PowerProfileOf(s *Schedule) (*PowerProfile, error) { return power.FromSched
 func DefaultLeakage() LeakageModel { return power.DefaultLeakage() }
 
 // Run-time extensions: discrete-event execution and dynamic thermal
-// management (the paper's reference [2]).
+// management (the paper's reference [2]). The controllers and
+// supervisors built here run closed-loop in the simulate and stream
+// flows, where throttling stretches the tasks it slows.
 type (
 	// SimOptions controls the discrete-event schedule executor.
 	SimOptions = sim.Options
@@ -213,8 +215,6 @@ type (
 	SimResult = sim.Result
 	// DTMController throttles PE power based on observed temperatures.
 	DTMController = dtm.Controller
-	// DTMResult summarizes a DTM transient run.
-	DTMResult = dtm.RunResult
 	// ThermalSupervisor is the widened thermal-management contract: a
 	// DTMController that also classifies block temperatures into
 	// graduated thermal states and answers admission queries.
@@ -250,7 +250,7 @@ func NewZigZagDTM(l Ladder, coolTime, stepTime, coolScale float64) (ThermalSuper
 }
 
 // ExecuteSchedule replays a schedule with actual (≤ WCET) execution
-// times and reports the realized timing, energy and power trace.
+// times and reports the realized timing and energy.
 func ExecuteSchedule(s *Schedule, opt SimOptions) (*SimResult, error) {
 	return sim.Execute(s, opt)
 }
@@ -264,12 +264,6 @@ func NewToggleDTM(triggerC, hysteresis, throttle float64) (DTMController, error)
 // (reference [2]'s control-theoretic DTM).
 func NewPIDTM(setpointC, kp, ki, minScale float64) (DTMController, error) {
 	return dtm.NewPIController(setpointC, kp, ki, minScale)
-}
-
-// RunDTM drives a transient simulation of per-block power samples under
-// a DTM controller.
-func RunDTM(model *ThermalModel, ctrl DTMController, samples [][]float64, dt float64) (*DTMResult, error) {
-	return dtm.Run(model, ctrl, samples, dt)
 }
 
 // Experiment suite (Tables 1–3).

@@ -118,19 +118,6 @@ func validationCases() []validationCase {
 			field: "floorplanGenerations",
 			cli:   []string{"-flow", "cosynthesis", "-benchmark", "Bm1", "-fpgens", "-1"},
 		},
-		// A negative pass count used to panic in makeslice on a RunBatch
-		// worker, ending the service process.
-		dtmCase("negative passes", thermalsched.DTMSpec{Passes: -1}, "dtm.passes"),
-		dtmCase("passes over the cap", thermalsched.DTMSpec{Passes: thermalsched.MaxDTMPasses + 1}, "dtm.passes"),
-		dtmCase("negative sampleDT", thermalsched.DTMSpec{SampleDT: -10}, "dtm.sampleDT"),
-		dtmCase("negative dtm timeScale", thermalsched.DTMSpec{TimeScale: -0.1}, "dtm.timeScale"),
-		dtmCase("dtm minFactor above 1", thermalsched.DTMSpec{MinFactor: 1.5}, "dtm.minFactor"),
-		dtmCase("negative dtm minFactor", thermalsched.DTMSpec{MinFactor: -0.5}, "dtm.minFactor"),
-		dtmCase("negative dtm hysteresis", thermalsched.DTMSpec{Hysteresis: -1}, "dtm.hysteresis"),
-		dtmCase("dtm throttle of 1", thermalsched.DTMSpec{Throttle: 1}, "dtm.throttle"),
-		dtmCase("negative dtm kp", thermalsched.DTMSpec{Controller: "pi", Kp: -1}, "dtm.kp"),
-		dtmCase("negative dtm ki", thermalsched.DTMSpec{Controller: "pi", Ki: -1}, "dtm.ki"),
-		dtmCase("dtm minScale above 1", thermalsched.DTMSpec{Controller: "pi", MinScale: 2}, "dtm.minScale"),
 		simulateCase("negative simulate hysteresis", thermalsched.SimulateSpec{
 			SupervisorSpec: thermalsched.SupervisorSpec{Hysteresis: -1}}, "simulate.hysteresis", nil),
 		simulateCase("simulate throttle above 1", thermalsched.SimulateSpec{Throttle: 1.5}, "simulate.throttle", nil),
@@ -141,6 +128,30 @@ func validationCases() []validationCase {
 			SupervisorSpec: thermalsched.SupervisorSpec{FairC: 90}}, "simulate.fairC", []string{"-fairc", "90"}),
 		simulateCase("negative simulate coolTime", thermalsched.SimulateSpec{
 			SupervisorSpec: thermalsched.SupervisorSpec{CoolTime: -1}}, "simulate.coolTime", []string{"-cooltime", "-1"}),
+		// The campaign checked only its simulate spec's controller, so
+		// these were accepted and then failed in every cell.
+		campaignSimulateCase("negative campaign simulate hysteresis", thermalsched.SimulateSpec{
+			SupervisorSpec: thermalsched.SupervisorSpec{Hysteresis: -1}}, "campaign.simulate.hysteresis", nil),
+		campaignSimulateCase("negative campaign simulate replicas", thermalsched.SimulateSpec{Replicas: -2},
+			"campaign.simulate.replicas", []string{"-replicas", "-2"}),
+		campaignSimulateCase("campaign simulate minFactor above 1", thermalsched.SimulateSpec{MinFactor: 3},
+			"campaign.simulate.minFactor", []string{"-minfactor", "3"}),
+		campaignSimulateCase("campaign simulate throttle of 1", thermalsched.SimulateSpec{Throttle: 1},
+			"campaign.simulate.throttle", nil),
+		{
+			name: "negative campaign stream replicas",
+			req: thermalsched.NewRequest(thermalsched.FlowCampaign, thermalsched.WithCampaign(
+				thermalsched.CampaignSpec{Stream: &thermalsched.StreamSpec{Replicas: -1}})),
+			field: "campaign.stream.replicas",
+			cli:   []string{"-flow", "campaign", "-stream", "-replicas", "-1"},
+		},
+		{
+			// The open-loop replay flow is gone; simulate supersedes it.
+			name:  "deleted dtm flow",
+			req:   thermalsched.Request{Flow: "dtm", Benchmark: "Bm1"},
+			field: "flow",
+			cli:   []string{"-flow", "dtm", "-benchmark", "Bm1"},
+		},
 		{
 			name: "negative stream retryAfter",
 			req: thermalsched.Request{Flow: thermalsched.FlowStream, Stream: &thermalsched.StreamSpec{
@@ -151,12 +162,6 @@ func validationCases() []validationCase {
 	}
 }
 
-// dtmCase is a Bm1 dtm request carrying spec; the CLI has no dtm knobs.
-func dtmCase(name string, spec thermalsched.DTMSpec, field string) validationCase {
-	return validationCase{name: name, field: field, req: thermalsched.NewRequest(thermalsched.FlowDTM,
-		thermalsched.WithBenchmark("Bm1"), thermalsched.WithDTM(spec))}
-}
-
 // simulateCase is a Bm1 simulate request carrying spec; flags, when
 // set, are the CLI spelling of spec.
 func simulateCase(name string, spec thermalsched.SimulateSpec, field string, flags []string) validationCase {
@@ -164,6 +169,17 @@ func simulateCase(name string, spec thermalsched.SimulateSpec, field string, fla
 		thermalsched.WithBenchmark("Bm1"), thermalsched.WithSimulate(spec))}
 	if flags != nil {
 		tc.cli = append([]string{"-flow", "simulate", "-benchmark", "Bm1"}, flags...)
+	}
+	return tc
+}
+
+// campaignSimulateCase is a closed-loop campaign carrying spec; flags,
+// when set, are the CLI spelling of spec.
+func campaignSimulateCase(name string, spec thermalsched.SimulateSpec, field string, flags []string) validationCase {
+	tc := validationCase{name: name, field: field, req: thermalsched.NewRequest(thermalsched.FlowCampaign,
+		thermalsched.WithCampaign(thermalsched.CampaignSpec{Simulate: &spec}))}
+	if flags != nil {
+		tc.cli = append([]string{"-flow", "campaign", "-cosim"}, flags...)
 	}
 	return tc
 }
