@@ -26,7 +26,7 @@ func main() {
 		ptraceFile = flag.String("ptrace", "", "transient: power trace file")
 		dt         = flag.Float64("dt", 0.01, "transient step in seconds")
 		ambient    = flag.Float64("ambient", hotspot.DefaultConfig().AmbientC, "ambient temperature °C")
-		solver     = flag.String("solver", "", fmt.Sprintf("steady-state solver backend %v (default dense)", hotspot.SolverNames()))
+		solver     = flag.String("solver", "", fmt.Sprintf("steady-state solver backend %v (default dense: natural-order sparse Cholesky plus the full influence matrix; sparse: min-degree order plus truncated cached influence rows)", hotspot.SolverNames()))
 		heatMap    = flag.Int("map", 0, "render an ASCII heat map this many columns wide (steady state only)")
 	)
 	flag.Parse()

@@ -30,7 +30,7 @@ func main() {
 		scaling   = flag.Bool("scaling", false, "run only the scaling study (20 to 500 tasks on a generated 8-PE platform)")
 		scalePEs  = flag.Int("scalepes", 0, "scaling study PE count (0 = default 8)")
 		scaleSeed = flag.Int64("scaleseed", 1, "scaling study seed (0 is a valid seed)")
-		solver    = flag.String("solver", "", fmt.Sprintf("scaling-study thermal solver backend %v (default dense)", hotspot.SolverNames()))
+		solver    = flag.String("solver", "", fmt.Sprintf("scaling-study thermal solver backend %v (default dense: natural-order sparse Cholesky plus the full influence matrix; sparse: min-degree order plus truncated cached influence rows)", hotspot.SolverNames()))
 	)
 	flag.Parse()
 

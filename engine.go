@@ -93,8 +93,10 @@ func WithThermalConfig(cfg ThermalConfig) Option {
 }
 
 // WithSolverBackend selects the steady-state thermal solver backend for
-// every flow the Engine runs: one of hotspot.SolverNames (dense, the
-// golden reference and the default; or sparse). Equivalent to setting
+// every flow the Engine runs: one of hotspot.SolverNames — dense (the
+// golden reference and the default: natural-order sparse Cholesky plus
+// the full influence matrix) or sparse (min-degree order plus truncated
+// cached influence rows). Equivalent to setting
 // ThermalConfig.Solver through WithThermalConfig, and overridable per
 // run via Request.Solver.
 func WithSolverBackend(name string) Option {

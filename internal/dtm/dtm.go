@@ -118,15 +118,6 @@ func (c *ToggleController) ScaleInto(out, temps []float64) error {
 	return nil
 }
 
-// Scale is the allocating convenience form of ScaleInto.
-func (c *ToggleController) Scale(temps []float64) ([]float64, error) {
-	out := make([]float64, len(temps))
-	if err := c.ScaleInto(out, temps); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Reset implements Controller.
 func (c *ToggleController) Reset() { c.throttled = nil }
 
@@ -184,15 +175,6 @@ func (c *PIController) ScaleInto(out, temps []float64) error {
 		out[i] = scale
 	}
 	return nil
-}
-
-// Scale is the allocating convenience form of ScaleInto.
-func (c *PIController) Scale(temps []float64) ([]float64, error) {
-	out := make([]float64, len(temps))
-	if err := c.ScaleInto(out, temps); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Reset implements Controller.

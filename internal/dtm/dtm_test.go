@@ -70,6 +70,15 @@ func runOpen(t *testing.T, m *hotspot.Model, ctrl Controller, samples [][]float6
 	return r
 }
 
+// scaleOnce runs one ScaleInto on temps into a fresh slice.
+func scaleOnce(c Controller, temps []float64) ([]float64, error) {
+	out := make([]float64, len(temps))
+	if err := c.ScaleInto(out, temps); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // hotSamples produces a sustained high-power workload that would exceed
 // the trigger temperature without DTM.
 func hotSamples(steps int) [][]float64 {
@@ -141,21 +150,21 @@ func TestToggleHysteresisPreventsFlapping(t *testing.T) {
 	}
 	// Cross the trigger, then sit inside the hysteresis band: the
 	// controller must stay throttled at 78 °C (above 80−5).
-	s1, err := ctrl.Scale([]float64{85})
+	s1, err := scaleOnce(ctrl, []float64{85})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s1[0] != 0.5 {
 		t.Fatalf("should throttle at 85: %v", s1)
 	}
-	s2, err := ctrl.Scale([]float64{78})
+	s2, err := scaleOnce(ctrl, []float64{78})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s2[0] != 0.5 {
 		t.Errorf("should stay throttled inside the band: %v", s2)
 	}
-	s3, err := ctrl.Scale([]float64{74})
+	s3, err := scaleOnce(ctrl, []float64{74})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +195,7 @@ func TestPIControllerIdleBelowSetpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := ctrl.Scale([]float64{50, 60})
+	s, err := scaleOnce(ctrl, []float64{50, 60})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,11 +208,11 @@ func TestPIControllerIdleBelowSetpoint(t *testing.T) {
 
 func TestControllerResetClearsState(t *testing.T) {
 	ctrl, _ := NewToggleController(80, 5, 0.5)
-	if _, err := ctrl.Scale([]float64{100}); err != nil { // throttle
+	if _, err := scaleOnce(ctrl, []float64{100}); err != nil { // throttle
 		t.Fatal(err)
 	}
 	ctrl.Reset()
-	s, err := ctrl.Scale([]float64{78})
+	s, err := scaleOnce(ctrl, []float64{78})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,11 +220,11 @@ func TestControllerResetClearsState(t *testing.T) {
 		t.Errorf("after Reset, 78 °C should not be throttled: %v", s)
 	}
 	pi, _ := NewPIController(80, 0.05, 0.01, 0.1)
-	if _, err := pi.Scale([]float64{120}); err != nil {
+	if _, err := scaleOnce(pi, []float64{120}); err != nil {
 		t.Fatal(err)
 	}
 	pi.Reset()
-	s, err = pi.Scale([]float64{70})
+	s, err = scaleOnce(pi, []float64{70})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,10 +66,12 @@ type Config struct {
 	SinkHeatCapacity float64
 	// AmbientC is the ambient temperature in °C.
 	AmbientC float64
-	// Solver selects the steady-state solver backend: SolverDense (the
-	// golden reference; also the default when empty) or SolverSparse
-	// (sparse Cholesky with a min-degree ordering and an on-demand
-	// truncated influence representation — the large-platform backend).
+	// Solver selects the steady-state solver backend. Both factor the
+	// conductance matrix with sparse Cholesky. SolverDense (the golden
+	// reference; also the default when empty) factors in natural order
+	// and answers inquiries from the full n×n influence matrix.
+	// SolverSparse factors under a min-degree order and solves and
+	// caches influence rows on demand — the large-platform backend.
 	// Both backends are deterministic; sparse agrees with dense to
 	// ≤1e-6 K on the paper's benchmarks.
 	Solver string

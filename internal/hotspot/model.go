@@ -22,9 +22,9 @@ type Model struct {
 	// regions, 2n the peripheral spreader ring, 2n+1 the heat sink.
 	// Ambient is the reference (ground).
 	total int
-	csr   *linalg.CSR         // conductance matrix (relative-to-ambient formulation)
-	solv  linalg.SteadySolver // factored steady-state backend per cfg.SolverKind
-	caps  []float64           // node heat capacities (transient)
+	csr   *linalg.CSR            // conductance matrix (relative-to-ambient formulation)
+	solv  *linalg.SparseCholesky // steady-state factor, ordered per cfg.SolverKind
+	caps  []float64              // node heat capacities (transient)
 
 	// order is the min-degree elimination order of csr. Sparse-backend
 	// models compute it in NewModel for the steady factor; dense-backend
@@ -34,8 +34,9 @@ type Model struct {
 	// Influence matrix: because the RC network is linear, steady-state
 	// block temperature rise is an affine function of block power,
 	// rise = S·p with S[i][j] = (G⁻¹)[i][j] restricted to block nodes.
-	// The dense backend computes all of S lazily (n triangular solves,
-	// once per model) and answers every inquiry with n² multiply-adds.
+	// The dense backend computes all of S lazily (n triangular solves
+	// on the natural-order factor, once per model) and answers every
+	// inquiry with n² multiply-adds.
 	influOnce sync.Once
 	influ     []float64 // n×n row-major; symmetric since G is
 	influErr  error
@@ -85,11 +86,10 @@ func NewModel(fp *floorplan.Floorplan, cfg Config) (*Model, error) {
 		m.byName[name] = i
 	}
 
-	// Assembly goes through the sparse builder for every backend. The
-	// builder accumulates duplicates in insertion order, so its Dense()
-	// image is bitwise identical to the historical direct Matrix.Add
-	// assembly — the dense path stays the byte-for-byte golden
-	// reference while the sparse backend shares one assembly.
+	// Assembly goes through the sparse builder for every backend, which
+	// accumulates duplicates in insertion order: both backends factor
+	// the same bits and differ only in elimination order and influence
+	// representation.
 	gb := linalg.NewSparseBuilder(total)
 	addConductance := func(i, j int, g float64) {
 		gb.Add(i, i, g)
@@ -186,23 +186,18 @@ func NewModel(fp *floorplan.Floorplan, cfg Config) (*Model, error) {
 	m.caps[sink] = cfg.SinkHeatCapacity
 
 	m.csr = gb.Build()
-	switch cfg.SolverKind() {
-	case SolverDense:
-		chol, err := linalg.FactorCholesky(m.csr.Dense())
-		if err != nil {
-			return nil, fmt.Errorf("hotspot: conductance matrix not SPD (floorplan degenerate?): %w", err)
-		}
-		m.solv = chol
-	case SolverSparse:
+	// The dense backend factors in natural order; the sparse one under
+	// a min-degree order, with truncated influence rows.
+	if cfg.SolverKind() == SolverSparse {
 		m.order = linalg.MinDegreeOrdering(m.csr)
-		f, err := linalg.FactorSparseCholeskyOrdered(m.csr, m.order)
-		if err != nil {
-			return nil, fmt.Errorf("hotspot: conductance matrix not SPD (floorplan degenerate?): %w", err)
-		}
-		m.solv = f
 		m.truncated = true
 		m.rowCache = make(map[int][]float64)
 	}
+	f, err := linalg.FactorSparseCholeskyOrdered(m.csr, m.order)
+	if err != nil {
+		return nil, fmt.Errorf("hotspot: conductance matrix not SPD (floorplan degenerate?): %w", err)
+	}
+	m.solv = f
 	return m, nil
 }
 

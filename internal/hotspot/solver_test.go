@@ -55,17 +55,18 @@ func TestConfigValidateSolver(t *testing.T) {
 func TestConductanceIdenticalAcrossBackends(t *testing.T) {
 	dense := solverModel(t, 12, SolverDense)
 	sparse := solverModel(t, 12, SolverSparse)
-	gd, gs := dense.csr.Dense(), sparse.csr.Dense()
-	for i := 0; i < gd.Rows(); i++ {
-		for j := 0; j < gd.Cols(); j++ {
+	gd, gs := dense.csr, sparse.csr
+	n := gd.N()
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
 			if gd.At(i, j) != gs.At(i, j) {
 				t.Fatalf("G[%d,%d] differs across backends: dense %v sparse %v",
 					i, j, gd.At(i, j), gs.At(i, j))
 			}
 		}
 	}
-	if nnz := dense.ConductanceNNZ(); nnz >= gd.Rows()*gd.Cols() {
-		t.Fatalf("conductance NNZ %d not sparse for %d nodes", nnz, gd.Rows())
+	if nnz := dense.ConductanceNNZ(); nnz >= n*n {
+		t.Fatalf("conductance NNZ %d not sparse for %d nodes", nnz, n)
 	}
 }
 

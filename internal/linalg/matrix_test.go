@@ -3,7 +3,6 @@ package linalg
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 )
 
@@ -102,16 +101,6 @@ func TestIsSymmetric(t *testing.T) {
 	}
 	if NewMatrix(2, 3).IsSymmetric(0) {
 		t.Error("non-square matrix cannot be symmetric")
-	}
-}
-
-func TestMaxAbsAndString(t *testing.T) {
-	m := NewMatrixFrom(2, 2, []float64{-7, 2, 3, 4})
-	if m.MaxAbs() != 7 {
-		t.Errorf("MaxAbs = %v, want 7", m.MaxAbs())
-	}
-	if !strings.Contains(m.String(), "-7") {
-		t.Errorf("String output missing value: %q", m.String())
 	}
 }
 

@@ -66,7 +66,7 @@ func TestBackwardEulerReachesSteadyState(t *testing.T) {
 	st := newStepper(t, g, c, 0.05)
 	state := []float64{0, 0}
 	advance(t, st, state, p, 5000)
-	chol, err := FactorCholesky(g)
+	chol, err := factorDenseCholesky(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestBackwardEulerOrderedMatchesNatural(t *testing.T) {
 	for i := 0; i < n; i++ {
 		lhs.Add(i, i, c[i]/dt)
 	}
-	ref, err := FactorCholesky(lhs)
+	ref, err := factorDenseCholesky(lhs)
 	if err != nil {
 		t.Fatal(err)
 	}

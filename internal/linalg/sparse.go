@@ -6,10 +6,10 @@ import (
 	"sort"
 )
 
-// CSR is a compressed-sparse-row matrix. It is the sparse counterpart
-// of Matrix for the thermal conductance networks: symmetric, diagonally
-// dominant, and — away from the heat-sink row — very sparse (a grid
-// node touches at most four lateral neighbors plus one vertical one).
+// CSR is a compressed-sparse-row matrix. It holds the thermal
+// conductance networks: symmetric, diagonally dominant, and — away
+// from the heat-sink row — very sparse (a grid node touches at most
+// four lateral neighbors plus one vertical one).
 // CSR is immutable after construction; build one with a SparseBuilder.
 type CSR struct {
 	n      int
@@ -70,27 +70,11 @@ func (a *CSR) MulVecInto(y, x []float64) {
 	}
 }
 
-// Dense expands the CSR matrix to a dense Matrix. Because the builder
-// accumulates duplicate coordinates in insertion order, the dense image
-// is bitwise identical to assembling the same Add sequence directly
-// into a Matrix — the property the hotspot package relies on to keep
-// the dense solver path byte-for-byte unchanged while assembling
-// through the sparse builder.
-func (a *CSR) Dense() *Matrix {
-	m := NewMatrix(a.n, a.n)
-	for i := 0; i < a.n; i++ {
-		for k := a.rowPtr[i]; k < a.rowPtr[i+1]; k++ {
-			m.Set(i, a.colIdx[k], a.vals[k])
-		}
-	}
-	return m
-}
-
 // SparseBuilder accumulates (row, col, value) triplets and compresses
 // them into a CSR matrix. Duplicate coordinates are summed in insertion
-// order, matching the semantics of repeated Matrix.Add calls exactly
-// (float addition is not associative; order is part of the determinism
-// contract).
+// order, exactly as accumulating the same Add sequence into a dense
+// array would (float addition is not associative; order is part of the
+// determinism contract).
 type SparseBuilder struct {
 	n    int
 	rows []int

@@ -1,19 +1,29 @@
 package linalg
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
 	"sync"
 )
 
-// cholPivotRelTol is the shared relative singularity threshold of the
-// Cholesky factorizations (dense and sparse): a pivot this far below
-// the matrix's largest element means the conductance network is
-// singular to working precision (e.g. a block thermally disconnected
-// from the sink), and deserves ErrSingular rather than a NaN-laden
-// factor. An exact-zero test would let near-singular systems through
-// and amplify rounding noise into garbage solutions.
+// ErrSingular is returned when a factorization meets an (effectively)
+// singular pivot: one below cholPivotRelTol times the matrix's largest
+// element.
+var ErrSingular = errors.New("linalg: matrix is singular to working precision")
+
+// ErrNotSPD is returned when the matrix is not symmetric positive
+// definite.
+var ErrNotSPD = errors.New("linalg: matrix is not symmetric positive definite")
+
+// cholPivotRelTol is the relative singularity threshold of the
+// Cholesky factorization: a pivot this far below the matrix's largest
+// element means the conductance network is singular to working
+// precision (e.g. a block thermally disconnected from the sink), and
+// deserves ErrSingular rather than a NaN-laden factor. An exact-zero
+// test would let near-singular systems through and amplify rounding
+// noise into garbage solutions.
 const cholPivotRelTol = 1e-12
 
 // SparseCholesky is the factorization P·A·Pᵀ = L·Lᵀ of a symmetric
@@ -21,10 +31,11 @@ const cholPivotRelTol = 1e-12
 // elimination order P. The strictly-lower factor is stored twice — by
 // rows (forward substitution) and by columns (backward substitution) —
 // trading memory for allocation-free triangular sweeps. Under natural
-// order (nil permutation) the accumulation sequence matches the dense
-// FactorCholesky term for term, so factor and solves are bitwise
-// identical to the dense reference; under a fill-reducing order they
-// agree to rounding.
+// order (nil permutation) the accumulation sequence matches the
+// textbook dense Cholesky term for term, so factor and solves are
+// bitwise identical to a dense factorization (the package tests keep
+// one as the oracle); under a fill-reducing order they agree to
+// rounding.
 type SparseCholesky struct {
 	n    int
 	perm []int // perm[k] = original index eliminated at step k; nil = natural
@@ -51,10 +62,10 @@ func FactorSparseCholesky(a *CSR) (*SparseCholesky, error) {
 // FactorSparseCholeskyOrdered factors a under the elimination order
 // perm (perm[k] = original index eliminated at step k); nil means
 // natural order. It returns ErrNotSPD when a is not symmetric (within
-// the same loose tolerance as the dense path) or a pivot is
-// non-positive, and ErrSingular when a pivot falls below
-// cholPivotRelTol times the matrix's max-abs element — the same
-// near-singular contract as the dense FactorCholesky.
+// a loose tolerance) or a pivot is clearly negative, and ErrSingular
+// when a pivot falls below cholPivotRelTol times the matrix's max-abs
+// element, so a degenerate conductance network fails loudly instead of
+// amplifying rounding noise.
 func FactorSparseCholeskyOrdered(a *CSR, perm []int) (*SparseCholesky, error) {
 	n := a.n
 	inv, err := invertPermutation(n, perm)
@@ -64,8 +75,25 @@ func FactorSparseCholeskyOrdered(a *CSR, perm []int) (*SparseCholesky, error) {
 	if err := checkCSRSymmetric(a); err != nil {
 		return nil, err
 	}
-	f := &SparseCholesky{n: n, perm: perm, diag: make([]float64, n)}
+	ptrs := make([]int, 2*(n+1))
+	f := &SparseCholesky{
+		n: n, perm: perm, diag: make([]float64, n),
+		colPtr: ptrs[: n+1 : n+1], rowPtr: ptrs[n+1:],
+	}
 	tiny := cholPivotRelTol * a.MaxAbs()
+
+	// Symbolic pass: the elimination tree of P·A·Pᵀ sizes every column
+	// of L, so the numeric pass fills flat column arrays through
+	// per-column cursors instead of growing one slice per column.
+	iw := make([]int, 2*n)
+	parent := iw[:n]
+	eliminationTree(a, perm, inv, parent, iw[n:])
+	f.countColumns(a, perm, inv, parent, iw[n:])
+	nnz := f.colPtr[n]
+	f.colRows = make([]int32, nnz)
+	f.colVals = make([]float64, nnz)
+	end := parent // parent is spent: end[j] is column j's fill cursor
+	copy(end, f.colPtr[:n])
 
 	// Up-looking row factorization in push form. Columns of L grow as
 	// rows complete; when row i scans column j it sees exactly the
@@ -73,8 +101,6 @@ func FactorSparseCholeskyOrdered(a *CSR, perm []int) (*SparseCholesky, error) {
 	// the partially eliminated matrix; w[j] is final when the scan
 	// reaches j because updates to it only flow from columns k < j,
 	// all already processed this row.
-	cols := make([][]int32, n)
-	vals := make([][]float64, n)
 	w := make([]float64, n)
 	for i := 0; i < n; i++ {
 		// Scatter the lower triangle of row i of P·A·Pᵀ into w.
@@ -100,10 +126,12 @@ func FactorSparseCholeskyOrdered(a *CSR, perm []int) (*SparseCholesky, error) {
 			// Appending (i, lij) to column j before the push folds the
 			// diagonal update w[i] -= lij² into the same loop as the
 			// off-diagonal ones, in the same increasing-k order the
-			// dense code subtracts its inner products.
-			cols[j] = append(cols[j], int32(i))
-			vals[j] = append(vals[j], lij)
-			cj, vj := cols[j], vals[j]
+			// dense textbook loop subtracts its inner products.
+			e := end[j]
+			f.colRows[e] = int32(i)
+			f.colVals[e] = lij
+			end[j] = e + 1
+			cj, vj := f.colRows[f.colPtr[j]:e+1], f.colVals[f.colPtr[j]:e+1]
 			for k := range cj {
 				w[cj[k]] -= lij * vj[k]
 			}
@@ -111,8 +139,9 @@ func FactorSparseCholeskyOrdered(a *CSR, perm []int) (*SparseCholesky, error) {
 		d := w[i]
 		w[i] = 0
 		if d <= tiny {
-			// Same split as the dense FactorCholesky: clearly negative
-			// is indefinite, within noise of zero is singular.
+			// A pivot clearly below zero means indefinite; one within
+			// rounding noise of zero means singular to working
+			// precision (rounding can push it to either side of 0).
 			if d <= -tiny {
 				return nil, ErrNotSPD
 			}
@@ -120,38 +149,104 @@ func FactorSparseCholeskyOrdered(a *CSR, perm []int) (*SparseCholesky, error) {
 		}
 		f.diag[i] = math.Sqrt(d)
 	}
-	f.compress(cols, vals)
+	f.compact(end)
+	f.transpose(end)
 	return f, nil
 }
 
-// compress flattens per-column factor entries into the dual flat
-// layouts (by column, and transposed by row).
-func (f *SparseCholesky) compress(cols [][]int32, vals [][]float64) {
-	n := f.n
-	nnz := 0
-	for j := 0; j < n; j++ {
-		nnz += len(cols[j])
-	}
-	f.colPtr = make([]int, n+1)
-	f.colRows = make([]int32, 0, nnz)
-	f.colVals = make([]float64, 0, nnz)
-	rowLen := make([]int, n)
-	for j := 0; j < n; j++ {
-		f.colPtr[j] = len(f.colRows)
-		f.colRows = append(f.colRows, cols[j]...)
-		f.colVals = append(f.colVals, vals[j]...)
-		for _, r := range cols[j] {
-			rowLen[r]++
+// eliminationTree computes the elimination tree of the lower triangle
+// of P·A·Pᵀ (Liu's algorithm with path compression): parent[j] is the
+// first row below j whose factor row has a nonzero in column j, -1 at
+// a root. ancestor is scratch of length n.
+func eliminationTree(a *CSR, perm, inv, parent, ancestor []int) {
+	for i := range parent {
+		parent[i] = -1
+		ancestor[i] = -1
+		orig := i
+		if perm != nil {
+			orig = perm[i]
+		}
+		for k := a.rowPtr[orig]; k < a.rowPtr[orig+1]; k++ {
+			j := a.colIdx[k]
+			if inv != nil {
+				j = inv[j]
+			}
+			// Climb from j to the root of its current subtree,
+			// pointing every visited node at i on the way.
+			for j < i && j != -1 {
+				next := ancestor[j]
+				ancestor[j] = i
+				if next == -1 {
+					parent[j] = i
+				}
+				j = next
+			}
 		}
 	}
-	f.colPtr[n] = len(f.colRows)
-	f.rowPtr = make([]int, n+1)
-	for i := 0; i < n; i++ {
-		f.rowPtr[i+1] = f.rowPtr[i] + rowLen[i]
+}
+
+// countColumns fills f.colPtr with the column starts of L's symbolic
+// pattern. Row i's pattern is the union of the elimination-tree paths
+// from each nonzero A[i,j], j < i, up to i, so walking those paths
+// once each (mark stops a walk at a node this row already visited)
+// counts every entry exactly once. mark is scratch of length n.
+func (f *SparseCholesky) countColumns(a *CSR, perm, inv, parent, mark []int) {
+	for i := range mark {
+		mark[i] = -1
 	}
-	f.rowCols = make([]int32, nnz)
-	f.rowVals = make([]float64, nnz)
-	next := make([]int, n)
+	for i := 0; i < f.n; i++ {
+		mark[i] = i
+		orig := i
+		if perm != nil {
+			orig = perm[i]
+		}
+		for k := a.rowPtr[orig]; k < a.rowPtr[orig+1]; k++ {
+			j := a.colIdx[k]
+			if inv != nil {
+				j = inv[j]
+			}
+			if j > i {
+				continue
+			}
+			for ; mark[j] != i; j = parent[j] {
+				f.colPtr[j+1]++
+				mark[j] = i
+			}
+		}
+	}
+	for j := 0; j < f.n; j++ {
+		f.colPtr[j+1] += f.colPtr[j]
+	}
+}
+
+// compact closes the gaps the symbolic count leaves where an exact
+// cancellation (w[j] == 0) dropped a predicted entry: column j holds
+// colRows/colVals[colPtr[j]:end[j]] on entry and is shifted down to
+// abut column j-1.
+func (f *SparseCholesky) compact(end []int) {
+	p := 0
+	for j := 0; j < f.n; j++ {
+		lo, hi := f.colPtr[j], end[j]
+		f.colPtr[j] = p
+		copy(f.colVals[p:], f.colVals[lo:hi])
+		p += copy(f.colRows[p:], f.colRows[lo:hi])
+	}
+	f.colPtr[f.n] = p
+	f.colRows, f.colVals = f.colRows[:p], f.colVals[:p]
+}
+
+// transpose fills the by-row layout from the by-column one. next is
+// scratch of length n.
+func (f *SparseCholesky) transpose(next []int) {
+	n := f.n
+	for _, r := range f.colRows {
+		f.rowPtr[r+1]++
+	}
+	for i := 0; i < n; i++ {
+		f.rowPtr[i+1] += f.rowPtr[i]
+	}
+	f.rowCols = make([]int32, len(f.colRows))
+	f.rowVals = make([]float64, len(f.colRows))
 	copy(next, f.rowPtr[:n])
 	// Iterating columns in increasing j appends to each row in
 	// increasing column order — the order forward substitution wants.
@@ -171,15 +266,6 @@ func (f *SparseCholesky) N() int { return f.n }
 // NNZ returns the number of stored below-diagonal factor entries —
 // the fill the elimination order is trying to minimize.
 func (f *SparseCholesky) NNZ() int { return len(f.colRows) + f.n }
-
-// Solve solves A·x = b using the factorization.
-func (f *SparseCholesky) Solve(b []float64) ([]float64, error) {
-	x := make([]float64, f.n)
-	if err := f.SolveInto(x, b); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
 
 // SolveInto solves A·x = b into the caller-supplied x without
 // allocating on the steady path (permuted solves draw one scratch
@@ -323,9 +409,10 @@ func invertPermutation(n int, perm []int) ([]int, error) {
 	return inv, nil
 }
 
-// checkCSRSymmetric mirrors the dense FactorCholesky symmetry check.
-// Every off-diagonal entry is compared against its transpose slot in
-// both directions, so a structurally one-sided entry is caught too.
+// checkCSRSymmetric rejects a matrix whose off-diagonal entries differ
+// from their transposes by more than 1e-8·(1 + max-abs). Every
+// off-diagonal entry is compared against its transpose slot in both
+// directions, so a structurally one-sided entry is caught too.
 func checkCSRSymmetric(a *CSR) error {
 	tol := 1e-8 * (1 + a.MaxAbs())
 	for i := 0; i < a.n; i++ {

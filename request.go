@@ -372,11 +372,13 @@ type Request struct {
 	Seed *int64 `json:"seed,omitempty"`
 
 	// Solver overrides the engine's steady-state thermal solver backend
-	// for this request: one of hotspot.SolverNames (dense, the golden
-	// reference; or sparse). Empty keeps the engine's setting
-	// (WithSolverBackend, default dense). Both backends are deterministic
-	// and agree to ≤1e-6 K on the paper benchmarks; FlowGenerate never
-	// builds a thermal model, so Validate rejects the override there.
+	// for this request: one of hotspot.SolverNames — dense (the golden
+	// reference: natural-order sparse Cholesky plus the full influence
+	// matrix) or sparse (min-degree order plus truncated cached influence
+	// rows). Empty keeps the engine's setting (WithSolverBackend, default
+	// dense). Both backends are deterministic and agree to ≤1e-6 K on
+	// the paper benchmarks; FlowGenerate never builds a thermal model,
+	// so Validate rejects the override there.
 	Solver string `json:"solver,omitempty"`
 
 	// SweepCount is the number of random graphs FlowSweep evaluates
