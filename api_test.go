@@ -94,6 +94,34 @@ func TestFacadeFloorplanAndThermal(t *testing.T) {
 	}
 }
 
+// A pool built through the facade parallelizes FloorplanGA without
+// changing its result.
+func TestFacadeFloorplanGASearchPool(t *testing.T) {
+	blocks := []FloorplanBlock{
+		{Name: "cpu", Area: 16e-6, MinAspect: 0.5, MaxAspect: 2},
+		{Name: "dsp", Area: 9e-6, MinAspect: 0.5, MaxAspect: 2},
+		{Name: "mem", Area: 25e-6, MinAspect: 0.5, MaxAspect: 2},
+		{Name: "io", Area: 4e-6, MinAspect: 0.5, MaxAspect: 2},
+	}
+	cfg := DefaultGAConfig()
+	cfg.Generations = 10
+	serial, err := FloorplanGA(blocks, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if NewSearchPool(1) != nil {
+		t.Error("NewSearchPool(1) is not the serial pool")
+	}
+	cfg.Pool = NewSearchPool(4)
+	parallel, err := FloorplanGA(blocks, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if parallel.Plan.String() != serial.Plan.String() || parallel.Cost != serial.Cost {
+		t.Errorf("pooled GA differs from serial:\n%s\nvs\n%s", parallel.Plan, serial.Plan)
+	}
+}
+
 func TestFacadeLeakage(t *testing.T) {
 	l := DefaultLeakage()
 	if l.At(100) <= l.At(50) {

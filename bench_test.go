@@ -340,7 +340,7 @@ func BenchmarkHotSpotSteadyState(b *testing.B) {
 		p[i] = float64(i%4) + 1
 	}
 	dst := make([]float64, 16)
-	if err := m.SteadyStateInto(dst, p); err != nil { // build the influence matrix outside the timer
+	if err := m.SteadyStateInto(dst, p); err != nil { // solve the influence columns outside the timer
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -569,7 +569,7 @@ func BenchmarkFloorplanGA(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := floorplan.DefaultGAConfig()
 				cfg.Generations = 20
-				cfg.Parallelism = p
+				cfg.Pool = search.NewPool(p)
 				cfg.Eval = eval
 				cfg.Power = powerMap
 				res, err := floorplan.RunGA(context.Background(), blocks, cfg)
@@ -655,11 +655,9 @@ func BenchmarkCampaign(b *testing.B) {
 }
 
 // BenchmarkHotSpotSteadyStateLarge measures one steady-state thermal
-// inquiry on a 256-block platform — the regime the sparse backend
-// exists for. The dense path back-substitutes the full factorization
-// (O(n²) per inquiry); the sparse path combines the handful of cached
-// influence rows the powered blocks touch (O(k·n)), so the gap widens
-// with platform size. Rows are warmed outside the timer, matching the
+// inquiry on a 256-block platform under both elimination orders. Each
+// combines the handful of cached influence columns the powered blocks
+// touch (O(k·n)). Columns are warmed outside the timer, matching the
 // scheduler's steady state where every powered block has been inquired
 // about before.
 func BenchmarkHotSpotSteadyStateLarge(b *testing.B) {

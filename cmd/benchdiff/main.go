@@ -1,15 +1,15 @@
-// Command benchdiff compares `go test -bench` output against one of
-// the repository's checked-in BENCH_*.json baselines and reports
+// Command benchdiff compares `go test -bench` output against the
+// repository's checked-in BENCH_*.json baselines and reports
 // regressions of the recorded hot paths. It is the nightly benchmark
 // workflow's gatekeeper: benchmarks that regress more than the
 // tolerance emit GitHub Actions warning annotations (or fail the run
-// with -strict).
+// with -strict). -baseline repeats; each file is compared in turn.
 //
 // Usage:
 //
 //	go test -run '^$' -bench . -benchmem . | tee bench.txt
 //	benchdiff -baseline BENCH_2.json bench.txt
-//	benchdiff -baseline BENCH_2.json -tolerance 0.10 -strict bench.txt
+//	benchdiff -baseline BENCH_2.json -baseline BENCH_3.json -tolerance 0.10 -strict bench.txt
 package main
 
 import (
@@ -22,6 +22,7 @@ import (
 	"regexp"
 	"sort"
 	"strconv"
+	"strings"
 )
 
 // baseline mirrors the BENCH_*.json schema: benchmark name to the
@@ -99,64 +100,91 @@ func compare(base *baseline, got map[string]float64, tolerance float64) []result
 	return out
 }
 
-func main() {
-	var (
-		baselinePath = flag.String("baseline", "BENCH_2.json", "baseline JSON file")
-		tolerance    = flag.Float64("tolerance", 0.10, "allowed ns/op growth before a benchmark counts as regressed")
-		strict       = flag.Bool("strict", false, "exit non-zero on regressions instead of warning")
-	)
-	flag.Parse()
+// baselinePaths collects the repeated -baseline flag.
+type baselinePaths []string
 
-	blob, err := os.ReadFile(*baselinePath)
-	if err != nil {
-		fatal(err)
+func (b *baselinePaths) String() string { return strings.Join(*b, ",") }
+
+func (b *baselinePaths) Set(path string) error {
+	*b = append(*b, path)
+	return nil
+}
+
+func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	var base baseline
-	if err := json.Unmarshal(blob, &base); err != nil {
-		fatal(fmt.Errorf("benchdiff: parsing %s: %w", *baselinePath, err))
+}
+
+// run parses args, compares the bench output against every baseline
+// and writes the report to w. Regressions are an error only under
+// -strict.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("benchdiff", flag.ExitOnError)
+	var paths baselinePaths
+	fs.Var(&paths, "baseline", "baseline JSON file (repeatable; default BENCH_2.json)")
+	tolerance := fs.Float64("tolerance", 0.10, "allowed ns/op growth before a benchmark counts as regressed")
+	strict := fs.Bool("strict", false, "exit non-zero on regressions instead of warning")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if len(paths) == 0 {
+		paths = baselinePaths{"BENCH_2.json"}
+	}
+	bases := make([]*baseline, len(paths))
+	for i, path := range paths {
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		bases[i] = new(baseline)
+		if err := json.Unmarshal(blob, bases[i]); err != nil {
+			return fmt.Errorf("benchdiff: parsing %s: %w", path, err)
+		}
 	}
 
 	in := io.Reader(os.Stdin)
-	if flag.NArg() > 0 {
-		f, err := os.Open(flag.Arg(0))
+	if fs.NArg() > 0 {
+		f, err := os.Open(fs.Arg(0))
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer f.Close()
 		in = f
 	}
 	got, err := parseBench(in)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if len(got) == 0 {
-		fatal(fmt.Errorf("benchdiff: no benchmark lines in input"))
+		return fmt.Errorf("benchdiff: no benchmark lines in input")
 	}
 
 	regressions := 0
-	for _, r := range compare(&base, got, *tolerance) {
-		switch {
-		case r.missing:
-			fmt.Printf("::warning::benchdiff: %s is in the baseline but did not run\n", r.name)
-		case r.regressed:
-			regressions++
-			fmt.Printf("::warning::benchdiff: %s regressed %.0f%%: %.0f ns/op vs baseline %.0f ns/op\n",
-				r.name, 100*(r.ratio-1), r.gotNs, r.baseNs)
-		default:
-			fmt.Printf("benchdiff: %s ok: %.0f ns/op vs baseline %.0f ns/op (%.2fx)\n",
-				r.name, r.gotNs, r.baseNs, r.ratio)
+	for i, path := range paths {
+		n := 0
+		for _, r := range compare(bases[i], got, *tolerance) {
+			switch {
+			case r.missing:
+				fmt.Fprintf(w, "::warning::benchdiff: %s is in %s but did not run\n", r.name, path)
+			case r.regressed:
+				n++
+				fmt.Fprintf(w, "::warning::benchdiff: %s regressed %.0f%%: %.0f ns/op vs baseline %.0f ns/op\n",
+					r.name, 100*(r.ratio-1), r.gotNs, r.baseNs)
+			default:
+				fmt.Fprintf(w, "benchdiff: %s ok: %.0f ns/op vs baseline %.0f ns/op (%.2fx)\n",
+					r.name, r.gotNs, r.baseNs, r.ratio)
+			}
 		}
-	}
-	if regressions > 0 {
-		fmt.Printf("benchdiff: %d benchmark(s) regressed beyond %.0f%% of %s\n",
-			regressions, 100**tolerance, *baselinePath)
-		if *strict {
-			os.Exit(1)
+		if n > 0 {
+			fmt.Fprintf(w, "benchdiff: %d benchmark(s) regressed beyond %.0f%% of %s\n",
+				n, 100**tolerance, path)
 		}
+		regressions += n
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
+	if regressions > 0 && *strict {
+		return fmt.Errorf("benchdiff: %d benchmark(s) regressed", regressions)
+	}
+	return nil
 }

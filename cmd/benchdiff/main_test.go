@@ -2,6 +2,9 @@ package main
 
 import (
 	"encoding/json"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -88,13 +91,79 @@ func TestCompare(t *testing.T) {
 	}
 }
 
-// The shipped baseline file must parse and carry comparable hot paths,
-// so the nightly workflow cannot silently diff against nothing.
+// Every shipped baseline file must parse and carry comparable hot
+// paths, so the nightly workflow cannot silently diff against nothing.
 func TestShippedBaselineParses(t *testing.T) {
-	results := compare(testBaseline(t), map[string]float64{}, 0.10)
-	for _, r := range results {
-		if !r.missing {
-			t.Errorf("empty input produced non-missing result %+v", r)
+	paths, err := filepath.Glob("../../BENCH_*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no BENCH_*.json baseline at the repository root")
+	}
+	for _, path := range paths {
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
 		}
+		var base baseline
+		if err := json.Unmarshal(blob, &base); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		results := compare(&base, map[string]float64{}, 0.10)
+		if len(results) == 0 {
+			t.Errorf("%s carries no comparable benchmark", path)
+		}
+		for _, r := range results {
+			if !r.missing {
+				t.Errorf("%s: empty input produced non-missing result %+v", path, r)
+			}
+		}
+	}
+}
+
+// -baseline repeats: every file is compared against the same bench
+// output, and regressions are counted over all of them.
+func TestRunRepeatedBaselines(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, body string) string {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	first := write("BENCH_A.json", `{"benchmarks": {"BenchmarkHotSpotSteadyState": {"after": {"ns_op": 100}}}}`)
+	second := write("BENCH_B.json", `{"benchmarks": {
+		"BenchmarkSchedulerPolicies/thermal": {"after": {"ns_op": 60000}},
+		"BenchmarkSchedulerPolicies/baseline": {"after": {"ns_op": 90000}}
+	}}`)
+	bench := write("bench.txt", sampleBench)
+
+	var out strings.Builder
+	if err := run([]string{"-baseline", first, "-baseline", second, bench}, &out); err != nil {
+		t.Fatalf("regressions failed a run without -strict: %v", err)
+	}
+	// 160 vs 100 and 69042 vs 60000 regress at 10%; 90000.5 vs 90000
+	// does not.
+	err := run([]string{"-baseline", first, "-baseline", second, "-strict", bench}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "2 benchmark(s) regressed") {
+		t.Errorf("-strict error = %v, want 2 regressions (one per baseline)", err)
+	}
+	for _, want := range []string{
+		"BenchmarkHotSpotSteadyState regressed",
+		"BenchmarkSchedulerPolicies/thermal regressed",
+		"BenchmarkSchedulerPolicies/baseline ok",
+		"regressed beyond 10% of " + first,
+		"regressed beyond 10% of " + second,
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("report lacks %q:\n%s", want, out.String())
+		}
+	}
+
+	if err := run([]string{"-baseline", first, "-baseline", filepath.Join(dir, "missing.json"), bench}, io.Discard); err == nil {
+		t.Error("a missing second baseline was accepted")
 	}
 }

@@ -20,6 +20,7 @@ import (
 
 	"thermalsched/internal/floorplan"
 	"thermalsched/internal/hotspot"
+	"thermalsched/internal/search"
 )
 
 func main() {
@@ -44,6 +45,7 @@ func main() {
 		fatal(err)
 	}
 
+	pool := search.NewPool(*parallel)
 	hs := hotspot.DefaultConfig()
 	eval := func(fp *floorplan.Floorplan, pw map[string]float64) (float64, error) {
 		m, err := hotspot.NewModel(fp, hs)
@@ -63,7 +65,7 @@ func main() {
 		cfg := floorplan.DefaultGAConfig()
 		cfg.Generations = *gens
 		cfg.Seed = *seed
-		cfg.Parallelism = *parallel
+		cfg.Pool = pool
 		cfg.TempWeight = *tempWeight
 		if *tempWeight > 0 && len(power) > 0 {
 			cfg.Eval = eval
@@ -75,7 +77,7 @@ func main() {
 	case "sa":
 		cfg := floorplan.DefaultSAConfig()
 		cfg.Seed = *seed
-		cfg.Parallelism = *parallel
+		cfg.Pool = pool
 		cfg.TempWeight = *tempWeight
 		if *tempWeight > 0 && len(power) > 0 {
 			cfg.Eval = eval

@@ -56,7 +56,7 @@ func main() {
 		seed      = flag.Int64("seed", -1, "run seed (0 is a valid seed, honored verbatim; negative = default)")
 		count     = flag.Int("count", 0, "sweep graph count (0 = default)")
 		parallel  = flag.Int("parallelism", 0, "parallelism for cosynthesis search and simulate/stream replicas (0 = engine default GOMAXPROCS, 1 = serial; results are byte-identical at every value)")
-		solver    = flag.String("solver", "", fmt.Sprintf("thermal solver backend %v (default dense: natural-order sparse Cholesky plus the full influence matrix; sparse: min-degree order plus truncated cached influence rows; backends agree to ≤1e-6 K)", hotspot.SolverNames()))
+		solver    = flag.String("solver", "", fmt.Sprintf("thermal solver backend %v (the elimination order of the sparse Cholesky factor; default dense: natural order; sparse: min-degree order; backends agree to ≤1e-6 K)", hotspot.SolverNames()))
 		asJSON    = flag.Bool("json", false, "emit the serializable Response schema as JSON")
 
 		// FlowCoSynthesis knobs.

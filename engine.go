@@ -37,7 +37,7 @@ type Engine struct {
 	// geometry and configuration. Models are safe for concurrent
 	// read-only use, so one cached instance can serve many RunBatch
 	// workers at once; a hit reuses not only the Cholesky factorization
-	// but also the model's lazily-built influence matrix — the
+	// but also the model's lazily solved influence columns — the
 	// steady-state fast path every thermal inquiry rides — so repeated
 	// thermal flows over one floorplan pay for both exactly once.
 	models *search.LRU[*hotspot.Model]
@@ -92,11 +92,10 @@ func WithThermalConfig(cfg ThermalConfig) Option {
 	return func(o *engineOptions) { o.thermal = cfg }
 }
 
-// WithSolverBackend selects the steady-state thermal solver backend for
-// every flow the Engine runs: one of hotspot.SolverNames — dense (the
-// golden reference and the default: natural-order sparse Cholesky plus
-// the full influence matrix) or sparse (min-degree order plus truncated
-// cached influence rows). Equivalent to setting
+// WithSolverBackend selects the thermal solver backend for every flow
+// the Engine runs: one of hotspot.SolverNames, choosing the elimination
+// order of the sparse Cholesky factor — dense (the golden reference and
+// the default: natural order) or sparse (min-degree order). Equivalent to setting
 // ThermalConfig.Solver through WithThermalConfig, and overridable per
 // run via Request.Solver.
 func WithSolverBackend(name string) Option {

@@ -308,8 +308,8 @@ func TestEngineGanttIncluded(t *testing.T) {
 	}
 }
 
-// Concurrent thermal runs share one cached model, and with it one
-// lazily-built influence matrix (the steady-state fast path): the
+// Concurrent thermal runs share one cached model, and with it its
+// lazily solved influence columns (the steady-state fast path): the
 // results must match a sequential run exactly.
 func TestEngineConcurrentThermalRunsShareModel(t *testing.T) {
 	e := testEngine(t)

@@ -245,9 +245,9 @@ func PEBlocks(model *hotspot.Model, peNames []string) ([]int, error) {
 
 // SelfInfluence returns, per PE, the steady-state temperature rise of
 // the PE's own block per watt drawn on it — the forecast slope
-// predictive admission multiplies by a candidate task's power. Rows
-// come from the model's influence matrix (lazily built, shared,
-// read-only).
+// predictive admission multiplies by a candidate task's power. The
+// slopes are the diagonal of the model's influence columns (solved on
+// first use, shared, read-only).
 func SelfInfluence(model *hotspot.Model, peBlock []int) ([]float64, error) {
 	out := make([]float64, len(peBlock))
 	for pe, b := range peBlock {

@@ -182,6 +182,47 @@ func TestCoreEnergyIsSumOfDepositedStepEnergy(t *testing.T) {
 	}
 }
 
+// A core warm-started at the steady state of block power p sits at
+// its fixed point: stepping under the same constant power leaves every
+// block temperature where the steady solve put it.
+func TestCoreWarmStartIsFixedPoint(t *testing.T) {
+	model := rowModel(t, 4)
+	p := []float64{3, 0, 5.5, 1.25}
+	c, err := New(Config{Model: model, PEBlock: []int{0, 1, 2, 3}, DT: 2, TimeScale: 0.05, MaxSteps: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WarmStart(p); err != nil {
+		t.Fatal(err)
+	}
+	want, err := model.SteadyStateDirect(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := 0
+	step := func(now, stepEnd float64) error {
+		for pe, w := range p {
+			c.StepEnergy[pe] = w * (stepEnd - now)
+		}
+		steps++
+		return nil
+	}
+	hooks := stepHooks(step, func() bool { return steps == 50 })
+	hooks.Observe = func(temps []float64) {
+		for i, v := range want.Values() {
+			if math.Abs(temps[i]-v) > 1e-9 {
+				t.Fatalf("step %d: block %d at %v, steady state %v", steps, i, temps[i], v)
+			}
+		}
+	}
+	if err := c.Run(context.Background(), hooks); err != nil {
+		t.Fatal(err)
+	}
+	if c.Steps != 50 {
+		t.Fatalf("Steps = %d, want 50", c.Steps)
+	}
+}
+
 // A run that never finishes is stopped with Stalled after exactly
 // MaxSteps steps.
 func TestCoreStallsAtExactlyMaxSteps(t *testing.T) {

@@ -24,14 +24,10 @@ type SAConfig struct {
 
 	Seed int64
 
-	// Parallelism bounds concurrent packing/thermal evaluations.
-	// Proposals are drawn serially in speculative batches (see
+	// Pool bounds concurrent packing/thermal evaluations; nil means
+	// serial. Proposals are drawn serially in speculative batches (see
 	// saSpecBatch), evaluated concurrently, and accepted in submission
-	// order, so the Result is byte-identical for every value. 0 and 1
-	// both mean serial.
-	Parallelism int
-	// Pool shares an enclosing search's token pool; when set it takes
-	// precedence over Parallelism.
+	// order, so the Result is byte-identical for every pool size.
 	Pool *search.Pool
 }
 
@@ -80,8 +76,7 @@ func RunSA(ctx context.Context, blocks []Block, cfg SAConfig) (*Result, error) {
 		return nil, fmt.Errorf("floorplan: cooling rate %g out of (0,1)", cfg.CoolingRate)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	h := newEvaluator("SA", blocks, cfg.AreaWeight, cfg.TempWeight, cfg.Eval, cfg.Power,
-		searchPool(cfg.Pool, cfg.Parallelism))
+	h := newEvaluator("SA", blocks, cfg.AreaWeight, cfg.TempWeight, cfg.Eval, cfg.Power, cfg.Pool)
 
 	// Seed state: one packing+solve both establishes the temperature
 	// scale and scores it.

@@ -40,16 +40,6 @@ type evaluator struct {
 	memoHits  int // candidates answered from the memo
 }
 
-// searchPool resolves a config's pool: an explicitly shared pool wins
-// (the co-synthesis fan-out passes its own so nested searches never
-// oversubscribe), otherwise one is sized from Parallelism.
-func searchPool(shared *search.Pool, parallelism int) *search.Pool {
-	if shared != nil {
-		return shared
-	}
-	return search.NewPool(parallelism)
-}
-
 func newEvaluator(name string, blocks []Block, areaW, tempW float64, eval Evaluator, power map[string]float64, pool *search.Pool) *evaluator {
 	var blockArea float64
 	for _, b := range blocks {

@@ -37,15 +37,13 @@ type GAConfig struct {
 
 	Seed int64
 
-	// Parallelism bounds concurrent packing/thermal evaluations. Each
-	// generation's candidates are drawn serially from the seeded RNG
-	// (the stream is byte-identical to the serial search), evaluated
-	// concurrently, and merged in submission order, so the Result is
-	// byte-identical for every value. 0 and 1 both mean serial.
-	Parallelism int
-	// Pool shares an enclosing search's token pool (the co-synthesis
-	// architecture fan-out passes its own) so nested searches never
-	// oversubscribe. When set it takes precedence over Parallelism.
+	// Pool bounds concurrent packing/thermal evaluations; nil means
+	// serial. Each generation's candidates are drawn serially from the
+	// seeded RNG (the stream is byte-identical to the serial search),
+	// evaluated concurrently, and merged in submission order, so the
+	// Result is byte-identical for every pool size. An enclosing search
+	// passes its own pool (the co-synthesis architecture fan-out does)
+	// so nested searches never oversubscribe.
 	Pool *search.Pool
 }
 
@@ -95,7 +93,7 @@ type individual struct {
 //
 // The search is split into serial candidate generation and (optionally
 // concurrent) evaluation: each generation's genomes are drawn from the
-// seeded RNG up front, scored over cfg.Parallelism workers through a
+// seeded RNG up front, scored over cfg.Pool's workers through a
 // memoizing evaluator, and merged in submission order — the Result is
 // byte-identical for every parallelism level.
 func RunGA(ctx context.Context, blocks []Block, cfg GAConfig) (*Result, error) {
@@ -117,8 +115,7 @@ func RunGA(ctx context.Context, blocks []Block, cfg GAConfig) (*Result, error) {
 	// Normalization scales so area and temperature contribute comparably:
 	// area relative to the sum of block areas, temperature relative to the
 	// seed plan's peak (set by scoreSeed).
-	h := newEvaluator("GA", blocks, cfg.AreaWeight, cfg.TempWeight, cfg.Eval, cfg.Power,
-		searchPool(cfg.Pool, cfg.Parallelism))
+	h := newEvaluator("GA", blocks, cfg.AreaWeight, cfg.TempWeight, cfg.Eval, cfg.Power, cfg.Pool)
 
 	// Seed individual: one packing+solve both establishes the
 	// temperature scale and scores it.

@@ -8,6 +8,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"thermalsched/internal/search"
 )
 
 // planText renders a floorplan for byte-level comparison.
@@ -50,7 +52,7 @@ func TestRunGAParallelMatchesSerial(t *testing.T) {
 						base.TempWeight = 0
 					}
 					serialCfg := base
-					serialCfg.Parallelism = 1
+					serialCfg.Pool = search.NewPool(1)
 					serial, err := RunGA(context.Background(), blocks, serialCfg)
 					if err != nil {
 						t.Fatal(err)
@@ -58,7 +60,7 @@ func TestRunGAParallelMatchesSerial(t *testing.T) {
 					want := resultKey(t, serial)
 					for _, p := range levels {
 						cfg := base
-						cfg.Parallelism = p
+						cfg.Pool = search.NewPool(p)
 						got, err := RunGA(context.Background(), blocks, cfg)
 						if err != nil {
 							t.Fatal(err)
@@ -90,7 +92,7 @@ func TestRunSAParallelMatchesSerial(t *testing.T) {
 				base.TempWeight = 0
 			}
 			serialCfg := base
-			serialCfg.Parallelism = 1
+			serialCfg.Pool = search.NewPool(1)
 			serial, err := RunSA(context.Background(), blocks, serialCfg)
 			if err != nil {
 				t.Fatal(err)
@@ -98,7 +100,7 @@ func TestRunSAParallelMatchesSerial(t *testing.T) {
 			want := resultKey(t, serial)
 			for _, p := range levels {
 				cfg := base
-				cfg.Parallelism = p
+				cfg.Pool = search.NewPool(p)
 				got, err := RunSA(context.Background(), blocks, cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -199,7 +201,7 @@ func TestRunGACancellationParallel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	cfg := DefaultGAConfig()
-	cfg.Parallelism = 4
+	cfg.Pool = search.NewPool(4)
 	cfg.Eval = tallPenaltyEval
 	cfg.Power = map[string]float64{}
 	if _, err := RunGA(ctx, blocks, cfg); !errors.Is(err, context.Canceled) {
@@ -221,7 +223,7 @@ func TestRunGAParallelErrorDeterministic(t *testing.T) {
 	run := func(p int) error {
 		cfg := DefaultGAConfig()
 		cfg.Generations = 10
-		cfg.Parallelism = p
+		cfg.Pool = search.NewPool(p)
 		cfg.Eval = boom
 		cfg.Power = map[string]float64{}
 		_, err := RunGA(context.Background(), blocks, cfg)

@@ -66,14 +66,13 @@ type Config struct {
 	SinkHeatCapacity float64
 	// AmbientC is the ambient temperature in °C.
 	AmbientC float64
-	// Solver selects the steady-state solver backend. Both factor the
-	// conductance matrix with sparse Cholesky. SolverDense (the golden
-	// reference; also the default when empty) factors in natural order
-	// and answers inquiries from the full n×n influence matrix.
-	// SolverSparse factors under a min-degree order and solves and
-	// caches influence rows on demand — the large-platform backend.
-	// Both backends are deterministic; sparse agrees with dense to
-	// ≤1e-6 K on the paper's benchmarks.
+	// Solver selects the elimination order of the model's sparse
+	// Cholesky factor; every model answers inquiries from influence
+	// columns solved and cached on demand. SolverDense (the golden
+	// reference; also the default when empty) factors in natural order.
+	// SolverSparse factors under a min-degree order — the large-platform
+	// backend. Both backends are deterministic; sparse agrees with dense
+	// to ≤1e-6 K on the paper's benchmarks.
 	Solver string
 }
 

@@ -3,13 +3,14 @@ package hotspot
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"thermalsched/internal/floorplan"
 )
 
-// The influence-matrix fast path must reproduce the direct Cholesky
+// The influence-column fast path must reproduce the direct Cholesky
 // solve: same linear system, different evaluation order.
 func TestInfluenceFastPathMatchesDirect(t *testing.T) {
 	fp, err := floorplan.Grid("b", 16, 4e-6)
@@ -44,19 +45,96 @@ func TestInfluenceFastPathMatchesDirect(t *testing.T) {
 	}
 }
 
+// Once the influence columns of the powered blocks are warm, the
+// inquiry path allocates nothing under either elimination order.
 func TestSteadyStateIntoZeroAllocs(t *testing.T) {
-	m := model4(t)
-	p := []float64{8, 2, 0, 4}
-	dst := make([]float64, m.NumBlocks())
-	if err := m.SteadyStateInto(dst, p); err != nil { // warm the influence cache
-		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		if err := m.SteadyStateInto(dst, p); err != nil {
+	for _, solver := range SolverNames() {
+		m := solverModel(t, 16, solver)
+		p := make([]float64, 16)
+		p[1], p[6], p[11] = 4, 2.5, 7
+		dst := make([]float64, m.NumBlocks())
+		if err := m.SteadyStateInto(dst, p); err != nil { // warm the column cache
 			t.Fatal(err)
 		}
-	}); n != 0 {
-		t.Errorf("SteadyStateInto allocates %v per run", n)
+		if n := testing.AllocsPerRun(100, func() {
+			if err := m.SteadyStateInto(dst, p); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s SteadyStateInto allocates %v per run after warm-up", solver, n)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := m.InfluenceRow(6); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s InfluenceRow allocates %v per run after warm-up", solver, n)
+		}
+	}
+}
+
+// Concurrent first touches of the column cache (run with -race) must
+// publish one column per block, bit-identical to a serially warmed
+// model's, and every caller must read that same column.
+func TestInfluenceColumnsConcurrentFirstTouch(t *testing.T) {
+	const blocks, workers = 16, 4
+	for _, solver := range SolverNames() {
+		want := solverModel(t, blocks, solver)
+		m := solverModel(t, blocks, solver)
+		got := make([][][]float64, workers)
+		temps := make([][]float64, workers)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				got[w] = make([][]float64, blocks)
+				for k := 0; k < blocks; k++ {
+					j := (k + w*5) % blocks // each worker starts elsewhere
+					col, err := m.InfluenceRow(j)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					got[w][j] = col
+				}
+				p := make([]float64, blocks)
+				for j := range p {
+					p[j] = float64(j%3) + 0.5
+				}
+				temps[w] = make([]float64, blocks)
+				if err := m.SteadyStateInto(temps[w], p); err != nil {
+					t.Error(err)
+				}
+			}(w)
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		for j := 0; j < blocks; j++ {
+			ref, err := want.InfluenceRow(j)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for w := 0; w < workers; w++ {
+				if &got[w][j][0] != &got[0][j][0] {
+					t.Fatalf("%s: workers %d and 0 read different copies of column %d", solver, w, j)
+				}
+				for i, v := range got[w][j] {
+					if math.Float64bits(v) != math.Float64bits(ref[i]) {
+						t.Fatalf("%s: column %d entry %d = %v, serial %v", solver, j, i, v, ref[i])
+					}
+				}
+			}
+		}
+		for w := 1; w < workers; w++ {
+			for i, v := range temps[w] {
+				if math.Float64bits(v) != math.Float64bits(temps[0][i]) {
+					t.Fatalf("%s: worker %d block %d = %v, worker 0 %v", solver, w, i, v, temps[0][i])
+				}
+			}
+		}
 	}
 }
 
@@ -76,7 +154,7 @@ func TestSteadyStateIntoValidation(t *testing.T) {
 	}
 }
 
-// The influence matrix is (G⁻¹) restricted to block nodes; G is
+// The influence columns are (G⁻¹) restricted to block nodes; G is
 // symmetric, so the restriction must be too.
 func TestInfluenceRowSymmetric(t *testing.T) {
 	m := model4(t)

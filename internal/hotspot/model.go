@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"thermalsched/internal/floorplan"
 	"thermalsched/internal/geom"
@@ -31,25 +32,16 @@ type Model struct {
 	// models compute it on their first transient factor, under stepMu.
 	order []int
 
-	// Influence matrix: because the RC network is linear, steady-state
+	// Influence columns: because the RC network is linear, steady-state
 	// block temperature rise is an affine function of block power,
 	// rise = S·p with S[i][j] = (G⁻¹)[i][j] restricted to block nodes.
-	// The dense backend computes all of S lazily (n triangular solves
-	// on the natural-order factor, once per model) and answers every
-	// inquiry with n² multiply-adds.
-	influOnce sync.Once
-	influ     []float64 // n×n row-major; symmetric since G is
-	influErr  error
-
-	// Truncated influence representation (sparse backend): rows of
-	// S are solved and cached one at a time, on demand, so a scheduler
-	// touching k blocks holds k rows instead of the n×n matrix, and an
-	// inquiry with k powered blocks costs k·n multiply-adds instead of
-	// n² — the property that keeps per-candidate cost O(PEs) at grid
-	// resolutions the dense influence matrix can't hold.
-	truncated bool
-	rowMu     sync.RWMutex
-	rowCache  map[int][]float64
+	// Column j of S (every block's rise per watt in block j) is solved
+	// on first use and cached, so a scheduler touching k blocks holds k
+	// columns instead of an n×n matrix, and an inquiry with k powered
+	// blocks costs k·n multiply-adds. A warm read is one atomic load;
+	// colMu serializes only the first solve of each column.
+	cols  []atomic.Pointer[[]float64]
+	colMu sync.Mutex
 
 	// Transient memo, per step size (most recently used first, at most
 	// maxStepMemos entries): the backward-Euler factorization every
@@ -81,6 +73,7 @@ func NewModel(fp *floorplan.Floorplan, cfg Config) (*Model, error) {
 		n:      n,
 		total:  total,
 		caps:   make([]float64, total),
+		cols:   make([]atomic.Pointer[[]float64], n),
 	}
 	for i, name := range m.names {
 		m.byName[name] = i
@@ -88,8 +81,7 @@ func NewModel(fp *floorplan.Floorplan, cfg Config) (*Model, error) {
 
 	// Assembly goes through the sparse builder for every backend, which
 	// accumulates duplicates in insertion order: both backends factor
-	// the same bits and differ only in elimination order and influence
-	// representation.
+	// the same bits and differ only in elimination order.
 	gb := linalg.NewSparseBuilder(total)
 	addConductance := func(i, j int, g float64) {
 		gb.Add(i, i, g)
@@ -187,11 +179,9 @@ func NewModel(fp *floorplan.Floorplan, cfg Config) (*Model, error) {
 
 	m.csr = gb.Build()
 	// The dense backend factors in natural order; the sparse one under
-	// a min-degree order, with truncated influence rows.
+	// a min-degree order.
 	if cfg.SolverKind() == SolverSparse {
 		m.order = linalg.MinDegreeOrdering(m.csr)
-		m.truncated = true
-		m.rowCache = make(map[int][]float64)
 	}
 	f, err := linalg.FactorSparseCholeskyOrdered(m.csr, m.order)
 	if err != nil {
@@ -294,7 +284,7 @@ func (m *Model) SteadyState(power map[string]float64) (Temps, error) {
 }
 
 // SteadyStateVec is like SteadyState but takes powers indexed by block
-// node order (length NumBlocks). It rides the influence-matrix fast
+// node order (length NumBlocks). It rides the influence-column fast
 // path; callers that need zero allocations use SteadyStateInto.
 func (m *Model) SteadyStateVec(power []float64) (Temps, error) {
 	vals := make([]float64, m.n)
@@ -306,9 +296,11 @@ func (m *Model) SteadyStateVec(power []float64) (Temps, error) {
 
 // SteadyStateInto computes steady-state block temperatures (°C) for a
 // block-order power vector into dst (length NumBlocks) without
-// allocating: one row of the cached influence matrix per output block.
-// dst and power must not alias. This is the form behind every thermal
-// inquiry of the thermal-aware ASP.
+// allocating once the influence columns of the powered blocks are
+// warm: the powered-block-weighted sum of those columns, k·n
+// multiply-adds for k powered blocks. dst and power must not alias.
+// This is the form behind every thermal inquiry of the thermal-aware
+// ASP.
 func (m *Model) SteadyStateInto(dst, power []float64) error {
 	if len(power) != m.n {
 		return fmt.Errorf("hotspot: power vector length %d, want %d", len(power), m.n)
@@ -323,59 +315,39 @@ func (m *Model) SteadyStateInto(dst, power []float64) error {
 			return fmt.Errorf("hotspot: invalid power %g W for block %q", w, m.names[i])
 		}
 	}
-	n := m.n
-	pw := power[:n]
-	out := dst[:n]
-	ambient := m.cfg.AmbientC
-	if m.truncated {
-		// Truncated influence: by symmetry of G⁻¹, the inquiry is the
-		// powered-block-weighted sum of cached influence rows —
-		// k·n multiply-adds for k powered blocks (k ≈ PEs ≪ n on large
-		// platforms). The sum visits j in the same increasing order the
-		// dense inner product does, skipping only exact-zero terms.
-		for i := range out {
-			out[i] = 0
-		}
-		for j, w := range pw {
-			if w == 0 {
-				continue
-			}
-			row, err := m.influenceRowCached(j)
-			if err != nil {
-				return err
-			}
-			row = row[:len(out)]
-			for i := range out {
-				out[i] += row[i] * w
-			}
-		}
-		for i := range out {
-			out[i] += ambient
-		}
-		return nil
-	}
-	if err := m.ensureInfluence(); err != nil {
-		return err
-	}
+	out := dst[:m.n]
 	for i := range out {
-		// Re-slicing the row to len(pw) lets the compiler elide the
-		// bounds checks in the inner product — the entire inquiry cost.
-		row := m.influ[i*n:]
-		row = row[:len(pw)]
-		var s float64
-		for j, w := range pw {
-			s += row[j] * w
+		out[i] = 0
+	}
+	// Each block's sum visits the columns in increasing j, skipping
+	// only exact-zero terms, which add nothing.
+	for j, w := range power {
+		if w == 0 {
+			continue
 		}
-		out[i] = s + ambient
+		col, err := m.influenceRowCached(j)
+		if err != nil {
+			return err
+		}
+		// Re-slicing to len(out) lets the compiler elide the bounds
+		// checks in the inner loop — the entire inquiry cost.
+		col = col[:len(out)]
+		for i := range out {
+			out[i] += col[i] * w
+		}
+	}
+	ambient := m.cfg.AmbientC
+	for i := range out {
+		out[i] += ambient
 	}
 	return nil
 }
 
 // SteadyStateDirect is the reference steady-state path: a full
 // triangular solve against the cached Cholesky factorization per call.
-// The influence-matrix fast path is verified against it in tests; it
-// also lets single-shot callers (one inquiry per model) skip the n
-// solves an influence build costs.
+// The influence-column fast path is verified against it in tests; it
+// also lets single-shot callers (one inquiry per model) skip a column
+// solve per powered block.
 func (m *Model) SteadyStateDirect(power []float64) (Temps, error) {
 	if len(power) != m.n {
 		return Temps{}, fmt.Errorf("hotspot: power vector length %d, want %d", len(power), m.n)
@@ -402,76 +374,44 @@ func (m *Model) steadyFromVector(p []float64) (Temps, error) {
 	return Temps{names: m.names, byName: m.byName, values: vals}, nil
 }
 
-// ensureInfluence computes the block-restricted inverse-conductance
-// matrix: n triangular solves against unit block loads, done once per
-// model (thread-safe; cached models shared across concurrent runs pay
-// for it a single time).
-func (m *Model) ensureInfluence() error {
-	m.influOnce.Do(func() {
-		s := make([]float64, m.n*m.n)
-		e := make([]float64, m.total)
-		x := make([]float64, m.total)
-		for j := 0; j < m.n; j++ {
-			e[j] = 1
-			if err := m.solv.SolveInto(x, e); err != nil {
-				m.influErr = fmt.Errorf("hotspot: influence matrix solve: %w", err)
-				return
-			}
-			e[j] = 0
-			for i := 0; i < m.n; i++ {
-				s[i*m.n+j] = x[i]
-			}
-		}
-		m.influ = s
-	})
-	return m.influErr
-}
-
-// InfluenceRow returns row i of the influence matrix: the steady-state
-// temperature rise of block i per watt injected into each block. The
-// matrix is symmetric (G is), so row i is also block i's column of heat
-// reach. Under the dense backend the whole matrix is built on first
-// use; under the sparse backend only the requested row is solved
-// and cached. The returned slice is shared read-only state — callers
-// must not modify it.
+// InfluenceRow returns influence column i: the steady-state
+// temperature rise of every block per watt injected into block i.
+// G⁻¹ is symmetric, so this is also row i (block i's rise per watt in
+// each block) up to rounding. The column is solved and cached on first
+// use; the returned slice is shared read-only state — callers must not
+// modify it.
 func (m *Model) InfluenceRow(i int) ([]float64, error) {
 	if i < 0 || i >= m.n {
 		return nil, fmt.Errorf("hotspot: influence row %d out of range [0,%d)", i, m.n)
 	}
-	if m.truncated {
-		return m.influenceRowCached(i)
-	}
-	if err := m.ensureInfluence(); err != nil {
-		return nil, err
-	}
-	return m.influ[i*m.n : (i+1)*m.n], nil
+	return m.influenceRowCached(i)
 }
 
-// influenceRowCached returns (solving and caching on first request)
-// influence row j under the truncated representation. The read path is
-// an RLock plus a map probe — allocation-free once the row is warm.
+// influenceRowCached returns influence column j, solving it on first
+// request. The warm read is one atomic load, allocation- and lock-free.
 func (m *Model) influenceRowCached(j int) ([]float64, error) {
-	m.rowMu.RLock()
-	row, ok := m.rowCache[j]
-	m.rowMu.RUnlock()
-	if ok {
-		return row, nil
+	if col := m.cols[j].Load(); col != nil {
+		return *col, nil
 	}
-	m.rowMu.Lock()
-	defer m.rowMu.Unlock()
-	if row, ok := m.rowCache[j]; ok {
-		return row, nil
+	return m.influenceRowSolve(j)
+}
+
+// influenceRowSolve solves column j under colMu, unless a concurrent
+// first touch already published it.
+func (m *Model) influenceRowSolve(j int) ([]float64, error) {
+	m.colMu.Lock()
+	defer m.colMu.Unlock()
+	if col := m.cols[j].Load(); col != nil {
+		return *col, nil
 	}
-	e := make([]float64, m.total)
 	x := make([]float64, m.total)
-	e[j] = 1
-	if err := m.solv.SolveInto(x, e); err != nil {
-		return nil, fmt.Errorf("hotspot: influence row solve: %w", err)
+	x[j] = 1
+	if err := m.solv.SolveInto(x, x); err != nil {
+		return nil, fmt.Errorf("hotspot: influence column solve: %w", err)
 	}
-	row = make([]float64, m.n)
-	copy(row, x[:m.n])
-	m.rowCache[j] = row
-	return row, nil
+	col := x[:m.n:m.n]
+	m.cols[j].Store(&col)
+	return col, nil
 }
 
 // SteadyNodeRise solves the steady-state temperature rise of *every*

@@ -151,34 +151,3 @@ func TestSparseBackendTransient(t *testing.T) {
 		t.Fatalf("transient step did not heat: max %v", temps.Max())
 	}
 }
-
-// TestTruncatedPathsZeroAllocs proves the sparse backend's hot paths
-// allocate nothing once the touched influence rows are warm — the
-// large-platform counterpart of the PR-2 dense guarantees.
-func TestTruncatedPathsZeroAllocs(t *testing.T) {
-	const solver = SolverSparse
-	m := solverModel(t, 16, solver)
-	p := make([]float64, 16)
-	p[1], p[6], p[11] = 4, 2.5, 7
-	dst := make([]float64, 16)
-	if err := m.SteadyStateInto(dst, p); err != nil { // warm the row cache
-		t.Fatal(err)
-	}
-	if _, err := m.InfluenceRow(6); err != nil {
-		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		if err := m.SteadyStateInto(dst, p); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Errorf("%s SteadyStateInto allocates %v per run after warm-up", solver, n)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		if _, err := m.InfluenceRow(6); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Errorf("%s InfluenceRow allocates %v per run after warm-up", solver, n)
-	}
-}

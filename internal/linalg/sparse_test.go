@@ -239,13 +239,36 @@ func TestCholeskyNearSingular(t *testing.T) {
 }
 
 func TestSparseCholeskyRejectsAsymmetric(t *testing.T) {
-	b := NewSparseBuilder(2)
-	b.Add(0, 0, 2)
-	b.Add(1, 1, 2)
-	b.Add(0, 1, -1)
-	// No (1,0) entry: structurally asymmetric.
-	if _, err := FactorSparseCholesky(b.Build()); !errors.Is(err, ErrNotSPD) {
-		t.Fatalf("err = %v, want ErrNotSPD", err)
+	type entry struct {
+		i, j int
+		v    float64
+	}
+	cases := []struct {
+		name    string
+		entries []entry
+	}{
+		// No (1,0) entry: structurally asymmetric.
+		{"upper entry without mirror", []entry{{0, 1, -1}}},
+		// No (0,1) entry.
+		{"lower entry without mirror", []entry{{1, 0, -1}}},
+		{"mirrors differ", []entry{{0, 1, -1}, {1, 0, -0.5}}},
+		// (2,0) finds its mirror only past the unmirrored (0,1).
+		{"upper entry passed over", []entry{{0, 1, -1}, {0, 2, -1}, {2, 0, -1}}},
+		// (1,2) is the last entry of its row and nothing reaches it.
+		{"trailing upper entry", []entry{{0, 1, -1}, {1, 0, -1}, {1, 2, -1}}},
+		{"lower entry in the last row", []entry{{2, 1, -1}}},
+	}
+	for _, c := range cases {
+		b := NewSparseBuilder(3)
+		for i := 0; i < 3; i++ {
+			b.Add(i, i, 4)
+		}
+		for _, e := range c.entries {
+			b.Add(e.i, e.j, e.v)
+		}
+		if _, err := FactorSparseCholesky(b.Build()); !errors.Is(err, ErrNotSPD) {
+			t.Errorf("%s: err = %v, want ErrNotSPD", c.name, err)
+		}
 	}
 }
 

@@ -72,7 +72,9 @@ func FactorSparseCholeskyOrdered(a *CSR, perm []int) (*SparseCholesky, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := checkCSRSymmetric(a); err != nil {
+	maxAbs := a.MaxAbs()
+	iw := make([]int, 2*n)
+	if err := checkCSRSymmetric(a, maxAbs, iw[:n]); err != nil {
 		return nil, err
 	}
 	ptrs := make([]int, 2*(n+1))
@@ -80,12 +82,11 @@ func FactorSparseCholeskyOrdered(a *CSR, perm []int) (*SparseCholesky, error) {
 		n: n, perm: perm, diag: make([]float64, n),
 		colPtr: ptrs[: n+1 : n+1], rowPtr: ptrs[n+1:],
 	}
-	tiny := cholPivotRelTol * a.MaxAbs()
+	tiny := cholPivotRelTol * maxAbs
 
 	// Symbolic pass: the elimination tree of P·A·Pᵀ sizes every column
 	// of L, so the numeric pass fills flat column arrays through
 	// per-column cursors instead of growing one slice per column.
-	iw := make([]int, 2*n)
 	parent := iw[:n]
 	eliminationTree(a, perm, inv, parent, iw[n:])
 	f.countColumns(a, perm, inv, parent, iw[n:])
@@ -410,18 +411,50 @@ func invertPermutation(n int, perm []int) ([]int, error) {
 }
 
 // checkCSRSymmetric rejects a matrix whose off-diagonal entries differ
-// from their transposes by more than 1e-8·(1 + max-abs). Every
-// off-diagonal entry is compared against its transpose slot in both
-// directions, so a structurally one-sided entry is caught too.
-func checkCSRSymmetric(a *CSR) error {
-	tol := 1e-8 * (1 + a.MaxAbs())
+// from their transposes by more than 1e-8·(1 + maxAbs), where maxAbs is
+// a's largest absolute value. A structurally one-sided entry is
+// compared against the zero in its transpose slot, in either
+// direction. Rows are visited in increasing order, so the mirrors of a
+// row's upper entries are met in increasing column order too: cursor
+// (length n, overwritten) holds each row's next unmatched upper entry,
+// and the whole check is O(nnz).
+func checkCSRSymmetric(a *CSR, maxAbs float64, cursor []int) error {
+	tol := 1e-8 * (1 + maxAbs)
+	for j := 0; j < a.n; j++ {
+		k := a.rowPtr[j]
+		for k < a.rowPtr[j+1] && a.colIdx[k] <= j {
+			k++
+		}
+		cursor[j] = k
+	}
 	for i := 0; i < a.n; i++ {
-		for k := a.rowPtr[i]; k < a.rowPtr[i+1]; k++ {
+		for k := a.rowPtr[i]; k < a.rowPtr[i+1] && a.colIdx[k] < i; k++ {
+			// Lower entry (i, j): its mirror (j, i) is row j's next
+			// unmatched upper entry, unless that row skips column i.
+			// Upper entries it passes over have no mirror.
 			j := a.colIdx[k]
-			if j == i {
-				continue
+			c, end := cursor[j], a.rowPtr[j+1]
+			for c < end && a.colIdx[c] < i {
+				if math.Abs(a.vals[c]) > tol {
+					return ErrNotSPD
+				}
+				c++
 			}
-			if math.Abs(a.vals[k]-a.At(j, i)) > tol {
+			mirror := 0.0
+			if c < end && a.colIdx[c] == i {
+				mirror = a.vals[c]
+				c++
+			}
+			cursor[j] = c
+			if math.Abs(a.vals[k]-mirror) > tol {
+				return ErrNotSPD
+			}
+		}
+	}
+	// Upper entries no lower entry reached have no mirror.
+	for j := 0; j < a.n; j++ {
+		for c := cursor[j]; c < a.rowPtr[j+1]; c++ {
+			if math.Abs(a.vals[c]) > tol {
 				return ErrNotSPD
 			}
 		}

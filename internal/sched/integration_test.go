@@ -37,6 +37,20 @@ func buildPlatformModel(t testing.TB, lib *techlib.Library) (Architecture, *Mode
 	return arch, oracle
 }
 
+// avgTempOf is the oracle's average temperature under pePower itself:
+// a base with a zero delta.
+func avgTempOf(t testing.TB, o ThermalOracle, pePower []float64) float64 {
+	t.Helper()
+	if err := o.SetBase(pePower); err != nil {
+		t.Fatal(err)
+	}
+	avg, err := o.AvgTempDelta(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return avg
+}
+
 func TestModelOracleMapping(t *testing.T) {
 	lib, err := techlib.StandardLibrary()
 	if err != nil {
@@ -45,27 +59,18 @@ func TestModelOracleMapping(t *testing.T) {
 	arch, oracle := buildPlatformModel(t, lib)
 
 	// Zero power → ambient average.
-	avg, err := oracle.AvgTemp(make([]float64, len(arch.PEs)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	avg := avgTempOf(t, oracle, make([]float64, len(arch.PEs)))
 	if avg != hotspot.DefaultConfig().AmbientC {
 		t.Errorf("zero-power avg = %v, want ambient", avg)
 	}
 
 	// More power → higher average.
-	hot, err := oracle.AvgTemp([]float64{5, 5, 5, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hot <= avg {
+	if hot := avgTempOf(t, oracle, []float64{5, 5, 5, 5}); hot <= avg {
 		t.Errorf("power did not raise average temp: %v", hot)
 	}
 
 	// Wrong vector length rejected.
-	if _, err := oracle.AvgTemp([]float64{1}); err != nil {
-		// expected
-	} else {
+	if err := oracle.SetBase([]float64{1}); err == nil {
 		t.Error("short power vector accepted")
 	}
 	if _, err := oracle.Temps([]float64{1}); err == nil {

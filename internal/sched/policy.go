@@ -69,29 +69,21 @@ func Policies() []Policy {
 	return []Policy{Baseline, MinTaskPower, MinPEPower, MinTaskEnergy, ThermalAware}
 }
 
-// ThermalOracle answers the thermal-aware ASP's temperature inquiries:
-// given per-PE average power (W, indexed like the architecture's PE
-// list), return the average block temperature in °C. The cosynth layer
-// backs this with the HotSpot-style model; tests may use fakes.
+// ThermalOracle answers the thermal-aware ASP's temperature inquiries
+// incrementally: between the PE candidates of one scheduling step only
+// a single coordinate of the inquiry power vector changes (the
+// candidate PE gains the task's power), so each step fixes the common
+// per-PE power vector (W, indexed like the architecture's PE list)
+// once and every candidate is a delta on it. The cosynth layer backs
+// this with the HotSpot-style model; tests may use fakes.
+// Implementations need not be safe for concurrent use.
 type ThermalOracle interface {
-	AvgTemp(pePower []float64) (float64, error)
-}
-
-// IncrementalOracle is an optional ThermalOracle extension the greedy
-// ASP exploits: between the PE candidates of one scheduling step only a
-// single coordinate of the inquiry power vector changes (the candidate
-// PE gains the task's power), so the oracle can answer from a shared
-// base solution with an O(1)-coordinate delta instead of a fresh solve.
-// SetBase fixes the step's common power vector; AvgTempDelta then
-// answers AvgTemp(base + deltaW·e_pe) for one candidate. Implementations
-// need not be safe for concurrent use.
-type IncrementalOracle interface {
-	ThermalOracle
 	// SetBase fixes the base per-PE power vector subsequent
 	// AvgTempDelta calls build on. The slice is copied.
 	SetBase(pePower []float64) error
-	// AvgTempDelta is AvgTemp of the base vector with deltaW watts
-	// added to PE pe. deltaW must be non-negative and finite.
+	// AvgTempDelta returns the average block temperature in °C under
+	// the base vector with deltaW watts added to PE pe. deltaW must be
+	// non-negative and finite.
 	AvgTempDelta(pe int, deltaW float64) (float64, error)
 }
 

@@ -151,7 +151,7 @@ func TestConfigValidate(t *testing.T) {
 	if err := c.Validate(); err == nil {
 		t.Error("thermal config without oracle accepted")
 	}
-	c.Oracle = fakeOracle{}
+	c.Oracle = &fakeOracle{}
 	if err := c.Validate(); err != nil {
 		t.Errorf("thermal config with oracle rejected: %v", err)
 	}
@@ -167,11 +167,20 @@ func TestConfigValidate(t *testing.T) {
 
 // fakeOracle returns a fixed average temperature plus a bias proportional
 // to the power imbalance, so thermal-aware scheduling prefers balance.
-type fakeOracle struct{}
+// Each inquiry is evaluated directly on the full power vector.
+type fakeOracle struct{ base []float64 }
 
-func (fakeOracle) AvgTemp(pePower []float64) (float64, error) {
+func (o *fakeOracle) SetBase(pePower []float64) error {
+	o.base = append(o.base[:0], pePower...)
+	return nil
+}
+
+func (o *fakeOracle) AvgTempDelta(pe int, deltaW float64) (float64, error) {
 	var sum, max float64
-	for _, p := range pePower {
+	for j, p := range o.base {
+		if j == pe {
+			p += deltaW
+		}
 		sum += p
 		if p > max {
 			max = p
@@ -308,7 +317,7 @@ func TestThermalAwareBalancesLoad(t *testing.T) {
 	}
 	g := forkGraph(t, 10000)
 	cfg := DefaultConfig(ThermalAware)
-	cfg.Oracle = fakeOracle{}
+	cfg.Oracle = &fakeOracle{}
 	cfg.TempWeight = 100
 	s, err := AllocateAndSchedule(context.Background(), g, arch, lib, cfg)
 	if err != nil {

@@ -92,22 +92,16 @@ func AllocateAndSchedule(ctx context.Context, g *taskgraph.Graph, arch Architect
 		}
 	}
 
-	// Thermal-inquiry machinery, hoisted out of the candidate loop. The
-	// inquiry power vector is a scratch slice reused across candidates;
-	// when the oracle supports incremental evaluation (the model-backed
-	// oracle does), each greedy step solves the shared base power once
-	// and every candidate is answered with an O(PEs) delta update.
+	// Thermal-inquiry machinery, hoisted out of the candidate loop: each
+	// greedy step solves the shared base power once, and every
+	// candidate is answered with an O(PEs) delta update.
 	horizon := cfg.ThermalHorizon
 	if horizon <= 0 {
 		horizon = DefaultThermalHorizon
 	}
-	var (
-		pePower   []float64
-		incOracle IncrementalOracle
-	)
+	var basePower []float64
 	if cfg.Policy == ThermalAware {
-		pePower = make([]float64, nPE)
-		incOracle, _ = cfg.Oracle.(IncrementalOracle)
+		basePower = make([]float64, nPE)
 	}
 
 	// ready(i, j): earliest time task i's inputs are available on PE j.
@@ -153,26 +147,10 @@ func AllocateAndSchedule(ctx context.Context, g *taskgraph.Graph, arch Architect
 			// execution power on the candidate PE, so an inquiry sees the
 			// heat of running this task *now* on top of that PE's
 			// history — which is what makes hot-on-hot placements
-			// expensive and yields thermal balance.
-			var (
-				avg float64
-				err error
-			)
-			if incOracle != nil {
-				// The base (peEnergy/horizon) is fixed per greedy step;
-				// this candidate only adds the task's power on its PE.
-				avg, err = incOracle.AvgTempDelta(pe, entry.Energy()/horizon+entry.WCPC)
-			} else {
-				for j := range pePower {
-					e := peEnergy[j]
-					if j == pe {
-						e += entry.Energy()
-					}
-					pePower[j] = e / horizon
-				}
-				pePower[pe] += entry.WCPC
-				avg, err = cfg.Oracle.AvgTemp(pePower)
-			}
+			// expensive and yields thermal balance. The base
+			// (peEnergy/horizon) is fixed per greedy step; this
+			// candidate only adds the task's power on its PE.
+			avg, err := cfg.Oracle.AvgTempDelta(pe, entry.Energy()/horizon+entry.WCPC)
 			if err != nil {
 				return 0, fmt.Errorf("sched: thermal inquiry for task %d on PE %q: %w",
 					task, arch.PEs[pe].Name, err)
@@ -188,13 +166,13 @@ func AllocateAndSchedule(ctx context.Context, g *taskgraph.Graph, arch Architect
 			return nil, fmt.Errorf("sched: cancelled with %d/%d tasks scheduled: %w",
 				scheduledCount, n, err)
 		}
-		if incOracle != nil {
+		if basePower != nil {
 			// One steady-state solve for the step's shared base power;
 			// the candidate loop below only pays per-candidate deltas.
-			for j := range pePower {
-				pePower[j] = peEnergy[j] / horizon
+			for j := range basePower {
+				basePower[j] = peEnergy[j] / horizon
 			}
-			if err := incOracle.SetBase(pePower); err != nil {
+			if err := cfg.Oracle.SetBase(basePower); err != nil {
 				return nil, fmt.Errorf("sched: thermal inquiry base: %w", err)
 			}
 		}

@@ -8,42 +8,37 @@ import (
 	"thermalsched/internal/linalg"
 )
 
-// ModelOracle adapts a hotspot.Model to the ThermalOracle interface the
+// ModelOracle adapts a hotspot.Model to the ThermalOracle contract the
 // thermal-aware ASP consumes. The architecture's PE names must each have
 // a same-named block in the model's floorplan (extra blocks are allowed
-// and dissipate nothing). It also implements IncrementalOracle on top of
-// the model's influence matrix, so a scheduling step's PE candidates are
-// answered with O(PEs) delta updates instead of fresh solves.
+// and dissipate nothing). A scheduling step's PE candidates are answered
+// from the model's influence columns with O(PEs) delta updates instead
+// of fresh solves.
+//
+// Inquiries average over the PEs in use (power > 0), the paper's
+// "average temperature of all using PEs"; that is also what keeps the
+// inquiry sensitive to how power is distributed, since the all-blocks
+// mean of a compact RC network is almost a pure function of total power.
 //
 // A ModelOracle owns scratch buffers and is therefore NOT safe for
 // concurrent use; the flows construct one oracle per run (the underlying
 // model may be shared freely).
 type ModelOracle struct {
-	// AllBlocks averages inquiry temperatures over every block instead
-	// of only the PEs currently in use (power > 0). The default (false)
-	// matches the paper's "average temperature of all using PEs"; it is
-	// also what keeps the inquiry sensitive to how power is distributed,
-	// since the all-blocks mean of a compact RC network is almost a pure
-	// function of total power.
-	AllBlocks bool
-
 	model *hotspot.Model
 	// peToBlock maps architecture PE index to model block index.
 	peToBlock []int
-	numBlocks int
 
-	// peRow[i] is the influence-matrix row of PE i's block: the °C/W
-	// heat reach of power injected there. Populated on first SetBase so
-	// flows that never issue a thermal inquiry (non-thermal policies
-	// build an oracle too, for final metrics) skip the influence build.
-	peRow     [][]float64
-	rowsReady bool
+	// reach[pe*nPE+j] is the steady-state rise (°C/W) of PE j's block
+	// per watt on PE pe's block: entry block(pe) of influence column
+	// block(j). Gathered on first SetBase so flows that never issue a
+	// thermal inquiry (non-thermal policies build an oracle too, for
+	// final metrics) solve no influence column.
+	reach []float64
 
 	// Scratch state (reused across calls; zero steady-state allocations).
 	blockPower []float64 // power gathered into model block order
-	temps      []float64 // block temperatures of the last solve, °C
-	basePE     []float64 // IncrementalOracle: base per-PE power
-	baseTemps  []float64 // IncrementalOracle: block temps of the base, °C
+	basePE     []float64 // base per-PE power
+	baseTemps  []float64 // block temps of the base, °C
 	baseSet    bool
 }
 
@@ -58,17 +53,7 @@ func NewModelOracle(model *hotspot.Model, arch Architecture) (*ModelOracle, erro
 	for i, n := range names {
 		index[n] = i
 	}
-	n := model.NumBlocks()
-	o := &ModelOracle{
-		model:      model,
-		peToBlock:  make([]int, len(arch.PEs)),
-		peRow:      make([][]float64, len(arch.PEs)),
-		numBlocks:  n,
-		blockPower: make([]float64, n),
-		temps:      make([]float64, n),
-		basePE:     make([]float64, len(arch.PEs)),
-		baseTemps:  make([]float64, n),
-	}
+	peToBlock := make([]int, len(arch.PEs))
 	claimed := make(map[int]string, len(arch.PEs))
 	for i, pe := range arch.PEs {
 		bi, ok := index[pe.Name]
@@ -79,25 +64,42 @@ func NewModelOracle(model *hotspot.Model, arch Architecture) (*ModelOracle, erro
 			return nil, fmt.Errorf("sched: PEs %q and %q map to the same thermal block", prev, pe.Name)
 		}
 		claimed[bi] = pe.Name
-		o.peToBlock[i] = bi
+		peToBlock[i] = bi
 	}
-	return o, nil
+	return newModelOracle(model, peToBlock), nil
 }
 
-// ensureRows caches each PE's influence-matrix row, building the
-// model's influence matrix on first use.
-func (o *ModelOracle) ensureRows() error {
-	if o.rowsReady {
+// newModelOracle builds an oracle over an already-validated PE → block
+// map.
+func newModelOracle(model *hotspot.Model, peToBlock []int) *ModelOracle {
+	n, nPE := model.NumBlocks(), len(peToBlock)
+	return &ModelOracle{
+		model:      model,
+		peToBlock:  peToBlock,
+		blockPower: make([]float64, n),
+		basePE:     make([]float64, nPE),
+		baseTemps:  make([]float64, n),
+	}
+}
+
+// ensureReach gathers every PE's reach from the influence columns of
+// the PE blocks, solving each column on first use.
+func (o *ModelOracle) ensureReach() error {
+	if o.reach != nil {
 		return nil
 	}
-	for i, bi := range o.peToBlock {
-		row, err := o.model.InfluenceRow(bi)
+	nPE := len(o.peToBlock)
+	reach := make([]float64, nPE*nPE)
+	for j, bj := range o.peToBlock {
+		col, err := o.model.InfluenceRow(bj)
 		if err != nil {
 			return err
 		}
-		o.peRow[i] = row
+		for pe, bpe := range o.peToBlock {
+			reach[pe*nPE+j] = col[bpe]
+		}
 	}
-	o.rowsReady = true
+	o.reach = reach
 	return nil
 }
 
@@ -114,45 +116,13 @@ func (o *ModelOracle) gather(pePower []float64) []float64 {
 	return o.blockPower
 }
 
-// AvgTemp implements ThermalOracle: steady-state block temperatures under
-// the given per-PE power, averaged over the PEs in use (power > 0). The
-// paper observes "the average temperature of all using PEs"; averaging
-// over in-use PEs is also what makes the inquiry sensitive to power
-// *distribution* — on a perfectly symmetric platform the all-blocks mean
-// depends only on total power and could not steer placement. When no PE
-// is in use the average falls back to all blocks (ambient).
-// The call is allocation-free: it reuses the oracle's scratch buffers
-// and the model's influence matrix.
-func (o *ModelOracle) AvgTemp(pePower []float64) (float64, error) {
-	if len(pePower) != len(o.peToBlock) {
-		return 0, fmt.Errorf("sched: oracle got %d powers for %d PEs", len(pePower), len(o.peToBlock))
-	}
-	if err := o.model.SteadyStateInto(o.temps, o.gather(pePower)); err != nil {
-		return 0, err
-	}
-	if !o.AllBlocks {
-		var sum float64
-		n := 0
-		for i, w := range pePower {
-			if w > 0 {
-				sum += o.temps[o.peToBlock[i]]
-				n++
-			}
-		}
-		if n > 0 {
-			return sum / float64(n), nil
-		}
-	}
-	return linalg.Mean(o.temps), nil
-}
-
-// SetBase implements IncrementalOracle: it solves the shared base power
+// SetBase implements ThermalOracle: it solves the shared base power
 // vector once so AvgTempDelta can answer each candidate from it.
 func (o *ModelOracle) SetBase(pePower []float64) error {
 	if len(pePower) != len(o.peToBlock) {
 		return fmt.Errorf("sched: oracle got %d powers for %d PEs", len(pePower), len(o.peToBlock))
 	}
-	if err := o.ensureRows(); err != nil {
+	if err := o.ensureReach(); err != nil {
 		return err
 	}
 	if err := o.model.SteadyStateInto(o.baseTemps, o.gather(pePower)); err != nil {
@@ -164,51 +134,48 @@ func (o *ModelOracle) SetBase(pePower []float64) error {
 	return nil
 }
 
-// AvgTempDelta implements IncrementalOracle: AvgTemp of the base vector
-// with deltaW added to PE pe, answered with one influence-matrix column
-// instead of a solve — O(blocks + PEs) and allocation-free.
+// AvgTempDelta implements ThermalOracle: the steady-state temperature
+// of the base vector with deltaW added to PE pe, averaged over the PEs
+// in use, answered from the PE's reach instead of a solve — O(PEs) and
+// allocation-free. When no PE is in use the average falls back to all
+// blocks.
 func (o *ModelOracle) AvgTempDelta(pe int, deltaW float64) (float64, error) {
 	if !o.baseSet {
 		return 0, fmt.Errorf("sched: AvgTempDelta before SetBase")
 	}
-	if pe < 0 || pe >= len(o.peToBlock) {
-		return 0, fmt.Errorf("sched: AvgTempDelta PE %d out of range [0,%d)", pe, len(o.peToBlock))
+	nPE := len(o.peToBlock)
+	if pe < 0 || pe >= nPE {
+		return 0, fmt.Errorf("sched: AvgTempDelta PE %d out of range [0,%d)", pe, nPE)
 	}
 	if deltaW < 0 || math.IsNaN(deltaW) || math.IsInf(deltaW, 0) {
 		return 0, fmt.Errorf("sched: AvgTempDelta invalid power delta %g W", deltaW)
 	}
-	// The influence matrix is symmetric, so the candidate block's row is
-	// its heat reach: adding deltaW there raises block i by row[i]·deltaW.
-	row := o.peRow[pe]
-	if !o.AllBlocks {
-		var sum float64
-		n := 0
-		for j, w := range o.basePE {
-			if j == pe {
-				w += deltaW
-			}
-			if w > 0 {
-				bj := o.peToBlock[j]
-				sum += o.baseTemps[bj] + row[bj]*deltaW
-				n++
-			}
-		}
-		if n > 0 {
-			return sum / float64(n), nil
-		}
-	}
+	// Adding deltaW on PE pe's block raises PE j's block by
+	// reach[j]·deltaW.
+	reach := o.reach[pe*nPE : (pe+1)*nPE]
 	var sum float64
-	for i, t := range o.baseTemps {
-		sum += t + row[i]*deltaW
+	n := 0
+	for j, w := range o.basePE {
+		if j == pe {
+			w += deltaW
+		}
+		if w > 0 {
+			sum += o.baseTemps[o.peToBlock[j]] + reach[j]*deltaW
+			n++
+		}
 	}
-	return sum / float64(len(o.baseTemps)), nil
+	if n > 0 {
+		return sum / float64(n), nil
+	}
+	// No PE in use: deltaW is zero, so the base temperatures stand.
+	return linalg.Mean(o.baseTemps), nil
 }
 
 // Temps returns the full steady-state temperatures for a per-PE power
 // vector — used when reporting the final schedule's thermal profile.
 // It takes the direct solve: reporting happens once per run, and a
-// single triangular solve is cheaper than building the influence
-// matrix for flows that never inquire (non-thermal policies).
+// single triangular solve is cheaper than solving an influence column
+// per powered PE for flows that never inquire (non-thermal policies).
 func (o *ModelOracle) Temps(pePower []float64) (hotspot.Temps, error) {
 	if len(pePower) != len(o.peToBlock) {
 		return hotspot.Temps{}, fmt.Errorf("sched: oracle got %d powers for %d PEs", len(pePower), len(o.peToBlock))

@@ -17,6 +17,13 @@ import (
 // reference path).
 func buildPlatform(t testing.TB, lib *techlib.Library) (Architecture, *hotspot.Model, *ModelOracle) {
 	t.Helper()
+	return buildPlatformSolver(t, lib, hotspot.SolverDense)
+}
+
+// buildPlatformSolver is buildPlatform with the model's elimination
+// order chosen by solver.
+func buildPlatformSolver(t testing.TB, lib *techlib.Library, solver string) (Architecture, *hotspot.Model, *ModelOracle) {
+	t.Helper()
 	arch, err := PlatformFromTypes(lib, techlib.PlatformPETypeNames(), 0.05)
 	if err != nil {
 		t.Fatal(err)
@@ -26,7 +33,9 @@ func buildPlatform(t testing.TB, lib *techlib.Library) (Architecture, *hotspot.M
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, err := hotspot.NewModel(fp, hotspot.DefaultConfig())
+	cfg := hotspot.DefaultConfig()
+	cfg.Solver = solver
+	model, err := hotspot.NewModel(fp, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,12 +46,14 @@ func buildPlatform(t testing.TB, lib *techlib.Library) (Architecture, *hotspot.M
 	return arch, model, oracle
 }
 
-// slowOracle is the pre-influence-matrix reference: a fresh triangular
-// solve per inquiry, no incremental extension. The fast ModelOracle is
-// verified against it — same semantics, different solver path.
+// slowOracle is the pre-influence reference: every inquiry is a fresh
+// triangular solve of the full power vector, base plus delta. The fast
+// ModelOracle is verified against it — same semantics, different
+// solver path.
 type slowOracle struct {
 	model     *hotspot.Model
 	peToBlock []int
+	base      []float64
 }
 
 func newSlowOracle(t testing.TB, model *hotspot.Model, arch Architecture) *slowOracle {
@@ -63,7 +74,20 @@ func newSlowOracle(t testing.TB, model *hotspot.Model, arch Architecture) *slowO
 	return o
 }
 
-func (o *slowOracle) AvgTemp(pePower []float64) (float64, error) {
+func (o *slowOracle) SetBase(pePower []float64) error {
+	o.base = append(o.base[:0], pePower...)
+	return nil
+}
+
+func (o *slowOracle) AvgTempDelta(pe int, deltaW float64) (float64, error) {
+	full := append([]float64(nil), o.base...)
+	full[pe] += deltaW
+	return o.avgTemp(full)
+}
+
+// avgTemp is the steady-state temperature under pePower averaged over
+// the PEs in use, or over all blocks when none is.
+func (o *slowOracle) avgTemp(pePower []float64) (float64, error) {
 	block := make([]float64, o.model.NumBlocks())
 	for i, w := range pePower {
 		block[o.peToBlock[i]] += w
@@ -151,44 +175,44 @@ func TestGoldenFastOracleMatchesSlow(t *testing.T) {
 }
 
 // TestIncrementalMatchesFullInquiry checks AvgTempDelta against the
-// equivalent full AvgTemp over random bases and deltas, in both
-// averaging modes.
+// equivalent full inquiry, a direct solve of base plus delta, over
+// random bases and deltas.
 func TestIncrementalMatchesFullInquiry(t *testing.T) {
 	lib, err := techlib.StandardLibrary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, oracle := buildPlatform(t, lib)
+	arch, model, oracle := buildPlatform(t, lib)
+	slow := newSlowOracle(t, model, arch)
 	rng := rand.New(rand.NewSource(42))
-	for _, allBlocks := range []bool{false, true} {
-		oracle.AllBlocks = allBlocks
-		for trial := 0; trial < 200; trial++ {
-			base := make([]float64, 4)
-			for i := range base {
-				if rng.Float64() < 0.3 {
-					continue // leave some PEs idle: exercises the in-use average
-				}
-				base[i] = rng.Float64() * 10
+	for trial := 0; trial < 200; trial++ {
+		base := make([]float64, 4)
+		for i := range base {
+			if rng.Float64() < 0.3 {
+				continue // leave some PEs idle: exercises the in-use average
 			}
-			if err := oracle.SetBase(base); err != nil {
-				t.Fatal(err)
-			}
-			pe := rng.Intn(4)
-			delta := rng.Float64() * 8
-			got, err := oracle.AvgTempDelta(pe, delta)
-			if err != nil {
-				t.Fatal(err)
-			}
-			full := append([]float64(nil), base...)
-			full[pe] += delta
-			want, err := oracle.AvgTemp(full)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(got-want) > 1e-9 {
-				t.Fatalf("allBlocks=%v base=%v pe=%d delta=%v: delta %v, full %v",
-					allBlocks, base, pe, delta, got, want)
-			}
+			base[i] = rng.Float64() * 10
+		}
+		if err := oracle.SetBase(base); err != nil {
+			t.Fatal(err)
+		}
+		pe := rng.Intn(4)
+		delta := rng.Float64() * 8
+		if trial%10 == 0 {
+			delta = 0 // the base itself
+		}
+		got, err := oracle.AvgTempDelta(pe, delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := append([]float64(nil), base...)
+		full[pe] += delta
+		want, err := slow.avgTemp(full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(got-want) > 1e-9 {
+			t.Fatalf("base=%v pe=%d delta=%v: delta %v, full %v", base, pe, delta, got, want)
 		}
 	}
 }
@@ -221,34 +245,30 @@ func TestIncrementalOracleErrors(t *testing.T) {
 	}
 }
 
-// TestThermalInquiryZeroAllocs pins the tentpole property: steady-state
-// inquiries — full and incremental — allocate nothing.
+// TestThermalInquiryZeroAllocs pins the tentpole property: once the
+// PE blocks' influence columns are warm, a step's base solve and its
+// candidate inquiries allocate nothing, under both elimination orders.
 func TestThermalInquiryZeroAllocs(t *testing.T) {
 	lib, err := techlib.StandardLibrary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, oracle := buildPlatform(t, lib)
-	p := []float64{5, 0, 3, 1}
-	if _, err := oracle.AvgTemp(p); err != nil { // warm up
-		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		if _, err := oracle.AvgTemp(p); err != nil {
+	for _, solver := range hotspot.SolverNames() {
+		_, _, oracle := buildPlatformSolver(t, lib, solver)
+		p := []float64{5, 0, 3, 1}
+		if err := oracle.SetBase(p); err != nil { // warm up
 			t.Fatal(err)
 		}
-	}); n != 0 {
-		t.Errorf("AvgTemp allocates %v per run", n)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		if err := oracle.SetBase(p); err != nil {
-			t.Fatal(err)
+		if n := testing.AllocsPerRun(100, func() {
+			if err := oracle.SetBase(p); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := oracle.AvgTempDelta(2, 4.5); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s SetBase+AvgTempDelta allocates %v per run", solver, n)
 		}
-		if _, err := oracle.AvgTempDelta(2, 4.5); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Errorf("SetBase+AvgTempDelta allocates %v per run", n)
 	}
 }
 
@@ -261,33 +281,21 @@ func TestOracleAccumulatesSharedBlockPower(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, model, single := buildPlatform(t, lib)
-	shared := &ModelOracle{
-		model:      model,
-		peToBlock:  []int{0, 0}, // both PEs on block 0
-		peRow:      make([][]float64, 2),
-		numBlocks:  model.NumBlocks(),
-		blockPower: make([]float64, model.NumBlocks()),
-		temps:      make([]float64, model.NumBlocks()),
-		basePE:     make([]float64, 2),
-		baseTemps:  make([]float64, model.NumBlocks()),
+	shared := newModelOracle(model, []int{0, 0}) // both PEs on block 0
+	want := avgTempOf(t, single, []float64{5, 0, 0, 0})
+	if got := avgTempOf(t, shared, []float64{2, 3}); math.Abs(got-want) > 1e-9 {
+		t.Errorf("shared-block average = %v, want %v (5 W on block 0)", got, want)
 	}
-	for i := range shared.peRow {
-		row, err := model.InfluenceRow(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		shared.peRow[i] = row
-	}
-	got, err := shared.AvgTemp([]float64{2, 3})
-	if err != nil {
+	// A delta on one PE heats the block both PEs sit on.
+	if err := shared.SetBase([]float64{2, 1.5}); err != nil {
 		t.Fatal(err)
 	}
-	want, err := single.AvgTemp([]float64{5, 0, 0, 0})
+	got, err := shared.AvgTempDelta(1, 1.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(got-want) > 1e-9 {
-		t.Errorf("shared-block AvgTemp = %v, want %v (5 W on block 0)", got, want)
+		t.Errorf("shared-block AvgTempDelta = %v, want %v (5 W on block 0)", got, want)
 	}
 	// Temps must accumulate too.
 	temps, err := shared.Temps([]float64{2, 3})
@@ -334,67 +342,34 @@ func TestValidateRejectsDuplicatePENames(t *testing.T) {
 	}
 }
 
-// TestSparseOracleMatchesDenseAndAllocsNothing runs the incremental
-// oracle on a sparse-backend model: the answers must track the dense
-// oracle to rounding, and — the large-platform contract — the full and
-// incremental inquiry paths must allocate nothing once the touched
-// influence rows are warm.
+// TestSparseOracleMatchesDenseAndAllocsNothing runs the oracle on a
+// min-degree-ordered model: the answers must track the natural-order
+// oracle to rounding, and — the large-platform contract — the inquiry
+// path must allocate nothing once the touched influence columns are
+// warm.
 func TestSparseOracleMatchesDenseAndAllocsNothing(t *testing.T) {
 	lib, err := techlib.StandardLibrary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	arch, _, denseOracle := buildPlatform(t, lib)
-	area := lib.PEType(arch.PEs[0].Type).Area
-	fp, err := floorplan.Row("pe", 4, area)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := hotspot.DefaultConfig()
-	cfg.Solver = hotspot.SolverSparse
-	model, err := hotspot.NewModel(fp, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle, err := NewModelOracle(model, arch)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, _, denseOracle := buildPlatform(t, lib)
+	_, _, oracle := buildPlatformSolver(t, lib, hotspot.SolverSparse)
 	p := []float64{5, 0, 3, 1}
-	got, err := oracle.AvgTemp(p)
-	if err != nil {
-		t.Fatal(err)
+	if got, want := avgTempOf(t, oracle, p), avgTempOf(t, denseOracle, p); math.Abs(got-want) > 1e-9 {
+		t.Fatalf("sparse base average = %v, dense %v", got, want)
 	}
-	want, err := denseOracle.AvgTemp(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-want) > 1e-9 {
-		t.Fatalf("sparse AvgTemp = %v, dense %v", got, want)
-	}
-	if err := oracle.SetBase(p); err != nil {
-		t.Fatal(err)
-	}
-	if err := denseOracle.SetBase(p); err != nil {
-		t.Fatal(err)
-	}
-	gd, err := oracle.AvgTempDelta(2, 4.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wd, err := denseOracle.AvgTempDelta(2, 4.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(gd-wd) > 1e-9 {
-		t.Fatalf("sparse AvgTempDelta = %v, dense %v", gd, wd)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		if _, err := oracle.AvgTemp(p); err != nil {
+	for pe := range p {
+		gd, err := oracle.AvgTempDelta(pe, 4.5)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}); n != 0 {
-		t.Errorf("sparse AvgTemp allocates %v per run", n)
+		wd, err := denseOracle.AvgTempDelta(pe, 4.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(gd-wd) > 1e-9 {
+			t.Fatalf("PE %d: sparse AvgTempDelta = %v, dense %v", pe, gd, wd)
+		}
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		if err := oracle.SetBase(p); err != nil {

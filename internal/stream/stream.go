@@ -402,7 +402,7 @@ func Run(ctx context.Context, in Input, cfg Config) (*Result, error) {
 		case PolicyGreedy, PolicyAdmit:
 			// Predicted steady impact of adding the job's power on top
 			// of the currently running draw — O(PEs) per candidate via
-			// the influence rows.
+			// each PE's influence reach.
 			if err := in.Oracle.SetBase(curPow); err != nil {
 				return 0, false, err
 			}

@@ -371,12 +371,11 @@ type Request struct {
 	// explicit zero is honored as seed 0.
 	Seed *int64 `json:"seed,omitempty"`
 
-	// Solver overrides the engine's steady-state thermal solver backend
-	// for this request: one of hotspot.SolverNames — dense (the golden
-	// reference: natural-order sparse Cholesky plus the full influence
-	// matrix) or sparse (min-degree order plus truncated cached influence
-	// rows). Empty keeps the engine's setting (WithSolverBackend, default
-	// dense). Both backends are deterministic and agree to ≤1e-6 K on
+	// Solver overrides the engine's thermal solver backend for this
+	// request: one of hotspot.SolverNames, choosing the elimination order
+	// of the sparse Cholesky factor — dense (the golden reference:
+	// natural order) or sparse (min-degree order). Empty keeps the
+	// engine's setting (WithSolverBackend, default dense). Both backends are deterministic and agree to ≤1e-6 K on
 	// the paper benchmarks; FlowGenerate never builds a thermal model,
 	// so Validate rejects the override there.
 	Solver string `json:"solver,omitempty"`

@@ -38,7 +38,7 @@
 //	internal/scenario    synthetic scenarios: seeded graph + platform generators
 //	internal/sched       the ASP: policies Baseline, H1–H3, ThermalAware
 //	internal/floorplan   slicing-tree GA/SA floorplanner, platform layouts
-//	internal/linalg      dense/sparse Cholesky, sparse backward-Euler stepper
+//	internal/linalg      sparse Cholesky, sparse backward-Euler stepper
 //	internal/hotspot     compact thermal RC model (steady state, transient)
 //	internal/power       power profiles, traces, leakage feedback
 //	internal/cosynth     the two flows of the paper's Figure 1
@@ -63,6 +63,7 @@ import (
 	"thermalsched/internal/hotspot"
 	"thermalsched/internal/power"
 	"thermalsched/internal/sched"
+	"thermalsched/internal/search"
 	"thermalsched/internal/sim"
 	"thermalsched/internal/taskgraph"
 	"thermalsched/internal/techlib"
@@ -171,9 +172,19 @@ func NewThermalModel(fp *Floorplan, cfg ThermalConfig) (*ThermalModel, error) {
 }
 
 // FloorplanGA runs the thermal-aware genetic-algorithm floorplanner.
+// Set cfg.Pool (NewSearchPool) to evaluate candidates concurrently;
+// the result is byte-identical for every pool size.
 func FloorplanGA(blocks []FloorplanBlock, cfg floorplan.GAConfig) (*floorplan.Result, error) {
 	return floorplan.RunGA(context.Background(), blocks, cfg)
 }
+
+// SearchPool is a bounded token pool for the parallel searches; a nil
+// pool runs serially.
+type SearchPool = search.Pool
+
+// NewSearchPool sizes a pool for n concurrent evaluations, counting
+// the caller's goroutine; n ≤ 1 returns the serial (nil) pool.
+func NewSearchPool(n int) *SearchPool { return search.NewPool(n) }
 
 // DefaultGAConfig returns the floorplanner's default GA parameters.
 func DefaultGAConfig() floorplan.GAConfig { return floorplan.DefaultGAConfig() }
