@@ -46,30 +46,36 @@ func TestInfluenceFastPathMatchesDirect(t *testing.T) {
 }
 
 // Once the influence columns of the powered blocks are warm, the
-// inquiry path allocates nothing under either elimination order.
+// natural-order inquiry path allocates nothing.
 func TestSteadyStateIntoZeroAllocs(t *testing.T) {
-	for _, solver := range SolverNames() {
-		m := solverModel(t, 16, solver)
-		p := make([]float64, 16)
-		p[1], p[6], p[11] = 4, 2.5, 7
-		dst := make([]float64, m.NumBlocks())
-		if err := m.SteadyStateInto(dst, p); err != nil { // warm the column cache
+	checkWarmPathsZeroAllocs(t, SolverDense)
+}
+
+// checkWarmPathsZeroAllocs warms the influence columns of a 16-block
+// model factored by solver, then requires SteadyStateInto and
+// InfluenceRow to allocate nothing per call.
+func checkWarmPathsZeroAllocs(t *testing.T, solver string) {
+	t.Helper()
+	m := solverModel(t, 16, solver)
+	p := make([]float64, 16)
+	p[1], p[6], p[11] = 4, 2.5, 7
+	dst := make([]float64, m.NumBlocks())
+	if err := m.SteadyStateInto(dst, p); err != nil { // warm the column cache
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := m.SteadyStateInto(dst, p); err != nil {
 			t.Fatal(err)
 		}
-		if n := testing.AllocsPerRun(100, func() {
-			if err := m.SteadyStateInto(dst, p); err != nil {
-				t.Fatal(err)
-			}
-		}); n != 0 {
-			t.Errorf("%s SteadyStateInto allocates %v per run after warm-up", solver, n)
+	}); n != 0 {
+		t.Errorf("%s SteadyStateInto allocates %v per run after warm-up", solver, n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := m.InfluenceRow(6); err != nil {
+			t.Fatal(err)
 		}
-		if n := testing.AllocsPerRun(100, func() {
-			if _, err := m.InfluenceRow(6); err != nil {
-				t.Fatal(err)
-			}
-		}); n != 0 {
-			t.Errorf("%s InfluenceRow allocates %v per run after warm-up", solver, n)
-		}
+	}); n != 0 {
+		t.Errorf("%s InfluenceRow allocates %v per run after warm-up", solver, n)
 	}
 }
 

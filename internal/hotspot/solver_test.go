@@ -151,3 +151,10 @@ func TestSparseBackendTransient(t *testing.T) {
 		t.Fatalf("transient step did not heat: max %v", temps.Max())
 	}
 }
+
+// TestTruncatedPathsZeroAllocs proves the min-degree-order hot paths
+// allocate nothing once the touched influence columns are warm — the
+// large-platform counterpart of TestSteadyStateIntoZeroAllocs.
+func TestTruncatedPathsZeroAllocs(t *testing.T) {
+	checkWarmPathsZeroAllocs(t, SolverSparse)
+}
