@@ -395,12 +395,10 @@ func BenchmarkHotSpotTransientStep(b *testing.B) {
 
 // BenchmarkHotSpotTransientStepGrid measures one backward-Euler step
 // on grid floorplans of growing size: the per-step cost follows the
-// sparse factor's nonzeros, not the node count squared. The models use
-// the sparse steady backend only to keep setup cheap; transients step
-// the same way on either backend. -short skips the 1024-block size.
+// sparse factor's nonzeros, not the node count squared. -short skips
+// the 1024-block size.
 func BenchmarkHotSpotTransientStepGrid(b *testing.B) {
 	cfg := hotspot.DefaultConfig()
-	cfg.Solver = hotspot.SolverSparse
 	for _, blocks := range []int{16, 64, 256, 1024} {
 		b.Run(fmt.Sprintf("blocks=%d", blocks), func(b *testing.B) {
 			if blocks > 256 && testing.Short() {
@@ -655,11 +653,11 @@ func BenchmarkCampaign(b *testing.B) {
 }
 
 // BenchmarkHotSpotSteadyStateLarge measures one steady-state thermal
-// inquiry on a 256-block platform under both elimination orders. Each
-// combines the handful of cached influence columns the powered blocks
-// touch (O(k·n)). Columns are warmed outside the timer, matching the
-// scheduler's steady state where every powered block has been inquired
-// about before.
+// inquiry on a 256-block platform, whose model factors under the
+// min-degree order. It combines the handful of cached influence
+// columns the powered blocks touch (O(k·n)). Columns are warmed outside
+// the timer, matching the scheduler's steady state where every powered
+// block has been inquired about before.
 func BenchmarkHotSpotSteadyStateLarge(b *testing.B) {
 	const blocks = 256
 	fp, err := floorplan.Grid("b", blocks, 4e-6)
@@ -670,26 +668,20 @@ func BenchmarkHotSpotSteadyStateLarge(b *testing.B) {
 	for i := 0; i < 8; i++ {
 		p[i*31] = 3 + float64(i)
 	}
-	for _, solver := range hotspot.SolverNames() {
-		b.Run(solver, func(b *testing.B) {
-			cfg := hotspot.DefaultConfig()
-			cfg.Solver = solver
-			m, err := hotspot.NewModel(fp, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			out := make([]float64, blocks)
-			if err := m.SteadyStateInto(out, p); err != nil { // warm caches
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := m.SteadyStateInto(out, p); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	m, err := hotspot.NewModel(fp, hotspot.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	out := make([]float64, blocks)
+	if err := m.SteadyStateInto(out, p); err != nil { // warm caches
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.SteadyStateInto(out, p); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

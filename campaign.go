@@ -420,7 +420,7 @@ func (e *Engine) runCampaignFlow(ctx context.Context, req *Request) (*Response, 
 			if simSpecs == nil {
 				pol = cols[j]
 			}
-			sub := Request{Flow: flow, Scenario: &specs[i], Policy: pol, Solver: req.Solver}
+			sub := Request{Flow: flow, Scenario: &specs[i], Policy: pol}
 			if simSpecs != nil {
 				sub.Simulate = simSpecs[j]
 			} else if spec.Simulate != nil {
@@ -478,7 +478,7 @@ func (e *Engine) runStreamCampaign(ctx context.Context, req *Request, spec Campa
 	subs := make([]Request, 0, len(specs)*len(policies))
 	for i := range specs {
 		for _, pol := range policies {
-			subs = append(subs, Request{Flow: FlowStream, Stream: &specs[i], Policy: pol, Solver: req.Solver})
+			subs = append(subs, Request{Flow: FlowStream, Stream: &specs[i], Policy: pol})
 		}
 	}
 	resps, err := e.RunBatch(ctx, subs)

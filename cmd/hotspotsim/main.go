@@ -26,7 +26,6 @@ func main() {
 		ptraceFile = flag.String("ptrace", "", "transient: power trace file")
 		dt         = flag.Float64("dt", 0.01, "transient step in seconds")
 		ambient    = flag.Float64("ambient", hotspot.DefaultConfig().AmbientC, "ambient temperature °C")
-		solver     = flag.String("solver", "", fmt.Sprintf("steady-state solver backend %v (the elimination order of the sparse Cholesky factor; default dense: natural order; sparse: min-degree order)", hotspot.SolverNames()))
 		heatMap    = flag.Int("map", 0, "render an ASCII heat map this many columns wide (steady state only)")
 	)
 	flag.Parse()
@@ -45,10 +44,6 @@ func main() {
 	}
 	cfg := hotspot.DefaultConfig()
 	cfg.AmbientC = *ambient
-	cfg.Solver = *solver
-	if err := cfg.Validate(); err != nil {
-		fatal(err)
-	}
 	model, err := hotspot.NewModel(fp, cfg)
 	if err != nil {
 		fatal(err)

@@ -18,7 +18,6 @@ import (
 
 	"thermalsched/internal/cosynth"
 	"thermalsched/internal/experiments"
-	"thermalsched/internal/hotspot"
 )
 
 func main() {
@@ -30,17 +29,11 @@ func main() {
 		scaling   = flag.Bool("scaling", false, "run only the scaling study (20 to 500 tasks on a generated 8-PE platform)")
 		scalePEs  = flag.Int("scalepes", 0, "scaling study PE count (0 = default 8)")
 		scaleSeed = flag.Int64("scaleseed", 1, "scaling study seed (0 is a valid seed)")
-		solver    = flag.String("solver", "", fmt.Sprintf("scaling-study thermal solver backend %v (the elimination order of the sparse Cholesky factor; default dense: natural order; sparse: min-degree order)", hotspot.SolverNames()))
 	)
 	flag.Parse()
 
 	if *scaling {
-		hs := hotspot.DefaultConfig()
-		hs.Solver = *solver
-		if err := hs.Validate(); err != nil {
-			fatal(err)
-		}
-		t, err := experiments.RunScalingTable(context.Background(), nil, *scalePEs, *scaleSeed, cosynth.PlatformConfig{HotSpot: &hs}, nil)
+		t, err := experiments.RunScalingTable(context.Background(), nil, *scalePEs, *scaleSeed, cosynth.PlatformConfig{}, nil)
 		if err != nil {
 			fatal(err)
 		}

@@ -41,7 +41,6 @@ import (
 	"strings"
 
 	"thermalsched"
-	"thermalsched/internal/hotspot"
 	"thermalsched/internal/taskgraph"
 )
 
@@ -56,7 +55,6 @@ func main() {
 		seed      = flag.Int64("seed", -1, "run seed (0 is a valid seed, honored verbatim; negative = default)")
 		count     = flag.Int("count", 0, "sweep graph count (0 = default)")
 		parallel  = flag.Int("parallelism", 0, "parallelism for cosynthesis search and simulate/stream replicas (0 = engine default GOMAXPROCS, 1 = serial; results are byte-identical at every value)")
-		solver    = flag.String("solver", "", fmt.Sprintf("thermal solver backend %v (the elimination order of the sparse Cholesky factor; default dense: natural order; sparse: min-degree order; backends agree to ≤1e-6 K)", hotspot.SolverNames()))
 		asJSON    = flag.Bool("json", false, "emit the serializable Response schema as JSON")
 
 		// FlowCoSynthesis knobs.
@@ -224,7 +222,6 @@ func main() {
 	if *fpGens != 0 {
 		req.FloorplanGenerations = *fpGens
 	}
-	req.Solver = *solver
 	switch req.Flow {
 	case thermalsched.FlowSimulate:
 		req.Simulate = simulateSpec()

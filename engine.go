@@ -92,16 +92,6 @@ func WithThermalConfig(cfg ThermalConfig) Option {
 	return func(o *engineOptions) { o.thermal = cfg }
 }
 
-// WithSolverBackend selects the thermal solver backend for every flow
-// the Engine runs: one of hotspot.SolverNames, choosing the elimination
-// order of the sparse Cholesky factor — dense (the golden reference and
-// the default: natural order) or sparse (min-degree order). Equivalent to setting
-// ThermalConfig.Solver through WithThermalConfig, and overridable per
-// run via Request.Solver.
-func WithSolverBackend(name string) Option {
-	return func(o *engineOptions) { o.thermal.Solver = name }
-}
-
 // WithWorkers bounds RunBatch's worker pool (default: GOMAXPROCS).
 func WithWorkers(n int) Option {
 	return func(o *engineOptions) { o.workers = n }
@@ -184,20 +174,6 @@ func NewEngine(opts ...Option) (*Engine, error) {
 
 // Library returns the engine's technology library.
 func (e *Engine) Library() *Library { return e.lib }
-
-// thermalFor resolves the thermal configuration for one request: the
-// engine's calibration, with the request's Solver override applied when
-// it differs. The common cases (no override, or an override naming the
-// engine's own backend) return the engine's shared config pointer so
-// every flow keys the model cache identically.
-func (e *Engine) thermalFor(req *Request) *ThermalConfig {
-	if req.Solver == "" || req.Solver == e.thermal.Solver {
-		return &e.thermal
-	}
-	hs := e.thermal
-	hs.Solver = req.Solver
-	return &hs
-}
 
 // Benchmark returns a copy of the engine's pre-parsed paper benchmark.
 // The copy is the caller's to mutate; the engine's cached graph stays
@@ -349,7 +325,7 @@ func (e *Engine) Platform(ctx context.Context, g *Graph, opts ...RequestOption) 
 	if err != nil {
 		return nil, err
 	}
-	cfg.HotSpot = e.thermalFor(&req)
+	cfg.HotSpot = &e.thermal
 	return e.platform(ctx, g, e.lib, cfg)
 }
 
@@ -362,7 +338,7 @@ func (e *Engine) CoSynthesize(ctx context.Context, g *Graph, opts ...RequestOpti
 	if err != nil {
 		return nil, err
 	}
-	cfg.HotSpot = e.thermalFor(&req)
+	cfg.HotSpot = &e.thermal
 	cfg.Search = e.poolFor(&req)
 	return e.cosynthesize(ctx, g, e.lib, cfg)
 }
@@ -371,14 +347,8 @@ func (e *Engine) CoSynthesize(ctx context.Context, g *Graph, opts ...RequestOpti
 // the engine's thermal calibration and model cache applied to every
 // platform run.
 func (e *Engine) Sweep(ctx context.Context, count int, seed int64) (*SweepResult, error) {
-	return e.sweep(ctx, count, seed, &e.thermal)
-}
-
-// sweep is the request-aware body of Sweep: hs carries the thermal
-// calibration (possibly a per-request solver override from thermalFor).
-func (e *Engine) sweep(ctx context.Context, count int, seed int64, hs *ThermalConfig) (*SweepResult, error) {
 	return experiments.RunSweep(ctx, e.lib, count, seed, cosynth.PlatformConfig{
-		HotSpot: hs,
+		HotSpot: &e.thermal,
 		Models:  e.modelProvider(),
 	})
 }
@@ -441,7 +411,7 @@ func (e *Engine) runPlatformFlow(ctx context.Context, req *Request) (*Response, 
 	if err != nil {
 		return nil, err
 	}
-	cfg.HotSpot = e.thermalFor(req)
+	cfg.HotSpot = &e.thermal
 	cfg.Platform = in.platform
 	res, err := e.platform(ctx, in.graph, in.lib, cfg)
 	if err != nil {
@@ -464,7 +434,7 @@ func (e *Engine) runCoSynthFlow(ctx context.Context, req *Request) (*Response, e
 	if err != nil {
 		return nil, err
 	}
-	cfg.HotSpot = e.thermalFor(req)
+	cfg.HotSpot = &e.thermal
 	cfg.Search = e.poolFor(req)
 	if in.scen != nil && cfg.CandidateTypes == nil {
 		// A generated scenario brings its own library; co-synthesis
@@ -500,7 +470,7 @@ func (e *Engine) runSweepFlow(ctx context.Context, req *Request) (*Response, err
 	if req.Seed != nil {
 		seed = *req.Seed
 	}
-	res, err := e.sweep(ctx, count, seed, e.thermalFor(req))
+	res, err := e.Sweep(ctx, count, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -549,7 +519,7 @@ func (e *Engine) runSimulateFlow(ctx context.Context, req *Request) (*Response, 
 	if err != nil {
 		return nil, err
 	}
-	cfg.HotSpot = e.thermalFor(req)
+	cfg.HotSpot = &e.thermal
 	cfg.Platform = in.platform
 	res, err := e.platform(ctx, in.graph, in.lib, cfg)
 	if err != nil {
@@ -674,8 +644,9 @@ func (e *Engine) SearchMemoStats() (evals, memoHits uint64) {
 //thermalvet:serializes hotspot.Config
 func modelKey(fp *floorplan.Floorplan, cfg hotspot.Config) string {
 	blocks := fp.Blocks()
-	// 12 Config floats and the solver name, then per block a name and
-	// four floats.
+	// 12 Config floats, then per block a name and four floats. The
+	// steady factor's elimination order is a function of the block
+	// count, so the floorplan already keys it.
 	b := make([]byte, 0, 128+48*len(blocks))
 	for _, v := range [...]float64{
 		cfg.SiliconConductivity, cfg.DieThickness, cfg.SiliconVolumetricHeat,
@@ -685,16 +656,6 @@ func modelKey(fp *floorplan.Floorplan, cfg hotspot.Config) string {
 	} {
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 	}
-	// The solver backend is part of the key: a cached model carries its
-	// backend-specific factorization and influence representation, so a
-	// dense and a sparse run over one floorplan must never share an
-	// entry. "" normalizes to "dense" (SolverKind) so the default and
-	// the explicit spelling do share one.
-	slv := cfg.Solver
-	if slv == "" {
-		slv = hotspot.SolverDense
-	}
-	b = appendKeyString(b, slv)
 	for _, blk := range blocks {
 		b = appendKeyString(b, blk.Name)
 		for _, v := range [...]float64{blk.Rect.X, blk.Rect.Y, blk.Rect.W, blk.Rect.H} {

@@ -28,10 +28,9 @@ import (
 //   - Parallelism is excluded: results are documented byte-identical
 //     at every parallelism level, so requests differing only there
 //     coalesce onto one evaluation.
-//   - Solver serializes raw, NOT normalized: "" means "the engine's
-//     backend", which only coincides with an explicit "dense" when the
-//     engine default happens to be dense — the fingerprint cannot see
-//     the engine. Keeping them distinct is the safe (one-way) direction.
+//   - The fourth segment is always empty. It held a thermal-solver
+//     override the request no longer has; writing it empty keeps every
+//     earlier fingerprint, and every journaled job key, unchanged.
 //   - The other pointer-typed knobs (TempWeight, …, Simulate,
 //     Campaign) serialize presence plus value, except Simulate which
 //     serializes its withDefaults() normalization — the only form the
@@ -49,7 +48,7 @@ import (
 //thermalvet:serializes CampaignSpec
 func (r *Request) Fingerprint() string {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "req/v4|%s|%s|%s|%s|%t|%g|", r.Flow, r.Benchmark, r.Policy, r.Solver, r.IncludeGantt, r.BusTimePerUnit)
+	fmt.Fprintf(h, "req/v4|%s|%s|%s||%t|%g|", r.Flow, r.Benchmark, r.Policy, r.IncludeGantt, r.BusTimePerUnit)
 	fpFloatPtr(h, r.TempWeight)
 	fpFloatPtr(h, r.PowerWeight)
 	fpFloatPtr(h, r.EnergyWeight)

@@ -41,7 +41,6 @@ func TestRequestFingerprintSensitivity(t *testing.T) {
 		"Flow":                 func(r Request) Request { r.Flow = FlowPlatform; return r }(base),
 		"Benchmark":            func(r Request) Request { r.Benchmark = "Bm2"; return r }(base),
 		"Policy":               func(r Request) Request { r.Policy = "h1"; return r }(base),
-		"Solver":               func(r Request) Request { r.Solver = "sparse"; return r }(base),
 		"BusTimePerUnit":       func(r Request) Request { r.BusTimePerUnit = 0.3; return r }(base),
 		"TempWeight":           func(r Request) Request { r.TempWeight = &w2; return r }(base),
 		"TempWeight-nil":       func(r Request) Request { r.TempWeight = nil; return r }(base),
@@ -124,8 +123,8 @@ func TestRequestFingerprintNormalization(t *testing.T) {
 // This keeps one slim runtime pin on the top-level Request as
 // belt-and-braces for builds that skip vet.
 func TestRequestFingerprintCoversFields(t *testing.T) {
-	if n := reflect.TypeOf(Request{}).NumField(); n != 21 {
-		t.Errorf("Request now has %d fields (pinned 21); extend Request.Fingerprint's explicit serialization (fpfields enforces the rest)", n)
+	if n := reflect.TypeOf(Request{}).NumField(); n != 20 {
+		t.Errorf("Request now has %d fields (pinned 20); extend Request.Fingerprint's explicit serialization (fpfields enforces the rest)", n)
 	}
 }
 

@@ -117,11 +117,10 @@ func flowTable() []flowSpec {
 			parallelism: true,
 		},
 		{
-			kind:     FlowGenerate,
-			summary:  "materialize a synthetic scenario without scheduling it",
-			input:    flowInputScenario,
-			run:      runGenerateFlowCtx,
-			validate: validateGenerateFlow,
+			kind:    FlowGenerate,
+			summary: "materialize a synthetic scenario without scheduling it",
+			input:   flowInputScenario,
+			run:     runGenerateFlowCtx,
 		},
 		{
 			kind:    FlowCampaign,
@@ -188,13 +187,6 @@ func runGenerateFlowCtx(e *Engine, _ context.Context, req *Request) (*Response, 
 func validateSweepFlow(r *Request) error {
 	if r.SweepCount < 0 {
 		return fieldErr("sweepCount", "negative sweep count %d", r.SweepCount)
-	}
-	return nil
-}
-
-func validateGenerateFlow(r *Request) error {
-	if r.Solver != "" {
-		return fieldErr("solver", "solver override on a %q request (it never builds a thermal model)", r.Flow)
 	}
 	return nil
 }

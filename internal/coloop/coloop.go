@@ -243,23 +243,6 @@ func PEBlocks(model *hotspot.Model, peNames []string) ([]int, error) {
 	return out, nil
 }
 
-// SelfInfluence returns, per PE, the steady-state temperature rise of
-// the PE's own block per watt drawn on it — the forecast slope
-// predictive admission multiplies by a candidate task's power. The
-// slopes are the diagonal of the model's influence columns (solved on
-// first use, shared, read-only).
-func SelfInfluence(model *hotspot.Model, peBlock []int) ([]float64, error) {
-	out := make([]float64, len(peBlock))
-	for pe, b := range peBlock {
-		row, err := model.InfluenceRow(b)
-		if err != nil {
-			return nil, err
-		}
-		out[pe] = row[b]
-	}
-	return out, nil
-}
-
 // riseCurveCap bounds the sampled horizon of a RiseForecaster: tasks
 // longer than riseCurveCap steps clamp to the last sample, which by
 // then is sink-paced and nearly flat at task timescales.

@@ -41,12 +41,10 @@ type Metrics struct {
 // floorplan under a configuration. The Engine layer injects a caching
 // provider here so repeated flows over the same floorplan — every
 // platform run, and repeated candidate layouts inside co-synthesis —
-// reuse one factorization. The configuration carries the solver
-// backend (hotspot.Config.Solver), so caching providers must key on it:
-// a dense and a sparse model of the same floorplan are distinct cache
-// entries. A nil provider means hotspot.NewModel. Providers must be
-// safe for concurrent use and must return models that are safe for
-// concurrent read-only use (as hotspot.NewModel's are).
+// reuse one factorization. A nil provider means hotspot.NewModel.
+// Providers must be safe for concurrent use and must return models
+// that are safe for concurrent read-only use (as hotspot.NewModel's
+// are).
 type ModelProvider func(fp *floorplan.Floorplan, cfg hotspot.Config) (*hotspot.Model, error)
 
 // newModel resolves a possibly-nil provider.

@@ -21,10 +21,6 @@ type ScalingRow struct {
 	Feasible bool    `json:"feasible"`
 	MaxTempC float64 `json:"maxTempC"`
 	AvgTempC float64 `json:"avgTempC"`
-	// Solver records the steady-state solver backend the row's thermal
-	// inquiries ran on (dense or sparse), so a table is
-	// self-describing when backends are compared side by side.
-	Solver string `json:"solver"`
 	// CacheHits and CacheMisses are the thermal-model cache's deltas
 	// over this row (zero when no stats hook is wired): one miss is the
 	// row's single factorization, hits count the runs that reused it.
@@ -58,8 +54,8 @@ func DefaultScalingSizes() []int { return []int{20, 50, 100, 200, 500} }
 // RunScalingTable generates one scenario per task count (layered shape,
 // heterogeneous speed spread 0.6–2.0, grid floorplan) and runs the
 // thermal-aware platform flow on it, recording schedule quality and
-// wall-clock scheduling cost. base supplies the thermal calibration,
-// solver backend and model cache (the Engine passes its own); Policy
+// wall-clock scheduling cost. base supplies the thermal calibration
+// and model cache (the Engine passes its own); Policy
 // and Sched on base are ignored. stats, when non-nil, supplies the
 // cumulative model-cache counters the per-row deltas are computed from.
 // The generated inputs are deterministic in (sizes, pes, seed); only
@@ -71,10 +67,6 @@ func RunScalingTable(ctx context.Context, sizes []int, pes int, seed int64, base
 	}
 	if pes == 0 {
 		pes = 8
-	}
-	solver := "dense"
-	if base.HotSpot != nil {
-		solver = base.HotSpot.SolverKind()
 	}
 	t := &ScalingTable{Policy: sched.ThermalAware, PEs: pes, Seed: seed}
 	for _, n := range sizes {
@@ -116,7 +108,6 @@ func RunScalingTable(ctx context.Context, sizes []int, pes int, seed int64, base
 			Feasible: res.Metrics.Feasible,
 			MaxTempC: res.Metrics.MaxTemp,
 			AvgTempC: res.Metrics.AvgTemp,
-			Solver:   solver,
 			//thermalvet:allow walltime(SchedMillis measures scheduler latency for the scaling table; the table is documented deterministic modulo wall-clock)
 			SchedMillis: float64(time.Since(start)) / float64(time.Millisecond),
 		}
@@ -134,16 +125,16 @@ func (t *ScalingTable) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Scaling study: thermal-aware platform flow on a generated %d-PE heterogeneous platform (seed %d)\n",
 		t.PEs, t.Seed)
-	fmt.Fprintf(&b, "%7s %7s | %9s %9s %8s | %9s %9s | %6s %5s/%-5s | %9s\n",
-		"tasks", "edges", "makespan", "deadline", "feas", "MaxTemp", "AvgTemp", "solver", "hit", "miss", "sched ms")
+	fmt.Fprintf(&b, "%7s %7s | %9s %9s %8s | %9s %9s | %5s/%-5s | %9s\n",
+		"tasks", "edges", "makespan", "deadline", "feas", "MaxTemp", "AvgTemp", "hit", "miss", "sched ms")
 	for _, r := range t.Rows {
 		feas := "met"
 		if !r.Feasible {
 			feas = "MISSED"
 		}
-		fmt.Fprintf(&b, "%7d %7d | %9.1f %9.1f %8s | %9.2f %9.2f | %6s %5d/%-5d | %9.2f\n",
+		fmt.Fprintf(&b, "%7d %7d | %9.1f %9.1f %8s | %9.2f %9.2f | %5d/%-5d | %9.2f\n",
 			r.Tasks, r.Edges, r.Makespan, r.Deadline, feas, r.MaxTempC, r.AvgTempC,
-			r.Solver, r.CacheHits, r.CacheMisses, r.SchedMillis)
+			r.CacheHits, r.CacheMisses, r.SchedMillis)
 	}
 	return b.String()
 }

@@ -49,9 +49,6 @@ func TestRunScalingTable(t *testing.T) {
 		if r.SchedMillis < 0 {
 			t.Errorf("row %d: negative scheduling time %g", i, r.SchedMillis)
 		}
-		if r.Solver != "dense" {
-			t.Errorf("row %d: solver %q, want dense for a nil HotSpot config", i, r.Solver)
-		}
 		if r.CacheHits != 0 || r.CacheMisses != 0 {
 			t.Errorf("row %d: cache stats %d/%d with no stats hook", i, r.CacheHits, r.CacheMisses)
 		}

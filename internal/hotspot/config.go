@@ -66,34 +66,6 @@ type Config struct {
 	SinkHeatCapacity float64
 	// AmbientC is the ambient temperature in °C.
 	AmbientC float64
-	// Solver selects the elimination order of the model's sparse
-	// Cholesky factor; every model answers inquiries from influence
-	// columns solved and cached on demand. SolverDense (the golden
-	// reference; also the default when empty) factors in natural order.
-	// SolverSparse factors under a min-degree order — the large-platform
-	// backend. Both backends are deterministic; sparse agrees with dense
-	// to ≤1e-6 K on the paper's benchmarks.
-	Solver string
-}
-
-// Solver backend names accepted by Config.Solver.
-const (
-	SolverDense  = "dense"
-	SolverSparse = "sparse"
-)
-
-// SolverNames returns the accepted solver backend names, for CLI help
-// strings and validation messages.
-func SolverNames() []string { return []string{SolverDense, SolverSparse} }
-
-// SolverKind returns the effective solver backend: Solver, with the
-// empty string normalized to SolverDense. Cache keys and reports use
-// this form so "" and "dense" never alias to different entries.
-func (c Config) SolverKind() string {
-	if c.Solver == "" {
-		return SolverDense
-	}
-	return c.Solver
 }
 
 // DefaultConfig returns the calibration used throughout the reproduction.
@@ -143,11 +115,6 @@ func (c Config) Validate() error {
 	}
 	if c.AmbientC < -273.15 {
 		return fmt.Errorf("hotspot: ambient %g °C below absolute zero", c.AmbientC)
-	}
-	switch c.Solver {
-	case "", SolverDense, SolverSparse:
-	default:
-		return fmt.Errorf("hotspot: unknown solver %q (want one of %v)", c.Solver, SolverNames())
 	}
 	return nil
 }

@@ -48,16 +48,16 @@ func TestInfluenceFastPathMatchesDirect(t *testing.T) {
 // Once the influence columns of the powered blocks are warm, the
 // natural-order inquiry path allocates nothing.
 func TestSteadyStateIntoZeroAllocs(t *testing.T) {
-	checkWarmPathsZeroAllocs(t, SolverDense)
+	checkWarmPathsZeroAllocs(t, 16)
 }
 
-// checkWarmPathsZeroAllocs warms the influence columns of a 16-block
-// model factored by solver, then requires SteadyStateInto and
+// checkWarmPathsZeroAllocs warms the influence columns of a
+// blocks-block grid model, then requires SteadyStateInto and
 // InfluenceRow to allocate nothing per call.
-func checkWarmPathsZeroAllocs(t *testing.T, solver string) {
+func checkWarmPathsZeroAllocs(t *testing.T, blocks int) {
 	t.Helper()
-	m := solverModel(t, 16, solver)
-	p := make([]float64, 16)
+	m := gridModel(t, blocks)
+	p := make([]float64, blocks)
 	p[1], p[6], p[11] = 4, 2.5, 7
 	dst := make([]float64, m.NumBlocks())
 	if err := m.SteadyStateInto(dst, p); err != nil { // warm the column cache
@@ -68,25 +68,26 @@ func checkWarmPathsZeroAllocs(t *testing.T, solver string) {
 			t.Fatal(err)
 		}
 	}); n != 0 {
-		t.Errorf("%s SteadyStateInto allocates %v per run after warm-up", solver, n)
+		t.Errorf("%d blocks: SteadyStateInto allocates %v per run after warm-up", blocks, n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		if _, err := m.InfluenceRow(6); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
-		t.Errorf("%s InfluenceRow allocates %v per run after warm-up", solver, n)
+		t.Errorf("%d blocks: InfluenceRow allocates %v per run after warm-up", blocks, n)
 	}
 }
 
 // Concurrent first touches of the column cache (run with -race) must
 // publish one column per block, bit-identical to a serially warmed
-// model's, and every caller must read that same column.
+// model's, and every caller must read that same column, under either
+// steady-state order.
 func TestInfluenceColumnsConcurrentFirstTouch(t *testing.T) {
-	const blocks, workers = 16, 4
-	for _, solver := range SolverNames() {
-		want := solverModel(t, blocks, solver)
-		m := solverModel(t, blocks, solver)
+	const workers = 4
+	for _, blocks := range []int{16, minDegreeBlocks + 4} {
+		want := gridModel(t, blocks)
+		m := gridModel(t, blocks)
 		got := make([][][]float64, workers)
 		temps := make([][]float64, workers)
 		var wg sync.WaitGroup
@@ -125,11 +126,11 @@ func TestInfluenceColumnsConcurrentFirstTouch(t *testing.T) {
 			}
 			for w := 0; w < workers; w++ {
 				if &got[w][j][0] != &got[0][j][0] {
-					t.Fatalf("%s: workers %d and 0 read different copies of column %d", solver, w, j)
+					t.Fatalf("%d blocks: workers %d and 0 read different copies of column %d", blocks, w, j)
 				}
 				for i, v := range got[w][j] {
 					if math.Float64bits(v) != math.Float64bits(ref[i]) {
-						t.Fatalf("%s: column %d entry %d = %v, serial %v", solver, j, i, v, ref[i])
+						t.Fatalf("%d blocks: column %d entry %d = %v, serial %v", blocks, j, i, v, ref[i])
 					}
 				}
 			}
@@ -137,7 +138,7 @@ func TestInfluenceColumnsConcurrentFirstTouch(t *testing.T) {
 		for w := 1; w < workers; w++ {
 			for i, v := range temps[w] {
 				if math.Float64bits(v) != math.Float64bits(temps[0][i]) {
-					t.Fatalf("%s: worker %d block %d = %v, worker 0 %v", solver, w, i, v, temps[0][i])
+					t.Fatalf("%d blocks: worker %d block %d = %v, worker 0 %v", blocks, w, i, v, temps[0][i])
 				}
 			}
 		}

@@ -24,12 +24,13 @@ type Model struct {
 	// Ambient is the reference (ground).
 	total int
 	csr   *linalg.CSR            // conductance matrix (relative-to-ambient formulation)
-	solv  *linalg.SparseCholesky // steady-state factor, ordered per cfg.SolverKind
+	solv  *linalg.SparseCholesky // steady-state factor (see minDegreeBlocks for its order)
 	caps  []float64              // node heat capacities (transient)
 
-	// order is the min-degree elimination order of csr. Sparse-backend
-	// models compute it in NewModel for the steady factor; dense-backend
-	// models compute it on their first transient factor, under stepMu.
+	// order is the min-degree elimination order of csr. Models of
+	// minDegreeBlocks or more blocks compute it in NewModel for the
+	// steady factor; smaller ones compute it on their first transient
+	// factor, under stepMu.
 	order []int
 
 	// Influence columns: because the RC network is linear, steady-state
@@ -51,9 +52,30 @@ type Model struct {
 	stepMemos []*stepMemo
 }
 
+// minDegreeBlocks is the block count from which NewModel factors the
+// steady-state conductance matrix under MinDegreeOrdering instead of
+// natural order. Building a model on floorplan.Grid and solving up to
+// 64 of its influence columns (2-vCPU Xeon, Go 1.24, medians of five
+// runs) took, natural order against min-degree: 0.14 against 0.21 ms
+// at 16 blocks, 0.28 against 0.39 ms at 24, 0.48 against 0.50 ms at
+// 32, 1.12 against 0.95 ms at 48 and 2.38 against 1.54 ms at 64. Below
+// 32 blocks the ordering pass costs more than the fill it saves; above
+// it the fill dominates. Every paper benchmark has fewer blocks, so
+// those models keep the natural-order factor, which is bitwise equal
+// to a dense Cholesky factorization.
+const minDegreeBlocks = 32
+
 // NewModel builds the thermal network for fp under cfg. The floorplan
-// must be valid (non-empty, no overlaps).
+// must be valid (non-empty, no overlaps). The steady-state factor's
+// elimination order follows from the block count (minDegreeBlocks).
 func NewModel(fp *floorplan.Floorplan, cfg Config) (*Model, error) {
+	return newModel(fp, cfg, fp.NumBlocks() >= minDegreeBlocks)
+}
+
+// newModel is NewModel with the steady-state order given: min-degree
+// when minDegree is set, natural otherwise. Only tests that compare
+// the two orders on one floorplan pass it directly.
+func newModel(fp *floorplan.Floorplan, cfg Config, minDegree bool) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -79,9 +101,8 @@ func NewModel(fp *floorplan.Floorplan, cfg Config) (*Model, error) {
 		m.byName[name] = i
 	}
 
-	// Assembly goes through the sparse builder for every backend, which
-	// accumulates duplicates in insertion order: both backends factor
-	// the same bits and differ only in elimination order.
+	// The sparse builder accumulates duplicates in insertion order, so
+	// both elimination orders factor the same bits.
 	gb := linalg.NewSparseBuilder(total)
 	addConductance := func(i, j int, g float64) {
 		gb.Add(i, i, g)
@@ -178,9 +199,7 @@ func NewModel(fp *floorplan.Floorplan, cfg Config) (*Model, error) {
 	m.caps[sink] = cfg.SinkHeatCapacity
 
 	m.csr = gb.Build()
-	// The dense backend factors in natural order; the sparse one under
-	// a min-degree order.
-	if cfg.SolverKind() == SolverSparse {
+	if minDegree {
 		m.order = linalg.MinDegreeOrdering(m.csr)
 	}
 	f, err := linalg.FactorSparseCholeskyOrdered(m.csr, m.order)

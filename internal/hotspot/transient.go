@@ -173,8 +173,8 @@ func (m *Model) stepMemoLocked(dt float64) (*stepMemo, error) {
 			return sm, nil
 		}
 	}
-	// Every backend steps under the min-degree order, so transient
-	// trajectories do not depend on the steady-state backend. The order
+	// Every model steps under the min-degree order, so transient
+	// trajectories do not depend on the steady-state order. The order
 	// also sets the rounding: it keeps every dispatch tie-break of the
 	// dense-LU stepper this integrator replaced, where natural order
 	// flips near-tied online dispatch decisions.

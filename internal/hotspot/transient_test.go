@@ -409,69 +409,60 @@ func TestTransientMatchesDenseReference(t *testing.T) {
 	const dt, steps = 0.05, 2000
 	for _, nf := range transientFloorplans(t) {
 		name, fp := nf.name, nf.fp
-		for _, solver := range SolverNames() {
-			cfg := DefaultConfig()
-			cfg.Solver = solver
-			m, err := NewModel(fp, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref, err := linalg.NewBackwardEulerFactor(m.csr, m.caps, dt, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			st := ref.NewStepper()
-			tr, err := m.NewTransient(dt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			x := make([]float64, m.total)
-			pfull := make([]float64, m.total)
-			temps := make([]float64, m.n)
-			var worst float64
-			for step, p := range randomPowers(int64(m.n), steps, m.n) {
-				if err := tr.StepVecInto(temps, p); err != nil {
-					t.Fatal(err)
-				}
-				copy(pfull, p)
-				if err := st.StepInto(x, x, pfull); err != nil {
-					t.Fatal(err)
-				}
-				for i, v := range x {
-					d := math.Abs(tr.state[i] - v)
-					worst = math.Max(worst, d)
-					if d > 1e-9 {
-						t.Fatalf("%s/%s step %d node %d: %v, natural-order reference %v", name, solver, step, i, tr.state[i], v)
-					}
-				}
-			}
-			t.Logf("%s/%s: max |dT| %.3g K over %d steps", name, solver, worst, steps)
+		m, err := NewModel(fp, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
 		}
+		ref, err := linalg.NewBackwardEulerFactor(m.csr, m.caps, dt, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := ref.NewStepper()
+		tr, err := m.NewTransient(dt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := make([]float64, m.total)
+		pfull := make([]float64, m.total)
+		temps := make([]float64, m.n)
+		var worst float64
+		for step, p := range randomPowers(int64(m.n), steps, m.n) {
+			if err := tr.StepVecInto(temps, p); err != nil {
+				t.Fatal(err)
+			}
+			copy(pfull, p)
+			if err := st.StepInto(x, x, pfull); err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range x {
+				d := math.Abs(tr.state[i] - v)
+				worst = math.Max(worst, d)
+				if d > 1e-9 {
+					t.Fatalf("%s step %d node %d: %v, natural-order reference %v", name, step, i, tr.state[i], v)
+				}
+			}
+		}
+		t.Logf("%s: max |dT| %.3g K over %d steps", name, worst, steps)
 	}
 }
 
-// Dense- and sparse-backend models of one floorplan step transients
-// through the same factor under the same order, so trajectories and
-// step-rise curves agree bit for bit: a transient never depends on the
-// steady-state backend.
+// Natural- and min-degree-order models of one floorplan step
+// transients through the same factor under the same order, so
+// trajectories and step-rise curves agree bit for bit: a transient
+// never depends on the steady-state order.
 func TestTransientBackendIndependent(t *testing.T) {
 	const dt = 0.02
 	for _, nf := range transientFloorplans(t) {
 		name, fp := nf.name, nf.fp
-		models := make([]*Model, 0, 2)
+		natural, minDegree := orderedModels(t, fp)
+		models := []*Model{natural, minDegree}
 		trs := make([]*Transient, 0, 2)
-		for _, solver := range []string{SolverDense, SolverSparse} {
-			cfg := DefaultConfig()
-			cfg.Solver = solver
-			m, err := NewModel(fp, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+		for _, m := range models {
 			tr, err := m.NewTransient(dt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			models, trs = append(models, m), append(trs, tr)
+			trs = append(trs, tr)
 		}
 		n := models[0].NumBlocks()
 		a, b := make([]float64, n), make([]float64, n)
@@ -483,7 +474,7 @@ func TestTransientBackendIndependent(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !sameBits(a, b) {
-				t.Fatalf("%s step %d: dense-backend temps %v, sparse-backend temps %v", name, step, a, b)
+				t.Fatalf("%s step %d: natural-order temps %v, min-degree temps %v", name, step, a, b)
 			}
 		}
 		for blk := 0; blk < n; blk++ {
@@ -496,7 +487,7 @@ func TestTransientBackendIndependent(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !sameBits(ra, rb) {
-				t.Fatalf("%s block %d: step-rise curves differ across backends", name, blk)
+				t.Fatalf("%s block %d: step-rise curves differ across orders", name, blk)
 			}
 		}
 	}

@@ -28,7 +28,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"thermalsched/internal/coloop"
 	"thermalsched/internal/dtm"
@@ -118,6 +117,8 @@ type Result struct {
 	AdmissionDenials int
 	// DeadlineMet reports Makespan ≤ the graph's deadline.
 	DeadlineMet bool
+
+	real *sim.Realization // the draw this run executed, for Validate
 }
 
 // completion tolerance: a task is done when its remaining work falls to
@@ -223,6 +224,7 @@ func Simulate(ctx context.Context, s *sched.Schedule, model *hotspot.Model, cfg 
 	res := &Result{
 		Records:       records,
 		PerPEThrottle: make([]float64, nPE),
+		real:          real,
 	}
 
 	// readyAt computes when task id's inputs are available on PE pe; ok
@@ -417,68 +419,11 @@ func Simulate(ctx context.Context, s *sched.Schedule, model *hotspot.Model, cfg 
 	return res, nil
 }
 
-// Validate cross-checks the realized execution against the schedule's
-// structure: every executed task ran on its assigned PE without
-// overlap, and every fired precedence edge (with bus delay) was
-// honoured. Throttling may stretch tasks, so durations are only checked
-// to be at least the realized work.
+// Validate cross-checks the realized execution against the schedule
+// and the realization it ran under (sim.CheckExecution): every executed
+// task ran on its assigned PE without overlap, and every fired
+// precedence edge (with bus delay) was honoured. Throttling stretches
+// tasks, so durations are only checked to be non-negative.
 func (r *Result) Validate(s *sched.Schedule) error {
-	const tol = 1e-9
-	n := s.Graph.NumTasks()
-	if len(r.Records) != n {
-		return fmt.Errorf("runtime: %d records for %d tasks", len(r.Records), n)
-	}
-	for id, rec := range r.Records {
-		if rec.Task != id {
-			return fmt.Errorf("runtime: record %d holds task %d", id, rec.Task)
-		}
-		if rec.PE != s.Assignments[id].PE {
-			return fmt.Errorf("runtime: task %d migrated from its assigned PE", id)
-		}
-		if rec.Skipped {
-			continue
-		}
-		if rec.Finish < rec.Start-tol {
-			return fmt.Errorf("runtime: task %d has negative duration", id)
-		}
-	}
-	for _, e := range s.Graph.Edges() {
-		from, to := r.Records[e.From], r.Records[e.To]
-		if from.Skipped || to.Skipped {
-			continue
-		}
-		ready := from.Finish
-		if from.PE != to.PE {
-			ready += e.Data * s.Arch.BusTimePerUnit
-		}
-		if to.Start < ready-tol {
-			return fmt.Errorf("runtime: edge %d->%d violated", e.From, e.To)
-		}
-	}
-	byPE := make(map[int][]sim.TaskRecord)
-	for _, rec := range r.Records {
-		if rec.Skipped {
-			continue
-		}
-		byPE[rec.PE] = append(byPE[rec.PE], rec)
-	}
-	// Walk PEs in sorted order so which overlap gets reported never
-	// depends on map iteration order.
-	pes := make([]int, 0, len(byPE))
-	for pe := range byPE {
-		pes = append(pes, pe)
-	}
-	sort.Ints(pes)
-	for _, pe := range pes {
-		recs := byPE[pe]
-		for i := range recs {
-			for j := i + 1; j < len(recs); j++ {
-				a, b := recs[i], recs[j]
-				if a.Start < b.Finish-tol && b.Start < a.Finish-tol {
-					return fmt.Errorf("runtime: tasks %d and %d overlap on PE %d", a.Task, b.Task, pe)
-				}
-			}
-		}
-	}
-	return nil
+	return sim.CheckExecution(s, r.Records, r.real)
 }

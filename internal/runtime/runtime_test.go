@@ -7,6 +7,8 @@ import (
 
 	"thermalsched/internal/cosynth"
 	"thermalsched/internal/dtm"
+	"thermalsched/internal/floorplan"
+	"thermalsched/internal/hotspot"
 	"thermalsched/internal/sched"
 	"thermalsched/internal/sim"
 	"thermalsched/internal/taskgraph"
@@ -342,5 +344,79 @@ func TestConditionalSkippedBranchZeroPower(t *testing.T) {
 	}
 	if !sawSkip {
 		t.Log("no seed produced a PE with only skipped tasks; zero-power assertion not exercised")
+	}
+}
+
+// TestValidateIgnoresUnfiredEdgeAtORJoin runs an OR-join whose
+// executed branch source does not feed it. t0 on p0 branches to t1
+// (p0, p=0.5) or straight to the join t2 (p1, p=0.5, a 1000-unit
+// transfer); t1 always feeds t2. When t1's branch is taken, the edge
+// t0→t2 does not fire, so t2 starts as soon as t1's data arrives —
+// long before t0's unfired 1000-unit transfer would have landed. The
+// run is valid, and Validate must say so.
+func TestValidateIgnoresUnfiredEdgeAtORJoin(t *testing.T) {
+	lib, err := techlib.NewLibrary(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"a", "b"} {
+		if err := lib.AddPEType(techlib.PEType{Name: name, Cost: 1, Area: 1e-6},
+			[]techlib.Entry{{WCET: 10, WCPC: 4}}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g := taskgraph.NewGraph("orjoin", 1000)
+	for i := 0; i < 3; i++ {
+		if err := g.AddTask(taskgraph.Task{ID: i, Name: "t", Type: 0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range []taskgraph.Edge{
+		{From: 0, To: 1, Data: 1, Prob: 0.5},
+		{From: 0, To: 2, Data: 1000, Prob: 0.5},
+		{From: 1, To: 2, Data: 1},
+	} {
+		if err := g.AddEdge(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const bus = 0.05
+	s := &sched.Schedule{
+		Graph: g,
+		Arch: sched.Architecture{Name: "duo", BusTimePerUnit: bus,
+			PEs: []sched.PE{{Name: "p0", Type: 0}, {Name: "p1", Type: 1}}},
+		Lib: lib,
+		Assignments: []sched.Assignment{
+			{Task: 0, PE: 0, Start: 0, Finish: 10, Power: 4},
+			{Task: 1, PE: 0, Start: 10, Finish: 20, Power: 4},
+			{Task: 2, PE: 1, Start: 60, Finish: 70, Power: 4}, // after t0's 1000·bus transfer
+		},
+		Makespan: 70,
+	}
+	fp, err := floorplan.Row("p", 2, 1e-6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := hotspot.NewModel(fp, hotspot.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sawEarlyJoin := false
+	for seed := int64(0); seed < 10; seed++ {
+		cfg := baseConfig()
+		cfg.Exec = sim.Options{MinFactor: 1, Seed: seed, Conditional: true}
+		r, err := Simulate(context.Background(), s, model, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Validate(s); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+		}
+		if !r.Records[1].Skipped && r.Records[2].Start < r.Records[0].Finish+1000*bus {
+			sawEarlyJoin = true
+		}
+	}
+	if !sawEarlyJoin {
+		t.Fatal("no seed took t1's branch and started the join before t0's unfired transfer")
 	}
 }

@@ -17,25 +17,27 @@ import (
 // reference path).
 func buildPlatform(t testing.TB, lib *techlib.Library) (Architecture, *hotspot.Model, *ModelOracle) {
 	t.Helper()
-	return buildPlatformSolver(t, lib, hotspot.SolverDense)
+	return buildPlatformBlocks(t, lib, 4)
 }
 
-// buildPlatformSolver is buildPlatform with the model's elimination
-// order chosen by solver.
-func buildPlatformSolver(t testing.TB, lib *techlib.Library, solver string) (Architecture, *hotspot.Model, *ModelOracle) {
+// largePlatformBlocks is a floorplan size at which hotspot.NewModel
+// factors under the min-degree order (its threshold is 32 blocks).
+const largePlatformBlocks = 40
+
+// buildPlatformBlocks is buildPlatform on a row of blocks PE-sized
+// blocks, the 4 PEs on the first four.
+func buildPlatformBlocks(t testing.TB, lib *techlib.Library, blocks int) (Architecture, *hotspot.Model, *ModelOracle) {
 	t.Helper()
 	arch, err := PlatformFromTypes(lib, techlib.PlatformPETypeNames(), 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
 	area := lib.PEType(arch.PEs[0].Type).Area
-	fp, err := floorplan.Row("pe", 4, area)
+	fp, err := floorplan.Row("pe", blocks, area)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := hotspot.DefaultConfig()
-	cfg.Solver = solver
-	model, err := hotspot.NewModel(fp, cfg)
+	model, err := hotspot.NewModel(fp, hotspot.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,8 +255,8 @@ func TestThermalInquiryZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, solver := range hotspot.SolverNames() {
-		_, _, oracle := buildPlatformSolver(t, lib, solver)
+	for _, blocks := range []int{4, largePlatformBlocks} {
+		_, _, oracle := buildPlatformBlocks(t, lib, blocks)
 		p := []float64{5, 0, 3, 1}
 		if err := oracle.SetBase(p); err != nil { // warm up
 			t.Fatal(err)
@@ -267,7 +269,7 @@ func TestThermalInquiryZeroAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}); n != 0 {
-			t.Errorf("%s SetBase+AvgTempDelta allocates %v per run", solver, n)
+			t.Errorf("%d blocks: SetBase+AvgTempDelta allocates %v per run", blocks, n)
 		}
 	}
 }
@@ -343,32 +345,32 @@ func TestValidateRejectsDuplicatePENames(t *testing.T) {
 }
 
 // TestSparseOracleMatchesDenseAndAllocsNothing runs the oracle on a
-// min-degree-ordered model: the answers must track the natural-order
-// oracle to rounding, and — the large-platform contract — the inquiry
-// path must allocate nothing once the touched influence columns are
-// warm.
+// platform large enough for the min-degree-ordered model: the answers
+// must track the reference oracle's full solves to rounding, and — the
+// large-platform contract — the inquiry path must allocate nothing
+// once the touched influence columns are warm.
 func TestSparseOracleMatchesDenseAndAllocsNothing(t *testing.T) {
 	lib, err := techlib.StandardLibrary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, denseOracle := buildPlatform(t, lib)
-	_, _, oracle := buildPlatformSolver(t, lib, hotspot.SolverSparse)
+	arch, model, oracle := buildPlatformBlocks(t, lib, largePlatformBlocks)
+	slow := newSlowOracle(t, model, arch)
 	p := []float64{5, 0, 3, 1}
-	if got, want := avgTempOf(t, oracle, p), avgTempOf(t, denseOracle, p); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("sparse base average = %v, dense %v", got, want)
+	if got, want := avgTempOf(t, oracle, p), avgTempOf(t, slow, p); math.Abs(got-want) > 1e-9 {
+		t.Fatalf("base average = %v, reference %v", got, want)
 	}
 	for pe := range p {
 		gd, err := oracle.AvgTempDelta(pe, 4.5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wd, err := denseOracle.AvgTempDelta(pe, 4.5)
+		wd, err := slow.AvgTempDelta(pe, 4.5)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if math.Abs(gd-wd) > 1e-9 {
-			t.Fatalf("PE %d: sparse AvgTempDelta = %v, dense %v", pe, gd, wd)
+			t.Fatalf("PE %d: AvgTempDelta = %v, reference %v", pe, gd, wd)
 		}
 	}
 	if n := testing.AllocsPerRun(100, func() {
@@ -379,6 +381,6 @@ func TestSparseOracleMatchesDenseAndAllocsNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}); n != 0 {
-		t.Errorf("sparse SetBase+AvgTempDelta allocates %v per run", n)
+		t.Errorf("SetBase+AvgTempDelta allocates %v per run", n)
 	}
 }

@@ -175,12 +175,13 @@ func TestServeValidationErrors(t *testing.T) {
 	cases := []struct {
 		path, body string
 	}{
-		{"/v1/run", `{`},                                                   // malformed JSON
-		{"/v1/run", `{"flow":"warp"}`},                                     // unknown flow
-		{"/v1/run", `{"flow":"platform"}`},                                 // no graph source
-		{"/v1/run", `{"flow":"platform","benchmark":"Bm9"}`},               // unknown benchmark
-		{"/v1/run", `{"flow":"platform","benchmark":"Bm1","bogusKnob":1}`}, // unknown field
-		{"/v1/batch", `[]`},                                                // empty batch
+		{"/v1/run", `{`},                                                       // malformed JSON
+		{"/v1/run", `{"flow":"warp"}`},                                         // unknown flow
+		{"/v1/run", `{"flow":"platform"}`},                                     // no graph source
+		{"/v1/run", `{"flow":"platform","benchmark":"Bm9"}`},                   // unknown benchmark
+		{"/v1/run", `{"flow":"platform","benchmark":"Bm1","bogusKnob":1}`},     // unknown field
+		{"/v1/run", `{"flow":"platform","benchmark":"Bm1","solver":"sparse"}`}, // the removed solver knob
+		{"/v1/batch", `[]`},                                                    // empty batch
 		{"/v1/batch", `[{"flow":"platform","benchmark":"Bm1"},{"flow":"x","benchmark":"Bm1"}]`},
 		{"/v1/batch", `[{"flow":"platform","benchmark":"Bm1"},{"flow":"platform","benchmark":"Bm2"},{"flow":"platform","benchmark":"Bm3"}]`}, // over MaxBatch
 	}

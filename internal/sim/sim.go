@@ -60,7 +60,7 @@ type Result struct {
 	Energy   float64
 	Executed int // number of tasks that actually ran
 
-	fired map[[2]int]bool // realized edges, for Validate
+	real *Realization // the draw this execution ran under, for Validate
 }
 
 // Realization is the seeded random draw one simulated execution runs
@@ -251,7 +251,7 @@ func Execute(s *sched.Schedule, opt Options) (*Result, error) {
 		}
 	}
 
-	res := &Result{Schedule: s, Records: records, fired: firedEdge}
+	res := &Result{Schedule: s, Records: records, real: real}
 	for _, r := range records {
 		if r.Skipped {
 			continue
@@ -288,20 +288,31 @@ func readyTime(s *sched.Schedule, records []TaskRecord, done []bool, fired map[[
 	return t, true
 }
 
-// Validate checks the realized execution: every task ran exactly once on
-// its assigned PE, no PE overlap, and every precedence edge (with comm
-// delay) was honoured.
+// Validate checks the realized execution against its schedule and
+// realization (CheckExecution).
 func (r *Result) Validate() error {
+	return CheckExecution(r.Schedule, r.Records, r.real)
+}
+
+// CheckExecution reports the first way records break schedule s under
+// the realization real: a task off its record or its assigned PE, a
+// negative duration, two executed tasks overlapping on a PE, or a fired
+// edge (with bus delay across PEs) not honoured. An edge real did not
+// fire carried no data, so it constrains nothing even when both its
+// ends executed, just as dispatch (readyTime) ignores it. A nil real
+// treats every edge as fired. Durations are not compared with the
+// schedule: realized factors and closed-loop throttling change them.
+func CheckExecution(s *sched.Schedule, records []TaskRecord, real *Realization) error {
 	const tol = 1e-9
-	n := r.Schedule.Graph.NumTasks()
-	if len(r.Records) != n {
-		return fmt.Errorf("sim: %d records for %d tasks", len(r.Records), n)
+	n := s.Graph.NumTasks()
+	if len(records) != n {
+		return fmt.Errorf("sim: %d records for %d tasks", len(records), n)
 	}
-	for id, rec := range r.Records {
+	for id, rec := range records {
 		if rec.Task != id {
 			return fmt.Errorf("sim: record %d holds task %d", id, rec.Task)
 		}
-		if rec.PE != r.Schedule.Assignments[id].PE {
+		if rec.PE != s.Assignments[id].PE {
 			return fmt.Errorf("sim: task %d migrated from its assigned PE", id)
 		}
 		if rec.Skipped {
@@ -311,24 +322,24 @@ func (r *Result) Validate() error {
 			return fmt.Errorf("sim: task %d has negative duration", id)
 		}
 	}
-	for _, e := range r.Schedule.Graph.Edges() {
-		from, to := r.Records[e.From], r.Records[e.To]
+	for _, e := range s.Graph.Edges() {
+		from, to := records[e.From], records[e.To]
 		if from.Skipped || to.Skipped {
 			continue
 		}
-		if r.fired != nil && !r.fired[[2]int{e.From, e.To}] {
+		if real != nil && !real.Fired(e.From, e.To) {
 			continue // edge's branch was not taken; no data dependency
 		}
 		ready := from.Finish
 		if from.PE != to.PE {
-			ready += e.Data * r.Schedule.Arch.BusTimePerUnit
+			ready += e.Data * s.Arch.BusTimePerUnit
 		}
 		if to.Start < ready-tol {
 			return fmt.Errorf("sim: edge %d->%d violated", e.From, e.To)
 		}
 	}
 	byPE := make(map[int][]TaskRecord)
-	for _, rec := range r.Records {
+	for _, rec := range records {
 		if rec.Skipped {
 			continue
 		}

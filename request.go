@@ -6,7 +6,6 @@ import (
 
 	"thermalsched/internal/cosynth"
 	"thermalsched/internal/dtm"
-	"thermalsched/internal/hotspot"
 	"thermalsched/internal/sched"
 	"thermalsched/internal/taskgraph"
 )
@@ -371,15 +370,6 @@ type Request struct {
 	// explicit zero is honored as seed 0.
 	Seed *int64 `json:"seed,omitempty"`
 
-	// Solver overrides the engine's thermal solver backend for this
-	// request: one of hotspot.SolverNames, choosing the elimination order
-	// of the sparse Cholesky factor — dense (the golden reference:
-	// natural order) or sparse (min-degree order). Empty keeps the
-	// engine's setting (WithSolverBackend, default dense). Both backends are deterministic and agree to ≤1e-6 K on
-	// the paper benchmarks; FlowGenerate never builds a thermal model,
-	// so Validate rejects the override there.
-	Solver string `json:"solver,omitempty"`
-
 	// SweepCount is the number of random graphs FlowSweep evaluates
 	// (default 4).
 	SweepCount int `json:"sweepCount,omitempty"`
@@ -503,12 +493,6 @@ func WithFloorplanGenerations(n int) RequestOption {
 // at every value.
 func WithParallelism(n int) RequestOption {
 	return func(r *Request) { r.Parallelism = n }
-}
-
-// WithSolver overrides the engine's thermal solver backend for this
-// request (one of hotspot.SolverNames; empty = engine default).
-func WithSolver(name string) RequestOption {
-	return func(r *Request) { r.Solver = name }
 }
 
 // WithSweepCount sets how many random graphs FlowSweep evaluates.
@@ -654,11 +638,6 @@ func (r *Request) Validate() error {
 	}
 	if r.Parallelism > 0 && !fs.parallelism {
 		return fieldErr("parallelism", "parallelism on a %q request (only the cosynthesis, simulate and stream flows consume it)", r.Flow)
-	}
-	switch r.Solver {
-	case "", hotspot.SolverDense, hotspot.SolverSparse:
-	default:
-		return fieldErr("solver", "unknown solver %q (want one of %v)", r.Solver, hotspot.SolverNames())
 	}
 	if r.Simulate != nil && r.Flow != FlowSimulate {
 		return fieldErr("simulate", "simulate parameters on a %q request", r.Flow)

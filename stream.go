@@ -245,7 +245,7 @@ func (e *Engine) runStreamFlow(ctx context.Context, req *Request) (*Response, er
 		bus = cosynth.DefaultBusTimePerUnit
 	}
 	desc := &cosynth.PlatformDesc{TypeNames: wl.PETypeNames, Layout: wl.Layout}
-	arch, _, model, _, err := cosynth.BuildPlatformDesc(wl.Lib, bus, *e.thermalFor(req), e.modelProvider(), desc)
+	arch, _, model, _, err := cosynth.BuildPlatformDesc(wl.Lib, bus, e.thermal, e.modelProvider(), desc)
 	if err != nil {
 		return nil, err
 	}

@@ -73,13 +73,6 @@ func validationCases() []validationCase {
 			cli:   []string{"-flow", "platform", "-benchmark", "Bm1", "-parallelism", "4"},
 		},
 		{
-			name: `solver "pcg"`,
-			req: thermalsched.Request{Flow: thermalsched.FlowPlatform,
-				Benchmark: "Bm1", Policy: "thermal", Solver: "pcg"},
-			field: "solver",
-			cli:   []string{"-flow", "platform", "-benchmark", "Bm1", "-solver", "pcg"},
-		},
-		{
 			name: "negative tempWeight",
 			req: thermalsched.NewRequest(thermalsched.FlowPlatform,
 				thermalsched.WithBenchmark("Bm1"), thermalsched.WithTempWeight(-1)),
