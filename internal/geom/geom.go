@@ -151,13 +151,6 @@ func SharedEdge(r, s Rect, tol float64) (length float64, axis Axis) {
 	return 0, None
 }
 
-// Adjacent reports whether r and s abut along a boundary segment longer
-// than tol.
-func Adjacent(r, s Rect, tol float64) bool {
-	l, _ := SharedEdge(r, s, tol)
-	return l > 0
-}
-
 // Axis identifies the orientation of a shared edge.
 type Axis int
 
@@ -178,15 +171,6 @@ func (a Axis) String() string {
 	default:
 		return "none"
 	}
-}
-
-// TotalArea sums the areas of rs.
-func TotalArea(rs []Rect) float64 {
-	var sum float64
-	for _, r := range rs {
-		sum += r.Area()
-	}
-	return sum
 }
 
 // AnyOverlap reports whether any pair in rs overlaps, returning the first

@@ -159,26 +159,9 @@ func TestSharedEdge(t *testing.T) {
 	}
 }
 
-func TestAdjacent(t *testing.T) {
-	r := NewRect(0, 0, 1, 1)
-	if !Adjacent(r, NewRect(1, 0, 1, 1), Eps) {
-		t.Error("abutting rects should be adjacent")
-	}
-	if Adjacent(r, NewRect(1.1, 0, 1, 1), Eps) {
-		t.Error("separated rects should not be adjacent")
-	}
-}
-
 func TestAxisString(t *testing.T) {
 	if None.String() != "none" || Horizontal.String() != "horizontal" || Vertical.String() != "vertical" {
 		t.Error("Axis.String mismatch")
-	}
-}
-
-func TestTotalArea(t *testing.T) {
-	rs := []Rect{NewRect(0, 0, 1, 1), NewRect(0, 0, 2, 3)}
-	if got := TotalArea(rs); got != 7 {
-		t.Errorf("TotalArea = %v, want 7", got)
 	}
 }
 

@@ -110,6 +110,17 @@ func (m *Matrix) MaxAbs() float64 {
 	return mx
 }
 
+// normInf returns the max-abs norm of v.
+func normInf(v []float64) float64 {
+	var mx float64
+	for _, x := range v {
+		if a := math.Abs(x); a > mx {
+			mx = a
+		}
+	}
+	return mx
+}
+
 // denseCholesky is the textbook factorization A = L·Lᵀ of a symmetric
 // positive-definite dense matrix: the oracle the production
 // SparseCholesky is checked against. Its natural-order factor and
@@ -120,7 +131,7 @@ type denseCholesky struct {
 }
 
 // factorDenseCholesky computes the Cholesky factorization of the
-// square matrix a under the same contract as FactorSparseCholesky:
+// square matrix a under the same contract as FactorSparseCholeskyOrdered:
 // ErrNotSPD if a is not symmetric (within a loose tolerance) or a
 // pivot is clearly negative, ErrSingular when a pivot falls below
 // cholPivotRelTol times the matrix's max-abs element.

@@ -106,9 +106,6 @@ func TestIsSymmetric(t *testing.T) {
 
 func TestVectorHelpers(t *testing.T) {
 	a := []float64{1, 2, 3}
-	if NormInf([]float64{-9, 2}) != 9 {
-		t.Error("NormInf wrong")
-	}
 	if Mean(a) != 2 {
 		t.Errorf("Mean = %v, want 2", Mean(a))
 	}

@@ -9,15 +9,15 @@ import (
 )
 
 // The Cholesky contract: every test here runs the dense oracle and the
-// production natural-order FactorSparseCholesky on the same matrix and
+// production natural-order FactorSparseCholeskyOrdered(a, nil) on the same matrix and
 // requires the same factor, the same solution bits or the same error.
 
 // factorBoth factors a with the dense oracle and with
-// FactorSparseCholesky, failing unless both return the same error.
+// FactorSparseCholeskyOrdered in natural order, failing unless both return the same error.
 func factorBoth(t testing.TB, a *Matrix) (*denseCholesky, *SparseCholesky, error) {
 	t.Helper()
 	d, derr := factorDenseCholesky(a)
-	s, serr := FactorSparseCholesky(csrOf(a))
+	s, serr := FactorSparseCholeskyOrdered(csrOf(a), nil)
 	if derr != serr {
 		t.Fatalf("dense err = %v, sparse err = %v", derr, serr)
 	}
@@ -148,7 +148,7 @@ func TestCholeskyRandomSPDProperty(t *testing.T) {
 		}
 		requireSameFactor(t, d, s)
 		got := solveBoth(t, d, s, a.MulVec(want))
-		return vecAlmostEq(got, want, 1e-6*(1+NormInf(want)))
+		return vecAlmostEq(got, want, 1e-6*(1+normInf(want)))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -55,21 +55,6 @@ func (a *CSR) MaxAbs() float64 {
 	return mx
 }
 
-// MulVecInto computes y = a·x without allocating. x and y must not
-// alias.
-func (a *CSR) MulVecInto(y, x []float64) {
-	if len(x) != a.n || len(y) != a.n {
-		panic(fmt.Sprintf("linalg: CSR.MulVecInto dimension mismatch: n=%d len(x)=%d len(y)=%d", a.n, len(x), len(y)))
-	}
-	for i := 0; i < a.n; i++ {
-		var s float64
-		for k := a.rowPtr[i]; k < a.rowPtr[i+1]; k++ {
-			s += a.vals[k] * x[a.colIdx[k]]
-		}
-		y[i] = s
-	}
-}
-
 // SparseBuilder accumulates (row, col, value) triplets and compresses
 // them into a CSR matrix. Duplicate coordinates are summed in insertion
 // order, exactly as accumulating the same Add sequence into a dense

@@ -65,31 +65,15 @@ func TestSparseBuilderMatchesDenseAddReplay(t *testing.T) {
 	}
 }
 
-func TestCSRMulVecInto(t *testing.T) {
-	m, a := gridLaplacian(4, 4, 1.25, 0.5)
-	x := make([]float64, a.N())
-	for i := range x {
-		x[i] = float64(i%5) - 2
-	}
-	y := make([]float64, a.N())
-	a.MulVecInto(y, x)
-	want := m.MulVec(x)
-	for i := range y {
-		if y[i] != want[i] {
-			t.Fatalf("MulVecInto[%d] = %v, want %v", i, y[i], want[i])
-		}
-	}
-}
-
 func TestSparseCholeskyNaturalBitwiseMatchesDense(t *testing.T) {
 	m, a := gridLaplacian(6, 6, 0.8, 0.05)
 	dense, err := factorDenseCholesky(m)
 	if err != nil {
 		t.Fatalf("factorDenseCholesky: %v", err)
 	}
-	sparse, err := FactorSparseCholesky(a)
+	sparse, err := FactorSparseCholeskyOrdered(a, nil)
 	if err != nil {
-		t.Fatalf("FactorSparseCholesky: %v", err)
+		t.Fatalf("FactorSparseCholeskyOrdered: %v", err)
 	}
 	requireSameFactor(t, dense, sparse)
 	b := make([]float64, a.N())
@@ -106,9 +90,9 @@ func TestSparseCholeskyOrderedSolvesAccurately(t *testing.T) {
 	if err != nil {
 		t.Fatalf("FactorSparseCholeskyOrdered: %v", err)
 	}
-	natural, err := FactorSparseCholesky(a)
+	natural, err := FactorSparseCholeskyOrdered(a, nil)
 	if err != nil {
-		t.Fatalf("FactorSparseCholesky: %v", err)
+		t.Fatalf("FactorSparseCholeskyOrdered: %v", err)
 	}
 	if f.NNZ() > natural.NNZ() {
 		t.Errorf("min-degree fill %d exceeds natural-order fill %d", f.NNZ(), natural.NNZ())
@@ -225,7 +209,7 @@ func TestCholeskyNearSingular(t *testing.T) {
 	if _, err := factorDenseCholesky(m); !errors.Is(err, ErrSingular) {
 		t.Fatalf("dense err = %v, want ErrSingular", err)
 	}
-	if _, err := FactorSparseCholesky(b.Build()); !errors.Is(err, ErrSingular) {
+	if _, err := FactorSparseCholeskyOrdered(b.Build(), nil); !errors.Is(err, ErrSingular) {
 		t.Fatalf("sparse err = %v, want ErrSingular", err)
 	}
 	// A healthy leak still factors fine on the identical topology.
@@ -233,7 +217,7 @@ func TestCholeskyNearSingular(t *testing.T) {
 	if _, err := factorDenseCholesky(m2); err != nil {
 		t.Fatalf("dense healthy: %v", err)
 	}
-	if _, err := FactorSparseCholesky(a2); err != nil {
+	if _, err := FactorSparseCholeskyOrdered(a2, nil); err != nil {
 		t.Fatalf("sparse healthy: %v", err)
 	}
 }
@@ -266,7 +250,7 @@ func TestSparseCholeskyRejectsAsymmetric(t *testing.T) {
 		for _, e := range c.entries {
 			b.Add(e.i, e.j, e.v)
 		}
-		if _, err := FactorSparseCholesky(b.Build()); !errors.Is(err, ErrNotSPD) {
+		if _, err := FactorSparseCholeskyOrdered(b.Build(), nil); !errors.Is(err, ErrNotSPD) {
 			t.Errorf("%s: err = %v, want ErrNotSPD", c.name, err)
 		}
 	}

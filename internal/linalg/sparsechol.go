@@ -54,11 +54,6 @@ type SparseCholesky struct {
 	free [][]float64 // scratch freelist for permuted solves
 }
 
-// FactorSparseCholesky factors a in natural order (no permutation).
-func FactorSparseCholesky(a *CSR) (*SparseCholesky, error) {
-	return FactorSparseCholeskyOrdered(a, nil)
-}
-
 // FactorSparseCholeskyOrdered factors a under the elimination order
 // perm (perm[k] = original index eliminated at step k); nil means
 // natural order. It returns ErrNotSPD when a is not symmetric (within

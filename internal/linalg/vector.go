@@ -7,21 +7,8 @@
 // offline-only, so everything here is written from scratch.
 package linalg
 
-import "math"
-
 // Vector helpers. Vectors are plain []float64 so callers can use them
 // without wrapping; these functions centralize the arithmetic.
-
-// NormInf returns the max-abs norm of v.
-func NormInf(v []float64) float64 {
-	var mx float64
-	for _, x := range v {
-		if a := math.Abs(x); a > mx {
-			mx = a
-		}
-	}
-	return mx
-}
 
 // Mean returns the arithmetic mean of v, 0 for an empty slice.
 func Mean(v []float64) float64 {
