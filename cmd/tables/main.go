@@ -24,8 +24,6 @@ func main() {
 	var (
 		table     = flag.Int("table", 0, "table to regenerate (1, 2 or 3; 0 = all)")
 		fpGens    = flag.Int("fpgens", 20, "GA floorplanner generations inside co-synthesis")
-		sweep     = flag.Int("sweep", 0, "additionally run a randomized robustness sweep of this many graphs")
-		sweepSeed = flag.Int64("sweepseed", 7, "seed for the robustness sweep")
 		scaling   = flag.Bool("scaling", false, "run only the scaling study (20 to 500 tasks on a generated 8-PE platform)")
 		scalePEs  = flag.Int("scalepes", 0, "scaling study PE count (0 = default 8)")
 		scaleSeed = flag.Int64("scaleseed", 1, "scaling study seed (0 is a valid seed)")
@@ -46,15 +44,6 @@ func main() {
 		fatal(err)
 	}
 	s.FloorplanGenerations = *fpGens
-	defer func() {
-		if *sweep > 0 {
-			r, err := experiments.RunSweep(context.Background(), s.Lib, *sweep, *sweepSeed, cosynth.PlatformConfig{})
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Println(r)
-		}
-	}()
 
 	run1 := func() {
 		t, err := s.RunTable1()
