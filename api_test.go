@@ -42,7 +42,7 @@ func TestFacadeCustomGraphAndArch(t *testing.T) {
 		PEs:  []PE{{Name: "a", Type: 0}, {Name: "b", Type: 1}},
 	}
 	cfg := SchedConfig{Policy: MinTaskEnergy, EnergyWeight: 0.3}
-	s, err := AllocateAndSchedule(g, arch, lib, cfg)
+	s, err := AllocateAndSchedule(context.Background(), g, arch, lib, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,12 +156,16 @@ func TestFacadeSimAndDTM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec, err := ExecuteSchedule(run.Schedule, SimOptions{MinFactor: 0.8, Seed: 1})
+	// The unthrottled reference run: shorter tasks never finish later.
+	resp, err := testEngine(t).Run(context.Background(), NewRequest(FlowSimulate,
+		WithBenchmark("Bm1"), WithPolicy(ThermalAware),
+		WithSimulate(SimulateSpec{Controller: "none", MinFactor: 0.8, Seed: 1})))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exec.Makespan > run.Schedule.Makespan {
-		t.Error("actual makespan exceeds worst case")
+	if rep := resp.Simulate; rep.Makespan.Max > run.Schedule.Makespan+1e-6 || rep.ThrottleTime.Max != 0 {
+		t.Errorf("unthrottled makespan %g (throttled %g) exceeds worst case %g",
+			rep.Makespan.Max, rep.ThrottleTime.Max, run.Schedule.Makespan)
 	}
 	toggle, err := NewToggleDTM(88, 3, 0.4)
 	if err != nil {
@@ -236,11 +240,13 @@ func TestFacadeConditionalGraph(t *testing.T) {
 	if exp >= run.Schedule.TotalEnergy() {
 		t.Error("expected energy should be below worst case for a CTG")
 	}
-	res, err := ExecuteSchedule(run.Schedule, SimOptions{MinFactor: 1, Seed: 1, Conditional: true})
+	resp, err := testEngine(t).Run(context.Background(), NewRequest(FlowSimulate,
+		WithGraph(g), WithPolicy(MinTaskEnergy),
+		WithSimulate(SimulateSpec{Controller: "none", Seed: 1, Conditional: true})))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Executed >= g.NumTasks() {
-		t.Log("all branches taken this seed (possible)")
+	if e := resp.Simulate.MeanEnergy; e > run.Schedule.TotalEnergy()+1e-6 {
+		t.Errorf("conditional realized energy %g exceeds worst case %g", e, run.Schedule.TotalEnergy())
 	}
 }

@@ -10,9 +10,9 @@ import (
 	"thermalsched/internal/floorplan"
 	"thermalsched/internal/hotspot"
 	"thermalsched/internal/power"
+	rt "thermalsched/internal/runtime"
 	"thermalsched/internal/sched"
 	"thermalsched/internal/search"
-	"thermalsched/internal/sim"
 	"thermalsched/internal/taskgraph"
 	"thermalsched/internal/techlib"
 )
@@ -300,8 +300,9 @@ func BenchmarkRobustnessSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkSimExecute measures the discrete-event executor.
-func BenchmarkSimExecute(b *testing.B) {
+// BenchmarkSimulateUnthrottled measures the schedule executor with no
+// supervisor: the realized replay plus the thermal steps it drives.
+func BenchmarkSimulateUnthrottled(b *testing.B) {
 	lib, err := techlib.StandardLibrary()
 	if err != nil {
 		b.Fatal(err)
@@ -316,7 +317,8 @@ func BenchmarkSimExecute(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.Execute(run.Schedule, sim.Options{MinFactor: 0.7, Seed: int64(i)}); err != nil {
+		cfg := rt.Config{DT: 1, TimeScale: 0.1, MinFactor: 0.7, Seed: int64(i)}
+		if _, err := rt.Simulate(context.Background(), run.Schedule, run.Model, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -517,8 +519,8 @@ func BenchmarkConditionalTaskGraphs(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sim.Execute(run.Schedule, sim.Options{
-			MinFactor: 0.8, Seed: int64(i), Conditional: true,
+		res, err := rt.Simulate(context.Background(), run.Schedule, run.Model, rt.Config{
+			DT: 1, TimeScale: 0.1, MinFactor: 0.8, Seed: int64(i), Conditional: true,
 		})
 		if err != nil {
 			b.Fatal(err)

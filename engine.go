@@ -18,7 +18,6 @@ import (
 	"thermalsched/internal/hotspot"
 	rt "thermalsched/internal/runtime"
 	"thermalsched/internal/search"
-	"thermalsched/internal/sim"
 	"thermalsched/internal/taskgraph"
 	"thermalsched/internal/techlib"
 )
@@ -537,15 +536,13 @@ func (e *Engine) runSimulateFlow(ctx context.Context, req *Request) (*Response, 
 			return err
 		}
 		results[i], err = rt.Simulate(ctx, res.Schedule, res.Model, rt.Config{
-			DT:         spec.DT,
-			TimeScale:  spec.TimeScale,
-			Supervisor: sup,
-			WarmStart:  spec.WarmStart,
-			Exec: sim.Options{
-				MinFactor:   spec.MinFactor,
-				Seed:        spec.Seed + int64(i),
-				Conditional: spec.Conditional,
-			},
+			DT:          spec.DT,
+			TimeScale:   spec.TimeScale,
+			Supervisor:  sup,
+			WarmStart:   spec.WarmStart,
+			MinFactor:   spec.MinFactor,
+			Seed:        spec.Seed + int64(i),
+			Conditional: spec.Conditional,
 		})
 		return err
 	})

@@ -22,10 +22,26 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 
 	"thermalsched/internal/dtm"
 	"thermalsched/internal/hotspot"
 )
+
+// DrawFactors draws n execution-time factors, uniform on
+// [minFactor, 1], consuming exactly one rng variate per factor in index
+// order. This is the single seeded duration-draw contract of both
+// co-simulators: runtime.Realize and the online dispatcher
+// (internal/stream) draw factor i for task/job i from the i-th variate
+// of a source seeded with their Seed verbatim, so the two subsystems
+// realize identical factor sequences from identical seeds.
+func DrawFactors(rng *rand.Rand, n int, minFactor float64) []float64 {
+	f := make([]float64, n)
+	for i := range f {
+		f[i] = minFactor + (1-minFactor)*rng.Float64()
+	}
+	return f
+}
 
 // ctxCheckInterval is how many steps pass between context polls.
 const ctxCheckInterval = 256

@@ -58,7 +58,6 @@ var corePackages = map[string]bool{
 	"sched":       true,
 	"floorplan":   true,
 	"cosynth":     true,
-	"sim":         true,
 	"runtime":     true,
 	"scenario":    true,
 	"taskgraph":   true,
@@ -66,6 +65,8 @@ var corePackages = map[string]bool{
 	"search":      true,
 	"stream":      true,
 	"coloop":      true,
+	"dtm":         true,
+	"power":       true,
 }
 
 // modulePath is the import-path prefix of this repository.

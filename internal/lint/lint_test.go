@@ -15,8 +15,8 @@ func TestMapIter(t *testing.T) {
 
 func TestWallTime(t *testing.T) {
 	linttest.Run(t, "testdata", WallTimeAnalyzer,
-		"thermalsched/internal/sim",  // core
-		"thermalsched/internal/jobs", // exempt tier
+		"thermalsched/internal/runtime", // core
+		"thermalsched/internal/jobs",    // exempt tier
 	)
 }
 
@@ -36,6 +36,8 @@ func TestIsCorePackage(t *testing.T) {
 		"thermalsched [thermalsched.test]":      true, // vet test variant
 		"thermalsched/internal/hotspot":         true,
 		"thermalsched/internal/search":          true,
+		"thermalsched/internal/dtm":             true,  // supervisor admissions feed the goldens
+		"thermalsched/internal/power":           true,  // leakage feeds the goldens
 		"thermalsched/internal/jobs":            false, // wall-clock by design
 		"thermalsched/internal/service":         false,
 		"thermalsched/internal/linalg":          false, // order-free numeric kernels

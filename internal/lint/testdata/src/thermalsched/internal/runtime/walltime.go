@@ -1,6 +1,6 @@
 // Fixtures for the walltime analyzer inside a deterministic-core
 // package path.
-package sim
+package runtime
 
 import (
 	"math/rand"

@@ -1,7 +1,15 @@
-// Package runtime closes the loop between the discrete-event schedule
-// executor (internal/sim), the transient thermal RC model
-// (hotspot.Transient) and a dynamic-thermal-management controller
-// (internal/dtm).
+// Package runtime is the schedule executor: it replays a static
+// schedule with realized execution times (a seeded fraction of each
+// task's WCET) while closing the loop between that discrete-event
+// replay, the transient thermal RC model (hotspot.Transient) and a
+// dynamic-thermal-management controller (internal/dtm).
+//
+// The paper evaluates worst-case schedules only; this executor is the
+// run-time companion. The task→PE mapping and each PE's dispatch order
+// come from the static schedule (DispatchQueues), and actual durations
+// and conditional branches come from one seeded draw (Realize). With no
+// supervisor every PE runs at full speed, and makespan and energy can
+// only shrink when execution times shrink.
 //
 // Scaling a fixed power trace would let throttling cut power without
 // slowing anything down, leaving the performance cost of DTM only a
@@ -16,12 +24,6 @@
 // die sees, which is exactly how a thermally balanced static schedule
 // pays off at run time: cooler blocks cross the trigger later (or
 // never), accumulate less throttle time, and miss fewer deadlines.
-//
-// Dispatch semantics match internal/sim exactly: the task→PE mapping
-// and each PE's dispatch order come from the static schedule, actual
-// durations and conditional branches come from the same seeded
-// sim.Realize draw, so a closed-loop replica is directly comparable to
-// its open-loop counterpart under the same seed.
 package runtime
 
 import (
@@ -33,7 +35,6 @@ import (
 	"thermalsched/internal/dtm"
 	"thermalsched/internal/hotspot"
 	"thermalsched/internal/sched"
-	"thermalsched/internal/sim"
 )
 
 // Config parameterizes one closed-loop co-simulation.
@@ -54,10 +55,17 @@ type Config struct {
 	// full speed, which is the unthrottled reference run. Reactive
 	// controllers adapt via dtm.Supervise.
 	Supervisor dtm.Supervisor
-	// Exec seeds the discrete-event executor: MinFactor, Seed and
-	// Conditional have the same meaning (and the same RNG draws) as in
-	// sim.Execute.
-	Exec sim.Options
+	// MinFactor is the lower bound of the per-task execution-time factor:
+	// actual duration = WCET × uniform[MinFactor, 1]. 1 replays the
+	// worst case exactly.
+	MinFactor float64
+	// Seed drives the per-task factors and the branch realization.
+	Seed int64
+	// Conditional enables conditional-task-graph execution: each edge
+	// fires with its annotated probability (given its source executed);
+	// tasks none of whose incoming edges fired are skipped and their
+	// reserved PE slots are simply not used. Sources always execute.
+	Conditional bool
 	// WarmStart initializes the thermal state to the steady-state
 	// operating point of the schedule's deadline-averaged power instead
 	// of cold ambient, modeling a die that has been running the workload
@@ -80,17 +88,20 @@ func (c Config) Validate() error {
 	if c.MaxSteps < 0 {
 		return fmt.Errorf("runtime: negative MaxSteps %d", c.MaxSteps)
 	}
-	return c.Exec.Validate()
+	if c.MinFactor <= 0 || c.MinFactor > 1 {
+		return fmt.Errorf("runtime: MinFactor %g out of (0, 1]", c.MinFactor)
+	}
+	return nil
 }
 
 // Result is the outcome of one closed-loop run.
 type Result struct {
-	// Records holds the realized execution, indexed by task ID; skipped
-	// conditional branches are marked as in sim. Power is the nominal
+	// Records holds the realized execution, indexed by task ID, with
+	// skipped conditional branches marked. Power is the nominal
 	// (unthrottled) draw of the task.
-	Records []sim.TaskRecord
+	Records []TaskRecord
 	// Makespan is the realized completion time in schedule units —
-	// under throttling it exceeds the open-loop makespan of the same
+	// under throttling it exceeds the unthrottled makespan of the same
 	// realization.
 	Makespan float64
 	// Energy is the energy actually delivered, Σ scaled power × time.
@@ -118,7 +129,7 @@ type Result struct {
 	// DeadlineMet reports Makespan ≤ the graph's deadline.
 	DeadlineMet bool
 
-	real *sim.Realization // the draw this run executed, for Validate
+	real *Realization // the draw this run executed, for Validate
 }
 
 // completion tolerance: a task is done when its remaining work falls to
@@ -136,7 +147,7 @@ func Simulate(ctx context.Context, s *sched.Schedule, model *hotspot.Model, cfg 
 	if err := s.Validate(); err != nil {
 		return nil, fmt.Errorf("runtime: %w", err)
 	}
-	real, err := sim.Realize(s, cfg.Exec)
+	real, err := Realize(s, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -207,12 +218,12 @@ func Simulate(ctx context.Context, s *sched.Schedule, model *hotspot.Model, cfg 
 	}
 
 	n := s.Graph.NumTasks()
-	queues := sim.DispatchQueues(s)
+	queues := DispatchQueues(s)
 	next := make([]int, nPE)        // per-PE queue cursor
 	running := make([]int, nPE)     // task executing on the PE, or -1
 	remaining := make([]float64, n) // work left, in schedule units at full speed
 	done := make([]bool, n)
-	records := make([]sim.TaskRecord, n)
+	records := make([]TaskRecord, n)
 	for pe := range running {
 		running[pe] = -1
 	}
@@ -227,10 +238,11 @@ func Simulate(ctx context.Context, s *sched.Schedule, model *hotspot.Model, cfg 
 		real:          real,
 	}
 
-	// readyAt computes when task id's inputs are available on PE pe; ok
-	// is false while any predecessor is still pending. Only fired edges
-	// carry data; skipped predecessors impose no delay — the same rule
-	// sim.Execute dispatches by.
+	// readyAt is the dispatch ready rule: when task id's inputs are
+	// available on PE pe, with ok false while any predecessor is still
+	// pending. Only fired edges carry data, with bus delay across PEs;
+	// skipped predecessors impose no delay. CheckExecution checks
+	// records against the same rule.
 	readyAt := func(id, pe int) (float64, bool) {
 		t := 0.0
 		for _, e := range s.Graph.Predecessors(id) {
@@ -269,7 +281,7 @@ func Simulate(ctx context.Context, s *sched.Schedule, model *hotspot.Model, cfg 
 					for running[pe] < 0 && next[pe] < len(queues[pe]) {
 						id := queues[pe][next[pe]]
 						if !real.Executes[id] {
-							records[id] = sim.TaskRecord{Task: id, PE: pe, Skipped: true}
+							records[id] = TaskRecord{Task: id, PE: pe, Skipped: true}
 							done[id] = true
 							next[pe]++
 							completed++
@@ -295,7 +307,7 @@ func Simulate(ctx context.Context, s *sched.Schedule, model *hotspot.Model, cfg 
 								break
 							}
 						}
-						records[id] = sim.TaskRecord{
+						records[id] = TaskRecord{
 							Task: id, PE: pe, Start: t,
 							Power: s.Assignments[id].Power,
 						}
@@ -420,10 +432,10 @@ func Simulate(ctx context.Context, s *sched.Schedule, model *hotspot.Model, cfg 
 }
 
 // Validate cross-checks the realized execution against the schedule
-// and the realization it ran under (sim.CheckExecution): every executed
+// and the realization it ran under (CheckExecution): every executed
 // task ran on its assigned PE without overlap, and every fired
 // precedence edge (with bus delay) was honoured. Throttling stretches
 // tasks, so durations are only checked to be non-negative.
 func (r *Result) Validate(s *sched.Schedule) error {
-	return sim.CheckExecution(s, r.Records, r.real)
+	return CheckExecution(s, r.Records, r.real)
 }

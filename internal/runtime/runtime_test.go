@@ -10,7 +10,6 @@ import (
 	"thermalsched/internal/floorplan"
 	"thermalsched/internal/hotspot"
 	"thermalsched/internal/sched"
-	"thermalsched/internal/sim"
 	"thermalsched/internal/taskgraph"
 	"thermalsched/internal/techlib"
 )
@@ -33,17 +32,17 @@ func platformRun(t *testing.T, bench string, policy sched.Policy) *cosynth.Resul
 }
 
 func baseConfig() Config {
-	return Config{DT: 1, TimeScale: 0.1, Exec: sim.Options{MinFactor: 1}}
+	return Config{DT: 1, TimeScale: 0.1, MinFactor: 1}
 }
 
 // With no controller the closed-loop executor is exactly the open-loop
-// discrete-event executor: same realization, same dispatch rule, so the
-// same makespan and energy.
+// reference executor (openLoopExecute): same realization, same dispatch
+// rule, so the same makespan and energy.
 func TestUnthrottledMatchesOpenLoopExecutor(t *testing.T) {
 	res := platformRun(t, "Bm1", sched.ThermalAware)
 	for _, seed := range []int64{0, 1, 7} {
 		cfg := baseConfig()
-		cfg.Exec = sim.Options{MinFactor: 0.6, Seed: seed}
+		cfg.MinFactor, cfg.Seed = 0.6, seed
 		closed, err := Simulate(context.Background(), res.Schedule, res.Model, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -51,7 +50,7 @@ func TestUnthrottledMatchesOpenLoopExecutor(t *testing.T) {
 		if err := closed.Validate(res.Schedule); err != nil {
 			t.Fatal(err)
 		}
-		open, err := sim.Execute(res.Schedule, cfg.Exec)
+		open, err := openLoopExecute(res.Schedule, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,15 +168,20 @@ func TestSimulateCancellation(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	res := platformRun(t, "Bm1", sched.ThermalAware)
 	bad := []Config{
-		{DT: 0, TimeScale: 1, Exec: sim.Options{MinFactor: 1}},
-		{DT: 1, TimeScale: 0, Exec: sim.Options{MinFactor: 1}},
-		{DT: 1, TimeScale: 1, Exec: sim.Options{MinFactor: 0}},
-		{DT: 1, TimeScale: 1, MaxSteps: -1, Exec: sim.Options{MinFactor: 1}},
+		{DT: 0, TimeScale: 1, MinFactor: 1},
+		{DT: 1, TimeScale: 0, MinFactor: 1},
+		{DT: 1, TimeScale: 1, MinFactor: 0},
+		{DT: 1, TimeScale: 1, MinFactor: -0.5},
+		{DT: 1, TimeScale: 1, MinFactor: 1.5},
+		{DT: 1, TimeScale: 1, MaxSteps: -1, MinFactor: 1},
 	}
 	for i, cfg := range bad {
 		if _, err := Simulate(context.Background(), res.Schedule, res.Model, cfg); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
+	}
+	if err := (Config{DT: 1, TimeScale: 1, MinFactor: 1}).Validate(); err != nil {
+		t.Errorf("MinFactor 1 rejected: %v", err)
 	}
 }
 
@@ -214,7 +218,7 @@ func TestSupervisorResetHygieneAcrossReplicas(t *testing.T) {
 		cfg := baseConfig()
 		cfg.Supervisor = sup
 		cfg.WarmStart = true // start hot so both kinds accumulate state
-		cfg.Exec = sim.Options{MinFactor: 0.6, Seed: seed}
+		cfg.MinFactor, cfg.Seed = 0.6, seed
 		r, err := Simulate(context.Background(), res.Schedule, res.Model, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -284,13 +288,13 @@ func ctgPlatform(t *testing.T) (*sched.Schedule, *cosynth.Result) {
 // Conditional runs through the closed loop: PEs that only host
 // skipped-branch tasks draw exactly zero power, and the seeded
 // realization is deterministic — two runs of the same replica seed are
-// bit-identical, and the branch draw matches the open-loop executor's.
+// bit-identical, and the branch draw matches the reference executor's.
 func TestConditionalSkippedBranchZeroPower(t *testing.T) {
 	s, res := ctgPlatform(t)
 	sawSkip := false
 	for seed := int64(0); seed < 10; seed++ {
 		cfg := baseConfig()
-		cfg.Exec = sim.Options{MinFactor: 1, Seed: seed, Conditional: true}
+		cfg.MinFactor, cfg.Seed, cfg.Conditional = 1, seed, true
 		r1, err := Simulate(context.Background(), s, res.Model, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -298,13 +302,13 @@ func TestConditionalSkippedBranchZeroPower(t *testing.T) {
 		if err := r1.Validate(s); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		open, err := sim.Execute(s, cfg.Exec)
+		open, err := openLoopExecute(s, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for id := range r1.Records {
 			if r1.Records[id].Skipped != open.Records[id].Skipped {
-				t.Fatalf("seed %d: task %d branch draw differs from open-loop executor", seed, id)
+				t.Fatalf("seed %d: task %d branch draw differs from the reference executor", seed, id)
 			}
 		}
 		// Any PE that hosts only skipped tasks must contribute zero
@@ -404,7 +408,7 @@ func TestValidateIgnoresUnfiredEdgeAtORJoin(t *testing.T) {
 	sawEarlyJoin := false
 	for seed := int64(0); seed < 10; seed++ {
 		cfg := baseConfig()
-		cfg.Exec = sim.Options{MinFactor: 1, Seed: seed, Conditional: true}
+		cfg.MinFactor, cfg.Seed, cfg.Conditional = 1, seed, true
 		r, err := Simulate(context.Background(), s, model, cfg)
 		if err != nil {
 			t.Fatal(err)

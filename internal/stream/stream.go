@@ -32,7 +32,6 @@ import (
 	"thermalsched/internal/dtm"
 	"thermalsched/internal/hotspot"
 	"thermalsched/internal/sched"
-	"thermalsched/internal/sim"
 	"thermalsched/internal/techlib"
 )
 
@@ -85,7 +84,7 @@ type Config struct {
 	// simulation.
 	TimeScale float64
 	// MinFactor draws each job's realized duration uniformly from
-	// [MinFactor, 1] × WCET, exactly like sim.Options.MinFactor; 1
+	// [MinFactor, 1] × WCET, exactly like runtime.Config.MinFactor; 1
 	// means every job runs at worst case.
 	MinFactor float64
 	// Seed drives the duration draws and the random policy, verbatim —
@@ -203,12 +202,12 @@ func Run(ctx context.Context, in Input, cfg Config) (*Result, error) {
 	}
 
 	// Realized durations: factor_j drawn in job-ID order from the seed,
-	// PE-independently — sim.DrawFactors is the same draw contract as
-	// sim.Realize, so the trace realization never depends on placement
+	// PE-independently — coloop.DrawFactors is the same draw contract as
+	// runtime.Realize, so the trace realization never depends on placement
 	// decisions and matches the batch realizer variate for variate.
 	nPE := len(in.Arch.PEs)
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	factors := sim.DrawFactors(rng, n, cfg.MinFactor)
+	factors := coloop.DrawFactors(rng, n, cfg.MinFactor)
 	dur := make([]float64, n*nPE)  // realized duration of job j on PE p
 	wcet := make([]float64, n*nPE) // worst-case duration of job j on PE p
 	pow := make([]float64, n*nPE)  // nominal power of job j on PE p

@@ -6,11 +6,11 @@ import (
 	"reflect"
 	"testing"
 
+	"thermalsched/internal/coloop"
 	"thermalsched/internal/cosynth"
 	"thermalsched/internal/dtm"
 	"thermalsched/internal/hotspot"
 	"thermalsched/internal/scenario"
-	"thermalsched/internal/sim"
 	"thermalsched/internal/stream"
 )
 
@@ -230,7 +230,7 @@ func TestRunInputValidation(t *testing.T) {
 }
 
 // The dispatcher and the batch realizer share one seeded duration-draw
-// contract (sim.DrawFactors): factor j comes from the j-th variate of a
+// contract (coloop.DrawFactors): factor j comes from the j-th variate of a
 // source seeded with the run seed verbatim. Every record's realized
 // duration must therefore equal WCET × the factor an independent
 // DrawFactors call reproduces — exactly, not approximately.
@@ -244,7 +244,7 @@ func TestRunSharesRealizerDrawContract(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		factors := sim.DrawFactors(rand.New(rand.NewSource(seed)), len(in.Jobs), minFactor)
+		factors := coloop.DrawFactors(rand.New(rand.NewSource(seed)), len(in.Jobs), minFactor)
 		for j, rec := range res.Records {
 			e, ok := in.Lib.Lookup(in.Arch.PEs[rec.PE].Type, in.Jobs[j].Type)
 			if !ok {

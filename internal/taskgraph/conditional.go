@@ -19,8 +19,8 @@ import (
 // Scheduling remains worst-case (every branch is reserved a slot, the
 // conservative treatment); the probabilities feed expected-value power
 // and temperature analysis (sched.ExpectedPEAveragePower) and the
-// Bernoulli branch realization of the discrete-event executor
-// (sim.Options.Conditional). Xie & Wolf's mutual-exclusion slot sharing
+// Bernoulli branch realization of the closed-loop executor
+// (runtime.Config.Conditional). Xie & Wolf's mutual-exclusion slot sharing
 // is documented out of scope in DESIGN.md.
 
 // effectiveProb returns the edge's firing probability, treating the

@@ -43,10 +43,9 @@
 //	internal/power       power profiles, traces, leakage feedback
 //	internal/cosynth     the two flows of the paper's Figure 1
 //	internal/experiments Tables 1–3, the sweep, DTM and scaling studies
-//	internal/sim         discrete-event replay with actual execution times
 //	internal/dtm         thermal supervisors: toggle, PI, admit, zig-zag
 //	internal/coloop      closed-loop co-simulation core, rise forecaster
-//	internal/runtime     the simulate flow's schedule/thermal/DTM loop
+//	internal/runtime     the schedule executor: realized replay under DTM
 //	internal/stream      online dispatcher and placement policies
 //	internal/search      deterministic parallel search pool and LRU memo
 //	internal/service     request validation/routing for cmd/thermschedd
@@ -64,7 +63,6 @@ import (
 	"thermalsched/internal/power"
 	"thermalsched/internal/sched"
 	"thermalsched/internal/search"
-	"thermalsched/internal/sim"
 	"thermalsched/internal/taskgraph"
 	"thermalsched/internal/techlib"
 )
@@ -137,15 +135,10 @@ func ParsePolicy(s string) (Policy, error) { return sched.ParsePolicy(s) }
 // Policies lists all ASP variants in paper order.
 func Policies() []Policy { return sched.Policies() }
 
-// AllocateAndSchedule runs the ASP directly on an explicit architecture.
-// Most callers want Engine.Run or Engine.Platform instead.
-func AllocateAndSchedule(g *Graph, arch Architecture, lib *Library, cfg SchedConfig) (*Schedule, error) {
-	return sched.AllocateAndSchedule(context.Background(), g, arch, lib, cfg)
-}
-
-// AllocateAndScheduleCtx is AllocateAndSchedule with cancellation
-// threaded into the ASP's greedy loop.
-func AllocateAndScheduleCtx(ctx context.Context, g *Graph, arch Architecture, lib *Library, cfg SchedConfig) (*Schedule, error) {
+// AllocateAndSchedule runs the ASP directly on an explicit
+// architecture, with cancellation threaded into its greedy loop. Most
+// callers want Engine.Run or Engine.Platform instead.
+func AllocateAndSchedule(ctx context.Context, g *Graph, arch Architecture, lib *Library, cfg SchedConfig) (*Schedule, error) {
 	return sched.AllocateAndSchedule(ctx, g, arch, lib, cfg)
 }
 
@@ -215,15 +208,11 @@ func PowerProfileOf(s *Schedule) (*PowerProfile, error) { return power.FromSched
 // DefaultLeakage returns the calibrated leakage model.
 func DefaultLeakage() LeakageModel { return power.DefaultLeakage() }
 
-// Run-time extensions: discrete-event execution and dynamic thermal
-// management (the paper's reference [2]). The controllers and
-// supervisors built here run closed-loop in the simulate and stream
-// flows, where throttling stretches the tasks it slows.
+// Run-time extension: dynamic thermal management (the paper's
+// reference [2]). The controllers and supervisors built here run
+// closed-loop in the simulate and stream flows, where throttling
+// stretches the tasks it slows.
 type (
-	// SimOptions controls the discrete-event schedule executor.
-	SimOptions = sim.Options
-	// SimResult is a realized execution of a schedule.
-	SimResult = sim.Result
 	// DTMController throttles PE power based on observed temperatures.
 	DTMController = dtm.Controller
 	// ThermalSupervisor is the widened thermal-management contract: a
@@ -258,12 +247,6 @@ func NewAdmitDTM(l Ladder, seriousScale, criticalScale, retryAfter, hysteresis f
 // coolTime-long gap at coolScale power, refusing new starts meanwhile.
 func NewZigZagDTM(l Ladder, coolTime, stepTime, coolScale float64) (ThermalSupervisor, error) {
 	return dtm.NewZigZagController(l, coolTime, stepTime, coolScale)
-}
-
-// ExecuteSchedule replays a schedule with actual (≤ WCET) execution
-// times and reports the realized timing and energy.
-func ExecuteSchedule(s *Schedule, opt SimOptions) (*SimResult, error) {
-	return sim.Execute(s, opt)
 }
 
 // NewToggleDTM returns a threshold/hysteresis throttling controller.
