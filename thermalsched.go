@@ -42,7 +42,7 @@
 //	internal/hotspot     compact thermal RC model (steady state, transient)
 //	internal/power       power profiles, traces, leakage feedback
 //	internal/cosynth     the two flows of the paper's Figure 1
-//	internal/experiments Tables 1–3, the sweep, DTM and scaling studies
+//	internal/experiments Tables 1–3, the sweep and the scaling study
 //	internal/dtm         thermal supervisors: toggle, PI, admit, zig-zag
 //	internal/coloop      closed-loop co-simulation core, rise forecaster
 //	internal/runtime     the schedule executor: realized replay under DTM
