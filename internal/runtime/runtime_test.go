@@ -171,13 +171,21 @@ func TestConfigValidation(t *testing.T) {
 		{DT: 0, TimeScale: 1, MinFactor: 1},
 		{DT: 1, TimeScale: 0, MinFactor: 1},
 		{DT: 1, TimeScale: 1, MinFactor: 0},
-		{DT: 1, TimeScale: 1, MinFactor: -0.5},
-		{DT: 1, TimeScale: 1, MinFactor: 1.5},
 		{DT: 1, TimeScale: 1, MaxSteps: -1, MinFactor: 1},
 	}
 	for i, cfg := range bad {
 		if _, err := Simulate(context.Background(), res.Schedule, res.Model, cfg); err == nil {
 			t.Errorf("bad config %d accepted", i)
+		}
+	}
+}
+
+// MinFactor is the lower bound of the per-task duration draw, so it must
+// lie in (0, 1]; 1 is the worst-case replay.
+func TestConfigValidateMinFactor(t *testing.T) {
+	for _, bad := range []float64{0, -0.5, 1.5} {
+		if err := (Config{DT: 1, TimeScale: 1, MinFactor: bad}).Validate(); err == nil {
+			t.Errorf("MinFactor %v accepted", bad)
 		}
 	}
 	if err := (Config{DT: 1, TimeScale: 1, MinFactor: 1}).Validate(); err != nil {
