@@ -167,34 +167,18 @@ func TestFacadeSimAndDTM(t *testing.T) {
 		t.Errorf("unthrottled makespan %g (throttled %g) exceeds worst case %g",
 			rep.Makespan.Max, rep.ThrottleTime.Max, run.Schedule.Makespan)
 	}
-	toggle, err := NewToggleDTM(88, 3, 0.4)
+	// The same replica under the closed-loop toggle controller, the
+	// path every DTM request takes: throttling stretches the tasks it
+	// slows, so the run throttles and finishes later.
+	dtmResp, err := testEngine(t).Run(context.Background(), NewRequest(FlowSimulate,
+		WithBenchmark("Bm1"), WithPolicy(ThermalAware),
+		WithSimulate(SimulateSpec{Controller: "toggle", MinFactor: 0.8, Seed: 1})))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup, err := SuperviseDTM(toggle, Ladder{FairC: 72, SeriousC: 80, CriticalC: 88})
-	if err != nil {
-		t.Fatal(err)
-	}
-	temps := []float64{90, 70, 70, 70}
-	scale := make([]float64, len(temps))
-	if err := sup.ScaleInto(scale, temps); err != nil {
-		t.Fatal(err)
-	}
-	if scale[0] != 0.4 || scale[1] != 1 {
-		t.Errorf("toggle scales %v, want the 90 °C block at 0.4 and the rest at 1", scale)
-	}
-	if s := sup.StateOf(0, temps); s.String() != "critical" {
-		t.Errorf("90 °C classified %v, want critical", s)
-	}
-	pi, err := NewPIDTM(85, 0.05, 0.002, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pi.ScaleInto(scale, temps); err != nil {
-		t.Fatal(err)
-	}
-	if !(scale[0] < 1) || scale[1] != 1 {
-		t.Errorf("PI scales %v, want only the block above the setpoint throttled", scale)
+	if rep := dtmResp.Simulate; rep.ThrottleTime.Max == 0 || rep.Makespan.Max <= resp.Simulate.Makespan.Max {
+		t.Errorf("toggle run throttled %g with makespan %g, want throttling past the unthrottled makespan %g",
+			rep.ThrottleTime.Max, rep.Makespan.Max, resp.Simulate.Makespan.Max)
 	}
 }
 
@@ -202,12 +186,13 @@ func TestFacadeSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep skipped in -short mode")
 	}
-	res, err := testEngine(t).Sweep(context.Background(), 4, 3)
+	resp, err := testEngine(t).Run(context.Background(), NewRequest(FlowSweep,
+		WithSweepCount(4), WithSeed(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Graphs != 4 {
-		t.Errorf("sweep graphs = %d", res.Graphs)
+	if resp.Sweep.Graphs != 4 {
+		t.Errorf("sweep graphs = %d", resp.Sweep.Graphs)
 	}
 }
 

@@ -134,10 +134,10 @@ func BenchmarkFigure1Flows(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationFloorplanGAvsSA is ablation A1 (DESIGN.md): the GA
-// floorplanner of reference [3] against a simulated-annealing baseline
-// on the same thermal objective.
-func BenchmarkAblationFloorplanGAvsSA(b *testing.B) {
+// BenchmarkFloorplanGACoSynthesisPEs runs the GA floorplanner of
+// reference [3] on the co-synthesis PE blocks under the thermal
+// objective (README "Parallel search backbone").
+func BenchmarkFloorplanGACoSynthesisPEs(b *testing.B) {
 	lib, err := techlib.StandardLibrary()
 	if err != nil {
 		b.Fatal(err)
@@ -164,42 +164,25 @@ func BenchmarkAblationFloorplanGAvsSA(b *testing.B) {
 		}
 		return t.Max(), nil
 	}
-	b.Run("GA", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			cfg := floorplan.DefaultGAConfig()
-			cfg.Generations = 20
-			cfg.Eval = eval
-			cfg.Power = powerMap
-			res, err := floorplan.RunGA(context.Background(), blocks, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if i == 0 {
-				b.Logf("GA: peak %.2f °C, area %.2f mm², %d evals",
-					res.PeakTemp, res.Area*1e6, res.Evals)
-			}
+	for i := 0; i < b.N; i++ {
+		cfg := floorplan.DefaultGAConfig()
+		cfg.Generations = 20
+		cfg.Eval = eval
+		cfg.Power = powerMap
+		res, err := floorplan.RunGA(context.Background(), blocks, cfg)
+		if err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("SA", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			cfg := floorplan.DefaultSAConfig()
-			cfg.Eval = eval
-			cfg.Power = powerMap
-			res, err := floorplan.RunSA(context.Background(), blocks, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if i == 0 {
-				b.Logf("SA: peak %.2f °C, area %.2f mm², %d evals",
-					res.PeakTemp, res.Area*1e6, res.Evals)
-			}
+		if i == 0 {
+			b.Logf("GA: peak %.2f °C, area %.2f mm², %d evals",
+				res.PeakTemp, res.Area*1e6, res.Evals)
 		}
-	})
+	}
 }
 
-// BenchmarkAblationTempWeight is ablation A2 (DESIGN.md): the DC
-// temperature-weight sweep on Bm2, showing the feasibility/temperature
-// trade-off the DC equation's last term controls.
+// BenchmarkAblationTempWeight is the DC temperature-weight sweep on
+// Bm2, showing the feasibility/temperature trade-off the DC equation's
+// last term controls.
 func BenchmarkAblationTempWeight(b *testing.B) {
 	lib, err := techlib.StandardLibrary()
 	if err != nil {
@@ -230,9 +213,9 @@ func BenchmarkAblationTempWeight(b *testing.B) {
 	}
 }
 
-// BenchmarkExtensionLeakageLoop is extension A3 (DESIGN.md): the
-// temperature-dependent leakage fixed point the paper's introduction
-// motivates, applied to the platform's schedule-time power.
+// BenchmarkExtensionLeakageLoop is the temperature-dependent leakage
+// fixed point the paper's introduction motivates, applied to the
+// platform's schedule-time power.
 func BenchmarkExtensionLeakageLoop(b *testing.B) {
 	lib, err := techlib.StandardLibrary()
 	if err != nil {

@@ -579,18 +579,6 @@ func campaignCell(policy string, resp *Response) CampaignCell {
 	return cell
 }
 
-// tally classifies one opponent-minus-reference delta: a strict win for
-// the reference (delta > epsilon), a tie (|delta| ≤ epsilon), or a
-// loss — the sweep study's outcome rule.
-func tally(delta float64, wins, ties *int) {
-	switch {
-	case delta > experiments.WinEpsilon:
-		*wins++
-	case delta >= -experiments.WinEpsilon:
-		*ties++
-	}
-}
-
 // aggregateCampaign fills the report's per-policy statistics and duels
 // from its rows.
 func aggregateCampaign(r *CampaignReport) {
@@ -653,19 +641,19 @@ func aggregateCampaign(r *CampaignReport) {
 			duel.MeanMaxRedC += dMax
 			duel.MeanAvgRedC += dAvg
 			duel.MeanPowerRed += dPow
-			tally(dMax, &duel.MaxTempWins, &duel.MaxTempTies)
-			tally(dAvg, &duel.AvgTempWins, &duel.AvgTempTies)
-			tally(dPow, &duel.PowerWins, &duel.PowerTies)
+			experiments.TallyOutcome(dMax, &duel.MaxTempWins, &duel.MaxTempTies)
+			experiments.TallyOutcome(dAvg, &duel.AvgTempWins, &duel.AvgTempTies)
+			experiments.TallyOutcome(dPow, &duel.PowerWins, &duel.PowerTies)
 			if r.Simulated {
-				tally(oc.ThrottleTime-ref.ThrottleTime, &duel.ThrottleWins, &duel.ThrottleTies)
+				experiments.TallyOutcome(oc.ThrottleTime-ref.ThrottleTime, &duel.ThrottleWins, &duel.ThrottleTies)
 			}
 			if r.Simulated || r.Streamed {
 				dMiss := oc.DeadlineMissRate - ref.DeadlineMissRate
 				duel.MeanMissRed += dMiss
-				tally(dMiss, &duel.MissRateWins, &duel.MissRateTies)
+				experiments.TallyOutcome(dMiss, &duel.MissRateWins, &duel.MissRateTies)
 				dPeak := oc.PeakTempC - ref.PeakTempC
 				duel.MeanPeakRedC += dPeak
-				tally(dPeak, &duel.PeakTempWins, &duel.PeakTempTies)
+				experiments.TallyOutcome(dPeak, &duel.PeakTempWins, &duel.PeakTempTies)
 			}
 		}
 		if duel.Compared > 0 {

@@ -1,5 +1,5 @@
-// Command floorplanner runs the thermal-aware GA floorplanner (or the SA
-// ablation baseline) on a list of blocks and writes the resulting .flp.
+// Command floorplanner runs the thermal-aware GA floorplanner on a list
+// of blocks and writes the resulting .flp.
 //
 // Blocks are given as comma-separated name:area_mm2[:minAspect:maxAspect]
 // specs; per-block power (for the thermal objective) as name:watts pairs.
@@ -7,7 +7,7 @@
 // Usage:
 //
 //	floorplanner -blocks "cpu:16,dsp:9,mem:25" -power "cpu:8,dsp:3" -o chip.flp
-//	floorplanner -blocks "a:4,b:4,c:4,d:4" -algo sa -seed 3
+//	floorplanner -blocks "a:4,b:4,c:4,d:4" -seed 3
 package main
 
 import (
@@ -27,7 +27,6 @@ func main() {
 	var (
 		blocksSpec = flag.String("blocks", "", "comma-separated name:area_mm2[:minAR:maxAR] block specs")
 		powerSpec  = flag.String("power", "", "comma-separated name:watts pairs for the thermal objective")
-		algo       = flag.String("algo", "ga", "search algorithm: ga or sa")
 		gens       = flag.Int("gens", 60, "GA generations")
 		seed       = flag.Int64("seed", 1, "search seed")
 		parallel   = flag.Int("parallelism", 1, "concurrent packing evaluations (results are byte-identical at every value)")
@@ -45,56 +44,35 @@ func main() {
 		fatal(err)
 	}
 
-	pool := search.NewPool(*parallel)
-	hs := hotspot.DefaultConfig()
-	eval := func(fp *floorplan.Floorplan, pw map[string]float64) (float64, error) {
-		m, err := hotspot.NewModel(fp, hs)
-		if err != nil {
-			return 0, err
+	cfg := floorplan.DefaultGAConfig()
+	cfg.Generations = *gens
+	cfg.Seed = *seed
+	cfg.Pool = search.NewPool(*parallel)
+	cfg.TempWeight = *tempWeight
+	if *tempWeight > 0 && len(power) > 0 {
+		hs := hotspot.DefaultConfig()
+		cfg.Eval = func(fp *floorplan.Floorplan, pw map[string]float64) (float64, error) {
+			m, err := hotspot.NewModel(fp, hs)
+			if err != nil {
+				return 0, err
+			}
+			t, err := m.SteadyState(pw)
+			if err != nil {
+				return 0, err
+			}
+			return t.Max(), nil
 		}
-		t, err := m.SteadyState(pw)
-		if err != nil {
-			return 0, err
-		}
-		return t.Max(), nil
+		cfg.Power = power
+	} else {
+		cfg.TempWeight = 0
 	}
-
-	var res *floorplan.Result
-	switch *algo {
-	case "ga":
-		cfg := floorplan.DefaultGAConfig()
-		cfg.Generations = *gens
-		cfg.Seed = *seed
-		cfg.Pool = pool
-		cfg.TempWeight = *tempWeight
-		if *tempWeight > 0 && len(power) > 0 {
-			cfg.Eval = eval
-			cfg.Power = power
-		} else {
-			cfg.TempWeight = 0
-		}
-		res, err = floorplan.RunGA(context.Background(), blocks, cfg)
-	case "sa":
-		cfg := floorplan.DefaultSAConfig()
-		cfg.Seed = *seed
-		cfg.Pool = pool
-		cfg.TempWeight = *tempWeight
-		if *tempWeight > 0 && len(power) > 0 {
-			cfg.Eval = eval
-			cfg.Power = power
-		} else {
-			cfg.TempWeight = 0
-		}
-		res, err = floorplan.RunSA(context.Background(), blocks, cfg)
-	default:
-		fatal(fmt.Errorf("unknown algorithm %q (want ga or sa)", *algo))
-	}
+	res, err := floorplan.RunGA(context.Background(), blocks, cfg)
 	if err != nil {
 		fatal(err)
 	}
 
-	fmt.Fprintf(os.Stderr, "%s: area %.2f mm² (deadspace %.1f%%), %d packings evaluated\n",
-		*algo, res.Area*1e6, 100*res.Plan.Deadspace(), res.Evals)
+	fmt.Fprintf(os.Stderr, "ga: area %.2f mm² (deadspace %.1f%%), %d packings evaluated\n",
+		res.Area*1e6, 100*res.Plan.Deadspace(), res.Evals)
 	if res.PeakTemp == res.PeakTemp { // not NaN
 		fmt.Fprintf(os.Stderr, "peak temperature %.2f °C\n", res.PeakTemp)
 	}

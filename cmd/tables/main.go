@@ -16,7 +16,7 @@ import (
 	"fmt"
 	"os"
 
-	"thermalsched/internal/cosynth"
+	"thermalsched"
 	"thermalsched/internal/experiments"
 )
 
@@ -31,7 +31,11 @@ func main() {
 	flag.Parse()
 
 	if *scaling {
-		t, err := experiments.RunScalingTable(context.Background(), nil, *scalePEs, *scaleSeed, cosynth.PlatformConfig{}, nil)
+		eng, err := thermalsched.NewEngine()
+		if err != nil {
+			fatal(err)
+		}
+		t, err := eng.ScalingTable(context.Background(), nil, *scalePEs, *scaleSeed)
 		if err != nil {
 			fatal(err)
 		}

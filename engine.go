@@ -342,16 +342,6 @@ func (e *Engine) CoSynthesize(ctx context.Context, g *Graph, opts ...RequestOpti
 	return e.cosynthesize(ctx, g, e.lib, cfg)
 }
 
-// Sweep runs the randomized power-aware vs thermal-aware study with
-// the engine's thermal calibration and model cache applied to every
-// platform run.
-func (e *Engine) Sweep(ctx context.Context, count int, seed int64) (*SweepResult, error) {
-	return experiments.RunSweep(ctx, e.lib, count, seed, cosynth.PlatformConfig{
-		HotSpot: &e.thermal,
-		Models:  e.modelProvider(),
-	})
-}
-
 // ScalingTable runs the beyond-the-paper scaling study — the
 // thermal-aware platform flow over generated scenarios of the given
 // task counts on a generated heterogeneous platform — with the engine's
@@ -469,7 +459,10 @@ func (e *Engine) runSweepFlow(ctx context.Context, req *Request) (*Response, err
 	if req.Seed != nil {
 		seed = *req.Seed
 	}
-	res, err := e.Sweep(ctx, count, seed)
+	res, err := experiments.RunSweep(ctx, e.lib, count, seed, cosynth.PlatformConfig{
+		HotSpot: &e.thermal,
+		Models:  e.modelProvider(),
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -482,8 +475,8 @@ func (e *Engine) runSweepFlow(ctx context.Context, req *Request) (*Response, err
 // are not safe for concurrent use. The reactive controllers (toggle,
 // pi) adapt to the supervisor contract behind the spec's ladder shim;
 // admit and zigzag are proactive and gate dispatches through Admit.
-func simSupervisor(spec SimulateSpec) (ThermalSupervisor, error) {
-	var c DTMController
+func simSupervisor(spec SimulateSpec) (dtm.Supervisor, error) {
+	var c dtm.Controller
 	var err error
 	switch spec.Controller {
 	case "toggle":

@@ -126,6 +126,40 @@ func TestEngineMatchesDeprecatedRunSweep(t *testing.T) {
 	}
 }
 
+// Engine.ScalingTable is the one path behind cmd/tables -scaling. On a
+// fresh engine each row's generated platform costs one model-cache
+// miss and no hit, and every other column except the wall-clock
+// SchedMillis matches the uncached experiments.RunScalingTable, whose
+// cache columns read zero for want of a stats hook.
+func TestEngineScalingTableReportsCacheTraffic(t *testing.T) {
+	got, err := testEngine(t).ScalingTable(context.Background(), nil, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := experiments.RunScalingTable(context.Background(), nil, 0, 1, PlatformConfig{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Rows) != len(want.Rows) || len(got.Rows) == 0 {
+		t.Fatalf("engine table has %d rows, uncached %d", len(got.Rows), len(want.Rows))
+	}
+	for i := range got.Rows {
+		g, w := got.Rows[i], want.Rows[i]
+		if g.CacheMisses != 1 || g.CacheHits != 0 {
+			t.Errorf("row %d (%d tasks): hit/miss %d/%d, want 0/1", i, g.Tasks, g.CacheHits, g.CacheMisses)
+		}
+		g.CacheHits, g.CacheMisses, g.SchedMillis = 0, 0, 0
+		w.SchedMillis = 0
+		if g != w {
+			t.Errorf("row %d diverges:\n  engine   %+v\n  uncached %+v", i, g, w)
+		}
+	}
+	got.Rows, want.Rows = nil, nil
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("table header diverges: engine %+v, uncached %+v", got, want)
+	}
+}
+
 // RunBatch over Bm1–Bm4 must return exactly the metrics of four
 // sequential Run calls, in order, while fanning out across workers.
 func TestEngineRunBatchMatchesSequential(t *testing.T) {

@@ -7,12 +7,11 @@
 //     PEs with a fixed floorplan, where the ASP issues thermal inquiries
 //     against the pre-built model.
 //
-// One simplification against the literal figure is documented in
-// DESIGN.md: instead of invoking the floorplanner inside every ASP
-// assignment step, each candidate architecture is floorplanned once
-// (thermal-aware when the policy is thermal-aware) using power estimates
-// from a pilot schedule; the ASP then runs with a thermal model of that
-// fixed floorplan. This keeps the flow's structure — floorplanning and
+// One simplification against the literal figure: instead of invoking
+// the floorplanner inside every ASP assignment step, each candidate
+// architecture is floorplanned once (thermal-aware when the policy is
+// thermal-aware) using power estimates from a pilot schedule; the ASP
+// then runs with a thermal model of that fixed floorplan. This keeps the flow's structure — floorplanning and
 // temperature extraction inside the co-synthesis loop — at a tractable
 // cost.
 package cosynth

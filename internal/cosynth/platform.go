@@ -54,7 +54,7 @@ const DefaultBusTimePerUnit = 0.05
 // BuildPlatform constructs the paper's platform substrate: the four
 // "identical" PEs in a row floorplan with its thermal model and oracle.
 // A row (not a 2×2 grid) is used so the platform has the edge/centre
-// asymmetry every real package exhibits; see DESIGN.md.
+// asymmetry every real package exhibits.
 func BuildPlatform(lib *techlib.Library, busTimePerUnit float64, hsCfg hotspot.Config) (sched.Architecture, *floorplan.Floorplan, *hotspot.Model, *sched.ModelOracle, error) {
 	return buildPlatform(lib, busTimePerUnit, hsCfg, nil, nil)
 }

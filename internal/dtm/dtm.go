@@ -15,7 +15,7 @@
 //     error to zero, scaling power continuously in [MinScale, 1].
 //
 // The paper proper uses only steady-state temperatures; DTM is the
-// natural run-time companion (experiment A3/extension in DESIGN.md) and
+// natural run-time companion (README "Closed-loop DTM simulation") and
 // shows how the static thermal-aware schedule reduces throttling.
 //
 // Beyond reactive scaling, the package defines the Supervisor contract

@@ -206,6 +206,28 @@ func TestPIControllerIdleBelowSetpoint(t *testing.T) {
 	}
 }
 
+// On mixed temperatures only the block above the setpoint is throttled,
+// by the proportional plus the first integral term; the others in the
+// same call stay at full power.
+func TestPIControllerThrottlesOnlyHotBlocks(t *testing.T) {
+	ctrl, err := NewPIController(85, 0.05, 0.002, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := scaleOnce(ctrl, []float64{90, 70, 85, 84.9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 1 - 0.05*5 - 0.002*5; math.Abs(s[0]-want) > 1e-12 {
+		t.Errorf("scale[0] at 90 °C = %v, want %v", s[0], want)
+	}
+	for i := 1; i < len(s); i++ {
+		if s[i] != 1 {
+			t.Errorf("scale[%d] = %v at or below the setpoint, want 1", i, s[i])
+		}
+	}
+}
+
 func TestControllerResetClearsState(t *testing.T) {
 	ctrl, _ := NewToggleController(80, 5, 0.5)
 	if _, err := scaleOnce(ctrl, []float64{100}); err != nil { // throttle

@@ -5,6 +5,58 @@ import (
 	"testing"
 )
 
+// Each ladder threshold belongs to the state it opens, and the largest
+// temperature below it to the state beneath. Classify, the reactive
+// Supervise shim (StateOf and the State an Admit reports) and the
+// zig-zag supervisor all map a temperature the same way.
+func TestLadderClassifyAtThresholds(t *testing.T) {
+	l := DefaultLadder
+	below := func(c float64) float64 { return math.Nextafter(c, math.Inf(-1)) }
+	cases := []struct {
+		tempC float64
+		want  ThermalState
+	}{
+		{-40, StateNominal},
+		{below(l.FairC), StateNominal},
+		{l.FairC, StateFair},
+		{below(l.SeriousC), StateFair},
+		{l.SeriousC, StateSerious},
+		{below(l.CriticalC), StateSerious},
+		{l.CriticalC, StateCritical},
+		{150, StateCritical},
+	}
+	toggle, err := NewToggleController(88, 3, 0.4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup, err := Supervise(toggle, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zz, err := NewZigZagController(l, 5, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cases {
+		temps := []float64{c.tempC}
+		if got := l.Classify(c.tempC); got != c.want {
+			t.Errorf("Classify(%v) = %v, want %v", c.tempC, got, c.want)
+		}
+		if got := sup.StateOf(0, temps); got != c.want {
+			t.Errorf("Supervise StateOf(%v) = %v, want %v", c.tempC, got, c.want)
+		}
+		if a := sup.Admit(0, temps, 0, 0); !a.OK || a.State != c.want {
+			t.Errorf("Supervise Admit(%v) = %+v, want OK in %v", c.tempC, a, c.want)
+		}
+		if got := zz.StateOf(0, temps); got != c.want {
+			t.Errorf("zig-zag StateOf(%v) = %v, want %v", c.tempC, got, c.want)
+		}
+	}
+	if s := StateCritical.String(); s != "critical" {
+		t.Errorf("StateCritical renders %q, want critical", s)
+	}
+}
+
 // TestAdmitDenialSticksWithinInstant checks the Supervisor.Admit
 // contract dispatchers rely on to skip re-asks: a denial at now with
 // now+RetryAfter > now is repeated for every later query of that block

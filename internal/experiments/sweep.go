@@ -42,9 +42,11 @@ type SweepResult struct {
 // clears this comfortably.
 const WinEpsilon = 1e-9
 
-// tallyOutcome classifies one power-minus-thermal delta: a strict win
-// (delta > WinEpsilon), a tie (|delta| ≤ WinEpsilon), or a loss.
-func tallyOutcome(delta float64, wins, ties *int) {
+// TallyOutcome classifies one delta in which positive favours the
+// reference (power-minus-thermal in the sweep, opponent-minus-reference
+// in campaign duels): a strict win (delta > WinEpsilon), a tie
+// (|delta| ≤ WinEpsilon), or a loss.
+func TallyOutcome(delta float64, wins, ties *int) {
 	switch {
 	case delta > WinEpsilon:
 		*wins++
@@ -105,9 +107,9 @@ func RunSweep(ctx context.Context, lib *techlib.Library, count int, seed int64, 
 		res.MeanMaxRed += dMax
 		res.MeanAvgRed += dAvg
 		res.MeanPowerRedW += dPow
-		tallyOutcome(dMax, &res.MaxWins, &res.MaxTies)
-		tallyOutcome(dAvg, &res.AvgWins, &res.AvgTies)
-		tallyOutcome(dPow, &res.PowerWins, &res.PowerTies)
+		TallyOutcome(dMax, &res.MaxWins, &res.MaxTies)
+		TallyOutcome(dAvg, &res.AvgWins, &res.AvgTies)
+		TallyOutcome(dPow, &res.PowerWins, &res.PowerTies)
 	}
 	if res.FeasibleBoth > 0 {
 		n := float64(res.FeasibleBoth)

@@ -77,9 +77,9 @@ func TestTallyOutcome(t *testing.T) {
 	}
 	for _, c := range cases {
 		wins, ties := 0, 0
-		tallyOutcome(c.delta, &wins, &ties)
+		TallyOutcome(c.delta, &wins, &ties)
 		if wins != c.wins || ties != c.ties {
-			t.Errorf("tallyOutcome(%g) = wins %d ties %d, want %d/%d", c.delta, wins, ties, c.wins, c.ties)
+			t.Errorf("TallyOutcome(%g) = wins %d ties %d, want %d/%d", c.delta, wins, ties, c.wins, c.ties)
 		}
 	}
 }

@@ -9,23 +9,22 @@ import (
 	"thermalsched/internal/search"
 )
 
-// memoSize bounds the per-run expression-fingerprint memo. A search
-// touches PopulationSize × Generations (GA) or MovesPerT × sweeps (SA)
-// candidates, most of them revisited once populations converge; the cap
-// keeps a degenerate long run from holding every packing ever built.
+// memoSize bounds the per-run expression-fingerprint memo. A GA run
+// touches about PopulationSize × Generations candidates, most of them
+// revisited once populations converge; the cap keeps a degenerate long
+// run from holding every packing ever built.
 const memoSize = 4096
 
-// evaluator is the scoring half of the generate/evaluate split shared
-// by RunGA and RunSA. Candidates are packed and thermally solved
-// by pure functions of the expression, so batches can be evaluated
-// concurrently over a bounded pool and merged in submission order —
-// results are byte-identical at every parallelism level. A memo keyed
-// by expression fingerprint skips the re-pack/re-solve for genomes
-// revisited via elitism and convergent populations; all memo traffic
-// happens serially on the caller's goroutine, so hit/miss accounting
-// (and therefore Result.Evals) is deterministic too.
+// evaluator is the scoring half of RunGA's generate/evaluate split.
+// Candidates are packed and thermally solved by pure functions of the
+// expression, so batches can be evaluated concurrently over a bounded
+// pool and merged in submission order — results are byte-identical at
+// every parallelism level. A memo keyed by expression fingerprint skips
+// the re-pack/re-solve for genomes revisited via elitism and convergent
+// populations; all memo traffic happens serially on the caller's
+// goroutine, so hit/miss accounting (and therefore Result.Evals) is
+// deterministic too.
 type evaluator struct {
-	name      string // "GA" or "SA", for error messages
 	blocks    []Block
 	areaW     float64
 	tempW     float64
@@ -40,13 +39,12 @@ type evaluator struct {
 	memoHits  int // candidates answered from the memo
 }
 
-func newEvaluator(name string, blocks []Block, areaW, tempW float64, eval Evaluator, power map[string]float64, pool *search.Pool) *evaluator {
+func newEvaluator(blocks []Block, areaW, tempW float64, eval Evaluator, power map[string]float64, pool *search.Pool) *evaluator {
 	var blockArea float64
 	for _, b := range blocks {
 		blockArea += b.Area
 	}
 	return &evaluator{
-		name:      name,
 		blocks:    blocks,
 		areaW:     areaW,
 		tempW:     tempW,
@@ -75,7 +73,7 @@ func fingerprint(e Expression) string {
 // touches on the evaluator is read-only during a batch.
 func (h *evaluator) score(ctx context.Context, e Expression) (individual, error) {
 	if err := ctx.Err(); err != nil {
-		return individual{}, fmt.Errorf("floorplan: %s cancelled after %d evaluations: %w", h.name, h.evals, err)
+		return individual{}, fmt.Errorf("floorplan: GA cancelled after %d evaluations: %w", h.evals, err)
 	}
 	plan, area, err := Pack(e, h.blocks)
 	if err != nil {
@@ -101,7 +99,7 @@ func (h *evaluator) score(ctx context.Context, e Expression) (individual, error)
 // scale-setting solve twice, and never counted it in Result.Evals).
 func (h *evaluator) scoreSeed(ctx context.Context, e Expression) (individual, error) {
 	if err := ctx.Err(); err != nil {
-		return individual{}, fmt.Errorf("floorplan: %s cancelled after %d evaluations: %w", h.name, h.evals, err)
+		return individual{}, fmt.Errorf("floorplan: GA cancelled after %d evaluations: %w", h.evals, err)
 	}
 	plan, area, err := Pack(e, h.blocks)
 	if err != nil {

@@ -1,9 +1,8 @@
 // Package floorplan provides the floorplanning substrate of the
 // reproduction: block/floorplan types with HotSpot-style .flp
 // serialization, a slicing-tree representation with Stockmeyer
-// shape-curve sizing, a thermal-aware genetic-algorithm floorplanner
-// (after Hung et al., ISQED 2005, reference [3] of the paper), a
-// simulated-annealing floorplanner used as an ablation baseline, and a
+// shape-curve sizing, a thermal-aware genetic algorithm floorplanner
+// (after Hung et al., ISQED 2005, reference [3] of the paper), and a
 // grid builder for the fixed platform architecture.
 //
 // The package is deliberately independent of the thermal model: thermal

@@ -15,7 +15,7 @@ import (
 // temperature. A nil Evaluator makes the search purely area-driven.
 type Evaluator func(fp *Floorplan, power map[string]float64) (peakTemp float64, err error)
 
-// GAConfig parameterizes the genetic-algorithm floorplanner.
+// GAConfig parameterizes the genetic algorithm floorplanner.
 // The zero value is not usable; start from DefaultGAConfig.
 type GAConfig struct {
 	PopulationSize int
@@ -115,7 +115,7 @@ func RunGA(ctx context.Context, blocks []Block, cfg GAConfig) (*Result, error) {
 	// Normalization scales so area and temperature contribute comparably:
 	// area relative to the sum of block areas, temperature relative to the
 	// seed plan's peak (set by scoreSeed).
-	h := newEvaluator("GA", blocks, cfg.AreaWeight, cfg.TempWeight, cfg.Eval, cfg.Power, cfg.Pool)
+	h := newEvaluator(blocks, cfg.AreaWeight, cfg.TempWeight, cfg.Eval, cfg.Power, cfg.Pool)
 
 	// Seed individual: one packing+solve both establishes the
 	// temperature scale and scores it.

@@ -7,6 +7,7 @@ import (
 	"math"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"thermalsched/internal/search"
@@ -76,44 +77,6 @@ func TestRunGAParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// The same property for the annealer: the speculative-batch trajectory
-// is a function of the seed alone, never of the parallelism level.
-func TestRunSAParallelMatchesSerial(t *testing.T) {
-	levels := []int{2, 4, runtime.GOMAXPROCS(0)}
-	blocks := flexBlocks(6, 1e-6)
-	for _, seed := range []int64{0, 3, 11} {
-		for _, thermal := range []bool{false, true} {
-			base := DefaultSAConfig()
-			base.Seed = seed
-			if thermal {
-				base.Eval = tallPenaltyEval
-				base.Power = map[string]float64{}
-			} else {
-				base.TempWeight = 0
-			}
-			serialCfg := base
-			serialCfg.Pool = search.NewPool(1)
-			serial, err := RunSA(context.Background(), blocks, serialCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := resultKey(t, serial)
-			for _, p := range levels {
-				cfg := base
-				cfg.Pool = search.NewPool(p)
-				got, err := RunSA(context.Background(), blocks, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if gotKey := resultKey(t, got); gotKey != want {
-					t.Errorf("seed=%d thermal=%v P=%d diverged:\n got %s\nwant %s",
-						seed, thermal, p, gotKey, want)
-				}
-			}
-		}
-	}
-}
-
 // Under the thermal objective the seed expression must be packed and
 // solved exactly once — its evaluation both sets the temperature scale
 // and scores it — and every solve must be counted in Result.Evals:
@@ -150,52 +113,6 @@ func TestRunGASeedEvaluatedOnceAndEvalsCounted(t *testing.T) {
 	}
 }
 
-// The annealer shares the single-seed-evaluation contract.
-func TestRunSASeedEvaluatedOnceAndEvalsCounted(t *testing.T) {
-	blocks := flexBlocks(4, 1e-6)
-	calls := 0
-	cfg := DefaultSAConfig()
-	cfg.MovesPerT = 10
-	cfg.MinTemp = 0.2
-	cfg.Eval = func(fp *Floorplan, pw map[string]float64) (float64, error) {
-		calls++
-		return tallPenaltyEval(fp, pw)
-	}
-	cfg.Power = map[string]float64{}
-	res, err := RunSA(context.Background(), blocks, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != res.Evals {
-		t.Errorf("thermal evaluator ran %d times but Evals = %d", calls, res.Evals)
-	}
-}
-
-func TestRunSACancellation(t *testing.T) {
-	blocks := flexBlocks(6, 1e-6)
-	ctx, cancel := context.WithCancel(context.Background())
-	evals := 0
-	cfg := DefaultSAConfig()
-	cfg.Eval = func(fp *Floorplan, pw map[string]float64) (float64, error) {
-		evals++
-		if evals == 5 {
-			cancel()
-		}
-		return tallPenaltyEval(fp, pw)
-	}
-	cfg.Power = map[string]float64{}
-	_, err := RunSA(ctx, blocks, cfg)
-	if err == nil {
-		t.Fatal("cancelled SA returned no error")
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("error %v does not wrap context.Canceled", err)
-	}
-	if evals > 50 {
-		t.Errorf("SA kept evaluating (%d evals) after cancellation", evals)
-	}
-}
-
 func TestRunGACancellationParallel(t *testing.T) {
 	blocks := flexBlocks(6, 1e-6)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -206,6 +123,30 @@ func TestRunGACancellationParallel(t *testing.T) {
 	cfg.Power = map[string]float64{}
 	if _, err := RunGA(ctx, blocks, cfg); !errors.Is(err, context.Canceled) {
 		t.Errorf("parallel GA with cancelled ctx returned %v, want context.Canceled", err)
+	}
+
+	// Cancelled mid-run, serially and in parallel: the search stops
+	// within a handful of evaluations instead of finishing its budget.
+	for _, p := range []int{1, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var evals atomic.Int64
+		cfg := DefaultGAConfig()
+		cfg.Pool = search.NewPool(p)
+		cfg.Eval = func(fp *Floorplan, pw map[string]float64) (float64, error) {
+			if evals.Add(1) == 5 {
+				cancel()
+			}
+			return tallPenaltyEval(fp, pw)
+		}
+		cfg.Power = map[string]float64{}
+		_, err := RunGA(ctx, blocks, cfg)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("P=%d: GA cancelled mid-run returned %v, want context.Canceled", p, err)
+		}
+		if n := evals.Load(); n > 50 {
+			t.Errorf("P=%d: GA kept evaluating (%d evals) after cancellation", p, n)
+		}
 	}
 }
 

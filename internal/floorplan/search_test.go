@@ -113,59 +113,6 @@ func TestRunGASingleBlock(t *testing.T) {
 	}
 }
 
-func TestRunSAFindsTightPacking(t *testing.T) {
-	blocks := flexBlocks(6, 1e-6)
-	res, err := RunSA(context.Background(), blocks, DefaultSAConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Plan.Validate(); err != nil {
-		t.Fatalf("SA produced invalid plan: %v", err)
-	}
-	if ds := res.Plan.Deadspace(); ds > 0.3 {
-		t.Errorf("SA deadspace = %.1f%%, want < 30%%", 100*ds)
-	}
-}
-
-func TestRunSADeterministicForSeed(t *testing.T) {
-	blocks := flexBlocks(4, 1e-6)
-	a, err := RunSA(context.Background(), blocks, DefaultSAConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunSA(context.Background(), blocks, DefaultSAConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Cost != b.Cost {
-		t.Errorf("same seed gave different SA results: %v vs %v", a.Cost, b.Cost)
-	}
-}
-
-func TestRunSAErrors(t *testing.T) {
-	if _, err := RunSA(context.Background(), nil, DefaultSAConfig()); err == nil {
-		t.Error("empty block list accepted")
-	}
-	cfg := DefaultSAConfig()
-	cfg.CoolingRate = 1.5
-	if _, err := RunSA(context.Background(), flexBlocks(3, 1e-6), cfg); err == nil {
-		t.Error("bad cooling rate accepted")
-	}
-}
-
-func TestRunSAWithThermalEvaluator(t *testing.T) {
-	cfg := DefaultSAConfig()
-	cfg.Eval = tallPenaltyEval
-	cfg.Power = map[string]float64{}
-	res, err := RunSA(context.Background(), flexBlocks(4, 1e-6), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.IsNaN(res.PeakTemp) {
-		t.Error("SA with evaluator should record peak temperature")
-	}
-}
-
 func TestGrid(t *testing.T) {
 	fp, err := Grid("pe", 4, 16e-6)
 	if err != nil {

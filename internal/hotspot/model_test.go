@@ -281,8 +281,8 @@ func TestMonotonicityProperty(t *testing.T) {
 	}
 }
 
-// The calibration target from DESIGN.md §5: paper-scale total power on
-// the 4-PE platform must land peak temperatures in the paper's band.
+// The calibration target: paper-scale total power on the 4-PE platform
+// must land peak temperatures in the paper's band.
 func TestCalibrationBand(t *testing.T) {
 	m := model4(t)
 	// ~12 W concentrated unevenly, like a baseline (thermally unaware)

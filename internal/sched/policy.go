@@ -94,7 +94,7 @@ type ThermalOracle interface {
 //
 // The paper leaves these scales implicit; DefaultConfig's values are
 // calibrated so the last term is commensurate with task WCETs for the
-// standard library (see DESIGN.md).
+// standard library.
 type Config struct {
 	Policy Policy
 	// PowerWeight scales watts into time units for heuristics 1 and 2.

@@ -4,8 +4,8 @@ import "fmt"
 
 // The paper evaluates four synthetic benchmarks described as
 // name/tasks/edges/deadline. The graphs themselves were never published,
-// so we regenerate them with fixed seeds (see DESIGN.md §2). The task
-// type universe is shared with techlib.StandardTypes.
+// so we regenerate them with fixed seeds. The task type universe is
+// shared with techlib.StandardTypes.
 
 // NumTaskTypes is the number of distinct task types the benchmark
 // generator draws from; the technology library must cover all of them.

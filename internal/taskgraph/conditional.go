@@ -21,7 +21,7 @@ import (
 // and temperature analysis (sched.ExpectedPEAveragePower) and the
 // Bernoulli branch realization of the closed-loop executor
 // (runtime.Config.Conditional). Xie & Wolf's mutual-exclusion slot sharing
-// is documented out of scope in DESIGN.md.
+// is out of scope.
 
 // effectiveProb returns the edge's firing probability, treating the
 // zero value as 1 so plain (unconditional) graphs need no annotation.

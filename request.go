@@ -175,8 +175,8 @@ func (s SupervisorSpec) withDefaults() SupervisorSpec {
 
 // ladder lowers the spec's thermal-state thresholds. Call on a
 // withDefaults() copy.
-func (s SupervisorSpec) ladder() Ladder {
-	return Ladder{FairC: s.FairC, SeriousC: s.SeriousC, CriticalC: s.CriticalC}
+func (s SupervisorSpec) ladder() dtm.Ladder {
+	return dtm.Ladder{FairC: s.FairC, SeriousC: s.SeriousC, CriticalC: s.CriticalC}
 }
 
 // validate checks the knob ranges; prefix is the JSON path of the
@@ -208,7 +208,7 @@ func (s SupervisorSpec) validate(prefix string) error {
 // Each replica gets its own instance: supervisors carry per-run state
 // (admission holds, cooling gaps) and are not safe for concurrent use.
 // Call on a withDefaults() copy.
-func (s SupervisorSpec) supervisor(kind string, dt float64) (ThermalSupervisor, error) {
+func (s SupervisorSpec) supervisor(kind string, dt float64) (dtm.Supervisor, error) {
 	switch kind {
 	case "admit":
 		return dtm.NewAdmitController(s.ladder(), s.SeriousScale, s.CriticalScale, s.RetryAfter, s.Hysteresis)

@@ -5,7 +5,7 @@
 // heuristics or the average temperature reported by a HotSpot-style
 // compact thermal model, embedded in both a platform-based design flow
 // and a hardware/software co-synthesis flow with a thermal-aware
-// genetic-algorithm floorplanner.
+// genetic algorithm (GA) floorplanner.
 //
 // The primary API is the Engine: construct one with NewEngine, keep it
 // for the life of the process, and feed it JSON-serializable Requests.
@@ -22,9 +22,9 @@
 //	))
 //	fmt.Printf("peak %.1f °C\n", resp.Metrics.MaxTemp)
 //
-// Engine.Platform, Engine.CoSynthesize and Engine.Sweep are the typed
-// counterparts returning full results (schedule, floorplan, thermal
-// model), and cmd/thermschedd serves Engine.Run over HTTP/JSON.
+// Engine.Platform and Engine.CoSynthesize are the typed counterparts
+// returning full results (schedule, floorplan, thermal model), and
+// cmd/thermschedd serves Engine.Run over HTTP/JSON.
 //
 // Beyond the paper's four benchmarks, the generate and campaign flows
 // run the same machinery on synthetic workloads: seeded random task
@@ -37,7 +37,7 @@
 //	internal/techlib     technology library (WCET/WCPC tables, PE types)
 //	internal/scenario    synthetic scenarios: seeded graph + platform generators
 //	internal/sched       the ASP: policies Baseline, H1–H3, ThermalAware
-//	internal/floorplan   slicing-tree GA/SA floorplanner, platform layouts
+//	internal/floorplan   slicing-tree GA floorplanner, platform layouts
 //	internal/linalg      sparse Cholesky, sparse backward-Euler stepper
 //	internal/hotspot     compact thermal RC model (steady state, transient)
 //	internal/power       power profiles, traces, leakage feedback
@@ -56,7 +56,6 @@ import (
 	"context"
 
 	"thermalsched/internal/cosynth"
-	"thermalsched/internal/dtm"
 	"thermalsched/internal/experiments"
 	"thermalsched/internal/floorplan"
 	"thermalsched/internal/hotspot"
@@ -164,7 +163,7 @@ func NewThermalModel(fp *Floorplan, cfg ThermalConfig) (*ThermalModel, error) {
 	return hotspot.NewModel(fp, cfg)
 }
 
-// FloorplanGA runs the thermal-aware genetic-algorithm floorplanner.
+// FloorplanGA runs the thermal-aware GA floorplanner.
 // Set cfg.Pool (NewSearchPool) to evaluate candidates concurrently;
 // the result is byte-identical for every pool size.
 func FloorplanGA(blocks []FloorplanBlock, cfg floorplan.GAConfig) (*floorplan.Result, error) {
@@ -207,58 +206,6 @@ func PowerProfileOf(s *Schedule) (*PowerProfile, error) { return power.FromSched
 
 // DefaultLeakage returns the calibrated leakage model.
 func DefaultLeakage() LeakageModel { return power.DefaultLeakage() }
-
-// Run-time extension: dynamic thermal management (the paper's
-// reference [2]). The controllers and supervisors built here run
-// closed-loop in the simulate and stream flows, where throttling
-// stretches the tasks it slows.
-type (
-	// DTMController throttles PE power based on observed temperatures.
-	DTMController = dtm.Controller
-	// ThermalSupervisor is the widened thermal-management contract: a
-	// DTMController that also classifies block temperatures into
-	// graduated thermal states and answers admission queries.
-	ThermalSupervisor = dtm.Supervisor
-	// ThermalState is one rung of the supervisor's temperature ladder
-	// (nominal, fair, serious, critical).
-	ThermalState = dtm.ThermalState
-	// Ladder holds the ascending fair/serious/critical thresholds that
-	// split the temperature axis into the four thermal states.
-	Ladder = dtm.Ladder
-)
-
-// SuperviseDTM adapts a reactive DTM controller to the supervisor
-// contract: scaling works as before and every admission is granted.
-func SuperviseDTM(c DTMController, l Ladder) (ThermalSupervisor, error) {
-	return dtm.Supervise(c, l)
-}
-
-// NewAdmitDTM returns the predictive admission-control supervisor:
-// starts forecast to push a block to the serious state are refused for
-// retryAfter time units, with graduated throttling as a safety net.
-// State demotions carry hysteresis °C of stickiness, matching the
-// reactive toggle's trip-and-release shape.
-func NewAdmitDTM(l Ladder, seriousScale, criticalScale, retryAfter, hysteresis float64) (ThermalSupervisor, error) {
-	return dtm.NewAdmitController(l, seriousScale, criticalScale, retryAfter, hysteresis)
-}
-
-// NewZigZagDTM returns the idle-slack cooling supervisor (Chrobak et
-// al., arXiv 0801.4238): a block reaching serious is forced through a
-// coolTime-long gap at coolScale power, refusing new starts meanwhile.
-func NewZigZagDTM(l Ladder, coolTime, stepTime, coolScale float64) (ThermalSupervisor, error) {
-	return dtm.NewZigZagController(l, coolTime, stepTime, coolScale)
-}
-
-// NewToggleDTM returns a threshold/hysteresis throttling controller.
-func NewToggleDTM(triggerC, hysteresis, throttle float64) (DTMController, error) {
-	return dtm.NewToggleController(triggerC, hysteresis, throttle)
-}
-
-// NewPIDTM returns a proportional–integral thermal controller
-// (reference [2]'s control-theoretic DTM).
-func NewPIDTM(setpointC, kp, ki, minScale float64) (DTMController, error) {
-	return dtm.NewPIController(setpointC, kp, ki, minScale)
-}
 
 // Experiment suite (Tables 1–3).
 type (
