@@ -351,8 +351,17 @@ func (e *Engine) CoSynthesize(ctx context.Context, g *Graph, opts ...RequestOpti
 func (e *Engine) ScalingTable(ctx context.Context, sizes []int, pes int, seed int64) (*experiments.ScalingTable, error) {
 	return experiments.RunScalingTable(ctx, sizes, pes, seed, cosynth.PlatformConfig{
 		HotSpot: &e.thermal,
-		Models:  e.modelProvider(),
-	}, e.ModelCacheStats)
+	}, e.rowModels)
+}
+
+// rowModels gives one scaling row a provider over the engine's model
+// cache that counts only the row's own lookups, so requests running
+// concurrently on the same Engine are not charged to the row.
+func (e *Engine) rowModels() (cosynth.ModelProvider, func() (hits, misses uint64)) {
+	var hits, misses atomic.Uint64
+	return e.countingModelProvider(&hits, &misses), func() (uint64, uint64) {
+		return hits.Load(), misses.Load()
+	}
 }
 
 // platform executes the platform flow with the engine's thermal model
@@ -587,13 +596,25 @@ func (e *Engine) runSimulateFlow(ctx context.Context, req *Request) (*Response, 
 // modelProvider returns the cosynth-layer hook backed by the engine's
 // factorization cache.
 func (e *Engine) modelProvider() cosynth.ModelProvider {
+	return e.countingModelProvider(nil, nil)
+}
+
+// countingModelProvider is modelProvider that also adds each of its
+// cache hits and misses to the given counters, when they are non-nil.
+func (e *Engine) countingModelProvider(hits, misses *atomic.Uint64) cosynth.ModelProvider {
 	if e.models.Cap() == 0 {
 		return nil // caching disabled; cosynth falls back to hotspot.NewModel
 	}
 	return func(fp *floorplan.Floorplan, cfg hotspot.Config) (*hotspot.Model, error) {
 		key := modelKey(fp, cfg)
 		if m, ok := e.models.Get(key); ok {
+			if hits != nil {
+				hits.Add(1)
+			}
 			return m, nil
+		}
+		if misses != nil {
+			misses.Add(1)
 		}
 		m, err := hotspot.NewModel(fp, cfg)
 		if err != nil {

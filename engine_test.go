@@ -160,6 +160,51 @@ func TestEngineScalingTableReportsCacheTraffic(t *testing.T) {
 	}
 }
 
+// Each scaling row counts only its own model-cache lookups: a request
+// looping on another goroutine of the same Engine, whose Bm1 platform
+// model hits the cache on every run, must not show up in any row.
+func TestEngineScalingTableIgnoresConcurrentRequests(t *testing.T) {
+	e := testEngine(t)
+	req := NewRequest(FlowPlatform, WithBenchmark("Bm1"), WithPolicy(ThermalAware))
+	if _, err := e.Run(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	done := make(chan error, 1)
+	running := make(chan struct{})
+	go func() {
+		for i := 0; ; i++ {
+			if _, err := e.Run(context.Background(), req); err != nil {
+				done <- err
+				return
+			}
+			if i == 0 {
+				close(running)
+			}
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+		}
+	}()
+	<-running
+	got, err := e.ScalingTable(context.Background(), nil, 0, 1)
+	close(stop)
+	if werr := <-done; werr != nil {
+		t.Fatal(werr)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range got.Rows {
+		if r.CacheHits != 0 || r.CacheMisses != 1 {
+			t.Errorf("row %d (%d tasks): hit/miss %d/%d, want 0/1", i, r.Tasks, r.CacheHits, r.CacheMisses)
+		}
+	}
+}
+
 // RunBatch over Bm1–Bm4 must return exactly the metrics of four
 // sequential Run calls, in order, while fanning out across workers.
 func TestEngineRunBatchMatchesSequential(t *testing.T) {

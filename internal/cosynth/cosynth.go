@@ -2,6 +2,7 @@ package cosynth
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -111,37 +112,13 @@ func RunCoSynthesis(ctx context.Context, g *taskgraph.Graph, lib *techlib.Librar
 		return nil, err
 	}
 	pool := c.Search
-
-	// Search accounting: floorplanner packing evaluations and memo hits
-	// summed over every candidate architecture explored, reported on the
-	// final Result.
-	totEvals, totMemoHits := 0, 0
-	account := func(rs ...*Result) {
-		for _, r := range rs {
-			if r != nil {
-				totEvals += r.SearchEvals
-				totMemoHits += r.SearchMemoHits
-			}
-		}
-	}
-	// evaluateAll fans one candidate neighborhood over the pool, filling
-	// results in submission order; the lowest-index error wins, exactly
-	// as in the serial flow.
+	memo := newArchMemo(ctx, g, lib, c)
+	// evaluateAll scores one candidate neighborhood, filling results in
+	// submission order; the lowest-index error wins, exactly as in the
+	// serial flow.
 	evaluateAll := func(optss [][]int) ([]*Result, error) {
-		out := make([]*Result, len(optss))
-		err := pool.Map(len(optss), func(i int) error {
-			r, err := evaluate(ctx, g, lib, optss[i], c)
-			if err != nil {
-				return err
-			}
-			out[i] = r
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		account(out...)
-		return out, nil
+		out, _, err := memo.scoreBatch(optss, false)
+		return out, err
 	}
 
 	// Candidate type indices sorted by cost (cheapest first).
@@ -211,11 +188,10 @@ func RunCoSynthesis(ctx context.Context, g *taskgraph.Graph, lib *techlib.Librar
 	}
 
 	types := []int{seedType.idx} // current architecture as a type multiset
-	best, err := evaluate(ctx, g, lib, types, c)
+	best, err := memo.score(types)
 	if err != nil {
 		return nil, err
 	}
-	account(best)
 
 	// Grow until feasible: at each step try appending each candidate type
 	// and upgrading each existing slot to each candidate type. Among
@@ -374,13 +350,7 @@ func RunCoSynthesis(ctx context.Context, g *taskgraph.Graph, lib *techlib.Librar
 				// commit, exactly as the serial scan would: a failure
 				// in a slot the serial path never evaluates must not
 				// fail the parallel run.
-				results := make([]*Result, len(opts))
-				errs := make([]error, len(opts))
-				_ = pool.Map(len(opts), func(i int) error {
-					results[i], errs[i] = evaluate(ctx, g, lib, opts[i], c)
-					return nil
-				})
-				account(results...)
+				results, errs, _ := memo.scoreBatch(opts, true)
 				for i, r := range results {
 					if errs[i] != nil {
 						return nil, errs[i]
@@ -394,11 +364,10 @@ func RunCoSynthesis(ctx context.Context, g *taskgraph.Graph, lib *techlib.Librar
 				continue
 			}
 			for i := range opts {
-				r, err := evaluate(ctx, g, lib, opts[i], c)
+				r, err := memo.score(opts[i])
 				if err != nil {
 					return nil, err
 				}
-				account(r)
 				if acceptable(r) {
 					types, best = opts[i], r
 					changed = true
@@ -407,8 +376,115 @@ func RunCoSynthesis(ctx context.Context, g *taskgraph.Graph, lib *techlib.Librar
 			}
 		}
 	}
-	best.SearchEvals, best.SearchMemoHits = totEvals, totMemoHits
-	return best, nil
+	// best may be a memoized Result; the run's totals go on a copy.
+	out := *best
+	out.SearchEvals, out.SearchMemoHits = memo.evals, memo.memoHits
+	return &out, nil
+}
+
+// archMemo remembers every architecture one co-synthesis run has
+// scored, keyed by its ordered PE-type list. The GA, the pilot
+// schedule and the final ASP inside evaluate are pure functions of
+// (types, c), so a hit returns the bits a fresh evaluation would: the
+// neighborhood loops and the prune scan revisit architectures the
+// run has already scored (the incumbent's neighbours, a prune that
+// lands on an earlier candidate, two slots of one type). All memo
+// traffic happens serially on the run's goroutine.
+type archMemo struct {
+	ctx   context.Context
+	g     *taskgraph.Graph
+	lib   *techlib.Library
+	c     CoSynthConfig
+	byKey map[string]*Result
+	// evals and memoHits sum the floorplanner's accounting over the
+	// evaluations actually run; a memo hit adds nothing.
+	evals, memoHits int
+}
+
+func newArchMemo(ctx context.Context, g *taskgraph.Graph, lib *techlib.Library, c CoSynthConfig) *archMemo {
+	return &archMemo{ctx: ctx, g: g, lib: lib, c: c, byKey: make(map[string]*Result)}
+}
+
+// archKey serializes an ordered PE-type list into a memo key.
+func archKey(types []int) string {
+	b := make([]byte, 0, 2*len(types))
+	for _, t := range types {
+		b = binary.AppendUvarint(b, uint64(t))
+	}
+	return string(b)
+}
+
+// score returns the Result of one architecture.
+func (m *archMemo) score(types []int) (*Result, error) {
+	out, _, err := m.scoreBatch([][]int{types}, false)
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}
+
+// scoreBatch scores a batch of architectures in submission order.
+// Memo lookups and duplicate folding run serially; only the unique
+// misses are evaluated, concurrently when the pool allows, and their
+// successes enter the memo. Unless keepGoing is set, the lowest-index
+// error is returned as pool.Map reports it (a hit never fails, so it
+// is the error the serial flow meets first). With keepGoing every miss
+// runs to completion and errs[i] carries slot i's error, for a caller
+// that surfaces an error only when its in-order scan reaches the slot.
+func (m *archMemo) scoreBatch(optss [][]int, keepGoing bool) (out []*Result, errs []error, err error) {
+	type job struct {
+		key   string
+		types []int
+		res   *Result
+		err   error
+	}
+	out = make([]*Result, len(optss))
+	assign := make([]int, len(optss))
+	var jobs []job
+	jobOf := make(map[string]int, len(optss))
+	for i, types := range optss {
+		key := archKey(types)
+		if r, ok := m.byKey[key]; ok {
+			out[i], assign[i] = r, -1
+			continue
+		}
+		if j, ok := jobOf[key]; ok {
+			assign[i] = j // duplicate within the batch: one evaluation serves both
+			continue
+		}
+		jobOf[key], assign[i] = len(jobs), len(jobs)
+		jobs = append(jobs, job{key: key, types: types})
+	}
+	err = m.c.Search.Map(len(jobs), func(j int) error {
+		jobs[j].res, jobs[j].err = evaluate(m.ctx, m.g, m.lib, jobs[j].types, m.c)
+		if keepGoing {
+			return nil
+		}
+		return jobs[j].err
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, jb := range jobs {
+		if jb.err == nil {
+			m.byKey[jb.key] = jb.res
+			m.evals += jb.res.SearchEvals
+			m.memoHits += jb.res.SearchMemoHits
+		}
+	}
+	if keepGoing {
+		errs = make([]error, len(optss))
+	}
+	for i, j := range assign {
+		if j < 0 {
+			continue
+		}
+		out[i] = jobs[j].res
+		if keepGoing {
+			errs[i] = jobs[j].err
+		}
+	}
+	return out, errs, nil
 }
 
 // evaluate builds a concrete architecture from a type multiset,

@@ -21,9 +21,9 @@ type ScalingRow struct {
 	Feasible bool    `json:"feasible"`
 	MaxTempC float64 `json:"maxTempC"`
 	AvgTempC float64 `json:"avgTempC"`
-	// CacheHits and CacheMisses are the thermal-model cache's deltas
-	// over this row (zero when no stats hook is wired): one miss is the
-	// row's single factorization, hits count the runs that reused it.
+	// CacheHits and CacheMisses count this row's own thermal-model
+	// cache lookups (zero when no RowModels hook is wired): one miss is
+	// the row's single factorization, hits count the runs that reused it.
 	CacheHits   uint64 `json:"cacheHits"`
 	CacheMisses uint64 `json:"cacheMisses"`
 	// SchedMillis is the wall-clock cost of the whole platform run
@@ -42,10 +42,12 @@ type ScalingTable struct {
 	Rows   []ScalingRow `json:"rows"`
 }
 
-// CacheStats reports cumulative thermal-model cache counters; the
-// Engine passes its ModelCacheStats so each scaling row can record the
-// cache traffic it generated. Nil disables the accounting.
-type CacheStats func() (hits, misses uint64, size int)
+// RowModels supplies one scaling row's thermal-model provider together
+// with a reader of the cache hits and misses that provider alone has
+// made. The Engine passes a counting provider over its model cache, so
+// requests running concurrently on the same Engine are not charged to
+// the row. Nil keeps base.Models and leaves the cache columns zero.
+type RowModels func() (models cosynth.ModelProvider, counts func() (hits, misses uint64))
 
 // DefaultScalingSizes are the task counts of the scaling study, from
 // the paper's benchmark scale (≈20 tasks) to 25× beyond it.
@@ -55,13 +57,13 @@ func DefaultScalingSizes() []int { return []int{20, 50, 100, 200, 500} }
 // heterogeneous speed spread 0.6–2.0, grid floorplan) and runs the
 // thermal-aware platform flow on it, recording schedule quality and
 // wall-clock scheduling cost. base supplies the thermal calibration
-// and model cache (the Engine passes its own); Policy
-// and Sched on base are ignored. stats, when non-nil, supplies the
-// cumulative model-cache counters the per-row deltas are computed from.
+// and model cache; Policy and Sched on base are ignored. rows, when
+// non-nil, replaces base.Models with a fresh counting provider per row
+// and records its hits and misses in the row.
 // The generated inputs are deterministic in (sizes, pes, seed); only
 // SchedMillis (and the cache traffic, which depends on prior cache
 // state) varies between runs.
-func RunScalingTable(ctx context.Context, sizes []int, pes int, seed int64, base cosynth.PlatformConfig, stats CacheStats) (*ScalingTable, error) {
+func RunScalingTable(ctx context.Context, sizes []int, pes int, seed int64, base cosynth.PlatformConfig, rows RowModels) (*ScalingTable, error) {
 	if len(sizes) == 0 {
 		sizes = DefaultScalingSizes()
 	}
@@ -89,9 +91,9 @@ func RunScalingTable(ctx context.Context, sizes []int, pes int, seed int64, base
 		cfg := base
 		cfg.Policy, cfg.Sched = sched.ThermalAware, nil
 		cfg.Platform = &cosynth.PlatformDesc{TypeNames: sc.PETypeNames, Layout: sc.Layout}
-		var hits0, misses0 uint64
-		if stats != nil {
-			hits0, misses0, _ = stats()
+		var counts func() (hits, misses uint64)
+		if rows != nil {
+			cfg.Models, counts = rows()
 		}
 		//thermalvet:allow walltime(SchedMillis measures scheduler latency for the scaling table; the table is documented deterministic modulo wall-clock)
 		start := time.Now()
@@ -111,9 +113,8 @@ func RunScalingTable(ctx context.Context, sizes []int, pes int, seed int64, base
 			//thermalvet:allow walltime(SchedMillis measures scheduler latency for the scaling table; the table is documented deterministic modulo wall-clock)
 			SchedMillis: float64(time.Since(start)) / float64(time.Millisecond),
 		}
-		if stats != nil {
-			hits1, misses1, _ := stats()
-			row.CacheHits, row.CacheMisses = hits1-hits0, misses1-misses0
+		if counts != nil {
+			row.CacheHits, row.CacheMisses = counts()
 		}
 		t.Rows = append(t.Rows, row)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"thermalsched/internal/search"
 )
@@ -26,6 +27,7 @@ const memoSize = 4096
 // deterministic too.
 type evaluator struct {
 	blocks    []Block
+	leaves    [][]shape // leafShapes(blocks), shared read-only by every pack
 	areaW     float64
 	tempW     float64
 	eval      Evaluator
@@ -37,6 +39,19 @@ type evaluator struct {
 	memo      *search.LRU[individual]
 	evals     int // packings actually evaluated (memo misses)
 	memoHits  int // candidates answered from the memo
+
+	// scoreBatch's bookkeeping, kept across batches. Only the caller's
+	// goroutine touches it; pool workers write just their own jobs[j].res.
+	jobs   []scoreJob
+	jobOf  map[string]int
+	assign []int
+}
+
+// scoreJob is one unique memo miss of a batch.
+type scoreJob struct {
+	key  string
+	expr Expression
+	res  individual
 }
 
 func newEvaluator(blocks []Block, areaW, tempW float64, eval Evaluator, power map[string]float64, pool *search.Pool) *evaluator {
@@ -46,6 +61,7 @@ func newEvaluator(blocks []Block, areaW, tempW float64, eval Evaluator, power ma
 	}
 	return &evaluator{
 		blocks:    blocks,
+		leaves:    leafShapes(blocks),
 		areaW:     areaW,
 		tempW:     tempW,
 		eval:      eval,
@@ -55,12 +71,16 @@ func newEvaluator(blocks []Block, areaW, tempW float64, eval Evaluator, power ma
 		tempScale: 1,
 		pool:      pool,
 		memo:      search.NewLRU[individual](memoSize),
+		jobOf:     make(map[string]int),
 	}
 }
 
 // fingerprint serializes an expression into a compact memo key.
 func fingerprint(e Expression) string {
-	b := make([]byte, 0, 2*len(e))
+	// Expressions of up to 32 blocks fit the stack buffer, so the key
+	// string is the only allocation.
+	var buf [64]byte
+	b := buf[:0]
 	for _, g := range e {
 		b = binary.AppendVarint(b, int64(g))
 	}
@@ -75,7 +95,7 @@ func (h *evaluator) score(ctx context.Context, e Expression) (individual, error)
 	if err := ctx.Err(); err != nil {
 		return individual{}, fmt.Errorf("floorplan: GA cancelled after %d evaluations: %w", h.evals, err)
 	}
-	plan, area, err := Pack(e, h.blocks)
+	plan, area, err := pack(e, h.blocks, h.leaves)
 	if err != nil {
 		return individual{}, err
 	}
@@ -101,7 +121,7 @@ func (h *evaluator) scoreSeed(ctx context.Context, e Expression) (individual, er
 	if err := ctx.Err(); err != nil {
 		return individual{}, fmt.Errorf("floorplan: GA cancelled after %d evaluations: %w", h.evals, err)
 	}
-	plan, area, err := Pack(e, h.blocks)
+	plan, area, err := pack(e, h.blocks, h.leaves)
 	if err != nil {
 		return individual{}, err
 	}
@@ -124,39 +144,38 @@ func (h *evaluator) scoreSeed(ctx context.Context, e Expression) (individual, er
 	return ind, nil
 }
 
-// scoreBatch scores a batch of candidates drawn serially by the caller.
-// Memo lookups, duplicate folding and memo inserts run serially in
+// scoreBatch scores a batch of candidates drawn serially by the caller
+// and appends the individuals to dst in submission order. Memo
+// lookups, duplicate folding and memo inserts run serially in
 // submission order (deterministic memo state and counters); only the
 // unique memo misses are evaluated, concurrently when the pool allows.
-func (h *evaluator) scoreBatch(ctx context.Context, exprs []Expression) ([]individual, error) {
-	out := make([]individual, len(exprs))
-	type job struct {
-		key  string
-		expr Expression
-		res  individual
-	}
-	var jobs []job
-	jobOf := make(map[string]int, len(exprs))
-	assign := make([]int, len(exprs))
+func (h *evaluator) scoreBatch(ctx context.Context, exprs []Expression, dst []individual) ([]individual, error) {
+	base := len(dst)
+	dst = slices.Grow(dst, len(exprs))[:base+len(exprs)]
+	out := dst[base:]
+	h.jobs = h.jobs[:0]
+	clear(h.jobOf)
+	h.assign = slices.Grow(h.assign[:0], len(exprs))[:len(exprs)]
 	for i, e := range exprs {
 		key := fingerprint(e)
 		if ind, ok := h.memo.Get(key); ok {
 			h.memoHits++
 			out[i] = ind
-			assign[i] = -1
+			h.assign[i] = -1
 			continue
 		}
-		if j, ok := jobOf[key]; ok {
+		if j, ok := h.jobOf[key]; ok {
 			// Duplicate within the batch: one evaluation serves both.
 			h.memoHits++
-			assign[i] = j
+			h.assign[i] = j
 			continue
 		}
-		jobOf[key] = len(jobs)
-		assign[i] = len(jobs)
-		jobs = append(jobs, job{key: key, expr: e})
+		h.jobOf[key] = len(h.jobs)
+		h.assign[i] = len(h.jobs)
+		h.jobs = append(h.jobs, scoreJob{key: key, expr: e})
 		h.evals++
 	}
+	jobs := h.jobs
 	err := h.pool.Map(len(jobs), func(j int) error {
 		ind, err := h.score(ctx, jobs[j].expr)
 		if err != nil {
@@ -171,10 +190,10 @@ func (h *evaluator) scoreBatch(ctx context.Context, exprs []Expression) ([]indiv
 	for j := range jobs {
 		h.memo.Put(jobs[j].key, jobs[j].res)
 	}
-	for i := range exprs {
-		if assign[i] >= 0 {
-			out[i] = jobs[assign[i]].res
+	for i, j := range h.assign {
+		if j >= 0 {
+			out[i] = jobs[j].res
 		}
 	}
-	return out, nil
+	return dst, nil
 }

@@ -131,25 +131,30 @@ func RunGA(ctx context.Context, blocks []Block, cfg GAConfig) (*Result, error) {
 	for len(mutants) < cfg.PopulationSize-1 {
 		mutants = append(mutants, mutateExpr(cloneExpr(seedExpr), rng, 1+rng.Intn(4)))
 	}
-	scored, err := h.scoreBatch(ctx, mutants)
+	pop := make([]individual, 0, cfg.PopulationSize)
+	pop = append(pop, first)
+	pop, err = h.scoreBatch(ctx, mutants, pop)
 	if err != nil {
 		return nil, err
 	}
-	pop := make([]individual, 0, cfg.PopulationSize)
-	pop = append(pop, first)
-	pop = append(pop, scored...)
 
+	// Each generation is built in next, then the two population buffers
+	// swap: the old generation is still read while its successor fills.
+	// The individuals keep the mutants' genomes, not the slice, so it
+	// holds each generation's children.
+	next := make([]individual, 0, cfg.PopulationSize)
+	children := mutants
 	best := bestOf(pop)
 	for gen := 0; gen < cfg.Generations; gen++ {
 		sort.Slice(pop, func(i, j int) bool { return pop[i].cost < pop[j].cost })
-		next := make([]individual, 0, cfg.PopulationSize)
+		next = next[:0]
 		for i := 0; i < cfg.Elitism && i < len(pop); i++ {
 			next = append(next, pop[i])
 		}
 		// Selection and variation read only the sorted population's
 		// costs, all known before the generation starts, so every
 		// child genome is drawn before any child is evaluated.
-		children := make([]Expression, 0, cfg.PopulationSize-len(next))
+		children = children[:0]
 		for len(next)+len(children) < cfg.PopulationSize {
 			a := tournament(pop, cfg.TournamentK, rng)
 			var child Expression
@@ -164,11 +169,10 @@ func RunGA(ctx context.Context, blocks []Block, cfg GAConfig) (*Result, error) {
 			}
 			children = append(children, child)
 		}
-		scored, err := h.scoreBatch(ctx, children)
-		if err != nil {
+		if next, err = h.scoreBatch(ctx, children, next); err != nil {
 			return nil, err
 		}
-		pop = append(next, scored...)
+		pop, next = next, pop
 		if b := bestOf(pop); b.cost < best.cost {
 			best = b
 		}

@@ -121,8 +121,22 @@ func blockShapes(b Block) []shape {
 	return out
 }
 
+// leafShapes returns every block's shape curve, indexed by operand
+// gene. The curves depend only on the blocks, so a search packing many
+// expressions over one block set computes them once; buildTree and
+// combine only read them.
+func leafShapes(blocks []Block) [][]shape {
+	leaves := make([][]shape, len(blocks))
+	for i, b := range blocks {
+		leaves[i] = blockShapes(b)
+	}
+	return leaves
+}
+
 // prune keeps only non-dominated shapes (no other shape with both
-// smaller-or-equal w and h) and caps the list length.
+// smaller-or-equal w and h) and caps the list length. It works in
+// place and returns a prefix of ss with its capacity clipped, so
+// appending to the result cannot overwrite the rest of ss.
 func prune(ss []shape) []shape {
 	if len(ss) <= 1 {
 		return ss
@@ -142,16 +156,15 @@ func prune(ss []shape) []shape {
 		}
 	}
 	if len(out) > maxCurve {
-		// Subsample evenly, always keeping the extremes.
-		sub := make([]shape, 0, maxCurve)
+		// Subsample evenly, always keeping the extremes. Entry i reads
+		// index i·(len-1)/(maxCurve-1) ≥ i, so the forward copy never
+		// overwrites an entry it still has to read.
 		for i := 0; i < maxCurve; i++ {
-			sub = append(sub, out[i*(len(out)-1)/(maxCurve-1)])
+			out[i] = out[i*(len(out)-1)/(maxCurve-1)]
 		}
-		out = sub
+		out = out[:maxCurve]
 	}
-	res := make([]shape, len(out))
-	copy(res, out)
-	return res
+	return out[:len(out):len(out)]
 }
 
 // node is a realized slicing-tree node.
@@ -162,15 +175,16 @@ type node struct {
 }
 
 // buildTree parses the postfix expression into a tree and computes shape
-// curves bottom-up. blocks[i] corresponds to operand gene i.
-func buildTree(e Expression, blocks []Block) (*node, error) {
-	if err := ValidExpression(e, len(blocks)); err != nil {
+// curves bottom-up. leaves[i] is the shape curve of operand gene i
+// (leafShapes); leaf nodes share it.
+func buildTree(e Expression, leaves [][]shape) (*node, error) {
+	if err := ValidExpression(e, len(leaves)); err != nil {
 		return nil, err
 	}
-	stack := make([]*node, 0, len(blocks))
+	stack := make([]*node, 0, len(leaves))
 	for _, g := range e {
 		if !g.IsOperator() {
-			stack = append(stack, &node{op: g, shapes: blockShapes(blocks[g])})
+			stack = append(stack, &node{op: g, shapes: leaves[g]})
 			continue
 		}
 		r := stack[len(stack)-1]
@@ -267,7 +281,13 @@ func Pack(e Expression, blocks []Block) (*Floorplan, float64, error) {
 			return nil, 0, err
 		}
 	}
-	root, err := buildTree(e, blocks)
+	return pack(e, blocks, leafShapes(blocks))
+}
+
+// pack is Pack over validated blocks whose shape curves leaves already
+// holds (leafShapes).
+func pack(e Expression, blocks []Block, leaves [][]shape) (*Floorplan, float64, error) {
+	root, err := buildTree(e, leaves)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -277,7 +297,7 @@ func Pack(e Expression, blocks []Block) (*Floorplan, float64, error) {
 			best, bestArea = i, a
 		}
 	}
-	fp := New()
+	fp := &Floorplan{blocks: make([]Placed, 0, len(blocks)), index: make(map[string]int, len(blocks))}
 	if err := realize(root, best, 0, 0, blocks, fp); err != nil {
 		return nil, 0, err
 	}

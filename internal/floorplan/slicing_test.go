@@ -431,7 +431,7 @@ func TestCombineMatchesExhaustive(t *testing.T) {
 		if trial%4 == 0 {
 			blocks[1] = blocks[0] // identical leaves
 		}
-		root, err := buildTree(randomExpression(n, rng), blocks)
+		root, err := buildTree(randomExpression(n, rng), leafShapes(blocks))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -65,6 +65,11 @@ type Model struct {
 // to a dense Cholesky factorization.
 const minDegreeBlocks = 32
 
+// builders recycles the conductance assembly's triplet log and Build
+// scratch across model builds. Build copies into arrays the model owns,
+// so nothing a Model holds comes from the pool.
+var builders = sync.Pool{New: func() any { return new(linalg.SparseBuilder) }}
+
 // NewModel builds the thermal network for fp under cfg. The floorplan
 // must be valid (non-empty, no overlaps). The steady-state factor's
 // elimination order follows from the block count (minDegreeBlocks).
@@ -102,8 +107,19 @@ func newModel(fp *floorplan.Floorplan, cfg Config, minDegree bool) (*Model, erro
 	}
 
 	// The sparse builder accumulates duplicates in insertion order, so
-	// both elimination orders factor the same bits.
-	gb := linalg.NewSparseBuilder(total)
+	// both elimination orders factor the same bits. Its triplet log is
+	// recycled across builds and sized before the first Add: at most 8
+	// triplets per abutting pair (die and spreader), 12 per block (ring
+	// and vertical paths), 4 for ring → sink and 1 for sink → ambient.
+	adj := fp.Adjacency(geom.Eps)
+	pairs := 0
+	for i := 0; i < n; i++ {
+		pairs += len(adj[i])
+	}
+	gb := builders.Get().(*linalg.SparseBuilder)
+	defer builders.Put(gb)
+	gb.Reset(total)
+	gb.Grow(8*pairs + 12*n + 5)
 	addConductance := func(i, j int, g float64) {
 		gb.Add(i, i, g)
 		gb.Add(j, j, g)
@@ -122,7 +138,6 @@ func newModel(fp *floorplan.Floorplan, cfg Config, minDegree bool) (*Model, erro
 	// between builds (breaking the byte-identical cross-surface
 	// contract for heterogeneous floorplans, whose conductances are not
 	// all equal).
-	adj := fp.Adjacency(geom.Eps)
 	sharedOf := make([]float64, n) // total abutting edge length per block
 	for i := 0; i < n; i++ {
 		row := adj[i]

@@ -1,8 +1,10 @@
 package linalg
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -59,21 +61,46 @@ func (a *CSR) MaxAbs() float64 {
 // them into a CSR matrix. Duplicate coordinates are summed in insertion
 // order, exactly as accumulating the same Add sequence into a dense
 // array would (float addition is not associative; order is part of the
-// determinism contract).
+// determinism contract). A builder keeps its triplet log and Build's
+// scratch across Reset, so one builder can assemble many matrices
+// without regrowing them; every CSR it returns owns its own arrays.
 type SparseBuilder struct {
 	n    int
 	rows []int
 	cols []int
 	vals []float64
+
+	// Build's scratch: row cursors and the (row, col)-ordered
+	// permutation of the triplet log.
+	next []int
+	perm []int
 }
 
 // NewSparseBuilder returns a builder for an n×n matrix. It panics if n
 // is not positive; dimensions are programmer-controlled, never input.
 func NewSparseBuilder(n int) *SparseBuilder {
+	b := &SparseBuilder{}
+	b.Reset(n)
+	return b
+}
+
+// Reset empties the triplet log and makes b a builder for an n×n
+// matrix, keeping its buffers for reuse. The zero SparseBuilder is
+// ready after Reset. It panics if n is not positive.
+func (b *SparseBuilder) Reset(n int) {
 	if n <= 0 {
 		panic(fmt.Sprintf("linalg: invalid sparse dimension %d", n))
 	}
-	return &SparseBuilder{n: n}
+	b.n = n
+	b.rows, b.cols, b.vals = b.rows[:0], b.cols[:0], b.vals[:0]
+}
+
+// Grow makes room for k more triplets, so the next k Adds do not
+// reallocate the log.
+func (b *SparseBuilder) Grow(k int) {
+	b.rows = slices.Grow(b.rows, k)
+	b.cols = slices.Grow(b.cols, k)
+	b.vals = slices.Grow(b.vals, k)
 }
 
 // Add records a[i,j] += v.
@@ -86,45 +113,50 @@ func (b *SparseBuilder) Add(i, j int, v float64) {
 	b.vals = append(b.vals, v)
 }
 
-// Build compresses the accumulated triplets into a CSR matrix. The
-// builder may be reused afterwards (further Adds extend the same
-// triplet log), but callers in this repository build exactly once.
+// Build compresses the accumulated triplets into a CSR matrix. It does
+// not consume the log: further Adds extend it, and Reset starts a new
+// matrix.
 func (b *SparseBuilder) Build() *CSR {
 	// Order an index permutation by (row, col), stably: ties keep
 	// insertion order, so summing duplicates in permuted order equals
 	// summing them in insertion order per coordinate. A counting sort
-	// by row keeps insertion order within each row; a stable insertion
-	// sort by column then orders each (short) row.
-	next := make([]int, b.n+1)
+	// by row keeps insertion order within each row; a stable sort by
+	// column then orders each row.
+	b.next = slices.Grow(b.next[:0], b.n+1)[:b.n+1]
+	next := b.next
+	clear(next)
 	for _, i := range b.rows {
 		next[i+1]++
 	}
 	for i := 0; i < b.n; i++ {
 		next[i+1] += next[i]
 	}
-	perm := make([]int, len(b.rows))
+	b.perm = slices.Grow(b.perm[:0], len(b.rows))[:len(b.rows)]
+	perm := b.perm
 	for p, i := range b.rows {
 		perm[next[i]] = p
 		next[i]++
 	}
 	// next[i] is now the end of row i, so row i is perm[next[i-1]:next[i]].
-	lo := 0
+	cols := b.cols
+	byCol := func(p, q int) int { return cmp.Compare(cols[p], cols[q]) }
+	lo, nnz := 0, 0
 	for _, hi := range next[:b.n] {
 		row := perm[lo:hi]
-		for x := 1; x < len(row); x++ {
-			p, c := row[x], b.cols[row[x]]
-			y := x
-			for ; y > 0 && b.cols[row[y-1]] > c; y-- {
-				row[y] = row[y-1]
+		if len(row) > 1 {
+			slices.SortStableFunc(row, byCol)
+		}
+		for x := range row {
+			if x == 0 || cols[row[x]] != cols[row[x-1]] {
+				nnz++
 			}
-			row[y] = p
 		}
 		lo = hi
 	}
-	a := &CSR{n: b.n, rowPtr: make([]int, b.n+1)}
+	a := &CSR{n: b.n, rowPtr: make([]int, b.n+1), colIdx: make([]int, 0, nnz), vals: make([]float64, 0, nnz)}
 	lastI, lastJ := -1, -1
 	for _, p := range perm {
-		i, j, v := b.rows[p], b.cols[p], b.vals[p]
+		i, j, v := b.rows[p], cols[p], b.vals[p]
 		if i == lastI && j == lastJ {
 			a.vals[len(a.vals)-1] += v
 			continue
