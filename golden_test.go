@@ -28,7 +28,9 @@ type goldenCase struct {
 // The admit cases pin the admission-denial counts at every scale: a
 // backlogged 16-PE platform with denials in the 10⁵ range, and a hold
 // so short (retryAfter 1e-300) that t+retryAfter rounds to t, where a
-// denial does not outlast the query that made it.
+// denial does not outlast the query that made it. The tiny hold is
+// pinned twice: once under the stream dispatcher and once under the
+// schedule executor's simulate flow, whose hold rule is separate code.
 //
 // The platform cases pin every benchmark under the thermal ASP and
 // the baseline, Gantt chart included. The cosynthesis cases pin the
@@ -83,6 +85,9 @@ func goldenCases() []goldenCase {
 			func(r *Request) { r.Policy = StreamPolicyAdmit })},
 		{"simulate_bm1_admit", NewRequest(FlowSimulate, WithBenchmark("Bm1"),
 			WithSimulate(SimulateSpec{Controller: "admit", Replicas: 2, MinFactor: 0.85, Seed: 13}))},
+		{"simulate_bm1_admit_tiny_retry", NewRequest(FlowSimulate, WithBenchmark("Bm1"),
+			WithSimulate(SimulateSpec{Controller: "admit", Replicas: 2, MinFactor: 0.85, Seed: 13,
+				SupervisorSpec: SupervisorSpec{RetryAfter: 1e-300}}))},
 		{"cosynthesis_bm1_capped", NewRequest(FlowCoSynthesis, WithBenchmark("Bm1"),
 			WithMaxPEs(4), WithFloorplanGenerations(2), WithGantt())},
 		{"cosynthesis_bm2_h3", NewRequest(FlowCoSynthesis, WithBenchmark("Bm2"),
