@@ -49,12 +49,8 @@ func TestFacadeCustomGraphAndArch(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	prof, err := PowerProfileOf(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(prof.PENames) != 2 {
-		t.Error("power profile wrong shape")
+	if len(s.PEEnergy()) != 2 {
+		t.Error("per-PE energy wrong shape")
 	}
 }
 
@@ -119,13 +115,6 @@ func TestFacadeFloorplanGASearchPool(t *testing.T) {
 	}
 	if parallel.Plan.String() != serial.Plan.String() || parallel.Cost != serial.Cost {
 		t.Errorf("pooled GA differs from serial:\n%s\nvs\n%s", parallel.Plan, serial.Plan)
-	}
-}
-
-func TestFacadeLeakage(t *testing.T) {
-	l := DefaultLeakage()
-	if l.At(100) <= l.At(50) {
-		t.Error("leakage must grow with temperature")
 	}
 }
 
@@ -204,7 +193,11 @@ func TestFacadeConditionalGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !g.HasConditionalEdges() {
+	conditional := false
+	for _, e := range g.Edges() {
+		conditional = conditional || e.IsConditional()
+	}
+	if !conditional {
 		t.Fatal("no conditional edges generated")
 	}
 	probs, err := g.ExecutionProbabilities()
@@ -217,13 +210,6 @@ func TestFacadeConditionalGraph(t *testing.T) {
 	run, err := testEngine(t).Platform(context.Background(), g, WithPolicy(MinTaskEnergy))
 	if err != nil {
 		t.Fatal(err)
-	}
-	exp, err := run.Schedule.ExpectedEnergy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exp >= run.Schedule.TotalEnergy() {
-		t.Error("expected energy should be below worst case for a CTG")
 	}
 	resp, err := testEngine(t).Run(context.Background(), NewRequest(FlowSimulate,
 		WithGraph(g), WithPolicy(MinTaskEnergy),

@@ -1,11 +1,10 @@
 // Thermal exploration: beyond the paper's steady-state tables, this
 // example exercises the substrates directly — a thermal-aware GA
-// floorplan for a heterogeneous SoC, a transient warm-up simulation of
-// a real schedule's power profile, and the temperature-dependent
-// leakage fixed point the paper's introduction motivates. The platform
-// schedule comes from Engine.Platform, the typed counterpart of
-// Engine.Run that returns the full result (schedule, thermal model)
-// instead of the serializable Response.
+// floorplan for a heterogeneous SoC, then the transient side of a real
+// schedule: the simulate flow replays the thermal-aware Bm2 schedule
+// through the transient thermal model with no DTM controller, once
+// from a cold die and once warm-started at the schedule's steady-state
+// operating point.
 //
 //	go run ./examples/thermal_exploration
 package main
@@ -53,75 +52,25 @@ func main() {
 	}
 	fmt.Printf("1. thermal-aware floorplan: %s, peak %.2f °C\n\n", fpRes.Plan, fpRes.PeakTemp)
 
-	// 2. Transient warm-up of a real platform schedule.
-	g, err := engine.Benchmark("Bm2")
-	if err != nil {
-		log.Fatal(err)
-	}
-	run, err := engine.Platform(ctx, g, thermalsched.WithPolicy(thermalsched.ThermalAware))
-	if err != nil {
-		log.Fatal(err)
-	}
-	profile, err := thermalsched.PowerProfileOf(run.Schedule)
-	if err != nil {
-		log.Fatal(err)
-	}
-	// One schedule pass is short; loop it to watch the die warm toward
-	// steady state (0.1 s per schedule time unit keeps the demo quick).
-	const timeScale = 0.1
-	samples, err := profile.Sample(10) // 10 time units per sample
-	if err != nil {
-		log.Fatal(err)
-	}
-	tr, err := run.Model.NewTransient(10 * timeScale)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("2. transient warm-up (schedule looped 6x):")
-	for pass := 0; pass < 6; pass++ {
-		var peak float64
-		for _, s := range samples {
-			temps, err := tr.StepVec(s)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if t := temps.Max(); t > peak {
-				peak = t
-			}
-		}
-		fmt.Printf("   after pass %d (t=%6.1f s): peak %.2f °C\n", pass+1, tr.Time(), peak)
-	}
-	fmt.Println()
-
-	// 3. Leakage feedback: how much extra heat does temperature-dependent
-	// leakage add at the operating point?
-	dyn, err := run.Schedule.PEAveragePower(g.Deadline)
-	if err != nil {
-		log.Fatal(err)
-	}
-	noLeak, err := run.Model.SteadyStateVec(dyn)
-	if err != nil {
-		log.Fatal(err)
-	}
-	leak := thermalsched.DefaultLeakage()
-	fp, err := leak.FixedPoint(dyn, func(p []float64) ([]float64, error) {
-		t, err := run.Model.SteadyStateVec(p)
+	// 2. Transient replay of a real platform schedule, cold and warm.
+	// With no controller nothing throttles, so both runs keep the static
+	// makespan and differ only in the initial thermal state.
+	fmt.Println("2. transient replay of the thermal-aware Bm2 schedule (no DTM):")
+	for _, warm := range []bool{false, true} {
+		resp, err := engine.Run(ctx, thermalsched.NewRequest(
+			thermalsched.FlowSimulate,
+			thermalsched.WithBenchmark("Bm2"),
+			thermalsched.WithPolicy(thermalsched.ThermalAware),
+			thermalsched.WithSimulate(thermalsched.SimulateSpec{Controller: "none", WarmStart: warm}),
+		))
 		if err != nil {
-			return nil, err
+			log.Fatal(err)
 		}
-		return t.Values(), nil
-	}, 1e-6, 100)
-	if err != nil {
-		log.Fatal(err)
-	}
-	var peakWith float64
-	var extra float64
-	for i, t := range fp.Temps {
-		if t > peakWith {
-			peakWith = t
+		start := "cold start"
+		if warm {
+			start = "warm start"
 		}
-		extra += fp.Leakage[i]
+		s := resp.Simulate
+		fmt.Printf("   %s: makespan %.2f, peak %.2f °C\n", start, s.Makespan.Max, s.PeakTempC.Max)
 	}
-	fmt.Printf("3. leakage feedback: peak %.2f °C -> %.2f °C (+%.2f W leakage, %d iterations)\n",
-		noLeak.Max(), peakWith, extra, fp.Iterations)
 }

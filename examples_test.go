@@ -23,7 +23,7 @@ func TestExamplesRun(t *testing.T) {
 		{"./examples/quickstart", "thermal"},
 		{"./examples/platform_design", "Platform-based design flow"},
 		{"./examples/cosynthesis", "architecture"},
-		{"./examples/thermal_exploration", "leakage feedback"},
+		{"./examples/thermal_exploration", "warm start: makespan"},
 		{"./examples/runtime_dtm", "Closed-loop DTM comparison"},
 		{"./examples/campaign", "fingerprint matches the campaign row"},
 		{"./examples/stream", "price of onlineness"},

@@ -51,23 +51,15 @@ type PlatformDesc struct {
 // ~100-unit tasks.
 const DefaultBusTimePerUnit = 0.05
 
-// BuildPlatform constructs the paper's platform substrate: the four
-// "identical" PEs in a row floorplan with its thermal model and oracle.
-// A row (not a 2×2 grid) is used so the platform has the edge/centre
-// asymmetry every real package exhibits.
-func BuildPlatform(lib *techlib.Library, busTimePerUnit float64, hsCfg hotspot.Config) (sched.Architecture, *floorplan.Floorplan, *hotspot.Model, *sched.ModelOracle, error) {
-	return buildPlatform(lib, busTimePerUnit, hsCfg, nil, nil)
-}
-
-// BuildPlatformDesc is BuildPlatform for a custom platform description
-// (generated scenario/stream platforms) with an optional shared model
-// provider, so callers outside this package — the Engine's stream flow —
-// reuse the same substrate construction the offline flows go through.
+// BuildPlatformDesc constructs a platform substrate: the architecture,
+// its floorplan, thermal model and oracle. A nil desc gives the paper's
+// platform, the four "identical" PEs in a row floorplan; a row (not a
+// 2×2 grid) is used so the platform has the edge/centre asymmetry every
+// real package exhibits. A custom desc describes a generated
+// scenario/stream platform. The optional model provider lets callers
+// outside this package (the Engine's stream flow) share model builds
+// with the offline flows, which go through the same construction.
 func BuildPlatformDesc(lib *techlib.Library, busTimePerUnit float64, hsCfg hotspot.Config, models ModelProvider, desc *PlatformDesc) (sched.Architecture, *floorplan.Floorplan, *hotspot.Model, *sched.ModelOracle, error) {
-	return buildPlatform(lib, busTimePerUnit, hsCfg, models, desc)
-}
-
-func buildPlatform(lib *techlib.Library, busTimePerUnit float64, hsCfg hotspot.Config, models ModelProvider, desc *PlatformDesc) (sched.Architecture, *floorplan.Floorplan, *hotspot.Model, *sched.ModelOracle, error) {
 	typeNames := techlib.PlatformPETypeNames()
 	if desc != nil {
 		typeNames = desc.TypeNames
@@ -122,7 +114,7 @@ func RunPlatform(ctx context.Context, g *taskgraph.Graph, lib *techlib.Library, 
 	if cfg.HotSpot != nil {
 		hs = *cfg.HotSpot
 	}
-	arch, fp, model, oracle, err := buildPlatform(lib, bus, hs, cfg.Models, cfg.Platform)
+	arch, fp, model, oracle, err := BuildPlatformDesc(lib, bus, hs, cfg.Models, cfg.Platform)
 	if err != nil {
 		return nil, err
 	}

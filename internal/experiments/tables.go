@@ -67,23 +67,6 @@ func (t *Table1) String() string {
 	return b.String()
 }
 
-// BestPowerHeuristic returns, per benchmark, which heuristic (1-based
-// index into Policies[1:]) achieved the lowest max temperature on the
-// given flow cells.
-func (t *Table1) BestPowerHeuristic(cells map[string][]Cell) map[string]int {
-	out := make(map[string]int)
-	for _, label := range t.Benchmarks {
-		best, bestT := 1, cells[label][1].MaxTemp
-		for i := 2; i < len(cells[label]); i++ {
-			if cells[label][i].MaxTemp < bestT {
-				best, bestT = i, cells[label][i].MaxTemp
-			}
-		}
-		out[label] = best
-	}
-	return out
-}
-
 // VersusTable is the shared shape of Tables 2 and 3: per benchmark, the
 // power-aware (heuristic 3) cell against the thermal-aware cell.
 type VersusTable struct {

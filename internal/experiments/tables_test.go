@@ -3,8 +3,6 @@ package experiments
 import (
 	"strings"
 	"testing"
-
-	"thermalsched/internal/sched"
 )
 
 // The full suite is expensive (GA floorplanning inside co-synthesis), so
@@ -172,19 +170,5 @@ func TestMeanReductionsEmpty(t *testing.T) {
 	v := &VersusTable{}
 	if m, a := v.MeanReductions(); m != 0 || a != 0 {
 		t.Error("empty table reductions should be zero")
-	}
-}
-
-func TestBestPowerHeuristic(t *testing.T) {
-	tab := &Table1{
-		Benchmarks: []string{"b"},
-		Policies:   []sched.Policy{sched.Baseline, sched.MinTaskPower, sched.MinPEPower, sched.MinTaskEnergy},
-	}
-	cells := map[string][]Cell{
-		"b": {{MaxTemp: 100}, {MaxTemp: 95}, {MaxTemp: 92}, {MaxTemp: 97}},
-	}
-	best := tab.BestPowerHeuristic(cells)
-	if best["b"] != 2 {
-		t.Errorf("best = %d, want 2", best["b"])
 	}
 }

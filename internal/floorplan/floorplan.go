@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -258,12 +257,4 @@ func (f *Floorplan) Adjacency(tol float64) map[int]map[int]float64 {
 		}
 	}
 	return adj
-}
-
-// SortedNames returns the block names sorted alphabetically (useful for
-// deterministic reporting).
-func (f *Floorplan) SortedNames() []string {
-	names := f.Names()
-	sort.Strings(names)
-	return names
 }

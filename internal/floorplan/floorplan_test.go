@@ -180,16 +180,18 @@ func TestAdjacency(t *testing.T) {
 	}
 }
 
-func TestStringAndSortedNames(t *testing.T) {
+func TestStringAndNames(t *testing.T) {
 	fp := New()
 	mustAdd(t, fp, "z", geom.NewRect(0, 0, 0.001, 0.001))
 	mustAdd(t, fp, "a", geom.NewRect(0.001, 0, 0.001, 0.001))
 	if s := fp.String(); !strings.Contains(s, "2 blocks") {
 		t.Errorf("String = %q", s)
 	}
-	names := fp.SortedNames()
-	if names[0] != "a" || names[1] != "z" {
-		t.Errorf("SortedNames = %v", names)
+	// Names keeps insertion order: block indices (Adjacency, the
+	// thermal network) follow it.
+	names := fp.Names()
+	if names[0] != "z" || names[1] != "a" {
+		t.Errorf("Names = %v", names)
 	}
 }
 

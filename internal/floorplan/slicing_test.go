@@ -144,7 +144,7 @@ func TestPackPreservesBlockAreas(t *testing.T) {
 		if math.Abs(r.Area()-b.Area) > 1e-12 {
 			t.Errorf("block %q area %v, want %v", b.Name, r.Area(), b.Area)
 		}
-		ar := r.AspectRatio()
+		ar := r.H / r.W
 		if ar < b.MinAspect-1e-9 || ar > b.MaxAspect+1e-9 {
 			t.Errorf("block %q aspect %v outside [%v, %v]", b.Name, ar, b.MinAspect, b.MaxAspect)
 		}

@@ -65,14 +65,6 @@ func (r Rect) MaxX() float64 { return r.X + r.W }
 // MaxY returns the y coordinate of the top edge.
 func (r Rect) MaxY() float64 { return r.Y + r.H }
 
-// AspectRatio returns H/W. It is +Inf for zero width.
-func (r Rect) AspectRatio() float64 {
-	if r.W == 0 {
-		return math.Inf(1)
-	}
-	return r.H / r.W
-}
-
 // String implements fmt.Stringer.
 func (r Rect) String() string {
 	return fmt.Sprintf("Rect(%.6g,%.6g %.6gx%.6g)", r.X, r.Y, r.W, r.H)

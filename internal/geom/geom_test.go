@@ -21,9 +21,6 @@ func TestRectBasics(t *testing.T) {
 	if got := r.MaxY(); got != 6 {
 		t.Errorf("MaxY = %v, want 6", got)
 	}
-	if got := r.AspectRatio(); math.Abs(got-4.0/3.0) > 1e-12 {
-		t.Errorf("AspectRatio = %v, want 4/3", got)
-	}
 }
 
 func TestRectValid(t *testing.T) {

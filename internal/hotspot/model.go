@@ -466,7 +466,3 @@ func (m *Model) SteadyNodeRise(blockPower []float64) ([]float64, error) {
 	}
 	return rise, nil
 }
-
-// ConductanceNNZ returns the number of structural nonzeros of the
-// sparse conductance matrix, for diagnostics and sparsity assertions.
-func (m *Model) ConductanceNNZ() int { return m.csr.NNZ() }

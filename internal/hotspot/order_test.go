@@ -149,7 +149,7 @@ func TestConductanceIdenticalAcrossBackends(t *testing.T) {
 			}
 		}
 	}
-	if nnz := natural.ConductanceNNZ(); nnz >= n*n {
+	if nnz := gd.NNZ(); nnz >= n*n {
 		t.Fatalf("conductance NNZ %d not sparse for %d nodes", nnz, n)
 	}
 }

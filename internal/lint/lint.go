@@ -66,7 +66,6 @@ var corePackages = map[string]bool{
 	"stream":      true,
 	"coloop":      true,
 	"dtm":         true,
-	"power":       true,
 }
 
 // modulePath is the import-path prefix of this repository.

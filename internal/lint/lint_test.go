@@ -37,7 +37,6 @@ func TestIsCorePackage(t *testing.T) {
 		"thermalsched/internal/hotspot":         true,
 		"thermalsched/internal/search":          true,
 		"thermalsched/internal/dtm":             true,  // supervisor admissions feed the goldens
-		"thermalsched/internal/power":           true,  // facade power profiles and leakage fixed point
 		"thermalsched/internal/jobs":            false, // wall-clock by design
 		"thermalsched/internal/service":         false,
 		"thermalsched/internal/linalg":          false, // order-free numeric kernels

@@ -51,32 +51,32 @@ func ctgSchedule(t *testing.T) *Schedule {
 	return s
 }
 
-func TestExpectedEnergyMatchesProbabilities(t *testing.T) {
-	s := ctgSchedule(t)
-	exp, err := s.ExpectedEnergy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Each task is 10 × 4 = 40 energy; P = [1, 0.6, 0.4, 1] → 40×3 = 120.
-	if math.Abs(exp-120) > 1e-9 {
-		t.Errorf("ExpectedEnergy = %v, want 120", exp)
-	}
-	if exp >= s.TotalEnergy() {
-		t.Error("expected energy should be below worst case for a CTG")
-	}
-	pow, err := s.ExpectedPEAveragePower(1000)
+// expectedEnergy is the probability-weighted energy of a schedule,
+// Σ P(task) × E(task) with P from Graph.ExecutionProbabilities: the
+// analytic reference that ties the CTG probabilities to the schedule's
+// worst-case energies.
+func expectedEnergy(t *testing.T, s *Schedule) float64 {
+	t.Helper()
+	probs, err := s.Graph.ExecutionProbabilities()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sum float64
-	for _, p := range pow {
-		sum += p
+	for _, a := range s.Assignments {
+		sum += probs[a.Task] * a.Energy()
 	}
-	if math.Abs(sum-0.12) > 1e-9 {
-		t.Errorf("expected power sum = %v, want 0.12", sum)
+	return sum
+}
+
+func TestExpectedEnergyMatchesProbabilities(t *testing.T) {
+	s := ctgSchedule(t)
+	exp := expectedEnergy(t, s)
+	// Each task is 10 × 4 = 40 energy; P = [1, 0.6, 0.4, 1] → 40×3 = 120.
+	if math.Abs(exp-120) > 1e-9 {
+		t.Errorf("expected energy = %v, want 120", exp)
 	}
-	if _, err := s.ExpectedPEAveragePower(0); err == nil {
-		t.Error("zero horizon accepted")
+	if exp >= s.TotalEnergy() {
+		t.Error("expected energy should be below worst case for a CTG")
 	}
 }
 
@@ -97,10 +97,7 @@ func TestExpectedEnergyEqualsTotalForPlainGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exp, err := s.ExpectedEnergy()
-	if err != nil {
-		t.Fatal(err)
-	}
+	exp := expectedEnergy(t, s)
 	if math.Abs(exp-s.TotalEnergy()) > 1e-9 {
 		t.Errorf("plain graph: expected %v != total %v", exp, s.TotalEnergy())
 	}

@@ -219,9 +219,9 @@ func TestBaselineUsesParallelism(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	busy := s.PEBusy()
-	if busy[0] == 0 || busy[1] == 0 {
-		t.Errorf("both PEs should be used: busy = %v", busy)
+	e := s.PEEnergy()
+	if e[0] == 0 || e[1] == 0 {
+		t.Errorf("both PEs should be used: energy = %v", e)
 	}
 }
 
@@ -326,9 +326,9 @@ func TestThermalAwareBalancesLoad(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	busy := s.PEBusy()
-	if busy[0] == 0 || busy[1] == 0 {
-		t.Errorf("thermal ASP should spread load: busy = %v", busy)
+	e := s.PEEnergy()
+	if e[0] == 0 || e[1] == 0 {
+		t.Errorf("thermal ASP should spread load: energy = %v", e)
 	}
 }
 

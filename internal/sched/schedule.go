@@ -54,15 +54,6 @@ func (s *Schedule) PEEnergy() []float64 {
 	return out
 }
 
-// PEBusy returns per-PE busy time.
-func (s *Schedule) PEBusy() []float64 {
-	out := make([]float64, len(s.Arch.PEs))
-	for _, a := range s.Assignments {
-		out[a.PE] += a.Finish - a.Start
-	}
-	return out
-}
-
 // PEAveragePower returns each PE's energy averaged over the given time
 // horizon (use the graph deadline for the paper's "total power" metric,
 // or the makespan for utilization-normalized power). The result is the
@@ -82,40 +73,6 @@ func (s *Schedule) PEAveragePower(horizon float64) ([]float64, error) {
 // "Total Pow." column of the paper's tables.
 func (s *Schedule) TotalPower() float64 {
 	return s.TotalEnergy() / s.Graph.Deadline
-}
-
-// ExpectedEnergy returns the probability-weighted energy of the
-// schedule for a conditional task graph: Σ P(task) × E(task), where
-// P(task) comes from Graph.ExecutionProbabilities. For unconditional
-// graphs it equals TotalEnergy.
-func (s *Schedule) ExpectedEnergy() (float64, error) {
-	probs, err := s.Graph.ExecutionProbabilities()
-	if err != nil {
-		return 0, err
-	}
-	var sum float64
-	for _, a := range s.Assignments {
-		sum += probs[a.Task] * a.Energy()
-	}
-	return sum, nil
-}
-
-// ExpectedPEAveragePower is PEAveragePower weighted by task execution
-// probabilities — the per-PE power a conditional task graph dissipates
-// in expectation, the right input for expected-temperature analysis.
-func (s *Schedule) ExpectedPEAveragePower(horizon float64) ([]float64, error) {
-	if !(horizon > 0) {
-		return nil, fmt.Errorf("sched: power horizon must be positive, got %g", horizon)
-	}
-	probs, err := s.Graph.ExecutionProbabilities()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(s.Arch.PEs))
-	for _, a := range s.Assignments {
-		out[a.PE] += probs[a.Task] * a.Energy() / horizon
-	}
-	return out, nil
 }
 
 // Validate checks that the schedule is structurally sound:

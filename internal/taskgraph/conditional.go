@@ -17,11 +17,9 @@ import (
 //     probabilities combine additively along joins (capped at 1).
 //
 // Scheduling remains worst-case (every branch is reserved a slot, the
-// conservative treatment); the probabilities feed expected-value power
-// and temperature analysis (sched.ExpectedPEAveragePower) and the
-// Bernoulli branch realization of the closed-loop executor
-// (runtime.Config.Conditional). Xie & Wolf's mutual-exclusion slot sharing
-// is out of scope.
+// conservative treatment); the probabilities feed the Bernoulli branch
+// realization of the closed-loop executor (runtime.Config.Conditional).
+// Xie & Wolf's mutual-exclusion slot sharing is out of scope.
 
 // effectiveProb returns the edge's firing probability, treating the
 // zero value as 1 so plain (unconditional) graphs need no annotation.
@@ -60,16 +58,6 @@ func (g *Graph) ValidateProbabilities() error {
 		}
 	}
 	return nil
-}
-
-// HasConditionalEdges reports whether any edge is conditional.
-func (g *Graph) HasConditionalEdges() bool {
-	for _, e := range g.edges {
-		if e.IsConditional() {
-			return true
-		}
-	}
-	return false
 }
 
 // ExecutionProbabilities returns, per task, the probability that the

@@ -136,9 +136,6 @@ func (g *Graph) Predecessors(id int) []Edge {
 // InDegree returns the number of predecessors of task id.
 func (g *Graph) InDegree(id int) int { return len(g.pred[id]) }
 
-// OutDegree returns the number of successors of task id.
-func (g *Graph) OutDegree(id int) int { return len(g.succ[id]) }
-
 // Sources returns the IDs of tasks with no predecessors.
 func (g *Graph) Sources() []int {
 	var out []int

@@ -85,13 +85,6 @@ func (l *Library) NumPETypes() int { return len(l.peTypes) }
 // PEType returns the PE type with the given index.
 func (l *Library) PEType(i int) PEType { return l.peTypes[i] }
 
-// PETypes returns a copy of the registered PE types.
-func (l *Library) PETypes() []PEType {
-	out := make([]PEType, len(l.peTypes))
-	copy(out, l.peTypes)
-	return out
-}
-
 // PETypeIndex finds a PE type by name.
 func (l *Library) PETypeIndex(name string) (int, bool) {
 	for i, p := range l.peTypes {

@@ -79,9 +79,6 @@ func TestLibraryBasics(t *testing.T) {
 	if lib.PEType(1).Name != "fast" {
 		t.Error("PEType(1) wrong")
 	}
-	if got := lib.PETypes(); len(got) != 2 {
-		t.Error("PETypes length wrong")
-	}
 	i, ok := lib.PETypeIndex("slow")
 	if !ok || i != 0 {
 		t.Error("PETypeIndex(slow) wrong")

@@ -40,7 +40,6 @@
 //	internal/floorplan   slicing-tree GA floorplanner, platform layouts
 //	internal/linalg      sparse Cholesky, sparse backward-Euler stepper
 //	internal/hotspot     compact thermal RC model (steady state, transient)
-//	internal/power       power profiles, traces, leakage feedback
 //	internal/cosynth     the two flows of the paper's Figure 1
 //	internal/experiments Tables 1–3, the sweep and the scaling study
 //	internal/dtm         thermal supervisors: toggle, PI, admit, zig-zag
@@ -59,7 +58,6 @@ import (
 	"thermalsched/internal/experiments"
 	"thermalsched/internal/floorplan"
 	"thermalsched/internal/hotspot"
-	"thermalsched/internal/power"
 	"thermalsched/internal/sched"
 	"thermalsched/internal/search"
 	"thermalsched/internal/taskgraph"
@@ -192,20 +190,6 @@ type (
 	// CoSynthConfig parameterizes the co-synthesis flow (Fig. 1a).
 	CoSynthConfig = cosynth.CoSynthConfig
 )
-
-// Power-domain types.
-type (
-	// PowerProfile is the per-PE power timeline of a schedule.
-	PowerProfile = power.Profile
-	// LeakageModel captures temperature-dependent leakage.
-	LeakageModel = power.LeakageModel
-)
-
-// PowerProfileOf extracts the power profile of a schedule.
-func PowerProfileOf(s *Schedule) (*PowerProfile, error) { return power.FromSchedule(s) }
-
-// DefaultLeakage returns the calibrated leakage model.
-func DefaultLeakage() LeakageModel { return power.DefaultLeakage() }
 
 // Experiment suite (Tables 1–3).
 type (
