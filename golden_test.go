@@ -30,7 +30,9 @@ type goldenCase struct {
 // so short (retryAfter 1e-300) that t+retryAfter rounds to t, where a
 // denial does not outlast the query that made it. The tiny hold is
 // pinned twice: once under the stream dispatcher and once under the
-// schedule executor's simulate flow, whose hold rule is separate code.
+// schedule executor's simulate flow. The zigzag supervisor is pinned
+// under both dispatchers too: its retry-after hint is the remaining
+// cooling gap, which can outlast the sensing step it was given in.
 //
 // The platform cases pin every benchmark under the thermal ASP and
 // the baseline, Gantt chart included. The cosynthesis cases pin the
@@ -88,6 +90,10 @@ func goldenCases() []goldenCase {
 		{"simulate_bm1_admit_tiny_retry", NewRequest(FlowSimulate, WithBenchmark("Bm1"),
 			WithSimulate(SimulateSpec{Controller: "admit", Replicas: 2, MinFactor: 0.85, Seed: 13,
 				SupervisorSpec: SupervisorSpec{RetryAfter: 1e-300}}))},
+		{"simulate_bm1_zigzag", NewRequest(FlowSimulate, WithBenchmark("Bm1"),
+			WithSimulate(SimulateSpec{Controller: "zigzag", Replicas: 2, MinFactor: 0.85, Seed: 13}))},
+		{"simulate_bm2_zigzag_warm", NewRequest(FlowSimulate, WithBenchmark("Bm2"),
+			WithSimulate(SimulateSpec{Controller: "zigzag", Replicas: 2, MinFactor: 0.85, Seed: 13, WarmStart: true}))},
 		{"cosynthesis_bm1_capped", NewRequest(FlowCoSynthesis, WithBenchmark("Bm1"),
 			WithMaxPEs(4), WithFloorplanGenerations(2), WithGantt())},
 		{"cosynthesis_bm2_h3", NewRequest(FlowCoSynthesis, WithBenchmark("Bm2"),
