@@ -80,11 +80,12 @@ func (l Ladder) Classify(tempC float64) ThermalState {
 // Admission is a supervisor's answer to "may this task start on that
 // block now?".
 type Admission struct {
-	// OK grants the start. When false, RetryAfter is the supervisor's
-	// hint (in the caller's loop time units, > 0) for when asking again
-	// is worthwhile.
-	OK         bool
-	RetryAfter float64
+	// OK grants the start. When false, Until is the supervisor's hint,
+	// an absolute time in the caller's loop units, for when asking again
+	// is worthwhile. It is absolute so that a hold re-reported from a
+	// later query ends at the very time the denial armed it for.
+	OK    bool
+	Until float64
 	// State is the block's thermal state at decision time.
 	State ThermalState
 }
@@ -104,12 +105,11 @@ type Supervisor interface {
 	// Implementations may record per-block retry-after state; Reset
 	// clears it.
 	//
-	// A denial at now whose hold outlasts the instant — RetryAfter with
-	// now+RetryAfter > now in floating point — sticks: every later
-	// query of block b at the same now, with the same temps and
-	// whatever riseC, is denied too, until the next ScaleInto or Reset.
-	// Dispatchers rely on this to count such re-asks without making
-	// them. A denial whose now+RetryAfter rounds to now promises
+	// A denial at now whose hold outlasts the instant — Until > now —
+	// sticks: every later query of block b at the same now, with the
+	// same temps and whatever riseC, is denied too, until the next
+	// ScaleInto or Reset. Dispatchers rely on this to count such
+	// re-asks without making them. A denial with Until == now promises
 	// nothing.
 	Admit(b int, temps []float64, riseC, now float64) Admission
 	// Proactive reports whether Admit can ever deny. Callers skip the
@@ -284,11 +284,11 @@ func (c *AdmitController) Admit(b int, temps []float64, riseC, now float64) Admi
 	c.buffers(len(temps))
 	st := c.stickyState(c.state[b], temps[b])
 	if hold := c.embargo[b]; hold > now {
-		return Admission{RetryAfter: hold - now, State: st}
+		return Admission{Until: hold, State: st}
 	}
 	if st >= StateSerious || (st >= StateFair && c.Ladder.Classify(temps[b]+riseC) >= StateSerious) {
 		c.embargo[b] = now + c.RetryAfter
-		return Admission{RetryAfter: c.RetryAfter, State: st}
+		return Admission{Until: c.embargo[b], State: st}
 	}
 	return Admission{OK: true, State: st}
 }
@@ -372,14 +372,14 @@ func (c *ZigZagController) StateOf(b int, temps []float64) ThermalState {
 }
 
 // Admit implements Supervisor: no new work starts on a block inside a
-// cooling gap; the hint is the gap's remaining loop time.
+// cooling gap; the hint is the end of the gap's remaining loop time.
 func (c *ZigZagController) Admit(b int, temps []float64, riseC, now float64) Admission {
 	if c.cooling == nil {
 		c.cooling = make([]int, len(temps))
 	}
 	st := c.Ladder.Classify(temps[b])
 	if rem := c.cooling[b]; rem > 0 {
-		return Admission{RetryAfter: float64(rem) * c.StepTime, State: st}
+		return Admission{Until: now + float64(rem)*c.StepTime, State: st}
 	}
 	return Admission{OK: true, State: st}
 }

@@ -59,7 +59,7 @@ func TestLadderClassifyAtThresholds(t *testing.T) {
 
 // TestAdmitDenialSticksWithinInstant checks the Supervisor.Admit
 // contract dispatchers rely on to skip re-asks: a denial at now with
-// now+RetryAfter > now is repeated for every later query of that block
+// Until > now is repeated for every later query of that block
 // at the same now and temperatures, whatever the forecast rise, and
 // however many other blocks are queried in between.
 func TestAdmitDenialSticksWithinInstant(t *testing.T) {
@@ -108,7 +108,7 @@ func TestAdmitDenialSticksWithinInstant(t *testing.T) {
 							}
 						}
 						first := s.Admit(b, temps, r0, now)
-						if first.OK || !(now+first.RetryAfter > now) {
+						if first.OK || !(first.Until > now) {
 							continue
 						}
 						held++
@@ -119,8 +119,8 @@ func TestAdmitDenialSticksWithinInstant(t *testing.T) {
 								}
 							}
 							if a := s.Admit(b, temps, r, now); a.OK {
-								t.Errorf("now %g block %d: denied at rise %g (retry %g), then admitted at rise %g",
-									now, b, r0, first.RetryAfter, r)
+								t.Errorf("now %g block %d: denied at rise %g (until %g), then admitted at rise %g",
+									now, b, r0, first.Until, r)
 							}
 						}
 					}
@@ -134,7 +134,7 @@ func TestAdmitDenialSticksWithinInstant(t *testing.T) {
 }
 
 // TestAdmitShortHoldPromisesNothing is the rounding edge of the
-// contract: a hold so short that now+RetryAfter == now does not cover
+// contract: a hold so short that its Until rounds to now does not cover
 // the instant, so a smaller forecast at the same now may be admitted.
 // A dispatcher that skipped the re-ask here would change the schedule.
 func TestAdmitShortHoldPromisesNothing(t *testing.T) {
@@ -145,7 +145,7 @@ func TestAdmitShortHoldPromisesNothing(t *testing.T) {
 	temps := []float64{75} // fair: admission turns on the forecast
 	const now = 100.0
 	first := c.Admit(0, temps, 10, now)
-	if first.OK || now+first.RetryAfter != now {
+	if first.OK || first.Until != now {
 		t.Fatalf("first query = %+v, want a denial whose hold rounds away", first)
 	}
 	if a := c.Admit(0, temps, 1, now); !a.OK {

@@ -310,9 +310,7 @@ func Simulate(ctx context.Context, s *sched.Schedule, model *hotspot.Model, cfg 
 								forecast.Rise(pe, a.Power, (a.Finish-a.Start)*cfg.TimeScale), t)
 							if !adm.OK {
 								res.AdmissionDenials++
-								if adm.RetryAfter > 0 {
-									holdUntil[pe] = t + adm.RetryAfter
-								}
+								holdUntil[pe] = adm.Until
 								break
 							}
 						}

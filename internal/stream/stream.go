@@ -345,7 +345,7 @@ func Run(ctx context.Context, in Input, cfg Config) (*Result, error) {
 	//
 	// Within one dispatch instant temperatures are frozen and the
 	// supervisor is not stepped, so a denial whose hold outlasts the
-	// instant (t+RetryAfter > t; see dtm.Supervisor.Admit) answers
+	// instant (Until > t; see dtm.Supervisor.Admit) answers
 	// every later ask of that PE at t: those asks are counted as
 	// denials without querying again.
 	admits := func(j, pe int, t float64) bool {
@@ -360,7 +360,7 @@ func Run(ctx context.Context, in Input, cfg Config) (*Result, error) {
 			forecast.Rise(pe, pow[j*nPE+pe], wcet[j*nPE+pe]*cfg.TimeScale), t)
 		if !adm.OK {
 			res.AdmissionDenials++
-			if t+adm.RetryAfter > t {
+			if adm.Until > t {
 				heldAt[pe] = instant
 				for _, s := range peSlots[pe] {
 					openCap[s]--

@@ -294,7 +294,7 @@ func (c *countingSupervisor) Admit(b int, temps []float64, riseC, now float64) d
 		c.reasked++
 	}
 	adm := c.Supervisor.Admit(b, temps, riseC, now)
-	if !adm.OK && now+adm.RetryAfter > now {
+	if !adm.OK && adm.Until > now {
 		c.held[b] = now
 	}
 	return adm
