@@ -310,7 +310,7 @@ func Simulate(ctx context.Context, s *sched.Schedule, model *hotspot.Model, cfg 
 								forecast.Rise(pe, a.Power, (a.Finish-a.Start)*cfg.TimeScale), t)
 							if !adm.OK {
 								res.AdmissionDenials++
-								holdUntil[pe] = adm.Until
+								holdUntil[pe] = math.Min(adm.Until, stepEnd)
 								break
 							}
 						}
