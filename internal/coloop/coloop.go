@@ -10,7 +10,8 @@
 // step's per-block throttle scales. The core owns that outer loop —
 // stepping, energy-to-power accumulation, peak tracking, warm start,
 // stall bounding and context polling — so the two executors differ only
-// in their micro loops.
+// in their micro loops. It also builds the one admission gate (Gate)
+// through which both start work under a proactive supervisor.
 //
 // Determinism is the core's first constraint: the accumulation order of
 // every float sum is fixed (PE index order, block index order), so a
@@ -112,6 +113,8 @@ type Core struct {
 	PeakTempC   float64
 	Steps       int
 	now         float64
+	stepEnd     float64
+	gate        *Gate // nil unless Gate built one
 }
 
 // New validates the configuration and builds a ready core: transient
@@ -175,10 +178,6 @@ func (c *Core) WarmStart(blockAvg []float64) error {
 	return c.tr.SetRise(rise)
 }
 
-// Supervisor returns the configured supervisor (nil when thermal
-// management is disabled) for clients that query admissions.
-func (c *Core) Supervisor() dtm.Supervisor { return c.cfg.Supervisor }
-
 // Run drives the outer loop until the client reports done: zero the
 // step energies, run the client's micro loop, step the thermal model
 // over the drawn power, track the peak, let the client observe, and
@@ -196,11 +195,14 @@ func (c *Core) Run(ctx context.Context, h Hooks) error {
 				return h.Cancelled(err)
 			}
 		}
-		stepEnd := c.now + c.cfg.DT
+		c.stepEnd = c.now + c.cfg.DT
 		for pe := range c.StepEnergy {
 			c.StepEnergy[pe] = 0
 		}
-		if err := h.Step(c.now, stepEnd); err != nil {
+		if c.gate != nil {
+			c.gate.armed = c.gate.armed[:0] // every hold ends with its step
+		}
+		if err := h.Step(c.now, c.stepEnd); err != nil {
 			return err
 		}
 
@@ -234,7 +236,7 @@ func (c *Core) Run(ctx context.Context, h Hooks) error {
 			}
 		}
 		c.Steps++
-		c.now = stepEnd
+		c.now = c.stepEnd
 	}
 	return nil
 }
@@ -257,70 +259,4 @@ func PEBlocks(model *hotspot.Model, peNames []string) ([]int, error) {
 		out[i] = bi
 	}
 	return out, nil
-}
-
-// riseCurveCap bounds the sampled horizon of a RiseForecaster: tasks
-// longer than riseCurveCap steps clamp to the last sample, which by
-// then is sink-paced and nearly flat at task timescales.
-const riseCurveCap = 4096
-
-// RiseForecaster turns the influence oracle's steady-state slope into
-// a duration-aware admission forecast. The slope is the asymptote of a
-// block's unit-step response, but the thermal network is two-tier: the
-// die block answers in fractions of a second while the shared
-// spreader/sink leg — which dominates the steady-state resistance —
-// moves over minutes. A task-length draw therefore realizes only the
-// fast-tier fraction of its asymptotic rise, and gating on the
-// asymptote collapses predictive admission into one more temperature
-// threshold (every task's forecast clears the band, however short the
-// task). The forecaster reads each PE block's actual unit-step
-// self-response on the model's own integrator, so the rise a
-// supervisor is quoted is the rise the candidate could physically
-// cause within its worst-case duration.
-type RiseForecaster struct {
-	dtSec  float64
-	curves [][]float64 // per PE: self-rise (K/W) after step i+1 of 1 W, shared read-only
-}
-
-// NewRiseForecaster looks up the unit-step self-response of every PE
-// block at dtSec granularity out to maxDurSec (clamped to riseCurveCap
-// steps). The curves come from the model's memo (hotspot.Model.StepRise),
-// so after the first run on a model this is a lookup, and blocks shared
-// by several PEs share one curve.
-func NewRiseForecaster(model *hotspot.Model, peBlock []int, dtSec, maxDurSec float64) (*RiseForecaster, error) {
-	if !(dtSec > 0) {
-		return nil, fmt.Errorf("coloop: forecaster step %g must be positive", dtSec)
-	}
-	steps := int(math.Ceil(maxDurSec / dtSec))
-	if steps < 1 {
-		steps = 1
-	}
-	if steps > riseCurveCap {
-		steps = riseCurveCap
-	}
-	f := &RiseForecaster{dtSec: dtSec, curves: make([][]float64, len(peBlock))}
-	for pe, b := range peBlock {
-		curve, err := model.StepRise(b, dtSec, steps)
-		if err != nil {
-			return nil, err
-		}
-		f.curves[pe] = curve
-	}
-	return f, nil
-}
-
-// Rise forecasts the self-rise (°C) a draw of power watts sustained
-// for durSec seconds causes on the PE's block, rounding the horizon up
-// to the next sampled step (worst case within the grid) and clamping
-// beyond the sampled range.
-func (f *RiseForecaster) Rise(pe int, power, durSec float64) float64 {
-	curve := f.curves[pe]
-	idx := int(math.Ceil(durSec/f.dtSec)) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(curve) {
-		idx = len(curve) - 1
-	}
-	return power * curve[idx]
 }

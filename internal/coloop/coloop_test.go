@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"thermalsched/internal/dtm"
 	"thermalsched/internal/floorplan"
 	"thermalsched/internal/hotspot"
 )
@@ -51,7 +52,7 @@ func freshCurves(t *testing.T, model *hotspot.Model, peBlock []int, dtSec float6
 	return out
 }
 
-func checkCurves(t *testing.T, what string, f *RiseForecaster, want [][]float64) {
+func checkCurves(t *testing.T, what string, f *riseForecaster, want [][]float64) {
 	t.Helper()
 	for pe, curve := range f.curves {
 		if len(curve) > len(want[pe]) {
@@ -75,7 +76,7 @@ func TestRiseForecasterMatchesFreshIntegration(t *testing.T) {
 	for _, order := range [][]float64{{0.7, 5}, {5, 0.7}} {
 		model := rowModel(t, 4)
 		for _, maxDur := range order {
-			f, err := NewRiseForecaster(model, peBlock, dtSec, maxDur)
+			f, err := newRiseForecaster(model, peBlock, dtSec, maxDur)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,14 +97,14 @@ func TestRiseForecasterParallelSharedModel(t *testing.T) {
 	want := freshCurves(t, rowModel(t, 6), peBlock, dtSec, 80)
 	model := rowModel(t, 6)
 	var wg sync.WaitGroup
-	got := make([]*RiseForecaster, 8)
+	got := make([]*riseForecaster, 8)
 	errs := make([]error, len(got))
 	for i := range got {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			// Alternate horizons so extensions race with lookups.
-			got[i], errs[i] = NewRiseForecaster(model, peBlock, dtSec, float64(1+i%4*2))
+			got[i], errs[i] = newRiseForecaster(model, peBlock, dtSec, float64(1+i%4*2))
 			if errs[i] == nil {
 				_, errs[i] = New(Config{Model: model, PEBlock: peBlock, DT: 1, TimeScale: dtSec, MaxSteps: 1})
 			}
@@ -276,6 +277,234 @@ func TestCoreReportsCancellationWithinCheckInterval(t *testing.T) {
 		}
 		if c.Steps < cancelAt || c.Steps-cancelAt > ctxCheckInterval {
 			t.Errorf("cancel at step %d reported after %d steps, want within %d", cancelAt, c.Steps, ctxCheckInterval)
+		}
+	}
+}
+
+// stubSupervisor is a proactive supervisor that refuses every start
+// while deny is set, with a hold of retry loop time units, and counts
+// the queries that reach it.
+type stubSupervisor struct {
+	deny    bool
+	retry   float64
+	queries int
+}
+
+func (s *stubSupervisor) ScaleInto(out, temps []float64) error {
+	for i := range out {
+		out[i] = 1
+	}
+	return nil
+}
+func (s *stubSupervisor) Reset()          {}
+func (s *stubSupervisor) Proactive() bool { return true }
+func (s *stubSupervisor) Admit(b int, temps []float64, riseC, now float64) dtm.Admission {
+	s.queries++
+	if !s.deny {
+		return dtm.Admission{OK: true}
+	}
+	return dtm.Admission{Until: now + s.retry}
+}
+
+// gateCore builds a two-PE core on sup and its gate.
+func gateCore(t *testing.T, sup dtm.Supervisor, dt float64) (*Core, *Gate) {
+	t.Helper()
+	c, err := New(Config{Model: rowModel(t, 2), PEBlock: []int{0, 1}, DT: dt, TimeScale: 0.1,
+		MaxSteps: 1 << 20, Supervisor: sup})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := c.Gate(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, g
+}
+
+// runSteps runs the core for the given number of steps with step as
+// the micro loop.
+func runSteps(t *testing.T, c *Core, steps int, step func(now, stepEnd float64) error) {
+	t.Helper()
+	n := 0
+	err := c.Run(context.Background(), stepHooks(func(now, stepEnd float64) error {
+		n++
+		return step(now, stepEnd)
+	}, func() bool { return n == steps }))
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Without a supervisor, or under a reactive one, there is no gate, and
+// the nil gate admits everything, holds nothing and counts nothing.
+func TestGateNilAdmitsAndNeverHolds(t *testing.T) {
+	toggle, err := dtm.NewToggleController(80, 2, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reactive, err := dtm.Supervise(toggle, dtm.DefaultLadder)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sup := range []dtm.Supervisor{nil, reactive} {
+		_, g := gateCore(t, sup, 1)
+		if g != nil {
+			t.Fatalf("supervisor %T: got a gate, want nil", sup)
+		}
+		for _, at := range []float64{0, 3.5, 1e9} {
+			if ok, armed := g.Admit(1, 40, 10, at); !ok || armed {
+				t.Errorf("nil gate Admit at %g = (%v, %v), want (true, false)", at, ok, armed)
+			}
+			if e := g.Expiry(1); !(e < at) {
+				t.Errorf("nil gate Expiry = %g, want before %g", e, at)
+			}
+			if h := g.Held(at); len(h) != 0 {
+				t.Errorf("nil gate Held(%g) = %v, want none", at, h)
+			}
+		}
+		g.Deny(7)
+		if d := g.Denials(); d != 0 {
+			t.Errorf("nil gate Denials = %d, want 0", d)
+		}
+	}
+}
+
+// A denial whose hold outlasts the step holds its PE to the step's end
+// and no further: later asks in the step are refused without a query,
+// and the next step asks the supervisor again.
+func TestGateHoldCappedAtStepEnd(t *testing.T) {
+	sup := &stubSupervisor{deny: true, retry: 100}
+	c, g := gateCore(t, sup, 2)
+	runSteps(t, c, 4, func(now, stepEnd float64) error {
+		before := sup.queries
+		at := now + 0.5
+		if ok, armed := g.Admit(0, 3, 1, at); ok || !armed {
+			return fmt.Errorf("step at %g: fresh ask = (%v, %v), want a new hold", now, ok, armed)
+		}
+		if e := g.Expiry(0); e != stepEnd {
+			return fmt.Errorf("step at %g: hold expires at %g, want the step end %g", now, e, stepEnd)
+		}
+		if h := g.Held(at); len(h) != 1 || h[0] != 0 {
+			return fmt.Errorf("step at %g: Held = %v, want [0]", now, h)
+		}
+		if ok, armed := g.Admit(0, 3, 1, math.Nextafter(stepEnd, 0)); ok || armed {
+			return fmt.Errorf("step at %g: ask under the hold = (%v, %v), want refused, no new hold", now, ok, armed)
+		}
+		if q := sup.queries - before; q != 1 {
+			return fmt.Errorf("step at %g: %d supervisor queries, want 1", now, q)
+		}
+		return nil
+	})
+	if sup.queries != 4 {
+		t.Errorf("%d supervisor queries over 4 steps, want one per step", sup.queries)
+	}
+}
+
+// A hold so short that it rounds to the query time (retryAfter 1e-300
+// at t > 0) holds nothing: every ask reaches the supervisor.
+func TestGateTinyRetryNeverHolds(t *testing.T) {
+	sup := &stubSupervisor{deny: true, retry: 1e-300}
+	c, g := gateCore(t, sup, 1)
+	asks := 0
+	runSteps(t, c, 5, func(now, stepEnd float64) error {
+		for _, at := range []float64{now + 0.25, now + 0.25, now + 0.75} {
+			asks++
+			if ok, armed := g.Admit(1, 3, 1, at); ok || armed {
+				return fmt.Errorf("ask at %g = (%v, %v), want refused without a hold", at, ok, armed)
+			}
+			if h := g.Held(at); len(h) != 0 {
+				return fmt.Errorf("Held(%g) = %v, want none", at, h)
+			}
+		}
+		return nil
+	})
+	if sup.queries != asks || g.Denials() != asks {
+		t.Errorf("%d asks made %d queries and %d denials, want all equal", asks, sup.queries, g.Denials())
+	}
+}
+
+// Every refused ask counts exactly once, whether the supervisor or a
+// hold refused it, and Deny adds the asks a dispatcher skipped.
+func TestGateCountsEachDenialOnce(t *testing.T) {
+	sup := &stubSupervisor{retry: 0.5}
+	c, g := gateCore(t, sup, 1)
+	want := 0
+	ask := func(pe int, at float64) {
+		if ok, _ := g.Admit(pe, 3, 1, at); !ok {
+			want++
+		}
+	}
+	runSteps(t, c, 3, func(now, stepEnd float64) error {
+		sup.deny = false
+		ask(0, now) // admitted
+		sup.deny = true
+		ask(0, now)      // refused by the supervisor: hold to now+0.5
+		ask(0, now+0.25) // refused by the hold
+		ask(1, now+0.25) // refused by the supervisor
+		ask(0, now+0.5)  // hold over: refused by the supervisor again
+		sup.deny = false
+		ask(0, now+0.75)  // refused by the hold armed at now+0.5
+		ask(1, now+0.875) // hold over: admitted
+		g.Deny(3)
+		want += 3
+		return nil
+	})
+	if want != 3*8 {
+		t.Fatalf("test drove %d denials, want 24", want)
+	}
+	if g.Denials() != want {
+		t.Errorf("Denials = %d, want %d", g.Denials(), want)
+	}
+}
+
+// An AdmitController embargo that outlasts its step is asked again at
+// the next step start, and the hold the gate takes from that answer
+// ends exactly, bit for bit, where the embargo does.
+func TestGateEmbargoAcrossStepsKeepsItsExpiry(t *testing.T) {
+	for _, dt := range []float64{0.1, 0.3, 1, 2.5} {
+		for _, retry := range []float64{0.3, 0.7, 2, 3.7, 10.05} {
+			for _, frac := range []float64{0, 0.13, 0.5, 0.999} {
+				for _, first := range []int{0, 1, 7} {
+					sup, err := dtm.NewAdmitController(dtm.DefaultLadder, 0.7, 0.4, retry, 2)
+					if err != nil {
+						t.Fatal(err)
+					}
+					c, g := gateCore(t, sup, dt)
+					var embargo float64
+					step, crossed, mustCross := 0, 0, false
+					err = c.Run(context.Background(), stepHooks(func(now, stepEnd float64) error {
+						defer func() { step++ }()
+						if step < first {
+							return nil
+						}
+						c.Temps[0] = 95 // critical: the controller denies
+						at := now
+						if step == first {
+							at = now + frac*dt
+							embargo = at + retry
+							mustCross = embargo > stepEnd
+						}
+						if ok, _ := g.Admit(0, 3, 1, at); ok {
+							return fmt.Errorf("ask at %g admitted, want refused", at)
+						}
+						want := min(embargo, stepEnd)
+						if got := g.Expiry(0); math.Float64bits(got) != math.Float64bits(want) {
+							return fmt.Errorf("dt %g retry %g: ask at %g holds to %v, want %v (embargo %v)",
+								dt, retry, at, got, want, embargo)
+						}
+						if step > first {
+							crossed++
+						}
+						return nil
+					}, func() bool { return step > first && !(embargo > c.now) }))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if mustCross && crossed == 0 {
+						t.Errorf("dt %g retry %g: the embargo outlasted its step but was never asked again", dt, retry)
+					}
+				}
+			}
 		}
 	}
 }

@@ -49,11 +49,13 @@ type Config struct {
 	// simulation; the transient integrates with step DT × TimeScale.
 	TimeScale float64
 	// Supervisor throttles per-block power and, when proactive
-	// (dtm.Supervisor.Proactive), gates task starts through admission
-	// queries: a denied PE holds its queue head until the supervisor's
-	// retry-after hint expires, waiting at full speed instead of
-	// starting and being throttled. Nil disables DTM — every PE runs at
-	// full speed, which is the unthrottled reference run. Reactive
+	// (dtm.Supervisor.Proactive), gates task starts through the
+	// admission gate (coloop.Gate): a denial at t holds the PE's queue
+	// head until the supervisor's expiry or the end of the sensing step,
+	// whichever is first, and the head waits at full speed instead of
+	// starting and being throttled. A head still under embargo is asked
+	// again at the next step. Nil disables DTM — every PE runs at full
+	// speed, which is the unthrottled reference run. Reactive
 	// controllers adapt via dtm.Supervise.
 	Supervisor dtm.Supervisor
 	// MinFactor is the lower bound of the per-task execution-time factor:
@@ -124,8 +126,9 @@ type Result struct {
 	ThrottleTime  float64
 	PerPEThrottle []float64
 	// AdmissionDenials counts the admission queries a proactive
-	// supervisor denied — each denial holds a PE's queue head for the
-	// supervisor's retry-after hint. Zero under reactive controllers.
+	// supervisor denied. A held head waits out its hold without asking,
+	// so an embargo spanning k sensing steps counts once per step it
+	// reaches, k in all. Zero under reactive controllers.
 	AdmissionDenials int
 	// DeadlineMet reports Makespan ≤ the graph's deadline.
 	DeadlineMet bool
@@ -195,27 +198,16 @@ func Simulate(ctx context.Context, s *sched.Schedule, model *hotspot.Model, cfg 
 		}
 	}
 
-	// Proactive supervisors gate dispatch: forecast quotes the rise a
-	// candidate task's power causes on its PE's block within the task's
-	// WCET duration (the realized duration would be future knowledge);
-	// holdUntil[pe] is the retry-after hold a denial arms. Both stay
-	// nil for reactive supervisors, keeping the classic toggle/PI path
-	// byte-identical to the pre-supervisor loop.
-	var forecast *coloop.RiseForecaster
-	var holdUntil []float64
-	if cfg.Supervisor != nil && cfg.Supervisor.Proactive() {
-		var maxDur float64
-		for _, a := range s.Assignments {
-			if d := a.Finish - a.Start; d > maxDur {
-				maxDur = d
-			}
-		}
-		forecast, err = coloop.NewRiseForecaster(model, peBlock,
-			cfg.DT*cfg.TimeScale, maxDur*cfg.TimeScale)
-		if err != nil {
-			return nil, err
-		}
-		holdUntil = make([]float64, nPE)
+	// The admission gate quotes each candidate's rise over its WCET
+	// duration (the realized duration would be future knowledge). It is
+	// nil for reactive supervisors, which admit everything.
+	var maxDur float64
+	for _, a := range s.Assignments {
+		maxDur = max(maxDur, a.Finish-a.Start)
+	}
+	gate, err := core.Gate(maxDur)
+	if err != nil {
+		return nil, err
 	}
 
 	n := s.Graph.NumTasks()
@@ -301,18 +293,12 @@ func Simulate(ctx context.Context, s *sched.Schedule, model *hotspot.Model, cfg 
 						if !ok || ready > t {
 							break
 						}
-						if holdUntil != nil {
-							if holdUntil[pe] > t {
-								break // admission hold still running
-							}
-							a := s.Assignments[id]
-							adm := cfg.Supervisor.Admit(peBlock[pe], core.Temps,
-								forecast.Rise(pe, a.Power, (a.Finish-a.Start)*cfg.TimeScale), t)
-							if !adm.OK {
-								res.AdmissionDenials++
-								holdUntil[pe] = math.Min(adm.Until, stepEnd)
-								break
-							}
+						if gate.Expiry(pe) > t {
+							break // the head waits out its admission hold
+						}
+						a := s.Assignments[id]
+						if admitted, _ := gate.Admit(pe, a.Power, a.Finish-a.Start, t); !admitted {
+							break
 						}
 						records[id] = TaskRecord{
 							Task: id, PE: pe, Start: t,
@@ -356,9 +342,7 @@ func Simulate(ctx context.Context, s *sched.Schedule, model *hotspot.Model, cfg 
 				if !ok {
 					continue
 				}
-				if holdUntil != nil && holdUntil[pe] > ready {
-					ready = holdUntil[pe] // head waits out its admission hold
-				}
+				ready = max(ready, gate.Expiry(pe)) // the head waits out its admission hold
 				if ready > t && ready < event {
 					event = ready
 				}
@@ -418,6 +402,7 @@ func Simulate(ctx context.Context, s *sched.Schedule, model *hotspot.Model, cfg 
 	res.PerPEEnergy = core.PerPEEnergy
 	res.Steps = core.Steps
 	res.PeakTempC = core.PeakTempC
+	res.AdmissionDenials = gate.Denials()
 
 	for _, r := range records {
 		if r.Skipped {

@@ -152,14 +152,14 @@ type Result struct {
 	AvgTempC  float64
 	// Steps is the number of thermal co-simulation steps taken.
 	Steps int
-	// AdmissionDenials counts dispatch attempts the thermal supervisor
-	// refused (zero without a proactive supervisor). Re-asking a PE
-	// still under an admission hold counts again: the figure measures
-	// supervisor pressure on the dispatcher, not distinct holds. A
-	// re-ask at the same dispatch instant as a denial that holds past
-	// it is counted without querying the supervisor again — the answer
-	// is fixed by the supervisor contract — so the count is the same
-	// as if every ask had been made.
+	// AdmissionDenials counts dispatch attempts the admission gate
+	// refused (zero without a proactive supervisor): one per (job, idle
+	// capable PE) ask. An ask of a PE under a hold counts again, so the
+	// figure measures supervisor pressure on the dispatcher, not
+	// distinct holds. The gate answers such asks from the hold, and
+	// when every PE a job could use is held the asks are counted
+	// without being made, so the count is the same as if every ask
+	// had reached the supervisor.
 	AdmissionDenials int
 	// OfflineBound is the clairvoyant lower bound on the makespan of
 	// any offline schedule of the realized trace; Price is
@@ -196,8 +196,7 @@ func Run(ctx context.Context, in Input, cfg Config) (*Result, error) {
 	if (policy == PolicyGreedy || policy == PolicyAdmit) && in.Oracle == nil {
 		return nil, fmt.Errorf("stream: policy %q needs the influence oracle", policy)
 	}
-	proactive := in.Supervisor != nil && in.Supervisor.Proactive()
-	if (policy == PolicyAdmit || policy == PolicyZigzag) && !proactive {
+	if (policy == PolicyAdmit || policy == PolicyZigzag) && (in.Supervisor == nil || !in.Supervisor.Proactive()) {
 		return nil, fmt.Errorf("stream: policy %q needs a proactive thermal supervisor", policy)
 	}
 
@@ -212,6 +211,7 @@ func Run(ctx context.Context, in Input, cfg Config) (*Result, error) {
 	wcet := make([]float64, n*nPE) // worst-case duration of job j on PE p
 	pow := make([]float64, n*nPE)  // nominal power of job j on PE p
 	capable := make([]bool, n*nPE) // lib coverage of (p.Type, j.Type)
+	var maxWCET float64
 	for j, job := range in.Jobs {
 		f := factors[j]
 		any := false
@@ -222,6 +222,7 @@ func Run(ctx context.Context, in Input, cfg Config) (*Result, error) {
 			}
 			dur[j*nPE+p] = e.WCET * f
 			wcet[j*nPE+p] = e.WCET
+			maxWCET = max(maxWCET, e.WCET)
 			pow[j*nPE+p] = e.WCPC
 			capable[j*nPE+p] = true
 			any = true
@@ -271,19 +272,12 @@ func Run(ctx context.Context, in Input, cfg Config) (*Result, error) {
 	}
 	temps := core.Temps // last sensed temperatures (ambient pre-start)
 
-	var forecast *coloop.RiseForecaster // duration-aware admission forecast
-	if proactive {
-		var maxWCET float64
-		for _, w := range wcet {
-			if w > maxWCET {
-				maxWCET = w
-			}
-		}
-		forecast, err = coloop.NewRiseForecaster(in.Model, peBlock,
-			cfg.DT*cfg.TimeScale, maxWCET*cfg.TimeScale)
-		if err != nil {
-			return nil, err
-		}
+	// The admission gate quotes each candidate's rise over its WCET (the
+	// realized duration is future knowledge). It is nil without a
+	// proactive supervisor, and then admits everything.
+	gate, err := core.Gate(maxWCET)
+	if err != nil {
+		return nil, err
 	}
 
 	records := make([]JobRecord, n)
@@ -333,53 +327,25 @@ func Run(ctx context.Context, in Input, cfg Config) (*Result, error) {
 			idleCap[s]++
 		}
 	}
-	// heldAt[pe] == instant marks a PE the supervisor refused at the
-	// current dispatch instant (instant counts dispatch calls).
-	heldAt := make([]int, nPE)
-	instant := 0
-
-	// admits asks the supervisor whether job j may start on pe at time
-	// t, forecasting the block's rise as self-influence × job power
-	// saturated over the job's WCET (the realized duration is future
-	// knowledge). Reactive/no supervision always admits without a query.
-	//
-	// Within one dispatch instant temperatures are frozen and the
-	// supervisor is not stepped, so a denial whose hold outlasts the
-	// instant (Until > t; see dtm.Supervisor.Admit) answers
-	// every later ask of that PE at t: those asks are counted as
-	// denials without querying again.
-	admits := func(j, pe int, t float64) bool {
-		if !proactive {
-			return true
-		}
-		if heldAt[pe] == instant {
-			res.AdmissionDenials++
-			return false
-		}
-		adm := in.Supervisor.Admit(peBlock[pe], temps,
-			forecast.Rise(pe, pow[j*nPE+pe], wcet[j*nPE+pe]*cfg.TimeScale), t)
-		if !adm.OK {
-			res.AdmissionDenials++
-			if adm.Until > t {
-				heldAt[pe] = instant
-				for _, s := range peSlots[pe] {
-					openCap[s]--
-				}
-			}
-			return false
-		}
-		return true
-	}
-
-	// pickPE chooses an idle capable (and admitted) PE for job j per the
-	// policy, or ok=false when none qualifies. The thermal policies read
-	// temps — last step's temperatures, the one-step sensing delay.
+	// pickPE chooses an idle capable PE the gate admits for job j per
+	// the policy, or ok=false when none qualifies. A refusal that puts
+	// its PE under a hold closes the PE for the rest of the instant.
+	// The thermal policies read temps — last step's temperatures, the
+	// one-step sensing delay.
 	idle := make([]int, 0, nPE)
 	pickPE := func(j int, t float64) (int, bool, error) {
 		idle = idle[:0]
 		for pe := range running {
-			if running[pe] < 0 && capable[j*nPE+pe] && admits(j, pe, t) {
+			if running[pe] >= 0 || !capable[j*nPE+pe] {
+				continue
+			}
+			ok, armed := gate.Admit(pe, pow[j*nPE+pe], wcet[j*nPE+pe], t)
+			if ok {
 				idle = append(idle, pe)
+			} else if armed {
+				for _, s := range peSlots[pe] {
+					openCap[s]--
+				}
 			}
 		}
 		if len(idle) == 0 {
@@ -428,10 +394,16 @@ func Run(ctx context.Context, in Input, cfg Config) (*Result, error) {
 	// A job none of whose capable idle PEs is open — every one is held,
 	// or none is idle — is refused by all of them: its asks are counted
 	// in O(1) without being made. The supervisor is thus queried at most
-	// once per held idle PE per instant, not once per pending job × PE.
+	// once per idle PE per hold, not once per pending job × PE.
 	dispatch := func(t float64) error {
-		instant++
 		copy(openCap, idleCap)
+		for _, pe := range gate.Held(t) {
+			if running[pe] < 0 {
+				for _, s := range peSlots[pe] {
+					openCap[s]--
+				}
+			}
+		}
 		for len(pending) > 0 {
 			placed := -1
 			var onPE int
@@ -441,9 +413,7 @@ func Run(ctx context.Context, in Input, cfg Config) (*Result, error) {
 			}
 			for idx := 0; idx < limit; idx++ {
 				if s := jobSlot[pending[idx]]; openCap[s] == 0 {
-					if proactive {
-						res.AdmissionDenials += idleCap[s]
-					}
+					gate.Deny(idleCap[s])
 					continue
 				}
 				pe, ok, err := pickPE(pending[idx], t)
@@ -559,6 +529,7 @@ func Run(ctx context.Context, in Input, cfg Config) (*Result, error) {
 	res.Energy = core.Energy
 	res.Steps = core.Steps
 	res.PeakTempC = core.PeakTempC
+	res.AdmissionDenials = gate.Denials()
 
 	res.AvgTempC = avgAccum / float64(res.Steps)
 	sumResp := 0.0
