@@ -92,25 +92,22 @@ type Admission struct {
 
 // Supervisor is the widened thermal-management contract: a Controller
 // (per-block throttle factors, one-step sensing delay) that also
-// classifies block temperatures into graduated thermal states and
-// answers admission queries before work is dispatched. Reactive
-// controllers adapt via Supervise; proactive ones (AdmitController,
+// answers admission queries before work is dispatched, classifying the
+// block on the thermal ladder in each answer. Reactive controllers
+// adapt via Supervise; proactive ones (AdmitController,
 // ZigZagController) implement denial directly.
 type Supervisor interface {
 	Controller
-	// StateOf classifies block b's current temperature on the ladder.
-	StateOf(b int, temps []float64) ThermalState
 	// Admit decides whether a task predicted to raise block b's
 	// temperature by riseC may start now (the caller's loop time).
-	// Implementations may record per-block retry-after state; Reset
-	// clears it.
+	// Implementations may record per-block hold state; Reset clears it.
 	//
-	// A denial at now whose hold outlasts the instant — Until > now —
-	// sticks: every later query of block b at the same now, with the
-	// same temps and whatever riseC, is denied too, until the next
-	// ScaleInto or Reset. Dispatchers rely on this to count such
-	// re-asks without making them. A denial with Until == now promises
-	// nothing.
+	// A denial holds: every later query of block b, with the same temps
+	// and whatever riseC, at a time before Until and before the next
+	// ScaleInto or Reset, is denied too. The admission gate
+	// (internal/coloop) relies on this to hold a refused PE until
+	// min(Until, end of the sensing step) and refuse it there without
+	// asking. A denial with Until <= now promises nothing.
 	Admit(b int, temps []float64, riseC, now float64) Admission
 	// Proactive reports whether Admit can ever deny. Callers skip the
 	// admission bookkeeping entirely for reactive supervisors, keeping
@@ -120,8 +117,8 @@ type Supervisor interface {
 }
 
 // Supervise adapts a reactive Controller to the Supervisor contract:
-// scaling and state classification work as before, and every admission
-// is granted — reactive DTM only ever acts after the fact.
+// scaling works as before, and every admission is granted in the
+// block's ladder state — reactive DTM only ever acts after the fact.
 func Supervise(c Controller, l Ladder) (Supervisor, error) {
 	if c == nil {
 		return nil, fmt.Errorf("dtm: nil controller")
@@ -135,10 +132,6 @@ func Supervise(c Controller, l Ladder) (Supervisor, error) {
 type supervised struct {
 	Controller
 	ladder Ladder
-}
-
-func (s *supervised) StateOf(b int, temps []float64) ThermalState {
-	return s.ladder.Classify(temps[b])
 }
 
 func (s *supervised) Admit(b int, temps []float64, riseC, now float64) Admission {
@@ -265,12 +258,6 @@ func (c *AdmitController) ScaleInto(out, temps []float64) error {
 // leak across runs.
 func (c *AdmitController) Reset() { c.embargo, c.state = nil, nil }
 
-// StateOf implements Supervisor: the sticky classification, read-only.
-func (c *AdmitController) StateOf(b int, temps []float64) ThermalState {
-	c.buffers(len(temps))
-	return c.stickyState(c.state[b], temps[b])
-}
-
 // Admit implements Supervisor: deny when the block is already at
 // serious, or when it is fair (warm) and the forecast rise would take it
 // to serious. A nominal block always admits — the steady-state forecast
@@ -365,11 +352,6 @@ func (c *ZigZagController) ScaleInto(out, temps []float64) error {
 
 // Reset implements Controller: cooling gaps never leak across runs.
 func (c *ZigZagController) Reset() { c.cooling = nil }
-
-// StateOf implements Supervisor.
-func (c *ZigZagController) StateOf(b int, temps []float64) ThermalState {
-	return c.Ladder.Classify(temps[b])
-}
 
 // Admit implements Supervisor: no new work starts on a block inside a
 // cooling gap; the hint is the end of the gap's remaining loop time.

@@ -6,9 +6,9 @@ import (
 )
 
 // Each ladder threshold belongs to the state it opens, and the largest
-// temperature below it to the state beneath. Classify, the reactive
-// Supervise shim (StateOf and the State an Admit reports) and the
-// zig-zag supervisor all map a temperature the same way.
+// temperature below it to the state beneath. Classify and the State
+// an Admit reports, under the reactive Supervise shim and the zig-zag
+// supervisor, all map a temperature the same way.
 func TestLadderClassifyAtThresholds(t *testing.T) {
 	l := DefaultLadder
 	below := func(c float64) float64 { return math.Nextafter(c, math.Inf(-1)) }
@@ -42,14 +42,11 @@ func TestLadderClassifyAtThresholds(t *testing.T) {
 		if got := l.Classify(c.tempC); got != c.want {
 			t.Errorf("Classify(%v) = %v, want %v", c.tempC, got, c.want)
 		}
-		if got := sup.StateOf(0, temps); got != c.want {
-			t.Errorf("Supervise StateOf(%v) = %v, want %v", c.tempC, got, c.want)
-		}
 		if a := sup.Admit(0, temps, 0, 0); !a.OK || a.State != c.want {
 			t.Errorf("Supervise Admit(%v) = %+v, want OK in %v", c.tempC, a, c.want)
 		}
-		if got := zz.StateOf(0, temps); got != c.want {
-			t.Errorf("zig-zag StateOf(%v) = %v, want %v", c.tempC, got, c.want)
+		if a := zz.Admit(0, temps, 0, 0); !a.OK || a.State != c.want {
+			t.Errorf("zig-zag Admit(%v) = %+v, want OK in %v", c.tempC, a, c.want)
 		}
 	}
 	if s := StateCritical.String(); s != "critical" {
@@ -58,10 +55,11 @@ func TestLadderClassifyAtThresholds(t *testing.T) {
 }
 
 // TestAdmitDenialSticksWithinInstant checks the Supervisor.Admit
-// contract dispatchers rely on to skip re-asks: a denial at now with
-// Until > now is repeated for every later query of that block
-// at the same now and temperatures, whatever the forecast rise, and
-// however many other blocks are queried in between.
+// contract the admission gate relies on to skip re-asks: a denial at
+// now with Until > now is repeated for every later query of that block
+// before Until with the same temperatures and no ScaleInto in between
+// (at now itself, halfway, and one ulp before Until), whatever the
+// forecast rise, and however many other blocks are queried in between.
 func TestAdmitDenialSticksWithinInstant(t *testing.T) {
 	ladder := DefaultLadder
 	// One block per ladder rung, plus a fair block a hair below serious.
@@ -112,15 +110,20 @@ func TestAdmitDenialSticksWithinInstant(t *testing.T) {
 							continue
 						}
 						held++
-						for _, r := range rises {
-							for o := range temps {
-								if o != b {
-									s.Admit(o, temps, r, now)
-								}
+						for _, at := range []float64{now, now + (first.Until-now)/2, math.Nextafter(first.Until, math.Inf(-1))} {
+							if at < now || at >= first.Until {
+								continue
 							}
-							if a := s.Admit(b, temps, r, now); a.OK {
-								t.Errorf("now %g block %d: denied at rise %g (until %g), then admitted at rise %g",
-									now, b, r0, first.Until, r)
+							for _, r := range rises {
+								for o := range temps {
+									if o != b {
+										s.Admit(o, temps, r, at)
+									}
+								}
+								if a := s.Admit(b, temps, r, at); a.OK {
+									t.Errorf("now %g block %d: denied at rise %g (until %g), then admitted at %g, rise %g",
+										now, b, r0, first.Until, at, r)
+								}
 							}
 						}
 					}
