@@ -612,23 +612,16 @@ func BenchmarkHotSpotSteadyStateLarge(b *testing.B) {
 	}
 }
 
-// BenchmarkStream measures one full online dispatch of the default
-// stream workload (48 jobs over a 600-unit horizon on 4 PEs): arrival
-// releases, policy placements and the per-DT thermal co-simulation
-// steps. The greedy sub-benchmark additionally pays one influence-
-// oracle inquiry per (pending job, idle PE) pair — the price of
-// thermal foresight over FIFO's head-of-line pop — and is the PR-9
-// hot path the nightly baseline gates.
 // BenchmarkAdmission measures the thermal supervisor's predictive
 // admission path end to end, per surface. The simulate rows run one
 // warm-started closed-loop co-simulation of Bm1 per op: toggle is the
-// reactive baseline on the shared coloop core, admit pays the one-time
-// RiseForecaster setup (each PE block's unit-step self-response sampled
-// out to the longest task's WCET) plus per-dispatch forecast lookups
-// and embargo bookkeeping on top, so the toggle→admit delta is the
-// entire cost of admission control. The stream row dispatches the default
-// online workload under the admit policy, where the same queries gate
-// every placement attempt.
+// reactive baseline on the shared coloop core, admit pays the
+// admission gate's one-time rise-forecast setup (each PE block's
+// unit-step self-response sampled out to the longest task's WCET) plus
+// per-dispatch forecast lookups and hold checks on top, so the
+// toggle→admit delta is the entire cost of admission control. The
+// stream rows dispatch online workloads under the admit policy, where
+// the same gate refuses or admits every placement attempt.
 func BenchmarkAdmission(b *testing.B) {
 	e, err := NewEngine()
 	if err != nil {
@@ -669,6 +662,13 @@ func BenchmarkAdmission(b *testing.B) {
 		Platform: ScenarioPlatformParams{PEs: 16}})
 }
 
+// BenchmarkStream measures one full online dispatch of the default
+// stream workload (48 jobs over a 600-unit horizon on 4 PEs): arrival
+// releases, policy placements and the per-DT thermal co-simulation
+// steps. The greedy sub-benchmark additionally pays one influence-
+// oracle inquiry per (pending job, idle PE) pair — the price of
+// thermal foresight over FIFO's head-of-line pop — and is the
+// dispatch hot path the nightly baseline gates.
 func BenchmarkStream(b *testing.B) {
 	e, err := NewEngine()
 	if err != nil {
