@@ -31,8 +31,11 @@ type goldenCase struct {
 // denial does not outlast the query that made it. The tiny hold is
 // pinned twice: once under the stream dispatcher and once under the
 // schedule executor's simulate flow. The zigzag supervisor is pinned
-// under both dispatchers too: its retry-after hint is the remaining
-// cooling gap, which can outlast the sensing step it was given in.
+// under both dispatchers too: its hold runs to the end of the cooling
+// gap, which can outlast the sensing step it was given in. The Bm1/Bm2
+// zigzag runs never deny a start (each queue head starts at its
+// predecessor's completion, outside any gap); the generated scenario
+// does, so it pins the executor's hold rule under zigzag.
 //
 // The platform cases pin every benchmark under the thermal ASP and
 // the baseline, Gantt chart included. The cosynthesis cases pin the
@@ -94,6 +97,9 @@ func goldenCases() []goldenCase {
 			WithSimulate(SimulateSpec{Controller: "zigzag", Replicas: 2, MinFactor: 0.85, Seed: 13}))},
 		{"simulate_bm2_zigzag_warm", NewRequest(FlowSimulate, WithBenchmark("Bm2"),
 			WithSimulate(SimulateSpec{Controller: "zigzag", Replicas: 2, MinFactor: 0.85, Seed: 13, WarmStart: true}))},
+		{"simulate_scenario_zigzag", NewRequest(FlowSimulate, WithScenario(ScenarioSpec{Seed: 5,
+			Graph: ScenarioGraphParams{Tasks: 40}, Platform: ScenarioPlatformParams{PEs: 8}}),
+			WithSimulate(SimulateSpec{Controller: "zigzag", Replicas: 2, MinFactor: 0.8, Seed: 5}))},
 		{"cosynthesis_bm1_capped", NewRequest(FlowCoSynthesis, WithBenchmark("Bm1"),
 			WithMaxPEs(4), WithFloorplanGenerations(2), WithGantt())},
 		{"cosynthesis_bm2_h3", NewRequest(FlowCoSynthesis, WithBenchmark("Bm2"),
