@@ -10,8 +10,7 @@
 // step's per-block throttle scales. The core owns that outer loop —
 // stepping, energy-to-power accumulation, peak tracking, warm start,
 // stall bounding and context polling — so the two executors differ only
-// in their micro loops. It also builds the one admission gate (Gate)
-// through which both start work under a proactive supervisor.
+// in their micro loops, and both start work through its admission Gate.
 //
 // Determinism is the core's first constraint: the accumulation order of
 // every float sum is fixed (PE index order, block index order), so a
@@ -200,7 +199,7 @@ func (c *Core) Run(ctx context.Context, h Hooks) error {
 			c.StepEnergy[pe] = 0
 		}
 		if c.gate != nil {
-			c.gate.armed = c.gate.armed[:0] // every hold ends with its step
+			c.gate.held = c.gate.held[:0] // every hold ends with its step
 		}
 		if err := h.Step(c.now, c.stepEnd); err != nil {
 			return err

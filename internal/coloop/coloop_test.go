@@ -52,9 +52,9 @@ func freshCurves(t *testing.T, model *hotspot.Model, peBlock []int, dtSec float6
 	return out
 }
 
-func checkCurves(t *testing.T, what string, f *riseForecaster, want [][]float64) {
+func checkCurves(t *testing.T, what string, curves, want [][]float64) {
 	t.Helper()
-	for pe, curve := range f.curves {
+	for pe, curve := range curves {
 		if len(curve) > len(want[pe]) {
 			t.Fatalf("%s: PE %d curve has %d samples, reference %d", what, pe, len(curve), len(want[pe]))
 		}
@@ -66,7 +66,7 @@ func checkCurves(t *testing.T, what string, f *riseForecaster, want [][]float64)
 	}
 }
 
-// Forecasters read memoized curves; whether the short or the long
+// The forecast reads memoized curves; whether the short or the long
 // horizon is requested first on a model, the curves are bit-identical
 // to a fresh per-block integration. PEs 0 and 3 share a block.
 func TestRiseForecasterMatchesFreshIntegration(t *testing.T) {
@@ -76,19 +76,19 @@ func TestRiseForecasterMatchesFreshIntegration(t *testing.T) {
 	for _, order := range [][]float64{{0.7, 5}, {5, 0.7}} {
 		model := rowModel(t, 4)
 		for _, maxDur := range order {
-			f, err := newRiseForecaster(model, peBlock, dtSec, maxDur)
+			curves, err := riseCurves(model, peBlock, dtSec, maxDur)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if wantLen := int(math.Ceil(maxDur / dtSec)); len(f.curves[0]) != wantLen {
-				t.Fatalf("horizon %g: %d samples, want %d", maxDur, len(f.curves[0]), wantLen)
+			if wantLen := int(math.Ceil(maxDur / dtSec)); len(curves[0]) != wantLen {
+				t.Fatalf("horizon %g: %d samples, want %d", maxDur, len(curves[0]), wantLen)
 			}
-			checkCurves(t, "memoized", f, want)
+			checkCurves(t, "memoized", curves, want)
 		}
 	}
 }
 
-// Concurrent forecasters and cores on one shared model — the engine's
+// Concurrent forecasts and cores on one shared model — the engine's
 // cached-model case under replica fan-out — build and extend the memo
 // safely (run with -race) and all see the same curves.
 func TestRiseForecasterParallelSharedModel(t *testing.T) {
@@ -97,25 +97,25 @@ func TestRiseForecasterParallelSharedModel(t *testing.T) {
 	want := freshCurves(t, rowModel(t, 6), peBlock, dtSec, 80)
 	model := rowModel(t, 6)
 	var wg sync.WaitGroup
-	got := make([]*riseForecaster, 8)
+	got := make([][][]float64, 8)
 	errs := make([]error, len(got))
 	for i := range got {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			// Alternate horizons so extensions race with lookups.
-			got[i], errs[i] = newRiseForecaster(model, peBlock, dtSec, float64(1+i%4*2))
+			got[i], errs[i] = riseCurves(model, peBlock, dtSec, float64(1+i%4*2))
 			if errs[i] == nil {
 				_, errs[i] = New(Config{Model: model, PEBlock: peBlock, DT: 1, TimeScale: dtSec, MaxSteps: 1})
 			}
 		}(i)
 	}
 	wg.Wait()
-	for i, f := range got {
+	for i, curves := range got {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
 		}
-		checkCurves(t, "parallel", f, want)
+		checkCurves(t, "parallel", curves, want)
 	}
 }
 
@@ -358,8 +358,8 @@ func TestGateNilAdmitsAndNeverHolds(t *testing.T) {
 			if e := g.Expiry(1); !(e < at) {
 				t.Errorf("nil gate Expiry = %g, want before %g", e, at)
 			}
-			if h := g.Held(at); len(h) != 0 {
-				t.Errorf("nil gate Held(%g) = %v, want none", at, h)
+			if h := g.Held(); len(h) != 0 {
+				t.Errorf("nil gate Held = %v, want none", h)
 			}
 		}
 		g.Deny(7)
@@ -384,7 +384,7 @@ func TestGateHoldCappedAtStepEnd(t *testing.T) {
 		if e := g.Expiry(0); e != stepEnd {
 			return fmt.Errorf("step at %g: hold expires at %g, want the step end %g", now, e, stepEnd)
 		}
-		if h := g.Held(at); len(h) != 1 || h[0] != 0 {
+		if h := g.Held(); len(h) != 1 || h[0] != 0 {
 			return fmt.Errorf("step at %g: Held = %v, want [0]", now, h)
 		}
 		if ok, armed := g.Admit(0, 3, 1, math.Nextafter(stepEnd, 0)); ok || armed {
@@ -412,8 +412,8 @@ func TestGateTinyRetryNeverHolds(t *testing.T) {
 			if ok, armed := g.Admit(1, 3, 1, at); ok || armed {
 				return fmt.Errorf("ask at %g = (%v, %v), want refused without a hold", at, ok, armed)
 			}
-			if h := g.Held(at); len(h) != 0 {
-				return fmt.Errorf("Held(%g) = %v, want none", at, h)
+			if h := g.Held(); len(h) != 0 {
+				return fmt.Errorf("Held after an ask at %g = %v, want none", at, h)
 			}
 		}
 		return nil

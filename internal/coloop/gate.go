@@ -6,76 +6,65 @@ import (
 	"thermalsched/internal/hotspot"
 )
 
-// Gate is the admission gate both closed-loop dispatchers start work
-// through. It owns the rise forecast quoted to the supervisor, each
-// PE's hold expiry and the denial counter. A nil *Gate (no supervisor,
-// or a reactive one) admits everything and holds nothing, so callers
-// need no branch of their own.
+// Gate is the one admission gate of the closed-loop dispatchers: it
+// forecasts each candidate start's rise, asks the supervisor, holds
+// refused PEs and counts the refusals. A nil *Gate (no supervisor, or a
+// reactive one) admits everything and holds nothing.
 //
-// The hold rule: a denial at loop time t holds its PE until
-// min(Admission.Until, end of the current sensing step), and the PE is
-// held while that expiry is after the query time. The supervisor
-// promises the refusal over that window (dtm.Supervisor.Admit), so the
-// gate refuses a held PE without a query. A new step brings fresh
-// temperatures and scales, so a PE whose embargo outlasts the step is
-// asked again there.
+// The hold rule: a denial at t holds its PE until min(Admission.Until,
+// end of the current sensing step). While held, the PE is refused
+// without asking (dtm.Supervisor.Admit promises the same answer); a new
+// step brings fresh temperatures, so a PE under embargo is asked again.
 type Gate struct {
-	core     *Core
-	forecast *riseForecaster
-	expiry   []float64 // per PE: hold expiry, loop time
-	armed    []int     // PEs that took a hold in the current step, once each
-	live     []int     // Held's result
-	denials  int
+	core    *Core
+	dtSec   float64
+	curves  [][]float64 // per PE: see riseCurves
+	expiry  []float64   // per PE: hold expiry, loop time
+	held    []int       // PEs that took a hold in the current step, once each
+	denials int
 }
 
-// Gate builds the run's admission gate, forecasting rises for tasks of
-// up to maxDur schedule units, or returns nil when the supervisor is
-// nil or reactive. Build it before Run.
+// Gate builds the run's gate, forecasting rises for tasks of up to
+// maxDur schedule units, or returns nil when the supervisor is nil or
+// reactive. Build it before Run.
 func (c *Core) Gate(maxDur float64) (*Gate, error) {
 	if sup := c.cfg.Supervisor; sup == nil || !sup.Proactive() {
 		return nil, nil
 	}
-	f, err := newRiseForecaster(c.cfg.Model, c.cfg.PEBlock,
-		c.cfg.DT*c.cfg.TimeScale, maxDur*c.cfg.TimeScale)
+	dtSec := c.cfg.DT * c.cfg.TimeScale
+	curves, err := riseCurves(c.cfg.Model, c.cfg.PEBlock, dtSec, maxDur*c.cfg.TimeScale)
 	if err != nil {
 		return nil, err
 	}
 	n := len(c.cfg.PEBlock)
-	c.gate = &Gate{core: c, forecast: f, expiry: make([]float64, n),
-		armed: make([]int, 0, n), live: make([]int, 0, n)}
+	c.gate = &Gate{core: c, dtSec: dtSec, curves: curves,
+		expiry: make([]float64, n), held: make([]int, 0, n)}
 	return c.gate, nil
 }
 
 // Admit reports whether a task drawing power watts for up to dur
-// schedule units may start on pe at loop time t, a time inside the
-// current step. A held PE is refused without a query. armed reports
-// that this refusal put pe under a new hold. Every refusal counts once
-// toward Denials; a dispatcher that waits out a hold (see Expiry)
-// instead of asking counts nothing.
+// schedule units may start on pe at t, a time in the current step, and
+// whether a refusal put pe under a new hold. Every refusal counts once
+// toward Denials, whether the supervisor or a hold made it.
 func (g *Gate) Admit(pe int, power, dur, t float64) (ok, armed bool) {
 	if g == nil {
 		return true, false
 	}
-	if g.expiry[pe] > t {
-		g.denials++
-		return false, false
-	}
-	c := g.core
-	adm := c.cfg.Supervisor.Admit(c.cfg.PEBlock[pe], c.Temps,
-		g.forecast.rise(pe, power, dur*c.cfg.TimeScale), t)
-	if adm.OK {
-		return true, false
+	if c := g.core; g.expiry[pe] <= t {
+		adm := c.cfg.Supervisor.Admit(c.cfg.PEBlock[pe], c.Temps,
+			g.rise(pe, power, dur*c.cfg.TimeScale), t)
+		if adm.OK {
+			return true, false
+		}
+		if until := min(adm.Until, c.stepEnd); until > t {
+			if g.expiry[pe] <= c.now { // pe's first hold in this step
+				g.held = append(g.held, pe)
+			}
+			g.expiry[pe], armed = until, true
+		}
 	}
 	g.denials++
-	until := min(adm.Until, c.stepEnd)
-	if !(until > t) {
-		return false, false // the hold rounds away: it covers no later query
-	}
-	if g.expiry[pe] <= c.now { // first hold of pe in this step
-		g.armed = append(g.armed, pe)
-	}
-	g.expiry[pe] = until
-	return false, true
+	return false, armed
 }
 
 // Expiry is the loop time pe's hold runs to: pe is held at t while
@@ -87,25 +76,18 @@ func (g *Gate) Expiry(pe int) float64 {
 	return g.expiry[pe]
 }
 
-// Held lists the PEs held at loop time t, a time inside the current
-// step, in the order they took their holds. Holds end with their step,
-// so this scans only the step's holds, never every PE. The slice is
-// reused by the next call.
-func (g *Gate) Held(t float64) []int {
+// Held lists the PEs that took a hold in the current step, each once;
+// one is still held at t while its Expiry is after t. Holds end with
+// their step, so the list is short and never spans every PE.
+func (g *Gate) Held() []int {
 	if g == nil {
 		return nil
 	}
-	g.live = g.live[:0]
-	for _, pe := range g.armed {
-		if g.expiry[pe] > t {
-			g.live = append(g.live, pe)
-		}
-	}
-	return g.live
+	return g.held
 }
 
-// Deny counts n asks that holds refuse without their being made, for a
-// dispatcher that knows every PE it would ask is held.
+// Deny counts n refusals a dispatcher did not ask for because every PE
+// it would ask is held.
 func (g *Gate) Deny(n int) {
 	if g != nil {
 		g.denials += n
@@ -120,65 +102,36 @@ func (g *Gate) Denials() int {
 	return g.denials
 }
 
-// riseCurveCap bounds the sampled horizon of a riseForecaster: tasks
-// longer than riseCurveCap steps clamp to the last sample, which by
-// then is sink-paced and nearly flat at task timescales.
+// riseCurveCap bounds the sampled forecast horizon: tasks longer than
+// riseCurveCap steps clamp to the last sample, which by then is
+// sink-paced and nearly flat at task timescales.
 const riseCurveCap = 4096
 
-// riseForecaster turns the influence oracle's steady-state slope into
-// a duration-aware admission forecast. The slope is the asymptote of a
-// block's unit-step response, but the thermal network is two-tier: the
-// die block answers in fractions of a second while the shared
-// spreader/sink leg — which dominates the steady-state resistance —
-// moves over minutes. A task-length draw therefore realizes only the
-// fast-tier fraction of its asymptotic rise, and gating on the
-// asymptote collapses predictive admission into one more temperature
-// threshold (every task's forecast clears the band, however short the
-// task). The forecaster reads each PE block's actual unit-step
-// self-response on the model's own integrator, so the rise a
-// supervisor is quoted is the rise the candidate could physically
-// cause within its worst-case duration.
-type riseForecaster struct {
-	dtSec  float64
-	curves [][]float64 // per PE: self-rise (K/W) after step i+1 of 1 W, shared read-only
-}
-
-// newRiseForecaster looks up the unit-step self-response of every PE
-// block at the core's transient step dtSec out to maxDurSec (clamped
-// to riseCurveCap steps). The curves come from the model's memo
-// (hotspot.Model.StepRise), so after the first run on a model this is
-// a lookup, and blocks shared by several PEs share one curve.
-func newRiseForecaster(model *hotspot.Model, peBlock []int, dtSec, maxDurSec float64) (*riseForecaster, error) {
-	steps := int(math.Ceil(maxDurSec / dtSec))
-	if steps < 1 {
-		steps = 1
-	}
-	if steps > riseCurveCap {
-		steps = riseCurveCap
-	}
-	f := &riseForecaster{dtSec: dtSec, curves: make([][]float64, len(peBlock))}
+// riseCurves samples every PE block's unit-step self-response (K/W
+// after step i+1 of 1 W) at dtSec out to maxDurSec, clamped to
+// riseCurveCap steps, from the model's read-only memo
+// (hotspot.Model.StepRise). The die block answers in fractions of a
+// second while the spreader/sink leg, which dominates the steady-state
+// resistance, moves over minutes, so the curve quotes the rise a task
+// can cause within its duration; the steady-state asymptote would turn
+// admission into one more temperature threshold.
+func riseCurves(model *hotspot.Model, peBlock []int, dtSec, maxDurSec float64) ([][]float64, error) {
+	steps := min(max(int(math.Ceil(maxDurSec/dtSec)), 1), riseCurveCap)
+	curves := make([][]float64, len(peBlock))
 	for pe, b := range peBlock {
 		curve, err := model.StepRise(b, dtSec, steps)
 		if err != nil {
 			return nil, err
 		}
-		f.curves[pe] = curve
+		curves[pe] = curve
 	}
-	return f, nil
+	return curves, nil
 }
 
-// rise forecasts the self-rise (°C) a draw of power watts sustained
-// for durSec seconds causes on the PE's block, rounding the horizon up
-// to the next sampled step (worst case within the grid) and clamping
-// beyond the sampled range.
-func (f *riseForecaster) rise(pe int, power, durSec float64) float64 {
-	curve := f.curves[pe]
-	idx := int(math.Ceil(durSec/f.dtSec)) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(curve) {
-		idx = len(curve) - 1
-	}
-	return power * curve[idx]
+// rise forecasts the self-rise (°C) of power watts drawn on pe's block
+// for durSec seconds, rounding the horizon up to the next sample and
+// clamping beyond the sampled range.
+func (g *Gate) rise(pe int, power, durSec float64) float64 {
+	curve := g.curves[pe]
+	return power * curve[min(max(int(math.Ceil(durSec/g.dtSec))-1, 0), len(curve)-1)]
 }

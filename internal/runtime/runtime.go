@@ -48,15 +48,12 @@ type Config struct {
 	// TimeScale converts one schedule time unit into seconds of thermal
 	// simulation; the transient integrates with step DT × TimeScale.
 	TimeScale float64
-	// Supervisor throttles per-block power and, when proactive
-	// (dtm.Supervisor.Proactive), gates task starts through the
-	// admission gate (coloop.Gate): a denial at t holds the PE's queue
-	// head until the supervisor's expiry or the end of the sensing step,
-	// whichever is first, and the head waits at full speed instead of
-	// starting and being throttled. A head still under embargo is asked
-	// again at the next step. Nil disables DTM — every PE runs at full
-	// speed, which is the unthrottled reference run. Reactive
-	// controllers adapt via dtm.Supervise.
+	// Supervisor throttles per-block power and, when proactive, gates
+	// task starts through coloop.Gate: a refused PE's queue head waits
+	// at full speed until its hold ends, instead of starting and being
+	// throttled. Nil disables DTM — every PE runs at full speed, which
+	// is the unthrottled reference run. Reactive controllers adapt via
+	// dtm.Supervise.
 	Supervisor dtm.Supervisor
 	// MinFactor is the lower bound of the per-task execution-time factor:
 	// actual duration = WCET × uniform[MinFactor, 1]. 1 replays the
@@ -126,9 +123,9 @@ type Result struct {
 	ThrottleTime  float64
 	PerPEThrottle []float64
 	// AdmissionDenials counts the admission queries a proactive
-	// supervisor denied. A held head waits out its hold without asking,
-	// so an embargo spanning k sensing steps counts once per step it
-	// reaches, k in all. Zero under reactive controllers.
+	// supervisor denied. A held head waits without asking, and a hold
+	// ends with its sensing step, so an embargo is counted once per step
+	// it reaches. Zero under reactive controllers.
 	AdmissionDenials int
 	// DeadlineMet reports Makespan ≤ the graph's deadline.
 	DeadlineMet bool
@@ -198,9 +195,8 @@ func Simulate(ctx context.Context, s *sched.Schedule, model *hotspot.Model, cfg 
 		}
 	}
 
-	// The admission gate quotes each candidate's rise over its WCET
-	// duration (the realized duration would be future knowledge). It is
-	// nil for reactive supervisors, which admit everything.
+	// The gate forecasts over WCET durations (realized durations are
+	// future knowledge); it is nil for reactive supervisors.
 	var maxDur float64
 	for _, a := range s.Assignments {
 		maxDur = max(maxDur, a.Finish-a.Start)

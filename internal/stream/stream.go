@@ -152,14 +152,12 @@ type Result struct {
 	AvgTempC  float64
 	// Steps is the number of thermal co-simulation steps taken.
 	Steps int
-	// AdmissionDenials counts dispatch attempts the admission gate
-	// refused (zero without a proactive supervisor): one per (job, idle
-	// capable PE) ask. An ask of a PE under a hold counts again, so the
-	// figure measures supervisor pressure on the dispatcher, not
-	// distinct holds. The gate answers such asks from the hold, and
-	// when every PE a job could use is held the asks are counted
-	// without being made, so the count is the same as if every ask
-	// had reached the supervisor.
+	// AdmissionDenials counts the (job, idle capable PE) asks the
+	// admission gate refused; zero without a proactive supervisor. An
+	// ask of a held PE counts again, so the figure measures supervisor
+	// pressure, not distinct holds. Such asks are answered from the
+	// hold or counted in bulk, never made, and the count is the same as
+	// if each had reached the supervisor.
 	AdmissionDenials int
 	// OfflineBound is the clairvoyant lower bound on the makespan of
 	// any offline schedule of the realized trace; Price is
@@ -272,9 +270,8 @@ func Run(ctx context.Context, in Input, cfg Config) (*Result, error) {
 	}
 	temps := core.Temps // last sensed temperatures (ambient pre-start)
 
-	// The admission gate quotes each candidate's rise over its WCET (the
-	// realized duration is future knowledge). It is nil without a
-	// proactive supervisor, and then admits everything.
+	// The gate forecasts over WCETs (realized durations are future
+	// knowledge); it is nil without a proactive supervisor.
 	gate, err := core.Gate(maxWCET)
 	if err != nil {
 		return nil, err
@@ -328,10 +325,9 @@ func Run(ctx context.Context, in Input, cfg Config) (*Result, error) {
 		}
 	}
 	// pickPE chooses an idle capable PE the gate admits for job j per
-	// the policy, or ok=false when none qualifies. A refusal that puts
-	// its PE under a hold closes the PE for the rest of the instant.
-	// The thermal policies read temps — last step's temperatures, the
-	// one-step sensing delay.
+	// the policy, or ok=false when none qualifies; a new hold closes its
+	// PE. The thermal policies read temps — last step's temperatures,
+	// the one-step sensing delay.
 	idle := make([]int, 0, nPE)
 	pickPE := func(j int, t float64) (int, bool, error) {
 		idle = idle[:0]
@@ -339,8 +335,7 @@ func Run(ctx context.Context, in Input, cfg Config) (*Result, error) {
 			if running[pe] >= 0 || !capable[j*nPE+pe] {
 				continue
 			}
-			ok, armed := gate.Admit(pe, pow[j*nPE+pe], wcet[j*nPE+pe], t)
-			if ok {
+			if ok, armed := gate.Admit(pe, pow[j*nPE+pe], wcet[j*nPE+pe], t); ok {
 				idle = append(idle, pe)
 			} else if armed {
 				for _, s := range peSlots[pe] {
@@ -397,8 +392,8 @@ func Run(ctx context.Context, in Input, cfg Config) (*Result, error) {
 	// once per idle PE per hold, not once per pending job × PE.
 	dispatch := func(t float64) error {
 		copy(openCap, idleCap)
-		for _, pe := range gate.Held(t) {
-			if running[pe] < 0 {
+		for _, pe := range gate.Held() {
+			if running[pe] < 0 && gate.Expiry(pe) > t {
 				for _, s := range peSlots[pe] {
 					openCap[s]--
 				}
