@@ -21,9 +21,9 @@
 // Beyond reactive scaling, the package defines the Supervisor contract
 // (supervisor.go): thermal-state classification on a nominal/fair/
 // serious/critical Ladder, graduated per-state throttle factors, and
-// admission queries with retry-after hints. Reactive controllers adapt
-// via the Supervise shim; AdmitController (predictive admission) and
-// ZigZagController (forced idle-slack cooling gaps) implement the
+// admission queries answered with hold expiries. Reactive controllers
+// adapt via the Supervise shim; AdmitController (predictive admission)
+// and ZigZagController (forced idle-slack cooling gaps) implement the
 // proactive side.
 //
 // The package holds no stepping loop of its own: the closed-loop

@@ -23,8 +23,6 @@ const (
 	StateSerious
 	// StateCritical: above the critical threshold — hard throttling.
 	StateCritical
-	// NumThermalStates sizes per-state tallies.
-	NumThermalStates = int(StateCritical) + 1
 )
 
 // String names the state for reports and logs.
@@ -80,10 +78,9 @@ func (l Ladder) Classify(tempC float64) ThermalState {
 // Admission is a supervisor's answer to "may this task start on that
 // block now?".
 type Admission struct {
-	// OK grants the start. When false, Until is the supervisor's hint,
-	// an absolute time in the caller's loop units, for when asking again
-	// is worthwhile. It is absolute so that a hold re-reported from a
-	// later query ends at the very time the denial armed it for.
+	// OK grants the start. When false, Until is the absolute loop time
+	// before which asking again is pointless (see Supervisor.Admit); an
+	// absolute time lets a later query re-report a hold exactly.
 	OK    bool
 	Until float64
 	// State is the block's thermal state at decision time.
@@ -291,11 +288,8 @@ func (c *AdmitController) Proactive() bool { return true }
 // continuously at a fractional throttle.
 type ZigZagController struct {
 	Ladder Ladder
-	// CoolSteps is the forced gap length in controller steps; StepTime
-	// converts the remaining gap into the caller's loop time for
-	// admission retry-after hints.
+	// CoolSteps is the forced gap length in controller steps.
 	CoolSteps int
-	StepTime  float64
 	// CoolScale is the power multiplier during a gap (typically 0 — a
 	// true idle gap).
 	CoolScale float64
@@ -320,7 +314,7 @@ func NewZigZagController(l Ladder, coolTime, stepTime, coolScale float64) (*ZigZ
 	if steps < 1 {
 		steps = 1
 	}
-	return &ZigZagController{Ladder: l, CoolSteps: steps, StepTime: stepTime, CoolScale: coolScale}, nil
+	return &ZigZagController{Ladder: l, CoolSteps: steps, CoolScale: coolScale}, nil
 }
 
 // ScaleInto implements Controller: entering serious arms a cooling gap;
@@ -354,14 +348,15 @@ func (c *ZigZagController) ScaleInto(out, temps []float64) error {
 func (c *ZigZagController) Reset() { c.cooling = nil }
 
 // Admit implements Supervisor: no new work starts on a block inside a
-// cooling gap; the hint is the end of the gap's remaining loop time.
+// cooling gap. The gap is counted in controller steps, so a denial
+// holds until the next ScaleInto: Until is +Inf.
 func (c *ZigZagController) Admit(b int, temps []float64, riseC, now float64) Admission {
 	if c.cooling == nil {
 		c.cooling = make([]int, len(temps))
 	}
 	st := c.Ladder.Classify(temps[b])
 	if rem := c.cooling[b]; rem > 0 {
-		return Admission{Until: now + float64(rem)*c.StepTime, State: st}
+		return Admission{Until: math.Inf(1), State: st}
 	}
 	return Admission{OK: true, State: st}
 }
