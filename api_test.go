@@ -171,20 +171,6 @@ func TestFacadeSimAndDTM(t *testing.T) {
 	}
 }
 
-func TestFacadeSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep skipped in -short mode")
-	}
-	resp, err := testEngine(t).Run(context.Background(), NewRequest(FlowSweep,
-		WithSweepCount(4), WithSeed(3)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Sweep.Graphs != 4 {
-		t.Errorf("sweep graphs = %d", resp.Sweep.Graphs)
-	}
-}
-
 func TestFacadeConditionalGraph(t *testing.T) {
 	g, err := GenerateGraph(GenParams{
 		Name: "ctg", Tasks: 12, Edges: 16, Deadline: 1000,

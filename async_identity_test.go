@@ -27,8 +27,6 @@ func asyncFlows() map[string]thermalsched.Request {
 		"cosynthesis": thermalsched.NewRequest(thermalsched.FlowCoSynthesis,
 			thermalsched.WithBenchmark("Bm1"), thermalsched.WithPolicy(thermalsched.MinTaskEnergy),
 			thermalsched.WithFloorplanGenerations(4)),
-		"sweep": thermalsched.NewRequest(thermalsched.FlowSweep,
-			thermalsched.WithSweepCount(3), thermalsched.WithSeed(7)),
 		"simulate": thermalsched.NewRequest(thermalsched.FlowSimulate,
 			thermalsched.WithBenchmark("Bm2"), thermalsched.WithPolicy(thermalsched.ThermalAware),
 			thermalsched.WithSimulate(thermalsched.SimulateSpec{Replicas: 2, Seed: 3, MinFactor: 0.8})),

@@ -212,24 +212,6 @@ func BenchmarkAblationTempWeight(b *testing.B) {
 	}
 }
 
-// BenchmarkRobustnessSweep runs the randomized power-aware vs
-// thermal-aware comparison (EXPERIMENTS.md, robustness study).
-func BenchmarkRobustnessSweep(b *testing.B) {
-	lib, err := techlib.StandardLibrary()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunSweep(context.Background(), lib, 20, 7, cosynth.PlatformConfig{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("\n%s", res)
-		}
-	}
-}
-
 // BenchmarkSimulateUnthrottled measures the schedule executor with no
 // supervisor: the realized replay plus the thermal steps it drives.
 func BenchmarkSimulateUnthrottled(b *testing.B) {

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"strings"
 
-	"thermalsched/internal/experiments"
 	"thermalsched/internal/scenario"
 	"thermalsched/internal/sched"
 	"thermalsched/internal/stream"
@@ -16,6 +15,25 @@ import (
 // scheduled once per compared policy, so an unbounded count would let a
 // single service request monopolize the process.
 const MaxCampaignScenarios = 4096
+
+// winEpsilon separates a genuine metric improvement from floating-point
+// noise in the campaign duels: deltas within ±winEpsilon (°C, W, time
+// units or miss rate) count as ties. Identical schedules produce
+// bit-identical metrics, so any honest improvement clears this
+// comfortably.
+const winEpsilon = 1e-9
+
+// tallyOutcome classifies one opponent-minus-reference duel delta: a
+// strict win for the reference (delta > winEpsilon), a tie
+// (|delta| ≤ winEpsilon), or a loss.
+func tallyOutcome(delta float64, wins, ties *int) {
+	switch {
+	case delta > winEpsilon:
+		*wins++
+	case delta >= -winEpsilon:
+		*ties++
+	}
+}
 
 // CampaignSpec parameterizes the FlowCampaign study: a policy
 // comparison fanned across a family of generated scenarios. The zero
@@ -113,19 +131,9 @@ func (c *CampaignSpec) Validate() error {
 	}
 	seen := make(map[string]bool, len(n.Policies))
 	for _, name := range n.Policies {
-		var canonical string
-		if n.Stream != nil {
-			p, err := stream.ParsePolicy(name)
-			if err != nil {
-				return err
-			}
-			canonical = p
-		} else {
-			p, err := sched.ParsePolicy(name)
-			if err != nil {
-				return err
-			}
-			canonical = p.String()
+		canonical, err := n.canonicalPolicy(name)
+		if err != nil {
+			return err
 		}
 		if seen[canonical] {
 			return fmt.Errorf("thermalsched: campaign policy %q listed twice", canonical)
@@ -178,25 +186,29 @@ func (c *CampaignSpec) Validate() error {
 	return nil
 }
 
+// canonicalPolicy parses one policy name in the family the campaign's
+// mode compares: online policies in stream mode, ASP variants
+// otherwise.
+func (c CampaignSpec) canonicalPolicy(name string) (string, error) {
+	if c.Stream != nil {
+		return stream.ParsePolicy(name)
+	}
+	p, err := sched.ParsePolicy(name)
+	if err != nil {
+		return "", err
+	}
+	return p.String(), nil
+}
+
 // policyNames returns the canonical names of the campaign's policies.
 func (c CampaignSpec) policyNames() []string {
 	out := make([]string, len(c.Policies))
 	for i, name := range c.Policies {
-		if c.Stream != nil {
-			p, err := stream.ParsePolicy(name)
-			if err != nil {
-				out[i] = name // unreachable after Validate
-				continue
-			}
-			out[i] = p
-			continue
-		}
-		p, err := sched.ParsePolicy(name)
+		p, err := c.canonicalPolicy(name)
 		if err != nil {
-			out[i] = name // unreachable after Validate
-			continue
+			p = name // unreachable after Validate
 		}
-		out[i] = p.String()
+		out[i] = p
 	}
 	return out
 }
@@ -300,7 +312,7 @@ type CampaignPolicyStats struct {
 
 // CampaignDuel is the reference policy's win-rate against one opponent
 // over the scenarios where both runs were feasible. Wins are strict
-// (beyond experiments.WinEpsilon); scenarios inside the epsilon band
+// (beyond winEpsilon); scenarios inside the epsilon band
 // count as ties.
 type CampaignDuel struct {
 	Opponent     string  `json:"opponent"`
@@ -315,7 +327,7 @@ type CampaignDuel struct {
 	MeanAvgRedC  float64 `json:"meanAvgRedC"`
 	MeanPowerRed float64 `json:"meanPowerRedW"`
 	// ThrottleWins counts scenarios where the reference throttled
-	// strictly less — beyond experiments.WinEpsilon, like every other
+	// strictly less — beyond winEpsilon, like every other
 	// duel column; ThrottleTies the scenarios inside the epsilon band
 	// (simulate mode only).
 	ThrottleWins int `json:"throttleWins,omitempty"`
@@ -369,7 +381,7 @@ func (e *Engine) runCampaignFlow(ctx context.Context, req *Request) (*Response, 
 	spec := req.Campaign.withDefaults()
 	policies := spec.policyNames()
 	if spec.Stream != nil {
-		return e.runStreamCampaign(ctx, req, spec, policies)
+		return e.runStreamCampaign(ctx, spec, policies)
 	}
 	specs := spec.scenarioSpecs()
 
@@ -429,13 +441,7 @@ func (e *Engine) runCampaignFlow(ctx context.Context, req *Request) (*Response, 
 			subs = append(subs, sub)
 		}
 	}
-	resps, err := e.RunBatch(ctx, subs)
-	if err != nil {
-		return nil, err
-	}
-
 	report := &CampaignReport{
-		Scenarios:      len(specs),
 		Policies:       cols,
 		Reference:      campaignReference(cols),
 		Simulated:      spec.Simulate != nil,
@@ -444,20 +450,13 @@ func (e *Engine) runCampaignFlow(ctx context.Context, req *Request) (*Response, 
 	if report.ControllerAxis {
 		report.Reference = campaignControllerReference(cols)
 	}
-	for i := range specs {
-		for j, col := range cols {
-			rows[i].Cells = append(rows[i].Cells, campaignCell(col, resps[i*len(cols)+j]))
-		}
-	}
-	report.Rows = rows
-	aggregateCampaign(report)
-	return &Response{Flow: FlowCampaign, Campaign: report}, nil
+	return e.runCampaignGrid(ctx, report, rows, subs)
 }
 
 // runStreamCampaign is the online (stream-mode) campaign body: the same
 // grid fan-out as the offline path, with workloads in place of
 // scenarios and FlowStream dispatches in place of platform runs.
-func (e *Engine) runStreamCampaign(ctx context.Context, req *Request, spec CampaignSpec, policies []string) (*Response, error) {
+func (e *Engine) runStreamCampaign(ctx context.Context, spec CampaignSpec, policies []string) (*Response, error) {
 	specs := spec.streamSpecs()
 	rows := make([]CampaignRow, len(specs))
 	for i := range specs {
@@ -481,21 +480,30 @@ func (e *Engine) runStreamCampaign(ctx context.Context, req *Request, spec Campa
 			subs = append(subs, Request{Flow: FlowStream, Stream: &specs[i], Policy: pol})
 		}
 	}
-	resps, err := e.RunBatch(ctx, subs)
-	if err != nil {
-		return nil, err
-	}
 	report := &CampaignReport{
-		Scenarios: len(specs),
 		Policies:  policies,
 		Reference: campaignStreamReference(policies),
 		Streamed:  true,
 	}
-	for i := range specs {
-		for j, pol := range policies {
-			rows[i].Cells = append(rows[i].Cells, campaignCell(pol, resps[i*len(policies)+j]))
+	return e.runCampaignGrid(ctx, report, rows, subs)
+}
+
+// runCampaignGrid is the tail both campaign modes share: it runs subs,
+// the row-major scenario × column grid, on the engine's RunBatch pool,
+// files each response as a cell of its row in report.Policies order,
+// and aggregates the report's statistics and duels.
+func (e *Engine) runCampaignGrid(ctx context.Context, report *CampaignReport, rows []CampaignRow, subs []Request) (*Response, error) {
+	resps, err := e.RunBatch(ctx, subs)
+	if err != nil {
+		return nil, err
+	}
+	cols := report.Policies
+	for i := range rows {
+		for j, col := range cols {
+			rows[i].Cells = append(rows[i].Cells, campaignCell(col, resps[i*len(cols)+j]))
 		}
 	}
+	report.Scenarios = len(rows)
 	report.Rows = rows
 	aggregateCampaign(report)
 	return &Response{Flow: FlowCampaign, Campaign: report}, nil
@@ -641,19 +649,19 @@ func aggregateCampaign(r *CampaignReport) {
 			duel.MeanMaxRedC += dMax
 			duel.MeanAvgRedC += dAvg
 			duel.MeanPowerRed += dPow
-			experiments.TallyOutcome(dMax, &duel.MaxTempWins, &duel.MaxTempTies)
-			experiments.TallyOutcome(dAvg, &duel.AvgTempWins, &duel.AvgTempTies)
-			experiments.TallyOutcome(dPow, &duel.PowerWins, &duel.PowerTies)
+			tallyOutcome(dMax, &duel.MaxTempWins, &duel.MaxTempTies)
+			tallyOutcome(dAvg, &duel.AvgTempWins, &duel.AvgTempTies)
+			tallyOutcome(dPow, &duel.PowerWins, &duel.PowerTies)
 			if r.Simulated {
-				experiments.TallyOutcome(oc.ThrottleTime-ref.ThrottleTime, &duel.ThrottleWins, &duel.ThrottleTies)
+				tallyOutcome(oc.ThrottleTime-ref.ThrottleTime, &duel.ThrottleWins, &duel.ThrottleTies)
 			}
 			if r.Simulated || r.Streamed {
 				dMiss := oc.DeadlineMissRate - ref.DeadlineMissRate
 				duel.MeanMissRed += dMiss
-				experiments.TallyOutcome(dMiss, &duel.MissRateWins, &duel.MissRateTies)
+				tallyOutcome(dMiss, &duel.MissRateWins, &duel.MissRateTies)
 				dPeak := oc.PeakTempC - ref.PeakTempC
 				duel.MeanPeakRedC += dPeak
-				experiments.TallyOutcome(dPeak, &duel.PeakTempWins, &duel.PeakTempTies)
+				tallyOutcome(dPeak, &duel.PeakTempWins, &duel.PeakTempTies)
 			}
 		}
 		if duel.Compared > 0 {

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"thermalsched/internal/experiments"
 	"thermalsched/internal/taskgraph"
 	"thermalsched/internal/techlib"
 )
@@ -260,6 +259,77 @@ func TestCampaignAcceptanceScale(t *testing.T) {
 	}
 }
 
+// The paper's headline in distribution: over a default campaign (the
+// randomized heuristic-3 vs thermal study), the thermal-aware ASP wins
+// peak temperature strictly on a clear majority of the compared
+// scenarios, with a positive mean reduction. The average-temperature
+// advantage is instance-dependent (average temperature in a compact RC
+// model is almost a pure function of total power, which heuristic 3
+// already near-minimizes), so no floor is asserted for it: this family
+// gives thermal 6/30 avg-temp wins at a −0.70 °C mean reduction.
+func TestCampaignStatisticalWin(t *testing.T) {
+	if testing.Short() {
+		t.Skip("30-scenario campaign skipped in -short mode")
+	}
+	resp, err := testEngine(t).Run(context.Background(), NewRequest(FlowCampaign,
+		WithCampaign(CampaignSpec{Scenarios: 30, Seed: 7})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := resp.Campaign
+	if r.Reference != "thermal" || len(r.Duels) != 1 || r.Duels[0].Opponent != "heuristic3" {
+		t.Fatalf("default campaign is not thermal vs heuristic3:\n%s", r)
+	}
+	d := r.Duels[0]
+	if d.Compared == 0 {
+		t.Fatalf("no scenario feasible under both policies\n%s", r)
+	}
+	if rate := float64(d.MaxTempWins) / float64(d.Compared); rate < 0.55 {
+		t.Errorf("thermal max-temp strict win rate %.0f%% below 55%%\n%s", 100*rate, r)
+	}
+	if d.MeanMaxRedC <= 0 {
+		t.Errorf("mean peak reduction non-positive\n%s", r)
+	}
+	// Wins and ties partition at most the compared scenarios.
+	for _, c := range []struct {
+		name       string
+		wins, ties int
+	}{
+		{"max", d.MaxTempWins, d.MaxTempTies},
+		{"avg", d.AvgTempWins, d.AvgTempTies},
+		{"power", d.PowerWins, d.PowerTies},
+		{"throttle", d.ThrottleWins, d.ThrottleTies},
+		{"miss rate", d.MissRateWins, d.MissRateTies},
+		{"peak", d.PeakTempWins, d.PeakTempTies},
+	} {
+		if c.wins+c.ties > d.Compared {
+			t.Errorf("%s: wins %d + ties %d exceed compared %d", c.name, c.wins, c.ties, d.Compared)
+		}
+	}
+}
+
+// Exact ties (identical schedules under both policies) count as ties,
+// never as wins; only deltas above the epsilon are wins.
+func TestTallyOutcome(t *testing.T) {
+	cases := []struct {
+		delta      float64
+		wins, ties int
+	}{
+		{0, 0, 1},               // exact tie: identical schedules
+		{winEpsilon / 2, 0, 1},  // sub-epsilon noise is a tie
+		{-winEpsilon / 2, 0, 1}, // ... in either direction
+		{1.5, 1, 0},             // genuine improvement
+		{-1.5, 0, 0},            // genuine regression: neither win nor tie
+	}
+	for _, c := range cases {
+		wins, ties := 0, 0
+		tallyOutcome(c.delta, &wins, &ties)
+		if wins != c.wins || ties != c.ties {
+			t.Errorf("tallyOutcome(%g) = wins %d ties %d, want %d/%d", c.delta, wins, ties, c.wins, c.ties)
+		}
+	}
+}
+
 func TestCampaignSimulateMode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("co-simulating campaign skipped in -short mode")
@@ -303,7 +373,7 @@ func TestCampaignValidation(t *testing.T) {
 		NewRequest(FlowGenerate, WithBenchmark("Bm1"), WithScenario(ScenarioSpec{})),
 		NewRequest(FlowPlatform, WithBenchmark("Bm1"), WithScenario(ScenarioSpec{})),
 		NewRequest(FlowPlatform, WithCampaign(CampaignSpec{})),
-		NewRequest(FlowSweep, WithScenario(ScenarioSpec{})),
+		NewRequest(FlowCampaign, WithScenario(ScenarioSpec{})),
 		NewRequest(FlowPlatform, WithScenario(ScenarioSpec{Graph: ScenarioGraphParams{Tasks: -2}})),
 	}
 	for i, req := range bad {
@@ -325,11 +395,11 @@ func TestCampaignValidation(t *testing.T) {
 }
 
 // The throttle duel follows the same strict-win-plus-ties treatment as
-// the temperature and power duels: deltas inside ±WinEpsilon are ties,
+// the temperature and power duels: deltas inside ±winEpsilon are ties,
 // not wins (a raw < used to count the reference as non-winning on
 // exact ties and sub-epsilon noise as wins).
 func TestCampaignThrottleDuelEpsilonAndTies(t *testing.T) {
-	eps := experiments.WinEpsilon
+	eps := winEpsilon
 	rows := []CampaignRow{
 		// Exact tie: identical throttle times must count as a tie.
 		{Scenario: "tie", Cells: []CampaignCell{

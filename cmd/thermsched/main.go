@@ -53,7 +53,6 @@ func main() {
 		gantt     = flag.Bool("gantt", false, "print the per-PE timeline")
 		tempW     = flag.Float64("tempweight", 0, "override the thermal DC weight (0 = default)")
 		seed      = flag.Int64("seed", -1, "run seed (0 is a valid seed, honored verbatim; negative = default)")
-		count     = flag.Int("count", 0, "sweep graph count (0 = default)")
 		parallel  = flag.Int("parallelism", 0, "parallelism for cosynthesis search and simulate/stream replicas (0 = engine default GOMAXPROCS, 1 = serial; results are byte-identical at every value)")
 		asJSON    = flag.Bool("json", false, "emit the serializable Response schema as JSON")
 
@@ -210,9 +209,6 @@ func main() {
 	if *tempW != 0 {
 		req.TempWeight = tempW
 	}
-	if *count != 0 {
-		req.SweepCount = *count
-	}
 	if *parallel != 0 {
 		req.Parallelism = *parallel
 	}
@@ -266,7 +262,7 @@ func main() {
 		}
 	}
 	switch req.Flow {
-	case thermalsched.FlowSweep, thermalsched.FlowCampaign, thermalsched.FlowStream:
+	case thermalsched.FlowCampaign, thermalsched.FlowStream:
 		// These flows generate their own inputs; the benchmark/graph
 		// knobs still flow through below so Request.Validate rejects
 		// them with its canonical extraneous-input message instead of
@@ -364,9 +360,6 @@ func printHuman(resp *thermalsched.Response) {
 		for _, pe := range resp.PerPE {
 			fmt.Printf("  %-6s %6.2f W  %7.2f °C\n", pe.Name, pe.PowerW, pe.TempC)
 		}
-	}
-	if resp.Sweep != nil {
-		fmt.Print(resp.Sweep)
 	}
 	if s := resp.Simulate; s != nil {
 		fmt.Printf("simulate   %s over %d replica(s), static makespan %.1f, deadline %.1f\n",

@@ -459,25 +459,6 @@ func (in *runInput) stamp(resp *Response) {
 	}
 }
 
-func (e *Engine) runSweepFlow(ctx context.Context, req *Request) (*Response, error) {
-	count := req.SweepCount
-	if count == 0 {
-		count = 4
-	}
-	seed := int64(1)
-	if req.Seed != nil {
-		seed = *req.Seed
-	}
-	res, err := experiments.RunSweep(ctx, e.lib, count, seed, cosynth.PlatformConfig{
-		HotSpot: &e.thermal,
-		Models:  e.modelProvider(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Response{Flow: FlowSweep, Sweep: res}, nil
-}
-
 // simSupervisor materializes a fresh thermal supervisor for the spec.
 // Each replica gets its own instance: supervisors carry per-run state
 // (throttle latches, PI integrals, admission holds, cooling gaps) and

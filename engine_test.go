@@ -102,30 +102,6 @@ func TestEngineMatchesDeprecatedRunCoSynthesis(t *testing.T) {
 	}
 }
 
-func TestEngineMatchesDeprecatedRunSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep equivalence skipped in -short mode")
-	}
-	e := testEngine(t)
-	lib, err := StandardLibrary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	old, err := experiments.RunSweep(context.Background(), lib, 3, 7, PlatformConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := e.Run(context.Background(), NewRequest(
-		FlowSweep, WithSweepCount(3), WithSeed(7),
-	))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(old, resp.Sweep) {
-		t.Errorf("sweep diverges:\n  uncached %+v\n  engine   %+v", old, resp.Sweep)
-	}
-}
-
 // Engine.ScalingTable is the one path behind cmd/tables -scaling. On a
 // fresh engine each row's generated platform costs one model-cache
 // miss and no hit, and every other column except the wall-clock
@@ -351,10 +327,10 @@ func TestEngineRequestValidation(t *testing.T) {
 		{Flow: FlowPlatform}, // no graph source
 		{Flow: FlowPlatform, Benchmark: "Bm1", Graph: &GraphSpec{}}, // both sources
 		{Flow: FlowPlatform, Benchmark: "Bm1", Policy: "coldest"},   // unknown policy
-		{Flow: FlowSweep, Benchmark: "Bm1"},                         // sweep with input graph
 		{Flow: FlowPlatform, Benchmark: "Bm1", MaxPEs: -1},
 		{Flow: FlowPlatform, Benchmark: "Bm1", Simulate: &SimulateSpec{}}, // simulate knobs on platform
 		{Flow: "dtm", Benchmark: "Bm1"},                                   // the deleted open-loop flow
+		{Flow: "sweep"},                                                   // the deleted randomized study
 	}
 	for i, req := range bad {
 		if _, err := e.Run(context.Background(), req); err == nil {

@@ -22,15 +22,19 @@ import (
 // Canonicalization rules:
 //
 //   - Seed normalizes nil to 1: a nil Seed "keeps the historical
-//     default (1)" in every flow that consumes it (sweep and
-//     cosynthesis), so nil and an explicit 1 coalesce. An explicit 0
-//     is seed 0, distinct from both — the seed-zero contract.
+//     default (1)" in the flow that consumes it (cosynthesis), so nil
+//     and an explicit 1 coalesce. An explicit 0 is seed 0, distinct
+//     from both — the seed-zero contract.
 //   - Parallelism is excluded: results are documented byte-identical
 //     at every parallelism level, so requests differing only there
 //     coalesce onto one evaluation.
 //   - The fourth segment is always empty. It held a thermal-solver
 //     override the request no longer has; writing it empty keeps every
 //     earlier fingerprint, and every journaled job key, unchanged.
+//   - The third count after the thermal knobs is always 0. It held the
+//     graph count of a randomized sweep flow the request no longer
+//     has, which every other flow's requests left at 0; the literal
+//     keeps their fingerprints, and their journaled job keys, unchanged.
 //   - The other pointer-typed knobs (TempWeight, …, Simulate,
 //     Campaign) serialize presence plus value, except Simulate which
 //     serializes its withDefaults() normalization — the only form the
@@ -53,7 +57,7 @@ func (r *Request) Fingerprint() string {
 	fpFloatPtr(h, r.PowerWeight)
 	fpFloatPtr(h, r.EnergyWeight)
 	fpFloatPtr(h, r.ThermalHorizon)
-	fmt.Fprintf(h, "%d|%d|%d|", r.MaxPEs, r.FloorplanGenerations, r.SweepCount)
+	fmt.Fprintf(h, "%d|%d|0|", r.MaxPEs, r.FloorplanGenerations)
 	fmt.Fprintf(h, "ct%d|", len(r.CandidateTypes))
 	for _, t := range r.CandidateTypes {
 		fmt.Fprintf(h, "%s|", t)

@@ -19,7 +19,6 @@ func fpBase() Request {
 		MaxPEs:               5,
 		CandidateTypes:       []string{"pe1", "pe2"},
 		FloorplanGenerations: 12,
-		SweepCount:           3,
 		IncludeGantt:         true,
 	}
 }
@@ -50,7 +49,6 @@ func TestRequestFingerprintSensitivity(t *testing.T) {
 		"MaxPEs":               func(r Request) Request { r.MaxPEs = 6; return r }(base),
 		"CandidateTypes":       func(r Request) Request { r.CandidateTypes = []string{"pe1"}; return r }(base),
 		"FloorplanGenerations": func(r Request) Request { r.FloorplanGenerations = 13; return r }(base),
-		"SweepCount":           func(r Request) Request { r.SweepCount = 4; return r }(base),
 		"IncludeGantt":         func(r Request) Request { r.IncludeGantt = false; return r }(base),
 		"Seed-explicit-zero":   func(r Request) Request { r.Seed = &seed0; return r }(base),
 		"Seed-two":             func(r Request) Request { r.Seed = &seed2; return r }(base),
@@ -89,12 +87,12 @@ func TestRequestFingerprintSensitivity(t *testing.T) {
 // spec defaults are normalized; but a campaign's Simulate presence is
 // semantic and an explicit seed 0 is not seed 1.
 func TestRequestFingerprintNormalization(t *testing.T) {
-	a := NewRequest(FlowSweep)
-	b := NewRequest(FlowSweep, WithSeed(1))
+	a := NewRequest(FlowCoSynthesis, WithBenchmark("Bm1"))
+	b := NewRequest(FlowCoSynthesis, WithBenchmark("Bm1"), WithSeed(1))
 	if a.Fingerprint() != b.Fingerprint() {
 		t.Error("nil seed and explicit seed 1 must share a fingerprint")
 	}
-	zero := NewRequest(FlowSweep, WithSeed(0))
+	zero := NewRequest(FlowCoSynthesis, WithBenchmark("Bm1"), WithSeed(0))
 	if zero.Fingerprint() == a.Fingerprint() {
 		t.Error("explicit seed 0 collapsed into the nil-seed default")
 	}
@@ -123,8 +121,8 @@ func TestRequestFingerprintNormalization(t *testing.T) {
 // This keeps one slim runtime pin on the top-level Request as
 // belt-and-braces for builds that skip vet.
 func TestRequestFingerprintCoversFields(t *testing.T) {
-	if n := reflect.TypeOf(Request{}).NumField(); n != 20 {
-		t.Errorf("Request now has %d fields (pinned 20); extend Request.Fingerprint's explicit serialization (fpfields enforces the rest)", n)
+	if n := reflect.TypeOf(Request{}).NumField(); n != 19 {
+		t.Errorf("Request now has %d fields (pinned 19); extend Request.Fingerprint's explicit serialization (fpfields enforces the rest)", n)
 	}
 }
 

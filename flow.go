@@ -102,13 +102,6 @@ func flowTable() []flowSpec {
 			parallelism: true,
 		},
 		{
-			kind:     FlowSweep,
-			summary:  "randomized power-aware vs thermal-aware robustness study",
-			input:    flowInputGenerated,
-			run:      (*Engine).runSweepFlow,
-			validate: validateSweepFlow,
-		},
-		{
 			kind:        FlowSimulate,
 			summary:     "closed-loop DTM co-simulation with Monte-Carlo replicas",
 			input:       flowInputOne,
@@ -183,13 +176,6 @@ func runGenerateFlowCtx(e *Engine, _ context.Context, req *Request) (*Response, 
 // Flow-specific validation hooks. The generic rules (flow existence,
 // input arity, policy syntax, shared knob ranges, cross-flow spec
 // rejection) live in Request.Validate; these cover the rest.
-
-func validateSweepFlow(r *Request) error {
-	if r.SweepCount < 0 {
-		return fieldErr("sweepCount", "negative sweep count %d", r.SweepCount)
-	}
-	return nil
-}
 
 // errOf drops a constructor's value and keeps its error.
 func errOf[T any](_ T, err error) error { return err }

@@ -43,9 +43,8 @@ type goldenCase struct {
 // floorplan text included), one uncapped run (Bm2 under h3, cheap
 // because the power heuristic skips the thermal inquiries), and Bm4 at
 // the benchmark shape, whose short GA leaves the floorplanner's
-// shape-curve tie-breaks visible in the chosen layout. The sweep,
-// generate and campaign cases pin one small instance of each
-// generated-input flow.
+// shape-curve tie-breaks visible in the chosen layout. The generate
+// and campaign cases pin small instances of the generated-input flows.
 func goldenCases() []goldenCase {
 	condScenario := ScenarioSpec{
 		Name: "golden-cond",
@@ -106,7 +105,6 @@ func goldenCases() []goldenCase {
 			WithPolicy(MinTaskEnergy))},
 		{"cosynthesis_bm4_capped", NewRequest(FlowCoSynthesis, WithBenchmark("Bm4"),
 			WithMaxPEs(4), WithFloorplanGenerations(2))},
-		{"sweep_3", NewRequest(FlowSweep, WithSweepCount(3), WithSeed(3))},
 		{"generate_layered", NewRequest(FlowGenerate, WithScenario(ScenarioSpec{
 			Seed: 4, Graph: ScenarioGraphParams{Tasks: 30, Shape: "layered"}}))},
 		{"generate_series_parallel", NewRequest(FlowGenerate, WithScenario(ScenarioSpec{

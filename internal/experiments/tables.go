@@ -159,17 +159,3 @@ func (t *VersusTable) MeanReductions() (maxRed, avgRed float64) {
 	n := float64(len(t.Benchmarks))
 	return maxRed / n, avgRed / n
 }
-
-// Wins counts on how many benchmarks the thermal-aware cell improves on
-// the power-aware cell for max and avg temperature.
-func (t *VersusTable) Wins() (maxWins, avgWins int) {
-	for _, label := range t.Benchmarks {
-		if t.Thermal[label].MaxTemp <= t.Power[label].MaxTemp {
-			maxWins++
-		}
-		if t.Thermal[label].AvgTemp <= t.Power[label].AvgTemp {
-			avgWins++
-		}
-	}
-	return maxWins, avgWins
-}

@@ -402,7 +402,7 @@ func TestEviction(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		j, err := m.Submit(thermalsched.NewRequest(thermalsched.FlowPlatform,
 			thermalsched.WithBenchmark("Bm1"),
-			thermalsched.WithSweepCount(i+1))) // distinct fingerprints
+			thermalsched.WithSeed(int64(i+1)))) // distinct fingerprints
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -513,9 +513,11 @@ func TestJournalSkipsTornTail(t *testing.T) {
 }
 
 // A journal written while the open-loop dtm flow existed holds records
-// whose request carries a "dtm" spec and whose response a "dtm" section.
-// Replay decodes leniently: such a record comes back done without that
-// section, and the records after it still load and serve coalescing.
+// whose request carries a "dtm" spec and whose response a "dtm" section;
+// one written while the sweep flow existed carries "sweepCount" and a
+// "sweep" section. Replay decodes leniently: such records come back
+// done without those sections, and the records after them still load
+// and serve coalescing.
 func TestJournalReplaysDeletedDTMFlow(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
 	later := req("Bm2")
@@ -526,6 +528,11 @@ func TestJournalReplaysDeletedDTMFlow(t *testing.T) {
 		`"metrics":{"totalPowerW":9.5,"maxTempC":83.29,"avgTempC":70.1,"makespan":683.4,"feasible":true,"cost":0},` +
 		`"dtm":{"controller":"toggle","steps":274,"peakTempC":81.9,"throttledFraction":0.12,` +
 		`"energyDelivered":610.2,"energyRequested":650.7,"slowdown":0.062},"elapsedMs":4.2}}` + "\n" +
+		`{"v":1,"id":"j-old-3","fingerprint":"31cfe0a1b2c3d4e5","flow":"sweep","state":"done",` +
+		`"submittedAt":7,"startedAt":8,"finishedAt":9,` +
+		`"request":{"flow":"sweep","seed":7,"sweepCount":3},` +
+		`"response":{"flow":"sweep","sweep":{"graphs":3,"feasibleBoth":3,"maxWins":2,"avgWins":1,` +
+		`"powerWins":1,"meanMaxRedC":0.32,"meanAvgRedC":0.17,"meanPowerRedW":0.05},"elapsedMs":2.5}}` + "\n" +
 		fmt.Sprintf(`{"v":1,"id":"j-old-2","fingerprint":%q,"flow":"platform","state":"done",`+
 			`"submittedAt":4,"startedAt":5,"finishedAt":6,"request":{"flow":"platform","benchmark":"Bm2"},`+
 			`"response":{"flow":"platform","graph":"Bm2","elapsedMs":1}}`+"\n", later.Fingerprint())
@@ -535,8 +542,8 @@ func TestJournalReplaysDeletedDTMFlow(t *testing.T) {
 
 	f := &fakeEval{}
 	m := openTest(t, f, Config{JournalPath: path})
-	if s := m.Stats(); s.Counters.Replayed != 2 {
-		t.Fatalf("replayed %d records, want 2", s.Counters.Replayed)
+	if s := m.Stats(); s.Counters.Replayed != 3 {
+		t.Fatalf("replayed %d records, want 3", s.Counters.Replayed)
 	}
 	old, err := m.Get("j-old-1")
 	if err != nil {
@@ -548,12 +555,21 @@ func TestJournalReplaysDeletedDTMFlow(t *testing.T) {
 	if r := old.Response; r == nil || r.Metrics == nil || r.Metrics.Makespan != 683.4 {
 		t.Errorf("dtm record lost its schedule metrics: %+v", r)
 	}
+	// The randomized sweep flow is gone too; a default campaign runs
+	// the same study. Its journaled jobs still replay as done.
+	sweep, err := m.Get("j-old-3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sweep.State != StateDone || sweep.Flow != "sweep" {
+		t.Fatalf("sweep record replayed as %s/%s, want done/sweep", sweep.State, sweep.Flow)
+	}
 	b, err := m.Submit(later)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if b.State != StateDone || !b.FromJournal || f.runs.Load() != 0 {
-		t.Errorf("record after the dtm one not served from the journal: %+v (%d runs)", b, f.runs.Load())
+		t.Errorf("record after the deleted-flow ones not served from the journal: %+v (%d runs)", b, f.runs.Load())
 	}
 }
 

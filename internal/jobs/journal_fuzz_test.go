@@ -66,7 +66,7 @@ func FuzzJournalReplay(f *testing.F) {
 		// fuzzer wrote, reopen, and the record must come back.
 		fresh := record{
 			V: 1, ID: "fuzz-live", Fingerprint: "feedface00000000",
-			Flow: thermalsched.FlowSweep, State: StateDone, SubmittedAt: 42,
+			Flow: "sweep", State: StateDone, SubmittedAt: 42,
 		}
 		if err := j.append(fresh); err != nil {
 			t.Fatalf("append after replay: %v", err)

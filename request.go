@@ -22,9 +22,6 @@ const (
 	// deadline-driven architecture selection with floorplanning and
 	// thermal extraction in the loop.
 	FlowCoSynthesis FlowKind = "cosynthesis"
-	// FlowSweep is the randomized robustness study: power-aware vs
-	// thermal-aware over many generated graphs.
-	FlowSweep FlowKind = "sweep"
 	// FlowSimulate schedules on the platform and then co-simulates the
 	// schedule, the transient thermal model and a DTM controller in
 	// lockstep (closed loop): throttling stretches the affected tasks,
@@ -41,8 +38,8 @@ const (
 	// FlowCampaign generates a family of scenarios (Request.Campaign)
 	// and fans a policy comparison across them on the engine's worker
 	// pool, reporting per-scenario rows, per-policy percentiles and
-	// win rates — the randomized-sweep study generalized to arbitrary
-	// scenario families and policy sets.
+	// win rates. Its defaults are the randomized robustness study:
+	// heuristic 3 against the thermal-aware ASP over 20–60-task graphs.
 	FlowCampaign FlowKind = "campaign"
 	// FlowStream generates a seeded online workload (Request.Stream):
 	// periodic sources plus a Poisson/bursty aperiodic process, released
@@ -327,8 +324,8 @@ type Request struct {
 	// Flow selects the execution flow.
 	Flow FlowKind `json:"flow"`
 	// Benchmark names a paper benchmark ("Bm1" … "Bm4"). Exactly one of
-	// Benchmark, Graph or Scenario must be set, except for FlowSweep
-	// and FlowCampaign which generate their own inputs.
+	// Benchmark, Graph or Scenario must be set, except for FlowCampaign
+	// which generates its own inputs.
 	Benchmark string `json:"benchmark,omitempty"`
 	// Graph carries a custom task graph inline.
 	Graph *GraphSpec `json:"graph,omitempty"`
@@ -365,14 +362,9 @@ type Request struct {
 	// default GOMAXPROCS); 1 forces the serial path. Results are
 	// byte-identical at every value — only wall-clock changes.
 	Parallelism int `json:"parallelism,omitempty"`
-	// Seed drives the GA floorplanner (FlowCoSynthesis) or the graph
-	// generator (FlowSweep). Nil keeps the historical default (1); an
-	// explicit zero is honored as seed 0.
+	// Seed drives the GA floorplanner (FlowCoSynthesis). Nil keeps the
+	// historical default (1); an explicit zero is honored as seed 0.
 	Seed *int64 `json:"seed,omitempty"`
-
-	// SweepCount is the number of random graphs FlowSweep evaluates
-	// (default 4).
-	SweepCount int `json:"sweepCount,omitempty"`
 
 	// Simulate tunes FlowSimulate; nil uses the defaults documented on
 	// SimulateSpec.
@@ -493,11 +485,6 @@ func WithFloorplanGenerations(n int) RequestOption {
 // at every value.
 func WithParallelism(n int) RequestOption {
 	return func(r *Request) { r.Parallelism = n }
-}
-
-// WithSweepCount sets how many random graphs FlowSweep evaluates.
-func WithSweepCount(n int) RequestOption {
-	return func(r *Request) { r.SweepCount = n }
 }
 
 // WithSimulate tunes the FlowSimulate closed-loop co-simulation.

@@ -82,9 +82,12 @@ type SimulateReport struct {
 	MeanSteps float64 `json:"meanSteps"`
 	// MeanEnergy is the average delivered energy per replica.
 	MeanEnergy float64 `json:"meanEnergy"`
-	// MeanAdmissionDenials is the average number of dispatch attempts
-	// the thermal supervisor refused per replica. Omitted for the
-	// reactive controllers (toggle, pi, none), which never deny.
+	// MeanAdmissionDenials is the average number of admission queries
+	// the thermal supervisor refused per replica. A held queue head
+	// waits out its hold without asking, and a hold ends with its
+	// sensing step, so an embargo counts once per step it reaches.
+	// Omitted for the reactive controllers (toggle, pi, none), which
+	// never deny.
 	MeanAdmissionDenials float64 `json:"meanAdmissionDenials,omitempty"`
 }
 
@@ -110,8 +113,6 @@ type Response struct {
 	Floorplan string `json:"floorplan,omitempty"`
 	// Gantt is the per-PE timeline, present when the request asked for it.
 	Gantt string `json:"gantt,omitempty"`
-	// Sweep carries the FlowSweep aggregate.
-	Sweep *SweepResult `json:"sweep,omitempty"`
 	// Simulate carries the FlowSimulate closed-loop summary.
 	Simulate *SimulateReport `json:"simulate,omitempty"`
 	// Scenario carries the FlowGenerate payload: the generated

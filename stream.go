@@ -218,9 +218,12 @@ type StreamReport struct {
 	// steps per replica.
 	MeanEnergy float64 `json:"meanEnergy"`
 	MeanSteps  float64 `json:"meanSteps"`
-	// MeanAdmissionDenials is the average number of dispatch attempts
-	// the thermal supervisor refused per replica. Omitted for the
-	// unsupervised policies, which never deny.
+	// MeanAdmissionDenials is the average number of refused (job, idle
+	// capable PE) admission asks per replica. Every ask counts, also
+	// one the gate answers from a hold and the bulk count for a job
+	// whose capable PEs are all held, so the figure measures supervisor
+	// pressure, not supervisor queries. Omitted for the unsupervised
+	// policies, which never deny.
 	MeanAdmissionDenials float64 `json:"meanAdmissionDenials,omitempty"`
 }
 

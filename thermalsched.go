@@ -41,7 +41,7 @@
 //	internal/linalg      sparse Cholesky, sparse backward-Euler stepper
 //	internal/hotspot     compact thermal RC model (steady state, transient)
 //	internal/cosynth     the two flows of the paper's Figure 1
-//	internal/experiments Tables 1–3, the sweep and the scaling study
+//	internal/experiments Tables 1–3 and the scaling study
 //	internal/dtm         thermal supervisors: toggle, PI, admit, zig-zag
 //	internal/coloop      closed-loop co-simulation core, rise forecaster
 //	internal/runtime     the schedule executor: realized replay under DTM
@@ -204,9 +204,6 @@ type (
 
 // NewSuite builds the standard experiment suite.
 func NewSuite() (*Suite, error) { return experiments.NewSuite() }
-
-// SweepResult aggregates the randomized robustness study.
-type SweepResult = experiments.SweepResult
 
 // Scaling-study types (Engine.ScalingTable, cmd/tables -scaling).
 type (

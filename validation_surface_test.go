@@ -92,12 +92,6 @@ func validationCases() []validationCase {
 			field: "energyWeight",
 		},
 		{
-			name:  "negative sweep count",
-			req:   thermalsched.Request{Flow: thermalsched.FlowSweep, Policy: "thermal", SweepCount: -3},
-			field: "sweepCount",
-			cli:   []string{"-flow", "sweep", "-count", "-3"},
-		},
-		{
 			name: "negative maxPEs",
 			req: thermalsched.Request{Flow: thermalsched.FlowCoSynthesis,
 				Benchmark: "Bm1", Policy: "thermal", MaxPEs: -1},
@@ -144,6 +138,14 @@ func validationCases() []validationCase {
 			req:   thermalsched.Request{Flow: "dtm", Benchmark: "Bm1"},
 			field: "flow",
 			cli:   []string{"-flow", "dtm", "-benchmark", "Bm1"},
+		},
+		{
+			// The randomized sweep is gone; a default campaign is the
+			// same heuristic-3 vs thermal study.
+			name:  "deleted sweep flow",
+			req:   thermalsched.Request{Flow: "sweep"},
+			field: "flow",
+			cli:   []string{"-flow", "sweep"},
 		},
 		{
 			name: "negative stream retryAfter",
