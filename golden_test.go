@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -169,5 +170,49 @@ func TestClosedLoopGolden(t *testing.T) {
 					tc.name, got, want)
 			}
 		})
+	}
+}
+
+// TestPaperTablesGolden pins the paper's Tables 1–3 byte-for-byte as
+// cmd/tables prints them by default (20 GA generations inside
+// co-synthesis).
+func TestPaperTablesGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper tables skipped in -short mode")
+	}
+	s, err := NewSuite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	t1, err := s.RunTable1()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t2, err := s.RunTable2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t3, err := s.RunTable3()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tab := range []fmt.Stringer{t1, t2, t3} {
+		fmt.Fprintln(&b, tab)
+	}
+	got := []byte(b.String())
+	path := filepath.Join("testdata", "golden", "tables.txt")
+	if *updateGolden {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (run go test -run PaperTablesGolden -update): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("paper tables diverged from the golden\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
