@@ -9,19 +9,16 @@ import (
 // examples and downstream users would.
 
 func TestFacadeQuickstartPath(t *testing.T) {
-	g, err := Benchmark("Bm1")
+	resp, err := testEngine(t).Run(context.Background(), NewRequest(FlowPlatform,
+		WithBenchmark("Bm1"), WithPolicy(ThermalAware)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := testEngine(t).Platform(context.Background(), g, WithPolicy(ThermalAware))
-	if err != nil {
-		t.Fatal(err)
+	if !resp.Metrics.Feasible {
+		t.Errorf("quickstart path infeasible: makespan %v", resp.Metrics.Makespan)
 	}
-	if !res.Metrics.Feasible {
-		t.Errorf("quickstart path infeasible: makespan %v", res.Metrics.Makespan)
-	}
-	if res.Metrics.MaxTemp <= DefaultThermalConfig().AmbientC {
-		t.Errorf("max temp %v not above ambient", res.Metrics.MaxTemp)
+	if resp.Metrics.MaxTemp <= DefaultThermalConfig().AmbientC {
+		t.Errorf("max temp %v not above ambient", resp.Metrics.MaxTemp)
 	}
 }
 
@@ -122,39 +119,28 @@ func TestFacadeCoSynthesis(t *testing.T) {
 	if testing.Short() {
 		t.Skip("co-synthesis skipped in -short mode")
 	}
-	g, err := Benchmark("Bm1")
+	resp, err := testEngine(t).Run(context.Background(), NewRequest(FlowCoSynthesis,
+		WithBenchmark("Bm1"), WithPolicy(MinTaskEnergy), WithFloorplanGenerations(5)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := testEngine(t).CoSynthesize(context.Background(), g,
-		WithPolicy(MinTaskEnergy), WithFloorplanGenerations(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Metrics.Feasible {
-		t.Errorf("co-synthesis infeasible: %v", res.Metrics.Makespan)
+	if !resp.Metrics.Feasible {
+		t.Errorf("co-synthesis infeasible: %v", resp.Metrics.Makespan)
 	}
 }
 
 func TestFacadeSimAndDTM(t *testing.T) {
-	g, err := Benchmark("Bm1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	run, err := testEngine(t).Platform(context.Background(), g, WithPolicy(ThermalAware))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The unthrottled reference run: shorter tasks never finish later.
+	// The unthrottled reference run: shorter tasks never finish later
+	// than the worst-case (static) schedule.
 	resp, err := testEngine(t).Run(context.Background(), NewRequest(FlowSimulate,
 		WithBenchmark("Bm1"), WithPolicy(ThermalAware),
 		WithSimulate(SimulateSpec{Controller: "none", MinFactor: 0.8, Seed: 1})))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep := resp.Simulate; rep.Makespan.Max > run.Schedule.Makespan+1e-6 || rep.ThrottleTime.Max != 0 {
+	if rep := resp.Simulate; rep.Makespan.Max > rep.StaticMakespan+1e-6 || rep.ThrottleTime.Max != 0 {
 		t.Errorf("unthrottled makespan %g (throttled %g) exceeds worst case %g",
-			rep.Makespan.Max, rep.ThrottleTime.Max, run.Schedule.Makespan)
+			rep.Makespan.Max, rep.ThrottleTime.Max, rep.StaticMakespan)
 	}
 	// The same replica under the closed-loop toggle controller, the
 	// path every DTM request takes: throttling stretches the tasks it
@@ -193,17 +179,20 @@ func TestFacadeConditionalGraph(t *testing.T) {
 	if len(probs) != 12 {
 		t.Errorf("probabilities length %d", len(probs))
 	}
-	run, err := testEngine(t).Platform(context.Background(), g, WithPolicy(MinTaskEnergy))
+	run, err := testEngine(t).Run(context.Background(), NewRequest(FlowPlatform,
+		WithGraph(g), WithPolicy(MinTaskEnergy)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	// TotalPower is the worst-case schedule's energy over the deadline.
+	worst := run.Metrics.TotalPower * g.Deadline
 	resp, err := testEngine(t).Run(context.Background(), NewRequest(FlowSimulate,
 		WithGraph(g), WithPolicy(MinTaskEnergy),
 		WithSimulate(SimulateSpec{Controller: "none", Seed: 1, Conditional: true})))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e := resp.Simulate.MeanEnergy; e > run.Schedule.TotalEnergy()+1e-6 {
-		t.Errorf("conditional realized energy %g exceeds worst case %g", e, run.Schedule.TotalEnergy())
+	if e := resp.Simulate.MeanEnergy; e > worst+1e-6 {
+		t.Errorf("conditional realized energy %g exceeds worst case %g", e, worst)
 	}
 }

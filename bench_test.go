@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"thermalsched/internal/cosynth"
-	"thermalsched/internal/experiments"
 	"thermalsched/internal/floorplan"
 	"thermalsched/internal/hotspot"
 	rt "thermalsched/internal/runtime"
@@ -17,88 +16,41 @@ import (
 )
 
 // The benchmarks below regenerate every evaluation artifact of the
-// paper. Each table bench recomputes the full table per iteration and,
-// on the first iteration, logs the rows in the paper's layout so
-// `go test -bench . -v` doubles as the reproduction harness
-// (cmd/tables prints the same tables without the timing).
+// paper. Each table bench regenerates its table through
+// Engine.PaperTables on a fresh Engine per iteration (10 GA
+// generations inside co-synthesis) and, on the first iteration, logs
+// the rows in the paper's layout so `go test -bench . -v` doubles as
+// the reproduction harness (cmd/tables prints the same tables without
+// the timing).
 
-func newSuite(b *testing.B) *experiments.Suite {
-	b.Helper()
-	s, err := experiments.NewSuite()
-	if err != nil {
-		b.Fatal(err)
-	}
-	s.FloorplanGenerations = 10
-	return s
-}
-
-// BenchmarkTable1CoSynthesis regenerates the co-synthesis half of
-// Table 1: baseline and power heuristics 1–3 on customized
-// architectures for Bm1–Bm4.
-func BenchmarkTable1CoSynthesis(b *testing.B) {
+func benchPaperTable(b *testing.B, table int) {
 	for i := 0; i < b.N; i++ {
-		s := newSuite(b)
-		tab, err := s.RunTable1()
+		eng, err := NewEngine()
+		if err != nil {
+			b.Fatal(err)
+		}
+		tabs, err := eng.PaperTables(context.Background(), table, 10)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			b.Logf("\n%s", tab)
+			b.Logf("\n%s", tabs)
 		}
 	}
 }
 
-// BenchmarkTable1Platform regenerates the platform half of Table 1 only
-// (no co-synthesis search), the cheap headline comparison.
-func BenchmarkTable1Platform(b *testing.B) {
-	s := newSuite(b)
-	policies := []sched.Policy{sched.Baseline, sched.MinTaskPower, sched.MinPEPower, sched.MinTaskEnergy}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, g := range s.Graphs {
-			for _, p := range policies {
-				res, err := cosynth.RunPlatform(context.Background(), g, s.Lib, cosynth.PlatformConfig{Policy: p})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					b.Logf("%s %-12s totPow=%6.2f maxT=%7.2f avgT=%7.2f",
-						g.Name, p, res.Metrics.TotalPower, res.Metrics.MaxTemp, res.Metrics.AvgTemp)
-				}
-			}
-		}
-	}
-}
+// BenchmarkTable1 regenerates Table 1: baseline and power heuristics
+// 1–3 for Bm1–Bm4, on customized (co-synthesis) architectures and on
+// the platform.
+func BenchmarkTable1(b *testing.B) { benchPaperTable(b, 1) }
 
 // BenchmarkTable2ThermalCoSynthesis regenerates Table 2: power-aware
 // (heuristic 3) vs thermal-aware on the customized architecture.
-func BenchmarkTable2ThermalCoSynthesis(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := newSuite(b)
-		tab, err := s.RunTable2()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("\n%s", tab)
-		}
-	}
-}
+func BenchmarkTable2ThermalCoSynthesis(b *testing.B) { benchPaperTable(b, 2) }
 
 // BenchmarkTable3ThermalPlatform regenerates Table 3: power-aware vs
 // thermal-aware on the platform architecture.
-func BenchmarkTable3ThermalPlatform(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := newSuite(b)
-		tab, err := s.RunTable3()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("\n%s", tab)
-		}
-	}
-}
+func BenchmarkTable3ThermalPlatform(b *testing.B) { benchPaperTable(b, 3) }
 
 // BenchmarkFigure1Flows exercises the two flows of the paper's Figure 1
 // end to end (the figure is a flowchart, so its artifact is the flows
@@ -116,7 +68,7 @@ func BenchmarkFigure1Flows(b *testing.B) {
 	b.Run("Fig1a_CoSynthesis", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := cosynth.RunCoSynthesis(context.Background(), g, lib, cosynth.CoSynthConfig{
-				Policy: sched.ThermalAware, FloorplanGenerations: 10,
+				Policy: sched.ThermalAware, FloorplanGenerations: 10, Seed: 1,
 			}); err != nil {
 				b.Fatal(err)
 			}
@@ -509,7 +461,7 @@ func BenchmarkCoSynthesis(b *testing.B) {
 		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res, err := cosynth.RunCoSynthesis(context.Background(), g, lib, cosynth.CoSynthConfig{
-					Policy: sched.ThermalAware, FloorplanGenerations: 10, Search: search.NewPool(p),
+					Policy: sched.ThermalAware, FloorplanGenerations: 10, Seed: 1, Search: search.NewPool(p),
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -17,7 +17,6 @@ import (
 	"os"
 
 	"thermalsched"
-	"thermalsched/internal/experiments"
 )
 
 func main() {
@@ -30,11 +29,11 @@ func main() {
 	)
 	flag.Parse()
 
+	eng, err := thermalsched.NewEngine()
+	if err != nil {
+		fatal(err)
+	}
 	if *scaling {
-		eng, err := thermalsched.NewEngine()
-		if err != nil {
-			fatal(err)
-		}
 		t, err := eng.ScalingTable(context.Background(), nil, *scalePEs, *scaleSeed)
 		if err != nil {
 			fatal(err)
@@ -42,49 +41,11 @@ func main() {
 		fmt.Println(t)
 		return
 	}
-
-	s, err := experiments.NewSuite()
+	t, err := eng.PaperTables(context.Background(), *table, *fpGens)
 	if err != nil {
 		fatal(err)
 	}
-	s.FloorplanGenerations = *fpGens
-
-	run1 := func() {
-		t, err := s.RunTable1()
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(t)
-	}
-	run2 := func() {
-		t, err := s.RunTable2()
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(t)
-	}
-	run3 := func() {
-		t, err := s.RunTable3()
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(t)
-	}
-
-	switch *table {
-	case 0:
-		run1()
-		run2()
-		run3()
-	case 1:
-		run1()
-	case 2:
-		run2()
-	case 3:
-		run3()
-	default:
-		fatal(fmt.Errorf("unknown table %d (want 1, 2 or 3)", *table))
-	}
+	fmt.Print(t)
 }
 
 func fatal(err error) {

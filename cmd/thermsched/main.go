@@ -256,7 +256,7 @@ func main() {
 		req.Campaign = &camp
 	case thermalsched.FlowStream:
 		req.Stream = streamSpec()
-	default:
+	case thermalsched.FlowCoSynthesis:
 		if *seed >= 0 {
 			req.Seed = seed
 		}
@@ -268,7 +268,6 @@ func main() {
 		// them with its canonical extraneous-input message instead of
 		// the CLI silently dropping them.
 	case thermalsched.FlowGenerate:
-		req.Seed = nil
 		req.Scenario = scenarioSpec()
 	default:
 		if *tasks > 0 {

@@ -314,34 +314,6 @@ feed:
 	return out, nil
 }
 
-// Platform runs the platform-based flow (Fig. 1b) on a task graph and
-// returns the full result — schedule, floorplan, thermal model and
-// metrics. It is the typed counterpart of Run with FlowPlatform for
-// callers who need more than the serializable Response.
-func (e *Engine) Platform(ctx context.Context, g *Graph, opts ...RequestOption) (*FlowResult, error) {
-	req := NewRequest(FlowPlatform, opts...)
-	cfg, err := req.platformConfig()
-	if err != nil {
-		return nil, err
-	}
-	cfg.HotSpot = &e.thermal
-	return e.platform(ctx, g, e.lib, cfg)
-}
-
-// CoSynthesize runs the co-synthesis flow (Fig. 1a) on a task graph and
-// returns the full result. It is the typed counterpart of Run with
-// FlowCoSynthesis.
-func (e *Engine) CoSynthesize(ctx context.Context, g *Graph, opts ...RequestOption) (*FlowResult, error) {
-	req := NewRequest(FlowCoSynthesis, opts...)
-	cfg, err := req.cosynthConfig()
-	if err != nil {
-		return nil, err
-	}
-	cfg.HotSpot = &e.thermal
-	cfg.Search = e.poolFor(&req)
-	return e.cosynthesize(ctx, g, e.lib, cfg)
-}
-
 // ScalingTable runs the beyond-the-paper scaling study — the
 // thermal-aware platform flow over generated scenarios of the given
 // task counts on a generated heterogeneous platform — with the engine's
@@ -364,14 +336,13 @@ func (e *Engine) rowModels() (cosynth.ModelProvider, func() (hits, misses uint64
 	}
 }
 
-// platform executes the platform flow with the engine's thermal model
-// cache wired in. lib is explicit because generated scenarios bring
-// their own library.
-func (e *Engine) platform(ctx context.Context, g *Graph, lib *Library, cfg cosynth.PlatformConfig) (*FlowResult, error) {
-	if cfg.Models == nil {
-		cfg.Models = e.modelProvider()
-	}
-	return cosynth.RunPlatform(ctx, g, lib, cfg)
+// platform executes the platform flow on a resolved input, with the
+// engine's thermal calibration and model cache wired in.
+func (e *Engine) platform(ctx context.Context, in *runInput, cfg cosynth.PlatformConfig) (*cosynth.Result, error) {
+	cfg.HotSpot = &e.thermal
+	cfg.Platform = in.platform
+	cfg.Models = e.modelProvider()
+	return cosynth.RunPlatform(ctx, in.graph, in.lib, cfg)
 }
 
 // poolFor returns the token pool a request fans out on: a pool of its
@@ -385,21 +356,6 @@ func (e *Engine) poolFor(req *Request) *search.Pool {
 	return e.search
 }
 
-// cosynthesize executes the co-synthesis flow with the engine's thermal
-// model cache wired in; callers set cfg.Search from poolFor.
-func (e *Engine) cosynthesize(ctx context.Context, g *Graph, lib *Library, cfg cosynth.CoSynthConfig) (*FlowResult, error) {
-	if cfg.Models == nil {
-		cfg.Models = e.modelProvider()
-	}
-	res, err := cosynth.RunCoSynthesis(ctx, g, lib, cfg)
-	if err != nil {
-		return nil, err
-	}
-	e.searchEvals.Add(uint64(res.SearchEvals))
-	e.searchMemoHits.Add(uint64(res.SearchMemoHits))
-	return res, nil
-}
-
 func (e *Engine) runPlatformFlow(ctx context.Context, req *Request) (*Response, error) {
 	in, err := e.resolveInput(req)
 	if err != nil {
@@ -409,9 +365,7 @@ func (e *Engine) runPlatformFlow(ctx context.Context, req *Request) (*Response, 
 	if err != nil {
 		return nil, err
 	}
-	cfg.HotSpot = &e.thermal
-	cfg.Platform = in.platform
-	res, err := e.platform(ctx, in.graph, in.lib, cfg)
+	res, err := e.platform(ctx, in, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -439,10 +393,13 @@ func (e *Engine) runCoSynthFlow(ctx context.Context, req *Request) (*Response, e
 		// selects from its PE palette rather than the standard one.
 		cfg.CandidateTypes = in.scen.PETypeNames
 	}
-	res, err := e.cosynthesize(ctx, in.graph, in.lib, cfg)
+	cfg.Models = e.modelProvider()
+	res, err := cosynth.RunCoSynthesis(ctx, in.graph, in.lib, cfg)
 	if err != nil {
 		return nil, err
 	}
+	e.searchEvals.Add(uint64(res.SearchEvals))
+	e.searchMemoHits.Add(uint64(res.SearchMemoHits))
 	resp, err := flowResponse(FlowCoSynthesis, cfg.Policy, res, req.IncludeGantt, true)
 	if err != nil {
 		return nil, err
@@ -501,9 +458,7 @@ func (e *Engine) runSimulateFlow(ctx context.Context, req *Request) (*Response, 
 	if err != nil {
 		return nil, err
 	}
-	cfg.HotSpot = &e.thermal
-	cfg.Platform = in.platform
-	res, err := e.platform(ctx, in.graph, in.lib, cfg)
+	res, err := e.platform(ctx, in, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -45,7 +46,7 @@ func TestEngineMatchesDeprecatedRunPlatform(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			old, err := cosynth.RunPlatform(context.Background(), g, lib, PlatformConfig{Policy: policy})
+			old, err := cosynth.RunPlatform(context.Background(), g, lib, cosynth.PlatformConfig{Policy: policy})
 			if err != nil {
 				t.Fatalf("%s/%s uncached: %v", name, policy, err)
 			}
@@ -80,8 +81,9 @@ func TestEngineMatchesDeprecatedRunCoSynthesis(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		old, err := cosynth.RunCoSynthesis(context.Background(), g, lib, CoSynthConfig{
-			Policy: MinTaskEnergy, FloorplanGenerations: gens,
+		// Seed 1 is what a request without a seed runs with.
+		old, err := cosynth.RunCoSynthesis(context.Background(), g, lib, cosynth.CoSynthConfig{
+			Policy: MinTaskEnergy, FloorplanGenerations: gens, Seed: 1,
 		})
 		if err != nil {
 			t.Fatalf("%s uncached: %v", name, err)
@@ -102,6 +104,62 @@ func TestEngineMatchesDeprecatedRunCoSynthesis(t *testing.T) {
 	}
 }
 
+// The seed-zero contract at the request level: a cosynthesis request
+// without a seed runs the GA floorplanner with seed 1, byte for byte
+// the response of an explicit WithSeed(1), while WithSeed(0) reaches
+// the GA as seed 0 — the flow run directly with Seed 0 — and not as 1.
+func TestCoSynthesisSeedZeroContract(t *testing.T) {
+	e := testEngine(t)
+	run := func(opts ...RequestOption) *Response {
+		t.Helper()
+		opts = append([]RequestOption{WithBenchmark("Bm1"), WithMaxPEs(4), WithFloorplanGenerations(2)}, opts...)
+		resp, err := e.Run(context.Background(), NewRequest(FlowCoSynthesis, opts...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.ElapsedMS = 0
+		return resp
+	}
+	wire := func(resp *Response) string {
+		t.Helper()
+		blob, err := json.Marshal(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(blob)
+	}
+	unset, one, zero := run(), run(WithSeed(1)), run(WithSeed(0))
+	if wire(unset) != wire(one) {
+		t.Errorf("nil seed and seed 1 diverge:\n  nil %s\n  1   %s", wire(unset), wire(one))
+	}
+	if zero.Floorplan == one.Floorplan {
+		t.Error("seed 0 ran the GA with the seed-1 floorplan")
+	}
+
+	lib, err := StandardLibrary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := Benchmark("Bm1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := cosynth.RunCoSynthesis(context.Background(), g, lib, cosynth.CoSynthConfig{
+		Policy: ThermalAware, MaxPEs: 4, FloorplanGenerations: 2, Seed: 0,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var plan strings.Builder
+	if err := direct.Plan.Write(&plan); err != nil {
+		t.Fatal(err)
+	}
+	if zero.Floorplan != plan.String() || *zero.Metrics != direct.Metrics {
+		t.Errorf("WithSeed(0) diverges from the flow run with seed 0:\n  request %+v\n  direct  %+v",
+			*zero.Metrics, direct.Metrics)
+	}
+}
+
 // Engine.ScalingTable is the one path behind cmd/tables -scaling. On a
 // fresh engine each row's generated platform costs one model-cache
 // miss and no hit, and every other column except the wall-clock
@@ -112,7 +170,7 @@ func TestEngineScalingTableReportsCacheTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := experiments.RunScalingTable(context.Background(), nil, 0, 1, PlatformConfig{}, nil)
+	want, err := experiments.RunScalingTable(context.Background(), nil, 0, 1, cosynth.PlatformConfig{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -173,34 +172,18 @@ func TestClosedLoopGolden(t *testing.T) {
 	}
 }
 
-// TestPaperTablesGolden pins the paper's Tables 1–3 byte-for-byte as
-// cmd/tables prints them by default (20 GA generations inside
-// co-synthesis).
+// TestPaperTablesGolden pins Engine.PaperTables' rendering of the
+// paper's Tables 1–3 byte-for-byte as cmd/tables prints them by
+// default (20 GA generations inside co-synthesis).
 func TestPaperTablesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper tables skipped in -short mode")
 	}
-	s, err := NewSuite()
+	tabs, err := testEngine(t).PaperTables(context.Background(), 0, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var b strings.Builder
-	t1, err := s.RunTable1()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t2, err := s.RunTable2()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t3, err := s.RunTable3()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tab := range []fmt.Stringer{t1, t2, t3} {
-		fmt.Fprintln(&b, tab)
-	}
-	got := []byte(b.String())
+	got := []byte(tabs.String())
 	path := filepath.Join("testdata", "golden", "tables.txt")
 	if *updateGolden {
 		if err := os.WriteFile(path, got, 0o644); err != nil {

@@ -35,13 +35,9 @@ type CoSynthConfig struct {
 	// FloorplanGenerations sizes the GA floorplanner effort per candidate
 	// architecture. Zero means 30.
 	FloorplanGenerations int
-	// Seed drives the GA floorplanner. For backwards compatibility a
-	// zero Seed means 1 unless SeedSet is true.
+	// Seed drives the GA floorplanner, verbatim: zero is seed 0. The
+	// Engine resolves a request without a seed to 1.
 	Seed int64
-	// SeedSet marks Seed as explicitly chosen, making a literal zero
-	// seed usable. The Engine API sets this whenever a request carries
-	// a seed.
-	SeedSet bool
 	// Models supplies thermal models; nil means hotspot.NewModel. The
 	// Engine layer injects its factorization cache here.
 	Models ModelProvider
@@ -79,10 +75,6 @@ func (c *CoSynthConfig) withDefaults(lib *techlib.Library) (CoSynthConfig, error
 	}
 	if out.FloorplanGenerations == 0 {
 		out.FloorplanGenerations = 30
-	}
-	//thermalvet:allow seedzero(guarded by the SeedSet presence flag: zero with SeedSet unset means "not provided" and takes the historical default 1; an explicit Seed 0 sets SeedSet and is honored verbatim)
-	if out.Seed == 0 && !out.SeedSet {
-		out.Seed = 1
 	}
 	return out, nil
 }

@@ -95,7 +95,7 @@ func TestCoSynthesisSharedPoolAndStats(t *testing.T) {
 // or a double count moves these numbers.
 func TestCoSynthesisSearchTotalsPinned(t *testing.T) {
 	res, err := RunCoSynthesis(context.Background(), bm(t, "Bm1"), stdLib(t), CoSynthConfig{
-		Policy: sched.ThermalAware, MaxPEs: 4, FloorplanGenerations: 2, Seed: 1, SeedSet: true,
+		Policy: sched.ThermalAware, MaxPEs: 4, FloorplanGenerations: 2, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -6,33 +6,7 @@ import (
 	"testing"
 
 	"thermalsched/internal/floorplan"
-	"thermalsched/internal/techlib"
 )
-
-// Regression for the seed-zero bug: withDefaults used to rewrite an
-// explicit Seed of 0 to 1 unconditionally, making seed 0 unusable.
-func TestCoSynthSeedZeroHonored(t *testing.T) {
-	lib, err := techlib.StandardLibrary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	implicit := CoSynthConfig{}
-	c, err := implicit.withDefaults(lib)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Seed != 1 {
-		t.Errorf("unset seed should default to 1, got %d", c.Seed)
-	}
-	explicit := CoSynthConfig{Seed: 0, SeedSet: true}
-	c, err = explicit.withDefaults(lib)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Seed != 0 {
-		t.Errorf("explicit zero seed rewritten to %d", c.Seed)
-	}
-}
 
 // Seed 0 and seed 1 must be able to produce different floorplans — the
 // point of making zero expressible. The GA is deterministic per seed,

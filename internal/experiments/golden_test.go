@@ -14,8 +14,8 @@ import (
 // Golden regression values for the fully deterministic platform flow
 // (no GA involved): every generator and the scheduler are seeded, so
 // these numbers are stable build-to-build. A change here means the
-// reproduction pipeline changed behaviour — bump deliberately, with an
-// EXPERIMENTS.md update.
+// reproduction pipeline changed behaviour — bump deliberately, together
+// with testdata/golden/tables.txt in the root package.
 func TestGoldenTable3Platform(t *testing.T) {
 	lib, err := techlib.StandardLibrary()
 	if err != nil {

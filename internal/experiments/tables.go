@@ -1,9 +1,18 @@
+// Package experiments renders the paper's evaluation artifacts:
+// Table 1 (power-heuristic comparison under co-synthesis and
+// platform-based architectures), Table 2 (power-aware vs thermal-aware
+// co-synthesis), and Table 3 (power-aware vs thermal-aware platform),
+// plus the repository's scaling study. Engine.PaperTables in the root
+// package fills Tables 1–3 from one batch of flow requests. Output
+// formatting mirrors the paper's row/column layout so the tables can
+// be compared side by side.
 package experiments
 
 import (
 	"fmt"
 	"strings"
 
+	"thermalsched/internal/cosynth"
 	"thermalsched/internal/sched"
 )
 
@@ -11,36 +20,10 @@ import (
 // benchmark, the baseline and heuristics 1–3 under both architecture
 // flows.
 type Table1 struct {
-	Benchmarks []string          // row labels, name/tasks/edges/deadline
-	Policies   []sched.Policy    // Baseline, H1, H2, H3
-	CoSynth    map[string][]Cell // label -> cell per policy
-	Platform   map[string][]Cell
-}
-
-// RunTable1 regenerates Table 1.
-func (s *Suite) RunTable1() (*Table1, error) {
-	t := &Table1{
-		Policies: []sched.Policy{sched.Baseline, sched.MinTaskPower, sched.MinPEPower, sched.MinTaskEnergy},
-		CoSynth:  make(map[string][]Cell),
-		Platform: make(map[string][]Cell),
-	}
-	for _, g := range s.Graphs {
-		label := benchLabel(g)
-		t.Benchmarks = append(t.Benchmarks, label)
-		for _, p := range t.Policies {
-			cc, err := s.CoSynthCell(g, p)
-			if err != nil {
-				return nil, err
-			}
-			pc, err := s.PlatformCell(g, p)
-			if err != nil {
-				return nil, err
-			}
-			t.CoSynth[label] = append(t.CoSynth[label], cc)
-			t.Platform[label] = append(t.Platform[label], pc)
-		}
-	}
-	return t, nil
+	Benchmarks []string                     // row labels, name/tasks/edges/deadline
+	Policies   []sched.Policy               // Baseline, H1, H2, H3
+	CoSynth    map[string][]cosynth.Metrics // label -> cell per policy
+	Platform   map[string][]cosynth.Metrics
 }
 
 // String renders the table in the paper's layout.
@@ -72,58 +55,8 @@ func (t *Table1) String() string {
 type VersusTable struct {
 	Title      string
 	Benchmarks []string
-	Power      map[string]Cell
-	Thermal    map[string]Cell
-}
-
-// RunTable2 regenerates Table 2: power-aware vs thermal-aware
-// co-synthesis.
-func (s *Suite) RunTable2() (*VersusTable, error) {
-	t := &VersusTable{
-		Title:   "Table 2. Power-aware vs thermal-aware approaches on co-synthesis architecture",
-		Power:   make(map[string]Cell),
-		Thermal: make(map[string]Cell),
-	}
-	for _, g := range s.Graphs {
-		label := benchLabel(g)
-		t.Benchmarks = append(t.Benchmarks, label)
-		pc, err := s.CoSynthCell(g, sched.MinTaskEnergy)
-		if err != nil {
-			return nil, err
-		}
-		tc, err := s.CoSynthCell(g, sched.ThermalAware)
-		if err != nil {
-			return nil, err
-		}
-		t.Power[label] = pc
-		t.Thermal[label] = tc
-	}
-	return t, nil
-}
-
-// RunTable3 regenerates Table 3: power-aware vs thermal-aware on the
-// platform architecture.
-func (s *Suite) RunTable3() (*VersusTable, error) {
-	t := &VersusTable{
-		Title:   "Table 3. Power-aware vs thermal-aware approaches on platform-based architecture",
-		Power:   make(map[string]Cell),
-		Thermal: make(map[string]Cell),
-	}
-	for _, g := range s.Graphs {
-		label := benchLabel(g)
-		t.Benchmarks = append(t.Benchmarks, label)
-		pc, err := s.PlatformCell(g, sched.MinTaskEnergy)
-		if err != nil {
-			return nil, err
-		}
-		tc, err := s.PlatformCell(g, sched.ThermalAware)
-		if err != nil {
-			return nil, err
-		}
-		t.Power[label] = pc
-		t.Thermal[label] = tc
-	}
-	return t, nil
+	Power      map[string]cosynth.Metrics
+	Thermal    map[string]cosynth.Metrics
 }
 
 // String renders the versus table in the paper's layout.

@@ -1,50 +1,45 @@
-package experiments
+package experiments_test
 
 import (
+	"context"
 	"strings"
+	"sync"
 	"testing"
+
+	"thermalsched"
+	"thermalsched/internal/cosynth"
+	"thermalsched/internal/experiments"
 )
 
-// The full suite is expensive (GA floorplanning inside co-synthesis), so
-// the heavyweight assertions share one suite via testMain-style lazy
-// initialization.
-var sharedSuite *Suite
+// The tables are expensive (GA floorplanning inside co-synthesis), so
+// the heavyweight assertions share one regeneration of all three.
+var (
+	tablesOnce sync.Once
+	shared     *thermalsched.PaperTables
+	sharedErr  error
+)
 
-func suite(t *testing.T) *Suite {
+func tables(t *testing.T) *thermalsched.PaperTables {
 	t.Helper()
 	if testing.Short() {
-		t.Skip("experiment suite skipped in -short mode")
+		t.Skip("paper tables skipped in -short mode")
 	}
-	if sharedSuite == nil {
-		s, err := NewSuite()
+	tablesOnce.Do(func() {
+		eng, err := thermalsched.NewEngine()
 		if err != nil {
-			t.Fatal(err)
+			sharedErr = err
+			return
 		}
-		s.FloorplanGenerations = 10
-		sharedSuite = s
+		shared, sharedErr = eng.PaperTables(context.Background(), 0, 10)
+	})
+	if sharedErr != nil {
+		t.Fatal(sharedErr)
 	}
-	return sharedSuite
-}
-
-func TestSuiteConstruction(t *testing.T) {
-	s, err := NewSuite()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Graphs) != 4 {
-		t.Errorf("suite has %d graphs", len(s.Graphs))
-	}
-	if s.Lib.NumPETypes() == 0 {
-		t.Error("suite library empty")
-	}
+	return shared
 }
 
 func TestTable1ShapeAndFeasibility(t *testing.T) {
-	s := suite(t)
-	tab, err := s.RunTable1()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := tables(t).Table1
 	if len(tab.Benchmarks) != 4 || len(tab.Policies) != 4 {
 		t.Fatalf("table shape %dx%d", len(tab.Benchmarks), len(tab.Policies))
 	}
@@ -82,11 +77,7 @@ func TestTable1ShapeAndFeasibility(t *testing.T) {
 // three heuristics on most platform benchmarks, and stays within a few
 // degrees of the best heuristic's peak temperature everywhere.
 func TestHeuristic3IsBestPowerHeuristic(t *testing.T) {
-	s := suite(t)
-	tab, err := s.RunTable1()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := tables(t).Table1
 	powerWins := 0
 	for _, label := range tab.Benchmarks {
 		cells := tab.Platform[label]
@@ -117,11 +108,7 @@ func TestHeuristic3IsBestPowerHeuristic(t *testing.T) {
 // max and avg temperature against the best power heuristic on most
 // benchmarks, on both architecture flows.
 func TestThermalAwareWinsTables2And3(t *testing.T) {
-	s := suite(t)
-	t3, err := s.RunTable3()
-	if err != nil {
-		t.Fatal(err)
-	}
+	t3 := tables(t).Table3
 	maxWins, avgWins := versusWins(t3)
 	if maxWins < 3 || avgWins < 3 {
 		t.Errorf("Table 3: thermal wins max on %d/4 and avg on %d/4; want >= 3\n%s",
@@ -132,10 +119,7 @@ func TestThermalAwareWinsTables2And3(t *testing.T) {
 		t.Errorf("Table 3 mean reductions non-positive: max %.2f avg %.2f", maxRed, avgRed)
 	}
 
-	t2, err := s.RunTable2()
-	if err != nil {
-		t.Fatal(err)
-	}
+	t2 := tables(t).Table2
 	maxWins2, avgWins2 := versusWins(t2)
 	if maxWins2+avgWins2 < 4 {
 		t.Errorf("Table 2: thermal wins max on %d/4 and avg on %d/4\n%s",
@@ -146,7 +130,7 @@ func TestThermalAwareWinsTables2And3(t *testing.T) {
 // versusWins counts on how many benchmarks the thermal-aware cell
 // matches or improves on the power-aware cell for max and avg
 // temperature. The comparison is non-strict: an exact tie counts.
-func versusWins(t *VersusTable) (maxWins, avgWins int) {
+func versusWins(t *experiments.VersusTable) (maxWins, avgWins int) {
 	for _, label := range t.Benchmarks {
 		if t.Thermal[label].MaxTemp <= t.Power[label].MaxTemp {
 			maxWins++
@@ -159,11 +143,11 @@ func versusWins(t *VersusTable) (maxWins, avgWins int) {
 }
 
 func TestVersusTableString(t *testing.T) {
-	v := &VersusTable{
+	v := &experiments.VersusTable{
 		Title:      "Table X",
 		Benchmarks: []string{"BmT/1/0/10"},
-		Power:      map[string]Cell{"BmT/1/0/10": {TotalPower: 10, MaxTemp: 90, AvgTemp: 80}},
-		Thermal:    map[string]Cell{"BmT/1/0/10": {TotalPower: 9, MaxTemp: 85, AvgTemp: 78}},
+		Power:      map[string]cosynth.Metrics{"BmT/1/0/10": {TotalPower: 10, MaxTemp: 90, AvgTemp: 80}},
+		Thermal:    map[string]cosynth.Metrics{"BmT/1/0/10": {TotalPower: 9, MaxTemp: 85, AvgTemp: 78}},
 	}
 	out := v.String()
 	for _, want := range []string{"Table X", "thermal-aware", "5.00", "2.00"} {
@@ -182,7 +166,7 @@ func TestVersusTableString(t *testing.T) {
 }
 
 func TestMeanReductionsEmpty(t *testing.T) {
-	v := &VersusTable{}
+	v := &experiments.VersusTable{}
 	if m, a := v.MeanReductions(); m != 0 || a != 0 {
 		t.Error("empty table reductions should be zero")
 	}

@@ -402,7 +402,7 @@ func TestEviction(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		j, err := m.Submit(thermalsched.NewRequest(thermalsched.FlowPlatform,
 			thermalsched.WithBenchmark("Bm1"),
-			thermalsched.WithSeed(int64(i+1)))) // distinct fingerprints
+			thermalsched.WithTempWeight(float64(i+1)))) // distinct fingerprints
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,7 +17,7 @@ import (
 // CoSynthConfig, PR-4 taskgen audit) before the contract was written
 // down. Only the rewrite shape is flagged: validating a seed
 // (returning an error, selecting a documented default through a
-// presence flag like SeedSet) has no assignment in the guarded body
+// presence flag or a nil pointer) has no assignment in the guarded body
 // and passes. Deliberate rewrites carry
 // //thermalvet:allow seedzero(reason).
 var SeedZeroAnalyzer = &analysis.Analyzer{

@@ -63,7 +63,7 @@ func TestGenerateDeterministic(t *testing.T) {
 
 // Seed zero is a valid seed: it must be honored verbatim (deterministic
 // and distinct from seed 1), never rewritten — the scenario-level
-// counterpart of the CoSynthConfig.SeedSet regression tests.
+// counterpart of TestCoSynthesisSeedZeroContract in the root package.
 func TestGenerateSeedZeroHonored(t *testing.T) {
 	zero := Spec{Seed: 0, Graph: GraphParams{Tasks: 25}}
 	a, err := Generate(zero)

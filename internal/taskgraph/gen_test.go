@@ -193,7 +193,7 @@ func min(a, b int) int {
 }
 
 // Seed zero is a valid seed and must be honored verbatim — the
-// generator-level counterpart of the CoSynthConfig.SeedSet regression:
+// generator-level counterpart of TestCoSynthesisSeedZeroContract:
 // no code path may rewrite an explicit zero to a "default" seed.
 // (Audited for PR 4: Generate passes p.Seed straight to rand.NewSource,
 // and cmd/taskgen passes its -seed flag straight to Generate.)

@@ -23,8 +23,8 @@ func libText(t *testing.T, p GenParams) string {
 }
 
 // Seed zero is a valid seed and must be honored verbatim — the
-// library-generator counterpart of the CoSynthConfig.SeedSet
-// regression: no code path may rewrite an explicit zero to a "default"
+// library-generator counterpart of TestCoSynthesisSeedZeroContract
+// in the root package: no code path may rewrite an explicit zero to a "default"
 // seed. (Audited for PR 4: Generate passes p.Seed straight to
 // rand.NewSource.)
 func TestGenerateSeedZeroHonored(t *testing.T) {

@@ -362,7 +362,8 @@ type Request struct {
 	// default GOMAXPROCS); 1 forces the serial path. Results are
 	// byte-identical at every value — only wall-clock changes.
 	Parallelism int `json:"parallelism,omitempty"`
-	// Seed drives the GA floorplanner (FlowCoSynthesis). Nil keeps the
+	// Seed drives the GA floorplanner (FlowCoSynthesis; Validate
+	// rejects it on other flows, which never consume it). Nil keeps the
 	// historical default (1); an explicit zero is honored as seed 0.
 	Seed *int64 `json:"seed,omitempty"`
 
@@ -458,8 +459,8 @@ func WithThermalHorizon(h float64) RequestOption {
 	return func(r *Request) { r.ThermalHorizon = &h }
 }
 
-// WithSeed fixes the run's seed. Unlike the legacy config structs, an
-// explicit zero is honored rather than silently rewritten to 1.
+// WithSeed fixes the co-synthesis GA floorplanner's seed. An explicit
+// zero is honored as seed 0; only a nil seed means the default 1.
 func WithSeed(seed int64) RequestOption {
 	return func(r *Request) { r.Seed = &seed }
 }
@@ -626,6 +627,9 @@ func (r *Request) Validate() error {
 	if r.Parallelism > 0 && !fs.parallelism {
 		return fieldErr("parallelism", "parallelism on a %q request (only the cosynthesis, simulate and stream flows consume it)", r.Flow)
 	}
+	if r.Seed != nil && r.Flow != FlowCoSynthesis {
+		return fieldErr("seed", "seed on a %q request (only the cosynthesis flow consumes it)", r.Flow)
+	}
 	if r.Simulate != nil && r.Flow != FlowSimulate {
 		return fieldErr("simulate", "simulate parameters on a %q request", r.Flow)
 	}
@@ -677,17 +681,17 @@ func (r *Request) cosynthConfig() (cosynth.CoSynthConfig, error) {
 	if err != nil {
 		return cosynth.CoSynthConfig{}, err
 	}
-	cfg := cosynth.CoSynthConfig{
+	seed := int64(1) // nil keeps the historical default, as in Fingerprint
+	if r.Seed != nil {
+		seed = *r.Seed
+	}
+	return cosynth.CoSynthConfig{
 		Policy:               p,
 		Sched:                r.schedOverrides(p),
 		CandidateTypes:       r.CandidateTypes,
 		MaxPEs:               r.MaxPEs,
 		BusTimePerUnit:       r.BusTimePerUnit,
 		FloorplanGenerations: r.FloorplanGenerations,
-	}
-	if r.Seed != nil {
-		cfg.Seed = *r.Seed
-		cfg.SeedSet = true
-	}
-	return cfg, nil
+		Seed:                 seed,
+	}, nil
 }

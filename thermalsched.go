@@ -22,9 +22,13 @@
 //	))
 //	fmt.Printf("peak %.1f °C\n", resp.Metrics.MaxTemp)
 //
-// Engine.Platform and Engine.CoSynthesize are the typed counterparts
-// returning full results (schedule, floorplan, thermal model), and
-// cmd/thermschedd serves Engine.Run over HTTP/JSON.
+// Run and RunBatch are the one entry path to every flow: a Response
+// carries the paper's metrics (Metrics), the architecture, per-PE
+// operating points and, on request, the floorplan and Gantt chart.
+// Engine.PaperTables regenerates the paper's Tables 1–3 as one batch of
+// such requests, and cmd/thermschedd serves Engine.Run over HTTP/JSON.
+// Callers that need a Schedule value itself call AllocateAndSchedule on
+// an explicit architecture.
 //
 // Beyond the paper's four benchmarks, the generate and campaign flows
 // run the same machinery on synthetic workloads: seeded random task
@@ -41,7 +45,7 @@
 //	internal/linalg      sparse Cholesky, sparse backward-Euler stepper
 //	internal/hotspot     compact thermal RC model (steady state, transient)
 //	internal/cosynth     the two flows of the paper's Figure 1
-//	internal/experiments Tables 1–3 and the scaling study
+//	internal/experiments Tables 1–3 rendering and the scaling study
 //	internal/dtm         thermal supervisors: toggle, PI, admit, zig-zag
 //	internal/coloop      closed-loop co-simulation core, rise forecaster
 //	internal/runtime     the schedule executor: realized replay under DTM
@@ -134,7 +138,7 @@ func Policies() []Policy { return sched.Policies() }
 
 // AllocateAndSchedule runs the ASP directly on an explicit
 // architecture, with cancellation threaded into its greedy loop. Most
-// callers want Engine.Run or Engine.Platform instead.
+// callers want Engine.Run instead.
 func AllocateAndSchedule(ctx context.Context, g *Graph, arch Architecture, lib *Library, cfg SchedConfig) (*Schedule, error) {
 	return sched.AllocateAndSchedule(ctx, g, arch, lib, cfg)
 }
@@ -179,31 +183,18 @@ func NewSearchPool(n int) *SearchPool { return search.NewPool(n) }
 // DefaultGAConfig returns the floorplanner's default GA parameters.
 func DefaultGAConfig() floorplan.GAConfig { return floorplan.DefaultGAConfig() }
 
-// Flow types (paper Figure 1).
-type (
-	// FlowResult is the outcome of a platform or co-synthesis run.
-	FlowResult = cosynth.Result
-	// FlowMetrics are the three columns of the paper's tables.
-	FlowMetrics = cosynth.Metrics
-	// PlatformConfig parameterizes the platform-based flow (Fig. 1b).
-	PlatformConfig = cosynth.PlatformConfig
-	// CoSynthConfig parameterizes the co-synthesis flow (Fig. 1a).
-	CoSynthConfig = cosynth.CoSynthConfig
-)
+// FlowMetrics are the three columns of the paper's tables, plus
+// makespan, feasibility and cost (Response.Metrics).
+type FlowMetrics = cosynth.Metrics
 
-// Experiment suite (Tables 1–3).
+// Paper tables (Engine.PaperTables, cmd/tables).
 type (
-	// Suite bundles the benchmarks and library for table regeneration.
-	Suite = experiments.Suite
 	// Table1 is the power-heuristic comparison.
 	Table1 = experiments.Table1
 	// VersusTable is the power-aware vs thermal-aware comparison
 	// (Tables 2 and 3).
 	VersusTable = experiments.VersusTable
 )
-
-// NewSuite builds the standard experiment suite.
-func NewSuite() (*Suite, error) { return experiments.NewSuite() }
 
 // Scaling-study types (Engine.ScalingTable, cmd/tables -scaling).
 type (

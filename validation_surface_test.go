@@ -73,6 +73,15 @@ func validationCases() []validationCase {
 			cli:   []string{"-flow", "platform", "-benchmark", "Bm1", "-parallelism", "4"},
 		},
 		{
+			// Only the cosynthesis flow's GA floorplanner consumes the
+			// seed; the CLI's -seed feeds the other flows' specs, so it
+			// has no spelling of this request.
+			name: "seed on a platform request",
+			req: thermalsched.NewRequest(thermalsched.FlowPlatform,
+				thermalsched.WithBenchmark("Bm1"), thermalsched.WithSeed(5)),
+			field: "seed",
+		},
+		{
 			name: "negative tempWeight",
 			req: thermalsched.NewRequest(thermalsched.FlowPlatform,
 				thermalsched.WithBenchmark("Bm1"), thermalsched.WithTempWeight(-1)),
