@@ -105,15 +105,7 @@ func BenchmarkFloorplanGACoSynthesisPEs(b *testing.B) {
 		powerMap[name] = 3 + float64(i)*2 // uneven heat, the interesting case
 	}
 	eval := func(fp *floorplan.Floorplan, pw map[string]float64) (float64, error) {
-		m, err := hotspot.NewModel(fp, hs)
-		if err != nil {
-			return 0, err
-		}
-		t, err := m.SteadyState(pw)
-		if err != nil {
-			return 0, err
-		}
-		return t.Max(), nil
+		return hotspot.SteadyPeak(fp, hs, pw)
 	}
 	for i := 0; i < b.N; i++ {
 		cfg := floorplan.DefaultGAConfig()
@@ -413,15 +405,7 @@ func BenchmarkFloorplanGA(b *testing.B) {
 		powerMap[name] = 3 + float64(i)*2
 	}
 	eval := func(fp *floorplan.Floorplan, pw map[string]float64) (float64, error) {
-		m, err := hotspot.NewModel(fp, hs)
-		if err != nil {
-			return 0, err
-		}
-		t, err := m.SteadyState(pw)
-		if err != nil {
-			return 0, err
-		}
-		return t.Max(), nil
+		return hotspot.SteadyPeak(fp, hs, pw)
 	}
 	for _, p := range []int{1, 4} {
 		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {

@@ -52,15 +52,7 @@ func main() {
 	if *tempWeight > 0 && len(power) > 0 {
 		hs := hotspot.DefaultConfig()
 		cfg.Eval = func(fp *floorplan.Floorplan, pw map[string]float64) (float64, error) {
-			m, err := hotspot.NewModel(fp, hs)
-			if err != nil {
-				return 0, err
-			}
-			t, err := m.SteadyState(pw)
-			if err != nil {
-				return 0, err
-			}
-			return t.Max(), nil
+			return hotspot.SteadyPeak(fp, hs, pw)
 		}
 		cfg.Power = power
 	} else {

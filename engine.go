@@ -75,8 +75,9 @@ type engineOptions struct {
 }
 
 // DefaultModelCacheSize bounds the Engine's thermal-model cache. A
-// platform flow needs one entry; a co-synthesis run touches a few
-// hundred candidate floorplans, most visited repeatedly by the GA.
+// platform flow needs one entry; a co-synthesis run adds the final
+// floorplan of each candidate architecture it schedules (the GA's
+// candidate plans bypass the cache).
 const DefaultModelCacheSize = 512
 
 // WithLibrary substitutes a custom technology library for the standard

@@ -34,16 +34,9 @@ func main() {
 	hot := map[string]float64{"cpu0": 7, "cpu1": 7, "dsp": 2, "accel": 4}
 	cfg := thermalsched.DefaultGAConfig()
 	cfg.Generations = 40
+	thermal := thermalsched.DefaultThermalConfig()
 	cfg.Eval = func(fp *thermalsched.Floorplan, pw map[string]float64) (float64, error) {
-		m, err := thermalsched.NewThermalModel(fp, thermalsched.DefaultThermalConfig())
-		if err != nil {
-			return 0, err
-		}
-		t, err := m.SteadyState(pw)
-		if err != nil {
-			return 0, err
-		}
-		return t.Max(), nil
+		return thermalsched.SteadyPeak(fp, thermal, pw)
 	}
 	cfg.Power = hot
 	fpRes, err := thermalsched.FloorplanGA(blocks, cfg)

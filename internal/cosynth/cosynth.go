@@ -38,8 +38,15 @@ type CoSynthConfig struct {
 	// Seed drives the GA floorplanner, verbatim: zero is seed 0. The
 	// Engine resolves a request without a seed to 1.
 	Seed int64
-	// Models supplies thermal models; nil means hotspot.NewModel. The
-	// Engine layer injects its factorization cache here.
+	// Models supplies the thermal model of each candidate
+	// architecture's final floorplan, the one its schedule runs on;
+	// nil means hotspot.NewModel. The Engine layer injects its
+	// factorization cache here. The GA's candidate plans do not go
+	// through it: each is solved once by hotspot.SteadyPeak and
+	// dropped. Caching them did not pay: 300 Bm1 requests (maxPEs 4,
+	// 2 generations, serial) ran 14.3–15.8 ms each through the cache
+	// and 13.3–14.0 ms with it disabled, 3 of 3 pairs, because a
+	// candidate's key and lookup cost about what a hit saved.
 	Models ModelProvider
 	// Search is the token pool bounding the concurrent
 	// candidate-architecture evaluations of the co-synthesis
@@ -532,16 +539,10 @@ func evaluate(ctx context.Context, g *taskgraph.Graph, lib *techlib.Library, typ
 	gaCfg.Seed = c.Seed
 	gaCfg.Pool = c.Search
 	if c.Policy == sched.ThermalAware {
+		// Each candidate plan is solved once and dropped, so it skips
+		// the model cache; only the winner's model goes through it.
 		gaCfg.Eval = func(fp *floorplan.Floorplan, power map[string]float64) (float64, error) {
-			m, err := c.Models.newModel(fp, hs)
-			if err != nil {
-				return 0, err
-			}
-			temps, err := m.SteadyState(power)
-			if err != nil {
-				return 0, err
-			}
-			return temps.Max(), nil
+			return hotspot.SteadyPeak(fp, hs, power)
 		}
 		gaCfg.Power = powerByName
 		gaCfg.TempWeight = 1.0

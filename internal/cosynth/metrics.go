@@ -39,7 +39,7 @@ type Metrics struct {
 // ModelProvider constructs (or recalls) the thermal model of a
 // floorplan under a configuration. The Engine layer injects a caching
 // provider here so repeated flows over the same floorplan — every
-// platform run, and repeated candidate layouts inside co-synthesis —
+// platform run, and the final plans co-synthesis schedules on —
 // reuse one factorization. A nil provider means hotspot.NewModel.
 // Providers must be safe for concurrent use and must return models
 // that are safe for concurrent read-only use (as hotspot.NewModel's

@@ -90,58 +90,75 @@ func fingerprint(e Expression) string {
 // score packs and (under the thermal objective) solves one expression.
 // It checks ctx first — a packing evaluation is the search's unit of
 // cancellable work — and is safe for concurrent use: everything it
-// touches on the evaluator is read-only during a batch.
+// touches on the evaluator is read-only during a batch, and the plan
+// it packs and hands to the Evaluator lives in a pooled packer of its
+// own, so a warm score allocates nothing.
 func (h *evaluator) score(ctx context.Context, e Expression) (individual, error) {
-	if err := ctx.Err(); err != nil {
-		return individual{}, fmt.Errorf("floorplan: GA cancelled after %d evaluations: %w", h.evals, err)
-	}
-	plan, area, err := pack(e, h.blocks, h.leaves)
+	area, peak, err := h.measure(ctx, e)
 	if err != nil {
 		return individual{}, err
 	}
-	ind := individual{expr: e, plan: plan, area: area, peak: math.NaN()}
+	return h.scored(e, area, peak), nil
+}
+
+// measure returns e's bounding-box area and, under the thermal
+// objective, its peak temperature (NaN without one).
+func (h *evaluator) measure(ctx context.Context, e Expression) (area, peak float64, err error) {
+	if err := ctx.Err(); err != nil {
+		return 0, 0, fmt.Errorf("floorplan: GA cancelled after %d evaluations: %w", h.evals, err)
+	}
+	p := packers.Get().(*packer)
+	defer packers.Put(p)
+	area, err = p.pack(e, h.blocks, h.leaves, &p.plan)
+	if err != nil {
+		return 0, 0, err
+	}
+	peak = math.NaN()
+	if h.thermal {
+		if peak, err = h.eval(&p.plan, h.power); err != nil {
+			return 0, 0, fmt.Errorf("floorplan: thermal evaluation: %w", err)
+		}
+	}
+	return area, peak, nil
+}
+
+// scored prices a measured expression under the current
+// temperature scale.
+func (h *evaluator) scored(e Expression, area, peak float64) individual {
 	cost := h.areaW * area / h.blockArea
 	if h.thermal {
-		peak, err := h.eval(plan, h.power)
-		if err != nil {
-			return individual{}, fmt.Errorf("floorplan: thermal evaluation: %w", err)
-		}
-		ind.peak = peak
 		cost += h.tempW * peak / h.tempScale
 	}
-	ind.cost = cost
-	return ind, nil
+	return individual{expr: e, cost: cost, area: area, peak: peak}
 }
 
 // scoreSeed evaluates the search's seed expression exactly once: the
 // same packing and thermal solve both set the temperature-normalization
-// scale and score the individual (the serial path used to pay for the
-// scale-setting solve twice, and never counted it in Result.Evals).
+// scale and score the individual.
 func (h *evaluator) scoreSeed(ctx context.Context, e Expression) (individual, error) {
-	if err := ctx.Err(); err != nil {
-		return individual{}, fmt.Errorf("floorplan: GA cancelled after %d evaluations: %w", h.evals, err)
-	}
-	plan, area, err := pack(e, h.blocks, h.leaves)
+	area, peak, err := h.measure(ctx, e)
 	if err != nil {
 		return individual{}, err
 	}
 	h.evals++
-	ind := individual{expr: e, plan: plan, area: area, peak: math.NaN()}
-	cost := h.areaW * area / h.blockArea
-	if h.thermal {
-		peak, err := h.eval(plan, h.power)
-		if err != nil {
-			return individual{}, fmt.Errorf("floorplan: thermal evaluation: %w", err)
-		}
-		ind.peak = peak
-		if peak > 0 {
-			h.tempScale = peak
-		}
-		cost += h.tempW * peak / h.tempScale
+	if h.thermal && peak > 0 {
+		h.tempScale = peak
 	}
-	ind.cost = cost
+	ind := h.scored(e, area, peak)
 	h.memo.Put(fingerprint(e), ind)
 	return ind, nil
+}
+
+// plan packs e into a new floorplan the caller owns: the search keeps
+// only expressions, and re-packs its winner.
+func (h *evaluator) plan(e Expression) (*Floorplan, error) {
+	p := packers.Get().(*packer)
+	defer packers.Put(p)
+	fp := New()
+	if _, err := p.pack(e, h.blocks, h.leaves, fp); err != nil {
+		return nil, err
+	}
+	return fp, nil
 }
 
 // scoreBatch scores a batch of candidates drawn serially by the caller

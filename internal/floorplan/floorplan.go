@@ -114,13 +114,27 @@ func (f *Floorplan) Rect(name string) (geom.Rect, bool) {
 	return f.blocks[i].Rect, true
 }
 
-// BoundingBox returns the bounding box of all blocks.
+// Block returns the block at insertion index i.
+func (f *Floorplan) Block(i int) Placed { return f.blocks[i] }
+
+// Index returns the insertion index of the named block.
+func (f *Floorplan) Index(name string) (int, bool) {
+	i, ok := f.index[name]
+	return i, ok
+}
+
+// BoundingBox returns the bounding box of all blocks: the zero Rect
+// for an empty plan, otherwise the blocks' rectangles folded through
+// geom.Union in insertion order, as geom.BoundingBox folds them.
 func (f *Floorplan) BoundingBox() geom.Rect {
-	rs := make([]geom.Rect, len(f.blocks))
-	for i, b := range f.blocks {
-		rs[i] = b.Rect
+	if len(f.blocks) == 0 {
+		return geom.Rect{}
 	}
-	return geom.BoundingBox(rs)
+	bb := f.blocks[0].Rect
+	for _, b := range f.blocks[1:] {
+		bb = geom.Union(bb, b.Rect)
+	}
+	return bb
 }
 
 // Area returns the bounding-box area, the usual packing objective.
@@ -146,21 +160,24 @@ func (f *Floorplan) Deadspace() float64 {
 }
 
 // Validate checks that the floorplan has at least one block, no duplicate
-// or invalid rectangles, and no overlapping pair.
+// or invalid rectangles, and no overlapping pair. It reports the first
+// invalid block in insertion order, then the first overlapping pair in
+// (i, j) order, and allocates only its error.
 func (f *Floorplan) Validate() error {
 	if len(f.blocks) == 0 {
 		return fmt.Errorf("floorplan: empty")
 	}
-	rs := make([]geom.Rect, len(f.blocks))
-	for i, b := range f.blocks {
+	for _, b := range f.blocks {
 		if !b.Rect.Valid() {
 			return fmt.Errorf("floorplan: block %q has invalid rect %v", b.Name, b.Rect)
 		}
-		rs[i] = b.Rect
 	}
-	if i, j, bad := geom.AnyOverlap(rs); bad {
-		return fmt.Errorf("floorplan: blocks %q and %q overlap",
-			f.blocks[i].Name, f.blocks[j].Name)
+	for i, a := range f.blocks {
+		for _, b := range f.blocks[i+1:] {
+			if a.Rect.Overlaps(b.Rect) {
+				return fmt.Errorf("floorplan: blocks %q and %q overlap", a.Name, b.Name)
+			}
+		}
 	}
 	return nil
 }
@@ -239,22 +256,24 @@ func (f *Floorplan) String() string {
 	return b.String()
 }
 
-// Adjacency returns, for every pair of abutting blocks, the shared edge
-// length. The result maps i -> j -> length for i < j, using block indices
-// in insertion order. The thermal network builder consumes this.
-func (f *Floorplan) Adjacency(tol float64) map[int]map[int]float64 {
-	adj := make(map[int]map[int]float64)
+// Abutment is one pair of abutting blocks: their insertion indices,
+// I < J, and the length of the edge they share.
+type Abutment struct {
+	I, J int
+	Edge float64
+}
+
+// Adjacency appends one Abutment per pair of abutting blocks to dst, in
+// increasing (I, J) order, and returns the extended slice. The thermal
+// network builder consumes this.
+func (f *Floorplan) Adjacency(dst []Abutment, tol float64) []Abutment {
 	for i := 0; i < len(f.blocks); i++ {
 		for j := i + 1; j < len(f.blocks); j++ {
 			l, _ := geom.SharedEdge(f.blocks[i].Rect, f.blocks[j].Rect, tol)
-			if l <= 0 {
-				continue
+			if l > 0 {
+				dst = append(dst, Abutment{I: i, J: j, Edge: l})
 			}
-			if adj[i] == nil {
-				adj[i] = make(map[int]float64)
-			}
-			adj[i][j] = l
 		}
 	}
-	return adj
+	return dst
 }

@@ -77,6 +77,9 @@ func TestAreaDeadspaceBoundingBox(t *testing.T) {
 	if bb.W != 2 || bb.H != 2 {
 		t.Errorf("BoundingBox = %v", bb)
 	}
+	if got := New().BoundingBox(); got != (geom.Rect{}) {
+		t.Errorf("empty BoundingBox = %v, want zero", got)
+	}
 	if fp.Area() != 4 {
 		t.Errorf("Area = %v", fp.Area())
 	}
@@ -171,12 +174,20 @@ func TestAdjacency(t *testing.T) {
 	mustAdd(t, fp, "a", geom.NewRect(0, 0, 1, 1))
 	mustAdd(t, fp, "b", geom.NewRect(1, 0, 1, 1)) // abuts a
 	mustAdd(t, fp, "c", geom.NewRect(5, 5, 1, 1)) // isolated
-	adj := fp.Adjacency(geom.Eps)
-	if l := adj[0][1]; math.Abs(l-1) > 1e-12 {
-		t.Errorf("shared edge a-b = %v, want 1", l)
+	mustAdd(t, fp, "d", geom.NewRect(0, 1, 2, 1)) // on top of a and b
+	adj := fp.Adjacency(nil, geom.Eps)
+	want := []Abutment{{0, 1, 1}, {0, 3, 1}, {1, 3, 1}}
+	if len(adj) != len(want) {
+		t.Fatalf("Adjacency = %v, want %v", adj, want)
 	}
-	if _, ok := adj[0][2]; ok {
-		t.Error("a and c should not be adjacent")
+	for k, a := range adj {
+		if a.I != want[k].I || a.J != want[k].J || math.Abs(a.Edge-want[k].Edge) > 1e-12 {
+			t.Errorf("Adjacency[%d] = %v, want %v", k, a, want[k])
+		}
+	}
+	// It appends to the caller's slice.
+	if got := fp.Adjacency(adj[:1], geom.Eps); len(got) != 1+len(want) || got[1] != adj[0] {
+		t.Errorf("Adjacency(dst) = %v, want dst then the pairs", got)
 	}
 }
 
@@ -223,11 +234,9 @@ func TestRowOfAndGridOfKeepBlocksCoupled(t *testing.T) {
 			t.Fatalf("%s: invalid floorplan: %v", tc.layout, err)
 		}
 		deg := make([]int, len(names))
-		for i, row := range fp.Adjacency(geom.Eps) {
-			for j := range row {
-				deg[i]++
-				deg[j]++
-			}
+		for _, a := range fp.Adjacency(nil, geom.Eps) {
+			deg[a.I]++
+			deg[a.J]++
 		}
 		for i, d := range deg {
 			if d == 0 {

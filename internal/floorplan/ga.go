@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"thermalsched/internal/search"
 )
@@ -13,6 +14,9 @@ import (
 // co-synthesis layer wires this to the HotSpot-style model: given the
 // plan and a per-block power map (watts), return the peak steady-state
 // temperature. A nil Evaluator makes the search purely area-driven.
+// fp is scratch the search packs the next candidate into: it is valid
+// only during the call, and the Evaluator must neither modify nor keep
+// it.
 type Evaluator func(fp *Floorplan, power map[string]float64) (peakTemp float64, err error)
 
 // GAConfig parameterizes the genetic algorithm floorplanner.
@@ -77,13 +81,18 @@ type Result struct {
 	MemoHits int
 }
 
+// individual is one scored genome. It keeps no floorplan: RunGA
+// re-packs the winner's expression, which gives the plan scoring saw.
 type individual struct {
 	expr Expression
 	cost float64
-	plan *Floorplan
 	area float64
 	peak float64
 }
+
+// gaRands recycles the search's random sources: seeding one anew is
+// exactly seeding a new one, and saves its 4.9 KB state per run.
+var gaRands = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
 
 // RunGA searches for a slicing floorplan of blocks minimizing the
 // weighted area/temperature objective. The search checks ctx before
@@ -111,7 +120,9 @@ func RunGA(ctx context.Context, blocks []Block, cfg GAConfig) (*Result, error) {
 	if cfg.TournamentK < 1 {
 		cfg.TournamentK = 2
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := gaRands.Get().(*rand.Rand)
+	defer gaRands.Put(rng)
+	rng.Seed(cfg.Seed)
 	// Normalization scales so area and temperature contribute comparably:
 	// area relative to the sum of block areas, temperature relative to the
 	// seed plan's peak (set by scoreSeed).
@@ -177,8 +188,12 @@ func RunGA(ctx context.Context, blocks []Block, cfg GAConfig) (*Result, error) {
 			best = b
 		}
 	}
+	plan, err := h.plan(best.expr)
+	if err != nil {
+		return nil, err
+	}
 	return &Result{
-		Plan:     best.plan,
+		Plan:     plan,
 		Area:     best.area,
 		PeakTemp: best.peak,
 		Cost:     best.cost,

@@ -133,9 +133,8 @@ func TestGrid(t *testing.T) {
 		t.Errorf("grid deadspace = %v", fp.Deadspace())
 	}
 	// pe0 and pe1 must abut for lateral heat flow.
-	adj := fp.Adjacency(1e-9)
-	if adj[0][1] == 0 {
-		t.Error("pe0 and pe1 should be adjacent")
+	if adj := fp.Adjacency(nil, 1e-9); len(adj) == 0 || adj[0].I != 0 || adj[0].J != 1 {
+		t.Errorf("pe0 and pe1 should be adjacent: %v", adj)
 	}
 }
 

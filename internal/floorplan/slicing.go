@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"thermalsched/internal/geom"
 )
@@ -37,10 +38,16 @@ type Expression []Gene
 // ValidExpression checks that e is a structurally valid Polish expression
 // over exactly n blocks, each appearing once.
 func ValidExpression(e Expression, n int) error {
+	return validExpression(e, n, make([]bool, n))
+}
+
+// validExpression is ValidExpression with the operand marks in seen
+// (length n), which it overwrites.
+func validExpression(e Expression, n int, seen []bool) error {
 	if len(e) != 2*n-1 {
 		return fmt.Errorf("floorplan: expression length %d, want %d for %d blocks", len(e), 2*n-1, n)
 	}
-	seen := make([]bool, n)
+	clear(seen)
 	operands, operators := 0, 0
 	for i, g := range e {
 		if g.IsOperator() {
@@ -174,30 +181,56 @@ type node struct {
 	shapes      []shape
 }
 
-// buildTree parses the postfix expression into a tree and computes shape
-// curves bottom-up. leaves[i] is the shape curve of operand gene i
-// (leafShapes); leaf nodes share it.
-func buildTree(e Expression, leaves [][]shape) (*node, error) {
-	if err := ValidExpression(e, len(leaves)); err != nil {
-		return nil, err
-	}
-	stack := make([]*node, 0, len(leaves))
-	for _, g := range e {
-		if !g.IsOperator() {
-			stack = append(stack, &node{op: g, shapes: leaves[g]})
-			continue
-		}
-		r := stack[len(stack)-1]
-		l := stack[len(stack)-2]
-		stack = stack[:len(stack)-2]
-		n := &node{op: g, left: l, right: r}
-		n.shapes = combine(g, l.shapes, r.shapes)
-		stack = append(stack, n)
-	}
-	return stack[0], nil
+// packer is the scratch of one packing at a time: the slicing tree's
+// nodes, the combined shape curves and the operand marks, reused from
+// pack to pack, and plan, the floorplan the GA scores each candidate
+// in. A search draws one per scoring call from packers, so concurrent
+// scorers never share one.
+type packer struct {
+	nodes  []node
+	stack  []*node
+	curves []shape
+	seen   []bool
+	plan   Floorplan
 }
 
-// combine merges two children's shape curves under an operator.
+var packers = sync.Pool{New: func() any { return new(packer) }}
+
+// tree parses the postfix expression into a tree and computes shape
+// curves bottom-up. leaves[i] is the shape curve of operand gene i
+// (leafShapes); leaf nodes share it. The tree and every internal
+// node's curve live in p's scratch until its next call.
+func (p *packer) tree(e Expression, leaves [][]shape) (*node, error) {
+	n := len(leaves)
+	p.seen = slices.Grow(p.seen[:0], n)[:n]
+	if err := validExpression(e, n, p.seen); err != nil {
+		return nil, err
+	}
+	// Sized up front, so &p.nodes[k] stays valid while the tree grows
+	// and no combine outgrows the curve arena: children keep at most
+	// maxCurve shapes, so each of the n-1 merges emits at most
+	// 2·maxCurve-1 candidates and keeps fewer.
+	p.nodes = slices.Grow(p.nodes[:0], len(e))
+	p.stack = slices.Grow(p.stack[:0], n)
+	p.curves = slices.Grow(p.curves[:0], (n-1)*(2*maxCurve-1))
+	for _, g := range e {
+		if !g.IsOperator() {
+			p.nodes = append(p.nodes, node{op: g, shapes: leaves[g]})
+			p.stack = append(p.stack, &p.nodes[len(p.nodes)-1])
+			continue
+		}
+		r := p.stack[len(p.stack)-1]
+		l := p.stack[len(p.stack)-2]
+		base := len(p.curves)
+		p.curves = combine(p.curves, g, l.shapes, r.shapes)
+		p.nodes = append(p.nodes, node{op: g, left: l, right: r, shapes: p.curves[base:len(p.curves):len(p.curves)]})
+		p.stack = append(p.stack[:len(p.stack)-2], &p.nodes[len(p.nodes)-1])
+	}
+	return p.stack[0], nil
+}
+
+// combine merges two children's shape curves under an operator,
+// appending the merged curve to dst and returning the extended slice.
 // Vertical cut: widths add, heights max. Horizontal cut: heights add,
 // widths max.
 //
@@ -209,10 +242,10 @@ func buildTree(e Expression, leaves [][]shape) (*node, error) {
 // a tie; the walk ends when the binding child has no next shape. That
 // is at most len(ls)+len(rs)-1 candidates instead of every pair, and
 // prune applies the dominance tolerance and the length cap to them.
-func combine(op Gene, ls, rs []shape) []shape {
+func combine(dst []shape, op Gene, ls, rs []shape) []shape {
 	li, lstep, lend := walkOrder(op, ls)
 	ri, rstep, rend := walkOrder(op, rs)
-	out := make([]shape, 0, len(ls)+len(rs)-1)
+	base := len(dst)
 	for {
 		l, r := ls[li], rs[ri]
 		s := shape{li: li, ri: ri}
@@ -224,10 +257,10 @@ func combine(op Gene, ls, rs []shape) []shape {
 			s.w, s.h = math.Max(l.w, r.w), l.h+r.h
 			lx, rx = l.w, r.w
 		}
-		out = append(out, s)
+		dst = append(dst, s)
 		advL, advR := !(lx < rx), !(rx < lx)
 		if advL && li == lend || advR && ri == rend {
-			return prune(out)
+			return dst[:base+len(prune(dst[base:]))]
 		}
 		if advL {
 			li += lstep
@@ -281,15 +314,21 @@ func Pack(e Expression, blocks []Block) (*Floorplan, float64, error) {
 			return nil, 0, err
 		}
 	}
-	return pack(e, blocks, leafShapes(blocks))
+	fp := New()
+	area, err := new(packer).pack(e, blocks, leafShapes(blocks), fp)
+	if err != nil {
+		return nil, 0, err
+	}
+	return fp, area, nil
 }
 
 // pack is Pack over validated blocks whose shape curves leaves already
-// holds (leafShapes).
-func pack(e Expression, blocks []Block, leaves [][]shape) (*Floorplan, float64, error) {
-	root, err := buildTree(e, leaves)
+// holds (leafShapes), realized into fp, which it empties first. It
+// returns the plan's bounding-box area.
+func (p *packer) pack(e Expression, blocks []Block, leaves [][]shape, fp *Floorplan) (float64, error) {
+	root, err := p.tree(e, leaves)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	best, bestArea := 0, math.Inf(1)
 	for i, s := range root.shapes {
@@ -297,9 +336,10 @@ func pack(e Expression, blocks []Block, leaves [][]shape) (*Floorplan, float64, 
 			best, bestArea = i, a
 		}
 	}
-	fp := &Floorplan{blocks: make([]Placed, 0, len(blocks)), index: make(map[string]int, len(blocks))}
+	fp.blocks = fp.blocks[:0]
+	clear(fp.index)
 	if err := realize(root, best, 0, 0, blocks, fp); err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	return fp, bestArea, nil
+	return bestArea, nil
 }

@@ -323,7 +323,7 @@ func pairShape(op Gene, l, r shape, li, ri int) shape {
 // pair it keeps is an accident of its pivots; unless strict, any pair
 // of such a tie is accepted.
 func diffCombine(op Gene, ls, rs []shape, strict bool) error {
-	got, want := combine(op, ls, rs), exhaustiveCombine(op, ls, rs)
+	got, want := combine(nil, op, ls, rs), exhaustiveCombine(op, ls, rs)
 	if len(got) != len(want) {
 		return fmt.Errorf("op %d: %d shapes, reference has %d\n got %v\nwant %v", op, len(got), len(want), got, want)
 	}
@@ -431,7 +431,7 @@ func TestCombineMatchesExhaustive(t *testing.T) {
 		if trial%4 == 0 {
 			blocks[1] = blocks[0] // identical leaves
 		}
-		root, err := buildTree(randomExpression(n, rng), leafShapes(blocks))
+		root, err := new(packer).tree(randomExpression(n, rng), leafShapes(blocks))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -103,19 +103,6 @@ func Union(r, s Rect) Rect {
 	return Rect{X: x0, Y: y0, W: x1 - x0, H: y1 - y0}
 }
 
-// BoundingBox returns the smallest rectangle covering all rs. It returns
-// the zero Rect for an empty slice.
-func BoundingBox(rs []Rect) Rect {
-	if len(rs) == 0 {
-		return Rect{}
-	}
-	bb := rs[0]
-	for _, r := range rs[1:] {
-		bb = Union(bb, r)
-	}
-	return bb
-}
-
 // SharedEdge returns the length of the boundary segment shared by r and s
 // and the axis it runs along. Two rectangles share an edge when they abut:
 // one's right edge coincides with the other's left edge (a vertical shared
@@ -163,17 +150,4 @@ func (a Axis) String() string {
 	default:
 		return "none"
 	}
-}
-
-// AnyOverlap reports whether any pair in rs overlaps, returning the first
-// offending pair's indices. It is O(n²), fine for floorplan-sized inputs.
-func AnyOverlap(rs []Rect) (i, j int, ok bool) {
-	for a := 0; a < len(rs); a++ {
-		for b := a + 1; b < len(rs); b++ {
-			if rs[a].Overlaps(rs[b]) {
-				return a, b, true
-			}
-		}
-	}
-	return 0, 0, false
 }

@@ -107,7 +107,7 @@ func TestOverlapsEdgeTouchDoesNotCount(t *testing.T) {
 	}
 }
 
-func TestUnionAndBoundingBox(t *testing.T) {
+func TestUnion(t *testing.T) {
 	r := NewRect(0, 0, 1, 1)
 	s := NewRect(2, 3, 1, 1)
 	u := Union(r, s)
@@ -115,12 +115,9 @@ func TestUnionAndBoundingBox(t *testing.T) {
 	if u != want {
 		t.Errorf("Union = %v, want %v", u, want)
 	}
-	bb := BoundingBox([]Rect{r, s, NewRect(-1, 0, 0.5, 0.5)})
-	if bb.X != -1 || bb.MaxX() != 3 || bb.MaxY() != 4 {
-		t.Errorf("BoundingBox = %v", bb)
-	}
-	if got := BoundingBox(nil); got != (Rect{}) {
-		t.Errorf("BoundingBox(nil) = %v, want zero", got)
+	u = Union(u, NewRect(-1, 0, 0.5, 0.5))
+	if u.X != -1 || u.MaxX() != 3 || u.MaxY() != 4 {
+		t.Errorf("Union of three = %v", u)
 	}
 }
 
@@ -159,17 +156,6 @@ func TestSharedEdge(t *testing.T) {
 func TestAxisString(t *testing.T) {
 	if None.String() != "none" || Horizontal.String() != "horizontal" || Vertical.String() != "vertical" {
 		t.Error("Axis.String mismatch")
-	}
-}
-
-func TestAnyOverlap(t *testing.T) {
-	rs := []Rect{NewRect(0, 0, 1, 1), NewRect(2, 0, 1, 1), NewRect(2.5, 0, 1, 1)}
-	i, j, ok := AnyOverlap(rs)
-	if !ok || i != 1 || j != 2 {
-		t.Errorf("AnyOverlap = (%d,%d,%v), want (1,2,true)", i, j, ok)
-	}
-	if _, _, ok := AnyOverlap(rs[:2]); ok {
-		t.Error("AnyOverlap on disjoint rects = true, want false")
 	}
 }
 

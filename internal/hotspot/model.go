@@ -3,7 +3,7 @@ package hotspot
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -65,10 +65,27 @@ type Model struct {
 // to a dense Cholesky factorization.
 const minDegreeBlocks = 32
 
-// builders recycles the conductance assembly's triplet log and Build
-// scratch across model builds. Build copies into arrays the model owns,
-// so nothing a Model holds comes from the pool.
-var builders = sync.Pool{New: func() any { return new(linalg.SparseBuilder) }}
+// scratches recycles the network assembly's buffers across model
+// builds and SteadyPeak calls. NewModel copies what it keeps out of
+// them (Build allocates the model's CSR), so nothing a Model holds
+// comes from the pool.
+var scratches = sync.Pool{New: func() any { return new(scratch) }}
+
+// scratch is one assembly's working storage: the triplet log, the
+// adjacency list and per-block abutting edge lengths, and for
+// SteadyPeak the matrix, its factor, the power and rise vectors it
+// solves with and the power map's sorted keys.
+type scratch struct {
+	gb     linalg.SparseBuilder
+	adj    []floorplan.Abutment
+	shared []float64
+
+	csr  linalg.CSR
+	chol linalg.SparseCholesky
+	p    []float64
+	rise []float64
+	keys []string
+}
 
 // NewModel builds the thermal network for fp under cfg. The floorplan
 // must be valid (non-empty, no overlaps). The steady-state factor's
@@ -81,45 +98,106 @@ func NewModel(fp *floorplan.Floorplan, cfg Config) (*Model, error) {
 // when minDegree is set, natural otherwise. Only tests that compare
 // the two orders on one floorplan pass it directly.
 func newModel(fp *floorplan.Floorplan, cfg Config, minDegree bool) (*Model, error) {
-	if err := cfg.Validate(); err != nil {
+	n := fp.NumBlocks()
+	total := 2*n + 2
+	caps := make([]float64, total)
+	s := scratches.Get().(*scratch)
+	defer scratches.Put(s)
+	if err := s.assemble(fp, cfg, caps); err != nil {
 		return nil, err
 	}
-	if err := fp.Validate(); err != nil {
-		return nil, fmt.Errorf("hotspot: %w", err)
-	}
-	blocks := fp.Blocks()
-	n := len(blocks)
-	total := 2*n + 2
-	ring, sink := 2*n, 2*n+1
-	spreaderOf := func(i int) int { return n + i }
-
 	m := &Model{
 		cfg:    cfg,
 		names:  fp.Names(),
 		byName: make(map[string]int, n),
 		n:      n,
 		total:  total,
-		caps:   make([]float64, total),
+		csr:    s.gb.Build(),
+		caps:   caps,
 		cols:   make([]atomic.Pointer[[]float64], n),
 	}
 	for i, name := range m.names {
 		m.byName[name] = i
 	}
+	if minDegree {
+		m.order = linalg.MinDegreeOrdering(m.csr)
+	}
+	f, err := linalg.FactorSparseCholeskyOrdered(m.csr, m.order)
+	if err != nil {
+		return nil, fmt.Errorf("hotspot: conductance matrix not SPD (floorplan degenerate?): %w", err)
+	}
+	m.solv = f
+	return m, nil
+}
+
+// SteadyPeak returns the hottest block's steady-state temperature (°C)
+// of fp under cfg and the per-block power map (watts): bit for bit
+// NewModel(fp, cfg) followed by SteadyState(power).Max(), with the
+// same errors in the same order. It keeps nothing, so it suits a
+// search that scores each floorplan once: the network is assembled,
+// factored and solved in pooled scratch, and below minDegreeBlocks
+// blocks a warm call allocates nothing. It is safe for concurrent use.
+func SteadyPeak(fp *floorplan.Floorplan, cfg Config, power map[string]float64) (float64, error) {
+	s := scratches.Get().(*scratch)
+	defer scratches.Put(s)
+	return s.steadyPeak(fp, cfg, power)
+}
+
+// steadyPeak is SteadyPeak in s.
+func (s *scratch) steadyPeak(fp *floorplan.Floorplan, cfg Config, power map[string]float64) (float64, error) {
+	if err := s.assemble(fp, cfg, nil); err != nil {
+		return 0, err
+	}
+	s.gb.BuildInto(&s.csr)
+	var order []int
+	if fp.NumBlocks() >= minDegreeBlocks {
+		order = linalg.MinDegreeOrdering(&s.csr)
+	}
+	if err := s.chol.Refactor(&s.csr, order); err != nil {
+		return 0, fmt.Errorf("hotspot: conductance matrix not SPD (floorplan degenerate?): %w", err)
+	}
+	n, total := fp.NumBlocks(), s.csr.N()
+	s.p = slices.Grow(s.p[:0], total)[:total]
+	var err error
+	if s.keys, err = fillPower(s.p, power, s.keys, fp.Index); err != nil {
+		return 0, err
+	}
+	s.rise = slices.Grow(s.rise[:0], total)[:total]
+	if err := s.chol.SolveInto(s.rise, s.p); err != nil {
+		return 0, fmt.Errorf("hotspot: steady-state solve: %w", err)
+	}
+	temps := s.rise[:n]
+	for i := range temps {
+		temps[i] += cfg.AmbientC
+	}
+	return linalg.Max(temps), nil
+}
+
+// assemble checks cfg and fp and logs fp's conductance network into
+// s.gb, reset to the network's size; NewModel and SteadyPeak both
+// build their matrix from it, so they factor the same bits. When caps
+// is non-nil (length 2n+2) it receives the node heat capacities.
+func (s *scratch) assemble(fp *floorplan.Floorplan, cfg Config, caps []float64) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if err := fp.Validate(); err != nil {
+		return fmt.Errorf("hotspot: %w", err)
+	}
+	n := fp.NumBlocks()
+	total := 2*n + 2
+	ring, sink := 2*n, 2*n+1
+	spreaderOf := func(i int) int { return n + i }
 
 	// The sparse builder accumulates duplicates in insertion order, so
 	// both elimination orders factor the same bits. Its triplet log is
 	// recycled across builds and sized before the first Add: at most 8
 	// triplets per abutting pair (die and spreader), 12 per block (ring
 	// and vertical paths), 4 for ring → sink and 1 for sink → ambient.
-	adj := fp.Adjacency(geom.Eps)
-	pairs := 0
-	for i := 0; i < n; i++ {
-		pairs += len(adj[i])
-	}
-	gb := builders.Get().(*linalg.SparseBuilder)
-	defer builders.Put(gb)
+	s.adj = fp.Adjacency(s.adj[:0], geom.Eps)
+	gb := &s.gb
 	gb.Reset(total)
-	gb.Grow(8*pairs + 12*n + 5)
+	gb.Grow(8*len(s.adj) + 12*n + 5)
 	addConductance := func(i, j int, g float64) {
 		gb.Add(i, i, g)
 		gb.Add(j, j, g)
@@ -132,36 +210,24 @@ func newModel(fp *floorplan.Floorplan, cfg Config, minDegree bool) (*Model, erro
 	// The spreader path dominates (copper, thicker), which is what makes
 	// centre blocks run hotter than edge blocks — the spatial effect the
 	// thermal-aware scheduler exploits.
-	// Iterate the adjacency map in index order: float accumulation into
-	// the conductance matrix is order-sensitive at the last ulp, and a
-	// randomized map walk would make nominally identical models differ
-	// between builds (breaking the byte-identical cross-surface
-	// contract for heterogeneous floorplans, whose conductances are not
-	// all equal).
-	sharedOf := make([]float64, n) // total abutting edge length per block
-	for i := 0; i < n; i++ {
-		row := adj[i]
-		if len(row) == 0 {
+	// The pairs come in increasing (i, j) order: float accumulation
+	// into the conductance matrix is order-sensitive at the last ulp,
+	// so a fixed order is what makes nominally identical models equal
+	// between builds (the byte-identical cross-surface contract for
+	// heterogeneous floorplans, whose conductances are not all equal).
+	s.shared = slices.Grow(s.shared[:0], n)[:n] // total abutting edge length per block
+	clear(s.shared)
+	for _, a := range s.adj {
+		s.shared[a.I] += a.Edge
+		s.shared[a.J] += a.Edge
+		d := fp.Block(a.I).Rect.Center().Dist(fp.Block(a.J).Rect.Center())
+		if d <= 0 {
 			continue
 		}
-		js := make([]int, 0, len(row))
-		for j := range row {
-			js = append(js, j)
-		}
-		sort.Ints(js)
-		for _, j := range js {
-			edge := row[j]
-			sharedOf[i] += edge
-			sharedOf[j] += edge
-			d := blocks[i].Rect.Center().Dist(blocks[j].Rect.Center())
-			if d <= 0 {
-				continue
-			}
-			gDie := cfg.SiliconConductivity * cfg.DieThickness * edge / d
-			addConductance(i, j, gDie)
-			gSp := cfg.SpreaderConductivity * cfg.SpreaderThickness * edge / d
-			addConductance(spreaderOf(i), spreaderOf(j), gSp)
-		}
+		gDie := cfg.SiliconConductivity * cfg.DieThickness * a.Edge / d
+		addConductance(a.I, a.J, gDie)
+		gSp := cfg.SpreaderConductivity * cfg.SpreaderThickness * a.Edge / d
+		addConductance(spreaderOf(a.I), spreaderOf(a.J), gSp)
 	}
 
 	// Peripheral spreader ring: each block's spreader region couples to
@@ -171,13 +237,14 @@ func newModel(fp *floorplan.Floorplan, cfg Config, minDegree bool) (*Model, erro
 	// cooler.
 	bbox := fp.BoundingBox()
 	ringArea := 2 * (bbox.W + bbox.H) * cfg.SpreaderRingWidth
-	for i, b := range blocks {
-		exposed := 2*(b.Rect.W+b.Rect.H) - sharedOf[i]
+	for i := 0; i < n; i++ {
+		r := fp.Block(i).Rect
+		exposed := 2*(r.W+r.H) - s.shared[i]
 		if exposed <= 0 {
 			continue
 		}
 		// Centre-of-block to centre-of-ring distance.
-		d := (math.Sqrt(b.Rect.Area()) + cfg.SpreaderRingWidth) / 2
+		d := (math.Sqrt(r.Area()) + cfg.SpreaderRingWidth) / 2
 		g := cfg.SpreaderConductivity * cfg.SpreaderThickness * exposed / d
 		addConductance(spreaderOf(i), ring, g)
 	}
@@ -186,18 +253,20 @@ func newModel(fp *floorplan.Floorplan, cfg Config, minDegree bool) (*Model, erro
 	// series with the interface material. Spreader region → sink: the
 	// total spreader-to-sink resistance apportioned by area share.
 	var totalArea float64
-	for _, b := range blocks {
-		totalArea += b.Rect.Area()
+	for i := 0; i < n; i++ {
+		totalArea += fp.Block(i).Rect.Area()
 	}
-	for i, b := range blocks {
-		area := b.Rect.Area()
+	for i := 0; i < n; i++ {
+		area := fp.Block(i).Rect.Area()
 		rDie := cfg.DieThickness / (cfg.SiliconConductivity * area)
 		rIface := cfg.InterfaceResistivity / area
 		addConductance(i, spreaderOf(i), 1/(rDie+rIface))
 		rSp := cfg.SpreaderToSinkResistance * totalArea / area
 		addConductance(spreaderOf(i), sink, 1/rSp)
-		m.caps[i] = cfg.SiliconVolumetricHeat * area * cfg.DieThickness
-		m.caps[spreaderOf(i)] = cfg.SpreaderVolumetricHeat * area * cfg.SpreaderThickness
+		if caps != nil {
+			caps[i] = cfg.SiliconVolumetricHeat * area * cfg.DieThickness
+			caps[spreaderOf(i)] = cfg.SpreaderVolumetricHeat * area * cfg.SpreaderThickness
+		}
 	}
 
 	// Ring → sink: the spreader-to-sink resistance scaled by the ring's
@@ -206,23 +275,15 @@ func newModel(fp *floorplan.Floorplan, cfg Config, minDegree bool) (*Model, erro
 		rRing := cfg.SpreaderToSinkResistance * totalArea / ringArea
 		addConductance(ring, sink, 1/rRing)
 	}
-	m.caps[ring] = math.Max(cfg.SpreaderVolumetricHeat*ringArea*cfg.SpreaderThickness, 1e-6)
 
 	// Sink → ambient. Ambient is the reference node, so the convection
 	// conductance appears only on the sink's diagonal.
 	gb.Add(sink, sink, 1/cfg.ConvectionResistance)
-	m.caps[sink] = cfg.SinkHeatCapacity
-
-	m.csr = gb.Build()
-	if minDegree {
-		m.order = linalg.MinDegreeOrdering(m.csr)
+	if caps != nil {
+		caps[ring] = math.Max(cfg.SpreaderVolumetricHeat*ringArea*cfg.SpreaderThickness, 1e-6)
+		caps[sink] = cfg.SinkHeatCapacity
 	}
-	f, err := linalg.FactorSparseCholeskyOrdered(m.csr, m.order)
-	if err != nil {
-		return nil, fmt.Errorf("hotspot: conductance matrix not SPD (floorplan degenerate?): %w", err)
-	}
-	m.solv = f
-	return m, nil
+	return nil
 }
 
 // Config returns the model's configuration.
@@ -242,26 +303,41 @@ func (m *Model) NumBlocks() int { return m.n }
 // Unknown names are an error; blocks absent from the map dissipate zero.
 func (m *Model) powerVector(power map[string]float64) ([]float64, error) {
 	p := make([]float64, m.total)
-	names := make([]string, 0, len(power))
+	if _, err := fillPower(p, power, nil, func(name string) (int, bool) {
+		i, ok := m.byName[name]
+		return i, ok
+	}); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// fillPower writes the node-power vector of a name→watts map into p,
+// zeroing it first, with index giving each name's block node. Unknown
+// names and negative, NaN or infinite powers are errors. keys is
+// scratch for the map's names, returned grown for reuse.
+func fillPower(p []float64, power map[string]float64, keys []string, index func(string) (int, bool)) ([]string, error) {
+	clear(p)
+	keys = keys[:0]
 	for name := range power {
-		names = append(names, name)
+		keys = append(keys, name)
 	}
 	// The vector fill writes disjoint indices, but which invalid
 	// entry gets reported must not depend on map order: iterate
 	// sorted.
-	sort.Strings(names)
-	for _, name := range names {
+	slices.Sort(keys)
+	for _, name := range keys {
 		w := power[name]
-		i, ok := m.byName[name]
+		i, ok := index(name)
 		if !ok {
-			return nil, fmt.Errorf("hotspot: power for unknown block %q", name)
+			return keys, fmt.Errorf("hotspot: power for unknown block %q", name)
 		}
 		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			return nil, fmt.Errorf("hotspot: invalid power %g W for block %q", w, name)
+			return keys, fmt.Errorf("hotspot: invalid power %g W for block %q", w, name)
 		}
 		p[i] = w
 	}
-	return p, nil
+	return keys, nil
 }
 
 // Temps holds per-block steady-state or instantaneous temperatures in °C.

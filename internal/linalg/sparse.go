@@ -116,13 +116,23 @@ func (b *SparseBuilder) Add(i, j int, v float64) {
 // Build compresses the accumulated triplets into a CSR matrix. It does
 // not consume the log: further Adds extend it, and Reset starts a new
 // matrix.
-func (b *SparseBuilder) Build() *CSR {
+func (b *SparseBuilder) Build() *CSR { return b.build(nil) }
+
+// BuildInto is Build into a caller-owned matrix: it overwrites a,
+// reusing its arrays when they are large enough, so one builder and
+// one CSR can assemble matrix after matrix without allocating once
+// both have grown. No reader may hold a while it is rebuilt.
+func (b *SparseBuilder) BuildInto(a *CSR) { b.build(a) }
+
+// build compresses the triplets into a, or into a new CSR when a is
+// nil, and returns it.
+func (b *SparseBuilder) build(a *CSR) *CSR {
 	// Order an index permutation by (row, col), stably: ties keep
 	// insertion order, so summing duplicates in permuted order equals
 	// summing them in insertion order per coordinate. A counting sort
 	// by row keeps insertion order within each row; a stable sort by
 	// column then orders each row.
-	b.next = slices.Grow(b.next[:0], b.n+1)[:b.n+1]
+	b.next = resize(b.next, b.n+1)
 	next := b.next
 	clear(next)
 	for _, i := range b.rows {
@@ -131,7 +141,7 @@ func (b *SparseBuilder) Build() *CSR {
 	for i := 0; i < b.n; i++ {
 		next[i+1] += next[i]
 	}
-	b.perm = slices.Grow(b.perm[:0], len(b.rows))[:len(b.rows)]
+	b.perm = resize(b.perm, len(b.rows))
 	perm := b.perm
 	for p, i := range b.rows {
 		perm[next[i]] = p
@@ -153,7 +163,14 @@ func (b *SparseBuilder) Build() *CSR {
 		}
 		lo = hi
 	}
-	a := &CSR{n: b.n, rowPtr: make([]int, b.n+1), colIdx: make([]int, 0, nnz), vals: make([]float64, 0, nnz)}
+	if a == nil {
+		a = new(CSR)
+	}
+	a.n = b.n
+	a.rowPtr = resize(a.rowPtr, b.n+1)
+	clear(a.rowPtr)
+	a.colIdx = resize(a.colIdx, nnz)[:0]
+	a.vals = resize(a.vals, nnz)[:0]
 	lastI, lastJ := -1, -1
 	for _, p := range perm {
 		i, j, v := b.rows[p], cols[p], b.vals[p]
@@ -170,4 +187,14 @@ func (b *SparseBuilder) Build() *CSR {
 		a.rowPtr[i+1] += a.rowPtr[i]
 	}
 	return a
+}
+
+// resize returns s resliced to length n when its capacity allows, and
+// a new slice of exactly n elements otherwise. The contents are
+// unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }

@@ -78,14 +78,18 @@ func requireSameCSR(t *testing.T, got, want *CSR) {
 }
 
 // buildBoth replays one triplet log into b (after Reset) and into the
-// reference, and requires the same CSR.
-func buildBoth(t *testing.T, b *SparseBuilder, n int, rows, cols []int, vals []float64) {
+// reference, and requires the same CSR from Build and from BuildInto
+// over into, a matrix the caller reuses across logs.
+func buildBoth(t *testing.T, b *SparseBuilder, into *CSR, n int, rows, cols []int, vals []float64) {
 	t.Helper()
 	b.Reset(n)
 	for k := range rows {
 		b.Add(rows[k], cols[k], vals[k])
 	}
-	requireSameCSR(t, b.Build(), referenceBuild(n, rows, cols, vals))
+	want := referenceBuild(n, rows, cols, vals)
+	requireSameCSR(t, b.Build(), want)
+	b.BuildInto(into)
+	requireSameCSR(t, into, want)
 }
 
 // Build matches the reference bit for bit on random
@@ -99,6 +103,7 @@ func TestSparseBuilderMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	value := func() float64 { return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(33)-16)) }
 	b := NewSparseBuilder(1)
+	into := new(CSR)
 	cases := []struct {
 		name    string
 		n, adds int
@@ -123,7 +128,7 @@ func TestSparseBuilderMatchesReference(t *testing.T) {
 			for k := range rows {
 				rows[k], cols[k], vals[k] = tc.row(), rng.Intn(tc.n), value()
 			}
-			t.Run(tc.name, func(t *testing.T) { buildBoth(t, b, tc.n, rows, cols, vals) })
+			t.Run(tc.name, func(t *testing.T) { buildBoth(t, b, into, tc.n, rows, cols, vals) })
 		}
 	}
 }
@@ -162,6 +167,27 @@ func TestSparseBuilderBuildAllocs(t *testing.T) {
 	}
 }
 
+// BuildInto over a matrix that has held the same pattern reuses its
+// arrays and the builder's scratch: a warm build allocates nothing.
+func TestSparseBuilderBuildIntoAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	_, a := gridLaplacian(6, 6, 0.5, 0.02)
+	b := NewSparseBuilder(a.N())
+	for i := 0; i < a.N(); i++ {
+		for k := a.rowPtr[i]; k < a.rowPtr[i+1]; k++ {
+			b.Add(i, a.colIdx[k], a.vals[k])
+		}
+	}
+	into := new(CSR)
+	b.BuildInto(into)
+	if got := testing.AllocsPerRun(20, func() { b.BuildInto(into) }); got != 0 {
+		t.Errorf("warm BuildInto makes %v allocations per run, want 0", got)
+	}
+	requireSameCSR(t, into, a)
+}
+
 // FuzzSparseBuilder checks Build against the reference on
 // arbitrary triplet logs. The first byte sets the dimension (1–64);
 // each following 3-byte group is one Add: row and column modulo the
@@ -189,7 +215,8 @@ func FuzzSparseBuilder(f *testing.F) {
 			vals = append(vals, v)
 		}
 		b := NewSparseBuilder(n)
-		buildBoth(t, b, n, rows, cols, vals)
+		into := new(CSR)
+		buildBoth(t, b, into, n, rows, cols, vals)
 		// Reversed, through the reused builder, at a dimension up to
 		// three larger.
 		for x, y := 0, len(rows)-1; x < y; x, y = x+1, y-1 {
@@ -197,6 +224,6 @@ func FuzzSparseBuilder(f *testing.F) {
 			cols[x], cols[y] = cols[y], cols[x]
 			vals[x], vals[y] = vals[y], vals[x]
 		}
-		buildBoth(t, b, n+int(data[0])/64, rows, cols, vals)
+		buildBoth(t, b, into, n+int(data[0])/64, rows, cols, vals)
 	})
 }

@@ -52,6 +52,11 @@ type SparseCholesky struct {
 
 	mu   sync.Mutex
 	free [][]float64 // scratch freelist for permuted solves
+
+	// Refactor's scratch, kept only by a factor refactored in place:
+	// the inverse order and tree work (3n) and the dense row (n).
+	iw []int
+	w  []float64
 }
 
 // FactorSparseCholeskyOrdered factors a under the elimination order
@@ -62,21 +67,43 @@ type SparseCholesky struct {
 // element, so a degenerate conductance network fails loudly instead of
 // amplifying rounding noise.
 func FactorSparseCholeskyOrdered(a *CSR, perm []int) (*SparseCholesky, error) {
-	n := a.n
-	inv, err := invertPermutation(n, perm)
-	if err != nil {
+	f := new(SparseCholesky)
+	if err := f.Refactor(a, perm); err != nil {
 		return nil, err
+	}
+	f.iw, f.w = nil, nil // a factor kept for its solves holds only L
+	return f, nil
+}
+
+// Refactor is FactorSparseCholeskyOrdered into f: it overwrites f's
+// factor with a's, reusing f's arrays and scratch, so a caller that
+// factors many matrices through one SparseCholesky stops allocating
+// once its arrays have grown. The factor bits are those
+// FactorSparseCholeskyOrdered computes, and so are the errors; after
+// an error f holds no usable factor until the next Refactor succeeds.
+// f keeps perm. No solve may run on f while it is refactored.
+func (f *SparseCholesky) Refactor(a *CSR, perm []int) error {
+	n := a.n
+	f.iw = resize(f.iw, 3*n)
+	inv, err := invertPermutation(perm, f.iw[2*n:])
+	if err != nil {
+		return err
 	}
 	maxAbs := a.MaxAbs()
-	iw := make([]int, 2*n)
+	iw := f.iw[:2*n]
 	if err := checkCSRSymmetric(a, maxAbs, iw[:n]); err != nil {
-		return nil, err
+		return err
 	}
-	ptrs := make([]int, 2*(n+1))
-	f := &SparseCholesky{
-		n: n, perm: perm, diag: make([]float64, n),
-		colPtr: ptrs[: n+1 : n+1], rowPtr: ptrs[n+1:],
+	if n != f.n {
+		f.free = nil // permuted-solve scratch is sized for the old n
 	}
+	f.n, f.perm = n, perm
+	f.diag = resize(f.diag, n)
+	// colPtr and rowPtr share one array; colPtr keeps its capacity so
+	// the next Refactor recovers the whole of it.
+	ptrs := resize(f.colPtr, 2*(n+1))
+	clear(ptrs)
+	f.colPtr, f.rowPtr = ptrs[:n+1], ptrs[n+1:]
 	tiny := cholPivotRelTol * maxAbs
 
 	// Symbolic pass: the elimination tree of P·A·Pᵀ sizes every column
@@ -86,8 +113,8 @@ func FactorSparseCholeskyOrdered(a *CSR, perm []int) (*SparseCholesky, error) {
 	eliminationTree(a, perm, inv, parent, iw[n:])
 	f.countColumns(a, perm, inv, parent, iw[n:])
 	nnz := f.colPtr[n]
-	f.colRows = make([]int32, nnz)
-	f.colVals = make([]float64, nnz)
+	f.colRows = resize(f.colRows, nnz)
+	f.colVals = resize(f.colVals, nnz)
 	end := parent // parent is spent: end[j] is column j's fill cursor
 	copy(end, f.colPtr[:n])
 
@@ -96,8 +123,11 @@ func FactorSparseCholeskyOrdered(a *CSR, perm []int) (*SparseCholesky, error) {
 	// entries L[r,j] with r ≤ i. The dense workspace w holds row i of
 	// the partially eliminated matrix; w[j] is final when the scan
 	// reaches j because updates to it only flow from columns k < j,
-	// all already processed this row.
-	w := make([]float64, n)
+	// all already processed this row. A failed pivot leaves it dirty,
+	// hence the clear.
+	f.w = resize(f.w, n)
+	w := f.w
+	clear(w)
 	for i := 0; i < n; i++ {
 		// Scatter the lower triangle of row i of P·A·Pᵀ into w.
 		orig := i
@@ -139,15 +169,15 @@ func FactorSparseCholeskyOrdered(a *CSR, perm []int) (*SparseCholesky, error) {
 			// rounding noise of zero means singular to working
 			// precision (rounding can push it to either side of 0).
 			if d <= -tiny {
-				return nil, ErrNotSPD
+				return ErrNotSPD
 			}
-			return nil, ErrSingular
+			return ErrSingular
 		}
 		f.diag[i] = math.Sqrt(d)
 	}
 	f.compact(end)
 	f.transpose(end)
-	return f, nil
+	return nil
 }
 
 // eliminationTree computes the elimination tree of the lower triangle
@@ -241,8 +271,8 @@ func (f *SparseCholesky) transpose(next []int) {
 	for i := 0; i < n; i++ {
 		f.rowPtr[i+1] += f.rowPtr[i]
 	}
-	f.rowCols = make([]int32, len(f.colRows))
-	f.rowVals = make([]float64, len(f.colRows))
+	f.rowCols = resize(f.rowCols, len(f.colRows))
+	f.rowVals = resize(f.rowVals, len(f.colRows))
 	copy(next, f.rowPtr[:n])
 	// Iterating columns in increasing j appends to each row in
 	// increasing column order — the order forward substitution wants.
@@ -383,16 +413,17 @@ func MinDegreeOrdering(a *CSR) []int {
 	return perm
 }
 
-// invertPermutation validates perm and returns its inverse
-// (inv[original] = position), or (nil, nil) for a nil perm.
-func invertPermutation(n int, perm []int) ([]int, error) {
+// invertPermutation validates perm and writes its inverse
+// (inv[original] = position) into inv (length len(perm)), returning
+// it, or (nil, nil) for a nil perm.
+func invertPermutation(perm, inv []int) ([]int, error) {
 	if perm == nil {
 		return nil, nil
 	}
+	n := len(inv)
 	if len(perm) != n {
 		return nil, fmt.Errorf("linalg: permutation length %d, want %d", len(perm), n)
 	}
-	inv := make([]int, n)
 	for i := range inv {
 		inv[i] = -1
 	}

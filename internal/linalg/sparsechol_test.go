@@ -3,6 +3,7 @@ package linalg
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -30,6 +31,108 @@ func TestFactorSparseCholeskyAllocsConstant(t *testing.T) {
 				t.Errorf("ordered=%v: %v allocations per factor at n=%d, %v at n=%d", ordered, got, a.N(), want, wantN)
 			}
 		}
+	}
+}
+
+// requireSameSparseFactor fails unless got stores bitwise the factor
+// want stores, in both layouts.
+func requireSameSparseFactor(t testing.TB, got, want *SparseCholesky) {
+	t.Helper()
+	if got.n != want.n || !slices.Equal(got.perm, want.perm) {
+		t.Fatalf("n %d/%d, perm %v/%v", got.n, want.n, got.perm, want.perm)
+	}
+	same := func(name string, g, w []float64) {
+		if len(g) != len(w) {
+			t.Fatalf("%s: %d entries, want %d", name, len(g), len(w))
+		}
+		for k := range w {
+			if math.Float64bits(g[k]) != math.Float64bits(w[k]) {
+				t.Fatalf("%s[%d] = %v, fresh factor %v", name, k, g[k], w[k])
+			}
+		}
+	}
+	same("diag", got.diag, want.diag)
+	same("colVals", got.colVals, want.colVals)
+	same("rowVals", got.rowVals, want.rowVals)
+	if !slices.Equal(got.colPtr, want.colPtr) || !slices.Equal(got.rowPtr, want.rowPtr) ||
+		!slices.Equal(got.colRows, want.colRows) || !slices.Equal(got.rowCols, want.rowCols) {
+		t.Fatal("factor pattern differs from the fresh factor's")
+	}
+}
+
+// Refactor through one SparseCholesky, from large to small to large,
+// natural and min-degree, with failures in between, stores the bits a
+// fresh factor stores and solves to the same bits: no residue of an
+// earlier factor, a failed one included, leaks into the next.
+func TestSparseCholeskyRefactorMatchesFresh(t *testing.T) {
+	var f SparseCholesky
+	for _, side := range []int{7, 2, 1, 5, 8, 3} {
+		for _, ordered := range []bool{true, false} {
+			_, a := gridLaplacian(side, side+1, 0.5, 0.02)
+			var perm []int
+			if ordered {
+				perm = MinDegreeOrdering(a)
+			}
+			// A dirty failure first: a grid with no leak is singular,
+			// and its elimination stops at the last pivot.
+			_, singular := gridLaplacian(side, side+1, 0.5, 0)
+			if err := f.Refactor(singular, perm); !errors.Is(err, ErrSingular) {
+				t.Fatalf("side %d: Refactor(singular) = %v, want ErrSingular", side, err)
+			}
+			want, err := FactorSparseCholeskyOrdered(a, perm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Refactor(a, perm); err != nil {
+				t.Fatal(err)
+			}
+			requireSameSparseFactor(t, &f, want)
+			rhs := make([]float64, a.N())
+			for i := range rhs {
+				rhs[i] = math.Cos(float64(3*i + side))
+			}
+			x, y := make([]float64, a.N()), make([]float64, a.N())
+			if err := f.SolveInto(x, rhs); err != nil {
+				t.Fatal(err)
+			}
+			if err := want.SolveInto(y, rhs); err != nil {
+				t.Fatal(err)
+			}
+			for i := range x {
+				if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+					t.Fatalf("side %d ordered=%v: x[%d] = %v, fresh factor %v", side, ordered, i, x[i], y[i])
+				}
+			}
+		}
+	}
+	if err := f.Refactor(NewSparseBuilder(2).Build(), []int{0, 0}); err == nil {
+		t.Fatal("Refactor accepted a repeated permutation entry")
+	}
+}
+
+// A warm Refactor of a same-sized matrix, and a natural-order solve
+// on it, allocate nothing.
+func TestSparseCholeskyRefactorAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	_, a := gridLaplacian(5, 6, 0.5, 0.02)
+	var f SparseCholesky
+	if err := f.Refactor(a, nil); err != nil {
+		t.Fatal(err)
+	}
+	x := make([]float64, a.N())
+	x[0] = 1
+	got := testing.AllocsPerRun(20, func() {
+		if err := f.Refactor(a, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.SolveInto(x, x); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != 0 {
+		t.Errorf("warm Refactor+SolveInto makes %v allocations per run, want 0", got)
 	}
 }
 
@@ -138,6 +241,14 @@ func FuzzSparseCholesky(f *testing.F) {
 			return
 		}
 		requireSameFactor(t, d, s)
+		// Refactored over a min-degree factor of the same matrix, the
+		// natural-order factor keeps its bits.
+		var re SparseCholesky
+		_ = re.Refactor(a, MinDegreeOrdering(a))
+		if err := re.Refactor(a, nil); err != nil {
+			t.Fatalf("Refactor: %v", err)
+		}
+		requireSameSparseFactor(t, &re, s)
 		n := a.N()
 		rhs := make([]float64, n)
 		for i := range rhs {

@@ -165,6 +165,15 @@ func NewThermalModel(fp *Floorplan, cfg ThermalConfig) (*ThermalModel, error) {
 	return hotspot.NewModel(fp, cfg)
 }
 
+// SteadyPeak returns the hottest block's steady-state temperature of
+// a floorplan under a per-block power map (watts): the value of
+// NewThermalModel(fp, cfg) then SteadyState(power).Max(), bit for bit,
+// without keeping a model. It is the GA floorplanner's thermal
+// Evaluator.
+func SteadyPeak(fp *Floorplan, cfg ThermalConfig, power map[string]float64) (float64, error) {
+	return hotspot.SteadyPeak(fp, cfg, power)
+}
+
 // FloorplanGA runs the thermal-aware GA floorplanner.
 // Set cfg.Pool (NewSearchPool) to evaluate candidates concurrently;
 // the result is byte-identical for every pool size.
