@@ -125,7 +125,7 @@ func (f *Floorplan) Index(name string) (int, bool) {
 
 // BoundingBox returns the bounding box of all blocks: the zero Rect
 // for an empty plan, otherwise the blocks' rectangles folded through
-// geom.Union in insertion order, as geom.BoundingBox folds them.
+// geom.Union in insertion order.
 func (f *Floorplan) BoundingBox() geom.Rect {
 	if len(f.blocks) == 0 {
 		return geom.Rect{}

@@ -130,7 +130,7 @@ func blockShapes(b Block) []shape {
 
 // leafShapes returns every block's shape curve, indexed by operand
 // gene. The curves depend only on the blocks, so a search packing many
-// expressions over one block set computes them once; buildTree and
+// expressions over one block set computes them once; packer.tree and
 // combine only read them.
 func leafShapes(blocks []Block) [][]shape {
 	leaves := make([][]shape, len(blocks))
