@@ -9,8 +9,8 @@ import (
 // examples and downstream users would.
 
 func TestFacadeQuickstartPath(t *testing.T) {
-	resp, err := testEngine(t).Run(context.Background(), NewRequest(FlowPlatform,
-		WithBenchmark("Bm1"), WithPolicy(ThermalAware)))
+	resp, err := testEngine(t).Run(context.Background(), Request{Flow: FlowPlatform,
+		Benchmark: "Bm1", Policy: "thermal"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,8 +119,8 @@ func TestFacadeCoSynthesis(t *testing.T) {
 	if testing.Short() {
 		t.Skip("co-synthesis skipped in -short mode")
 	}
-	resp, err := testEngine(t).Run(context.Background(), NewRequest(FlowCoSynthesis,
-		WithBenchmark("Bm1"), WithPolicy(MinTaskEnergy), WithFloorplanGenerations(5)))
+	resp, err := testEngine(t).Run(context.Background(), Request{Flow: FlowCoSynthesis,
+		Benchmark: "Bm1", Policy: "heuristic3", FloorplanGenerations: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,9 +132,9 @@ func TestFacadeCoSynthesis(t *testing.T) {
 func TestFacadeSimAndDTM(t *testing.T) {
 	// The unthrottled reference run: shorter tasks never finish later
 	// than the worst-case (static) schedule.
-	resp, err := testEngine(t).Run(context.Background(), NewRequest(FlowSimulate,
-		WithBenchmark("Bm1"), WithPolicy(ThermalAware),
-		WithSimulate(SimulateSpec{Controller: "none", MinFactor: 0.8, Seed: 1})))
+	resp, err := testEngine(t).Run(context.Background(), Request{Flow: FlowSimulate,
+		Benchmark: "Bm1", Policy: "thermal",
+		Simulate: &SimulateSpec{Controller: "none", MinFactor: 0.8, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,9 +145,9 @@ func TestFacadeSimAndDTM(t *testing.T) {
 	// The same replica under the closed-loop toggle controller, the
 	// path every DTM request takes: throttling stretches the tasks it
 	// slows, so the run throttles and finishes later.
-	dtmResp, err := testEngine(t).Run(context.Background(), NewRequest(FlowSimulate,
-		WithBenchmark("Bm1"), WithPolicy(ThermalAware),
-		WithSimulate(SimulateSpec{Controller: "toggle", MinFactor: 0.8, Seed: 1})))
+	dtmResp, err := testEngine(t).Run(context.Background(), Request{Flow: FlowSimulate,
+		Benchmark: "Bm1", Policy: "thermal",
+		Simulate: &SimulateSpec{Controller: "toggle", MinFactor: 0.8, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,16 +179,16 @@ func TestFacadeConditionalGraph(t *testing.T) {
 	if len(probs) != 12 {
 		t.Errorf("probabilities length %d", len(probs))
 	}
-	run, err := testEngine(t).Run(context.Background(), NewRequest(FlowPlatform,
-		WithGraph(g), WithPolicy(MinTaskEnergy)))
+	run, err := testEngine(t).Run(context.Background(), Request{Flow: FlowPlatform,
+		Graph: GraphSpecOf(g), Policy: "heuristic3"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// TotalPower is the worst-case schedule's energy over the deadline.
 	worst := run.Metrics.TotalPower * g.Deadline
-	resp, err := testEngine(t).Run(context.Background(), NewRequest(FlowSimulate,
-		WithGraph(g), WithPolicy(MinTaskEnergy),
-		WithSimulate(SimulateSpec{Controller: "none", Seed: 1, Conditional: true})))
+	resp, err := testEngine(t).Run(context.Background(), Request{Flow: FlowSimulate,
+		Graph: GraphSpecOf(g), Policy: "heuristic3",
+		Simulate: &SimulateSpec{Controller: "none", Seed: 1, Conditional: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,36 +22,36 @@ import (
 // responses for every one of them.
 func asyncFlows() map[string]thermalsched.Request {
 	return map[string]thermalsched.Request{
-		"platform": thermalsched.NewRequest(thermalsched.FlowPlatform,
-			thermalsched.WithBenchmark("Bm1"), thermalsched.WithPolicy(thermalsched.ThermalAware)),
-		"cosynthesis": thermalsched.NewRequest(thermalsched.FlowCoSynthesis,
-			thermalsched.WithBenchmark("Bm1"), thermalsched.WithPolicy(thermalsched.MinTaskEnergy),
-			thermalsched.WithFloorplanGenerations(4)),
-		"simulate": thermalsched.NewRequest(thermalsched.FlowSimulate,
-			thermalsched.WithBenchmark("Bm2"), thermalsched.WithPolicy(thermalsched.ThermalAware),
-			thermalsched.WithSimulate(thermalsched.SimulateSpec{Replicas: 2, Seed: 3, MinFactor: 0.8})),
-		"generate": thermalsched.NewRequest(thermalsched.FlowGenerate,
-			thermalsched.WithScenario(thermalsched.ScenarioSpec{
+		"platform": {Flow: thermalsched.FlowPlatform,
+			Benchmark: "Bm1", Policy: "thermal"},
+		"cosynthesis": {Flow: thermalsched.FlowCoSynthesis,
+			Benchmark: "Bm1", Policy: "heuristic3",
+			FloorplanGenerations: 4},
+		"simulate": {Flow: thermalsched.FlowSimulate,
+			Benchmark: "Bm2", Policy: "thermal",
+			Simulate: &thermalsched.SimulateSpec{Replicas: 2, Seed: 3, MinFactor: 0.8}},
+		"generate": {Flow: thermalsched.FlowGenerate,
+			Scenario: &thermalsched.ScenarioSpec{
 				Seed: 11,
 				Graph: thermalsched.ScenarioGraphParams{
 					Tasks: 30, Shape: thermalsched.ScenarioShapeSeriesParallel, BranchDensity: 0.4,
 				},
 				Platform: thermalsched.ScenarioPlatformParams{PEs: 5, MinSpeed: 0.6, MaxSpeed: 2.0},
-			})),
-		"stream": thermalsched.NewRequest(thermalsched.FlowStream,
-			thermalsched.WithStream(thermalsched.StreamSpec{
+			}},
+		"stream": {Flow: thermalsched.FlowStream,
+			Stream: &thermalsched.StreamSpec{
 				Seed: 3, MinFactor: 0.8, Replicas: 2,
-			})),
-		"campaign": thermalsched.NewRequest(thermalsched.FlowCampaign,
-			thermalsched.WithCampaign(thermalsched.CampaignSpec{
+			}},
+		"campaign": {Flow: thermalsched.FlowCampaign,
+			Campaign: &thermalsched.CampaignSpec{
 				Scenarios: 3, Seed: 9, MinTasks: 20, MaxTasks: 30,
 				Policies: []string{"h3", "thermal"},
-			})),
-		"simulate-admit": thermalsched.NewRequest(thermalsched.FlowSimulate,
-			thermalsched.WithBenchmark("Bm2"), thermalsched.WithPolicy(thermalsched.ThermalAware),
-			thermalsched.WithSimulate(thermalsched.SimulateSpec{
+			}},
+		"simulate-admit": {Flow: thermalsched.FlowSimulate,
+			Benchmark: "Bm2", Policy: "thermal",
+			Simulate: &thermalsched.SimulateSpec{
 				Controller: "admit", Replicas: 2, Seed: 3, MinFactor: 0.8, WarmStart: true,
-			})),
+			}},
 		"stream-zigzag": streamPolicyRequest(thermalsched.StreamPolicyZigzag),
 	}
 }
@@ -59,12 +59,10 @@ func asyncFlows() map[string]thermalsched.Request {
 // streamPolicyRequest builds the seeded stream request the async suite
 // runs under one named online policy.
 func streamPolicyRequest(policy string) thermalsched.Request {
-	req := thermalsched.NewRequest(thermalsched.FlowStream,
-		thermalsched.WithStream(thermalsched.StreamSpec{
+	return thermalsched.Request{Flow: thermalsched.FlowStream,
+		Stream: &thermalsched.StreamSpec{
 			Seed: 3, MinFactor: 0.8, Replicas: 2,
-		}))
-	req.Policy = policy
-	return req
+		}, Policy: policy}
 }
 
 func normalizeResp(t *testing.T, resp *thermalsched.Response) string {
@@ -261,11 +259,11 @@ func TestAsyncDuplicateCoalescesToZeroExtraEvaluations(t *testing.T) {
 		svc.Close()
 	}()
 
-	req := thermalsched.NewRequest(thermalsched.FlowCampaign,
-		thermalsched.WithCampaign(thermalsched.CampaignSpec{
+	req := thermalsched.Request{Flow: thermalsched.FlowCampaign,
+		Campaign: &thermalsched.CampaignSpec{
 			Scenarios: 3, Seed: 42, MinTasks: 20, MaxTasks: 30,
 			Policies: []string{"h3", "thermal"},
-		}))
+		}}
 	a := submitAndWait(t, srv.URL, req)
 	b := submitAndWait(t, srv.URL, req)
 	if normalizeResp(t, a.Response) != normalizeResp(t, b.Response) {

@@ -486,9 +486,9 @@ func BenchmarkCampaign(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	req := NewRequest(FlowCampaign, WithCampaign(CampaignSpec{
+	req := Request{Flow: FlowCampaign, Campaign: &CampaignSpec{
 		Scenarios: 4, Seed: 1, MinTasks: 20, MaxTasks: 40,
-	}))
+	}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := e.Run(context.Background(), req); err != nil {
@@ -547,9 +547,9 @@ func BenchmarkAdmission(b *testing.B) {
 	}
 	for _, ctrl := range []string{"toggle", "admit"} {
 		b.Run("simulate/"+ctrl, func(b *testing.B) {
-			req := NewRequest(FlowSimulate,
-				WithBenchmark("Bm1"),
-				WithSimulate(SimulateSpec{Controller: ctrl, MinFactor: 0.8, WarmStart: true}))
+			req := Request{Flow: FlowSimulate,
+				Benchmark: "Bm1",
+				Simulate:  &SimulateSpec{Controller: ctrl, MinFactor: 0.8, WarmStart: true}}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := e.Run(context.Background(), req); err != nil {
@@ -560,8 +560,7 @@ func BenchmarkAdmission(b *testing.B) {
 	}
 	stream := func(name string, spec StreamSpec) {
 		b.Run(name, func(b *testing.B) {
-			req := NewRequest(FlowStream, WithStream(spec))
-			req.Policy = StreamPolicyAdmit
+			req := Request{Flow: FlowStream, Stream: &spec, Policy: StreamPolicyAdmit}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := e.Run(context.Background(), req); err != nil {
@@ -594,8 +593,7 @@ func BenchmarkStream(b *testing.B) {
 	}
 	for _, policy := range []string{StreamPolicyFIFO, StreamPolicyGreedy} {
 		b.Run(policy, func(b *testing.B) {
-			req := NewRequest(FlowStream, WithStream(StreamSpec{Seed: 1, MinFactor: 0.8}))
-			req.Policy = policy
+			req := Request{Flow: FlowStream, Stream: &StreamSpec{Seed: 1, MinFactor: 0.8}, Policy: policy}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := e.Run(context.Background(), req); err != nil {

@@ -65,8 +65,8 @@ func TestAdmissionBeatsToggleAcrossScenarioFamilies(t *testing.T) {
 
 	familiesWon := 0
 	for _, fam := range admissionDuelFamilies {
-		req := thermalsched.NewRequest(thermalsched.FlowCampaign,
-			thermalsched.WithCampaign(thermalsched.CampaignSpec{
+		req := thermalsched.Request{Flow: thermalsched.FlowCampaign,
+			Campaign: &thermalsched.CampaignSpec{
 				Scenarios: 6,
 				Seed:      fam.seed,
 				MinTasks:  fam.minTasks,
@@ -79,7 +79,7 @@ func TestAdmissionBeatsToggleAcrossScenarioFamilies(t *testing.T) {
 				},
 				Controllers: []string{"toggle", "admit"},
 				Simulate:    admissionDuelSpec(),
-			}))
+			}}
 		resp, err := engine.Run(context.Background(), req)
 		if err != nil {
 			t.Fatalf("family %s: %v", fam.name, err)

@@ -19,7 +19,7 @@ func TestGenerateFlow(t *testing.T) {
 		},
 		Platform: ScenarioPlatformParams{PEs: 5, MinSpeed: 0.8, MaxSpeed: 1.8},
 	}
-	resp, err := e.Run(context.Background(), NewRequest(FlowGenerate, WithScenario(spec)))
+	resp, err := e.Run(context.Background(), Request{Flow: FlowGenerate, Scenario: &spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestGenerateFlow(t *testing.T) {
 	// The inline GraphSpec must be feedable straight back into a
 	// platform request... except generated graphs need their generated
 	// platform; instead run the same scenario through the platform flow.
-	plat, err := e.Run(context.Background(), NewRequest(FlowPlatform, WithScenario(spec)))
+	plat, err := e.Run(context.Background(), Request{Flow: FlowPlatform, Scenario: &spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestScenarioCacheReuse(t *testing.T) {
 	spec := ScenarioSpec{Seed: 9, Graph: ScenarioGraphParams{Tasks: 25}}
 	ctx := context.Background()
 	for _, flow := range []FlowKind{FlowGenerate, FlowPlatform, FlowPlatform} {
-		if _, err := e.Run(ctx, NewRequest(flow, WithScenario(spec))); err != nil {
+		if _, err := e.Run(ctx, Request{Flow: flow, Scenario: &spec}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -95,37 +95,33 @@ func TestScenarioRunsThroughEveryGraphFlow(t *testing.T) {
 		Platform: ScenarioPlatformParams{PEs: 4, MinSpeed: 0.7, MaxSpeed: 1.7, Layout: ScenarioLayoutRow},
 	}
 	ctx := context.Background()
-	for _, tc := range []struct {
-		flow FlowKind
-		opts []RequestOption
-	}{
-		{FlowPlatform, nil},
-		{FlowCoSynthesis, nil},
-		{FlowSimulate, []RequestOption{WithSimulate(SimulateSpec{Replicas: 2, Seed: 1})}},
+	for _, req := range []Request{
+		{Flow: FlowPlatform, Scenario: &spec},
+		{Flow: FlowCoSynthesis, Scenario: &spec},
+		{Flow: FlowSimulate, Scenario: &spec, Simulate: &SimulateSpec{Replicas: 2, Seed: 1}},
 	} {
-		opts := append([]RequestOption{WithScenario(spec)}, tc.opts...)
-		resp, err := e.Run(ctx, NewRequest(tc.flow, opts...))
+		resp, err := e.Run(ctx, req)
 		if err != nil {
-			t.Errorf("%s on scenario: %v", tc.flow, err)
+			t.Errorf("%s on scenario: %v", req.Flow, err)
 			continue
 		}
 		if resp.Fingerprint == "" {
-			t.Errorf("%s on scenario: fingerprint not stamped", tc.flow)
+			t.Errorf("%s on scenario: fingerprint not stamped", req.Flow)
 		}
 		if resp.Metrics == nil {
-			t.Errorf("%s on scenario: missing metrics", tc.flow)
+			t.Errorf("%s on scenario: missing metrics", req.Flow)
 		}
 	}
 }
 
 func TestCampaignFlowDeterministicAndAggregated(t *testing.T) {
 	e := testEngine(t)
-	req := NewRequest(FlowCampaign, WithCampaign(CampaignSpec{
+	req := Request{Flow: FlowCampaign, Campaign: &CampaignSpec{
 		Scenarios: 6,
 		Seed:      4,
 		MinTasks:  20,
 		MaxTasks:  40,
-	}))
+	}}
 	ctx := context.Background()
 	run := func() string {
 		resp, err := e.Run(ctx, req)
@@ -206,12 +202,12 @@ func TestCampaignAcceptanceScale(t *testing.T) {
 		t.Skip("50-scenario campaign skipped in -short mode")
 	}
 	e := testEngine(t)
-	req := NewRequest(FlowCampaign, WithCampaign(CampaignSpec{
+	req := Request{Flow: FlowCampaign, Campaign: &CampaignSpec{
 		Scenarios: 50,
 		Seed:      2005,
 		MinTasks:  20,
 		MaxTasks:  200,
-	}))
+	}}
 	ctx := context.Background()
 	resp, err := e.Run(ctx, req)
 	if err != nil {
@@ -271,8 +267,8 @@ func TestCampaignStatisticalWin(t *testing.T) {
 	if testing.Short() {
 		t.Skip("30-scenario campaign skipped in -short mode")
 	}
-	resp, err := testEngine(t).Run(context.Background(), NewRequest(FlowCampaign,
-		WithCampaign(CampaignSpec{Scenarios: 30, Seed: 7})))
+	resp, err := testEngine(t).Run(context.Background(), Request{Flow: FlowCampaign,
+		Campaign: &CampaignSpec{Scenarios: 30, Seed: 7}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,13 +331,13 @@ func TestCampaignSimulateMode(t *testing.T) {
 		t.Skip("co-simulating campaign skipped in -short mode")
 	}
 	e := testEngine(t)
-	resp, err := e.Run(context.Background(), NewRequest(FlowCampaign, WithCampaign(CampaignSpec{
+	resp, err := e.Run(context.Background(), Request{Flow: FlowCampaign, Campaign: &CampaignSpec{
 		Scenarios: 3,
 		Seed:      8,
 		MinTasks:  20,
 		MaxTasks:  30,
 		Simulate:  &SimulateSpec{Seed: 1, MinFactor: 0.9},
-	})))
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,18 +359,18 @@ func TestCampaignSimulateMode(t *testing.T) {
 
 func TestCampaignValidation(t *testing.T) {
 	bad := []Request{
-		NewRequest(FlowCampaign, WithBenchmark("Bm1")),
-		NewRequest(FlowCampaign, WithCampaign(CampaignSpec{Scenarios: MaxCampaignScenarios + 1})),
-		NewRequest(FlowCampaign, WithCampaign(CampaignSpec{Policies: []string{"nope"}})),
-		NewRequest(FlowCampaign, WithCampaign(CampaignSpec{Policies: []string{"h3", "heuristic3"}})),
-		NewRequest(FlowCampaign, WithCampaign(CampaignSpec{MinTasks: 50, MaxTasks: 20})),
-		NewRequest(FlowCampaign, WithCampaign(CampaignSpec{MinTasks: 999999, MaxTasks: 999999})),
-		NewRequest(FlowGenerate),
-		NewRequest(FlowGenerate, WithBenchmark("Bm1"), WithScenario(ScenarioSpec{})),
-		NewRequest(FlowPlatform, WithBenchmark("Bm1"), WithScenario(ScenarioSpec{})),
-		NewRequest(FlowPlatform, WithCampaign(CampaignSpec{})),
-		NewRequest(FlowCampaign, WithScenario(ScenarioSpec{})),
-		NewRequest(FlowPlatform, WithScenario(ScenarioSpec{Graph: ScenarioGraphParams{Tasks: -2}})),
+		{Flow: FlowCampaign, Benchmark: "Bm1"},
+		{Flow: FlowCampaign, Campaign: &CampaignSpec{Scenarios: MaxCampaignScenarios + 1}},
+		{Flow: FlowCampaign, Campaign: &CampaignSpec{Policies: []string{"nope"}}},
+		{Flow: FlowCampaign, Campaign: &CampaignSpec{Policies: []string{"h3", "heuristic3"}}},
+		{Flow: FlowCampaign, Campaign: &CampaignSpec{MinTasks: 50, MaxTasks: 20}},
+		{Flow: FlowCampaign, Campaign: &CampaignSpec{MinTasks: 999999, MaxTasks: 999999}},
+		{Flow: FlowGenerate},
+		{Flow: FlowGenerate, Benchmark: "Bm1", Scenario: &ScenarioSpec{}},
+		{Flow: FlowPlatform, Benchmark: "Bm1", Scenario: &ScenarioSpec{}},
+		{Flow: FlowPlatform, Campaign: &CampaignSpec{}},
+		{Flow: FlowCampaign, Scenario: &ScenarioSpec{}},
+		{Flow: FlowPlatform, Scenario: &ScenarioSpec{Graph: ScenarioGraphParams{Tasks: -2}}},
 	}
 	for i, req := range bad {
 		if err := req.Validate(); err == nil {
@@ -382,10 +378,10 @@ func TestCampaignValidation(t *testing.T) {
 		}
 	}
 	good := []Request{
-		NewRequest(FlowCampaign),
-		NewRequest(FlowCampaign, WithCampaign(CampaignSpec{Policies: []string{"baseline", "h3", "thermal"}})),
-		NewRequest(FlowGenerate, WithScenario(ScenarioSpec{})),
-		NewRequest(FlowSimulate, WithScenario(ScenarioSpec{}), WithSimulate(SimulateSpec{Replicas: 2})),
+		{Flow: FlowCampaign},
+		{Flow: FlowCampaign, Campaign: &CampaignSpec{Policies: []string{"baseline", "h3", "thermal"}}},
+		{Flow: FlowGenerate, Scenario: &ScenarioSpec{}},
+		{Flow: FlowSimulate, Scenario: &ScenarioSpec{}, Simulate: &SimulateSpec{Replicas: 2}},
 	}
 	for i, req := range good {
 		if err := req.Validate(); err != nil {

@@ -193,8 +193,7 @@ func main() {
 		return spec
 	}
 
-	req := thermalsched.NewRequest(thermalsched.FlowKind(*flow))
-	req.Policy = *policyStr
+	req := thermalsched.Request{Flow: thermalsched.FlowKind(*flow), Policy: *policyStr}
 	if req.Flow == thermalsched.FlowStream && !policySet {
 		// The offline default ("thermal") must not leak into the online
 		// policy family; an empty policy means greedy there.

@@ -32,6 +32,10 @@ func testEngine(t *testing.T) *Engine {
 	return e
 }
 
+// ptr returns a pointer to a copy of v, for the Request knobs whose
+// nil means "unset".
+func ptr[T any](v T) *T { return &v }
+
 var benchmarkNames = []string{"Bm1", "Bm2", "Bm3", "Bm4"}
 
 func TestEngineMatchesDeprecatedRunPlatform(t *testing.T) {
@@ -50,9 +54,9 @@ func TestEngineMatchesDeprecatedRunPlatform(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s uncached: %v", name, policy, err)
 			}
-			resp, err := e.Run(context.Background(), NewRequest(
-				FlowPlatform, WithBenchmark(name), WithPolicy(policy),
-			))
+			resp, err := e.Run(context.Background(), Request{
+				Flow: FlowPlatform, Benchmark: name, Policy: policy.String(),
+			})
 			if err != nil {
 				t.Fatalf("%s/%s engine: %v", name, policy, err)
 			}
@@ -88,12 +92,12 @@ func TestEngineMatchesDeprecatedRunCoSynthesis(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s uncached: %v", name, err)
 		}
-		resp, err := e.Run(context.Background(), NewRequest(
-			FlowCoSynthesis,
-			WithBenchmark(name),
-			WithPolicy(MinTaskEnergy),
-			WithFloorplanGenerations(gens),
-		))
+		resp, err := e.Run(context.Background(), Request{
+			Flow:                 FlowCoSynthesis,
+			Benchmark:            name,
+			Policy:               "heuristic3",
+			FloorplanGenerations: gens,
+		})
 		if err != nil {
 			t.Fatalf("%s engine: %v", name, err)
 		}
@@ -106,14 +110,14 @@ func TestEngineMatchesDeprecatedRunCoSynthesis(t *testing.T) {
 
 // The seed-zero contract at the request level: a cosynthesis request
 // without a seed runs the GA floorplanner with seed 1, byte for byte
-// the response of an explicit WithSeed(1), while WithSeed(0) reaches
-// the GA as seed 0 — the flow run directly with Seed 0 — and not as 1.
+// the response of an explicit seed 1, while seed 0 reaches the GA as
+// seed 0 — the flow run directly with Seed 0 — and not as 1.
 func TestCoSynthesisSeedZeroContract(t *testing.T) {
 	e := testEngine(t)
-	run := func(opts ...RequestOption) *Response {
+	run := func(seed *int64) *Response {
 		t.Helper()
-		opts = append([]RequestOption{WithBenchmark("Bm1"), WithMaxPEs(4), WithFloorplanGenerations(2)}, opts...)
-		resp, err := e.Run(context.Background(), NewRequest(FlowCoSynthesis, opts...))
+		resp, err := e.Run(context.Background(), Request{Flow: FlowCoSynthesis,
+			Benchmark: "Bm1", MaxPEs: 4, FloorplanGenerations: 2, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +132,7 @@ func TestCoSynthesisSeedZeroContract(t *testing.T) {
 		}
 		return string(blob)
 	}
-	unset, one, zero := run(), run(WithSeed(1)), run(WithSeed(0))
+	unset, one, zero := run(nil), run(ptr(int64(1))), run(ptr(int64(0)))
 	if wire(unset) != wire(one) {
 		t.Errorf("nil seed and seed 1 diverge:\n  nil %s\n  1   %s", wire(unset), wire(one))
 	}
@@ -155,7 +159,7 @@ func TestCoSynthesisSeedZeroContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	if zero.Floorplan != plan.String() || *zero.Metrics != direct.Metrics {
-		t.Errorf("WithSeed(0) diverges from the flow run with seed 0:\n  request %+v\n  direct  %+v",
+		t.Errorf("seed 0 diverges from the flow run with seed 0:\n  request %+v\n  direct  %+v",
 			*zero.Metrics, direct.Metrics)
 	}
 }
@@ -199,7 +203,7 @@ func TestEngineScalingTableReportsCacheTraffic(t *testing.T) {
 // model hits the cache on every run, must not show up in any row.
 func TestEngineScalingTableIgnoresConcurrentRequests(t *testing.T) {
 	e := testEngine(t)
-	req := NewRequest(FlowPlatform, WithBenchmark("Bm1"), WithPolicy(ThermalAware))
+	req := Request{Flow: FlowPlatform, Benchmark: "Bm1", Policy: "thermal"}
 	if _, err := e.Run(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +252,7 @@ func TestEngineRunBatchMatchesSequential(t *testing.T) {
 	}
 	var reqs []Request
 	for _, name := range benchmarkNames {
-		reqs = append(reqs, NewRequest(FlowPlatform, WithBenchmark(name), WithPolicy(ThermalAware)))
+		reqs = append(reqs, Request{Flow: FlowPlatform, Benchmark: name, Policy: "thermal"})
 	}
 	batch, err := e.RunBatch(context.Background(), reqs)
 	if err != nil {
@@ -282,9 +286,9 @@ func TestEngineRunCancellation(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := e.Run(ctx, NewRequest(
-		FlowCoSynthesis, WithBenchmark("Bm4"), WithPolicy(ThermalAware),
-	))
+	_, err := e.Run(ctx, Request{
+		Flow: FlowCoSynthesis, Benchmark: "Bm4", Policy: "thermal",
+	})
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("cancelled co-synthesis returned no error")
@@ -307,15 +311,15 @@ func TestEngineRequestJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := NewRequest(
-		FlowCoSynthesis,
-		WithGraph(g),
-		WithPolicy(MinTaskEnergy),
-		WithSeed(0), // explicit zero must survive the wire
-		WithMaxPEs(3),
-		WithFloorplanGenerations(4),
-		WithTempWeight(12.5),
-	)
+	req := Request{
+		Flow:                 FlowCoSynthesis,
+		Graph:                GraphSpecOf(g),
+		Policy:               "heuristic3",
+		Seed:                 ptr(int64(0)), // explicit zero must survive the wire
+		MaxPEs:               3,
+		FloorplanGenerations: 4,
+		TempWeight:           ptr(12.5),
+	}
 	blob, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
@@ -341,7 +345,7 @@ func TestEngineRequestJSONRoundTrip(t *testing.T) {
 
 	// A response must round trip too: it is the service's wire format.
 	e := testEngine(t)
-	resp, err := e.Run(context.Background(), NewRequest(FlowPlatform, WithBenchmark("Bm1")))
+	resp, err := e.Run(context.Background(), Request{Flow: FlowPlatform, Benchmark: "Bm1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,9 +365,9 @@ func TestEngineRequestJSONRoundTrip(t *testing.T) {
 func TestEngineModelCacheReuse(t *testing.T) {
 	e := testEngine(t)
 	for i := 0; i < 3; i++ {
-		if _, err := e.Run(context.Background(), NewRequest(
-			FlowPlatform, WithBenchmark("Bm1"), WithPolicy(ThermalAware),
-		)); err != nil {
+		if _, err := e.Run(context.Background(), Request{
+			Flow: FlowPlatform, Benchmark: "Bm1", Policy: "thermal",
+		}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -395,23 +399,23 @@ func TestEngineRequestValidation(t *testing.T) {
 			t.Errorf("bad request %d accepted: %+v", i, req)
 		}
 	}
-	if _, err := e.Run(context.Background(), NewRequest(FlowPlatform, WithBenchmark("Bm9"))); err == nil {
+	if _, err := e.Run(context.Background(), Request{Flow: FlowPlatform, Benchmark: "Bm9"}); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
 }
 
 func TestEngineGanttIncluded(t *testing.T) {
 	e := testEngine(t)
-	resp, err := e.Run(context.Background(), NewRequest(
-		FlowPlatform, WithBenchmark("Bm1"), WithGantt(),
-	))
+	resp, err := e.Run(context.Background(), Request{
+		Flow: FlowPlatform, Benchmark: "Bm1", IncludeGantt: true,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.Gantt == "" {
 		t.Error("requested gantt missing from response")
 	}
-	resp, err = e.Run(context.Background(), NewRequest(FlowPlatform, WithBenchmark("Bm1")))
+	resp, err = e.Run(context.Background(), Request{Flow: FlowPlatform, Benchmark: "Bm1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +429,7 @@ func TestEngineGanttIncluded(t *testing.T) {
 // results must match a sequential run exactly.
 func TestEngineConcurrentThermalRunsShareModel(t *testing.T) {
 	e := testEngine(t)
-	req := NewRequest(FlowPlatform, WithBenchmark("Bm2"), WithPolicy(ThermalAware))
+	req := Request{Flow: FlowPlatform, Benchmark: "Bm2", Policy: "thermal"}
 	want, err := e.Run(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
@@ -455,11 +459,11 @@ func TestEngineConcurrentThermalRunsShareModel(t *testing.T) {
 // replicas fan out across the search pool: two runs — and a fresh
 // engine — produce the identical report.
 func TestEngineSimulateFlowDeterministic(t *testing.T) {
-	req := NewRequest(FlowSimulate,
-		WithBenchmark("Bm2"),
-		WithPolicy(ThermalAware),
-		WithSimulate(SimulateSpec{Replicas: 8, Seed: 11, MinFactor: 0.7}),
-	)
+	req := Request{Flow: FlowSimulate,
+		Benchmark: "Bm2",
+		Policy:    "thermal",
+		Simulate:  &SimulateSpec{Replicas: 8, Seed: 11, MinFactor: 0.7},
+	}
 	e := testEngine(t)
 	a, err := e.Run(context.Background(), req)
 	if err != nil {
@@ -489,13 +493,13 @@ func TestEngineSimulateFlowDeterministic(t *testing.T) {
 // unthrottled ("none" controller) run's.
 func TestEngineSimulateClosedLoop(t *testing.T) {
 	e := testEngine(t)
-	free, err := e.Run(context.Background(), NewRequest(FlowSimulate,
-		WithBenchmark("Bm1"), WithSimulate(SimulateSpec{Controller: "none"})))
+	free, err := e.Run(context.Background(), Request{Flow: FlowSimulate,
+		Benchmark: "Bm1", Simulate: &SimulateSpec{Controller: "none"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	throttled, err := e.Run(context.Background(), NewRequest(FlowSimulate,
-		WithBenchmark("Bm1"), WithSimulate(SimulateSpec{Controller: "toggle", TriggerC: 60})))
+	throttled, err := e.Run(context.Background(), Request{Flow: FlowSimulate,
+		Benchmark: "Bm1", Simulate: &SimulateSpec{Controller: "toggle", TriggerC: 60}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -520,8 +524,8 @@ func TestSimulateThermalThrottlesLess(t *testing.T) {
 	e := testEngine(t)
 	run := func(bm string, policy Policy) *SimulateReport {
 		t.Helper()
-		resp, err := e.Run(context.Background(), NewRequest(FlowSimulate,
-			WithBenchmark(bm), WithPolicy(policy)))
+		resp, err := e.Run(context.Background(), Request{Flow: FlowSimulate,
+			Benchmark: bm, Policy: policy.String()})
 		if err != nil {
 			t.Fatalf("%s/%s: %v", bm, policy, err)
 		}
@@ -648,9 +652,9 @@ func TestModelKeyDistinctConfigs(t *testing.T) {
 
 func TestSimulateReplicaCap(t *testing.T) {
 	e := testEngine(t)
-	_, err := e.Run(context.Background(), NewRequest(FlowSimulate,
-		WithBenchmark("Bm1"),
-		WithSimulate(SimulateSpec{Replicas: MaxSimulateReplicas + 1})))
+	_, err := e.Run(context.Background(), Request{Flow: FlowSimulate,
+		Benchmark: "Bm1",
+		Simulate:  &SimulateSpec{Replicas: MaxSimulateReplicas + 1}})
 	if err == nil {
 		t.Fatal("over-limit replica count accepted")
 	}

@@ -24,9 +24,9 @@ func main() {
 	// A campaign is one request: N seeded scenarios × the compared
 	// policies, scheduled concurrently, aggregated into win rates and
 	// percentiles. The same spec always reproduces the same campaign.
-	resp, err := engine.Run(ctx, thermalsched.NewRequest(
-		thermalsched.FlowCampaign,
-		thermalsched.WithCampaign(thermalsched.CampaignSpec{
+	resp, err := engine.Run(ctx, thermalsched.Request{
+		Flow: thermalsched.FlowCampaign,
+		Campaign: &thermalsched.CampaignSpec{
 			Scenarios: 12,
 			Seed:      2005,
 			MinTasks:  20,
@@ -37,8 +37,8 @@ func main() {
 					PEs: 6, MinSpeed: 0.6, MaxSpeed: 2.0,
 				},
 			},
-		}),
-	))
+		},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -47,9 +47,9 @@ func main() {
 	// Reproduce any row exactly: the generate flow serializes the
 	// scenario behind a fingerprint into .tg/.lib text.
 	row := resp.Campaign.Rows[0]
-	gen, err := engine.Run(ctx, thermalsched.NewRequest(
-		thermalsched.FlowGenerate,
-		thermalsched.WithScenario(thermalsched.ScenarioSpec{
+	gen, err := engine.Run(ctx, thermalsched.Request{
+		Flow: thermalsched.FlowGenerate,
+		Scenario: &thermalsched.ScenarioSpec{
 			Name: row.Scenario,
 			Seed: row.Seed,
 			Graph: thermalsched.ScenarioGraphParams{
@@ -58,8 +58,8 @@ func main() {
 			Platform: thermalsched.ScenarioPlatformParams{
 				PEs: 6, MinSpeed: 0.6, MaxSpeed: 2.0,
 			},
-		}),
-	))
+		},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

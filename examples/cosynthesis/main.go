@@ -29,12 +29,12 @@ func main() {
 	fmt.Printf("co-synthesizing an architecture for %s (deadline %.0f)\n\n", g.Name, g.Deadline)
 
 	for _, policy := range []thermalsched.Policy{thermalsched.MinTaskEnergy, thermalsched.ThermalAware} {
-		resp, err := engine.Run(ctx, thermalsched.NewRequest(
-			thermalsched.FlowCoSynthesis,
-			thermalsched.WithBenchmark("Bm2"),
-			thermalsched.WithPolicy(policy),
-			thermalsched.WithFloorplanGenerations(20),
-		))
+		resp, err := engine.Run(ctx, thermalsched.Request{
+			Flow:                 thermalsched.FlowCoSynthesis,
+			Benchmark:            "Bm2",
+			Policy:               policy.String(),
+			FloorplanGenerations: 20,
+		})
 		if err != nil {
 			log.Fatal(err)
 		}

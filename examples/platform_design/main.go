@@ -28,11 +28,11 @@ func main() {
 	var reqs []thermalsched.Request
 	for _, b := range benchmarks {
 		for _, p := range policies {
-			reqs = append(reqs, thermalsched.NewRequest(
-				thermalsched.FlowPlatform,
-				thermalsched.WithBenchmark(b),
-				thermalsched.WithPolicy(p),
-			))
+			reqs = append(reqs, thermalsched.Request{
+				Flow:      thermalsched.FlowPlatform,
+				Benchmark: b,
+				Policy:    p.String(),
+			})
 		}
 	}
 	resps, err := engine.RunBatch(context.Background(), reqs)

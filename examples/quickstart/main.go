@@ -31,11 +31,11 @@ func main() {
 
 	// Compare the traditional baseline against the thermal-aware ASP.
 	for _, policy := range []thermalsched.Policy{thermalsched.Baseline, thermalsched.ThermalAware} {
-		resp, err := engine.Run(ctx, thermalsched.NewRequest(
-			thermalsched.FlowPlatform,
-			thermalsched.WithBenchmark("Bm1"),
-			thermalsched.WithPolicy(policy),
-		))
+		resp, err := engine.Run(ctx, thermalsched.Request{
+			Flow:      thermalsched.FlowPlatform,
+			Benchmark: "Bm1",
+			Policy:    policy.String(),
+		})
 		if err != nil {
 			log.Fatal(err)
 		}

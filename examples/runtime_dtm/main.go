@@ -40,12 +40,12 @@ func main() {
 	fmt.Printf("%-5s | %-13s | %12s %12s %10s\n", "bench", "policy", "throttle p50", "makespan p50", "miss rate")
 	for _, bench := range []string{"Bm1", "Bm2", "Bm3", "Bm4"} {
 		for _, policy := range []thermalsched.Policy{thermalsched.MinTaskEnergy, thermalsched.ThermalAware} {
-			resp, err := engine.Run(context.Background(), thermalsched.NewRequest(
-				thermalsched.FlowSimulate,
-				thermalsched.WithBenchmark(bench),
-				thermalsched.WithPolicy(policy),
-				thermalsched.WithSimulate(spec),
-			))
+			resp, err := engine.Run(context.Background(), thermalsched.Request{
+				Flow:      thermalsched.FlowSimulate,
+				Benchmark: bench,
+				Policy:    policy.String(),
+				Simulate:  &spec,
+			})
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -74,12 +74,12 @@ func main() {
 		"bench", "controller", "peak p50 °C", "makespan p50", "miss rate", "denials")
 	for _, bench := range []string{"Bm1", "Bm2", "Bm3", "Bm4"} {
 		for _, cspec := range []thermalsched.SimulateSpec{spec, admit} {
-			resp, err := engine.Run(context.Background(), thermalsched.NewRequest(
-				thermalsched.FlowSimulate,
-				thermalsched.WithBenchmark(bench),
-				thermalsched.WithPolicy(thermalsched.ThermalAware),
-				thermalsched.WithSimulate(cspec),
-			))
+			resp, err := engine.Run(context.Background(), thermalsched.Request{
+				Flow:      thermalsched.FlowSimulate,
+				Benchmark: bench,
+				Policy:    "thermal",
+				Simulate:  &cspec,
+			})
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -43,9 +43,7 @@ func main() {
 		thermalsched.StreamPolicyFIFO,
 		thermalsched.StreamPolicyGreedy,
 	} {
-		req := thermalsched.NewRequest(thermalsched.FlowStream,
-			thermalsched.WithStream(spec))
-		req.Policy = policy
+		req := thermalsched.Request{Flow: thermalsched.FlowStream, Stream: &spec, Policy: policy}
 		resp, err := engine.Run(ctx, req)
 		if err != nil {
 			log.Fatal(err)
@@ -65,14 +63,14 @@ func main() {
 	// Campaigns duel online policies across a seeded family of stream
 	// workloads, with the same reproducibility contract as offline
 	// campaigns.
-	resp, err := engine.Run(ctx, thermalsched.NewRequest(
-		thermalsched.FlowCampaign,
-		thermalsched.WithCampaign(thermalsched.CampaignSpec{
+	resp, err := engine.Run(ctx, thermalsched.Request{
+		Flow: thermalsched.FlowCampaign,
+		Campaign: &thermalsched.CampaignSpec{
 			Scenarios: 6,
 			Seed:      7,
 			Stream:    &thermalsched.StreamSpec{MinFactor: 0.8},
-		}),
-	))
+		},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

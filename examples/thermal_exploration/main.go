@@ -50,12 +50,12 @@ func main() {
 	// makespan and differ only in the initial thermal state.
 	fmt.Println("2. transient replay of the thermal-aware Bm2 schedule (no DTM):")
 	for _, warm := range []bool{false, true} {
-		resp, err := engine.Run(ctx, thermalsched.NewRequest(
-			thermalsched.FlowSimulate,
-			thermalsched.WithBenchmark("Bm2"),
-			thermalsched.WithPolicy(thermalsched.ThermalAware),
-			thermalsched.WithSimulate(thermalsched.SimulateSpec{Controller: "none", WarmStart: warm}),
-		))
+		resp, err := engine.Run(ctx, thermalsched.Request{
+			Flow:      thermalsched.FlowSimulate,
+			Benchmark: "Bm2",
+			Policy:    "thermal",
+			Simulate:  &thermalsched.SimulateSpec{Controller: "none", WarmStart: warm},
+		})
 		if err != nil {
 			log.Fatal(err)
 		}

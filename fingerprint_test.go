@@ -87,29 +87,29 @@ func TestRequestFingerprintSensitivity(t *testing.T) {
 // spec defaults are normalized; but a campaign's Simulate presence is
 // semantic and an explicit seed 0 is not seed 1.
 func TestRequestFingerprintNormalization(t *testing.T) {
-	a := NewRequest(FlowCoSynthesis, WithBenchmark("Bm1"))
-	b := NewRequest(FlowCoSynthesis, WithBenchmark("Bm1"), WithSeed(1))
+	a := Request{Flow: FlowCoSynthesis, Benchmark: "Bm1"}
+	b := Request{Flow: FlowCoSynthesis, Benchmark: "Bm1", Seed: ptr(int64(1))}
 	if a.Fingerprint() != b.Fingerprint() {
 		t.Error("nil seed and explicit seed 1 must share a fingerprint")
 	}
-	zero := NewRequest(FlowCoSynthesis, WithBenchmark("Bm1"), WithSeed(0))
+	zero := Request{Flow: FlowCoSynthesis, Benchmark: "Bm1", Seed: ptr(int64(0))}
 	if zero.Fingerprint() == a.Fingerprint() {
 		t.Error("explicit seed 0 collapsed into the nil-seed default")
 	}
 
-	simNil := NewRequest(FlowSimulate, WithBenchmark("Bm1"))
-	simZero := NewRequest(FlowSimulate, WithBenchmark("Bm1"), WithSimulate(SimulateSpec{}))
+	simNil := Request{Flow: FlowSimulate, Benchmark: "Bm1"}
+	simZero := Request{Flow: FlowSimulate, Benchmark: "Bm1", Simulate: &SimulateSpec{}}
 	if simNil.Fingerprint() != simZero.Fingerprint() {
 		t.Error("nil and zero simulate specs must share a fingerprint")
 	}
 
-	cmpNil := NewRequest(FlowCampaign)
-	cmpZero := NewRequest(FlowCampaign, WithCampaign(CampaignSpec{}))
-	cmpDefault := NewRequest(FlowCampaign, WithCampaign(CampaignSpec{Scenarios: 8}))
+	cmpNil := Request{Flow: FlowCampaign}
+	cmpZero := Request{Flow: FlowCampaign, Campaign: &CampaignSpec{}}
+	cmpDefault := Request{Flow: FlowCampaign, Campaign: &CampaignSpec{Scenarios: 8}}
 	if cmpNil.Fingerprint() != cmpZero.Fingerprint() || cmpNil.Fingerprint() != cmpDefault.Fingerprint() {
 		t.Error("nil, zero and explicitly-default campaign specs must share a fingerprint")
 	}
-	cmpSim := NewRequest(FlowCampaign, WithCampaign(CampaignSpec{Simulate: &SimulateSpec{}}))
+	cmpSim := Request{Flow: FlowCampaign, Campaign: &CampaignSpec{Simulate: &SimulateSpec{}}}
 	if cmpSim.Fingerprint() == cmpNil.Fingerprint() {
 		t.Error("a campaign with closed-loop simulation fingerprints like the static campaign")
 	}
@@ -135,7 +135,7 @@ func TestRequestFingerprintGraphSensitivity(t *testing.T) {
 			Edges: []EdgeSpec{{From: 0, To: 1, Data: 5, Prob: 0.5}},
 		}
 		mut(g)
-		r := NewRequest(FlowPlatform, WithGraphSpec(g))
+		r := Request{Flow: FlowPlatform, Graph: g}
 		return r.Fingerprint()
 	}
 	base := mk(func(*GraphSpec) {})
@@ -207,16 +207,16 @@ func TestRequestFingerprintPinned(t *testing.T) {
 		req  Request
 		want string
 	}{
-		{"simulate-full", NewRequest(FlowSimulate, WithBenchmark("Bm2"), WithSimulate(sim)), "11bd1f96192998a9"},
-		{"simulate-default", NewRequest(FlowSimulate, WithBenchmark("Bm1")), "000aad43dc28491c"},
-		{"stream-full", NewRequest(FlowStream, WithStream(st),
-			func(r *Request) { r.Policy = StreamPolicyAdmit }), "802d84aa293f6876"},
-		{"stream-default", NewRequest(FlowStream, WithStream(StreamSpec{Seed: 1})), "180e8458509f84e6"},
-		{"campaign-simulate", NewRequest(FlowCampaign, WithCampaign(CampaignSpec{
+		{"simulate-full", Request{Flow: FlowSimulate, Benchmark: "Bm2", Simulate: &sim}, "11bd1f96192998a9"},
+		{"simulate-default", Request{Flow: FlowSimulate, Benchmark: "Bm1"}, "000aad43dc28491c"},
+		{"stream-full", Request{Flow: FlowStream, Stream: &st,
+			Policy: StreamPolicyAdmit}, "802d84aa293f6876"},
+		{"stream-default", Request{Flow: FlowStream, Stream: &StreamSpec{Seed: 1}}, "180e8458509f84e6"},
+		{"campaign-simulate", Request{Flow: FlowCampaign, Campaign: &CampaignSpec{
 			Scenarios: 3, Seed: 2, Policies: []string{"thermal"},
-			Controllers: []string{"toggle", "admit", "zigzag"}, Simulate: &campSim})), "8f92797d52627164"},
-		{"campaign-stream", NewRequest(FlowCampaign, WithCampaign(CampaignSpec{
-			Scenarios: 2, Seed: 7, Policies: []string{"greedy", "admit"}, Stream: &st})), "41de1c986a4f6835"},
+			Controllers: []string{"toggle", "admit", "zigzag"}, Simulate: &campSim}}, "8f92797d52627164"},
+		{"campaign-stream", Request{Flow: FlowCampaign, Campaign: &CampaignSpec{
+			Scenarios: 2, Seed: 7, Policies: []string{"greedy", "admit"}, Stream: &st}}, "41de1c986a4f6835"},
 	}
 	for _, tc := range cases {
 		if err := tc.req.Validate(); err != nil {

@@ -56,73 +56,73 @@ func goldenCases() []goldenCase {
 	}
 	// backlog is the online benchmark's shape: 16 PEs under bursty
 	// arrivals, busy enough that admission holds pile up.
-	backlog := func(s StreamSpec) StreamSpec {
+	backlog := func(s StreamSpec) *StreamSpec {
 		s.MinFactor = 0.8
 		s.Replicas = 2
 		s.Arrivals = StreamArrivalParams{Horizon: 600, Sources: 8, Rate: 0.2, BurstMean: 2}
 		s.Platform = ScenarioPlatformParams{PEs: 16}
-		return s
+		return &s
 	}
 	cases := []goldenCase{
-		{"simulate_bm1_toggle", NewRequest(FlowSimulate, WithBenchmark("Bm1"),
-			WithSimulate(SimulateSpec{Controller: "toggle", Replicas: 3, MinFactor: 0.85, Seed: 7}))},
-		{"simulate_bm2_pi_warm", NewRequest(FlowSimulate, WithBenchmark("Bm2"),
-			WithSimulate(SimulateSpec{Controller: "pi", Replicas: 2, MinFactor: 0.9, Seed: 11, WarmStart: true}))},
-		{"simulate_bm3_none", NewRequest(FlowSimulate, WithBenchmark("Bm3"),
-			WithSimulate(SimulateSpec{Controller: "none"}))},
-		{"simulate_scenario_conditional", NewRequest(FlowSimulate, WithScenario(condScenario),
-			WithSimulate(SimulateSpec{Controller: "toggle", Replicas: 3, MinFactor: 0.7, Seed: 3,
-				Conditional: true, WarmStart: true}))},
-		{"stream_fifo", NewRequest(FlowStream, WithStream(StreamSpec{Seed: 2, SimSeed: 9, MinFactor: 0.8, Replicas: 2}),
-			func(r *Request) { r.Policy = StreamPolicyFIFO })},
-		{"stream_random", NewRequest(FlowStream, WithStream(StreamSpec{Seed: 2, SimSeed: 9, MinFactor: 0.8, Replicas: 2}),
-			func(r *Request) { r.Policy = StreamPolicyRandom })},
-		{"stream_coolest", NewRequest(FlowStream, WithStream(StreamSpec{Seed: 4, SimSeed: 1, MinFactor: 0.75, Replicas: 2}),
-			func(r *Request) { r.Policy = StreamPolicyCoolest })},
-		{"stream_greedy", NewRequest(FlowStream, WithStream(StreamSpec{Seed: 4, SimSeed: 1, MinFactor: 0.75, Replicas: 2}),
-			func(r *Request) { r.Policy = StreamPolicyGreedy })},
-		{"stream_admit_backlog", NewRequest(FlowStream, WithStream(backlog(StreamSpec{Seed: 3, SimSeed: 5})),
-			func(r *Request) { r.Policy = StreamPolicyAdmit })},
-		{"stream_zigzag", NewRequest(FlowStream, WithStream(backlog(StreamSpec{Seed: 6, SimSeed: 2})),
-			func(r *Request) { r.Policy = StreamPolicyZigzag })},
-		{"stream_admit_tiny_retry", NewRequest(FlowStream, WithStream(backlog(StreamSpec{Seed: 2, SimSeed: 5, SupervisorSpec: SupervisorSpec{RetryAfter: 1e-300}})),
-			func(r *Request) { r.Policy = StreamPolicyAdmit })},
-		{"simulate_bm1_admit", NewRequest(FlowSimulate, WithBenchmark("Bm1"),
-			WithSimulate(SimulateSpec{Controller: "admit", Replicas: 2, MinFactor: 0.85, Seed: 13}))},
-		{"simulate_bm1_admit_tiny_retry", NewRequest(FlowSimulate, WithBenchmark("Bm1"),
-			WithSimulate(SimulateSpec{Controller: "admit", Replicas: 2, MinFactor: 0.85, Seed: 13,
-				SupervisorSpec: SupervisorSpec{RetryAfter: 1e-300}}))},
-		{"simulate_bm1_zigzag", NewRequest(FlowSimulate, WithBenchmark("Bm1"),
-			WithSimulate(SimulateSpec{Controller: "zigzag", Replicas: 2, MinFactor: 0.85, Seed: 13}))},
-		{"simulate_bm2_zigzag_warm", NewRequest(FlowSimulate, WithBenchmark("Bm2"),
-			WithSimulate(SimulateSpec{Controller: "zigzag", Replicas: 2, MinFactor: 0.85, Seed: 13, WarmStart: true}))},
-		{"simulate_scenario_zigzag", NewRequest(FlowSimulate, WithScenario(ScenarioSpec{Seed: 5,
-			Graph: ScenarioGraphParams{Tasks: 40}, Platform: ScenarioPlatformParams{PEs: 8}}),
-			WithSimulate(SimulateSpec{Controller: "zigzag", Replicas: 2, MinFactor: 0.8, Seed: 5}))},
-		{"cosynthesis_bm1_capped", NewRequest(FlowCoSynthesis, WithBenchmark("Bm1"),
-			WithMaxPEs(4), WithFloorplanGenerations(2), WithGantt())},
-		{"cosynthesis_bm2_h3", NewRequest(FlowCoSynthesis, WithBenchmark("Bm2"),
-			WithPolicy(MinTaskEnergy))},
-		{"cosynthesis_bm4_capped", NewRequest(FlowCoSynthesis, WithBenchmark("Bm4"),
-			WithMaxPEs(4), WithFloorplanGenerations(2))},
-		{"generate_layered", NewRequest(FlowGenerate, WithScenario(ScenarioSpec{
-			Seed: 4, Graph: ScenarioGraphParams{Tasks: 30, Shape: "layered"}}))},
-		{"generate_series_parallel", NewRequest(FlowGenerate, WithScenario(ScenarioSpec{
+		{"simulate_bm1_toggle", Request{Flow: FlowSimulate, Benchmark: "Bm1",
+			Simulate: &SimulateSpec{Controller: "toggle", Replicas: 3, MinFactor: 0.85, Seed: 7}}},
+		{"simulate_bm2_pi_warm", Request{Flow: FlowSimulate, Benchmark: "Bm2",
+			Simulate: &SimulateSpec{Controller: "pi", Replicas: 2, MinFactor: 0.9, Seed: 11, WarmStart: true}}},
+		{"simulate_bm3_none", Request{Flow: FlowSimulate, Benchmark: "Bm3",
+			Simulate: &SimulateSpec{Controller: "none"}}},
+		{"simulate_scenario_conditional", Request{Flow: FlowSimulate, Scenario: &condScenario,
+			Simulate: &SimulateSpec{Controller: "toggle", Replicas: 3, MinFactor: 0.7, Seed: 3,
+				Conditional: true, WarmStart: true}}},
+		{"stream_fifo", Request{Flow: FlowStream, Stream: &StreamSpec{Seed: 2, SimSeed: 9, MinFactor: 0.8, Replicas: 2},
+			Policy: StreamPolicyFIFO}},
+		{"stream_random", Request{Flow: FlowStream, Stream: &StreamSpec{Seed: 2, SimSeed: 9, MinFactor: 0.8, Replicas: 2},
+			Policy: StreamPolicyRandom}},
+		{"stream_coolest", Request{Flow: FlowStream, Stream: &StreamSpec{Seed: 4, SimSeed: 1, MinFactor: 0.75, Replicas: 2},
+			Policy: StreamPolicyCoolest}},
+		{"stream_greedy", Request{Flow: FlowStream, Stream: &StreamSpec{Seed: 4, SimSeed: 1, MinFactor: 0.75, Replicas: 2},
+			Policy: StreamPolicyGreedy}},
+		{"stream_admit_backlog", Request{Flow: FlowStream, Stream: backlog(StreamSpec{Seed: 3, SimSeed: 5}),
+			Policy: StreamPolicyAdmit}},
+		{"stream_zigzag", Request{Flow: FlowStream, Stream: backlog(StreamSpec{Seed: 6, SimSeed: 2}),
+			Policy: StreamPolicyZigzag}},
+		{"stream_admit_tiny_retry", Request{Flow: FlowStream, Stream: backlog(StreamSpec{Seed: 2, SimSeed: 5, SupervisorSpec: SupervisorSpec{RetryAfter: 1e-300}}),
+			Policy: StreamPolicyAdmit}},
+		{"simulate_bm1_admit", Request{Flow: FlowSimulate, Benchmark: "Bm1",
+			Simulate: &SimulateSpec{Controller: "admit", Replicas: 2, MinFactor: 0.85, Seed: 13}}},
+		{"simulate_bm1_admit_tiny_retry", Request{Flow: FlowSimulate, Benchmark: "Bm1",
+			Simulate: &SimulateSpec{Controller: "admit", Replicas: 2, MinFactor: 0.85, Seed: 13,
+				SupervisorSpec: SupervisorSpec{RetryAfter: 1e-300}}}},
+		{"simulate_bm1_zigzag", Request{Flow: FlowSimulate, Benchmark: "Bm1",
+			Simulate: &SimulateSpec{Controller: "zigzag", Replicas: 2, MinFactor: 0.85, Seed: 13}}},
+		{"simulate_bm2_zigzag_warm", Request{Flow: FlowSimulate, Benchmark: "Bm2",
+			Simulate: &SimulateSpec{Controller: "zigzag", Replicas: 2, MinFactor: 0.85, Seed: 13, WarmStart: true}}},
+		{"simulate_scenario_zigzag", Request{Flow: FlowSimulate, Scenario: &ScenarioSpec{Seed: 5,
+			Graph: ScenarioGraphParams{Tasks: 40}, Platform: ScenarioPlatformParams{PEs: 8}},
+			Simulate: &SimulateSpec{Controller: "zigzag", Replicas: 2, MinFactor: 0.8, Seed: 5}}},
+		{"cosynthesis_bm1_capped", Request{Flow: FlowCoSynthesis, Benchmark: "Bm1",
+			MaxPEs: 4, FloorplanGenerations: 2, IncludeGantt: true}},
+		{"cosynthesis_bm2_h3", Request{Flow: FlowCoSynthesis, Benchmark: "Bm2",
+			Policy: "heuristic3"}},
+		{"cosynthesis_bm4_capped", Request{Flow: FlowCoSynthesis, Benchmark: "Bm4",
+			MaxPEs: 4, FloorplanGenerations: 2}},
+		{"generate_layered", Request{Flow: FlowGenerate, Scenario: &ScenarioSpec{
+			Seed: 4, Graph: ScenarioGraphParams{Tasks: 30, Shape: "layered"}}}},
+		{"generate_series_parallel", Request{Flow: FlowGenerate, Scenario: &ScenarioSpec{
 			Seed: 4, Graph: ScenarioGraphParams{Tasks: 30, Shape: "series-parallel"},
-			Platform: ScenarioPlatformParams{PEs: 6, MinSpeed: 0.5, MaxSpeed: 2, Layout: "row"}}))},
-		{"generate_conditional", NewRequest(FlowGenerate, WithScenario(condScenario))},
-		{"campaign_static", NewRequest(FlowCampaign, WithCampaign(CampaignSpec{
-			Scenarios: 3, Seed: 2, MinTasks: 15, MaxTasks: 30}))},
-		{"campaign_simulate", NewRequest(FlowCampaign, WithCampaign(CampaignSpec{
+			Platform: ScenarioPlatformParams{PEs: 6, MinSpeed: 0.5, MaxSpeed: 2, Layout: "row"}}}},
+		{"generate_conditional", Request{Flow: FlowGenerate, Scenario: &condScenario}},
+		{"campaign_static", Request{Flow: FlowCampaign, Campaign: &CampaignSpec{
+			Scenarios: 3, Seed: 2, MinTasks: 15, MaxTasks: 30}}},
+		{"campaign_simulate", Request{Flow: FlowCampaign, Campaign: &CampaignSpec{
 			Scenarios: 2, Seed: 5, MinTasks: 15, MaxTasks: 25,
-			Simulate: &SimulateSpec{Replicas: 2, MinFactor: 0.8, Seed: 3}}))},
-		{"campaign_stream", NewRequest(FlowCampaign, WithCampaign(CampaignSpec{
-			Scenarios: 2, Seed: 7, Stream: &StreamSpec{Replicas: 2, MinFactor: 0.8}}))},
+			Simulate: &SimulateSpec{Replicas: 2, MinFactor: 0.8, Seed: 3}}}},
+		{"campaign_stream", Request{Flow: FlowCampaign, Campaign: &CampaignSpec{
+			Scenarios: 2, Seed: 7, Stream: &StreamSpec{Replicas: 2, MinFactor: 0.8}}}},
 	}
 	for _, b := range []string{"Bm1", "Bm2", "Bm3", "Bm4"} {
 		for _, p := range []Policy{ThermalAware, Baseline} {
 			cases = append(cases, goldenCase{"platform_" + strings.ToLower(b) + "_" + p.String(),
-				NewRequest(FlowPlatform, WithBenchmark(b), WithPolicy(p), WithGantt())})
+				Request{Flow: FlowPlatform, Benchmark: b, Policy: p.String(), IncludeGantt: true}})
 		}
 	}
 	return cases

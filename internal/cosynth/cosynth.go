@@ -175,6 +175,31 @@ func RunCoSynthesis(ctx context.Context, g *taskgraph.Graph, lib *techlib.Librar
 		return len(types) > 0
 	}
 
+	// neighbours enumerates the architectures one move from types, in
+	// submission order: each candidate type appended, then each slot
+	// swapped to every other candidate type whose union still covers
+	// the graph's task types. The pool evaluates them all and the
+	// caller picks the winner in this order.
+	neighbours := func(types []int) [][]int {
+		var opts [][]int
+		for _, cd := range cands {
+			opts = append(opts, append(append([]int{}, types...), cd.idx))
+		}
+		for slot := range types {
+			for _, cd := range cands {
+				if cd.idx == types[slot] {
+					continue
+				}
+				swapped := append([]int{}, types...)
+				swapped[slot] = cd.idx
+				if unionCovers(swapped) {
+					opts = append(opts, swapped)
+				}
+			}
+		}
+		return opts
+	}
+
 	var seedType *cand
 	for i := range cands {
 		if covers(cands[i].idx) {
@@ -199,66 +224,43 @@ func RunCoSynthesis(ctx context.Context, g *taskgraph.Graph, lib *techlib.Librar
 	// the coolest (the Fig. 1a "meets requirement?" check includes the
 	// thermal goal) while the power-aware flows pick the cheapest (the
 	// classic co-synthesis cost objective).
+	better := func(a, b *Result) bool {
+		if a.Metrics.Feasible != b.Metrics.Feasible {
+			return a.Metrics.Feasible
+		}
+		if !a.Metrics.Feasible {
+			if math.Abs(a.Metrics.Makespan-b.Metrics.Makespan) > 1e-9 {
+				return a.Metrics.Makespan < b.Metrics.Makespan
+			}
+			return a.Metrics.Cost < b.Metrics.Cost
+		}
+		if c.Policy == sched.ThermalAware {
+			if math.Abs(a.Metrics.MaxTemp-b.Metrics.MaxTemp) > 1e-9 {
+				return a.Metrics.MaxTemp < b.Metrics.MaxTemp
+			}
+		}
+		if a.Metrics.Cost != b.Metrics.Cost {
+			return a.Metrics.Cost < b.Metrics.Cost
+		}
+		return a.Metrics.Makespan < b.Metrics.Makespan
+	}
 	for !best.Metrics.Feasible && len(types) < c.MaxPEs {
-		type option struct {
-			types []int
-			res   *Result
-		}
-		var bestOpt *option
-		better := func(a, b *Result) bool {
-			if a.Metrics.Feasible != b.Metrics.Feasible {
-				return a.Metrics.Feasible
-			}
-			if !a.Metrics.Feasible {
-				if math.Abs(a.Metrics.Makespan-b.Metrics.Makespan) > 1e-9 {
-					return a.Metrics.Makespan < b.Metrics.Makespan
-				}
-				return a.Metrics.Cost < b.Metrics.Cost
-			}
-			if c.Policy == sched.ThermalAware {
-				if math.Abs(a.Metrics.MaxTemp-b.Metrics.MaxTemp) > 1e-9 {
-					return a.Metrics.MaxTemp < b.Metrics.MaxTemp
-				}
-			}
-			if a.Metrics.Cost != b.Metrics.Cost {
-				return a.Metrics.Cost < b.Metrics.Cost
-			}
-			return a.Metrics.Makespan < b.Metrics.Makespan
-		}
-		// Enumerate the whole neighborhood first (append candidates,
-		// then per-slot upgrades), evaluate it over the pool, and pick
-		// the winner in submission order.
-		var opts [][]int
-		for _, cd := range cands {
-			opts = append(opts, append(append([]int{}, types...), cd.idx))
-		}
-		for slot := range types {
-			for _, cd := range cands {
-				if cd.idx == types[slot] {
-					continue
-				}
-				upgraded := append([]int{}, types...)
-				upgraded[slot] = cd.idx
-				if !unionCovers(upgraded) {
-					continue
-				}
-				opts = append(opts, upgraded)
-			}
-		}
+		opts := neighbours(types)
 		results, err := evaluateAll(opts)
 		if err != nil {
 			return nil, err
 		}
+		win := -1 // first best in submission order
 		for i, r := range results {
-			if bestOpt == nil || better(r, bestOpt.res) {
-				bestOpt = &option{types: opts[i], res: r}
+			if win < 0 || better(r, results[win]) {
+				win = i
 			}
 		}
-		if bestOpt == nil ||
-			(!bestOpt.res.Metrics.Feasible && bestOpt.res.Metrics.Makespan >= best.Metrics.Makespan-1e-9) {
+		if win < 0 ||
+			(!results[win].Metrics.Feasible && results[win].Metrics.Makespan >= best.Metrics.Makespan-1e-9) {
 			break // no progress; return the best infeasible solution
 		}
-		types, best = bestOpt.types, bestOpt.res
+		types, best = opts[win], results[win]
 	}
 
 	// Thermal-aware growth phase: the Fig. 1a loop keeps iterating while
@@ -269,44 +271,21 @@ func RunCoSynthesis(ctx context.Context, g *taskgraph.Graph, lib *techlib.Librar
 	// paper's Table 2.
 	if c.Policy == sched.ThermalAware && best.Metrics.Feasible {
 		for len(types) < c.MaxPEs {
-			type option struct {
-				types []int
-				res   *Result
-			}
-			var bestOpt *option
-			var opts [][]int
-			for _, cd := range cands {
-				opts = append(opts, append(append([]int{}, types...), cd.idx))
-			}
-			for slot := range types {
-				for _, cd := range cands {
-					if cd.idx == types[slot] {
-						continue
-					}
-					swapped := append([]int{}, types...)
-					swapped[slot] = cd.idx
-					if !unionCovers(swapped) {
-						continue
-					}
-					opts = append(opts, swapped)
-				}
-			}
+			opts := neighbours(types)
 			results, err := evaluateAll(opts)
 			if err != nil {
 				return nil, err
 			}
+			win := -1 // coolest feasible, first in submission order
 			for i, r := range results {
-				if !r.Metrics.Feasible {
-					continue
-				}
-				if bestOpt == nil || r.Metrics.MaxTemp < bestOpt.res.Metrics.MaxTemp {
-					bestOpt = &option{types: opts[i], res: r}
+				if r.Metrics.Feasible && (win < 0 || r.Metrics.MaxTemp < results[win].Metrics.MaxTemp) {
+					win = i
 				}
 			}
-			if bestOpt == nil || bestOpt.res.Metrics.MaxTemp >= best.Metrics.MaxTemp-0.5 {
+			if win < 0 || results[win].Metrics.MaxTemp >= best.Metrics.MaxTemp-0.5 {
 				break
 			}
-			types, best = bestOpt.types, bestOpt.res
+			types, best = opts[win], results[win]
 		}
 	}
 

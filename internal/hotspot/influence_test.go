@@ -27,12 +27,13 @@ func TestInfluenceFastPathMatchesDirect(t *testing.T) {
 		for i := range p {
 			p[i] = rng.Float64() * 12
 		}
-		fast, err1 := m.SteadyStateVec(p)
+		fv := make([]float64, len(p))
+		err1 := m.SteadyStateInto(fv, p)
 		direct, err2 := m.SteadyStateDirect(p)
 		if err1 != nil || err2 != nil {
 			return false
 		}
-		fv, dv := fast.Values(), direct.Values()
+		dv := direct.Values()
 		for i := range fv {
 			if math.Abs(fv[i]-dv[i]) > 1e-9 {
 				return false

@@ -393,17 +393,6 @@ func (m *Model) SteadyState(power map[string]float64) (Temps, error) {
 	return m.steadyFromVector(p)
 }
 
-// SteadyStateVec is like SteadyState but takes powers indexed by block
-// node order (length NumBlocks). It rides the influence-column fast
-// path; callers that need zero allocations use SteadyStateInto.
-func (m *Model) SteadyStateVec(power []float64) (Temps, error) {
-	vals := make([]float64, m.n)
-	if err := m.SteadyStateInto(vals, power); err != nil {
-		return Temps{}, err
-	}
-	return Temps{names: m.names, byName: m.byName, values: vals}, nil
-}
-
 // SteadyStateInto computes steady-state block temperatures (°C) for a
 // block-order power vector into dst (length NumBlocks) without
 // allocating once the influence columns of the powered blocks are

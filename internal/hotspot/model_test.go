@@ -129,17 +129,17 @@ func TestSpreadingLoadLowersPeak(t *testing.T) {
 	}
 }
 
-func TestSteadyStateVecMatchesMap(t *testing.T) {
+func TestSteadyStateIntoMatchesMap(t *testing.T) {
 	m := model4(t)
 	byMap, err := m.SteadyState(map[string]float64{"pe0": 2, "pe2": 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	byVec, err := m.SteadyStateVec([]float64{2, 0, 4, 0})
-	if err != nil {
+	byVec := make([]float64, 4)
+	if err := m.SteadyStateInto(byVec, []float64{2, 0, 4, 0}); err != nil {
 		t.Fatal(err)
 	}
-	for i, v := range byVec.Values() {
+	for i, v := range byVec {
 		if math.Abs(v-byMap.Values()[i]) > 1e-12 {
 			t.Fatalf("vec/map disagree at %d: %v vs %v", i, v, byMap.Values()[i])
 		}
@@ -157,7 +157,7 @@ func TestSteadyStateErrors(t *testing.T) {
 	if _, err := m.SteadyState(map[string]float64{"pe0": math.NaN()}); err == nil {
 		t.Error("NaN power accepted")
 	}
-	if _, err := m.SteadyStateVec([]float64{1}); err == nil {
+	if err := m.SteadyStateInto(make([]float64, 4), []float64{1}); err == nil {
 		t.Error("short power vector accepted")
 	}
 }
@@ -231,15 +231,13 @@ func TestSuperpositionProperty(t *testing.T) {
 		for i := range sum {
 			sum[i] = a[i] + b[i]
 		}
-		ta, err1 := m.SteadyStateVec(a)
-		tb, err2 := m.SteadyStateVec(b)
-		ts, err3 := m.SteadyStateVec(sum)
-		if err1 != nil || err2 != nil || err3 != nil {
+		ta, tb, ts := make([]float64, 4), make([]float64, 4), make([]float64, 4)
+		if m.SteadyStateInto(ta, a) != nil || m.SteadyStateInto(tb, b) != nil || m.SteadyStateInto(ts, sum) != nil {
 			return false
 		}
 		for i := range sum {
-			want := (ta.Values()[i] - amb) + (tb.Values()[i] - amb)
-			got := ts.Values()[i] - amb
+			want := (ta[i] - amb) + (tb[i] - amb)
+			got := ts[i] - amb
 			if math.Abs(got-want) > 1e-6*(1+math.Abs(want)) {
 				return false
 			}
@@ -264,13 +262,12 @@ func TestMonotonicityProperty(t *testing.T) {
 		extra := make([]float64, 4)
 		copy(extra, base)
 		extra[rng.Intn(4)] += 1 + rng.Float64()*5
-		t0, err1 := m.SteadyStateVec(base)
-		t1, err2 := m.SteadyStateVec(extra)
-		if err1 != nil || err2 != nil {
+		t0, t1 := make([]float64, 4), make([]float64, 4)
+		if m.SteadyStateInto(t0, base) != nil || m.SteadyStateInto(t1, extra) != nil {
 			return false
 		}
 		for i := range base {
-			if t1.Values()[i] < t0.Values()[i]-1e-9 {
+			if t1[i] < t0[i]-1e-9 {
 				return false
 			}
 		}
@@ -340,17 +337,9 @@ func TestModelBuildDeterministicHeterogeneous(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts, err := m.SteadyStateVec(power)
-		if err != nil {
-			t.Fatal(err)
-		}
 		out := make([]float64, len(names))
-		for i, n := range names {
-			v, ok := ts.Of(n)
-			if !ok {
-				t.Fatalf("missing block %s", n)
-			}
-			out[i] = v
+		if err := m.SteadyStateInto(out, power); err != nil {
+			t.Fatal(err)
 		}
 		return out
 	}

@@ -225,7 +225,9 @@ func TestSparseBackendTransient(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewTransient: %v", err)
 	}
-	temps, err := tr.Step(map[string]float64{"b0": 10})
+	power := make([]float64, m.NumBlocks())
+	power[0] = 10
+	temps, err := tr.StepVec(power)
 	if err != nil {
 		t.Fatalf("Step: %v", err)
 	}

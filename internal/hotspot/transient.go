@@ -8,7 +8,7 @@ import (
 
 // Transient integrates the thermal network over time with fixed-step
 // backward Euler. Construct one with Model.NewTransient; feed it power
-// samples with Step. The state starts at ambient.
+// samples with StepVec or StepVecInto. The state starts at ambient.
 type Transient struct {
 	m       *Model
 	stepper *linalg.BackwardEulerStepper
@@ -37,14 +37,6 @@ func (m *Model) NewTransient(dt float64) (*Transient, error) {
 	}, nil
 }
 
-// Reset returns the simulation to ambient at t = 0.
-func (tr *Transient) Reset() {
-	for i := range tr.state {
-		tr.state[i] = 0
-	}
-	tr.now = 0
-}
-
 // Time returns the elapsed simulated time in seconds.
 func (tr *Transient) Time() float64 { return tr.now }
 
@@ -58,19 +50,6 @@ func (tr *Transient) SetRise(rise []float64) error {
 	}
 	copy(tr.state, rise)
 	return nil
-}
-
-// Step advances one time step under the given per-block power map and
-// returns the block temperatures after the step.
-func (tr *Transient) Step(power map[string]float64) (Temps, error) {
-	p, err := tr.m.powerVector(power)
-	if err != nil {
-		return Temps{}, err
-	}
-	if err := tr.stepNodes(p); err != nil {
-		return Temps{}, err
-	}
-	return tr.snapshot(), nil
 }
 
 // StepVec advances one time step with powers indexed by block node order.
@@ -112,32 +91,6 @@ func (tr *Transient) stepNodes(p []float64) error {
 	tr.state, tr.next = tr.next, tr.state
 	tr.now += tr.stepper.Dt()
 	return nil
-}
-
-// Temps returns the current block temperatures without advancing time.
-func (tr *Transient) Temps() Temps { return tr.snapshot() }
-
-func (tr *Transient) snapshot() Temps {
-	vals := make([]float64, tr.m.n)
-	for i := range vals {
-		vals[i] = tr.state[i] + tr.m.cfg.AmbientC
-	}
-	return Temps{names: tr.m.names, byName: tr.m.byName, values: vals}
-}
-
-// Run integrates a sequence of power samples (each a per-block vector in
-// node order, applied for one step) and returns the trajectory of block
-// temperatures, one Temps per step.
-func (tr *Transient) Run(samples [][]float64) ([]Temps, error) {
-	out := make([]Temps, 0, len(samples))
-	for i, s := range samples {
-		t, err := tr.StepVec(s)
-		if err != nil {
-			return nil, fmt.Errorf("hotspot: sample %d: %w", i, err)
-		}
-		out = append(out, t)
-	}
-	return out, nil
 }
 
 // maxStepMemos bounds how many step sizes a model memoizes: each holds

@@ -16,12 +16,16 @@ func TestTransientStartsAtAmbient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	temps := tr.Temps()
-	if math.Abs(temps.Max()-DefaultConfig().AmbientC) > 1e-9 {
-		t.Errorf("initial temp %v, want ambient", temps.Max())
-	}
 	if tr.Time() != 0 {
 		t.Errorf("initial time %v", tr.Time())
+	}
+	// An unpowered step leaves an ambient state exactly at ambient.
+	temps, err := tr.StepVec(make([]float64, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(temps.Max()-DefaultConfig().AmbientC) > 1e-9 {
+		t.Errorf("initial temp %v, want ambient", temps.Max())
 	}
 }
 
@@ -40,7 +44,7 @@ func TestTransientConvergesToSteadyState(t *testing.T) {
 	// The sink has hundreds of J/K and ~2 K/W to ambient: settle for a
 	// long simulated time.
 	for i := 0; i < 20000; i++ {
-		got, err = tr.Step(power)
+		got, err = tr.StepVec([]float64{4, 2, 1, 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,10 +62,9 @@ func TestTransientMonotoneWarmup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	power := map[string]float64{"pe0": 5}
 	prev := -math.MaxFloat64
 	for i := 0; i < 100; i++ {
-		temps, err := tr.Step(power)
+		temps, err := tr.StepVec([]float64{5, 0, 0, 0})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,47 +85,30 @@ func TestTransientCooldown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hot := map[string]float64{"pe0": 10}
-	for i := 0; i < 200; i++ {
-		if _, err := tr.Step(hot); err != nil {
-			t.Fatal(err)
+	step := func(power []float64) float64 {
+		var temps Temps
+		for i := 0; i < 200; i++ {
+			if temps, err = tr.StepVec(power); err != nil {
+				t.Fatal(err)
+			}
 		}
+		return temps.Max()
 	}
-	peakAfterHeat := tr.Temps().Max()
-	for i := 0; i < 200; i++ {
-		if _, err := tr.Step(nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	peakAfterCool := tr.Temps().Max()
+	peakAfterHeat := step([]float64{10, 0, 0, 0})
+	peakAfterCool := step(make([]float64, 4))
 	if peakAfterCool >= peakAfterHeat {
 		t.Errorf("cooling failed: %v -> %v", peakAfterHeat, peakAfterCool)
 	}
-	tr.Reset()
-	if tr.Time() != 0 || math.Abs(tr.Temps().Max()-DefaultConfig().AmbientC) > 1e-9 {
-		t.Error("Reset did not restore ambient state")
-	}
 }
 
-func TestTransientRunAndErrors(t *testing.T) {
+func TestTransientErrors(t *testing.T) {
 	m := model4(t)
 	tr, err := m.NewTransient(0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
-	samples := [][]float64{{1, 0, 0, 0}, {0, 1, 0, 0}, {0, 0, 1, 0}}
-	traj, err := tr.Run(samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(traj) != 3 {
-		t.Fatalf("trajectory length %d", len(traj))
-	}
 	if _, err := tr.StepVec([]float64{1}); err == nil {
 		t.Error("short power vector accepted")
-	}
-	if _, err := tr.Step(map[string]float64{"bogus": 1}); err == nil {
-		t.Error("unknown block accepted")
 	}
 	if _, err := m.NewTransient(-1); err == nil {
 		t.Error("negative dt accepted")
@@ -181,8 +167,8 @@ func TestSetRiseWarmStartIsFixedPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := m.SteadyStateVec(power)
-	if err != nil {
+	want := make([]float64, m.NumBlocks())
+	if err := m.SteadyStateInto(want, power); err != nil {
 		t.Fatal(err)
 	}
 	tr, err := m.NewTransient(0.5)
@@ -199,9 +185,8 @@ func TestSetRiseWarmStartIsFixedPoint(t *testing.T) {
 		}
 	}
 	for i, name := range m.BlockNames() {
-		w, _ := want.Of(name)
-		if math.Abs(got[i]-w) > 1e-9 {
-			t.Errorf("block %s drifted to %v from steady %v", name, got[i], w)
+		if math.Abs(got[i]-want[i]) > 1e-9 {
+			t.Errorf("block %s drifted to %v from steady %v", name, got[i], want[i])
 		}
 	}
 

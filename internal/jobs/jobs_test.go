@@ -55,8 +55,12 @@ func openTest(t *testing.T, eval Evaluator, cfg Config) *Manager {
 }
 
 func req(bench string) thermalsched.Request {
-	return thermalsched.NewRequest(thermalsched.FlowPlatform, thermalsched.WithBenchmark(bench))
+	return thermalsched.Request{Flow: thermalsched.FlowPlatform, Benchmark: bench}
 }
+
+// ptr returns a pointer to a copy of v, for the Request knobs whose
+// nil means "unset".
+func ptr[T any](v T) *T { return &v }
 
 // waitState polls a job until it reaches the wanted state.
 func waitState(t *testing.T, m *Manager, id string, want State) Job {
@@ -166,11 +170,11 @@ func TestCoalesceStoredResult(t *testing.T) {
 func TestCoalesceNormalizesParallelism(t *testing.T) {
 	f := &fakeEval{}
 	m := openTest(t, f, Config{})
-	a, _ := m.Submit(thermalsched.NewRequest(thermalsched.FlowCoSynthesis,
-		thermalsched.WithBenchmark("Bm1"), thermalsched.WithParallelism(1)))
+	a, _ := m.Submit(thermalsched.Request{Flow: thermalsched.FlowCoSynthesis,
+		Benchmark: "Bm1", Parallelism: 1})
 	waitState(t, m, a.ID, StateDone)
-	b, err := m.Submit(thermalsched.NewRequest(thermalsched.FlowCoSynthesis,
-		thermalsched.WithBenchmark("Bm1"), thermalsched.WithParallelism(4)))
+	b, err := m.Submit(thermalsched.Request{Flow: thermalsched.FlowCoSynthesis,
+		Benchmark: "Bm1", Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,9 +404,9 @@ func TestEviction(t *testing.T) {
 	m := openTest(t, f, Config{Workers: 1, MaxJobs: 2})
 	var ids []string
 	for i := 0; i < 4; i++ {
-		j, err := m.Submit(thermalsched.NewRequest(thermalsched.FlowPlatform,
-			thermalsched.WithBenchmark("Bm1"),
-			thermalsched.WithTempWeight(float64(i+1)))) // distinct fingerprints
+		j, err := m.Submit(thermalsched.Request{Flow: thermalsched.FlowPlatform,
+			Benchmark:  "Bm1",
+			TempWeight: ptr(float64(i + 1))}) // distinct fingerprints
 		if err != nil {
 			t.Fatal(err)
 		}

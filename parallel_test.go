@@ -32,16 +32,16 @@ func TestCoSynthesisResponseParallelByteIdentical(t *testing.T) {
 	e := testEngine(t)
 	ctx := context.Background()
 	for _, bench := range []string{"Bm1", "Bm2", "Bm3", "Bm4"} {
-		serialReq := NewRequest(FlowCoSynthesis,
-			WithBenchmark(bench), WithFloorplanGenerations(8), WithParallelism(1))
+		serialReq := Request{Flow: FlowCoSynthesis,
+			Benchmark: bench, FloorplanGenerations: 8, Parallelism: 1}
 		serial, err := e.Run(ctx, serialReq)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := respJSON(t, serial)
 		for _, p := range []int{0, 4} { // 0 = engine default
-			req := NewRequest(FlowCoSynthesis,
-				WithBenchmark(bench), WithFloorplanGenerations(8), WithParallelism(p))
+			req := Request{Flow: FlowCoSynthesis,
+				Benchmark: bench, FloorplanGenerations: 8, Parallelism: p}
 			got, err := e.Run(ctx, req)
 			if err != nil {
 				t.Fatal(err)
@@ -68,12 +68,12 @@ func TestCampaignResponseParallelByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := NewRequest(FlowCampaign, WithCampaign(CampaignSpec{
+	req := Request{Flow: FlowCampaign, Campaign: &CampaignSpec{
 		Scenarios: 50,
 		Seed:      2005,
 		MinTasks:  20,
 		MaxTasks:  200,
-	}))
+	}}
 	ctx := context.Background()
 	serial, err := serialEngine.Run(ctx, req)
 	if err != nil {
@@ -100,14 +100,14 @@ func TestRunBatchComposesWithSearchPool(t *testing.T) {
 	ctx := context.Background()
 	reqs := make([]Request, 4)
 	for i := range reqs {
-		reqs[i] = NewRequest(FlowCoSynthesis, WithBenchmark("Bm1"), WithFloorplanGenerations(6))
+		reqs[i] = Request{Flow: FlowCoSynthesis, Benchmark: "Bm1", FloorplanGenerations: 6}
 	}
 	resps, err := e.RunBatch(ctx, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := e.Run(ctx, NewRequest(FlowCoSynthesis,
-		WithBenchmark("Bm1"), WithFloorplanGenerations(6), WithParallelism(1)))
+	serial, err := e.Run(ctx, Request{Flow: FlowCoSynthesis,
+		Benchmark: "Bm1", FloorplanGenerations: 6, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,8 +130,8 @@ func TestSearchMemoStats(t *testing.T) {
 	if evals0 != 0 || hits0 != 0 {
 		t.Fatalf("fresh engine reports %d evals, %d hits", evals0, hits0)
 	}
-	_, err := e.Run(context.Background(), NewRequest(FlowCoSynthesis,
-		WithBenchmark("Bm1"), WithFloorplanGenerations(8)))
+	_, err := e.Run(context.Background(), Request{Flow: FlowCoSynthesis,
+		Benchmark: "Bm1", FloorplanGenerations: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,15 +146,15 @@ func TestSearchMemoStats(t *testing.T) {
 
 // Request validation covers the new knob.
 func TestRequestParallelismValidation(t *testing.T) {
-	req := NewRequest(FlowCoSynthesis, WithBenchmark("Bm1"), WithParallelism(-2))
+	req := Request{Flow: FlowCoSynthesis, Benchmark: "Bm1", Parallelism: -2}
 	if err := req.Validate(); err == nil {
 		t.Error("negative parallelism accepted")
 	}
-	req = NewRequest(FlowPlatform, WithBenchmark("Bm1"), WithParallelism(4))
+	req = Request{Flow: FlowPlatform, Benchmark: "Bm1", Parallelism: 4}
 	if err := req.Validate(); err == nil {
 		t.Error("parallelism on a non-search flow accepted (it would be silently ignored)")
 	}
-	req = NewRequest(FlowCoSynthesis, WithBenchmark("Bm1"), WithParallelism(4))
+	req = Request{Flow: FlowCoSynthesis, Benchmark: "Bm1", Parallelism: 4}
 	if err := req.Validate(); err != nil {
 		t.Errorf("cosynthesis parallelism rejected: %v", err)
 	}
@@ -170,9 +170,9 @@ func TestRequestParallelismValidation(t *testing.T) {
 // cancelled mid fan-out reports the cancellation promptly.
 func TestSimulateFlowParallelismByteIdentical(t *testing.T) {
 	req := func(parallelism, replicas int) Request {
-		r := NewRequest(FlowSimulate, WithBenchmark("Bm2"), WithSimulate(SimulateSpec{
+		r := Request{Flow: FlowSimulate, Benchmark: "Bm2", Simulate: &SimulateSpec{
 			Controller: "admit", Replicas: replicas, MinFactor: 0.7, Seed: 5,
-		}))
+		}}
 		r.Parallelism = parallelism
 		return r
 	}
@@ -235,11 +235,11 @@ func TestRunBatchComposesWithReplicaPool(t *testing.T) {
 	}
 	ctx := context.Background()
 	reqs := []Request{
-		NewRequest(FlowSimulate, WithBenchmark("Bm1"), WithSimulate(SimulateSpec{Replicas: 6, MinFactor: 0.7, Seed: 1})),
-		NewRequest(FlowSimulate, WithBenchmark("Bm2"), WithSimulate(SimulateSpec{Controller: "zigzag", Replicas: 6, MinFactor: 0.7})),
-		NewRequest(FlowStream, WithStream(StreamSpec{Seed: 3, MinFactor: 0.7, Replicas: 6})),
-		NewRequest(FlowStream, WithStream(StreamSpec{Seed: 4, MinFactor: 0.7, Replicas: 6}),
-			func(r *Request) { r.Policy = StreamPolicyAdmit }),
+		{Flow: FlowSimulate, Benchmark: "Bm1", Simulate: &SimulateSpec{Replicas: 6, MinFactor: 0.7, Seed: 1}},
+		{Flow: FlowSimulate, Benchmark: "Bm2", Simulate: &SimulateSpec{Controller: "zigzag", Replicas: 6, MinFactor: 0.7}},
+		{Flow: FlowStream, Stream: &StreamSpec{Seed: 3, MinFactor: 0.7, Replicas: 6}},
+		{Flow: FlowStream, Stream: &StreamSpec{Seed: 4, MinFactor: 0.7, Replicas: 6},
+			Policy: StreamPolicyAdmit},
 	}
 	resps, err := e.RunBatch(ctx, reqs)
 	if err != nil {

@@ -316,10 +316,10 @@ func (s *SimulateSpec) withDefaults() SimulateSpec {
 }
 
 // Request is one JSON-serializable unit of work for an Engine. Build it
-// literally, decode it from JSON, or assemble it with NewRequest and the
-// With* functional options. Zero-valued knobs mean "use the calibrated
-// default"; pointer-typed knobs distinguish "unset" from an explicit
-// zero (which is why Seed is a *int64 — an explicit zero seed is valid).
+// as a literal or decode it from JSON; each field's JSON key is its wire
+// name. Zero-valued knobs mean "use the calibrated default";
+// pointer-typed knobs distinguish "unset" from an explicit zero (which
+// is why Seed is a *int64 — an explicit zero seed is valid).
 type Request struct {
 	// Flow selects the execution flow.
 	Flow FlowKind `json:"flow"`
@@ -341,9 +341,13 @@ type Request struct {
 	// BusTimePerUnit overrides the shared-bus communication rate; zero
 	// means the experiments' default.
 	BusTimePerUnit float64 `json:"busTimePerUnit,omitempty"`
-	// TempWeight, PowerWeight, EnergyWeight and ThermalHorizon override
-	// the corresponding scheduler calibration knobs; nil keeps the
-	// calibrated defaults.
+	// TempWeight, PowerWeight and EnergyWeight override the ASP's
+	// °C-, W- and energy-to-time weights (thermal-aware, heuristics 1/2
+	// and heuristic 3); ThermalHorizon overrides the window, in schedule
+	// time units, over which a thermal inquiry averages a PE's
+	// accumulated energy into power. Nil keeps the calibrated defaults;
+	// Validate rejects negative weights and a horizon that is not
+	// positive.
 	TempWeight     *float64 `json:"tempWeight,omitempty"`
 	PowerWeight    *float64 `json:"powerWeight,omitempty"`
 	EnergyWeight   *float64 `json:"energyWeight,omitempty"`
@@ -383,130 +387,6 @@ type Request struct {
 	// IncludeGantt asks for the schedule's per-PE timeline in
 	// Response.Gantt (platform and cosynthesis flows).
 	IncludeGantt bool `json:"includeGantt,omitempty"`
-}
-
-// RequestOption mutates a Request under construction; see NewRequest.
-type RequestOption func(*Request)
-
-// NewRequest assembles a Request for a flow from functional options.
-func NewRequest(flow FlowKind, opts ...RequestOption) Request {
-	req := Request{Flow: flow}
-	for _, o := range opts {
-		o(&req)
-	}
-	return req
-}
-
-// WithBenchmark selects a paper benchmark ("Bm1" … "Bm4") as the input.
-func WithBenchmark(name string) RequestOption {
-	return func(r *Request) { r.Benchmark = name }
-}
-
-// WithGraph ships a custom task graph with the request.
-func WithGraph(g *Graph) RequestOption {
-	return func(r *Request) { r.Graph = GraphSpecOf(g) }
-}
-
-// WithGraphSpec ships an already-serialized task graph.
-func WithGraphSpec(spec *GraphSpec) RequestOption {
-	return func(r *Request) { r.Graph = spec }
-}
-
-// WithScenario makes the request run on (or, for FlowGenerate, emit)
-// the described synthetic scenario.
-func WithScenario(spec ScenarioSpec) RequestOption {
-	return func(r *Request) { r.Scenario = &spec }
-}
-
-// WithCampaign tunes the FlowCampaign study.
-func WithCampaign(spec CampaignSpec) RequestOption {
-	return func(r *Request) { r.Campaign = &spec }
-}
-
-// WithStream makes the request generate and dispatch the described
-// online workload (FlowStream).
-func WithStream(spec StreamSpec) RequestOption {
-	return func(r *Request) { r.Stream = &spec }
-}
-
-// WithPolicy selects the ASP variant.
-func WithPolicy(p Policy) RequestOption {
-	return func(r *Request) { r.Policy = p.String() }
-}
-
-// WithBusTimePerUnit overrides the shared-bus communication rate.
-func WithBusTimePerUnit(rate float64) RequestOption {
-	return func(r *Request) { r.BusTimePerUnit = rate }
-}
-
-// WithTempWeight overrides the thermal-aware ASP's °C-to-time weight.
-func WithTempWeight(w float64) RequestOption {
-	return func(r *Request) { r.TempWeight = &w }
-}
-
-// WithPowerWeight overrides the W-to-time weight of heuristics 1 and 2.
-func WithPowerWeight(w float64) RequestOption {
-	return func(r *Request) { r.PowerWeight = &w }
-}
-
-// WithEnergyWeight overrides heuristic 3's energy-to-time weight.
-func WithEnergyWeight(w float64) RequestOption {
-	return func(r *Request) { r.EnergyWeight = &w }
-}
-
-// WithThermalHorizon overrides the thermal inquiry accumulation window.
-func WithThermalHorizon(h float64) RequestOption {
-	return func(r *Request) { r.ThermalHorizon = &h }
-}
-
-// WithSeed fixes the co-synthesis GA floorplanner's seed. An explicit
-// zero is honored as seed 0; only a nil seed means the default 1.
-func WithSeed(seed int64) RequestOption {
-	return func(r *Request) { r.Seed = &seed }
-}
-
-// WithMaxPEs caps the co-synthesized architecture size.
-func WithMaxPEs(n int) RequestOption {
-	return func(r *Request) { r.MaxPEs = n }
-}
-
-// WithCandidateTypes restricts the PE types co-synthesis may instantiate.
-func WithCandidateTypes(names ...string) RequestOption {
-	return func(r *Request) { r.CandidateTypes = names }
-}
-
-// WithFloorplanGenerations sizes the GA floorplanner effort per
-// candidate architecture.
-func WithFloorplanGenerations(n int) RequestOption {
-	return func(r *Request) { r.FloorplanGenerations = n }
-}
-
-// WithParallelism overrides the engine's search parallelism for this
-// request (0 = engine default, 1 = serial). Results are byte-identical
-// at every value.
-func WithParallelism(n int) RequestOption {
-	return func(r *Request) { r.Parallelism = n }
-}
-
-// WithSimulate tunes the FlowSimulate closed-loop co-simulation.
-func WithSimulate(spec SimulateSpec) RequestOption {
-	return func(r *Request) { r.Simulate = &spec }
-}
-
-// WithReplicas sets FlowSimulate's Monte-Carlo replica count, keeping
-// any other simulate settings already on the request.
-func WithReplicas(n int) RequestOption {
-	return func(r *Request) {
-		if r.Simulate == nil {
-			r.Simulate = &SimulateSpec{}
-		}
-		r.Simulate.Replicas = n
-	}
-}
-
-// WithGantt asks for the schedule's per-PE timeline in the response.
-func WithGantt() RequestOption {
-	return func(r *Request) { r.IncludeGantt = true }
 }
 
 // policy resolves the request's policy name (empty means ThermalAware).
@@ -614,6 +494,9 @@ func (r *Request) Validate() error {
 		if w.v != nil && *w.v < 0 {
 			return fieldErr(w.field, "negative %s %g", w.field, *w.v)
 		}
+	}
+	if r.ThermalHorizon != nil && !(*r.ThermalHorizon > 0) {
+		return fieldErr("thermalHorizon", "thermal horizon %g must be positive", *r.ThermalHorizon)
 	}
 	if r.MaxPEs < 0 {
 		return fieldErr("maxPEs", "negative MaxPEs %d", r.MaxPEs)

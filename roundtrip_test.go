@@ -90,19 +90,19 @@ func crossSurface(t *testing.T, req thermalsched.Request, cliArgs []string) {
 
 func TestSimulateResponseIdenticalAcrossSurfaces(t *testing.T) {
 	crossSurface(t,
-		thermalsched.NewRequest(thermalsched.FlowSimulate,
-			thermalsched.WithBenchmark("Bm2"),
-			thermalsched.WithPolicy(thermalsched.ThermalAware),
-			thermalsched.WithSimulate(thermalsched.SimulateSpec{Replicas: 3, Seed: 5, MinFactor: 0.8}),
-		),
+		thermalsched.Request{Flow: thermalsched.FlowSimulate,
+			Benchmark: "Bm2",
+			Policy:    "thermal",
+			Simulate:  &thermalsched.SimulateSpec{Replicas: 3, Seed: 5, MinFactor: 0.8},
+		},
 		[]string{"-flow", "simulate", "-benchmark", "Bm2", "-policy", "thermal",
 			"-replicas", "3", "-seed", "5", "-minfactor", "0.8", "-json"})
 }
 
 func TestGenerateResponseIdenticalAcrossSurfaces(t *testing.T) {
 	crossSurface(t,
-		thermalsched.NewRequest(thermalsched.FlowGenerate,
-			thermalsched.WithScenario(thermalsched.ScenarioSpec{
+		thermalsched.Request{Flow: thermalsched.FlowGenerate,
+			Scenario: &thermalsched.ScenarioSpec{
 				Seed: 11,
 				Graph: thermalsched.ScenarioGraphParams{
 					Tasks: 35, Shape: thermalsched.ScenarioShapeSeriesParallel, BranchDensity: 0.4,
@@ -110,8 +110,8 @@ func TestGenerateResponseIdenticalAcrossSurfaces(t *testing.T) {
 				Platform: thermalsched.ScenarioPlatformParams{
 					PEs: 6, MinSpeed: 0.6, MaxSpeed: 2.0,
 				},
-			}),
-		),
+			},
+		},
 		[]string{"-flow", "generate", "-tasks", "35", "-shape", "series-parallel",
 			"-branchfrac", "0.4", "-pes", "6", "-minspeed", "0.6", "-maxspeed", "2.0",
 			"-seed", "11", "-json"})
@@ -122,13 +122,13 @@ func TestGenerateResponseIdenticalAcrossSurfaces(t *testing.T) {
 // bytes on every surface.
 func TestSimulateAdmitResponseIdenticalAcrossSurfaces(t *testing.T) {
 	crossSurface(t,
-		thermalsched.NewRequest(thermalsched.FlowSimulate,
-			thermalsched.WithBenchmark("Bm2"),
-			thermalsched.WithPolicy(thermalsched.ThermalAware),
-			thermalsched.WithSimulate(thermalsched.SimulateSpec{
+		thermalsched.Request{Flow: thermalsched.FlowSimulate,
+			Benchmark: "Bm2",
+			Policy:    "thermal",
+			Simulate: &thermalsched.SimulateSpec{
 				Controller: "admit", Replicas: 3, Seed: 5, MinFactor: 0.8, WarmStart: true,
-			}),
-		),
+			},
+		},
 		[]string{"-flow", "simulate", "-benchmark", "Bm2", "-policy", "thermal",
 			"-controller", "admit", "-warmstart",
 			"-replicas", "3", "-seed", "5", "-minfactor", "0.8", "-json"})
@@ -136,25 +136,24 @@ func TestSimulateAdmitResponseIdenticalAcrossSurfaces(t *testing.T) {
 
 func TestSimulateZigzagResponseIdenticalAcrossSurfaces(t *testing.T) {
 	crossSurface(t,
-		thermalsched.NewRequest(thermalsched.FlowSimulate,
-			thermalsched.WithBenchmark("Bm2"),
-			thermalsched.WithPolicy(thermalsched.ThermalAware),
-			thermalsched.WithSimulate(thermalsched.SimulateSpec{
+		thermalsched.Request{Flow: thermalsched.FlowSimulate,
+			Benchmark: "Bm2",
+			Policy:    "thermal",
+			Simulate: &thermalsched.SimulateSpec{
 				Controller: "zigzag", Replicas: 2, Seed: 5, MinFactor: 0.8, WarmStart: true,
 				SupervisorSpec: thermalsched.SupervisorSpec{CoolTime: 3},
-			}),
-		),
+			},
+		},
 		[]string{"-flow", "simulate", "-benchmark", "Bm2", "-policy", "thermal",
 			"-controller", "zigzag", "-warmstart", "-cooltime", "3",
 			"-replicas", "2", "-seed", "5", "-minfactor", "0.8", "-json"})
 }
 
 func TestStreamAdmitResponseIdenticalAcrossSurfaces(t *testing.T) {
-	req := thermalsched.NewRequest(thermalsched.FlowStream,
-		thermalsched.WithStream(thermalsched.StreamSpec{
+	req := thermalsched.Request{Flow: thermalsched.FlowStream,
+		Stream: &thermalsched.StreamSpec{
 			Seed: 3, MinFactor: 0.8, Replicas: 2,
-		}))
-	req.Policy = thermalsched.StreamPolicyAdmit
+		}, Policy: thermalsched.StreamPolicyAdmit}
 	crossSurface(t, req,
 		[]string{"-flow", "stream", "-policy", "admit", "-seed", "3",
 			"-minfactor", "0.8", "-replicas", "2", "-json"})
@@ -162,26 +161,26 @@ func TestStreamAdmitResponseIdenticalAcrossSurfaces(t *testing.T) {
 
 func TestStreamResponseIdenticalAcrossSurfaces(t *testing.T) {
 	crossSurface(t,
-		thermalsched.NewRequest(thermalsched.FlowStream,
-			thermalsched.WithStream(thermalsched.StreamSpec{
+		thermalsched.Request{Flow: thermalsched.FlowStream,
+			Stream: &thermalsched.StreamSpec{
 				Seed: 3, MinFactor: 0.8, Replicas: 2,
-			}),
-		),
+			},
+		},
 		[]string{"-flow", "stream", "-seed", "3", "-minfactor", "0.8",
 			"-replicas", "2", "-json"})
 }
 
 func TestCampaignResponseIdenticalAcrossSurfaces(t *testing.T) {
 	crossSurface(t,
-		thermalsched.NewRequest(thermalsched.FlowCampaign,
-			thermalsched.WithCampaign(thermalsched.CampaignSpec{
+		thermalsched.Request{Flow: thermalsched.FlowCampaign,
+			Campaign: &thermalsched.CampaignSpec{
 				Scenarios: 4,
 				Seed:      9,
 				MinTasks:  20,
 				MaxTasks:  40,
 				Policies:  []string{"h3", "thermal"},
-			}),
-		),
+			},
+		},
 		[]string{"-flow", "campaign", "-scenarios", "4", "-seed", "9",
 			"-mintasks", "20", "-maxtasks", "40", "-policies", "h3,thermal", "-json"})
 }

@@ -74,8 +74,8 @@ func TestStreamSpecFingerprintSensitivity(t *testing.T) {
 
 	// A stream request's fingerprint must cover the spec, and stream
 	// presence must be semantic against the spec-less request.
-	with := NewRequest(FlowStream, WithStream(fpStreamBase()))
-	without := NewRequest(FlowStream)
+	with := Request{Flow: FlowStream, Stream: ptr(fpStreamBase())}
+	without := Request{Flow: FlowStream}
 	if with.Fingerprint() == without.Fingerprint() {
 		t.Error("stream spec presence did not move the request fingerprint")
 	}
@@ -128,9 +128,9 @@ func TestStreamSeedVerbatim(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(simSeed int64) *StreamReport {
-		req := NewRequest(FlowStream, WithStream(StreamSpec{
+		req := Request{Flow: FlowStream, Stream: &StreamSpec{
 			Seed: 1, MinFactor: 0.5, SimSeed: simSeed,
-		}))
+		}}
 		resp, err := engine.Run(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
@@ -150,10 +150,9 @@ func TestStreamFlowParallelismByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(parallelism int) string {
-		req := NewRequest(FlowStream, WithStream(StreamSpec{
+		req := Request{Flow: FlowStream, Stream: &StreamSpec{
 			Seed: 3, MinFactor: 0.7, Replicas: 4,
-		}))
-		req.Parallelism = parallelism
+		}, Parallelism: parallelism}
 		resp, err := engine.Run(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
@@ -183,10 +182,9 @@ func TestStreamPriceAtLeastOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pol := range StreamPolicies() {
-		req := NewRequest(FlowStream, WithStream(StreamSpec{
+		req := Request{Flow: FlowStream, Stream: &StreamSpec{
 			Seed: 2, MinFactor: 0.6, Replicas: 3,
-		}))
-		req.Policy = pol
+		}, Policy: pol}
 		resp, err := engine.Run(context.Background(), req)
 		if err != nil {
 			t.Fatalf("%s: %v", pol, err)
@@ -226,8 +224,7 @@ func TestStreamGreedyBeatsBaselines(t *testing.T) {
 			Platform: ScenarioPlatformParams{PEs: 6}}},
 	}
 	run := func(spec StreamSpec, pol string) *StreamReport {
-		req := NewRequest(FlowStream, WithStream(spec))
-		req.Policy = pol
+		req := Request{Flow: FlowStream, Stream: &spec, Policy: pol}
 		resp, err := engine.Run(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
@@ -312,9 +309,9 @@ func TestStreamCampaignMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := NewRequest(FlowCampaign, WithCampaign(CampaignSpec{
+	req := Request{Flow: FlowCampaign, Campaign: &CampaignSpec{
 		Scenarios: 3, Seed: 5, Stream: &StreamSpec{MinFactor: 0.8},
-	}))
+	}}
 	run := func() (*Response, string) {
 		resp, err := engine.Run(context.Background(), req)
 		if err != nil {

@@ -50,7 +50,7 @@ func TestPaperTablesRejectsBadArguments(t *testing.T) {
 		t.Errorf("table 4: err %v", err)
 	}
 	_, err := e.PaperTables(context.Background(), 2, -3)
-	req := NewRequest(FlowCoSynthesis, WithBenchmark("Bm1"), WithFloorplanGenerations(-3))
+	req := Request{Flow: FlowCoSynthesis, Benchmark: "Bm1", FloorplanGenerations: -3}
 	want := req.Validate()
 	if err == nil || want == nil || err.Error() != want.Error() {
 		t.Errorf("floorplanGenerations -3: err %v, want %v", err, want)

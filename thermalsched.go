@@ -15,11 +15,11 @@
 // bounded worker pool:
 //
 //	eng, _ := thermalsched.NewEngine()
-//	resp, _ := eng.Run(ctx, thermalsched.NewRequest(
-//		thermalsched.FlowPlatform,
-//		thermalsched.WithBenchmark("Bm1"),
-//		thermalsched.WithPolicy(thermalsched.ThermalAware),
-//	))
+//	resp, _ := eng.Run(ctx, thermalsched.Request{
+//		Flow:      thermalsched.FlowPlatform,
+//		Benchmark: "Bm1",
+//		Policy:    "thermal",
+//	})
 //	fmt.Printf("peak %.1f °C\n", resp.Metrics.MaxTemp)
 //
 // Run and RunBatch are the one entry path to every flow: a Response

@@ -24,6 +24,10 @@ type validationCase struct {
 	cli   []string
 }
 
+// ptr returns a pointer to a copy of v, for the Request knobs whose
+// nil means "unset".
+func ptr[T any](v T) *T { return &v }
+
 // One validation message per surface is the consolidation contract:
 // Request.Validate's typed field error is the text the service's 400
 // body carries verbatim (plus the machine-readable field name), and
@@ -77,28 +81,36 @@ func validationCases() []validationCase {
 			// seed; the CLI's -seed feeds the other flows' specs, so it
 			// has no spelling of this request.
 			name: "seed on a platform request",
-			req: thermalsched.NewRequest(thermalsched.FlowPlatform,
-				thermalsched.WithBenchmark("Bm1"), thermalsched.WithSeed(5)),
+			req: thermalsched.Request{Flow: thermalsched.FlowPlatform,
+				Benchmark: "Bm1", Seed: ptr(int64(5))},
 			field: "seed",
 		},
 		{
 			name: "negative tempWeight",
-			req: thermalsched.NewRequest(thermalsched.FlowPlatform,
-				thermalsched.WithBenchmark("Bm1"), thermalsched.WithTempWeight(-1)),
+			req: thermalsched.Request{Flow: thermalsched.FlowPlatform,
+				Benchmark: "Bm1", TempWeight: ptr(-1.0)},
 			field: "tempWeight",
 			cli:   []string{"-flow", "platform", "-benchmark", "Bm1", "-tempweight", "-1"},
 		},
 		{
 			name: "negative powerWeight",
-			req: thermalsched.NewRequest(thermalsched.FlowPlatform, thermalsched.WithBenchmark("Bm1"),
-				thermalsched.WithPolicy(thermalsched.MinTaskPower), thermalsched.WithPowerWeight(-1)),
+			req: thermalsched.Request{Flow: thermalsched.FlowPlatform, Benchmark: "Bm1",
+				Policy: "heuristic1", PowerWeight: ptr(-1.0)},
 			field: "powerWeight",
 		},
 		{
 			name: "negative energyWeight",
-			req: thermalsched.NewRequest(thermalsched.FlowPlatform, thermalsched.WithBenchmark("Bm1"),
-				thermalsched.WithPolicy(thermalsched.MinTaskEnergy), thermalsched.WithEnergyWeight(-1)),
+			req: thermalsched.Request{Flow: thermalsched.FlowPlatform, Benchmark: "Bm1",
+				Policy: "heuristic3", EnergyWeight: ptr(-1.0)},
 			field: "energyWeight",
+		},
+		{
+			// A non-positive window used to fall back silently to the
+			// scheduler's default while still moving the fingerprint.
+			name: "non-positive thermalHorizon",
+			req: thermalsched.Request{Flow: thermalsched.FlowPlatform,
+				Benchmark: "Bm1", ThermalHorizon: ptr(0.0)},
+			field: "thermalHorizon",
 		},
 		{
 			name: "negative maxPEs",
@@ -135,9 +147,8 @@ func validationCases() []validationCase {
 		campaignSimulateCase("campaign simulate throttle of 1", thermalsched.SimulateSpec{Throttle: 1},
 			"campaign.simulate.throttle", nil),
 		{
-			name: "negative campaign stream replicas",
-			req: thermalsched.NewRequest(thermalsched.FlowCampaign, thermalsched.WithCampaign(
-				thermalsched.CampaignSpec{Stream: &thermalsched.StreamSpec{Replicas: -1}})),
+			name:  "negative campaign stream replicas",
+			req:   thermalsched.Request{Flow: thermalsched.FlowCampaign, Campaign: &thermalsched.CampaignSpec{Stream: &thermalsched.StreamSpec{Replicas: -1}}},
 			field: "campaign.stream.replicas",
 			cli:   []string{"-flow", "campaign", "-stream", "-replicas", "-1"},
 		},
@@ -169,8 +180,8 @@ func validationCases() []validationCase {
 // simulateCase is a Bm1 simulate request carrying spec; flags, when
 // set, are the CLI spelling of spec.
 func simulateCase(name string, spec thermalsched.SimulateSpec, field string, flags []string) validationCase {
-	tc := validationCase{name: name, field: field, req: thermalsched.NewRequest(thermalsched.FlowSimulate,
-		thermalsched.WithBenchmark("Bm1"), thermalsched.WithSimulate(spec))}
+	tc := validationCase{name: name, field: field, req: thermalsched.Request{Flow: thermalsched.FlowSimulate,
+		Benchmark: "Bm1", Simulate: &spec}}
 	if flags != nil {
 		tc.cli = append([]string{"-flow", "simulate", "-benchmark", "Bm1"}, flags...)
 	}
@@ -180,8 +191,8 @@ func simulateCase(name string, spec thermalsched.SimulateSpec, field string, fla
 // campaignSimulateCase is a closed-loop campaign carrying spec; flags,
 // when set, are the CLI spelling of spec.
 func campaignSimulateCase(name string, spec thermalsched.SimulateSpec, field string, flags []string) validationCase {
-	tc := validationCase{name: name, field: field, req: thermalsched.NewRequest(thermalsched.FlowCampaign,
-		thermalsched.WithCampaign(thermalsched.CampaignSpec{Simulate: &spec}))}
+	tc := validationCase{name: name, field: field, req: thermalsched.Request{Flow: thermalsched.FlowCampaign,
+		Campaign: &thermalsched.CampaignSpec{Simulate: &spec}}}
 	if flags != nil {
 		tc.cli = append([]string{"-flow", "campaign", "-cosim"}, flags...)
 	}
