@@ -49,7 +49,7 @@ func main() {
 		flow      = flag.String("flow", "platform", "flow: "+thermalsched.FlowNames())
 		benchmark = flag.String("benchmark", "", "paper benchmark (Bm1..Bm4)")
 		graphFile = flag.String("graph", "", "task graph file (.tg)")
-		policyStr = flag.String("policy", "thermal", "ASP policy (baseline, h1, h2, h3, thermal) or, for -flow stream, an online policy (fifo, random, coolest, greedy, admit, zigzag; default greedy)")
+		policyStr = flag.String("policy", "", "ASP policy (baseline, h1, h2, h3, thermal; default thermal) or, for -flow stream, an online policy (fifo, random, coolest, greedy, admit, zigzag; default greedy)")
 		gantt     = flag.Bool("gantt", false, "print the per-PE timeline")
 		tempW     = flag.Float64("tempweight", 0, "override the thermal DC weight (0 = default)")
 		seed      = flag.Int64("seed", -1, "run seed (0 is a valid seed, honored verbatim; negative = default)")
@@ -115,12 +115,6 @@ func main() {
 		fmt.Fprintf(out, "\nflows:\n%s", thermalsched.FlowUsage())
 	}
 	flag.Parse()
-	policySet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "policy" {
-			policySet = true
-		}
-	})
 
 	scenarioSpec := func() *thermalsched.ScenarioSpec {
 		spec := &thermalsched.ScenarioSpec{
@@ -193,15 +187,7 @@ func main() {
 		return spec
 	}
 
-	req := thermalsched.Request{Flow: thermalsched.FlowKind(*flow), Policy: *policyStr}
-	if req.Flow == thermalsched.FlowStream && !policySet {
-		// The offline default ("thermal") must not leak into the online
-		// policy family; an empty policy means greedy there.
-		req.Policy = ""
-	}
-	if *gantt {
-		req.IncludeGantt = true
-	}
+	req := thermalsched.Request{Flow: thermalsched.FlowKind(*flow), Policy: *policyStr, IncludeGantt: *gantt}
 	// Non-zero numeric knobs pass through verbatim, negative values
 	// included, so Validate rejects them with the same diagnostic the
 	// API surfaces.

@@ -3,6 +3,8 @@ package thermalsched
 import (
 	"context"
 	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 
 	"thermalsched/internal/dtm"
@@ -30,21 +32,6 @@ func fieldErr(field, format string, args ...any) *FieldError {
 	return &FieldError{Field: field, Msg: fmt.Sprintf(format, args...)}
 }
 
-// flowInput classifies what a flow consumes from the request's input
-// fields (Benchmark / Graph / Scenario / Stream).
-type flowInput int
-
-const (
-	// flowInputOne: exactly one of benchmark, graph or scenario.
-	flowInputOne flowInput = iota
-	// flowInputGenerated: none — the flow generates its own inputs.
-	flowInputGenerated
-	// flowInputScenario: a scenario spec and nothing else.
-	flowInputScenario
-	// flowInputStream: a stream spec and nothing else.
-	flowInputStream
-)
-
 // flowSpec is one row of the flow registry — the single place a flow
 // registers its dispatch, validation and help text. Engine.Run,
 // FlowKinds(), Request.Validate(), the service's routing (via Validate)
@@ -54,18 +41,22 @@ type flowSpec struct {
 	kind FlowKind
 	// summary is the one-line help text the CLI renders for -flow.
 	summary string
-	// input selects the generic input-arity rule Validate enforces.
-	input flowInput
+	// reads lists, by JSON key, the Request fields the flow consumes
+	// besides flow itself. Validate rejects any other field that is set,
+	// so a Request field no row lists is rejected on every flow.
+	reads []string
 	// run executes the flow (after Validate) on the engine.
 	run func(*Engine, context.Context, *Request) (*Response, error)
 	// validate holds flow-specific checks beyond the generic rules;
 	// nil means none.
 	validate func(*Request) error
-	// parallelism marks flows that consume Request.Parallelism.
-	parallelism bool
 	// onlinePolicy marks flows whose Policy field names an online
 	// policy (stream.ParsePolicy) rather than an offline ASP variant.
 	onlinePolicy bool
+	// readsField is reads as a mask over Request's fields, by field
+	// index, and inputs the inputKeys among reads; init computes both.
+	readsField []bool
+	inputs     []string
 }
 
 // flowRegistry lists every flow in canonical order. Order is API:
@@ -76,58 +67,81 @@ type flowSpec struct {
 var (
 	flowRegistry []flowSpec
 	flowIndex    map[FlowKind]*flowSpec
+	// requestKeys holds the JSON key of each Request field, by field
+	// index.
+	requestKeys []string
 )
 
 func init() {
+	rt := reflect.TypeFor[Request]()
+	requestKeys = make([]string, rt.NumField())
+	for i := range requestKeys {
+		requestKeys[i], _, _ = strings.Cut(rt.Field(i).Tag.Get("json"), ",")
+	}
 	flowRegistry = flowTable()
 	flowIndex = make(map[FlowKind]*flowSpec, len(flowRegistry))
 	for i := range flowRegistry {
-		flowIndex[flowRegistry[i].kind] = &flowRegistry[i]
+		fs := &flowRegistry[i]
+		fs.readsField = make([]bool, len(requestKeys))
+		for j, key := range requestKeys {
+			fs.readsField[j] = key == "flow" || slices.Contains(fs.reads, key)
+			if fs.readsField[j] && slices.Contains(inputKeys, key) {
+				fs.inputs = append(fs.inputs, key)
+			}
+		}
+		flowIndex[fs.kind] = fs
 	}
 }
+
+// inputKeys are the Request fields that carry an offline flow's
+// workload. A flow that reads any of them takes exactly one, and a
+// foreign one is an error on the synthetic field "input".
+var inputKeys = []string{"benchmark", "graph", "scenario"}
+
+// offlineReads are the fields the three offline flows share: their
+// input and the ASP knobs.
+var offlineReads = slices.Concat(inputKeys, []string{
+	"policy", "busTimePerUnit", "tempWeight", "powerWeight", "energyWeight", "thermalHorizon", "includeGantt"})
 
 func flowTable() []flowSpec {
 	return []flowSpec{
 		{
 			kind:    FlowPlatform,
 			summary: "schedule on the fixed 4-PE platform (paper Fig. 1b)",
-			input:   flowInputOne,
+			reads:   offlineReads,
 			run:     (*Engine).runPlatformFlow,
 		},
 		{
-			kind:        FlowCoSynthesis,
-			summary:     "deadline-driven architecture selection with floorplanning in the loop (paper Fig. 1a)",
-			input:       flowInputOne,
-			run:         (*Engine).runCoSynthFlow,
-			parallelism: true,
+			kind:    FlowCoSynthesis,
+			summary: "deadline-driven architecture selection with floorplanning in the loop (paper Fig. 1a)",
+			reads:   slices.Concat(offlineReads, []string{"maxPEs", "candidateTypes", "floorplanGenerations", "parallelism", "seed"}),
+			run:     (*Engine).runCoSynthFlow,
 		},
 		{
-			kind:        FlowSimulate,
-			summary:     "closed-loop DTM co-simulation with Monte-Carlo replicas",
-			input:       flowInputOne,
-			run:         (*Engine).runSimulateFlow,
-			validate:    validateSimulateFlow,
-			parallelism: true,
+			kind:     FlowSimulate,
+			summary:  "closed-loop DTM co-simulation with Monte-Carlo replicas",
+			reads:    slices.Concat(offlineReads, []string{"parallelism", "simulate"}),
+			run:      (*Engine).runSimulateFlow,
+			validate: validateSimulateFlow,
 		},
 		{
 			kind:    FlowGenerate,
 			summary: "materialize a synthetic scenario without scheduling it",
-			input:   flowInputScenario,
+			reads:   []string{"scenario"},
 			run:     runGenerateFlowCtx,
 		},
 		{
 			kind:    FlowCampaign,
 			summary: "policy duel fanned across a generated scenario family",
-			input:   flowInputGenerated,
+			reads:   []string{"campaign"},
 			run:     (*Engine).runCampaignFlow,
 		},
 		{
 			kind:         FlowStream,
 			summary:      "online scheduling of periodic + aperiodic arrivals against live thermal state",
-			input:        flowInputStream,
+			reads:        []string{"policy", "busTimePerUnit", "parallelism", "stream"},
 			run:          (*Engine).runStreamFlow,
 			validate:     validateStreamFlow,
-			parallelism:  true,
 			onlinePolicy: true,
 		},
 	}

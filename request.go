@@ -2,6 +2,8 @@ package thermalsched
 
 import (
 	"errors"
+	"reflect"
+	"slices"
 	"strings"
 
 	"thermalsched/internal/cosynth"
@@ -319,13 +321,15 @@ func (s *SimulateSpec) withDefaults() SimulateSpec {
 // as a literal or decode it from JSON; each field's JSON key is its wire
 // name. Zero-valued knobs mean "use the calibrated default";
 // pointer-typed knobs distinguish "unset" from an explicit zero (which
-// is why Seed is a *int64 — an explicit zero seed is valid).
+// is why Seed is a *int64 — an explicit zero seed is valid). Each flow
+// reads only the fields its row of the flow registry (flowTable in
+// flow.go, tabulated in README) lists; Validate rejects any other field
+// that is set.
 type Request struct {
 	// Flow selects the execution flow.
 	Flow FlowKind `json:"flow"`
-	// Benchmark names a paper benchmark ("Bm1" … "Bm4"). Exactly one of
-	// Benchmark, Graph or Scenario must be set, except for FlowCampaign
-	// which generates its own inputs.
+	// Benchmark names a paper benchmark ("Bm1" … "Bm4"). The offline
+	// flows take exactly one of Benchmark, Graph or Scenario.
 	Benchmark string `json:"benchmark,omitempty"`
 	// Graph carries a custom task graph inline.
 	Graph *GraphSpec `json:"graph,omitempty"`
@@ -361,13 +365,11 @@ type Request struct {
 	// the bound on concurrent candidate-architecture and
 	// floorplan-packing evaluations of the search-driven cosynthesis
 	// flow, and on concurrent Monte-Carlo replicas of the simulate and
-	// stream flows (Validate rejects it on other flows, which never
-	// consume it). 0 uses the engine's pool (WithSearchParallelism,
+	// stream flows. 0 uses the engine's pool (WithSearchParallelism,
 	// default GOMAXPROCS); 1 forces the serial path. Results are
 	// byte-identical at every value — only wall-clock changes.
 	Parallelism int `json:"parallelism,omitempty"`
-	// Seed drives the GA floorplanner (FlowCoSynthesis; Validate
-	// rejects it on other flows, which never consume it). Nil keeps the
+	// Seed drives the GA floorplanner of FlowCoSynthesis. Nil keeps the
 	// historical default (1); an explicit zero is honored as seed 0.
 	Seed *int64 `json:"seed,omitempty"`
 
@@ -380,12 +382,11 @@ type Request struct {
 	Campaign *CampaignSpec `json:"campaign,omitempty"`
 
 	// Stream describes the online workload FlowStream generates and
-	// dispatches; nil everywhere else (Validate rejects it on other
-	// flows). Generated workloads are cached by fingerprint.
+	// dispatches. Generated workloads are cached by fingerprint.
 	Stream *StreamSpec `json:"stream,omitempty"`
 
 	// IncludeGantt asks for the schedule's per-PE timeline in
-	// Response.Gantt (platform and cosynthesis flows).
+	// Response.Gantt (the offline flows).
 	IncludeGantt bool `json:"includeGantt,omitempty"`
 }
 
@@ -403,8 +404,8 @@ func (r *Request) policy() (Policy, error) {
 // malformed requests fail fast with a clear message — the service's 400
 // bodies and the CLI's usage errors carry these messages verbatim.
 //
-// The generic rules (flow existence, policy family, input arity, shared
-// knob ranges, cross-flow spec rejection) are driven entirely by the
+// The generic rules (flow existence, the fields each flow reads, input
+// arity, policy family, shared knob ranges) are driven entirely by the
 // flow registry; flow-specific checks run through each registry row's
 // validate hook.
 func (r *Request) Validate() error {
@@ -415,46 +416,40 @@ func (r *Request) Validate() error {
 	if !ok {
 		return fieldErr("flow", "unknown flow %q (want one of %v)", r.Flow, FlowKinds())
 	}
-	if err := fs.checkPolicy(r); err != nil {
-		return err
-	}
+	// Each flow reads only the fields its registry row lists; any other
+	// set field is an error on that field, and a foreign workload is one
+	// on "input".
+	v := reflect.ValueOf(r).Elem()
 	inputs := 0
-	for _, set := range []bool{r.Benchmark != "", r.Graph != nil, r.Scenario != nil} {
-		if set {
+	for i, key := range requestKeys {
+		if v.Field(i).IsZero() {
+			continue
+		}
+		isInput := slices.Contains(inputKeys, key)
+		if !fs.readsField[i] {
+			field := key
+			if isInput {
+				field = "input"
+			}
+			return fieldErr(field, "the %s flow does not read %s; remove it", r.Flow, key)
+		}
+		if isInput {
 			inputs++
 		}
 	}
-	switch fs.input {
-	case flowInputGenerated:
-		if inputs > 0 {
-			return fieldErr("input", "%s requests generate their own inputs; remove benchmark/graph/scenario", r.Flow)
-		}
-	case flowInputScenario:
-		if r.Scenario == nil {
-			return fieldErr("scenario", "%s requests need a scenario spec", r.Flow)
-		}
-		if r.Benchmark != "" || r.Graph != nil {
-			return fieldErr("input", "%s requests take only a scenario spec; remove benchmark/graph", r.Flow)
-		}
-	case flowInputStream:
-		if inputs > 0 {
-			return fieldErr("input", "%s requests take only a stream spec; remove benchmark/graph/scenario", r.Flow)
-		}
-	default: // flowInputOne
-		switch {
-		case inputs == 0:
-			return fieldErr("input", "request needs a benchmark name, an inline graph or a scenario spec")
-		case inputs > 1:
-			return fieldErr("input", "set exactly one of benchmark, graph or scenario")
-		}
+	switch {
+	case len(fs.inputs) == 1 && inputs == 0:
+		return fieldErr(fs.inputs[0], "a %s request needs a %s", r.Flow, fs.inputs[0])
+	case len(fs.inputs) > 1 && inputs != 1:
+		return fieldErr("input", "a %s request needs exactly one of %s", r.Flow, strings.Join(fs.inputs, ", "))
+	}
+	if err := fs.checkPolicy(r); err != nil {
+		return err
 	}
 	if r.Scenario != nil {
 		if err := r.Scenario.Validate(); err != nil {
 			return fieldErr("scenario", "%v", err)
 		}
-	}
-	if r.Campaign != nil && r.Flow != FlowCampaign {
-		return fieldErr("campaign", "campaign parameters on a %q request", r.Flow)
 	}
 	if r.Campaign != nil {
 		if err := r.Campaign.Validate(); err != nil {
@@ -467,19 +462,8 @@ func (r *Request) Validate() error {
 			return fieldErr("campaign", "%v", err)
 		}
 	}
-	if r.Stream != nil && r.Flow != FlowStream {
-		return fieldErr("stream", "stream parameters on a %q request", r.Flow)
-	}
 	if r.Benchmark != "" {
-		known := taskgraph.BenchmarkNames()
-		found := false
-		for _, n := range known {
-			if n == r.Benchmark {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if known := taskgraph.BenchmarkNames(); !slices.Contains(known, r.Benchmark) {
 			return fieldErr("benchmark", "unknown benchmark %q (want one of %s)",
 				r.Benchmark, strings.Join(known, ", "))
 		}
@@ -506,15 +490,6 @@ func (r *Request) Validate() error {
 	}
 	if r.Parallelism < 0 {
 		return fieldErr("parallelism", "negative parallelism %d", r.Parallelism)
-	}
-	if r.Parallelism > 0 && !fs.parallelism {
-		return fieldErr("parallelism", "parallelism on a %q request (only the cosynthesis, simulate and stream flows consume it)", r.Flow)
-	}
-	if r.Seed != nil && r.Flow != FlowCoSynthesis {
-		return fieldErr("seed", "seed on a %q request (only the cosynthesis flow consumes it)", r.Flow)
-	}
-	if r.Simulate != nil && r.Flow != FlowSimulate {
-		return fieldErr("simulate", "simulate parameters on a %q request", r.Flow)
 	}
 	if fs.validate != nil {
 		return fs.validate(r)

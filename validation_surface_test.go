@@ -167,6 +167,42 @@ func validationCases() []validationCase {
 			field: "flow",
 			cli:   []string{"-flow", "sweep"},
 		},
+		// Each flow reads only the fields its registry row lists; these
+		// were once accepted and ignored, under a fingerprint of their
+		// own.
+		{
+			name: "maxPEs on a platform request",
+			req: thermalsched.Request{Flow: thermalsched.FlowPlatform,
+				Benchmark: "Bm1", MaxPEs: 3},
+			field: "maxPEs",
+			cli:   []string{"-flow", "platform", "-benchmark", "Bm1", "-maxpes", "3"},
+		},
+		{
+			name: "candidateTypes on a platform request",
+			req: thermalsched.Request{Flow: thermalsched.FlowPlatform,
+				Benchmark: "Bm1", CandidateTypes: []string{"ARM"}},
+			field: "candidateTypes",
+		},
+		{
+			name: "tempWeight on a stream request",
+			req: thermalsched.Request{Flow: thermalsched.FlowStream,
+				Stream: &thermalsched.StreamSpec{Seed: 1}, TempWeight: ptr(1.0)},
+			field: "tempWeight",
+			cli:   []string{"-flow", "stream", "-seed", "1", "-tempweight", "1"},
+		},
+		{
+			name:  "policy on a campaign request",
+			req:   thermalsched.Request{Flow: thermalsched.FlowCampaign, Policy: "thermal"},
+			field: "policy",
+			cli:   []string{"-flow", "campaign", "-policy", "thermal"},
+		},
+		{
+			name: "includeGantt on a generate request",
+			req: thermalsched.Request{Flow: thermalsched.FlowGenerate,
+				Scenario: &thermalsched.ScenarioSpec{Graph: thermalsched.ScenarioGraphParams{Tasks: 10}}, IncludeGantt: true},
+			field: "includeGantt",
+			cli:   []string{"-flow", "generate", "-tasks", "10", "-gantt"},
+		},
 		{
 			name: "negative stream retryAfter",
 			req: thermalsched.Request{Flow: thermalsched.FlowStream, Stream: &thermalsched.StreamSpec{
