@@ -117,36 +117,36 @@ func (c *CampaignSpec) withDefaults() CampaignSpec {
 	return out
 }
 
-// Validate reports the first problem with the campaign parameters. A
-// bad knob in the nested simulate or stream spec is a *FieldError
-// naming its full path ("campaign.simulate.hysteresis").
+// Validate reports the first problem with the campaign parameters, as
+// a *FieldError naming its full path ("campaign.policies",
+// "campaign.simulate.hysteresis").
 func (c *CampaignSpec) Validate() error {
 	n := c.withDefaults()
 	if n.Scenarios < 0 {
-		return fmt.Errorf("thermalsched: negative campaign scenario count %d", c.Scenarios)
+		return fieldErr("campaign.scenarios", "negative campaign scenario count %d", c.Scenarios)
 	}
 	if n.Scenarios > MaxCampaignScenarios {
-		return fmt.Errorf("thermalsched: %d campaign scenarios exceed the limit %d",
+		return fieldErr("campaign.scenarios", "%d campaign scenarios exceed the limit %d",
 			n.Scenarios, MaxCampaignScenarios)
 	}
 	seen := make(map[string]bool, len(n.Policies))
 	for _, name := range n.Policies {
 		canonical, err := n.canonicalPolicy(name)
 		if err != nil {
-			return err
+			return fieldErr("campaign.policies", "%v", err)
 		}
 		if seen[canonical] {
-			return fmt.Errorf("thermalsched: campaign policy %q listed twice", canonical)
+			return fieldErr("campaign.policies", "campaign policy %q listed twice", canonical)
 		}
 		seen[canonical] = true
 	}
 	if n.MinTasks < 1 || n.MaxTasks < n.MinTasks || n.MaxTasks > scenario.MaxTasks {
-		return fmt.Errorf("thermalsched: campaign task range [%d, %d] outside [1, %d]",
+		return fieldErr("campaign.minTasks", "campaign task range [%d, %d] outside [1, %d]",
 			n.MinTasks, n.MaxTasks, scenario.MaxTasks)
 	}
 	if n.Template != nil {
 		if err := n.Template.Validate(); err != nil {
-			return err
+			return fieldErr("campaign.template", "%v", err)
 		}
 	}
 	if n.Simulate != nil {
@@ -156,28 +156,28 @@ func (c *CampaignSpec) Validate() error {
 	}
 	if len(n.Controllers) > 0 {
 		if n.Stream != nil {
-			return fmt.Errorf("thermalsched: campaign controller duel excludes stream mode; list admit/zigzag in policies instead")
+			return fieldErr("campaign.controllers", "campaign controller duel excludes stream mode; list admit/zigzag in policies instead")
 		}
 		if len(n.Policies) != 1 {
-			return fmt.Errorf("thermalsched: campaign controller duel needs exactly one scheduling policy, got %d", len(n.Policies))
+			return fieldErr("campaign.policies", "campaign controller duel needs exactly one scheduling policy, got %d", len(n.Policies))
 		}
 		seenCtl := make(map[string]bool, len(n.Controllers))
 		for _, name := range n.Controllers {
 			if name == "" || !validSimulateController(name) {
-				return fmt.Errorf("thermalsched: unknown campaign controller %q (want one of %v)", name, simulateControllers)
+				return fieldErr("campaign.controllers", "unknown campaign controller %q (want one of %v)", name, simulateControllers)
 			}
 			if seenCtl[name] {
-				return fmt.Errorf("thermalsched: campaign controller %q listed twice", name)
+				return fieldErr("campaign.controllers", "campaign controller %q listed twice", name)
 			}
 			seenCtl[name] = true
 		}
 	}
 	if n.Stream != nil {
 		if n.Simulate != nil {
-			return fmt.Errorf("thermalsched: campaign stream mode excludes simulate; remove one")
+			return fieldErr("campaign.stream", "campaign stream mode excludes simulate; remove one")
 		}
 		if n.Template != nil {
-			return fmt.Errorf("thermalsched: campaign stream mode uses the stream spec as its template; remove template")
+			return fieldErr("campaign.stream", "campaign stream mode uses the stream spec as its template; remove template")
 		}
 		if err := n.Stream.validate("campaign.stream"); err != nil {
 			return err

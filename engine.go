@@ -387,6 +387,11 @@ func (e *Engine) runCoSynthFlow(ctx context.Context, req *Request) (*Response, e
 	if err != nil {
 		return nil, err
 	}
+	for _, name := range cfg.CandidateTypes {
+		if _, ok := in.lib.PETypeIndex(name); !ok {
+			return nil, fieldErr("candidateTypes", "candidate PE type %q not in the input's library", name)
+		}
+	}
 	cfg.HotSpot = &e.thermal
 	cfg.Search = e.poolFor(req)
 	if in.scen != nil && cfg.CandidateTypes == nil {

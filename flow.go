@@ -3,6 +3,7 @@ package thermalsched
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -225,19 +226,10 @@ func (s *SimulateSpec) validate(prefix string) error {
 	if !validSimulateController(s.Controller) {
 		return fieldErr(prefix+".controller", "unknown simulate controller %q (want one of %v)", s.Controller, simulateControllers)
 	}
-	if s.Replicas < 0 {
-		return fieldErr(prefix+".replicas", "negative replica count %d", s.Replicas)
-	}
-	if s.Replicas > MaxSimulateReplicas {
-		return fieldErr(prefix+".replicas", "%d replicas exceed the limit %d", s.Replicas, MaxSimulateReplicas)
-	}
-	if s.DT < 0 || s.TimeScale < 0 {
-		return fieldErr(prefix+".dt", "negative simulate step (dt %g, timeScale %g)", s.DT, s.TimeScale)
-	}
-	if s.MinFactor < 0 || s.MinFactor > 1 {
-		return fieldErr(prefix+".minFactor", "simulate MinFactor %g out of (0, 1]", s.MinFactor)
-	}
 	n := s.withDefaults()
+	if err := checkLoop(prefix, n.DT, n.TimeScale, n.MinFactor, n.Replicas); err != nil {
+		return err
+	}
 	if err := n.SupervisorSpec.validate(prefix); err != nil {
 		return err
 	}
@@ -253,6 +245,27 @@ func (s *SimulateSpec) validate(prefix string) error {
 	} {
 		if k.err != nil {
 			return fieldErr(prefix+"."+k.field, "%v", k.err)
+		}
+	}
+	return nil
+}
+
+// checkLoop checks the co-simulation knobs the simulate and stream
+// specs share, on their withDefaults() values: each must lie in
+// (0, hi]. The negated comparison also rejects NaN, which fails every
+// comparison and so slips through a plain out-of-range test.
+func checkLoop(prefix string, dt, timeScale, minFactor float64, replicas int) error {
+	for _, k := range []struct {
+		field string
+		v, hi float64
+	}{
+		{"dt", dt, math.MaxFloat64},
+		{"timeScale", timeScale, math.MaxFloat64},
+		{"minFactor", minFactor, 1},
+		{"replicas", float64(replicas), MaxSimulateReplicas},
+	} {
+		if !(k.v > 0 && k.v <= k.hi) {
+			return fieldErr(prefix+"."+k.field, "%s %g out of (0, %.4g]", k.field, k.v, k.hi)
 		}
 	}
 	return nil

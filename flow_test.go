@@ -2,6 +2,7 @@ package thermalsched
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -131,5 +132,37 @@ func TestValidateAcceptsExactlyTheFieldsEachFlowReads(t *testing.T) {
 				t.Errorf("%s does not read %s: got %v, want a FieldError on %q", kind, key, err, want)
 			}
 		}
+	}
+}
+
+// The co-simulation knobs must reject NaN, which every comparison
+// fails and a plain out-of-range test therefore lets through; each
+// error names its path.
+func TestSimulateRequestValidation(t *testing.T) {
+	nan := math.NaN()
+	cases := []struct {
+		name  string
+		spec  SimulateSpec
+		field string
+	}{
+		{"NaN minFactor", SimulateSpec{MinFactor: nan}, "simulate.minFactor"},
+		{"NaN dt", SimulateSpec{DT: nan}, "simulate.dt"},
+		{"NaN timeScale", SimulateSpec{TimeScale: nan}, "simulate.timeScale"},
+		{"negative timeScale", SimulateSpec{TimeScale: -1}, "simulate.timeScale"},
+		{"minFactor above 1", SimulateSpec{MinFactor: 1.5}, "simulate.minFactor"},
+		{"negative replicas", SimulateSpec{Replicas: -1}, "simulate.replicas"},
+		{"replicas over the cap", SimulateSpec{Replicas: MaxSimulateReplicas + 1}, "simulate.replicas"},
+	}
+	for _, tc := range cases {
+		req := Request{Flow: FlowSimulate, Benchmark: "Bm1", Simulate: &tc.spec}
+		var fe *FieldError
+		if err := req.Validate(); !errors.As(err, &fe) || fe.Field != tc.field {
+			t.Errorf("%s: got %v, want a FieldError on %q", tc.name, err, tc.field)
+		}
+	}
+	ok := Request{Flow: FlowSimulate, Benchmark: "Bm1",
+		Simulate: &SimulateSpec{DT: 0.5, TimeScale: 0.2, MinFactor: 1, Replicas: MaxSimulateReplicas}}
+	if err := ok.Validate(); err != nil {
+		t.Errorf("valid simulate request rejected: %v", err)
 	}
 }

@@ -225,7 +225,14 @@ func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, r.Context().Err()) && r.Context().Err() != nil {
 			return // client cancelled mid-run
 		}
-		writeError(w, http.StatusInternalServerError, err)
+		// A flow that finds a bad field only once its input resolves
+		// (an unknown candidate PE type) reports it as a FieldError.
+		status := http.StatusInternalServerError
+		var fe *thermalsched.FieldError
+		if errors.As(err, &fe) {
+			status = http.StatusBadRequest
+		}
+		writeError(w, status, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)

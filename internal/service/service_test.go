@@ -199,6 +199,28 @@ func TestServeValidationErrors(t *testing.T) {
 	}
 }
 
+// A candidate PE type the input's library lacks can only be found once
+// the flow resolves its input; it is still the client's fault, so the
+// run answers 400 naming the field rather than 500.
+func TestServeRunUnknownCandidateType(t *testing.T) {
+	srv := testServer(t, Config{})
+	resp, body := post(t, srv.URL+"/v1/run",
+		`{"flow":"cosynthesis","benchmark":"Bm1","candidateTypes":["nope"]}`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400 (%s)", resp.StatusCode, body)
+	}
+	var e struct {
+		Error string `json:"error"`
+		Field string `json:"field"`
+	}
+	if err := json.Unmarshal(body, &e); err != nil {
+		t.Fatalf("decoding error envelope: %v\n%s", err, body)
+	}
+	if e.Field != "candidateTypes" || !strings.Contains(e.Error, `"nope"`) {
+		t.Errorf("error envelope %+v, want field candidateTypes naming \"nope\"", e)
+	}
+}
+
 func TestServeHealth(t *testing.T) {
 	srv := testServer(t, Config{})
 	resp, err := http.Get(srv.URL + "/healthz")

@@ -1,7 +1,6 @@
 package thermalsched
 
 import (
-	"errors"
 	"reflect"
 	"slices"
 	"strings"
@@ -453,13 +452,7 @@ func (r *Request) Validate() error {
 	}
 	if r.Campaign != nil {
 		if err := r.Campaign.Validate(); err != nil {
-			// A nested spec's FieldError already names its full path
-			// ("campaign.simulate.hysteresis"); keep it.
-			var fe *FieldError
-			if errors.As(err, &fe) {
-				return fe
-			}
-			return fieldErr("campaign", "%v", err)
+			return err
 		}
 	}
 	if r.Benchmark != "" {

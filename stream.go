@@ -120,20 +120,8 @@ func (s *StreamSpec) validate(prefix string) error {
 		return fieldErr(prefix, "%v", err)
 	}
 	n := s.withDefaults()
-	if n.DT < 0 || n.TimeScale < 0 {
-		return fieldErr(prefix+".dt", "negative stream step (dt %g, timeScale %g)", s.DT, s.TimeScale)
-	}
-	if !(n.DT > 0) || !(n.TimeScale > 0) {
-		return fieldErr(prefix+".dt", "stream step must be positive (dt %g, timeScale %g)", n.DT, n.TimeScale)
-	}
-	if n.MinFactor < 0 || n.MinFactor > 1 {
-		return fieldErr(prefix+".minFactor", "stream MinFactor %g out of (0, 1]", s.MinFactor)
-	}
-	if n.Replicas < 0 {
-		return fieldErr(prefix+".replicas", "negative replica count %d", s.Replicas)
-	}
-	if n.Replicas > MaxSimulateReplicas {
-		return fieldErr(prefix+".replicas", "%d replicas exceed the limit %d", n.Replicas, MaxSimulateReplicas)
+	if err := checkLoop(prefix, n.DT, n.TimeScale, n.MinFactor, n.Replicas); err != nil {
+		return err
 	}
 	return n.SupervisorSpec.validate(prefix)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -274,6 +275,16 @@ func TestStreamRequestValidation(t *testing.T) {
 			Stream: &StreamSpec{Arrivals: StreamArrivalParams{Rate: -1}}}, "stream"},
 		{"stream on offline flow", Request{Flow: FlowPlatform, Benchmark: "Bm1",
 			Policy: "thermal", Stream: &StreamSpec{Seed: 1}}, "stream"},
+		// NaN fails every comparison, so each knob's check is written
+		// to reject it.
+		{"NaN minFactor", Request{Flow: FlowStream,
+			Stream: &StreamSpec{Seed: 1, MinFactor: math.NaN()}}, "stream.minFactor"},
+		{"NaN dt", Request{Flow: FlowStream,
+			Stream: &StreamSpec{Seed: 1, DT: math.NaN()}}, "stream.dt"},
+		{"NaN timeScale", Request{Flow: FlowStream,
+			Stream: &StreamSpec{Seed: 1, TimeScale: math.NaN()}}, "stream.timeScale"},
+		{"negative replicas", Request{Flow: FlowStream,
+			Stream: &StreamSpec{Seed: 1, Replicas: -1}}, "stream.replicas"},
 	}
 	for _, tc := range cases {
 		err := tc.req.Validate()

@@ -204,6 +204,20 @@ func validationCases() []validationCase {
 			cli:   []string{"-flow", "generate", "-tasks", "10", "-gantt"},
 		},
 		{
+			name: "negative campaign scenarios",
+			req: thermalsched.Request{Flow: thermalsched.FlowCampaign,
+				Campaign: &thermalsched.CampaignSpec{Scenarios: -1}},
+			field: "campaign.scenarios",
+			cli:   []string{"-flow", "campaign", "-scenarios", "-1"},
+		},
+		{
+			name: "unknown campaign policy",
+			req: thermalsched.Request{Flow: thermalsched.FlowCampaign,
+				Campaign: &thermalsched.CampaignSpec{Policies: []string{"nope"}}},
+			field: "campaign.policies",
+			cli:   []string{"-flow", "campaign", "-policies", "nope"},
+		},
+		{
 			name: "negative stream retryAfter",
 			req: thermalsched.Request{Flow: thermalsched.FlowStream, Stream: &thermalsched.StreamSpec{
 				Seed: 1, SupervisorSpec: thermalsched.SupervisorSpec{RetryAfter: -1}}},
