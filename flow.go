@@ -189,8 +189,8 @@ func runGenerateFlowCtx(e *Engine, _ context.Context, req *Request) (*Response, 
 }
 
 // Flow-specific validation hooks. The generic rules (flow existence,
-// input arity, policy syntax, shared knob ranges, cross-flow spec
-// rejection) live in Request.Validate; these cover the rest.
+// the fields each flow reads, input arity, policy syntax, shared knob
+// ranges) live in Request.Validate; these cover the rest.
 
 // errOf drops a constructor's value and keeps its error.
 func errOf[T any](_ T, err error) error { return err }

@@ -2,9 +2,12 @@ package thermalsched
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"os"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -164,5 +167,35 @@ func TestSimulateRequestValidation(t *testing.T) {
 		Simulate: &SimulateSpec{DT: 0.5, TimeScale: 0.2, MinFactor: 1, Replicas: MaxSimulateReplicas}}
 	if err := ok.Validate(); err != nil {
 		t.Errorf("valid simulate request rejected: %v", err)
+	}
+}
+
+// README's flow × field table is the registry rendered: a row edit
+// that leaves the table stale fails here.
+func TestReadmeFlowFieldTable(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	b.WriteString("<!-- flow-field-table -->\n| Field |")
+	for _, fs := range flowRegistry {
+		fmt.Fprintf(&b, " %s |", fs.kind)
+	}
+	b.WriteString("\n|---|" + strings.Repeat("---|", len(flowRegistry)) + "\n")
+	for _, key := range requestKeys[1:] { // every field but flow
+		fmt.Fprintf(&b, "| `%s` |", key)
+		for _, fs := range flowRegistry {
+			mark := ""
+			if slices.Contains(fs.reads, key) {
+				mark = "✓"
+			}
+			fmt.Fprintf(&b, " %s |", mark)
+		}
+		b.WriteString("\n")
+	}
+	b.WriteString("<!-- /flow-field-table -->\n")
+	if !strings.Contains(string(readme), b.String()) {
+		t.Errorf("README's flow × field table is stale; the registry renders it as:\n%s", b.String())
 	}
 }
