@@ -44,7 +44,9 @@ type goldenCase struct {
 // because the power heuristic skips the thermal inquiries), and Bm4 at
 // the benchmark shape, whose short GA leaves the floorplanner's
 // shape-curve tie-breaks visible in the chosen layout. The generate
-// and campaign cases pin small instances of the generated-input flows.
+// and campaign cases pin small instances of the generated-input flows;
+// campaign_controllers runs every simulate controller kind, reactive
+// and proactive, through the controller axis and its admit reference.
 func goldenCases() []goldenCase {
 	condScenario := ScenarioSpec{
 		Name: "golden-cond",
@@ -118,6 +120,9 @@ func goldenCases() []goldenCase {
 			Simulate: &SimulateSpec{Replicas: 2, MinFactor: 0.8, Seed: 3}}}},
 		{"campaign_stream", Request{Flow: FlowCampaign, Campaign: &CampaignSpec{
 			Scenarios: 2, Seed: 7, Stream: &StreamSpec{Replicas: 2, MinFactor: 0.8}}}},
+		{"campaign_controllers", Request{Flow: FlowCampaign, Campaign: &CampaignSpec{
+			Scenarios: 3, Seed: 1, MinTasks: 20, MaxTasks: 40,
+			Controllers: []string{"toggle", "pi", "none", "admit", "zigzag"}}}},
 	}
 	for _, b := range []string{"Bm1", "Bm2", "Bm3", "Bm4"} {
 		for _, p := range []Policy{ThermalAware, Baseline} {
