@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"thermalsched/internal/scenario"
@@ -443,12 +444,14 @@ func (e *Engine) runCampaignFlow(ctx context.Context, req *Request) (*Response, 
 	}
 	report := &CampaignReport{
 		Policies:       cols,
-		Reference:      campaignReference(cols),
+		Reference:      campaignReference(cols, sched.ThermalAware.String()),
 		Simulated:      spec.Simulate != nil,
 		ControllerAxis: len(spec.Controllers) > 0,
 	}
 	if report.ControllerAxis {
-		report.Reference = campaignControllerReference(cols)
+		// Predictive admission is the controller whose wins the duels
+		// are meant to witness.
+		report.Reference = campaignReference(cols, "admit")
 	}
 	return e.runCampaignGrid(ctx, report, rows, subs)
 }
@@ -480,9 +483,12 @@ func (e *Engine) runStreamCampaign(ctx context.Context, spec CampaignSpec, polic
 			subs = append(subs, Request{Flow: FlowStream, Stream: &specs[i], Policy: pol})
 		}
 	}
+	// The duel reference is predictive admission when present (the
+	// policy whose wins the duels are meant to witness), then
+	// thermal-greedy.
 	report := &CampaignReport{
 		Policies:  policies,
-		Reference: campaignStreamReference(policies),
+		Reference: campaignReference(policies, stream.PolicyAdmit, stream.PolicyGreedy),
 		Streamed:  true,
 	}
 	return e.runCampaignGrid(ctx, report, rows, subs)
@@ -509,43 +515,15 @@ func (e *Engine) runCampaignGrid(ctx context.Context, report *CampaignReport, ro
 	return &Response{Flow: FlowCampaign, Campaign: report}, nil
 }
 
-// campaignReference picks the duel reference: thermal when present,
-// otherwise the first policy.
-func campaignReference(policies []string) string {
-	for _, p := range policies {
-		if p == sched.ThermalAware.String() {
+// campaignReference picks the duel reference: the first preferred
+// name present in cols, otherwise the first column.
+func campaignReference(cols []string, preferred ...string) string {
+	for _, p := range preferred {
+		if slices.Contains(cols, p) {
 			return p
 		}
 	}
-	return policies[0]
-}
-
-// campaignStreamReference picks the stream-mode duel reference: the
-// predictive admission policy when present (it is the one whose wins
-// the duels are meant to witness), then thermal-greedy, then the first.
-func campaignStreamReference(policies []string) string {
-	for _, p := range policies {
-		if p == stream.PolicyAdmit {
-			return p
-		}
-	}
-	for _, p := range policies {
-		if p == stream.PolicyGreedy {
-			return p
-		}
-	}
-	return policies[0]
-}
-
-// campaignControllerReference picks the controller-duel reference:
-// predictive admission when present, otherwise the first controller.
-func campaignControllerReference(controllers []string) string {
-	for _, c := range controllers {
-		if c == "admit" {
-			return c
-		}
-	}
-	return controllers[0]
+	return cols[0]
 }
 
 // campaignCell converts one sub-run's response into a row cell.

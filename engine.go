@@ -422,39 +422,55 @@ func (in *runInput) stamp(resp *Response) {
 	}
 }
 
-// simSupervisor materializes a fresh thermal supervisor for the spec.
-// Each replica gets its own instance: supervisors carry per-run state
-// (throttle latches, PI integrals, admission holds, cooling gaps) and
-// are not safe for concurrent use. The reactive controllers (toggle,
-// pi) adapt to the supervisor contract behind the spec's ladder shim;
-// admit and zigzag are proactive and gate dispatches through Admit.
-func simSupervisor(spec SimulateSpec) (dtm.Supervisor, error) {
-	var c dtm.Controller
-	var err error
+// simSupervisor materializes a fresh thermal controller for the spec,
+// or nil for "none". Each replica gets its own instance: controllers
+// carry per-run state (throttle latches, PI integrals, admission holds,
+// cooling gaps) and are not safe for concurrent use. Toggle and PI are
+// plain reactive controllers; admit and zigzag are dtm.Supervisors,
+// whose Admit the executor's gate consults before every start.
+func simSupervisor(spec SimulateSpec) (dtm.Controller, error) {
 	switch spec.Controller {
 	case "toggle":
-		c, err = dtm.NewToggleController(spec.TriggerC, spec.Hysteresis, spec.Throttle)
+		return dtm.NewToggleController(spec.TriggerC, spec.Hysteresis, spec.Throttle)
 	case "pi":
-		c, err = dtm.NewPIController(spec.SetpointC, spec.Kp, spec.Ki, spec.MinScale)
+		return dtm.NewPIController(spec.SetpointC, spec.Kp, spec.Ki, spec.MinScale)
 	case "admit", "zigzag":
 		return spec.supervisor(spec.Controller, spec.DT)
 	case "none":
 		return nil, nil
-	default: // unreachable after Validate
-		return nil, fmt.Errorf("thermalsched: unknown simulate controller %q", spec.Controller)
+	}
+	// unreachable after Validate
+	return nil, fmt.Errorf("thermalsched: unknown simulate controller %q", spec.Controller)
+}
+
+// runReplicas runs n seeded Monte-Carlo replicas on pool. Replica i
+// lands in slot i, so every aggregate over the result, computed in
+// index order, is byte-identical at every parallelism level. Each
+// replica checks ctx before it starts, and a cancelled ctx is reported
+// ahead of any replica error.
+func runReplicas[R any](ctx context.Context, pool *search.Pool, n int, run func(i int) (R, error)) ([]R, error) {
+	out := make([]R, n)
+	err := pool.Map(n, func(i int) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		var err error
+		out[i], err = run(i)
+		return err
+	})
+	if cerr := ctx.Err(); cerr != nil {
+		return nil, cerr
 	}
 	if err != nil {
 		return nil, err
 	}
-	return dtm.Supervise(c, spec.ladder())
+	return out, nil
 }
 
 // runSimulateFlow schedules on the platform, then co-simulates the
 // schedule, the transient thermal model and the DTM controller in
 // lockstep — Replicas seeded Monte-Carlo runs fanned across poolFor's
-// token pool (replica i draws its realization from Seed+i). Results
-// are byte-identical at every parallelism level: replicas land in a
-// slice by index and every aggregate is computed in index order.
+// token pool (replica i draws its realization from Seed+i).
 func (e *Engine) runSimulateFlow(ctx context.Context, req *Request) (*Response, error) {
 	in, err := e.resolveInput(req)
 	if err != nil {
@@ -470,16 +486,12 @@ func (e *Engine) runSimulateFlow(ctx context.Context, req *Request) (*Response, 
 	}
 	spec := req.Simulate.withDefaults()
 
-	results := make([]*rt.Result, spec.Replicas)
-	err = e.poolFor(req).Map(spec.Replicas, func(i int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
+	results, err := runReplicas(ctx, e.poolFor(req), spec.Replicas, func(i int) (*rt.Result, error) {
 		sup, err := simSupervisor(spec)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		results[i], err = rt.Simulate(ctx, res.Schedule, res.Model, rt.Config{
+		return rt.Simulate(ctx, res.Schedule, res.Model, rt.Config{
 			DT:          spec.DT,
 			TimeScale:   spec.TimeScale,
 			Supervisor:  sup,
@@ -488,43 +500,28 @@ func (e *Engine) runSimulateFlow(ctx context.Context, req *Request) (*Response, 
 			Seed:        spec.Seed + int64(i),
 			Conditional: spec.Conditional,
 		})
-		return err
 	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	if err != nil {
 		return nil, err
 	}
 
-	makespans := make([]float64, spec.Replicas)
-	peaks := make([]float64, spec.Replicas)
-	throttles := make([]float64, spec.Replicas)
-	misses, steps, energy, denials := 0, 0, 0.0, 0
-	for i, r := range results {
-		makespans[i] = r.Makespan
-		peaks[i] = r.PeakTempC
-		throttles[i] = r.ThrottleTime
-		if !r.DeadlineMet {
-			misses++
-		}
-		steps += r.Steps
-		energy += r.Energy
-		denials += r.AdmissionDenials
-	}
-	n := float64(spec.Replicas)
 	report := &SimulateReport{
-		Controller:           spec.Controller,
-		Replicas:             spec.Replicas,
-		StaticMakespan:       res.Schedule.Makespan,
-		Deadline:             res.Schedule.Graph.Deadline,
-		Makespan:             statsOf(makespans),
-		PeakTempC:            statsOf(peaks),
-		ThrottleTime:         statsOf(throttles),
-		DeadlineMissRate:     float64(misses) / n,
-		MeanSteps:            float64(steps) / n,
-		MeanEnergy:           energy / n,
-		MeanAdmissionDenials: float64(denials) / n,
+		Controller:     spec.Controller,
+		Replicas:       spec.Replicas,
+		StaticMakespan: res.Schedule.Makespan,
+		Deadline:       res.Schedule.Graph.Deadline,
+		Makespan:       replicaStats(results, func(r *rt.Result) float64 { return r.Makespan }),
+		PeakTempC:      replicaStats(results, func(r *rt.Result) float64 { return r.PeakTempC }),
+		ThrottleTime:   replicaStats(results, func(r *rt.Result) float64 { return r.ThrottleTime }),
+		DeadlineMissRate: replicaMean(results, func(r *rt.Result) float64 {
+			if r.DeadlineMet {
+				return 0
+			}
+			return 1
+		}),
+		MeanSteps:            replicaMean(results, func(r *rt.Result) float64 { return float64(r.Steps) }),
+		MeanEnergy:           replicaMean(results, func(r *rt.Result) float64 { return r.Energy }),
+		MeanAdmissionDenials: replicaMean(results, func(r *rt.Result) float64 { return float64(r.AdmissionDenials) }),
 	}
 	resp, err := flowResponse(FlowSimulate, cfg.Policy, res, req.IncludeGantt, false)
 	if err != nil {

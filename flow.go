@@ -237,8 +237,10 @@ func (s *SimulateSpec) validate(prefix string) error {
 		field string
 		err   error
 	}{
+		{"triggerC", errOf(dtm.NewToggleController(n.TriggerC, 0, 0))},
 		{"hysteresis", errOf(dtm.NewToggleController(0, n.Hysteresis, 0))},
 		{"throttle", errOf(dtm.NewToggleController(0, 0, n.Throttle))},
+		{"setpointC", errOf(dtm.NewPIController(n.SetpointC, 0, 0, 0))},
 		{"kp", errOf(dtm.NewPIController(0, n.Kp, 0, 0))},
 		{"ki", errOf(dtm.NewPIController(0, 0, n.Ki, 0))},
 		{"minScale", errOf(dtm.NewPIController(0, 0, 0, n.MinScale))},

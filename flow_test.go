@@ -138,9 +138,9 @@ func TestValidateAcceptsExactlyTheFieldsEachFlowReads(t *testing.T) {
 	}
 }
 
-// The co-simulation knobs must reject NaN, which every comparison
-// fails and a plain out-of-range test therefore lets through; each
-// error names its path.
+// The co-simulation, controller and supervisor knobs must reject NaN,
+// which every comparison fails and a plain out-of-range test therefore
+// lets through; each error names its path.
 func TestSimulateRequestValidation(t *testing.T) {
 	nan := math.NaN()
 	cases := []struct {
@@ -155,6 +155,21 @@ func TestSimulateRequestValidation(t *testing.T) {
 		{"minFactor above 1", SimulateSpec{MinFactor: 1.5}, "simulate.minFactor"},
 		{"negative replicas", SimulateSpec{Replicas: -1}, "simulate.replicas"},
 		{"replicas over the cap", SimulateSpec{Replicas: MaxSimulateReplicas + 1}, "simulate.replicas"},
+		// The controller and supervisor knobs, NaN once stalling the run
+		// or finishing on NaN arithmetic.
+		{"NaN triggerC", SimulateSpec{TriggerC: nan}, "simulate.triggerC"},
+		{"infinite triggerC", SimulateSpec{TriggerC: math.Inf(1)}, "simulate.triggerC"},
+		{"NaN throttle", SimulateSpec{Throttle: nan}, "simulate.throttle"},
+		{"NaN setpointC", SimulateSpec{Controller: "pi", SetpointC: nan}, "simulate.setpointC"},
+		{"NaN kp", SimulateSpec{Controller: "pi", Kp: nan}, "simulate.kp"},
+		{"NaN ki", SimulateSpec{Controller: "pi", Ki: nan}, "simulate.ki"},
+		{"NaN minScale", SimulateSpec{Controller: "pi", MinScale: nan}, "simulate.minScale"},
+		{"NaN hysteresis", SimulateSpec{SupervisorSpec: SupervisorSpec{Hysteresis: nan}}, "simulate.hysteresis"},
+		{"NaN fairC", SimulateSpec{SupervisorSpec: SupervisorSpec{FairC: nan}}, "simulate.fairC"},
+		{"NaN seriousScale", SimulateSpec{SupervisorSpec: SupervisorSpec{SeriousScale: nan}}, "simulate.seriousScale"},
+		{"NaN criticalScale", SimulateSpec{SupervisorSpec: SupervisorSpec{CriticalScale: nan}}, "simulate.seriousScale"},
+		{"NaN retryAfter", SimulateSpec{SupervisorSpec: SupervisorSpec{RetryAfter: nan}}, "simulate.retryAfter"},
+		{"NaN coolTime", SimulateSpec{SupervisorSpec: SupervisorSpec{CoolTime: nan}}, "simulate.coolTime"},
 	}
 	for _, tc := range cases {
 		req := Request{Flow: FlowSimulate, Benchmark: "Bm1", Simulate: &tc.spec}

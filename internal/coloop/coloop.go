@@ -61,10 +61,11 @@ type Config struct {
 	// supervisor that throttles the run to a standstill; required > 0
 	// (clients derive their own generous defaults from the workload).
 	MaxSteps int
-	// Supervisor throttles per-block power and answers admission
-	// queries. Nil disables thermal management — every PE runs at full
-	// speed, the unthrottled reference.
-	Supervisor dtm.Supervisor
+	// Supervisor throttles per-block power. When it is also a
+	// dtm.Supervisor, Gate builds an admission gate that asks it before
+	// every start. Nil disables thermal management — every PE runs at
+	// full speed, the unthrottled reference.
+	Supervisor dtm.Controller
 	// TrackPerPE enables the PerPEEnergy split (the batch simulator
 	// reports it; the stream dispatcher does not).
 	TrackPerPE bool

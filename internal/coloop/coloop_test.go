@@ -296,8 +296,7 @@ func (s *stubSupervisor) ScaleInto(out, temps []float64) error {
 	}
 	return nil
 }
-func (s *stubSupervisor) Reset()          {}
-func (s *stubSupervisor) Proactive() bool { return true }
+func (s *stubSupervisor) Reset() {}
 func (s *stubSupervisor) Admit(b int, temps []float64, riseC, now float64) dtm.Admission {
 	s.queries++
 	if !s.deny {
@@ -307,7 +306,7 @@ func (s *stubSupervisor) Admit(b int, temps []float64, riseC, now float64) dtm.A
 }
 
 // gateCore builds a two-PE core on sup and its gate.
-func gateCore(t *testing.T, sup dtm.Supervisor, dt float64) (*Core, *Gate) {
+func gateCore(t *testing.T, sup dtm.Controller, dt float64) (*Core, *Gate) {
 	t.Helper()
 	c, err := New(Config{Model: rowModel(t, 2), PEBlock: []int{0, 1}, DT: dt, TimeScale: 0.1,
 		MaxSteps: 1 << 20, Supervisor: sup})
@@ -335,21 +334,17 @@ func runSteps(t *testing.T, c *Core, steps int, step func(now, stepEnd float64) 
 	}
 }
 
-// Without a supervisor, or under a reactive one, there is no gate, and
+// Without a controller, or under a reactive one, there is no gate, and
 // the nil gate admits everything, holds nothing and counts nothing.
 func TestGateNilAdmitsAndNeverHolds(t *testing.T) {
 	toggle, err := dtm.NewToggleController(80, 2, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reactive, err := dtm.Supervise(toggle, dtm.DefaultLadder)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sup := range []dtm.Supervisor{nil, reactive} {
+	for _, sup := range []dtm.Controller{nil, toggle} {
 		_, g := gateCore(t, sup, 1)
 		if g != nil {
-			t.Fatalf("supervisor %T: got a gate, want nil", sup)
+			t.Fatalf("controller %T: got a gate, want nil", sup)
 		}
 		for _, at := range []float64{0, 3.5, 1e9} {
 			if ok, armed := g.Admit(1, 40, 10, at); !ok || armed {

@@ -3,12 +3,13 @@ package coloop
 import (
 	"math"
 
+	"thermalsched/internal/dtm"
 	"thermalsched/internal/hotspot"
 )
 
 // Gate is the one admission gate of the closed-loop dispatchers: it
 // forecasts each candidate start's rise, asks the supervisor, holds
-// refused PEs and counts the refusals. A nil *Gate (no supervisor, or a
+// refused PEs and counts the refusals. A nil *Gate (no controller, or a
 // reactive one) admits everything and holds nothing.
 //
 // The hold rule: a denial at t holds its PE until min(Admission.Until,
@@ -17,6 +18,7 @@ import (
 // step brings fresh temperatures, so a PE under embargo is asked again.
 type Gate struct {
 	core    *Core
+	sup     dtm.Supervisor
 	dtSec   float64
 	curves  [][]float64 // per PE: see riseCurves
 	expiry  []float64   // per PE: hold expiry, loop time
@@ -25,10 +27,11 @@ type Gate struct {
 }
 
 // Gate builds the run's gate, forecasting rises for tasks of up to
-// maxDur schedule units, or returns nil when the supervisor is nil or
-// reactive. Build it before Run.
+// maxDur schedule units, or returns nil unless the configured
+// controller is a dtm.Supervisor. Build it before Run.
 func (c *Core) Gate(maxDur float64) (*Gate, error) {
-	if sup := c.cfg.Supervisor; sup == nil || !sup.Proactive() {
+	sup, ok := c.cfg.Supervisor.(dtm.Supervisor)
+	if !ok {
 		return nil, nil
 	}
 	dtSec := c.cfg.DT * c.cfg.TimeScale
@@ -37,7 +40,7 @@ func (c *Core) Gate(maxDur float64) (*Gate, error) {
 		return nil, err
 	}
 	n := len(c.cfg.PEBlock)
-	c.gate = &Gate{core: c, dtSec: dtSec, curves: curves,
+	c.gate = &Gate{core: c, sup: sup, dtSec: dtSec, curves: curves,
 		expiry: make([]float64, n), held: make([]int, 0, n)}
 	return c.gate, nil
 }
@@ -51,7 +54,7 @@ func (g *Gate) Admit(pe int, power, dur, t float64) (ok, armed bool) {
 		return true, false
 	}
 	if c := g.core; g.expiry[pe] <= t {
-		adm := c.cfg.Supervisor.Admit(c.cfg.PEBlock[pe], c.Temps,
+		adm := g.sup.Admit(c.cfg.PEBlock[pe], c.Temps,
 			g.rise(pe, power, dur*c.cfg.TimeScale), t)
 		if adm.OK {
 			return true, false

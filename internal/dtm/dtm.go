@@ -19,23 +19,26 @@
 // shows how the static thermal-aware schedule reduces throttling.
 //
 // Beyond reactive scaling, the package defines the Supervisor contract
-// (supervisor.go): thermal-state classification on a nominal/fair/
-// serious/critical Ladder, graduated per-state throttle factors, and
-// admission queries answered with hold expiries. Reactive controllers
-// adapt via the Supervise shim; AdmitController (predictive admission)
-// and ZigZagController (forced idle-slack cooling gaps) implement the
-// proactive side.
+// (supervisor.go): a Controller that also answers admission queries
+// with hold expiries, classifying blocks on a nominal/fair/serious/
+// critical Ladder. AdmitController (predictive admission with graduated
+// per-state throttle factors) and ZigZagController (forced idle-slack
+// cooling gaps) implement it. The reactive controllers stay plain
+// Controllers: they act only after the fact and never refuse a start.
 //
 // The package holds no stepping loop of its own: the closed-loop
 // co-simulation core internal/coloop steps the transient model, applies
-// the supervisor's scales by stretching the running tasks (so throttling
-// feeds back into makespan and deadline misses) and honours its
-// admission decisions. internal/runtime (the Engine's "simulate" flow)
-// and internal/stream both drive this package's Supervisor
-// implementations through it.
+// a controller's scales by stretching the running tasks (so throttling
+// feeds back into makespan and deadline misses) and, when the
+// controller is a Supervisor, honours its admission decisions.
+// internal/runtime (the Engine's "simulate" flow) and internal/stream
+// both drive this package's controllers through it.
 package dtm
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Controller scales each PE's requested power based on observed block
 // temperatures, writing per-block multipliers in [0, 1] into a
@@ -79,12 +82,16 @@ type ToggleController struct {
 }
 
 // NewToggleController returns a toggle controller with the given
-// trigger temperature, hysteresis band and throttle fraction.
+// trigger temperature, hysteresis band and throttle fraction. The
+// range checks are negated comparisons, so NaN fails them too.
 func NewToggleController(triggerC, hysteresis, throttle float64) (*ToggleController, error) {
-	if hysteresis < 0 {
+	if math.IsNaN(triggerC) || math.IsInf(triggerC, 0) {
+		return nil, fmt.Errorf("dtm: trigger temperature %g is not finite", triggerC)
+	}
+	if !(hysteresis >= 0) {
 		return nil, fmt.Errorf("dtm: negative hysteresis %g", hysteresis)
 	}
-	if throttle < 0 || throttle >= 1 {
+	if !(0 <= throttle && throttle < 1) {
 		return nil, fmt.Errorf("dtm: throttle fraction %g out of [0, 1)", throttle)
 	}
 	return &ToggleController{TriggerC: triggerC, Hysteresis: hysteresis, Throttle: throttle}, nil
@@ -131,15 +138,19 @@ type PIController struct {
 	integral []float64
 }
 
-// NewPIController returns a PI controller for the given setpoint.
+// NewPIController returns a PI controller for the given setpoint. Like
+// NewToggleController, it rejects NaN knobs.
 func NewPIController(setpointC, kp, ki, minScale float64) (*PIController, error) {
-	if kp < 0 {
+	if math.IsNaN(setpointC) || math.IsInf(setpointC, 0) {
+		return nil, fmt.Errorf("dtm: setpoint %g is not finite", setpointC)
+	}
+	if !(kp >= 0) {
 		return nil, fmt.Errorf("dtm: negative gain Kp %g", kp)
 	}
-	if ki < 0 {
+	if !(ki >= 0) {
 		return nil, fmt.Errorf("dtm: negative gain Ki %g", ki)
 	}
-	if minScale < 0 || minScale > 1 {
+	if !(0 <= minScale && minScale <= 1) {
 		return nil, fmt.Errorf("dtm: MinScale %g out of [0, 1]", minScale)
 	}
 	return &PIController{SetpointC: setpointC, Kp: kp, Ki: ki, MinScale: minScale}, nil

@@ -102,6 +102,12 @@ func TestToggleControllerValidation(t *testing.T) {
 	if _, err := NewToggleController(80, 2, 0.5); err != nil {
 		t.Errorf("valid controller rejected: %v", err)
 	}
+	nan := math.NaN()
+	for _, k := range [][3]float64{{nan, 2, 0.5}, {math.Inf(1), 2, 0.5}, {80, nan, 0.5}, {80, 2, nan}} {
+		if _, err := NewToggleController(k[0], k[1], k[2]); err == nil {
+			t.Errorf("toggle knobs %v accepted", k)
+		}
+	}
 }
 
 func TestPIControllerValidation(t *testing.T) {
@@ -113,6 +119,13 @@ func TestPIControllerValidation(t *testing.T) {
 	}
 	if _, err := NewPIController(80, 0.1, 0.01, 0.2); err != nil {
 		t.Errorf("valid controller rejected: %v", err)
+	}
+	nan := math.NaN()
+	for _, k := range [][4]float64{{nan, 0.1, 0.01, 0.2}, {math.Inf(-1), 0.1, 0.01, 0.2},
+		{80, nan, 0.01, 0.2}, {80, 0.1, nan, 0.2}, {80, 0.1, 0.01, nan}} {
+		if _, err := NewPIController(k[0], k[1], k[2], k[3]); err == nil {
+			t.Errorf("PI knobs %v accepted", k)
+		}
 	}
 }
 

@@ -87,12 +87,12 @@ type Admission struct {
 	State ThermalState
 }
 
-// Supervisor is the widened thermal-management contract: a Controller
-// (per-block throttle factors, one-step sensing delay) that also
-// answers admission queries before work is dispatched, classifying the
-// block on the thermal ladder in each answer. Reactive controllers
-// adapt via Supervise; proactive ones (AdmitController,
-// ZigZagController) implement denial directly.
+// Supervisor is the proactive thermal-management contract: a
+// Controller (per-block throttle factors, one-step sensing delay) that
+// also answers admission queries before work is dispatched, classifying
+// the block on the thermal ladder in each answer. AdmitController and
+// ZigZagController implement it; the reactive ToggleController and
+// PIController are plain Controllers and never refuse a start.
 type Supervisor interface {
 	Controller
 	// Admit decides whether a task predicted to raise block b's
@@ -106,36 +106,7 @@ type Supervisor interface {
 	// min(Until, end of the sensing step) and refuse it there without
 	// asking. A denial with Until <= now promises nothing.
 	Admit(b int, temps []float64, riseC, now float64) Admission
-	// Proactive reports whether Admit can ever deny. Callers skip the
-	// admission bookkeeping entirely for reactive supervisors, keeping
-	// the classic toggle/PI loops byte-identical to their pre-supervisor
-	// behavior.
-	Proactive() bool
 }
-
-// Supervise adapts a reactive Controller to the Supervisor contract:
-// scaling works as before, and every admission is granted in the
-// block's ladder state — reactive DTM only ever acts after the fact.
-func Supervise(c Controller, l Ladder) (Supervisor, error) {
-	if c == nil {
-		return nil, fmt.Errorf("dtm: nil controller")
-	}
-	if err := l.Validate(); err != nil {
-		return nil, err
-	}
-	return &supervised{Controller: c, ladder: l}, nil
-}
-
-type supervised struct {
-	Controller
-	ladder Ladder
-}
-
-func (s *supervised) Admit(b int, temps []float64, riseC, now float64) Admission {
-	return Admission{OK: true, State: s.ladder.Classify(temps[b])}
-}
-
-func (s *supervised) Proactive() bool { return false }
 
 // AdmitController is predictive admission control: instead of throttling
 // after a threshold trips, it refuses the starts whose forecast rise
@@ -173,14 +144,14 @@ func NewAdmitController(l Ladder, seriousScale, criticalScale, retryAfter, hyste
 	if err := l.Validate(); err != nil {
 		return nil, err
 	}
-	if seriousScale < 0 || seriousScale > 1 || criticalScale < 0 || criticalScale > 1 {
+	if !(0 <= seriousScale && seriousScale <= 1 && 0 <= criticalScale && criticalScale <= 1) {
 		return nil, fmt.Errorf("dtm: admission scales (serious %g, critical %g) out of [0, 1]",
 			seriousScale, criticalScale)
 	}
 	if !(retryAfter > 0) {
 		return nil, fmt.Errorf("dtm: admission RetryAfter %g must be positive", retryAfter)
 	}
-	if hysteresis < 0 {
+	if !(hysteresis >= 0) {
 		return nil, fmt.Errorf("dtm: admission Hysteresis %g must be non-negative", hysteresis)
 	}
 	return &AdmitController{
@@ -277,9 +248,6 @@ func (c *AdmitController) Admit(b int, temps []float64, riseC, now float64) Admi
 	return Admission{OK: true, State: st}
 }
 
-// Proactive implements Supervisor.
-func (c *AdmitController) Proactive() bool { return true }
-
 // ZigZagController implements idle-slack cooling in the style of
 // Chrobak et al. (arXiv 0801.4238): a block that reaches the serious
 // threshold is forced through a fixed-length cooling gap (power cut to
@@ -307,7 +275,7 @@ func NewZigZagController(l Ladder, coolTime, stepTime, coolScale float64) (*ZigZ
 	if !(coolTime > 0) || !(stepTime > 0) {
 		return nil, fmt.Errorf("dtm: zig-zag times must be positive (coolTime %g, stepTime %g)", coolTime, stepTime)
 	}
-	if coolScale < 0 || coolScale >= 1 {
+	if !(0 <= coolScale && coolScale < 1) {
 		return nil, fmt.Errorf("dtm: zig-zag CoolScale %g out of [0, 1)", coolScale)
 	}
 	steps := int(math.Ceil(coolTime / stepTime))
@@ -360,6 +328,3 @@ func (c *ZigZagController) Admit(b int, temps []float64, riseC, now float64) Adm
 	}
 	return Admission{OK: true, State: st}
 }
-
-// Proactive implements Supervisor.
-func (c *ZigZagController) Proactive() bool { return true }

@@ -7,8 +7,8 @@ import (
 
 // Each ladder threshold belongs to the state it opens, and the largest
 // temperature below it to the state beneath. Classify and the State
-// an Admit reports, under the reactive Supervise shim and the zig-zag
-// supervisor, all map a temperature the same way.
+// the zig-zag supervisor's Admit reports map a temperature the same
+// way.
 func TestLadderClassifyAtThresholds(t *testing.T) {
 	l := DefaultLadder
 	below := func(c float64) float64 { return math.Nextafter(c, math.Inf(-1)) }
@@ -25,14 +25,6 @@ func TestLadderClassifyAtThresholds(t *testing.T) {
 		{l.CriticalC, StateCritical},
 		{150, StateCritical},
 	}
-	toggle, err := NewToggleController(88, 3, 0.4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sup, err := Supervise(toggle, l)
-	if err != nil {
-		t.Fatal(err)
-	}
 	zz, err := NewZigZagController(l, 5, 1, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -41,9 +33,6 @@ func TestLadderClassifyAtThresholds(t *testing.T) {
 		temps := []float64{c.tempC}
 		if got := l.Classify(c.tempC); got != c.want {
 			t.Errorf("Classify(%v) = %v, want %v", c.tempC, got, c.want)
-		}
-		if a := sup.Admit(0, temps, 0, 0); !a.OK || a.State != c.want {
-			t.Errorf("Supervise Admit(%v) = %+v, want OK in %v", c.tempC, a, c.want)
 		}
 		if a := zz.Admit(0, temps, 0, 0); !a.OK || a.State != c.want {
 			t.Errorf("zig-zag Admit(%v) = %+v, want OK in %v", c.tempC, a, c.want)
@@ -82,13 +71,6 @@ func TestAdmitDenialSticksWithinInstant(t *testing.T) {
 		{"admit/short-hold", func() (Supervisor, error) { return NewAdmitController(ladder, 0.7, 0.4, 1e-300, 2) }, true, true},
 		{"zigzag/gap", func() (Supervisor, error) { return NewZigZagController(ladder, 5, 1, 0) }, true, true},
 		{"zigzag/no-gap", func() (Supervisor, error) { return NewZigZagController(ladder, 5, 1, 0) }, false, false},
-		{"supervise/toggle", func() (Supervisor, error) {
-			c, err := NewToggleController(80, 2, 0.5)
-			if err != nil {
-				return nil, err
-			}
-			return Supervise(c, ladder)
-		}, true, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -153,5 +135,24 @@ func TestAdmitShortHoldPromisesNothing(t *testing.T) {
 	}
 	if a := c.Admit(0, temps, 1, now); !a.OK {
 		t.Errorf("small forecast after a rounded-away hold = %+v, want admitted", a)
+	}
+}
+
+// The supervisor constructors reject NaN knobs: every range check is a
+// negated comparison, which NaN fails.
+func TestSupervisorConstructorsRejectNaN(t *testing.T) {
+	nan := math.NaN()
+	for _, k := range [][4]float64{{nan, 0.4, 2, 2}, {0.7, nan, 2, 2}, {0.7, 0.4, nan, 2}, {0.7, 0.4, 2, nan}} {
+		if _, err := NewAdmitController(DefaultLadder, k[0], k[1], k[2], k[3]); err == nil {
+			t.Errorf("admit knobs %v accepted", k)
+		}
+	}
+	for _, k := range [][3]float64{{nan, 1, 0}, {5, nan, 0}, {5, 1, nan}} {
+		if _, err := NewZigZagController(DefaultLadder, k[0], k[1], k[2]); err == nil {
+			t.Errorf("zig-zag knobs %v accepted", k)
+		}
+	}
+	if _, err := NewAdmitController(Ladder{FairC: nan, SeriousC: 80, CriticalC: 88}, 0.7, 0.4, 2, 2); err == nil {
+		t.Error("NaN ladder accepted")
 	}
 }

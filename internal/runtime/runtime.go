@@ -48,13 +48,13 @@ type Config struct {
 	// TimeScale converts one schedule time unit into seconds of thermal
 	// simulation; the transient integrates with step DT × TimeScale.
 	TimeScale float64
-	// Supervisor throttles per-block power and, when proactive, gates
-	// task starts through coloop.Gate: a refused PE's queue head waits
-	// at full speed until its hold ends, instead of starting and being
-	// throttled. Nil disables DTM — every PE runs at full speed, which
-	// is the unthrottled reference run. Reactive controllers adapt via
-	// dtm.Supervise.
-	Supervisor dtm.Supervisor
+	// Supervisor throttles per-block power. When it is also a
+	// dtm.Supervisor, it gates task starts through coloop.Gate: a
+	// refused PE's queue head waits at full speed until its hold ends,
+	// instead of starting and being throttled. The reactive toggle and
+	// PI controllers only throttle. Nil disables DTM — every PE runs at
+	// full speed, which is the unthrottled reference run.
+	Supervisor dtm.Controller
 	// MinFactor is the lower bound of the per-task execution-time factor:
 	// actual duration = WCET × uniform[MinFactor, 1]. 1 replays the
 	// worst case exactly.
@@ -71,10 +71,6 @@ type Config struct {
 	// of cold ambient, modeling a die that has been running the workload
 	// for a while.
 	WarmStart bool
-	// MaxSteps bounds the stepped loop as a safety net against a
-	// controller that throttles the die to a standstill. Zero derives a
-	// generous default from the static makespan.
-	MaxSteps int
 }
 
 // Validate reports the first invalid configuration field.
@@ -84,9 +80,6 @@ func (c Config) Validate() error {
 	}
 	if !(c.TimeScale > 0) {
 		return fmt.Errorf("runtime: TimeScale must be positive, got %g", c.TimeScale)
-	}
-	if c.MaxSteps < 0 {
-		return fmt.Errorf("runtime: negative MaxSteps %d", c.MaxSteps)
 	}
 	if c.MinFactor <= 0 || c.MinFactor > 1 {
 		return fmt.Errorf("runtime: MinFactor %g out of (0, 1]", c.MinFactor)
@@ -164,17 +157,14 @@ func Simulate(ctx context.Context, s *sched.Schedule, model *hotspot.Model, cfg 
 		return nil, fmt.Errorf("runtime: %w", err)
 	}
 
-	maxSteps := cfg.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = 64*int(math.Ceil(s.Makespan/cfg.DT)) + 4096
-	}
-
+	// The stall bound is a safety net against a controller that
+	// throttles the die to a standstill: 64 times the static makespan.
 	core, err := coloop.New(coloop.Config{
 		Model:      model,
 		PEBlock:    peBlock,
 		DT:         cfg.DT,
 		TimeScale:  cfg.TimeScale,
-		MaxSteps:   maxSteps,
+		MaxSteps:   64*int(math.Ceil(s.Makespan/cfg.DT)) + 4096,
 		Supervisor: cfg.Supervisor,
 		TrackPerPE: true,
 	})
@@ -196,7 +186,7 @@ func Simulate(ctx context.Context, s *sched.Schedule, model *hotspot.Model, cfg 
 	}
 
 	// The gate forecasts over WCET durations (realized durations are
-	// future knowledge); it is nil for reactive supervisors.
+	// future knowledge); it is nil for reactive controllers.
 	var maxDur float64
 	for _, a := range s.Assignments {
 		maxDur = max(maxDur, a.Finish-a.Start)

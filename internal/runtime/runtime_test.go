@@ -86,12 +86,8 @@ func TestThrottlingStretchesMakespan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup, err := dtm.Supervise(ctrl, dtm.DefaultLadder)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := baseConfig()
-	cfg.Supervisor = sup
+	cfg.Supervisor = ctrl
 	throttled, err := Simulate(context.Background(), res.Schedule, res.Model, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -143,14 +139,9 @@ func TestStalledRunHitsStepBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup, err := dtm.Supervise(ctrl, dtm.DefaultLadder)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := baseConfig()
-	cfg.Supervisor = sup
+	cfg.Supervisor = ctrl
 	cfg.WarmStart = true // start hot so the trigger fires immediately
-	cfg.MaxSteps = 2000
 	if _, err := Simulate(context.Background(), res.Schedule, res.Model, cfg); err == nil {
 		t.Fatal("standstill run returned without error")
 	}
@@ -171,7 +162,6 @@ func TestConfigValidation(t *testing.T) {
 		{DT: 0, TimeScale: 1, MinFactor: 1},
 		{DT: 1, TimeScale: 0, MinFactor: 1},
 		{DT: 1, TimeScale: 1, MinFactor: 0},
-		{DT: 1, TimeScale: 1, MaxSteps: -1, MinFactor: 1},
 	}
 	for i, cfg := range bad {
 		if _, err := Simulate(context.Background(), res.Schedule, res.Model, cfg); err == nil {
@@ -201,19 +191,15 @@ func TestConfigValidateMinFactor(t *testing.T) {
 // retry-after embargoes.
 func TestSupervisorResetHygieneAcrossReplicas(t *testing.T) {
 	res := platformRun(t, "Bm1", sched.ThermalAware)
-	supervisors := map[string]func() dtm.Supervisor{
-		"pi": func() dtm.Supervisor {
+	supervisors := map[string]func() dtm.Controller{
+		"pi": func() dtm.Controller {
 			ctrl, err := dtm.NewPIController(70, 0.05, 0.01, 0.2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sup, err := dtm.Supervise(ctrl, dtm.DefaultLadder)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return sup
+			return ctrl
 		},
-		"admit": func() dtm.Supervisor {
+		"admit": func() dtm.Controller {
 			sup, err := dtm.NewAdmitController(dtm.DefaultLadder, 0.7, 0.4, 2, 2)
 			if err != nil {
 				t.Fatal(err)
@@ -221,7 +207,7 @@ func TestSupervisorResetHygieneAcrossReplicas(t *testing.T) {
 			return sup
 		},
 	}
-	run := func(sup dtm.Supervisor, seed int64) *Result {
+	run := func(sup dtm.Controller, seed int64) *Result {
 		t.Helper()
 		cfg := baseConfig()
 		cfg.Supervisor = sup

@@ -89,7 +89,8 @@ type PlatformParams struct {
 	MinSpeed float64 `json:"minSpeed,omitempty"`
 	MaxSpeed float64 `json:"maxSpeed,omitempty"`
 	// MeanWork and MeanPower calibrate the library (defaults 100 time
-	// units and 6 W on a speed-1 PE, the standard library's scale).
+	// units, 30 in a StreamSpec, and 6 W on a speed-1 PE, the standard
+	// library's scale).
 	MeanWork  float64 `json:"meanWork,omitempty"`
 	MeanPower float64 `json:"meanPower,omitempty"`
 	// Noise is the per-(task, PE) WCET/WCPC jitter (default 0.35).
@@ -148,7 +149,13 @@ func (s Spec) Normalized() Spec {
 	if g.Types == 0 {
 		g.Types = 8
 	}
-	p := &s.Platform
+	s.Platform = s.Platform.normalized(100)
+	return s
+}
+
+// normalized returns the platform with every defaulted field filled in;
+// meanWork is the owning spec's MeanWork default.
+func (p PlatformParams) normalized(meanWork float64) PlatformParams {
 	if p.PEs == 0 {
 		p.PEs = 4
 	}
@@ -159,7 +166,7 @@ func (s Spec) Normalized() Spec {
 		p.MaxSpeed = 1
 	}
 	if p.MeanWork == 0 {
-		p.MeanWork = 100
+		p.MeanWork = meanWork
 	}
 	if p.MeanPower == 0 {
 		p.MeanPower = 6
@@ -170,14 +177,34 @@ func (s Spec) Normalized() Spec {
 	if p.Layout == "" {
 		p.Layout = LayoutGrid
 	}
-	return s
+	return p
+}
+
+// validate reports the first problem with a normalized platform.
+func (p PlatformParams) validate() error {
+	switch {
+	case p.PEs < 1 || p.PEs > MaxPEs:
+		return fmt.Errorf("scenario: PEs %d out of [1, %d]", p.PEs, MaxPEs)
+	case !(p.MinSpeed > 0) || p.MaxSpeed < p.MinSpeed:
+		return fmt.Errorf("scenario: speed spread [%g, %g] invalid", p.MinSpeed, p.MaxSpeed)
+	case !(p.MeanWork > 0) || !(p.MeanPower > 0):
+		return fmt.Errorf("scenario: mean work/power must be positive (%g, %g)", p.MeanWork, p.MeanPower)
+	case p.Noise < 0 || p.Noise >= 1:
+		return fmt.Errorf("scenario: noise %g out of [0, 1)", p.Noise)
+	}
+	switch p.Layout {
+	case LayoutGrid, LayoutRow:
+	default:
+		return fmt.Errorf("scenario: unknown layout %q (want %s or %s)", p.Layout, LayoutGrid, LayoutRow)
+	}
+	return nil
 }
 
 // Validate reports the first problem that makes the normalized spec
 // ungeneratable.
 func (s Spec) Validate() error {
 	n := s.Normalized()
-	g, p := n.Graph, n.Platform
+	g := n.Graph
 	switch g.Shape {
 	case ShapeLayered, ShapeSeriesParallel:
 	default:
@@ -200,22 +227,7 @@ func (s Spec) Validate() error {
 	case g.Types < 1:
 		return fmt.Errorf("scenario: task types %d must be at least 1", g.Types)
 	}
-	switch {
-	case p.PEs < 1 || p.PEs > MaxPEs:
-		return fmt.Errorf("scenario: PEs %d out of [1, %d]", p.PEs, MaxPEs)
-	case !(p.MinSpeed > 0) || p.MaxSpeed < p.MinSpeed:
-		return fmt.Errorf("scenario: speed spread [%g, %g] invalid", p.MinSpeed, p.MaxSpeed)
-	case !(p.MeanWork > 0) || !(p.MeanPower > 0):
-		return fmt.Errorf("scenario: mean work/power must be positive (%g, %g)", p.MeanWork, p.MeanPower)
-	case p.Noise < 0 || p.Noise >= 1:
-		return fmt.Errorf("scenario: noise %g out of [0, 1)", p.Noise)
-	}
-	switch p.Layout {
-	case LayoutGrid, LayoutRow:
-	default:
-		return fmt.Errorf("scenario: unknown layout %q (want %s or %s)", p.Layout, LayoutGrid, LayoutRow)
-	}
-	return nil
+	return n.Platform.validate()
 }
 
 // Fingerprint returns a stable hex digest of the normalized spec. Two

@@ -151,32 +151,11 @@ func (s StreamSpec) Normalized() StreamSpec {
 	if a.Types == 0 {
 		a.Types = 8
 	}
-	p := &s.Platform
-	if p.PEs == 0 {
-		p.PEs = 4
-	}
-	if p.MinSpeed == 0 {
-		p.MinSpeed = 1
-	}
-	if p.MaxSpeed == 0 {
-		p.MaxSpeed = 1
-	}
 	// Stream defaults aim for moderate load (~0.6 utilization on the
 	// default 4-PE platform): with the default arrival process, mean
 	// work 30 leaves slack for the online policies to differentiate
 	// instead of uniformly drowning in an overload.
-	if p.MeanWork == 0 {
-		p.MeanWork = 30
-	}
-	if p.MeanPower == 0 {
-		p.MeanPower = 6
-	}
-	if p.Noise == 0 {
-		p.Noise = 0.35
-	}
-	if p.Layout == "" {
-		p.Layout = LayoutGrid
-	}
+	s.Platform = s.Platform.normalized(30)
 	return s
 }
 
@@ -184,7 +163,7 @@ func (s StreamSpec) Normalized() StreamSpec {
 // spec ungeneratable.
 func (s StreamSpec) Validate() error {
 	n := s.Normalized()
-	a, p := n.Arrivals, n.Platform
+	a := n.Arrivals
 	switch {
 	case !(a.Horizon > 0) || a.Horizon > MaxStreamHorizon:
 		return fmt.Errorf("scenario: stream horizon %g out of (0, %g]", a.Horizon, float64(MaxStreamHorizon))
@@ -209,22 +188,7 @@ func (s StreamSpec) Validate() error {
 	if expected > MaxStreamJobs/2 {
 		return fmt.Errorf("scenario: stream spec expects ~%.0f jobs, over the %d cap", expected, MaxStreamJobs/2)
 	}
-	switch {
-	case p.PEs < 1 || p.PEs > MaxPEs:
-		return fmt.Errorf("scenario: PEs %d out of [1, %d]", p.PEs, MaxPEs)
-	case !(p.MinSpeed > 0) || p.MaxSpeed < p.MinSpeed:
-		return fmt.Errorf("scenario: speed spread [%g, %g] invalid", p.MinSpeed, p.MaxSpeed)
-	case !(p.MeanWork > 0) || !(p.MeanPower > 0):
-		return fmt.Errorf("scenario: mean work/power must be positive (%g, %g)", p.MeanWork, p.MeanPower)
-	case p.Noise < 0 || p.Noise >= 1:
-		return fmt.Errorf("scenario: noise %g out of [0, 1)", p.Noise)
-	}
-	switch p.Layout {
-	case LayoutGrid, LayoutRow:
-	default:
-		return fmt.Errorf("scenario: unknown layout %q (want %s or %s)", p.Layout, LayoutGrid, LayoutRow)
-	}
-	return nil
+	return n.Platform.validate()
 }
 
 // Fingerprint returns a stable hex digest of the normalized stream

@@ -24,12 +24,12 @@ const (
 	// a PE may take a job, the thermal supervisor forecasts the start's
 	// temperature rise and refuses it if the block would reach serious —
 	// the job waits at full speed instead of running into throttling.
-	// Requires a proactive Input.Supervisor and the influence oracle.
+	// Requires a non-nil Input.Supervisor and the influence oracle.
 	PolicyAdmit = "admit"
 	// PolicyZigzag is PolicyCoolest gated by idle-slack cooling in the
 	// style of Chrobak et al. (arXiv 0801.4238): a block that reaches
 	// serious is forced through a fixed cooling gap during which it
-	// takes no new work. Requires a proactive Input.Supervisor.
+	// takes no new work. Requires a non-nil Input.Supervisor.
 	PolicyZigzag = "zigzag"
 )
 

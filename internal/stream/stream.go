@@ -66,8 +66,9 @@ type Input struct {
 	// acts on the stream purely through admission — refused starts
 	// insert idle slack (the zig-zag discipline) rather than stretching
 	// running jobs; the throttle factors it computes each step are not
-	// applied to running work. A proactive supervisor is required by
-	// PolicyAdmit and PolicyZigzag; nil disables supervision.
+	// applied to running work. PolicyAdmit and PolicyZigzag require a
+	// non-nil supervisor; nil disables supervision. Never pass a typed
+	// nil pointer: it is a non-nil dtm.Controller to the loop core.
 	Supervisor dtm.Supervisor
 }
 
@@ -90,9 +91,6 @@ type Config struct {
 	// Seed drives the duration draws and the random policy, verbatim —
 	// zero is an ordinary seed.
 	Seed int64
-	// MaxSteps bounds the stepped loop; zero derives a generous default
-	// from the trace length and total work.
-	MaxSteps int
 }
 
 // placeSeedSalt decorrelates the random policy's PE draws from the
@@ -112,9 +110,6 @@ func (c Config) Validate() error {
 	}
 	if !(c.MinFactor > 0) || c.MinFactor > 1 {
 		return fmt.Errorf("stream: MinFactor %g out of (0, 1]", c.MinFactor)
-	}
-	if c.MaxSteps < 0 {
-		return fmt.Errorf("stream: negative MaxSteps %d", c.MaxSteps)
 	}
 	return nil
 }
@@ -194,8 +189,8 @@ func Run(ctx context.Context, in Input, cfg Config) (*Result, error) {
 	if (policy == PolicyGreedy || policy == PolicyAdmit) && in.Oracle == nil {
 		return nil, fmt.Errorf("stream: policy %q needs the influence oracle", policy)
 	}
-	if (policy == PolicyAdmit || policy == PolicyZigzag) && (in.Supervisor == nil || !in.Supervisor.Proactive()) {
-		return nil, fmt.Errorf("stream: policy %q needs a proactive thermal supervisor", policy)
+	if (policy == PolicyAdmit || policy == PolicyZigzag) && in.Supervisor == nil {
+		return nil, fmt.Errorf("stream: policy %q needs a thermal supervisor", policy)
 	}
 
 	// Realized durations: factor_j drawn in job-ID order from the seed,
@@ -241,21 +236,19 @@ func Run(ctx context.Context, in Input, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("stream: %w", err)
 	}
 
-	maxSteps := cfg.MaxSteps
-	if maxSteps == 0 {
-		serial := 0.0
-		for j := range in.Jobs {
-			worst := 0.0
-			for p := 0; p < nPE; p++ {
-				if capable[j*nPE+p] && dur[j*nPE+p] > worst {
-					worst = dur[j*nPE+p]
-				}
+	// The stall bound: four times the arrival horizon plus every job run
+	// back to back on its slowest capable PE.
+	serial := 0.0
+	for j := range in.Jobs {
+		worst := 0.0
+		for p := 0; p < nPE; p++ {
+			if capable[j*nPE+p] && dur[j*nPE+p] > worst {
+				worst = dur[j*nPE+p]
 			}
-			serial += worst
 		}
-		horizon := in.Jobs[n-1].Arrival
-		maxSteps = 4*int(math.Ceil((horizon+serial)/cfg.DT)) + 4096
+		serial += worst
 	}
+	maxSteps := 4*int(math.Ceil((in.Jobs[n-1].Arrival+serial)/cfg.DT)) + 4096
 
 	core, err := coloop.New(coloop.Config{
 		Model:      in.Model,
@@ -271,7 +264,7 @@ func Run(ctx context.Context, in Input, cfg Config) (*Result, error) {
 	temps := core.Temps // last sensed temperatures (ambient pre-start)
 
 	// The gate forecasts over WCETs (realized durations are future
-	// knowledge); it is nil without a proactive supervisor.
+	// knowledge); it is nil without a supervisor.
 	gate, err := core.Gate(maxWCET)
 	if err != nil {
 		return nil, err

@@ -199,7 +199,6 @@ func TestRunInputValidation(t *testing.T) {
 		{Policy: stream.PolicyFIFO, DT: 0, TimeScale: 0.1, MinFactor: 1},
 		{Policy: stream.PolicyFIFO, DT: 1, TimeScale: 0, MinFactor: 1},
 		{Policy: stream.PolicyFIFO, DT: 1, TimeScale: 0.1, MinFactor: 1.2},
-		{Policy: stream.PolicyFIFO, DT: 1, TimeScale: 0.1, MinFactor: 1, MaxSteps: -1},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

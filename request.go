@@ -145,13 +145,13 @@ type SupervisorSpec struct {
 
 func (s SupervisorSpec) withDefaults() SupervisorSpec {
 	if s.FairC == 0 {
-		s.FairC = 72
+		s.FairC = dtm.DefaultLadder.FairC
 	}
 	if s.SeriousC == 0 {
-		s.SeriousC = 80
+		s.SeriousC = dtm.DefaultLadder.SeriousC
 	}
 	if s.CriticalC == 0 {
-		s.CriticalC = 88
+		s.CriticalC = dtm.DefaultLadder.CriticalC
 	}
 	if s.SeriousScale == 0 {
 		s.SeriousScale = 0.7
@@ -178,17 +178,18 @@ func (s SupervisorSpec) ladder() dtm.Ladder {
 }
 
 // validate checks the knob ranges; prefix is the JSON path of the
-// embedding spec ("simulate", "stream" or their campaign forms). Call on a withDefaults() copy so zero (defaulted) knobs
-// are already resolved.
+// embedding spec ("simulate", "stream" or their campaign forms). Call
+// on a withDefaults() copy so zero (defaulted) knobs are already
+// resolved. Every check is a negated range test, so NaN fails it too.
 func (s SupervisorSpec) validate(prefix string) error {
-	if s.Hysteresis < 0 {
+	if !(s.Hysteresis >= 0) {
 		return fieldErr(prefix+".hysteresis", "negative hysteresis %g", s.Hysteresis)
 	}
 	if !(s.FairC < s.SeriousC && s.SeriousC < s.CriticalC) {
 		return fieldErr(prefix+".fairC", "thermal-state ladder must ascend (fair %g, serious %g, critical %g)",
 			s.FairC, s.SeriousC, s.CriticalC)
 	}
-	if s.SeriousScale < 0 || s.SeriousScale > 1 || s.CriticalScale < 0 || s.CriticalScale > 1 {
+	if !(0 <= s.SeriousScale && s.SeriousScale <= 1 && 0 <= s.CriticalScale && s.CriticalScale <= 1) {
 		return fieldErr(prefix+".seriousScale", "admission scales (serious %g, critical %g) out of [0, 1]",
 			s.SeriousScale, s.CriticalScale)
 	}

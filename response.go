@@ -33,6 +33,26 @@ type Stats struct {
 	Max  float64 `json:"max"`
 }
 
+// replicaStats computes the replica statistics of one per-replica
+// value.
+func replicaStats[R any](rs []R, value func(R) float64) Stats {
+	vals := make([]float64, len(rs))
+	for i, r := range rs {
+		vals[i] = value(r)
+	}
+	return statsOf(vals)
+}
+
+// replicaMean averages one per-replica value, summed in replica index
+// order.
+func replicaMean[R any](rs []R, value func(R) float64) float64 {
+	var sum float64
+	for _, r := range rs {
+		sum += value(r)
+	}
+	return sum / float64(len(rs))
+}
+
 // statsOf computes replica statistics. vals is sorted in place.
 func statsOf(vals []float64) Stats {
 	if len(vals) == 0 {

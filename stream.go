@@ -218,9 +218,7 @@ type StreamReport struct {
 // runStreamFlow resolves the workload, builds its platform substrate
 // through the shared cosynth path (thermal-model cache included), and
 // fans Replicas seeded online dispatches across the search pool —
-// replica i draws its realization from SimSeed + i. Results are
-// byte-identical at every parallelism level: replicas land in a slice
-// by index and every aggregate is computed in index order.
+// replica i draws its realization from SimSeed + i.
 func (e *Engine) runStreamFlow(ctx context.Context, req *Request) (*Response, error) {
 	spec := req.Stream.withDefaults()
 	wl, err := e.streamFor(spec)
@@ -248,20 +246,16 @@ func (e *Engine) runStreamFlow(ctx context.Context, req *Request) (*Response, er
 	// Each replica gets its own influence oracle and supervisor: both
 	// are incremental state, not safe for concurrent use, and oracle
 	// rows are built lazily so unused policies pay nothing.
-	results := make([]*stream.Result, spec.Replicas)
-	err = e.poolFor(req).Map(spec.Replicas, func(i int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
+	results, err := runReplicas(ctx, e.poolFor(req), spec.Replicas, func(i int) (*stream.Result, error) {
 		oracle, err := sched.NewModelOracle(model, arch)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		sup, err := spec.supervisor(policy, spec.DT)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		results[i], err = stream.Run(ctx, stream.Input{
+		return stream.Run(ctx, stream.Input{
 			Jobs:       jobs,
 			Lib:        wl.Lib,
 			Arch:       arch,
@@ -275,38 +269,11 @@ func (e *Engine) runStreamFlow(ctx context.Context, req *Request) (*Response, er
 			MinFactor: spec.MinFactor,
 			Seed:      spec.SimSeed + int64(i),
 		})
-		return err
 	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	if err != nil {
 		return nil, err
 	}
 
-	makespans := make([]float64, spec.Replicas)
-	peaks := make([]float64, spec.Replicas)
-	avgs := make([]float64, spec.Replicas)
-	missRates := make([]float64, spec.Replicas)
-	responses := make([]float64, spec.Replicas)
-	latenesses := make([]float64, spec.Replicas)
-	bounds := make([]float64, spec.Replicas)
-	prices := make([]float64, spec.Replicas)
-	steps, energy, denials := 0, 0.0, 0
-	for i, r := range results {
-		makespans[i] = r.Makespan
-		peaks[i] = r.PeakTempC
-		avgs[i] = r.AvgTempC
-		missRates[i] = r.MissRate
-		responses[i] = r.MeanResponse
-		latenesses[i] = r.MaxLateness
-		bounds[i] = r.OfflineBound
-		prices[i] = r.Price
-		steps += r.Steps
-		energy += r.Energy
-		denials += r.AdmissionDenials
-	}
-	n := float64(spec.Replicas)
 	report := &StreamReport{
 		Policy:               policy,
 		Replicas:             spec.Replicas,
@@ -315,17 +282,17 @@ func (e *Engine) runStreamFlow(ctx context.Context, req *Request) (*Response, er
 		AperiodicJobs:        wl.Aperiodic,
 		Horizon:              wl.Spec.Arrivals.Horizon,
 		PEs:                  len(wl.PETypeNames),
-		Makespan:             statsOf(makespans),
-		PeakTempC:            statsOf(peaks),
-		AvgTempC:             statsOf(avgs),
-		MissRate:             statsOf(missRates),
-		MeanResponse:         statsOf(responses),
-		MaxLateness:          statsOf(latenesses),
-		OfflineBound:         statsOf(bounds),
-		Price:                statsOf(prices),
-		MeanEnergy:           energy / n,
-		MeanSteps:            float64(steps) / n,
-		MeanAdmissionDenials: float64(denials) / n,
+		Makespan:             replicaStats(results, func(r *stream.Result) float64 { return r.Makespan }),
+		PeakTempC:            replicaStats(results, func(r *stream.Result) float64 { return r.PeakTempC }),
+		AvgTempC:             replicaStats(results, func(r *stream.Result) float64 { return r.AvgTempC }),
+		MissRate:             replicaStats(results, func(r *stream.Result) float64 { return r.MissRate }),
+		MeanResponse:         replicaStats(results, func(r *stream.Result) float64 { return r.MeanResponse }),
+		MaxLateness:          replicaStats(results, func(r *stream.Result) float64 { return r.MaxLateness }),
+		OfflineBound:         replicaStats(results, func(r *stream.Result) float64 { return r.OfflineBound }),
+		Price:                replicaStats(results, func(r *stream.Result) float64 { return r.Price }),
+		MeanEnergy:           replicaMean(results, func(r *stream.Result) float64 { return r.Energy }),
+		MeanSteps:            replicaMean(results, func(r *stream.Result) float64 { return float64(r.Steps) }),
+		MeanAdmissionDenials: replicaMean(results, func(r *stream.Result) float64 { return float64(r.AdmissionDenials) }),
 	}
 	return &Response{
 		Flow:        FlowStream,

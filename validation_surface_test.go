@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os/exec"
@@ -16,12 +17,21 @@ import (
 
 // validationCase names a request shape, the field its FieldError
 // names, and the CLI flags that reproduce it (nil when no flag
-// spelling exists).
+// spelling exists). noJSON marks a request JSON cannot carry (a NaN
+// knob), which has no service spelling.
 type validationCase struct {
-	name  string
-	req   thermalsched.Request
-	field string
-	cli   []string
+	name   string
+	req    thermalsched.Request
+	field  string
+	cli    []string
+	noJSON bool
+}
+
+// nanCase marks tc as a NaN-knob case: Go callers and the CLI's float
+// flags can pass NaN, JSON cannot.
+func nanCase(tc validationCase) validationCase {
+	tc.noJSON = true
+	return tc
 }
 
 // ptr returns a pointer to a copy of v, for the Request knobs whose
@@ -136,6 +146,22 @@ func validationCases() []validationCase {
 			SupervisorSpec: thermalsched.SupervisorSpec{FairC: 90}}, "simulate.fairC", []string{"-fairc", "90"}),
 		simulateCase("negative simulate coolTime", thermalsched.SimulateSpec{
 			SupervisorSpec: thermalsched.SupervisorSpec{CoolTime: -1}}, "simulate.coolTime", []string{"-cooltime", "-1"}),
+		// NaN fails every plain range comparison, so these knobs once
+		// passed Validate and then stalled the run or finished on NaN
+		// arithmetic.
+		nanCase(simulateCase("NaN simulate kp", thermalsched.SimulateSpec{Controller: "pi", Kp: math.NaN()},
+			"simulate.kp", nil)),
+		nanCase(simulateCase("NaN simulate seriousScale", thermalsched.SimulateSpec{
+			SupervisorSpec: thermalsched.SupervisorSpec{SeriousScale: math.NaN()}}, "simulate.seriousScale",
+			[]string{"-seriousscale", "NaN"})),
+		nanCase(simulateCase("NaN simulate triggerC", thermalsched.SimulateSpec{TriggerC: math.NaN()},
+			"simulate.triggerC", []string{"-trigger", "NaN"})),
+		nanCase(validationCase{
+			name: "NaN stream hysteresis",
+			req: thermalsched.Request{Flow: thermalsched.FlowStream, Stream: &thermalsched.StreamSpec{
+				Seed: 1, SupervisorSpec: thermalsched.SupervisorSpec{Hysteresis: math.NaN()}}},
+			field: "stream.hysteresis",
+		}),
 		// The campaign checked only its simulate spec's controller, so
 		// these were accepted and then failed in every cell.
 		campaignSimulateCase("negative campaign simulate hysteresis", thermalsched.SimulateSpec{
@@ -278,6 +304,9 @@ func TestValidationMessagesSharedAcrossSurfaces(t *testing.T) {
 		}
 		if !strings.HasPrefix(verr.Error(), "thermalsched: invalid "+tc.field+":") {
 			t.Errorf("%s: message %q does not follow the canonical shape", tc.name, verr)
+		}
+		if tc.noJSON {
+			continue
 		}
 
 		// The service 400 body carries the message verbatim plus the
