@@ -154,26 +154,31 @@ func TestClosedLoopGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got = append(got, '\n')
-			path := filepath.Join("testdata", "golden", tc.name+".json")
-			if *updateGolden {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, got, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden (run go test -run ClosedLoopGolden -update): %v", err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("%s: response diverged from the pre-refactor golden\ngot:\n%s\nwant:\n%s",
-					tc.name, got, want)
-			}
+			checkGolden(t, tc.name+".json", append(got, '\n'))
 		})
+	}
+}
+
+// checkGolden compares got byte-for-byte with testdata/golden/name, or
+// rewrites that file under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", "golden", name)
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (run go test -run %s -update): %v", t.Name(), err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s diverged from the golden\ngot:\n%s\nwant:\n%s", name, got, want)
 	}
 }
 
@@ -188,19 +193,24 @@ func TestPaperTablesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := []byte(tabs.String())
-	path := filepath.Join("testdata", "golden", "tables.txt")
-	if *updateGolden {
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
+	checkGolden(t, "tables.txt", []byte(tabs.String()))
+}
+
+// TestScalingTableGolden pins Engine.ScalingTable's default study on a
+// fresh engine: every column but the wall-clock SchedMillis, which is
+// zeroed. The hit/miss columns are kept, so each row's one model-cache
+// miss is pinned too.
+func TestScalingTableGolden(t *testing.T) {
+	tab, err := testEngine(t).ScalingTable(context.Background(), nil, 0, 1)
 	if err != nil {
-		t.Fatalf("missing golden (run go test -run PaperTablesGolden -update): %v", err)
+		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("paper tables diverged from the golden\ngot:\n%s\nwant:\n%s", got, want)
+	for i := range tab.Rows {
+		tab.Rows[i].SchedMillis = 0
 	}
+	got, err := json.MarshalIndent(tab, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "scaling.json", append(got, '\n'))
 }
