@@ -13,7 +13,6 @@ import (
 
 	"thermalsched/internal/cosynth"
 	"thermalsched/internal/dtm"
-	"thermalsched/internal/experiments"
 	"thermalsched/internal/floorplan"
 	"thermalsched/internal/hotspot"
 	rt "thermalsched/internal/runtime"
@@ -315,34 +314,15 @@ feed:
 	return out, nil
 }
 
-// ScalingTable runs the beyond-the-paper scaling study — the
-// thermal-aware platform flow over generated scenarios of the given
-// task counts on a generated heterogeneous platform — with the engine's
-// thermal calibration and model cache applied to every run. Nil sizes
-// means experiments.DefaultScalingSizes (20 → 500 tasks); zero pes
-// means 8.
-func (e *Engine) ScalingTable(ctx context.Context, sizes []int, pes int, seed int64) (*experiments.ScalingTable, error) {
-	return experiments.RunScalingTable(ctx, sizes, pes, seed, cosynth.PlatformConfig{
-		HotSpot: &e.thermal,
-	}, e.rowModels)
-}
-
-// rowModels gives one scaling row a provider over the engine's model
-// cache that counts only the row's own lookups, so requests running
-// concurrently on the same Engine are not charged to the row.
-func (e *Engine) rowModels() (cosynth.ModelProvider, func() (hits, misses uint64)) {
-	var hits, misses atomic.Uint64
-	return e.countingModelProvider(&hits, &misses), func() (uint64, uint64) {
-		return hits.Load(), misses.Load()
-	}
-}
-
 // platform executes the platform flow on a resolved input, with the
-// engine's thermal calibration and model cache wired in.
+// engine's thermal calibration and model cache wired in. A caller that
+// sets cfg.Models (the scaling study's counting provider) keeps it.
 func (e *Engine) platform(ctx context.Context, in *runInput, cfg cosynth.PlatformConfig) (*cosynth.Result, error) {
 	cfg.HotSpot = &e.thermal
 	cfg.Platform = in.platform
-	cfg.Models = e.modelProvider()
+	if cfg.Models == nil {
+		cfg.Models = e.modelProvider()
+	}
 	return cosynth.RunPlatform(ctx, in.graph, in.lib, cfg)
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -12,7 +13,6 @@ import (
 	"time"
 
 	"thermalsched/internal/cosynth"
-	"thermalsched/internal/experiments"
 	"thermalsched/internal/floorplan"
 	"thermalsched/internal/geom"
 )
@@ -167,34 +167,44 @@ func TestCoSynthesisSeedZeroContract(t *testing.T) {
 // Engine.ScalingTable is the one path behind cmd/tables -scaling. On a
 // fresh engine each row's generated platform costs one model-cache
 // miss and no hit, and every other column except the wall-clock
-// SchedMillis matches the uncached experiments.RunScalingTable, whose
-// cache columns read zero for want of a stats hook.
+// SchedMillis matches the same platform request through Run and the
+// generated scenario it resolves.
 func TestEngineScalingTableReportsCacheTraffic(t *testing.T) {
-	got, err := testEngine(t).ScalingTable(context.Background(), nil, 0, 1)
+	e := testEngine(t)
+	got, err := e.ScalingTable(context.Background(), nil, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := experiments.RunScalingTable(context.Background(), nil, 0, 1, cosynth.PlatformConfig{}, nil)
-	if err != nil {
-		t.Fatal(err)
+	if len(got.Rows) != 5 || got.PEs != 8 || got.Seed != 1 {
+		t.Fatalf("default table: %d rows on %d PEs, seed %d; want 5 rows on 8 PEs, seed 1", len(got.Rows), got.PEs, got.Seed)
 	}
-	if len(got.Rows) != len(want.Rows) || len(got.Rows) == 0 {
-		t.Fatalf("engine table has %d rows, uncached %d", len(got.Rows), len(want.Rows))
-	}
-	for i := range got.Rows {
-		g, w := got.Rows[i], want.Rows[i]
+	for i, g := range got.Rows {
 		if g.CacheMisses != 1 || g.CacheHits != 0 {
 			t.Errorf("row %d (%d tasks): hit/miss %d/%d, want 0/1", i, g.Tasks, g.CacheHits, g.CacheMisses)
 		}
-		g.CacheHits, g.CacheMisses, g.SchedMillis = 0, 0, 0
-		w.SchedMillis = 0
-		if g != w {
-			t.Errorf("row %d diverges:\n  engine   %+v\n  uncached %+v", i, g, w)
+		spec := ScenarioSpec{
+			Name:     fmt.Sprintf("scale%d", g.Tasks),
+			Seed:     1 + int64(g.Tasks),
+			Graph:    ScenarioGraphParams{Tasks: g.Tasks, CCR: 0.1},
+			Platform: ScenarioPlatformParams{PEs: 8, MinSpeed: 0.6, MaxSpeed: 2.0},
 		}
-	}
-	got.Rows, want.Rows = nil, nil
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("table header diverges: engine %+v, uncached %+v", got, want)
+		resp, err := e.Run(context.Background(), Request{Flow: FlowPlatform, Policy: "thermal", Scenario: &spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc, err := GenerateScenario(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := resp.Metrics
+		w := ScalingRow{
+			Tasks: sc.Graph.NumTasks(), Edges: sc.Graph.NumEdges(), PEs: 8, Deadline: sc.Graph.Deadline,
+			Makespan: m.Makespan, Feasible: m.Feasible, MaxTempC: m.MaxTemp, AvgTempC: m.AvgTemp,
+			CacheMisses: 1, SchedMillis: g.SchedMillis,
+		}
+		if g != w {
+			t.Errorf("row %d diverges:\n  table %+v\n  Run   %+v", i, g, w)
+		}
 	}
 }
 

@@ -230,7 +230,7 @@ func (s *SimulateSpec) validate(prefix string) error {
 	if err := checkLoop(prefix, n.DT, n.TimeScale, n.MinFactor, n.Replicas); err != nil {
 		return err
 	}
-	if err := n.SupervisorSpec.validate(prefix); err != nil {
+	if err := n.SupervisorSpec.validate(prefix, n.DT); err != nil {
 		return err
 	}
 	for _, k := range []struct {

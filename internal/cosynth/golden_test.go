@@ -1,11 +1,10 @@
-package experiments
+package cosynth
 
 import (
 	"context"
 	"math"
 	"testing"
 
-	"thermalsched/internal/cosynth"
 	"thermalsched/internal/sched"
 	"thermalsched/internal/taskgraph"
 	"thermalsched/internal/techlib"
@@ -41,7 +40,7 @@ func TestGoldenTable3Platform(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := cosynth.RunPlatform(context.Background(), graph, lib, cosynth.PlatformConfig{Policy: g.policy})
+		res, err := RunPlatform(context.Background(), graph, lib, PlatformConfig{Policy: g.policy})
 		if err != nil {
 			t.Fatalf("%s/%s: %v", g.bench, g.policy, err)
 		}
@@ -70,11 +69,11 @@ func TestGoldenThermalWinsEveryBenchmark(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := cosynth.RunPlatform(context.Background(), g, lib, cosynth.PlatformConfig{Policy: sched.MinTaskEnergy})
+		p, err := RunPlatform(context.Background(), g, lib, PlatformConfig{Policy: sched.MinTaskEnergy})
 		if err != nil {
 			t.Fatal(err)
 		}
-		th, err := cosynth.RunPlatform(context.Background(), g, lib, cosynth.PlatformConfig{Policy: sched.ThermalAware})
+		th, err := RunPlatform(context.Background(), g, lib, PlatformConfig{Policy: sched.ThermalAware})
 		if err != nil {
 			t.Fatal(err)
 		}

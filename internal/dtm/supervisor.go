@@ -267,7 +267,8 @@ type ZigZagController struct {
 
 // NewZigZagController validates and builds a zig-zag controller.
 // coolTime is the gap length in loop time units; it is rounded up to
-// whole controller steps of stepTime.
+// whole controller steps of stepTime, of which there may be at most
+// math.MaxInt32.
 func NewZigZagController(l Ladder, coolTime, stepTime, coolScale float64) (*ZigZagController, error) {
 	if err := l.Validate(); err != nil {
 		return nil, err
@@ -278,11 +279,14 @@ func NewZigZagController(l Ladder, coolTime, stepTime, coolScale float64) (*ZigZ
 	if !(0 <= coolScale && coolScale < 1) {
 		return nil, fmt.Errorf("dtm: zig-zag CoolScale %g out of [0, 1)", coolScale)
 	}
-	steps := int(math.Ceil(coolTime / stepTime))
-	if steps < 1 {
-		steps = 1
+	// The negated test also rejects an infinite gap, which would
+	// otherwise convert to an arbitrary int.
+	steps := math.Ceil(coolTime / stepTime)
+	if !(steps <= math.MaxInt32) {
+		return nil, fmt.Errorf("dtm: zig-zag gap of %g steps (coolTime %g, stepTime %g) exceeds %d",
+			steps, coolTime, stepTime, math.MaxInt32)
 	}
-	return &ZigZagController{Ladder: l, CoolSteps: steps, CoolScale: coolScale}, nil
+	return &ZigZagController{Ladder: l, CoolSteps: max(int(steps), 1), CoolScale: coolScale}, nil
 }
 
 // ScaleInto implements Controller: entering serious arms a cooling gap;

@@ -138,6 +138,22 @@ func TestAdmitShortHoldPromisesNothing(t *testing.T) {
 	}
 }
 
+// A zig-zag gap is at most math.MaxInt32 steps: past MaxInt64 steps
+// the conversion to int once wrapped negative and clamped to a
+// one-step gap.
+func TestZigZagGapBound(t *testing.T) {
+	for _, k := range [][2]float64{{math.MaxInt32, 1}, {1, 1e9}, {5, 1}} {
+		if _, err := NewZigZagController(DefaultLadder, k[0], k[1], 0); err != nil {
+			t.Errorf("coolTime %g, stepTime %g: %v", k[0], k[1], err)
+		}
+	}
+	for _, k := range [][2]float64{{math.MaxInt32 + 1, 1}, {1e19, 1}, {math.Inf(1), 1}, {5, 1e-9}} {
+		if zz, err := NewZigZagController(DefaultLadder, k[0], k[1], 0); err == nil {
+			t.Errorf("coolTime %g, stepTime %g accepted as %d steps", k[0], k[1], zz.CoolSteps)
+		}
+	}
+}
+
 // The supervisor constructors reject NaN knobs: every range check is a
 // negated comparison, which NaN fails.
 func TestSupervisorConstructorsRejectNaN(t *testing.T) {

@@ -54,18 +54,17 @@ func Analyzers() []*analysis.Analyzer {
 // it deals in wall-clock timestamps and client-facing rate limits by
 // design.
 var corePackages = map[string]bool{
-	"hotspot":     true,
-	"sched":       true,
-	"floorplan":   true,
-	"cosynth":     true,
-	"runtime":     true,
-	"scenario":    true,
-	"taskgraph":   true,
-	"experiments": true,
-	"search":      true,
-	"stream":      true,
-	"coloop":      true,
-	"dtm":         true,
+	"hotspot":   true,
+	"sched":     true,
+	"floorplan": true,
+	"cosynth":   true,
+	"runtime":   true,
+	"scenario":  true,
+	"taskgraph": true,
+	"search":    true,
+	"stream":    true,
+	"coloop":    true,
+	"dtm":       true,
 }
 
 // modulePath is the import-path prefix of this repository.

@@ -122,6 +122,7 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	st := s.jobs.Stats()
 	mHits, mMisses, mSize := s.engine.ModelCacheStats()
 	scHits, scMisses, scSize := s.engine.ScenarioCacheStats()
+	stHits, stMisses, stSize := s.engine.StreamCacheStats()
 	sEvals, sMemo := s.engine.SearchMemoStats()
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -171,6 +172,12 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.Sample("thermschedd_scenario_cache_misses_total", float64(scMisses))
 	p.Family("thermschedd_scenario_cache_entries", "gauge", "Generated-scenario cache size.")
 	p.Sample("thermschedd_scenario_cache_entries", float64(scSize))
+	p.Family("thermschedd_stream_cache_hits_total", "counter", "Generated stream-workload cache hits.")
+	p.Sample("thermschedd_stream_cache_hits_total", float64(stHits))
+	p.Family("thermschedd_stream_cache_misses_total", "counter", "Generated stream-workload cache misses.")
+	p.Sample("thermschedd_stream_cache_misses_total", float64(stMisses))
+	p.Family("thermschedd_stream_cache_entries", "gauge", "Generated stream-workload cache size.")
+	p.Sample("thermschedd_stream_cache_entries", float64(stSize))
 	p.Family("thermschedd_search_evals_total", "counter", "Floorplan packings actually evaluated by the parallel search backbone.")
 	p.Sample("thermschedd_search_evals_total", float64(sEvals))
 	p.Family("thermschedd_search_memo_hits_total", "counter", "Search candidates answered from the expression-fingerprint memo.")

@@ -124,6 +124,7 @@ func (b *blockingEngine) RunBatch(context.Context, []thermalsched.Request) ([]*t
 
 func (b *blockingEngine) ModelCacheStats() (uint64, uint64, int)    { return 0, 0, 0 }
 func (b *blockingEngine) ScenarioCacheStats() (uint64, uint64, int) { return 0, 0, 0 }
+func (b *blockingEngine) StreamCacheStats() (uint64, uint64, int)   { return 0, 0, 0 }
 func (b *blockingEngine) SearchMemoStats() (uint64, uint64)         { return 0, 0 }
 
 func blockingServer(t *testing.T, cfg Config) (*httptest.Server, *blockingEngine) {
@@ -261,7 +262,7 @@ func TestJobRateLimit429(t *testing.T) {
 var promLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_][a-zA-Z0-9_]*="[^"]*"(,[a-zA-Z_][a-zA-Z0-9_]*="[^"]*")*\})? (NaN|[-+]?[0-9.eE+-]+)$`)
 
 // /metrics must parse as Prometheus text format and carry the queue,
-// coalescing and all three engine-cache stat families.
+// coalescing and every engine-cache stat family.
 func TestMetricsEndpoint(t *testing.T) {
 	srv := testServer(t, Config{})
 	_, j := submitJob(t, srv.URL, `{"flow":"platform","benchmark":"Bm1"}`)
@@ -312,6 +313,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`thermschedd_jobs{state="done"}`,
 		"thermschedd_model_cache_hits_total",
 		"thermschedd_scenario_cache_misses_total",
+		"thermschedd_stream_cache_misses_total",
 		"thermschedd_search_evals_total",
 	} {
 		if _, ok := samples[want]; !ok {

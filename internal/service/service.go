@@ -43,6 +43,7 @@ type engineAPI interface {
 	RunBatch(ctx context.Context, reqs []thermalsched.Request) ([]*thermalsched.Response, error)
 	ModelCacheStats() (hits, misses uint64, size int)
 	ScenarioCacheStats() (hits, misses uint64, size int)
+	StreamCacheStats() (hits, misses uint64, size int)
 	SearchMemoStats() (evals, memoHits uint64)
 }
 
@@ -291,6 +292,10 @@ type healthBody struct {
 	ScenarioCacheHits   uint64 `json:"scenarioCacheHits"`
 	ScenarioCacheMisses uint64 `json:"scenarioCacheMisses"`
 	ScenarioCacheSize   int    `json:"scenarioCacheSize"`
+	// Generated stream-workload cache stats (every stream request).
+	StreamCacheHits   uint64 `json:"streamCacheHits"`
+	StreamCacheMisses uint64 `json:"streamCacheMisses"`
+	StreamCacheSize   int    `json:"streamCacheSize"`
 	// Parallel-search memo accounting (co-synthesis floorplanner).
 	SearchEvals    uint64 `json:"searchEvals"`
 	SearchMemoHits uint64 `json:"searchMemoHits"`
@@ -299,11 +304,13 @@ type healthBody struct {
 func (s *Service) handleHealth(w http.ResponseWriter, r *http.Request) {
 	hits, misses, size := s.engine.ModelCacheStats()
 	scHits, scMisses, scSize := s.engine.ScenarioCacheStats()
+	stHits, stMisses, stSize := s.engine.StreamCacheStats()
 	evals, memoHits := s.engine.SearchMemoStats()
 	writeJSON(w, http.StatusOK, healthBody{
 		Status:    "ok",
 		CacheHits: hits, CacheMisses: misses, CacheSize: size,
 		ScenarioCacheHits: scHits, ScenarioCacheMisses: scMisses, ScenarioCacheSize: scSize,
+		StreamCacheHits: stHits, StreamCacheMisses: stMisses, StreamCacheSize: stSize,
 		SearchEvals: evals, SearchMemoHits: memoHits,
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -136,6 +137,7 @@ func (f *failingEngine) RunBatch(context.Context, []thermalsched.Request) ([]*th
 
 func (f *failingEngine) ModelCacheStats() (uint64, uint64, int)    { return 0, 0, 0 }
 func (f *failingEngine) ScenarioCacheStats() (uint64, uint64, int) { return 0, 0, 0 }
+func (f *failingEngine) StreamCacheStats() (uint64, uint64, int)   { return 0, 0, 0 }
 func (f *failingEngine) SearchMemoStats() (uint64, uint64)         { return 0, 0 }
 
 // Regression: an engine-level batch failure with a live client must
@@ -238,15 +240,63 @@ func TestServeHealth(t *testing.T) {
 	if h["status"] != "ok" {
 		t.Errorf("health status %v", h["status"])
 	}
-	// All three engine stat families must be reported: the model
-	// cache, the scenario cache, and the search memo.
+	// All four engine stat families must be reported: the model cache,
+	// the scenario cache, the stream cache, and the search memo.
 	for _, key := range []string{
 		"cacheHits", "cacheMisses", "cacheSize",
 		"scenarioCacheHits", "scenarioCacheMisses", "scenarioCacheSize",
+		"streamCacheHits", "streamCacheMisses", "streamCacheSize",
 		"searchEvals", "searchMemoHits",
 	} {
 		if _, ok := h[key]; !ok {
 			t.Errorf("healthz missing %q: %v", key, h)
+		}
+	}
+}
+
+// Every stream request resolves its workload through the engine's
+// stream cache, so two identical requests read one miss and one hit on
+// both /healthz and /metrics.
+func TestServeStreamCacheStats(t *testing.T) {
+	srv := testServer(t, Config{})
+	for i := 0; i < 2; i++ {
+		resp, body := post(t, srv.URL+"/v1/run", `{"flow":"stream","stream":{"seed":1,"replicas":1}}`)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("stream run %d: status %d: %s", i, resp.StatusCode, body)
+		}
+	}
+	resp, err := http.Get(srv.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var h healthBody
+	err = json.NewDecoder(resp.Body).Decode(&h)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.StreamCacheHits != 1 || h.StreamCacheMisses != 1 || h.StreamCacheSize != 1 {
+		t.Errorf("healthz stream cache hits/misses/size %d/%d/%d, want 1/1/1",
+			h.StreamCacheHits, h.StreamCacheMisses, h.StreamCacheSize)
+	}
+	resp, err = http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var metrics bytes.Buffer
+	_, err = metrics.ReadFrom(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(metrics.String(), "\n")
+	for _, want := range []string{
+		"thermschedd_stream_cache_hits_total 1",
+		"thermschedd_stream_cache_misses_total 1",
+		"thermschedd_stream_cache_entries 1",
+	} {
+		if !slices.Contains(lines, want) {
+			t.Errorf("metrics missing %q", want)
 		}
 	}
 }

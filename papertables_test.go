@@ -1,4 +1,4 @@
-package experiments_test
+package thermalsched_test
 
 import (
 	"context"
@@ -7,8 +7,6 @@ import (
 	"testing"
 
 	"thermalsched"
-	"thermalsched/internal/cosynth"
-	"thermalsched/internal/experiments"
 )
 
 // The tables are expensive (GA floorplanning inside co-synthesis), so
@@ -130,7 +128,7 @@ func TestThermalAwareWinsTables2And3(t *testing.T) {
 // versusWins counts on how many benchmarks the thermal-aware cell
 // matches or improves on the power-aware cell for max and avg
 // temperature. The comparison is non-strict: an exact tie counts.
-func versusWins(t *experiments.VersusTable) (maxWins, avgWins int) {
+func versusWins(t *thermalsched.VersusTable) (maxWins, avgWins int) {
 	for _, label := range t.Benchmarks {
 		if t.Thermal[label].MaxTemp <= t.Power[label].MaxTemp {
 			maxWins++
@@ -143,11 +141,11 @@ func versusWins(t *experiments.VersusTable) (maxWins, avgWins int) {
 }
 
 func TestVersusTableString(t *testing.T) {
-	v := &experiments.VersusTable{
+	v := &thermalsched.VersusTable{
 		Title:      "Table X",
 		Benchmarks: []string{"BmT/1/0/10"},
-		Power:      map[string]cosynth.Metrics{"BmT/1/0/10": {TotalPower: 10, MaxTemp: 90, AvgTemp: 80}},
-		Thermal:    map[string]cosynth.Metrics{"BmT/1/0/10": {TotalPower: 9, MaxTemp: 85, AvgTemp: 78}},
+		Power:      map[string]thermalsched.FlowMetrics{"BmT/1/0/10": {TotalPower: 10, MaxTemp: 90, AvgTemp: 80}},
+		Thermal:    map[string]thermalsched.FlowMetrics{"BmT/1/0/10": {TotalPower: 9, MaxTemp: 85, AvgTemp: 78}},
 	}
 	out := v.String()
 	for _, want := range []string{"Table X", "thermal-aware", "5.00", "2.00"} {
@@ -166,7 +164,7 @@ func TestVersusTableString(t *testing.T) {
 }
 
 func TestMeanReductionsEmpty(t *testing.T) {
-	v := &experiments.VersusTable{}
+	v := &thermalsched.VersusTable{}
 	if m, a := v.MeanReductions(); m != 0 || a != 0 {
 		t.Error("empty table reductions should be zero")
 	}

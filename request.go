@@ -178,10 +178,11 @@ func (s SupervisorSpec) ladder() dtm.Ladder {
 }
 
 // validate checks the knob ranges; prefix is the JSON path of the
-// embedding spec ("simulate", "stream" or their campaign forms). Call
-// on a withDefaults() copy so zero (defaulted) knobs are already
-// resolved. Every check is a negated range test, so NaN fails it too.
-func (s SupervisorSpec) validate(prefix string) error {
+// embedding spec ("simulate", "stream" or their campaign forms) and dt
+// its loop step, in which the zigzag gap is counted. Call on a
+// withDefaults() copy so zero (defaulted) knobs are already resolved.
+// Every check is a negated range test, so NaN fails it too.
+func (s SupervisorSpec) validate(prefix string, dt float64) error {
 	if !(s.Hysteresis >= 0) {
 		return fieldErr(prefix+".hysteresis", "negative hysteresis %g", s.Hysteresis)
 	}
@@ -196,8 +197,8 @@ func (s SupervisorSpec) validate(prefix string) error {
 	if !(s.RetryAfter > 0) {
 		return fieldErr(prefix+".retryAfter", "admission RetryAfter %g must be positive", s.RetryAfter)
 	}
-	if !(s.CoolTime > 0) {
-		return fieldErr(prefix+".coolTime", "zig-zag CoolTime %g must be positive", s.CoolTime)
+	if _, err := dtm.NewZigZagController(s.ladder(), s.CoolTime, dt, 0); err != nil {
+		return fieldErr(prefix+".coolTime", "%v", err)
 	}
 	return nil
 }

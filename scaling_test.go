@@ -1,18 +1,21 @@
-package experiments
+package thermalsched
 
 import (
 	"context"
 	"testing"
-
-	"thermalsched/internal/cosynth"
 )
 
-func TestRunScalingTable(t *testing.T) {
+// ScalingTable honours its sizes, PE count and seed, schedules every
+// row plausibly, and lands on identical deterministic columns when run
+// again on the same engine (only SchedMillis may differ; the second
+// run's rows hit the model each first run factored).
+func TestScalingTableRows(t *testing.T) {
 	sizes := []int{20, 60, 150}
 	if testing.Short() {
 		sizes = []int{20, 60}
 	}
-	tab, err := RunScalingTable(context.Background(), sizes, 6, 3, cosynth.PlatformConfig{}, nil)
+	e := testEngine(t)
+	tab, err := e.ScalingTable(context.Background(), sizes, 6, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,9 +52,6 @@ func TestRunScalingTable(t *testing.T) {
 		if r.SchedMillis < 0 {
 			t.Errorf("row %d: negative scheduling time %g", i, r.SchedMillis)
 		}
-		if r.CacheHits != 0 || r.CacheMisses != 0 {
-			t.Errorf("row %d: cache stats %d/%d with no stats hook", i, r.CacheHits, r.CacheMisses)
-		}
 	}
 	if feasible*2 < len(tab.Rows) {
 		t.Errorf("only %d/%d rows feasible at default tightness", feasible, len(tab.Rows))
@@ -61,14 +61,20 @@ func TestRunScalingTable(t *testing.T) {
 	}
 
 	// The generated inputs are deterministic: a second run must land on
-	// identical schedule-quality numbers (only SchedMillis may differ).
-	again, err := RunScalingTable(context.Background(), sizes, 6, 3, cosynth.PlatformConfig{}, nil)
+	// identical schedule-quality numbers (only SchedMillis may differ),
+	// and each of its rows reuses the model its first run factored.
+	again, err := e.ScalingTable(context.Background(), sizes, 6, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range tab.Rows {
 		a, b := tab.Rows[i], again.Rows[i]
+		if a.CacheHits != 0 || a.CacheMisses != 1 || b.CacheHits != 1 || b.CacheMisses != 0 {
+			t.Errorf("row %d: hit/miss %d/%d then %d/%d, want 0/1 then 1/0",
+				i, a.CacheHits, a.CacheMisses, b.CacheHits, b.CacheMisses)
+		}
 		a.SchedMillis, b.SchedMillis = 0, 0
+		a.CacheHits, a.CacheMisses, b.CacheHits, b.CacheMisses = 0, 0, 0, 0
 		if a != b {
 			t.Errorf("row %d differs between runs:\n%+v\n%+v", i, a, b)
 		}

@@ -123,7 +123,7 @@ func (s *StreamSpec) validate(prefix string) error {
 	if err := checkLoop(prefix, n.DT, n.TimeScale, n.MinFactor, n.Replicas); err != nil {
 		return err
 	}
-	return n.SupervisorSpec.validate(prefix)
+	return n.SupervisorSpec.validate(prefix, n.DT)
 }
 
 // fingerprint digests the normalized spec, field by field: the workload

@@ -45,7 +45,6 @@
 //	internal/linalg      sparse Cholesky, sparse backward-Euler stepper
 //	internal/hotspot     compact thermal RC model (steady state, transient)
 //	internal/cosynth     the two flows of the paper's Figure 1
-//	internal/experiments Tables 1–3 rendering and the scaling study
 //	internal/dtm         thermal supervisors: toggle, PI, admit, zig-zag
 //	internal/coloop      closed-loop co-simulation core, rise forecaster
 //	internal/runtime     the schedule executor: realized replay under DTM
@@ -59,7 +58,6 @@ import (
 	"context"
 
 	"thermalsched/internal/cosynth"
-	"thermalsched/internal/experiments"
 	"thermalsched/internal/floorplan"
 	"thermalsched/internal/hotspot"
 	"thermalsched/internal/sched"
@@ -195,22 +193,3 @@ func DefaultGAConfig() floorplan.GAConfig { return floorplan.DefaultGAConfig() }
 // FlowMetrics are the three columns of the paper's tables, plus
 // makespan, feasibility and cost (Response.Metrics).
 type FlowMetrics = cosynth.Metrics
-
-// Paper tables (Engine.PaperTables, cmd/tables).
-type (
-	// Table1 is the power-heuristic comparison.
-	Table1 = experiments.Table1
-	// VersusTable is the power-aware vs thermal-aware comparison
-	// (Tables 2 and 3).
-	VersusTable = experiments.VersusTable
-)
-
-// Scaling-study types (Engine.ScalingTable, cmd/tables -scaling).
-type (
-	// ScalingTable is the beyond-the-paper scaling study: the
-	// thermal-aware flow over generated scenarios of growing task
-	// counts.
-	ScalingTable = experiments.ScalingTable
-	// ScalingRow is one task-count point of the scaling study.
-	ScalingRow = experiments.ScalingRow
-)

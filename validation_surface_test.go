@@ -27,8 +27,8 @@ type validationCase struct {
 	noJSON bool
 }
 
-// nanCase marks tc as a NaN-knob case: Go callers and the CLI's float
-// flags can pass NaN, JSON cannot.
+// nanCase marks tc as a NaN- or Inf-knob case: Go callers and the
+// CLI's float flags can pass them, JSON cannot.
 func nanCase(tc validationCase) validationCase {
 	tc.noJSON = true
 	return tc
@@ -250,6 +250,33 @@ func validationCases() []validationCase {
 			field: "stream.retryAfter",
 			cli:   []string{"-flow", "stream", "-seed", "1", "-retryafter", "-1"},
 		},
+		// A zigzag gap past MaxInt64 steps once converted to a negative
+		// int, clamped to one step and silently ran a one-step gap; the
+		// gap is now capped at MaxInt32 steps of the spec's dt.
+		simulateCase("simulate coolTime past MaxInt32 steps", thermalsched.SimulateSpec{Controller: "zigzag",
+			SupervisorSpec: thermalsched.SupervisorSpec{CoolTime: 1e19}}, "simulate.coolTime",
+			[]string{"-controller", "zigzag", "-cooltime", "1e19"}),
+		{
+			name: "stream coolTime past MaxInt32 steps",
+			req: thermalsched.Request{Flow: thermalsched.FlowStream, Policy: thermalsched.StreamPolicyZigzag,
+				Stream: &thermalsched.StreamSpec{Seed: 1, SupervisorSpec: thermalsched.SupervisorSpec{CoolTime: 1e19}}},
+			field: "stream.coolTime",
+			cli:   []string{"-flow", "stream", "-seed", "1", "-policy", "zigzag", "-cooltime", "1e19"},
+		},
+		campaignSimulateCase("campaign simulate coolTime past MaxInt32 steps", thermalsched.SimulateSpec{
+			SupervisorSpec: thermalsched.SupervisorSpec{CoolTime: 1e19}}, "campaign.simulate.coolTime",
+			[]string{"-cooltime", "1e19"}),
+		{
+			name: "campaign stream coolTime past MaxInt32 steps",
+			req: thermalsched.Request{Flow: thermalsched.FlowCampaign, Campaign: &thermalsched.CampaignSpec{
+				Stream: &thermalsched.StreamSpec{SupervisorSpec: thermalsched.SupervisorSpec{CoolTime: 1e19}}}},
+			field: "campaign.stream.coolTime",
+			cli:   []string{"-flow", "campaign", "-stream", "-cooltime", "1e19"},
+		},
+		// JSON cannot carry an infinite gap; Go callers and the CLI can.
+		nanCase(simulateCase("infinite simulate coolTime", thermalsched.SimulateSpec{Controller: "zigzag",
+			SupervisorSpec: thermalsched.SupervisorSpec{CoolTime: math.Inf(1)}}, "simulate.coolTime",
+			[]string{"-controller", "zigzag", "-cooltime", "Inf"})),
 	}
 }
 
