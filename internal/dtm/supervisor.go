@@ -279,10 +279,10 @@ func NewZigZagController(l Ladder, coolTime, stepTime, coolScale float64) (*ZigZ
 	if !(0 <= coolScale && coolScale < 1) {
 		return nil, fmt.Errorf("dtm: zig-zag CoolScale %g out of [0, 1)", coolScale)
 	}
-	// The negated test also rejects an infinite gap, which would
-	// otherwise convert to an arbitrary int.
+	// A gap past the int range, an infinite one included, converts to
+	// an arbitrary int: on amd64, 1e19 steps became a one-step gap.
 	steps := math.Ceil(coolTime / stepTime)
-	if !(steps <= math.MaxInt32) {
+	if steps > math.MaxInt32 {
 		return nil, fmt.Errorf("dtm: zig-zag gap of %g steps (coolTime %g, stepTime %g) exceeds %d",
 			steps, coolTime, stepTime, math.MaxInt32)
 	}
