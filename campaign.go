@@ -84,6 +84,10 @@ type CampaignSpec struct {
 	Controllers []string `json:"controllers,omitempty"`
 }
 
+// withDefaults returns the campaign as its flow reads it: defaults
+// applied, the nested Simulate and Stream specs defaulted and every
+// policy name spelled canonically (a name that does not parse stays as
+// written, for Validate to report). Template stays as written.
 func (c *CampaignSpec) withDefaults() CampaignSpec {
 	out := CampaignSpec{}
 	if c != nil {
@@ -115,6 +119,22 @@ func (c *CampaignSpec) withDefaults() CampaignSpec {
 	if out.MaxTasks == 0 {
 		out.MaxTasks = 60
 	}
+	if out.Simulate != nil {
+		s := out.Simulate.withDefaults()
+		out.Simulate = &s
+	}
+	if out.Stream != nil {
+		s := out.Stream.withDefaults()
+		out.Stream = &s
+	}
+	policies := make([]string, len(out.Policies))
+	for i, name := range out.Policies {
+		policies[i] = name
+		if p, err := out.canonicalPolicy(name); err == nil {
+			policies[i] = p
+		}
+	}
+	out.Policies = policies
 	return out
 }
 
@@ -199,19 +219,6 @@ func (c CampaignSpec) canonicalPolicy(name string) (string, error) {
 		return "", err
 	}
 	return p.String(), nil
-}
-
-// policyNames returns the canonical names of the campaign's policies.
-func (c CampaignSpec) policyNames() []string {
-	out := make([]string, len(c.Policies))
-	for i, name := range c.Policies {
-		p, err := c.canonicalPolicy(name)
-		if err != nil {
-			p = name // unreachable after Validate
-		}
-		out[i] = p
-	}
-	return out
 }
 
 // scenarioSpecs derives the campaign's scenario specs deterministically
@@ -379,8 +386,8 @@ type CampaignReport struct {
 // scenario × policy grid across the engine's RunBatch worker pool, then
 // aggregates rows, per-policy percentiles and win rates.
 func (e *Engine) runCampaignFlow(ctx context.Context, req *Request) (*Response, error) {
-	spec := req.Campaign.withDefaults()
-	policies := spec.policyNames()
+	spec := *req.Campaign
+	policies := spec.Policies
 	if spec.Stream != nil {
 		return e.runStreamCampaign(ctx, spec, policies)
 	}

@@ -250,12 +250,14 @@ func (e *Engine) Run(ctx context.Context, req Request) (*Response, error) {
 	}
 	// Dispatch through the flow registry — the same table Validate,
 	// FlowKinds() and the CLI help read, so a flow exists on every
-	// surface or none.
+	// surface or none. The flow reads the canonical form, the one
+	// Fingerprint digests.
 	fs, ok := flowFor(req.Flow)
 	if !ok { // unreachable after Validate
 		return nil, fmt.Errorf("thermalsched: unknown flow %q", req.Flow)
 	}
-	resp, err := fs.run(e, ctx, &req)
+	c := req.canonical()
+	resp, err := fs.run(e, ctx, &c)
 	if err != nil {
 		return nil, err
 	}
@@ -464,7 +466,7 @@ func (e *Engine) runSimulateFlow(ctx context.Context, req *Request) (*Response, 
 	if err != nil {
 		return nil, err
 	}
-	spec := req.Simulate.withDefaults()
+	spec := *req.Simulate
 
 	results, err := runReplicas(ctx, e.poolFor(req), spec.Replicas, func(i int) (*rt.Result, error) {
 		sup, err := simSupervisor(spec)

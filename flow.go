@@ -280,14 +280,22 @@ func validateStreamFlow(r *Request) error {
 // checkPolicy validates the request's Policy field against the flow's
 // policy family.
 func (fs *flowSpec) checkPolicy(r *Request) error {
-	if fs.onlinePolicy {
-		if _, err := stream.ParsePolicy(r.Policy); err != nil {
-			return fieldErr("policy", "%v", err)
-		}
-		return nil
-	}
-	if _, err := r.policy(); err != nil {
+	if _, err := fs.policyName(r.Policy); err != nil {
 		return fieldErr("policy", "%v", err)
 	}
 	return nil
+}
+
+// policyName spells a Policy field canonically in the flow's policy
+// family: an online policy, or an ASP variant where empty means
+// thermal.
+func (fs *flowSpec) policyName(name string) (string, error) {
+	if fs.onlinePolicy {
+		return stream.ParsePolicy(name)
+	}
+	p, err := aspPolicy(name)
+	if err != nil {
+		return "", err
+	}
+	return p.String(), nil
 }

@@ -391,12 +391,12 @@ type Request struct {
 	IncludeGantt bool `json:"includeGantt,omitempty"`
 }
 
-// policy resolves the request's policy name (empty means ThermalAware).
-func (r *Request) policy() (Policy, error) {
-	if r.Policy == "" {
+// aspPolicy parses an offline policy name (empty means ThermalAware).
+func aspPolicy(name string) (Policy, error) {
+	if name == "" {
 		return ThermalAware, nil
 	}
-	return sched.ParsePolicy(r.Policy)
+	return sched.ParsePolicy(name)
 }
 
 // Validate reports the first problem that makes the request unrunnable,
@@ -492,6 +492,45 @@ func (r *Request) Validate() error {
 	return nil
 }
 
+// canonical returns the request as its flow reads it: the defaults of
+// the Simulate, Stream and Campaign specs applied (the campaign's
+// nested specs included), Scenario normalized, a nil co-synthesis Seed
+// set to 1 and every policy name spelled canonically. A policy name
+// that does not parse stays as written, for Validate to report. The
+// campaign's Template stays as written: an empty Graph.Shape there
+// means "draw each scenario's shape". Engine.Run hands the flow this
+// copy and Fingerprint digests it, so requests the flows cannot tell
+// apart share one coalescing key. The receiver is not modified.
+func (r *Request) canonical() Request {
+	c := *r
+	if fs, ok := flowFor(r.Flow); ok && slices.Contains(fs.reads, "policy") {
+		if p, err := fs.policyName(r.Policy); err == nil {
+			c.Policy = p
+		}
+	}
+	if r.Scenario != nil {
+		s := r.Scenario.Normalized()
+		c.Scenario = &s
+	}
+	if r.Seed == nil && r.Flow == FlowCoSynthesis {
+		seed := int64(1) // nil keeps the historical default
+		c.Seed = &seed
+	}
+	if r.Simulate != nil || r.Flow == FlowSimulate {
+		s := r.Simulate.withDefaults()
+		c.Simulate = &s
+	}
+	if r.Stream != nil {
+		s := r.Stream.withDefaults()
+		c.Stream = &s
+	}
+	if r.Campaign != nil || r.Flow == FlowCampaign {
+		s := r.Campaign.withDefaults()
+		c.Campaign = &s
+	}
+	return c
+}
+
 // schedOverrides reports whether any scheduler knob is set and builds
 // the resulting configuration for the policy.
 func (r *Request) schedOverrides(p Policy) *SchedConfig {
@@ -516,7 +555,7 @@ func (r *Request) schedOverrides(p Policy) *SchedConfig {
 
 // platformConfig lowers the request to the platform flow's configuration.
 func (r *Request) platformConfig() (cosynth.PlatformConfig, error) {
-	p, err := r.policy()
+	p, err := aspPolicy(r.Policy)
 	if err != nil {
 		return cosynth.PlatformConfig{}, err
 	}
@@ -527,16 +566,12 @@ func (r *Request) platformConfig() (cosynth.PlatformConfig, error) {
 	}, nil
 }
 
-// cosynthConfig lowers the request to the co-synthesis flow's
+// cosynthConfig lowers the canonical request to the co-synthesis flow's
 // configuration.
 func (r *Request) cosynthConfig() (cosynth.CoSynthConfig, error) {
-	p, err := r.policy()
+	p, err := aspPolicy(r.Policy)
 	if err != nil {
 		return cosynth.CoSynthConfig{}, err
-	}
-	seed := int64(1) // nil keeps the historical default, as in Fingerprint
-	if r.Seed != nil {
-		seed = *r.Seed
 	}
 	return cosynth.CoSynthConfig{
 		Policy:               p,
@@ -545,6 +580,6 @@ func (r *Request) cosynthConfig() (cosynth.CoSynthConfig, error) {
 		MaxPEs:               r.MaxPEs,
 		BusTimePerUnit:       r.BusTimePerUnit,
 		FloorplanGenerations: r.FloorplanGenerations,
-		Seed:                 seed,
+		Seed:                 *r.Seed,
 	}, nil
 }

@@ -99,6 +99,10 @@ func (s *StreamSpec) withDefaults() StreamSpec {
 		out.Replicas = 1
 	}
 	out.SupervisorSpec = out.SupervisorSpec.withDefaults()
+	// The workload half normalizes as the generator does, so a zero
+	// field and its explicit default are one request.
+	w := out.workloadSpec().Normalized()
+	out.Name, out.Arrivals, out.Platform = w.Name, w.Arrivals, w.Platform
 	return out
 }
 
@@ -220,14 +224,10 @@ type StreamReport struct {
 // fans Replicas seeded online dispatches across the search pool —
 // replica i draws its realization from SimSeed + i.
 func (e *Engine) runStreamFlow(ctx context.Context, req *Request) (*Response, error) {
-	spec := req.Stream.withDefaults()
+	spec, policy := *req.Stream, req.Policy
 	wl, err := e.streamFor(spec)
 	if err != nil {
 		return nil, err
-	}
-	policy, err := stream.ParsePolicy(req.Policy)
-	if err != nil {
-		return nil, err // unreachable after Validate
 	}
 	bus := req.BusTimePerUnit
 	if bus == 0 {
