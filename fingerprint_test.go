@@ -3,6 +3,7 @@ package thermalsched
 import (
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -115,14 +116,41 @@ func TestRequestFingerprintNormalization(t *testing.T) {
 	}
 }
 
-// Field coverage of Fingerprint is enforced statically by the
-// thermalvet fpfields analyzer against the //thermalvet:serializes
-// registrations on the serializer (run `go run ./cmd/thermalvet .`).
-// This keeps one slim runtime pin on the top-level Request as
-// belt-and-braces for builds that skip vet.
+// Fingerprint digests the encoding/json bytes of the canonical
+// request, so every field reachable from Request must reach the
+// encoder: exported, and not tagged json:"-". A hidden field would be
+// absent from the key, and two requests differing only there would
+// wrongly coalesce.
 func TestRequestFingerprintCoversFields(t *testing.T) {
-	if n := reflect.TypeOf(Request{}).NumField(); n != 19 {
-		t.Errorf("Request now has %d fields (pinned 19); extend Request.Fingerprint's explicit serialization (fpfields enforces the rest)", n)
+	seen := map[reflect.Type]bool{}
+	var walk func(path string, rt reflect.Type)
+	walk = func(path string, rt reflect.Type) {
+		switch rt.Kind() {
+		case reflect.Pointer, reflect.Slice:
+			walk(path, rt.Elem())
+		case reflect.Struct:
+			if seen[rt] {
+				return
+			}
+			seen[rt] = true
+			for i := range rt.NumField() {
+				f := rt.Field(i)
+				name := path + "." + f.Name
+				if !f.IsExported() {
+					t.Errorf("%s is unexported; encoding/json skips it, so Fingerprint would not cover it", name)
+				}
+				if key, _, _ := strings.Cut(f.Tag.Get("json"), ","); key == "-" {
+					t.Errorf("%s is tagged json:\"-\"; Fingerprint would not cover it", name)
+				}
+				walk(name, f.Type)
+			}
+		case reflect.Map, reflect.Interface, reflect.Func, reflect.Chan:
+			t.Errorf("%s is a %s; the digest relies on plain data only", path, rt.Kind())
+		}
+	}
+	walk("Request", reflect.TypeFor[Request]())
+	if len(seen) < 10 {
+		t.Errorf("walked only %d struct types; the walk no longer reaches the nested specs", len(seen))
 	}
 }
 
@@ -207,16 +235,16 @@ func TestRequestFingerprintPinned(t *testing.T) {
 		req  Request
 		want string
 	}{
-		{"simulate-full", Request{Flow: FlowSimulate, Benchmark: "Bm2", Simulate: &sim}, "11bd1f96192998a9"},
-		{"simulate-default", Request{Flow: FlowSimulate, Benchmark: "Bm1"}, "000aad43dc28491c"},
+		{"simulate-full", Request{Flow: FlowSimulate, Benchmark: "Bm2", Simulate: &sim}, "5bc397e0f6a029fc"},
+		{"simulate-default", Request{Flow: FlowSimulate, Benchmark: "Bm1"}, "c70a8c60ff8c060f"},
 		{"stream-full", Request{Flow: FlowStream, Stream: &st,
-			Policy: StreamPolicyAdmit}, "802d84aa293f6876"},
-		{"stream-default", Request{Flow: FlowStream, Stream: &StreamSpec{Seed: 1}}, "180e8458509f84e6"},
+			Policy: StreamPolicyAdmit}, "33e88399c4506d43"},
+		{"stream-default", Request{Flow: FlowStream, Stream: &StreamSpec{Seed: 1}}, "8d9804ea668b312d"},
 		{"campaign-simulate", Request{Flow: FlowCampaign, Campaign: &CampaignSpec{
 			Scenarios: 3, Seed: 2, Policies: []string{"thermal"},
-			Controllers: []string{"toggle", "admit", "zigzag"}, Simulate: &campSim}}, "8f92797d52627164"},
+			Controllers: []string{"toggle", "admit", "zigzag"}, Simulate: &campSim}}, "8927cbc3203abaa2"},
 		{"campaign-stream", Request{Flow: FlowCampaign, Campaign: &CampaignSpec{
-			Scenarios: 2, Seed: 7, Policies: []string{"greedy", "admit"}, Stream: &st}}, "41de1c986a4f6835"},
+			Scenarios: 2, Seed: 7, Policies: []string{"greedy", "admit"}, Stream: &st}}, "192f948fe3746996"},
 	}
 	for _, tc := range cases {
 		if err := tc.req.Validate(); err != nil {

@@ -2,8 +2,6 @@ package thermalsched
 
 import (
 	"context"
-	"fmt"
-	"hash/fnv"
 
 	"thermalsched/internal/cosynth"
 	"thermalsched/internal/scenario"
@@ -128,24 +126,6 @@ func (s *StreamSpec) validate(prefix string) error {
 		return err
 	}
 	return n.SupervisorSpec.validate(prefix, n.DT)
-}
-
-// fingerprint digests the normalized spec, field by field: the workload
-// half reuses the generator's canonical fingerprint (the stream-cache
-// key), the dispatch half serializes explicitly. The thermalvet
-// fpfields analyzer checks the registration statically.
-//
-//thermalvet:serializes StreamSpec skip(SupervisorSpec)
-//thermalvet:serializes SupervisorSpec
-func (s *StreamSpec) fingerprint() string {
-	n := s.withDefaults()
-	ws := scenario.StreamSpec{Name: n.Name, Seed: n.Seed, Arrivals: n.Arrivals, Platform: n.Platform}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "streamreq/v3|%s|%g|%g|%g|%d|%d|%g|%g|%g|%g|%g|%g|%g|%g",
-		ws.Fingerprint(), n.DT, n.TimeScale, n.MinFactor, n.SimSeed, n.Replicas,
-		n.FairC, n.SeriousC, n.CriticalC, n.SeriousScale, n.CriticalScale, n.RetryAfter,
-		n.Hysteresis, n.CoolTime)
-	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // GenerateStreamWorkload builds the workload described by the spec's

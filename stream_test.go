@@ -30,9 +30,12 @@ func fpStreamBase() StreamSpec {
 // parameter — must move the request-level fingerprint, or coalescing
 // would serve one spec's cached response for another.
 func TestStreamSpecFingerprintSensitivity(t *testing.T) {
-	base, again := fpStreamBase(), fpStreamBase()
-	fp := base.fingerprint()
-	if fp != again.fingerprint() {
+	fingerprint := func(s StreamSpec) string {
+		r := Request{Flow: FlowStream, Stream: &s}
+		return r.Fingerprint()
+	}
+	fp := fingerprint(fpStreamBase())
+	if fp != fingerprint(fpStreamBase()) {
 		t.Fatal("equal stream specs produced different fingerprints")
 	}
 
@@ -65,7 +68,7 @@ func TestStreamSpecFingerprintSensitivity(t *testing.T) {
 	for name, mut := range variants {
 		s := fpStreamBase()
 		mut(&s)
-		got := s.fingerprint()
+		got := fingerprint(s)
 		if prev, dup := seen[got]; dup {
 			t.Errorf("perturbing %s collides with %s (fingerprint %s)", name, prev, got)
 			continue
