@@ -1,6 +1,7 @@
 package thermalsched
 
 import (
+	"context"
 	"encoding/json"
 	"reflect"
 	"strings"
@@ -299,5 +300,89 @@ func TestSupervisorSpecWire(t *testing.T) {
 		if !reflect.DeepEqual(back, tc.spec) {
 			t.Errorf("%s spec JSON decodes to %+v, want %+v", tc.name, back, tc.spec)
 		}
+	}
+}
+
+// runBytes runs req on e and returns its response JSON without the
+// wall-clock elapsedMs stamp.
+func runBytes(t *testing.T, e *Engine, req Request) []byte {
+	t.Helper()
+	resp, err := e.Run(context.Background(), req)
+	if err != nil {
+		t.Fatalf("run %+v: %v", req, err)
+	}
+	resp.ElapsedMS = 0
+	blob, err := json.Marshal(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// The fingerprint's contract over a corpus of spellings. Each pair
+// spells one canonical request two ways (policy aliases, nil against
+// explicitly default specs, a zero workload field against its
+// default), so both must share a fingerprint and run to the same
+// bytes. The campaign pair differs only in the template's graph shape:
+// empty draws each scenario's shape, "layered" pins it, so they are
+// different campaigns and must not share a coalescing key.
+func TestRequestFingerprintCanonicalCorpus(t *testing.T) {
+	e := testEngine(t)
+	smallStream := func() *StreamSpec {
+		return &StreamSpec{Seed: 1, Arrivals: StreamArrivalParams{Horizon: 200}}
+	}
+	smallCampaign := func(policies ...string) *CampaignSpec {
+		return &CampaignSpec{Scenarios: 2, Seed: 3, MinTasks: 8, MaxTasks: 10, Policies: policies}
+	}
+	same := []struct {
+		name string
+		a, b Request
+	}{
+		{"empty policy is thermal",
+			Request{Flow: FlowPlatform, Benchmark: "Bm1"},
+			Request{Flow: FlowPlatform, Benchmark: "Bm1", Policy: "thermal"}},
+		{"h3 is heuristic3",
+			Request{Flow: FlowPlatform, Benchmark: "Bm1", Policy: "h3"},
+			Request{Flow: FlowPlatform, Benchmark: "Bm1", Policy: " Heuristic3 "}},
+		{"empty online policy is greedy",
+			Request{Flow: FlowStream, Stream: smallStream()},
+			Request{Flow: FlowStream, Stream: smallStream(), Policy: StreamPolicyGreedy}},
+		{"campaign policy aliases are the defaults",
+			Request{Flow: FlowCampaign, Campaign: smallCampaign()},
+			Request{Flow: FlowCampaign, Campaign: smallCampaign("h3", "thermal")}},
+		{"nil simulate spec is the default spec",
+			Request{Flow: FlowSimulate, Benchmark: "Bm1"},
+			Request{Flow: FlowSimulate, Benchmark: "Bm1", Simulate: &SimulateSpec{Controller: "toggle", TriggerC: 80, Replicas: 1}}},
+		{"zero scenario fields are their defaults",
+			Request{Flow: FlowPlatform, Scenario: &ScenarioSpec{Seed: 4, Graph: ScenarioGraphParams{Tasks: 12}}},
+			Request{Flow: FlowPlatform, Scenario: &ScenarioSpec{Name: "scenario", Seed: 4,
+				Graph: ScenarioGraphParams{Shape: ScenarioShapeLayered, Tasks: 12, CCR: 0.1}, Platform: ScenarioPlatformParams{PEs: 4}}}},
+		{"zero stream workload fields are their defaults",
+			Request{Flow: FlowStream, Stream: smallStream()},
+			Request{Flow: FlowStream, Stream: &StreamSpec{Name: "stream", Seed: 1, DT: 1,
+				Arrivals: StreamArrivalParams{Horizon: 200, Sources: 3}, Platform: ScenarioPlatformParams{MeanWork: 30}}}},
+		{"parallelism is excluded",
+			Request{Flow: FlowSimulate, Benchmark: "Bm1", Simulate: &SimulateSpec{Replicas: 2}},
+			Request{Flow: FlowSimulate, Benchmark: "Bm1", Simulate: &SimulateSpec{Replicas: 2}, Parallelism: 1}},
+	}
+	for _, tc := range same {
+		if fa, fb := tc.a.Fingerprint(), tc.b.Fingerprint(); fa != fb {
+			t.Errorf("%s: fingerprints %s and %s differ", tc.name, fa, fb)
+		}
+		if ra, rb := runBytes(t, e, tc.a), runBytes(t, e, tc.b); string(ra) != string(rb) {
+			t.Errorf("%s: responses differ\n  %s\n  %s", tc.name, ra, rb)
+		}
+	}
+
+	drawn := Request{Flow: FlowCampaign, Campaign: &CampaignSpec{Scenarios: 4, Seed: 3, MinTasks: 10, MaxTasks: 14,
+		Template: &ScenarioSpec{Graph: ScenarioGraphParams{Shape: ""}}}}
+	layered := drawn
+	layered.Campaign = ptr(*drawn.Campaign)
+	layered.Campaign.Template = &ScenarioSpec{Graph: ScenarioGraphParams{Shape: ScenarioShapeLayered}}
+	if drawn.Fingerprint() == layered.Fingerprint() {
+		t.Errorf("a campaign drawing its shapes and an all-layered one share fingerprint %s", drawn.Fingerprint())
+	}
+	if string(runBytes(t, e, drawn)) == string(runBytes(t, e, layered)) {
+		t.Error("the shape-drawing and all-layered campaigns ran to the same bytes; the pair no longer witnesses two campaigns")
 	}
 }

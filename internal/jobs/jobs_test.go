@@ -186,6 +186,29 @@ func TestCoalesceNormalizesParallelism(t *testing.T) {
 	}
 }
 
+// Two campaigns that differ only in their template's graph shape are
+// different work: an empty shape draws each scenario's shape, "layered"
+// pins it. They must not coalesce onto one evaluation.
+func TestDistinctCampaignsDoNotCoalesce(t *testing.T) {
+	f := &fakeEval{}
+	m := openTest(t, f, Config{Workers: 1})
+	campaign := func(shape string) thermalsched.Request {
+		return thermalsched.Request{Flow: thermalsched.FlowCampaign, Campaign: &thermalsched.CampaignSpec{
+			Scenarios: 4, Seed: 3, MinTasks: 10, MaxTasks: 14,
+			Template: &thermalsched.ScenarioSpec{Graph: thermalsched.ScenarioGraphParams{Shape: shape}}}}
+	}
+	for _, shape := range []string{"", thermalsched.ScenarioShapeLayered} {
+		j, err := m.Submit(campaign(shape))
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, m, j.ID, StateDone)
+	}
+	if got := f.runs.Load(); got != 2 {
+		t.Errorf("two distinct campaigns ran %d evaluations, want 2", got)
+	}
+}
+
 func TestQueueFullBackpressure(t *testing.T) {
 	f := &fakeEval{block: make(chan struct{}), started: make(chan struct{}, 1)}
 	m := openTest(t, f, Config{Workers: 1, QueueDepth: 1})
