@@ -1,6 +1,8 @@
 package thermalsched
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -487,9 +489,48 @@ func (r *Request) Validate() error {
 		return fieldErr("parallelism", "negative parallelism %d", r.Parallelism)
 	}
 	if fs.validate != nil {
-		return fs.validate(r)
+		if err := fs.validate(r); err != nil {
+			return err
+		}
+	}
+	// NaN and ±Inf fail no plain range check above, and JSON cannot
+	// carry them, so Fingerprint could not digest them either.
+	if path, f, ok := nonFinite(reflect.ValueOf(r).Elem()); ok {
+		return fieldErr(strings.TrimPrefix(path, "."), "%g is not a finite number", f)
 	}
 	return nil
+}
+
+// nonFinite finds the first NaN or ±Inf float in v's tree. It returns
+// the float's JSON path relative to v (".graph.edges[0].data"); a
+// struct embedded without a JSON tag adds no segment, as on the wire.
+func nonFinite(v reflect.Value) (path string, f float64, ok bool) {
+	switch v.Kind() {
+	case reflect.Float64:
+		f = v.Float()
+		return "", f, math.IsNaN(f) || math.IsInf(f, 0)
+	case reflect.Pointer:
+		if !v.IsNil() {
+			return nonFinite(v.Elem())
+		}
+	case reflect.Slice:
+		for i := range v.Len() {
+			if path, f, ok := nonFinite(v.Index(i)); ok {
+				return fmt.Sprintf("[%d]%s", i, path), f, true
+			}
+		}
+	case reflect.Struct:
+		t := v.Type()
+		for i := range t.NumField() {
+			if path, f, ok := nonFinite(v.Field(i)); ok {
+				if key, _, _ := strings.Cut(t.Field(i).Tag.Get("json"), ","); key != "" {
+					path = "." + key + path
+				}
+				return path, f, true
+			}
+		}
+	}
+	return "", 0, false
 }
 
 // canonical returns the request as its flow reads it: the defaults of

@@ -273,11 +273,70 @@ func validationCases() []validationCase {
 			field: "campaign.stream.coolTime",
 			cli:   []string{"-flow", "campaign", "-stream", "-cooltime", "1e19"},
 		},
+		// A NaN or infinite float that no range check above covers once
+		// passed Validate and then stalled the scheduler, failed inside
+		// the graph builder, or ran to an absurd temperature.
+		nanCase(validationCase{
+			name: "NaN tempWeight",
+			req: thermalsched.Request{Flow: thermalsched.FlowPlatform, Benchmark: "Bm1",
+				TempWeight: ptr(math.NaN())},
+			field: "tempWeight",
+			cli:   []string{"-flow", "platform", "-benchmark", "Bm1", "-tempweight", "NaN"},
+		}),
+		nanCase(validationCase{
+			name: "NaN scenario ccr",
+			req: thermalsched.Request{Flow: thermalsched.FlowGenerate, Scenario: &thermalsched.ScenarioSpec{
+				Seed: 3, Graph: thermalsched.ScenarioGraphParams{CCR: math.NaN()}}},
+			field: "scenario.graph.ccr",
+			cli:   []string{"-flow", "generate", "-seed", "3", "-ccr", "NaN"},
+		}),
+		nanCase(validationCase{
+			name: "infinite busTimePerUnit",
+			req: thermalsched.Request{Flow: thermalsched.FlowPlatform, Benchmark: "Bm1",
+				BusTimePerUnit: math.Inf(1)},
+			field: "busTimePerUnit",
+		}),
+		nanCase(validationCase{
+			name:  "NaN graph deadline",
+			req:   thermalsched.Request{Flow: thermalsched.FlowPlatform, Graph: nanGraph(math.NaN(), 1)},
+			field: "graph.deadline",
+		}),
+		nanCase(validationCase{
+			name:  "NaN graph edge data",
+			req:   thermalsched.Request{Flow: thermalsched.FlowPlatform, Graph: nanGraph(100, math.NaN())},
+			field: "graph.edges[0].data",
+		}),
+		nanCase(validationCase{
+			name: "infinite scenario tightness",
+			req: thermalsched.Request{Flow: thermalsched.FlowPlatform, Scenario: &thermalsched.ScenarioSpec{
+				Seed: 1, Graph: thermalsched.ScenarioGraphParams{Tightness: math.Inf(1)}}},
+			field: "scenario.graph.tightness",
+		}),
+		nanCase(validationCase{
+			name: "NaN stream arrival rate",
+			req: thermalsched.Request{Flow: thermalsched.FlowStream, Stream: &thermalsched.StreamSpec{
+				Seed: 1, Arrivals: thermalsched.StreamArrivalParams{Rate: math.NaN()}}},
+			field: "stream.arrivals.rate",
+		}),
+		nanCase(validationCase{
+			name: "NaN campaign template ccr",
+			req: thermalsched.Request{Flow: thermalsched.FlowCampaign, Campaign: &thermalsched.CampaignSpec{
+				Template: &thermalsched.ScenarioSpec{Graph: thermalsched.ScenarioGraphParams{CCR: math.NaN()}}}},
+			field: "campaign.template.graph.ccr",
+		}),
 		// JSON cannot carry an infinite gap; Go callers and the CLI can.
 		nanCase(simulateCase("infinite simulate coolTime", thermalsched.SimulateSpec{Controller: "zigzag",
 			SupervisorSpec: thermalsched.SupervisorSpec{CoolTime: math.Inf(1)}}, "simulate.coolTime",
 			[]string{"-controller", "zigzag", "-cooltime", "Inf"})),
 	}
+}
+
+// nanGraph is a valid two-task inline graph with the given deadline
+// and edge data.
+func nanGraph(deadline, data float64) *thermalsched.GraphSpec {
+	return &thermalsched.GraphSpec{Name: "g", Deadline: deadline,
+		Tasks: []thermalsched.TaskSpec{{ID: 0, Name: "a", Type: 1}, {ID: 1, Name: "b", Type: 2}},
+		Edges: []thermalsched.EdgeSpec{{From: 0, To: 1, Data: data}}}
 }
 
 // simulateCase is a Bm1 simulate request carrying spec; flags, when
