@@ -277,15 +277,6 @@ func validateStreamFlow(r *Request) error {
 	return r.Stream.validate("stream")
 }
 
-// checkPolicy validates the request's Policy field against the flow's
-// policy family.
-func (fs *flowSpec) checkPolicy(r *Request) error {
-	if _, err := fs.policyName(r.Policy); err != nil {
-		return fieldErr("policy", "%v", err)
-	}
-	return nil
-}
-
 // policyName spells a Policy field canonically in the flow's policy
 // family: an online policy, or an ASP variant where empty means
 // thermal.

@@ -446,8 +446,8 @@ func (r *Request) Validate() error {
 	case len(fs.inputs) > 1 && inputs != 1:
 		return fieldErr("input", "a %s request needs exactly one of %s", r.Flow, strings.Join(fs.inputs, ", "))
 	}
-	if err := fs.checkPolicy(r); err != nil {
-		return err
+	if _, err := fs.policyName(r.Policy); err != nil {
+		return fieldErr("policy", "%v", err)
 	}
 	if r.Scenario != nil {
 		if err := r.Scenario.Validate(); err != nil {
@@ -493,8 +493,9 @@ func (r *Request) Validate() error {
 			return err
 		}
 	}
-	// NaN and ±Inf fail no plain range check above, and JSON cannot
-	// carry them, so Fingerprint could not digest them either.
+	// A NaN or ±Inf that no range check above rejects would reach the
+	// flow, and JSON cannot carry it, so Fingerprint could not digest
+	// it either.
 	if path, f, ok := nonFinite(reflect.ValueOf(r).Elem()); ok {
 		return fieldErr(strings.TrimPrefix(path, "."), "%g is not a finite number", f)
 	}
