@@ -13,13 +13,14 @@ import (
 )
 
 // FpFieldsAnalyzer checks field-by-field serializers against the
-// structs they serialize. The repository's cache keys and coalescing
-// fingerprints (Request.Fingerprint, the Engine's modelKey,
-// scenario.Spec.Fingerprint) serialize every field explicitly — a
-// reflective dump would destabilize keys on pointer fields — which
-// means a newly added struct field is silently *absent* from the key
-// until someone remembers to add it, and two requests differing only
-// in that field wrongly coalesce. Until now four scattered
+// structs they serialize. The repository's cache keys (the Engine's
+// modelKey, scenario.Spec.Fingerprint, scenario.StreamSpec.Fingerprint)
+// serialize every field explicitly, which means a newly added struct
+// field is silently *absent* from the key until someone remembers to
+// add it, and two inputs differing only in that field wrongly share a
+// cache entry. Request.Fingerprint is not a registered serializer: it
+// digests the canonical request's encoding/json bytes, which cover
+// every exported field the encoder sees. Until now four scattered
 // reflect.NumField count pins guarded this; they fire on any count
 // change without saying what drifted. fpfields replaces them: a
 // serializer declares what it covers with doc-comment registrations

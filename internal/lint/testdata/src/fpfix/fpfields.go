@@ -1,7 +1,7 @@
-// Fixtures for the fpfields analyzer, mirroring the shapes of the
-// real serializers: Request.Fingerprint (receiver fields plus a
-// deliberate Parallelism skip), modelKey (cross-package struct), and
-// a normalizing serializer hashing a withDefaults() copy.
+// Fixtures for the fpfields analyzer, mirroring the shapes of
+// serializers it checks: a receiver serializer (receiver fields plus a
+// deliberate skip), modelKey (cross-package struct), and a normalizing
+// serializer hashing a withDefaults() copy.
 package fpfix
 
 import (

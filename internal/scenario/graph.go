@@ -269,7 +269,7 @@ func seriesParallelEdges(g GraphParams, rng *rand.Rand) ([]edge, error) {
 // conditional branch nodes: their out-edges get probabilities drawn
 // from a Dirichlet-like split summing to 1 (each branch at least 5%),
 // rounded down so float noise cannot push the sum past 1 — the same
-// rule the sweep generator's markBranches applies.
+// rule taskgraph.Generate's markBranches applies.
 func markBranchEdges(edges []edge, tasks int, density float64, rng *rand.Rand) {
 	succ := make([][]int, tasks) // edge indices per source task
 	for i, e := range edges {
