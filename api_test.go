@@ -27,13 +27,12 @@ func TestFacadeCustomGraphAndArch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := GenerateGraph(GenParams{
-		Name: "custom", Tasks: 10, Edges: 12, Deadline: 2000,
-		Types: 8, Sources: 1, MaxData: 10, Seed: 99,
-	})
+	sc, err := GenerateScenario(ScenarioSpec{Name: "custom", Seed: 99,
+		Graph: ScenarioGraphParams{Tasks: 10}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := sc.Graph
 	arch := Architecture{
 		Name: "duo",
 		PEs:  []PE{{Name: "a", Type: 0}, {Name: "b", Type: 1}},
@@ -158,13 +157,12 @@ func TestFacadeSimAndDTM(t *testing.T) {
 }
 
 func TestFacadeConditionalGraph(t *testing.T) {
-	g, err := GenerateGraph(GenParams{
-		Name: "ctg", Tasks: 12, Edges: 16, Deadline: 1000,
-		Types: 8, Sources: 1, MaxData: 10, BranchFraction: 1, Seed: 2,
-	})
+	sc, err := GenerateScenario(ScenarioSpec{Name: "ctg", Seed: 2,
+		Graph: ScenarioGraphParams{Tasks: 12, BranchDensity: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := sc.Graph
 	conditional := false
 	for _, e := range g.Edges() {
 		conditional = conditional || e.IsConditional()

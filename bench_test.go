@@ -340,18 +340,6 @@ func BenchmarkFloorplanPack(b *testing.B) {
 	}
 }
 
-func BenchmarkTaskGraphGenerate(b *testing.B) {
-	p := taskgraph.GenParams{
-		Name: "bench", Tasks: 50, Edges: 70, Deadline: 2000,
-		Types: 8, Sources: 1, MaxData: 40, Seed: 7,
-	}
-	for i := 0; i < b.N; i++ {
-		if _, err := taskgraph.Generate(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkConditionalTaskGraphs exercises the conditional-task-graph
 // extension (the Xie & Wolf substrate the paper's ASP builds on):
 // worst-case scheduling of a CTG plus Bernoulli branch realization.
@@ -360,14 +348,12 @@ func BenchmarkConditionalTaskGraphs(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	g, err := taskgraph.Generate(taskgraph.GenParams{
-		Name: "ctg", Tasks: 40, Edges: 60, Deadline: 2200,
-		Types: taskgraph.NumTaskTypes, Sources: 1, MaxData: 20,
-		BranchFraction: 0.5, Seed: 11,
-	})
+	sc, err := GenerateScenario(ScenarioSpec{Name: "ctg", Seed: 11,
+		Graph: ScenarioGraphParams{Tasks: 40, BranchDensity: 0.5}})
 	if err != nil {
 		b.Fatal(err)
 	}
+	g := sc.Graph
 	run, err := cosynth.RunPlatform(context.Background(), g, lib, cosynth.PlatformConfig{Policy: sched.MinTaskEnergy})
 	if err != nil {
 		b.Fatal(err)

@@ -1,11 +1,11 @@
-// Command taskgen generates TGFF-like random task graphs or emits the
-// paper's benchmark graphs, in the repository's .tg format or Graphviz
-// DOT.
+// Command taskgen emits one of the paper's benchmark graphs in the
+// repository's .tg format or Graphviz DOT. Random task graphs come from
+// the scenario generator: thermsched -flow generate.
 //
 // Usage:
 //
 //	taskgen -benchmark Bm1 -o bm1.tg
-//	taskgen -tasks 30 -edges 40 -deadline 1200 -seed 7 -dot graph.dot
+//	taskgen -benchmark Bm2 -dot bm2.dot -stats
 package main
 
 import (
@@ -18,33 +18,14 @@ import (
 
 func main() {
 	var (
-		benchmark = flag.String("benchmark", "", "emit a paper benchmark (Bm1..Bm4) instead of generating")
-		tasks     = flag.Int("tasks", 20, "number of tasks")
-		edges     = flag.Int("edges", 25, "number of edges")
-		deadline  = flag.Float64("deadline", 1000, "completion deadline (time units)")
-		types     = flag.Int("types", taskgraph.NumTaskTypes, "number of task types")
-		sources   = flag.Int("sources", 1, "number of entry tasks")
-		maxData   = flag.Float64("maxdata", 40, "maximum communication volume per edge")
-		branch    = flag.Float64("branchfrac", 0, "fraction of fan-out tasks made conditional branches (CTG)")
-		seed      = flag.Int64("seed", 1, "generator seed (passed through verbatim; 0 is a valid seed)")
-		name      = flag.String("name", "graph", "graph name")
+		benchmark = flag.String("benchmark", "", "paper benchmark to emit (Bm1..Bm4)")
 		out       = flag.String("o", "", "output .tg file (default stdout)")
 		dot       = flag.String("dot", "", "also write Graphviz DOT to this file")
 		stats     = flag.Bool("stats", false, "print graph statistics to stderr")
 	)
 	flag.Parse()
 
-	var g *taskgraph.Graph
-	var err error
-	if *benchmark != "" {
-		g, err = taskgraph.Benchmark(*benchmark)
-	} else {
-		g, err = taskgraph.Generate(taskgraph.GenParams{
-			Name: *name, Tasks: *tasks, Edges: *edges, Deadline: *deadline,
-			Types: *types, Sources: *sources, MaxData: *maxData,
-			BranchFraction: *branch, Seed: *seed,
-		})
-	}
+	g, err := taskgraph.Benchmark(*benchmark)
 	if err != nil {
 		fatal(err)
 	}

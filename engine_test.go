@@ -314,13 +314,12 @@ func TestEngineRunCancellation(t *testing.T) {
 }
 
 func TestEngineRequestJSONRoundTrip(t *testing.T) {
-	g, err := GenerateGraph(GenParams{
-		Name: "wire", Tasks: 6, Edges: 6, Deadline: 900,
-		Types: 8, Sources: 1, MaxData: 10, Seed: 5,
-	})
+	sc, err := GenerateScenario(ScenarioSpec{Name: "wire", Seed: 5,
+		Graph: ScenarioGraphParams{Tasks: 6}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := sc.Graph
 	req := Request{
 		Flow:                 FlowCoSynthesis,
 		Graph:                GraphSpecOf(g),

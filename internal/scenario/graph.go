@@ -268,8 +268,7 @@ func seriesParallelEdges(g GraphParams, rng *rand.Rand) ([]edge, error) {
 // markBranchEdges converts a fraction of the multi-successor tasks into
 // conditional branch nodes: their out-edges get probabilities drawn
 // from a Dirichlet-like split summing to 1 (each branch at least 5%),
-// rounded down so float noise cannot push the sum past 1 — the same
-// rule taskgraph.Generate's markBranches applies.
+// rounded down so float noise cannot push the sum past 1.
 func markBranchEdges(edges []edge, tasks int, density float64, rng *rand.Rand) {
 	succ := make([][]int, tasks) // edge indices per source task
 	for i, e := range edges {

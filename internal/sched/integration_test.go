@@ -9,6 +9,7 @@ import (
 
 	"thermalsched/internal/floorplan"
 	"thermalsched/internal/hotspot"
+	"thermalsched/internal/scenario"
 	"thermalsched/internal/taskgraph"
 	"thermalsched/internal/techlib"
 )
@@ -189,6 +190,20 @@ func TestAllBenchmarksFeasibleOnPlatform(t *testing.T) {
 	}
 }
 
+// randomGraph draws a scenario graph of n tasks over the standard
+// library's task types, in a shape picked by rng, with a deadline far
+// past any makespan.
+func randomGraph(rng *rand.Rand, seed int64, n int) (*taskgraph.Graph, error) {
+	shapes := []string{scenario.ShapeLayered, scenario.ShapeSeriesParallel}
+	sc, err := scenario.Generate(scenario.Spec{Name: "p", Seed: seed,
+		Graph: scenario.GraphParams{Shape: shapes[rng.Intn(len(shapes))], Tasks: n}})
+	if err != nil {
+		return nil, err
+	}
+	sc.Graph.Deadline = 1e9
+	return sc.Graph, nil
+}
+
 // Property: schedules of random graphs under random policies are always
 // structurally valid.
 func TestRandomGraphsScheduleValidProperty(t *testing.T) {
@@ -199,14 +214,7 @@ func TestRandomGraphsScheduleValidProperty(t *testing.T) {
 	arch, oracle := buildPlatformModel(t, lib)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 3 + rng.Intn(25)
-		minE := n - 1
-		maxE := n * (n - 1) / 2
-		e := minE + rng.Intn(maxE-minE+1)
-		g, err := taskgraph.Generate(taskgraph.GenParams{
-			Name: "p", Tasks: n, Edges: e, Deadline: 1e9,
-			Types: taskgraph.NumTaskTypes, Sources: 1, MaxData: 20, Seed: seed,
-		})
+		g, err := randomGraph(rng, seed, 3+rng.Intn(25))
 		if err != nil {
 			return false
 		}
@@ -246,12 +254,7 @@ func TestMakespanLowerBoundsProperty(t *testing.T) {
 	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 5 + rng.Intn(30)
-		g, err := taskgraph.Generate(taskgraph.GenParams{
-			Name: "lb", Tasks: n, Edges: n - 1 + rng.Intn(n),
-			Deadline: 1e9, Types: taskgraph.NumTaskTypes,
-			Sources: 1, MaxData: 10, Seed: seed,
-		})
+		g, err := randomGraph(rng, seed, 5+rng.Intn(30))
 		if err != nil {
 			return false
 		}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"thermalsched/internal/scenario"
 	"thermalsched/internal/taskgraph"
 	"thermalsched/internal/techlib"
 )
@@ -462,13 +463,12 @@ func TestOverlapDetection(t *testing.T) {
 
 func TestDeterministicScheduling(t *testing.T) {
 	lib := testLib(t)
-	g, err := taskgraph.Generate(taskgraph.GenParams{
-		Name: "r", Tasks: 20, Edges: 30, Deadline: 5000, Types: 2,
-		Sources: 2, MaxData: 10, Seed: 3,
-	})
+	sc, err := scenario.Generate(scenario.Spec{Name: "r", Seed: 3,
+		Graph: scenario.GraphParams{Tasks: 20, Types: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := sc.Graph
 	a, err := AllocateAndSchedule(context.Background(), g, twoPEArch(0.1), lib, DefaultConfig(MinTaskEnergy))
 	if err != nil {
 		t.Fatal(err)

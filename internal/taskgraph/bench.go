@@ -1,38 +1,38 @@
 package taskgraph
 
-import "fmt"
+import (
+	"bytes"
+	"embed"
+	"fmt"
+	"slices"
+)
 
-// The paper evaluates four synthetic benchmarks described as
-// name/tasks/edges/deadline. The graphs themselves were never published,
-// so we regenerate them with fixed seeds. The task type universe is
-// shared with techlib.StandardTypes.
+// The paper evaluates four synthetic benchmarks described only as
+// name/tasks/edges/deadline (Bm1/19/19/790, Bm2/35/40/1500,
+// Bm3/39/43/1650, Bm4/51/60/2000). The graphs themselves were never
+// published, so benchmarks/<name>.tg holds one fixed draw of each: a
+// TGFF-style layered DAG with exact task and edge counts, one source,
+// task types uniform over NumTaskTypes and edge volumes uniform in
+// [1, 40], drawn with seeds 190700, 354015, 394316 and 516020 by the
+// seeded generator this package used to carry. Each file is exactly
+// what Graph.Write prints for the graph, so a Write of Benchmark(name)
+// reproduces it byte for byte.
+//
+//go:embed benchmarks/*.tg
+var benchFiles embed.FS
 
-// NumTaskTypes is the number of distinct task types the benchmark
-// generator draws from; the technology library must cover all of them.
+// NumTaskTypes is the size of the benchmarks' task type universe: every
+// benchmark task's Type lies in [0, NumTaskTypes), and the technology
+// library must cover all of them (techlib.StandardTypes does).
 const NumTaskTypes = 8
 
-// benchSpec pins down one paper benchmark.
-type benchSpec struct {
-	name     string
-	tasks    int
-	edges    int
-	deadline float64
-	seed     int64
-}
+var benchNames = []string{"Bm1", "Bm2", "Bm3", "Bm4"}
 
-var benchSpecs = []benchSpec{
-	{"Bm1", 19, 19, 790, 190_700},
-	{"Bm2", 35, 40, 1500, 354_015},
-	{"Bm3", 39, 43, 1650, 394_316},
-	{"Bm4", 51, 60, 2000, 516_020},
-}
-
-// Benchmarks returns the paper's four benchmark graphs
-// (Bm1/19/19/790, Bm2/35/40/1500, Bm3/39/43/1650, Bm4/51/60/2000).
+// Benchmarks returns the paper's four benchmark graphs in order.
 func Benchmarks() ([]*Graph, error) {
-	out := make([]*Graph, 0, len(benchSpecs))
-	for _, s := range benchSpecs {
-		g, err := Benchmark(s.name)
+	out := make([]*Graph, 0, len(benchNames))
+	for _, name := range benchNames {
+		g, err := Benchmark(name)
 		if err != nil {
 			return nil, err
 		}
@@ -41,35 +41,22 @@ func Benchmarks() ([]*Graph, error) {
 	return out, nil
 }
 
-// Benchmark returns one paper benchmark by name ("Bm1" … "Bm4").
+// Benchmark returns one paper benchmark by name ("Bm1" … "Bm4"). Each
+// call returns a fresh graph the caller may modify.
 func Benchmark(name string) (*Graph, error) {
-	for _, s := range benchSpecs {
-		if s.name != name {
-			continue
-		}
-		g, err := Generate(GenParams{
-			Name:     s.name,
-			Tasks:    s.tasks,
-			Edges:    s.edges,
-			Deadline: s.deadline,
-			Types:    NumTaskTypes,
-			Sources:  1,
-			MaxData:  40,
-			Seed:     s.seed,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("taskgraph: building %s: %w", s.name, err)
-		}
-		return g, nil
+	if !slices.Contains(benchNames, name) {
+		return nil, fmt.Errorf("taskgraph: unknown benchmark %q (want Bm1..Bm4)", name)
 	}
-	return nil, fmt.Errorf("taskgraph: unknown benchmark %q (want Bm1..Bm4)", name)
+	data, err := benchFiles.ReadFile("benchmarks/" + name + ".tg")
+	if err != nil {
+		return nil, fmt.Errorf("taskgraph: reading %s: %w", name, err)
+	}
+	g, err := ReadGraph(bytes.NewReader(data))
+	if err != nil {
+		return nil, fmt.Errorf("taskgraph: reading %s: %w", name, err)
+	}
+	return g, nil
 }
 
 // BenchmarkNames lists the available paper benchmarks in order.
-func BenchmarkNames() []string {
-	out := make([]string, len(benchSpecs))
-	for i, s := range benchSpecs {
-		out[i] = s.name
-	}
-	return out
-}
+func BenchmarkNames() []string { return slices.Clone(benchNames) }

@@ -165,57 +165,54 @@ func TestConditionalGraphRoundTrip(t *testing.T) {
 	}
 }
 
-func TestGenerateConditional(t *testing.T) {
-	g, err := Generate(GenParams{
-		Name: "ctg", Tasks: 30, Edges: 45, Deadline: 1000,
-		Types: 4, Sources: 1, MaxData: 10, BranchFraction: 1.0, Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
+// nestedBranchGraph builds a CTG whose branch sits under another
+// branch, so execution probabilities multiply down the nesting and add
+// at the join:
+//
+//	      t0
+//	  0.6/  \0.4
+//	    t1   t2
+//	0.5/  \0.5 \
+//	  t3   t4   t6
+//	    \ /
+//	     t5
+func nestedBranchGraph(t *testing.T) *Graph {
+	t.Helper()
+	g := NewGraph("nested", 100)
+	for i := 0; i < 7; i++ {
+		if err := g.AddTask(Task{ID: i, Name: "t", Type: 0}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if !hasConditionalEdges(g) {
-		t.Fatal("BranchFraction 1.0 produced no conditional edges")
+	for _, e := range []Edge{
+		{From: 0, To: 1, Data: 1, Prob: 0.6},
+		{From: 0, To: 2, Data: 1, Prob: 0.4},
+		{From: 1, To: 3, Data: 1, Prob: 0.5},
+		{From: 1, To: 4, Data: 1, Prob: 0.5},
+		{From: 3, To: 5, Data: 1},
+		{From: 4, To: 5, Data: 1},
+		{From: 2, To: 6, Data: 1},
+	} {
+		if err := g.AddEdge(e); err != nil {
+			t.Fatal(err)
+		}
 	}
+	return g
+}
+
+func TestNestedBranchProbabilities(t *testing.T) {
+	g := nestedBranchGraph(t)
 	if err := g.ValidateProbabilities(); err != nil {
-		t.Fatalf("generated CTG invalid: %v", err)
+		t.Fatalf("nested CTG invalid: %v", err)
 	}
-	probs, err := g.ExecutionProbabilities()
+	p, err := g.ExecutionProbabilities()
 	if err != nil {
 		t.Fatal(err)
 	}
-	below := 0
-	for _, p := range probs {
-		if p <= 0 || p > 1 {
-			t.Fatalf("execution probability %v out of (0,1]", p)
+	want := []float64{1, 0.6, 0.4, 0.3, 0.3, 0.6, 0.4}
+	for i, w := range want {
+		if math.Abs(p[i]-w) > 1e-12 {
+			t.Errorf("P(t%d) = %v, want %v", i, p[i], w)
 		}
-		if p < 1 {
-			below++
-		}
-	}
-	if below == 0 {
-		t.Error("no task has execution probability below 1")
-	}
-}
-
-func TestGenerateConditionalZeroFractionUnchanged(t *testing.T) {
-	g, err := Generate(GenParams{
-		Name: "plain", Tasks: 20, Edges: 30, Deadline: 1000,
-		Types: 4, Sources: 1, MaxData: 10, Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hasConditionalEdges(g) {
-		t.Error("zero BranchFraction produced conditional edges")
-	}
-}
-
-func TestGenerateBranchFractionValidation(t *testing.T) {
-	_, err := Generate(GenParams{
-		Name: "bad", Tasks: 5, Edges: 6, Deadline: 10,
-		Types: 1, Sources: 1, MaxData: 2, BranchFraction: 1.5, Seed: 1,
-	})
-	if err == nil {
-		t.Error("BranchFraction 1.5 accepted")
 	}
 }

@@ -1,6 +1,6 @@
 // Package taskgraph provides the task-graph substrate: directed acyclic
-// graphs of tasks with communication edges and a completion deadline, a
-// seeded TGFF-like generator, the paper's four benchmark graphs, static
+// graphs of tasks with communication edges and a completion deadline,
+// the paper's four benchmark graphs (fixed .tg data), static
 // criticality (longest path to the end of the graph, the list-scheduling
 // priority the paper's ASP starts from), and text/DOT serialization.
 package taskgraph
@@ -31,7 +31,8 @@ type Edge struct {
 }
 
 // Graph is a task graph with a deadline. Construct with NewGraph and
-// AddTask/AddEdge, or use Generate / the Bm* constructors.
+// AddTask/AddEdge, read one with ReadGraph, or load a paper benchmark
+// with Benchmark.
 type Graph struct {
 	Name     string
 	Deadline float64
@@ -291,15 +292,4 @@ func (g *Graph) Clone() *Graph {
 		}
 	}
 	return c
-}
-
-// setEdgeProb updates the probability of an existing edge (used by the
-// conditional-graph generator).
-func (g *Graph) setEdgeProb(from, to int, prob float64) {
-	for _, ei := range g.succ[from] {
-		if g.edges[ei].To == to {
-			g.edges[ei].Prob = prob
-			return
-		}
-	}
 }

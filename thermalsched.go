@@ -37,7 +37,7 @@
 //
 // This package is the public facade over the implementation packages:
 //
-//	internal/taskgraph   task graphs, TGFF-like generator, paper benchmarks
+//	internal/taskgraph   task graphs, .tg/DOT I/O, paper benchmarks (.tg data)
 //	internal/techlib     technology library (WCET/WCPC tables, PE types)
 //	internal/scenario    synthetic scenarios: seeded graph + platform generators
 //	internal/sched       the ASP: policies Baseline, H1–H3, ThermalAware
@@ -74,15 +74,10 @@ type (
 	Task = taskgraph.Task
 	// GraphEdge is a data dependency between two tasks.
 	GraphEdge = taskgraph.Edge
-	// GenParams parameterizes the TGFF-like task-graph generator.
-	GenParams = taskgraph.GenParams
 )
 
 // NewGraph returns an empty task graph.
 func NewGraph(name string, deadline float64) *Graph { return taskgraph.NewGraph(name, deadline) }
-
-// GenerateGraph builds a random task graph with exact task/edge counts.
-func GenerateGraph(p GenParams) (*Graph, error) { return taskgraph.Generate(p) }
 
 // Benchmark returns one of the paper's benchmarks ("Bm1" … "Bm4").
 func Benchmark(name string) (*Graph, error) { return taskgraph.Benchmark(name) }
