@@ -275,7 +275,7 @@ func mutateExpr(e Expression, rng *rand.Rand, n int) Expression {
 }
 
 // ballot reports whether every prefix of e holds more operands than
-// operators, the part of ValidExpression an operand/operator swap can
+// operators, the part of validExpression an operand/operator swap can
 // break.
 func ballot(e Expression) bool {
 	depth := 0

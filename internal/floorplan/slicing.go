@@ -35,14 +35,9 @@ func (g Gene) IsOperator() bool { return g == OpH || g == OpV }
 // (every prefix has more operands than operators).
 type Expression []Gene
 
-// ValidExpression checks that e is a structurally valid Polish expression
-// over exactly n blocks, each appearing once.
-func ValidExpression(e Expression, n int) error {
-	return validExpression(e, n, make([]bool, n))
-}
-
-// validExpression is ValidExpression with the operand marks in seen
-// (length n), which it overwrites.
+// validExpression checks that e is a structurally valid Polish
+// expression over exactly n blocks, each appearing once. It keeps the
+// operand marks in seen (length n), which it overwrites.
 func validExpression(e Expression, n int, seen []bool) error {
 	if len(e) != 2*n-1 {
 		return fmt.Errorf("floorplan: expression length %d, want %d for %d blocks", len(e), 2*n-1, n)

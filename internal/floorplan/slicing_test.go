@@ -27,6 +27,11 @@ func flexBlocks(n int, area float64) []Block {
 	return bs
 }
 
+// checkExpression is validExpression with fresh operand marks.
+func checkExpression(e Expression, n int) error {
+	return validExpression(e, n, make([]bool, n))
+}
+
 func TestValidExpression(t *testing.T) {
 	cases := []struct {
 		name string
@@ -46,9 +51,9 @@ func TestValidExpression(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := ValidExpression(tc.e, tc.n)
+			err := checkExpression(tc.e, tc.n)
 			if (err == nil) != tc.ok {
-				t.Errorf("ValidExpression(%v, %d) err = %v, want ok=%v", tc.e, tc.n, err, tc.ok)
+				t.Errorf("validExpression(%v, %d) err = %v, want ok=%v", tc.e, tc.n, err, tc.ok)
 			}
 		})
 	}
@@ -56,7 +61,7 @@ func TestValidExpression(t *testing.T) {
 
 func TestInitialExpressionValid(t *testing.T) {
 	for n := 1; n <= 20; n++ {
-		if err := ValidExpression(InitialExpression(n), n); err != nil {
+		if err := checkExpression(InitialExpression(n), n); err != nil {
 			t.Errorf("InitialExpression(%d) invalid: %v", n, err)
 		}
 	}
@@ -182,7 +187,7 @@ func TestPackRandomExpressionsProperty(t *testing.T) {
 		n := 2 + rng.Intn(8)
 		blocks := flexBlocks(n, 1e-6*(0.5+rng.Float64()))
 		e := randomExpression(n, rng)
-		if err := ValidExpression(e, n); err != nil {
+		if err := checkExpression(e, n); err != nil {
 			return false
 		}
 		fp, area, err := Pack(e, blocks)
@@ -246,7 +251,7 @@ func TestMutatePreservesValidity(t *testing.T) {
 		e := randomExpression(n, rng)
 		for k := 0; k < 10; k++ {
 			e = mutateExpr(e, rng, 1)
-			if ValidExpression(e, n) != nil {
+			if checkExpression(e, n) != nil {
 				return false
 			}
 		}
@@ -265,7 +270,7 @@ func TestCrossoverPreservesValidity(t *testing.T) {
 		a := randomExpression(n, rng)
 		b := randomExpression(n, rng)
 		c := crossover(a, b, n, rng)
-		return ValidExpression(c, n) == nil
+		return checkExpression(c, n) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -521,7 +526,7 @@ func FuzzCombine(f *testing.F) {
 	})
 }
 
-// ballot accepts exactly the operand/operator swaps ValidExpression
+// ballot accepts exactly the operand/operator swaps validExpression
 // accepts, so mutateExpr keeps the same moves and RNG draws.
 func TestBallotMatchesValidExpression(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -533,8 +538,8 @@ func TestBallotMatchesValidExpression(t *testing.T) {
 				continue
 			}
 			e[i], e[i+1] = e[i+1], e[i]
-			if got, want := ballot(e), ValidExpression(e, n) == nil; got != want {
-				t.Fatalf("%v: ballot = %v, ValidExpression ok = %v", e, got, want)
+			if got, want := ballot(e), checkExpression(e, n) == nil; got != want {
+				t.Fatalf("%v: ballot = %v, validExpression ok = %v", e, got, want)
 			}
 			e[i], e[i+1] = e[i+1], e[i]
 		}

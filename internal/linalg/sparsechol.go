@@ -289,10 +289,6 @@ func (f *SparseCholesky) transpose(next []int) {
 // N returns the system dimension.
 func (f *SparseCholesky) N() int { return f.n }
 
-// NNZ returns the number of stored below-diagonal factor entries —
-// the fill the elimination order is trying to minimize.
-func (f *SparseCholesky) NNZ() int { return len(f.colRows) + f.n }
-
 // SolveInto solves A·x = b into the caller-supplied x without
 // allocating on the steady path (permuted solves draw one scratch
 // vector from an internal freelist; after first use the path is
