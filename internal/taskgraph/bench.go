@@ -23,7 +23,7 @@ var benchFiles embed.FS
 
 // NumTaskTypes is the size of the benchmarks' task type universe: every
 // benchmark task's Type lies in [0, NumTaskTypes), and the technology
-// library must cover all of them (techlib.StandardTypes does).
+// library must cover all of them (techlib.StandardLibrary does).
 const NumTaskTypes = 8
 
 var benchNames = []string{"Bm1", "Bm2", "Bm3", "Bm4"}
