@@ -66,19 +66,17 @@ func BenchmarkFigure1Flows(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("Fig1a_CoSynthesis", func(b *testing.B) {
+		cfg := cosynth.DefaultCoSynthConfig(sched.ThermalAware)
+		cfg.FloorplanGenerations, cfg.Seed = 10, 1
 		for i := 0; i < b.N; i++ {
-			if _, err := cosynth.RunCoSynthesis(context.Background(), g, lib, cosynth.CoSynthConfig{
-				Policy: sched.ThermalAware, FloorplanGenerations: 10, Seed: 1,
-			}); err != nil {
+			if _, err := cosynth.RunCoSynthesis(context.Background(), g, lib, cfg); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("Fig1b_Platform", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := cosynth.RunPlatform(context.Background(), g, lib, cosynth.PlatformConfig{
-				Policy: sched.ThermalAware,
-			}); err != nil {
+			if _, err := cosynth.RunPlatform(context.Background(), g, lib, cosynth.DefaultPlatformConfig(sched.ThermalAware)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -138,11 +136,9 @@ func BenchmarkAblationTempWeight(b *testing.B) {
 	for _, w := range []float64{0, 5, 10, 20, 40} {
 		b.Run(fmt.Sprintf("w=%g", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				cfg := sched.DefaultConfig(sched.ThermalAware)
-				cfg.TempWeight = w
-				res, err := cosynth.RunPlatform(context.Background(), g, lib, cosynth.PlatformConfig{
-					Policy: sched.ThermalAware, Sched: &cfg,
-				})
+				cfg := cosynth.DefaultPlatformConfig(sched.ThermalAware)
+				cfg.Sched.TempWeight = w
+				res, err := cosynth.RunPlatform(context.Background(), g, lib, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -167,7 +163,7 @@ func BenchmarkSimulateUnthrottled(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	run, err := cosynth.RunPlatform(context.Background(), g, lib, cosynth.PlatformConfig{Policy: sched.MinTaskEnergy})
+	run, err := cosynth.RunPlatform(context.Background(), g, lib, cosynth.DefaultPlatformConfig(sched.MinTaskEnergy))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -303,7 +299,7 @@ func BenchmarkSchedulerPolicies(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	arch, _, _, oracle, err := cosynth.BuildPlatformDesc(lib, cosynth.DefaultBusTimePerUnit, hotspot.DefaultConfig(), nil, nil)
+	arch, _, _, oracle, err := cosynth.BuildPlatformDesc(lib, techlib.DefaultBusTimePerUnit, hotspot.DefaultConfig(), nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -354,7 +350,7 @@ func BenchmarkConditionalTaskGraphs(b *testing.B) {
 		b.Fatal(err)
 	}
 	g := sc.Graph
-	run, err := cosynth.RunPlatform(context.Background(), g, lib, cosynth.PlatformConfig{Policy: sched.MinTaskEnergy})
+	run, err := cosynth.RunPlatform(context.Background(), g, lib, cosynth.DefaultPlatformConfig(sched.MinTaskEnergy))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -430,9 +426,9 @@ func BenchmarkCoSynthesis(b *testing.B) {
 	for _, p := range []int{1, 4} {
 		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := cosynth.RunCoSynthesis(context.Background(), g, lib, cosynth.CoSynthConfig{
-					Policy: sched.ThermalAware, FloorplanGenerations: 10, Seed: 1, Search: search.NewPool(p),
-				})
+				cfg := cosynth.DefaultCoSynthConfig(sched.ThermalAware)
+				cfg.FloorplanGenerations, cfg.Seed, cfg.Search = 10, 1, search.NewPool(p)
+				res, err := cosynth.RunCoSynthesis(context.Background(), g, lib, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}

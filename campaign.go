@@ -1,6 +1,7 @@
 package thermalsched
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
@@ -85,17 +86,18 @@ type CampaignSpec struct {
 }
 
 // withDefaults returns the campaign as its flow reads it: defaults
-// applied, the nested Simulate and Stream specs defaulted and every
+// applied, the nested specs defaulted, the Template normalized (an
+// empty Graph.Shape stays empty, as it draws each scenario's shape,
+// and a Template equal to the nil one's form becomes nil) and every
 // policy name spelled canonically (a name that does not parse stays as
-// written, for Validate to report). Template stays as written.
+// written, for Validate to report). In stream mode the Template stays
+// as written, for Validate to reject.
 func (c *CampaignSpec) withDefaults() CampaignSpec {
 	out := CampaignSpec{}
 	if c != nil {
 		out = *c
 	}
-	if out.Scenarios == 0 {
-		out.Scenarios = 8
-	}
+	out.Scenarios = cmp.Or(out.Scenarios, 8)
 	if len(out.Controllers) > 0 {
 		// A controller duel is inherently a simulate-mode campaign at a
 		// fixed scheduling policy.
@@ -113,12 +115,8 @@ func (c *CampaignSpec) withDefaults() CampaignSpec {
 			out.Policies = []string{sched.MinTaskEnergy.String(), sched.ThermalAware.String()}
 		}
 	}
-	if out.MinTasks == 0 {
-		out.MinTasks = 20
-	}
-	if out.MaxTasks == 0 {
-		out.MaxTasks = 60
-	}
+	out.MinTasks = cmp.Or(out.MinTasks, 20)
+	out.MaxTasks = cmp.Or(out.MaxTasks, 60)
 	if out.Simulate != nil {
 		s := out.Simulate.withDefaults()
 		out.Simulate = &s
@@ -126,6 +124,12 @@ func (c *CampaignSpec) withDefaults() CampaignSpec {
 	if out.Stream != nil {
 		s := out.Stream.withDefaults()
 		out.Stream = &s
+	} else if out.Template != nil {
+		t, drawn := out.Template.Normalized(), ScenarioSpec{}.Normalized()
+		t.Graph.Shape, drawn.Graph.Shape = out.Template.Graph.Shape, ""
+		if out.Template = &t; t == drawn {
+			out.Template = nil
+		}
 	}
 	policies := make([]string, len(out.Policies))
 	for i, name := range out.Policies {
@@ -138,21 +142,20 @@ func (c *CampaignSpec) withDefaults() CampaignSpec {
 	return out
 }
 
-// Validate reports the first problem with the campaign parameters, as
+// validate reports the first problem with the campaign parameters, as
 // a *FieldError naming its full path ("campaign.policies",
-// "campaign.simulate.hysteresis").
-func (c *CampaignSpec) Validate() error {
-	n := c.withDefaults()
-	if n.Scenarios < 0 {
+// "campaign.simulate.hysteresis"). Call on a withDefaults() copy.
+func (c *CampaignSpec) validate() error {
+	if c.Scenarios < 0 {
 		return fieldErr("campaign.scenarios", "negative campaign scenario count %d", c.Scenarios)
 	}
-	if n.Scenarios > MaxCampaignScenarios {
+	if c.Scenarios > MaxCampaignScenarios {
 		return fieldErr("campaign.scenarios", "%d campaign scenarios exceed the limit %d",
-			n.Scenarios, MaxCampaignScenarios)
+			c.Scenarios, MaxCampaignScenarios)
 	}
-	seen := make(map[string]bool, len(n.Policies))
-	for _, name := range n.Policies {
-		canonical, err := n.canonicalPolicy(name)
+	seen := make(map[string]bool, len(c.Policies))
+	for _, name := range c.Policies {
+		canonical, err := c.canonicalPolicy(name)
 		if err != nil {
 			return fieldErr("campaign.policies", "%v", err)
 		}
@@ -161,30 +164,30 @@ func (c *CampaignSpec) Validate() error {
 		}
 		seen[canonical] = true
 	}
-	if n.MinTasks < 1 || n.MaxTasks < n.MinTasks || n.MaxTasks > scenario.MaxTasks {
+	if c.MinTasks < 1 || c.MaxTasks < c.MinTasks || c.MaxTasks > scenario.MaxTasks {
 		return fieldErr("campaign.minTasks", "campaign task range [%d, %d] outside [1, %d]",
-			n.MinTasks, n.MaxTasks, scenario.MaxTasks)
+			c.MinTasks, c.MaxTasks, scenario.MaxTasks)
 	}
-	if n.Template != nil {
-		if err := n.Template.Validate(); err != nil {
+	if c.Template != nil {
+		if err := c.Template.Validate(); err != nil {
 			return fieldErr("campaign.template", "%v", err)
 		}
 	}
-	if n.Simulate != nil {
-		if err := n.Simulate.validate("campaign.simulate"); err != nil {
+	if c.Simulate != nil {
+		if err := c.Simulate.validate("campaign.simulate"); err != nil {
 			return err
 		}
 	}
-	if len(n.Controllers) > 0 {
-		if n.Stream != nil {
+	if len(c.Controllers) > 0 {
+		if c.Stream != nil {
 			return fieldErr("campaign.controllers", "campaign controller duel excludes stream mode; list admit/zigzag in policies instead")
 		}
-		if len(n.Policies) != 1 {
-			return fieldErr("campaign.policies", "campaign controller duel needs exactly one scheduling policy, got %d", len(n.Policies))
+		if len(c.Policies) != 1 {
+			return fieldErr("campaign.policies", "campaign controller duel needs exactly one scheduling policy, got %d", len(c.Policies))
 		}
-		seenCtl := make(map[string]bool, len(n.Controllers))
-		for _, name := range n.Controllers {
-			if name == "" || !validSimulateController(name) {
+		seenCtl := make(map[string]bool, len(c.Controllers))
+		for _, name := range c.Controllers {
+			if !slices.Contains(simulateControllers, name) {
 				return fieldErr("campaign.controllers", "unknown campaign controller %q (want one of %v)", name, simulateControllers)
 			}
 			if seenCtl[name] {
@@ -193,14 +196,14 @@ func (c *CampaignSpec) Validate() error {
 			seenCtl[name] = true
 		}
 	}
-	if n.Stream != nil {
-		if n.Simulate != nil {
+	if c.Stream != nil {
+		if c.Simulate != nil {
 			return fieldErr("campaign.stream", "campaign stream mode excludes simulate; remove one")
 		}
-		if n.Template != nil {
+		if c.Template != nil {
 			return fieldErr("campaign.stream", "campaign stream mode uses the stream spec as its template; remove template")
 		}
-		if err := n.Stream.validate("campaign.stream"); err != nil {
+		if err := c.Stream.validate("campaign.stream"); err != nil {
 			return err
 		}
 	}

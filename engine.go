@@ -242,7 +242,10 @@ func (e *Engine) resolveInput(req *Request) (*runInput, error) {
 func (e *Engine) Run(ctx context.Context, req Request) (*Response, error) {
 	//thermalvet:allow walltime(elapsedMs is an observability stamp, documented as excluded from the byte-identity contract)
 	start := time.Now()
-	if err := req.Validate(); err != nil {
+	// The flow reads the canonical form, the one Validate checks and
+	// Fingerprint digests.
+	c := req.canonical()
+	if err := c.validate(); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
@@ -250,13 +253,8 @@ func (e *Engine) Run(ctx context.Context, req Request) (*Response, error) {
 	}
 	// Dispatch through the flow registry — the same table Validate,
 	// FlowKinds() and the CLI help read, so a flow exists on every
-	// surface or none. The flow reads the canonical form, the one
-	// Fingerprint digests.
-	fs, ok := flowFor(req.Flow)
-	if !ok { // unreachable after Validate
-		return nil, fmt.Errorf("thermalsched: unknown flow %q", req.Flow)
-	}
-	c := req.canonical()
+	// surface or none.
+	fs, _ := flowFor(c.Flow)
 	resp, err := fs.run(e, ctx, &c)
 	if err != nil {
 		return nil, err
@@ -320,7 +318,7 @@ feed:
 // engine's thermal calibration and model cache wired in. A caller that
 // sets cfg.Models (the scaling study's counting provider) keeps it.
 func (e *Engine) platform(ctx context.Context, in *runInput, cfg cosynth.PlatformConfig) (*cosynth.Result, error) {
-	cfg.HotSpot = &e.thermal
+	cfg.HotSpot = e.thermal
 	cfg.Platform = in.platform
 	if cfg.Models == nil {
 		cfg.Models = e.modelProvider()
@@ -352,7 +350,7 @@ func (e *Engine) runPlatformFlow(ctx context.Context, req *Request) (*Response, 
 	if err != nil {
 		return nil, err
 	}
-	resp, err := flowResponse(FlowPlatform, cfg.Policy, res, req.IncludeGantt, false)
+	resp, err := flowResponse(FlowPlatform, cfg.Sched.Policy, res, req.IncludeGantt, false)
 	if err != nil {
 		return nil, err
 	}
@@ -374,7 +372,7 @@ func (e *Engine) runCoSynthFlow(ctx context.Context, req *Request) (*Response, e
 			return nil, fieldErr("candidateTypes", "candidate PE type %q not in the input's library", name)
 		}
 	}
-	cfg.HotSpot = &e.thermal
+	cfg.HotSpot = e.thermal
 	cfg.Search = e.poolFor(req)
 	if in.scen != nil && cfg.CandidateTypes == nil {
 		// A generated scenario brings its own library; co-synthesis
@@ -388,7 +386,7 @@ func (e *Engine) runCoSynthFlow(ctx context.Context, req *Request) (*Response, e
 	}
 	e.searchEvals.Add(uint64(res.SearchEvals))
 	e.searchMemoHits.Add(uint64(res.SearchMemoHits))
-	resp, err := flowResponse(FlowCoSynthesis, cfg.Policy, res, req.IncludeGantt, true)
+	resp, err := flowResponse(FlowCoSynthesis, cfg.Sched.Policy, res, req.IncludeGantt, true)
 	if err != nil {
 		return nil, err
 	}
@@ -505,7 +503,7 @@ func (e *Engine) runSimulateFlow(ctx context.Context, req *Request) (*Response, 
 		MeanEnergy:           replicaMean(results, func(r *rt.Result) float64 { return r.Energy }),
 		MeanAdmissionDenials: replicaMean(results, func(r *rt.Result) float64 { return float64(r.AdmissionDenials) }),
 	}
-	resp, err := flowResponse(FlowSimulate, cfg.Policy, res, req.IncludeGantt, false)
+	resp, err := flowResponse(FlowSimulate, cfg.Sched.Policy, res, req.IncludeGantt, false)
 	if err != nil {
 		return nil, err
 	}

@@ -50,7 +50,7 @@ func TestEngineMatchesDeprecatedRunPlatform(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			old, err := cosynth.RunPlatform(context.Background(), g, lib, cosynth.PlatformConfig{Policy: policy})
+			old, err := cosynth.RunPlatform(context.Background(), g, lib, cosynth.DefaultPlatformConfig(policy))
 			if err != nil {
 				t.Fatalf("%s/%s uncached: %v", name, policy, err)
 			}
@@ -86,9 +86,9 @@ func TestEngineMatchesDeprecatedRunCoSynthesis(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Seed 1 is what a request without a seed runs with.
-		old, err := cosynth.RunCoSynthesis(context.Background(), g, lib, cosynth.CoSynthConfig{
-			Policy: MinTaskEnergy, FloorplanGenerations: gens, Seed: 1,
-		})
+		cfg := cosynth.DefaultCoSynthConfig(MinTaskEnergy)
+		cfg.FloorplanGenerations, cfg.Seed = gens, 1
+		old, err := cosynth.RunCoSynthesis(context.Background(), g, lib, cfg)
 		if err != nil {
 			t.Fatalf("%s uncached: %v", name, err)
 		}
@@ -148,9 +148,9 @@ func TestCoSynthesisSeedZeroContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := cosynth.RunCoSynthesis(context.Background(), g, lib, cosynth.CoSynthConfig{
-		Policy: ThermalAware, MaxPEs: 4, FloorplanGenerations: 2, Seed: 0,
-	})
+	cfg := cosynth.DefaultCoSynthConfig(ThermalAware)
+	cfg.MaxPEs, cfg.FloorplanGenerations, cfg.Seed = 4, 2, 0
+	direct, err := cosynth.RunCoSynthesis(context.Background(), g, lib, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

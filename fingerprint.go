@@ -24,9 +24,10 @@ const fingerprintVersion = "req/v5\n"
 // fields in declaration order and encodes what pointers point to, so
 // the bytes are stable and every field is covered;
 // TestRequestFingerprintCoversFields checks that no field reachable
-// from Request is hidden from the encoder. Policy aliases, nil and
-// default-valued specs, and a nil and an explicit co-synthesis seed 1
-// therefore share a key, while an explicit seed 0 stays seed 0.
+// from Request is hidden from the encoder. Policy aliases, unset and
+// explicitly default knobs and specs, and a nil and an explicit
+// co-synthesis seed 1 therefore share a key, while an explicit seed 0
+// stays seed 0.
 //
 // Validate rejects NaN and ±Inf, which JSON cannot carry; for such a
 // request the digest covers the encoder's error instead.

@@ -236,11 +236,11 @@ func TestRequestFingerprintPinned(t *testing.T) {
 		req  Request
 		want string
 	}{
-		{"simulate-full", Request{Flow: FlowSimulate, Benchmark: "Bm2", Simulate: &sim}, "5bc397e0f6a029fc"},
-		{"simulate-default", Request{Flow: FlowSimulate, Benchmark: "Bm1"}, "c70a8c60ff8c060f"},
+		{"simulate-full", Request{Flow: FlowSimulate, Benchmark: "Bm2", Simulate: &sim}, "6ec3ba86e2e9d669"},
+		{"simulate-default", Request{Flow: FlowSimulate, Benchmark: "Bm1"}, "f6790c73c8b1970a"},
 		{"stream-full", Request{Flow: FlowStream, Stream: &st,
-			Policy: StreamPolicyAdmit}, "33e88399c4506d43"},
-		{"stream-default", Request{Flow: FlowStream, Stream: &StreamSpec{Seed: 1}}, "8d9804ea668b312d"},
+			Policy: StreamPolicyAdmit}, "0285f316d91987c4"},
+		{"stream-default", Request{Flow: FlowStream, Stream: &StreamSpec{Seed: 1}}, "ed2acc5f8aa568fc"},
 		{"campaign-simulate", Request{Flow: FlowCampaign, Campaign: &CampaignSpec{
 			Scenarios: 3, Seed: 2, Policies: []string{"thermal"},
 			Controllers: []string{"toggle", "admit", "zigzag"}, Simulate: &campSim}}, "8927cbc3203abaa2"},
@@ -321,9 +321,9 @@ func runBytes(t *testing.T, e *Engine, req Request) []byte {
 
 // The fingerprint's contract over a corpus of spellings. Each pair
 // spells one canonical request two ways (policy aliases, nil against
-// explicitly default specs, a zero workload field against its
-// default), so both must share a fingerprint and run to the same
-// bytes. The campaign pair differs only in the template's graph shape:
+// explicitly default specs, a zero workload field or unset knob
+// against its default), so both must share a fingerprint and run to
+// the same bytes. The campaign pair differs only in the template's graph shape:
 // empty draws each scenario's shape, "layered" pins it, so they are
 // different campaigns and must not share a coalescing key.
 func TestRequestFingerprintCanonicalCorpus(t *testing.T) {
@@ -361,6 +361,31 @@ func TestRequestFingerprintCanonicalCorpus(t *testing.T) {
 			Request{Flow: FlowStream, Stream: smallStream()},
 			Request{Flow: FlowStream, Stream: &StreamSpec{Name: "stream", Seed: 1, DT: 1,
 				Arrivals: StreamArrivalParams{Horizon: 200, Sources: 3}, Platform: ScenarioPlatformParams{MeanWork: 30}}}},
+		{"zero bus rate is the default rate",
+			Request{Flow: FlowPlatform, Benchmark: "Bm1"},
+			Request{Flow: FlowPlatform, Benchmark: "Bm1", BusTimePerUnit: 0.05}},
+		{"nil temperature weight is the default weight",
+			Request{Flow: FlowPlatform, Benchmark: "Bm1"},
+			Request{Flow: FlowPlatform, Benchmark: "Bm1", TempWeight: ptr(10.0)}},
+		{"nil thermal horizon is the default horizon",
+			Request{Flow: FlowPlatform, Benchmark: "Bm1"},
+			Request{Flow: FlowPlatform, Benchmark: "Bm1", ThermalHorizon: ptr(1000.0)}},
+		{"zero PE cap is the default cap",
+			Request{Flow: FlowCoSynthesis, Benchmark: "Bm1", FloorplanGenerations: 2},
+			Request{Flow: FlowCoSynthesis, Benchmark: "Bm1", FloorplanGenerations: 2, MaxPEs: 6}},
+		{"zero floorplan generations are the default effort",
+			Request{Flow: FlowCoSynthesis, Benchmark: "Bm1", MaxPEs: 2},
+			Request{Flow: FlowCoSynthesis, Benchmark: "Bm1", MaxPEs: 2, FloorplanGenerations: 30}},
+		{"zero stream bus rate is the default rate",
+			Request{Flow: FlowStream, Stream: smallStream()},
+			Request{Flow: FlowStream, Stream: smallStream(), BusTimePerUnit: 0.05}},
+		{"a default campaign template is no template",
+			Request{Flow: FlowCampaign, Campaign: smallCampaign()},
+			Request{Flow: FlowCampaign, Campaign: func() *CampaignSpec {
+				c := smallCampaign()
+				c.Template = &ScenarioSpec{Platform: ScenarioPlatformParams{PEs: 4}}
+				return c
+			}()}},
 		{"parallelism is excluded",
 			Request{Flow: FlowSimulate, Benchmark: "Bm1", Simulate: &SimulateSpec{Replicas: 2}},
 			Request{Flow: FlowSimulate, Benchmark: "Bm1", Simulate: &SimulateSpec{Replicas: 2}, Parallelism: 1}},

@@ -199,51 +199,36 @@ func errOf[T any](_ T, err error) error { return err }
 // help order.
 var simulateControllers = []string{"toggle", "pi", "none", "admit", "zigzag"}
 
-func validSimulateController(name string) bool {
-	if name == "" {
-		return true
-	}
-	for _, c := range simulateControllers {
-		if name == c {
-			return true
-		}
-	}
-	return false
-}
-
 func validateSimulateFlow(r *Request) error {
-	if r.Simulate == nil {
-		return nil
-	}
 	return r.Simulate.validate("simulate")
 }
 
 // validate checks the spec's knobs; prefix is its JSON path
-// ("simulate", or "campaign.simulate" inside a campaign). The toggle
-// and PI knobs go through the dtm constructors' own range checks, one
-// knob per call so the error names its field.
+// ("simulate", or "campaign.simulate" inside a campaign). Call on a
+// withDefaults() copy. The toggle and PI knobs go through the dtm
+// constructors' own range checks, one knob per call so the error names
+// its field.
 func (s *SimulateSpec) validate(prefix string) error {
-	if !validSimulateController(s.Controller) {
+	if !slices.Contains(simulateControllers, s.Controller) {
 		return fieldErr(prefix+".controller", "unknown simulate controller %q (want one of %v)", s.Controller, simulateControllers)
 	}
-	n := s.withDefaults()
-	if err := checkLoop(prefix, n.DT, n.TimeScale, n.MinFactor, n.Replicas); err != nil {
+	if err := checkLoop(prefix, s.DT, s.TimeScale, s.MinFactor, s.Replicas); err != nil {
 		return err
 	}
-	if err := n.SupervisorSpec.validate(prefix, n.DT); err != nil {
+	if err := s.SupervisorSpec.validate(prefix, s.DT); err != nil {
 		return err
 	}
 	for _, k := range []struct {
 		field string
 		err   error
 	}{
-		{"triggerC", errOf(dtm.NewToggleController(n.TriggerC, 0, 0))},
-		{"hysteresis", errOf(dtm.NewToggleController(0, n.Hysteresis, 0))},
-		{"throttle", errOf(dtm.NewToggleController(0, 0, n.Throttle))},
-		{"setpointC", errOf(dtm.NewPIController(n.SetpointC, 0, 0, 0))},
-		{"kp", errOf(dtm.NewPIController(0, n.Kp, 0, 0))},
-		{"ki", errOf(dtm.NewPIController(0, 0, n.Ki, 0))},
-		{"minScale", errOf(dtm.NewPIController(0, 0, 0, n.MinScale))},
+		{"triggerC", errOf(dtm.NewToggleController(s.TriggerC, 0, 0))},
+		{"hysteresis", errOf(dtm.NewToggleController(0, s.Hysteresis, 0))},
+		{"throttle", errOf(dtm.NewToggleController(0, 0, s.Throttle))},
+		{"setpointC", errOf(dtm.NewPIController(s.SetpointC, 0, 0, 0))},
+		{"kp", errOf(dtm.NewPIController(0, s.Kp, 0, 0))},
+		{"ki", errOf(dtm.NewPIController(0, 0, s.Ki, 0))},
+		{"minScale", errOf(dtm.NewPIController(0, 0, 0, s.MinScale))},
 	} {
 		if k.err != nil {
 			return fieldErr(prefix+"."+k.field, "%v", k.err)
@@ -253,7 +238,7 @@ func (s *SimulateSpec) validate(prefix string) error {
 }
 
 // checkLoop checks the co-simulation knobs the simulate and stream
-// specs share, on their withDefaults() values: each must lie in
+// specs share, on their defaulted values: each must lie in
 // (0, hi]. The negated comparison also rejects NaN, which fails every
 // comparison and so slips through a plain out-of-range test.
 func checkLoop(prefix string, dt, timeScale, minFactor float64, replicas int) error {

@@ -81,13 +81,9 @@ func validFieldValue(t *testing.T, kind FlowKind, key string) any {
 	return nil
 }
 
-// On every flow, setting a Request field other than flow passes
-// Validate if and only if the flow's registry row lists it; a field the
-// row omits is a FieldError on that field ("input" for a foreign
-// workload).
-func TestValidateAcceptsExactlyTheFieldsEachFlowReads(t *testing.T) {
-	// Each flow's smallest valid request.
-	base := map[FlowKind]Request{
+// minimalRequests holds each flow's smallest valid request.
+func minimalRequests() map[FlowKind]Request {
+	return map[FlowKind]Request{
 		FlowPlatform:    {Flow: FlowPlatform, Benchmark: "Bm1"},
 		FlowCoSynthesis: {Flow: FlowCoSynthesis, Benchmark: "Bm1"},
 		FlowSimulate:    {Flow: FlowSimulate, Benchmark: "Bm1"},
@@ -95,6 +91,37 @@ func TestValidateAcceptsExactlyTheFieldsEachFlowReads(t *testing.T) {
 		FlowCampaign:    {Flow: FlowCampaign},
 		FlowStream:      {Flow: FlowStream, Stream: &StreamSpec{Seed: 1}},
 	}
+}
+
+// Validate checks the canonical form, so canonical() must set no field
+// outside the flow's registry row: a default written into a field the
+// row omits would fail every request of that flow.
+func TestCanonicalSetsOnlyFieldsTheFlowReads(t *testing.T) {
+	base := minimalRequests()
+	for _, fs := range flowTable() {
+		req, ok := base[fs.kind]
+		if !ok {
+			t.Fatalf("no minimal request for flow %s", fs.kind)
+		}
+		c := req.canonical()
+		v := reflect.ValueOf(c)
+		for i, key := range requestKeys {
+			if key != "flow" && !slices.Contains(fs.reads, key) && !v.Field(i).IsZero() {
+				t.Errorf("%s: canonical() sets %s, which the flow does not read", fs.kind, key)
+			}
+		}
+		if err := c.validate(); err != nil {
+			t.Errorf("%s: canonical form of the minimal request is invalid: %v", fs.kind, err)
+		}
+	}
+}
+
+// On every flow, setting a Request field other than flow passes
+// Validate if and only if the flow's registry row lists it; a field the
+// row omits is a FieldError on that field ("input" for a foreign
+// workload).
+func TestValidateAcceptsExactlyTheFieldsEachFlowReads(t *testing.T) {
+	base := minimalRequests()
 	for _, kind := range FlowKinds() {
 		req, ok := base[kind]
 		if !ok {

@@ -15,25 +15,26 @@ import (
 	"thermalsched/internal/techlib"
 )
 
-// CoSynthConfig parameterizes the co-synthesis flow (Fig. 1a).
+// CoSynthConfig parameterizes the co-synthesis flow (Fig. 1a). Every
+// knob is used as given; DefaultCoSynthConfig holds the calibrated
+// values.
 type CoSynthConfig struct {
-	// Policy selects the ASP variant used while evaluating candidate
-	// architectures and for the final schedule.
-	Policy sched.Policy
-	// Sched overrides the scheduler configuration (Policy is forced).
-	Sched *sched.Config
+	// Sched is the ASP configuration used while evaluating candidate
+	// architectures and for the final schedule; its Policy also picks
+	// the floorplanner objective and the search's selection rule.
+	Sched sched.Config
 	// CandidateTypes are the library PE type names co-synthesis may
 	// instantiate. Nil means the co-synthesis palette
 	// (techlib.CoSynthesisSpecs names).
 	CandidateTypes []string
-	// MaxPEs caps the architecture size. Zero means 6.
+	// MaxPEs caps the architecture size; it must be at least 1.
 	MaxPEs int
 	// BusTimePerUnit as in PlatformConfig.
 	BusTimePerUnit float64
-	// HotSpot overrides the thermal model configuration.
-	HotSpot *hotspot.Config
+	// HotSpot is the thermal model configuration.
+	HotSpot hotspot.Config
 	// FloorplanGenerations sizes the GA floorplanner effort per candidate
-	// architecture. Zero means 30.
+	// architecture.
 	FloorplanGenerations int
 	// Seed drives the GA floorplanner, verbatim: zero is seed 0. The
 	// Engine resolves a request without a seed to 1.
@@ -59,7 +60,31 @@ type CoSynthConfig struct {
 	Search *search.Pool
 }
 
-func (c *CoSynthConfig) withDefaults(lib *techlib.Library) (CoSynthConfig, error) {
+// The co-synthesis effort defaults: the architecture-size cap and the
+// GA floorplanner's generations per candidate architecture.
+const (
+	DefaultMaxPEs               = 6
+	DefaultFloorplanGenerations = 30
+)
+
+// DefaultCoSynthConfig returns the calibrated co-synthesis
+// configuration for a policy: sched.DefaultConfig, the experiments'
+// bus rate, hotspot.DefaultConfig, DefaultMaxPEs and
+// DefaultFloorplanGenerations. Seed stays 0 and CandidateTypes nil.
+func DefaultCoSynthConfig(p sched.Policy) CoSynthConfig {
+	return CoSynthConfig{
+		Sched:                sched.DefaultConfig(p),
+		MaxPEs:               DefaultMaxPEs,
+		BusTimePerUnit:       techlib.DefaultBusTimePerUnit,
+		HotSpot:              hotspot.DefaultConfig(),
+		FloorplanGenerations: DefaultFloorplanGenerations,
+	}
+}
+
+// withCandidates returns the config with nil CandidateTypes resolved to
+// the co-synthesis palette, after checking the candidates against lib
+// and the size cap.
+func (c *CoSynthConfig) withCandidates(lib *techlib.Library) (CoSynthConfig, error) {
 	out := *c
 	if out.CandidateTypes == nil {
 		for _, s := range techlib.CoSynthesisSpecs() {
@@ -71,17 +96,8 @@ func (c *CoSynthConfig) withDefaults(lib *techlib.Library) (CoSynthConfig, error
 			return out, fmt.Errorf("cosynth: candidate PE type %q not in library", name)
 		}
 	}
-	if out.MaxPEs == 0 {
-		out.MaxPEs = 6
-	}
 	if out.MaxPEs < 1 {
 		return out, fmt.Errorf("cosynth: MaxPEs %d invalid", out.MaxPEs)
-	}
-	if out.BusTimePerUnit == 0 {
-		out.BusTimePerUnit = DefaultBusTimePerUnit
-	}
-	if out.FloorplanGenerations == 0 {
-		out.FloorplanGenerations = 30
 	}
 	return out, nil
 }
@@ -106,7 +122,7 @@ func RunCoSynthesis(ctx context.Context, g *taskgraph.Graph, lib *techlib.Librar
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	c, err := cfg.withDefaults(lib)
+	c, err := cfg.withCandidates(lib)
 	if err != nil {
 		return nil, err
 	}
@@ -234,7 +250,7 @@ func RunCoSynthesis(ctx context.Context, g *taskgraph.Graph, lib *techlib.Librar
 			}
 			return a.Metrics.Cost < b.Metrics.Cost
 		}
-		if c.Policy == sched.ThermalAware {
+		if c.Sched.Policy == sched.ThermalAware {
 			if math.Abs(a.Metrics.MaxTemp-b.Metrics.MaxTemp) > 1e-9 {
 				return a.Metrics.MaxTemp < b.Metrics.MaxTemp
 			}
@@ -269,7 +285,7 @@ func RunCoSynthesis(ctx context.Context, g *taskgraph.Graph, lib *techlib.Librar
 	// meaningfully — trading cost for heat spreading, which is what
 	// distinguishes the thermal-aware customized architectures of the
 	// paper's Table 2.
-	if c.Policy == sched.ThermalAware && best.Metrics.Feasible {
+	if c.Sched.Policy == sched.ThermalAware && best.Metrics.Feasible {
 		for len(types) < c.MaxPEs {
 			opts := neighbours(types)
 			results, err := evaluateAll(opts)
@@ -300,7 +316,7 @@ func RunCoSynthesis(ctx context.Context, g *taskgraph.Graph, lib *techlib.Librar
 				if !r.Metrics.Feasible {
 					return false
 				}
-				if c.Policy == sched.ThermalAware && r.Metrics.MaxTemp > best.Metrics.MaxTemp+0.5 {
+				if c.Sched.Policy == sched.ThermalAware && r.Metrics.MaxTemp > best.Metrics.MaxTemp+0.5 {
 					return false
 				}
 				return true
@@ -490,11 +506,6 @@ func evaluate(ctx context.Context, g *taskgraph.Graph, lib *techlib.Library, typ
 		return nil, err
 	}
 
-	hs := hotspot.DefaultConfig()
-	if c.HotSpot != nil {
-		hs = *c.HotSpot
-	}
-
 	// Pilot schedule (heuristic 3) for the floorplanner's power estimates.
 	pilotCfg := sched.DefaultConfig(sched.MinTaskEnergy)
 	pilot, err := sched.AllocateAndSchedule(ctx, g, arch, lib, pilotCfg)
@@ -517,11 +528,11 @@ func evaluate(ctx context.Context, g *taskgraph.Graph, lib *techlib.Library, typ
 	gaCfg.Generations = c.FloorplanGenerations
 	gaCfg.Seed = c.Seed
 	gaCfg.Pool = c.Search
-	if c.Policy == sched.ThermalAware {
+	if c.Sched.Policy == sched.ThermalAware {
 		// Each candidate plan is solved once and dropped, so it skips
 		// the model cache; only the winner's model goes through it.
 		gaCfg.Eval = func(fp *floorplan.Floorplan, power map[string]float64) (float64, error) {
-			return hotspot.SteadyPeak(fp, hs, power)
+			return hotspot.SteadyPeak(fp, c.HotSpot, power)
 		}
 		gaCfg.Power = powerByName
 		gaCfg.TempWeight = 1.0
@@ -533,7 +544,7 @@ func evaluate(ctx context.Context, g *taskgraph.Graph, lib *techlib.Library, typ
 		return nil, fmt.Errorf("cosynth: floorplanning: %w", err)
 	}
 
-	model, err := c.Models.newModel(fpRes.Plan, hs)
+	model, err := c.Models.newModel(fpRes.Plan, c.HotSpot)
 	if err != nil {
 		return nil, err
 	}
@@ -542,24 +553,18 @@ func evaluate(ctx context.Context, g *taskgraph.Graph, lib *techlib.Library, typ
 		return nil, err
 	}
 
-	sc := sched.DefaultConfig(c.Policy)
-	if c.Sched != nil {
-		sc = *c.Sched
-		sc.Policy = c.Policy
-	}
-	if c.Policy == sched.ThermalAware {
+	sc := c.Sched
+	if sc.Policy == sched.ThermalAware {
 		sc.Oracle = oracle
 	}
 	s, err := sched.AllocateAndSchedule(ctx, g, arch, lib, sc)
 	if err != nil {
 		return nil, fmt.Errorf("cosynth: schedule on %s: %w", arch.Name, err)
 	}
-	m, err := computeMetrics(s, oracle)
+	res, err := computeMetrics(s, fpRes.Plan, model, oracle)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		Schedule: s, Arch: arch, Plan: fpRes.Plan, Model: model, Oracle: oracle, Metrics: m,
-		SearchEvals: fpRes.Evals, SearchMemoHits: fpRes.MemoHits,
-	}, nil
+	res.SearchEvals, res.SearchMemoHits = fpRes.Evals, fpRes.MemoHits
+	return res, nil
 }

@@ -29,8 +29,16 @@ func bm(t testing.TB, name string) *taskgraph.Graph {
 	return g
 }
 
+// withGenerations is DefaultCoSynthConfig(p) at the given GA
+// floorplanner effort.
+func withGenerations(p sched.Policy, generations int) CoSynthConfig {
+	c := DefaultCoSynthConfig(p)
+	c.FloorplanGenerations = generations
+	return c
+}
+
 func TestRunPlatformBaseline(t *testing.T) {
-	res, err := RunPlatform(context.Background(), bm(t, "Bm1"), stdLib(t), PlatformConfig{Policy: sched.Baseline})
+	res, err := RunPlatform(context.Background(), bm(t, "Bm1"), stdLib(t), DefaultPlatformConfig(sched.Baseline))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +66,7 @@ func TestRunPlatformAllPolicies(t *testing.T) {
 	lib := stdLib(t)
 	g := bm(t, "Bm1")
 	for _, p := range sched.Policies() {
-		res, err := RunPlatform(context.Background(), g, lib, PlatformConfig{Policy: p})
+		res, err := RunPlatform(context.Background(), g, lib, DefaultPlatformConfig(p))
 		if err != nil {
 			t.Fatalf("%v: %v", p, err)
 		}
@@ -71,11 +79,11 @@ func TestRunPlatformAllPolicies(t *testing.T) {
 func TestRunPlatformThermalBeatsBaselineTemps(t *testing.T) {
 	lib := stdLib(t)
 	g := bm(t, "Bm3")
-	base, err := RunPlatform(context.Background(), g, lib, PlatformConfig{Policy: sched.Baseline})
+	base, err := RunPlatform(context.Background(), g, lib, DefaultPlatformConfig(sched.Baseline))
 	if err != nil {
 		t.Fatal(err)
 	}
-	therm, err := RunPlatform(context.Background(), g, lib, PlatformConfig{Policy: sched.ThermalAware})
+	therm, err := RunPlatform(context.Background(), g, lib, DefaultPlatformConfig(sched.ThermalAware))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,9 +100,9 @@ func TestRunPlatformThermalBeatsBaselineTemps(t *testing.T) {
 func TestRunPlatformCustomHotSpotConfig(t *testing.T) {
 	hs := hotspot.DefaultConfig()
 	hs.AmbientC = 25
-	res, err := RunPlatform(context.Background(), bm(t, "Bm1"), stdLib(t), PlatformConfig{
-		Policy: sched.Baseline, HotSpot: &hs,
-	})
+	cfg := DefaultPlatformConfig(sched.Baseline)
+	cfg.HotSpot = hs
+	res, err := RunPlatform(context.Background(), bm(t, "Bm1"), stdLib(t), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,9 +116,7 @@ func TestRunCoSynthesisMeetsDeadline(t *testing.T) {
 	lib := stdLib(t)
 	for _, name := range []string{"Bm1", "Bm2"} {
 		g := bm(t, name)
-		res, err := RunCoSynthesis(context.Background(), g, lib, CoSynthConfig{
-			Policy: sched.MinTaskEnergy, FloorplanGenerations: 10,
-		})
+		res, err := RunCoSynthesis(context.Background(), g, lib, withGenerations(sched.MinTaskEnergy, 10))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -135,9 +141,7 @@ func TestRunCoSynthesisMeetsDeadline(t *testing.T) {
 func TestRunCoSynthesisThermalFlow(t *testing.T) {
 	lib := stdLib(t)
 	g := bm(t, "Bm1")
-	res, err := RunCoSynthesis(context.Background(), g, lib, CoSynthConfig{
-		Policy: sched.ThermalAware, FloorplanGenerations: 10,
-	})
+	res, err := RunCoSynthesis(context.Background(), g, lib, withGenerations(sched.ThermalAware, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,9 +157,9 @@ func TestRunCoSynthesisUsesFewPEs(t *testing.T) {
 	// Cost-driven selection should not instantiate more PEs than MaxPEs
 	// and should prune unneeded ones.
 	lib := stdLib(t)
-	res, err := RunCoSynthesis(context.Background(), bm(t, "Bm1"), lib, CoSynthConfig{
-		Policy: sched.Baseline, FloorplanGenerations: 5, MaxPEs: 5,
-	})
+	cfg := withGenerations(sched.Baseline, 5)
+	cfg.MaxPEs = 5
+	res, err := RunCoSynthesis(context.Background(), bm(t, "Bm1"), lib, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,15 +171,19 @@ func TestRunCoSynthesisUsesFewPEs(t *testing.T) {
 func TestRunCoSynthesisErrors(t *testing.T) {
 	lib := stdLib(t)
 	g := bm(t, "Bm1")
-	if _, err := RunCoSynthesis(context.Background(), g, lib, CoSynthConfig{
-		Policy: sched.Baseline, CandidateTypes: []string{"nonexistent"},
-	}); err == nil {
+	unknown := DefaultCoSynthConfig(sched.Baseline)
+	unknown.CandidateTypes = []string{"nonexistent"}
+	if _, err := RunCoSynthesis(context.Background(), g, lib, unknown); err == nil {
 		t.Error("unknown candidate type accepted")
 	}
-	if _, err := RunCoSynthesis(context.Background(), g, lib, CoSynthConfig{Policy: sched.Baseline, MaxPEs: -1}); err == nil {
-		t.Error("negative MaxPEs accepted")
+	for _, n := range []int{-1, 0} {
+		cfg := DefaultCoSynthConfig(sched.Baseline)
+		cfg.MaxPEs = n
+		if _, err := RunCoSynthesis(context.Background(), g, lib, cfg); err == nil {
+			t.Errorf("MaxPEs %d accepted", n)
+		}
 	}
-	if _, err := RunCoSynthesis(context.Background(), taskgraph.NewGraph("empty", 1), lib, CoSynthConfig{}); err == nil {
+	if _, err := RunCoSynthesis(context.Background(), taskgraph.NewGraph("empty", 1), lib, DefaultCoSynthConfig(sched.Baseline)); err == nil {
 		t.Error("empty graph accepted")
 	}
 }
@@ -187,13 +195,11 @@ func TestRunCoSynthesisErrors(t *testing.T) {
 func TestPlatformCoolerThanCoSynthesisThermal(t *testing.T) {
 	lib := stdLib(t)
 	g := bm(t, "Bm1")
-	plat, err := RunPlatform(context.Background(), g, lib, PlatformConfig{Policy: sched.ThermalAware})
+	plat, err := RunPlatform(context.Background(), g, lib, DefaultPlatformConfig(sched.ThermalAware))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cos, err := RunCoSynthesis(context.Background(), g, lib, CoSynthConfig{
-		Policy: sched.ThermalAware, FloorplanGenerations: 10,
-	})
+	cos, err := RunCoSynthesis(context.Background(), g, lib, withGenerations(sched.ThermalAware, 10))
 	if err != nil {
 		t.Fatal(err)
 	}

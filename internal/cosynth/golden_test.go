@@ -40,7 +40,7 @@ func TestGoldenTable3Platform(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunPlatform(context.Background(), graph, lib, PlatformConfig{Policy: g.policy})
+		res, err := RunPlatform(context.Background(), graph, lib, DefaultPlatformConfig(g.policy))
 		if err != nil {
 			t.Fatalf("%s/%s: %v", g.bench, g.policy, err)
 		}
@@ -69,11 +69,11 @@ func TestGoldenThermalWinsEveryBenchmark(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := RunPlatform(context.Background(), g, lib, PlatformConfig{Policy: sched.MinTaskEnergy})
+		p, err := RunPlatform(context.Background(), g, lib, DefaultPlatformConfig(sched.MinTaskEnergy))
 		if err != nil {
 			t.Fatal(err)
 		}
-		th, err := RunPlatform(context.Background(), g, lib, PlatformConfig{Policy: sched.ThermalAware})
+		th, err := RunPlatform(context.Background(), g, lib, DefaultPlatformConfig(sched.ThermalAware))
 		if err != nil {
 			t.Fatal(err)
 		}

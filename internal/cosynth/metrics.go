@@ -60,8 +60,13 @@ type Result struct {
 	Arch     sched.Architecture
 	Plan     *floorplan.Floorplan
 	Model    *hotspot.Model
-	Oracle   *sched.ModelOracle
 	Metrics  Metrics
+	// PEPower and PETemp are each PE's steady-state operating point, in
+	// Arch order: its average power over the graph's deadline (W) and
+	// the resulting block temperature (°C) — the solve Metrics'
+	// temperature columns come from.
+	PEPower []float64
+	PETemp  []float64
 	// SearchEvals and SearchMemoHits aggregate the floorplanner's
 	// packing-evaluation accounting over every candidate architecture a
 	// co-synthesis run explored (zero for platform runs, whose layout is
@@ -73,23 +78,33 @@ type Result struct {
 	SearchMemoHits int
 }
 
-// computeMetrics evaluates the paper's table columns for a finished
-// schedule against its thermal model.
-func computeMetrics(s *sched.Schedule, oracle *sched.ModelOracle) (Metrics, error) {
+// computeMetrics scores a finished schedule against the thermal model of
+// its floorplan: one steady-state solve of the per-PE average powers
+// gives the paper's table columns and each PE's operating point.
+func computeMetrics(s *sched.Schedule, plan *floorplan.Floorplan, model *hotspot.Model, oracle *sched.ModelOracle) (*Result, error) {
 	pow, err := s.PEAveragePower(s.Graph.Deadline)
 	if err != nil {
-		return Metrics{}, err
+		return nil, err
 	}
 	temps, err := oracle.Temps(pow)
 	if err != nil {
-		return Metrics{}, fmt.Errorf("cosynth: final temperature extraction: %w", err)
+		return nil, fmt.Errorf("cosynth: final temperature extraction: %w", err)
 	}
-	return Metrics{
-		TotalPower: s.TotalPower(),
-		MaxTemp:    temps.Max(),
-		AvgTemp:    temps.Avg(),
-		Makespan:   s.Makespan,
-		Feasible:   s.MeetsDeadline(),
-		Cost:       s.Arch.TotalCost(s.Lib),
+	peTemp := make([]float64, len(pow))
+	for i, name := range s.Arch.PENames() {
+		peTemp[i], _ = temps.Of(name)
+	}
+	return &Result{
+		Schedule: s, Arch: s.Arch, Plan: plan, Model: model,
+		Metrics: Metrics{
+			TotalPower: s.TotalPower(),
+			MaxTemp:    temps.Max(),
+			AvgTemp:    temps.Avg(),
+			Makespan:   s.Makespan,
+			Feasible:   s.MeetsDeadline(),
+			Cost:       s.Arch.TotalCost(s.Lib),
+		},
+		PEPower: pow,
+		PETemp:  peTemp,
 	}, nil
 }

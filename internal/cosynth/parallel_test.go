@@ -38,17 +38,15 @@ func TestCoSynthesisParallelMatchesSerial(t *testing.T) {
 	lib := stdLib(t)
 	g := bm(t, "Bm1")
 	for _, policy := range []sched.Policy{sched.MinTaskEnergy, sched.ThermalAware} {
-		serial, err := RunCoSynthesis(context.Background(), g, lib, CoSynthConfig{
-			Policy: policy, FloorplanGenerations: 8,
-		})
+		serial, err := RunCoSynthesis(context.Background(), g, lib, withGenerations(policy, 8))
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := cosynthKey(t, serial)
 		for _, p := range []int{2, 4} {
-			got, err := RunCoSynthesis(context.Background(), g, lib, CoSynthConfig{
-				Policy: policy, FloorplanGenerations: 8, Search: search.NewPool(p),
-			})
+			cfg := withGenerations(policy, 8)
+			cfg.Search = search.NewPool(p)
+			got, err := RunCoSynthesis(context.Background(), g, lib, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -65,9 +63,9 @@ func TestCoSynthesisSharedPoolAndStats(t *testing.T) {
 	lib := stdLib(t)
 	g := bm(t, "Bm1")
 	pool := search.NewPool(4)
-	res, err := RunCoSynthesis(context.Background(), g, lib, CoSynthConfig{
-		Policy: sched.ThermalAware, FloorplanGenerations: 8, Search: pool,
-	})
+	cfg := withGenerations(sched.ThermalAware, 8)
+	cfg.Search = pool
+	res, err := RunCoSynthesis(context.Background(), g, lib, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,9 +75,7 @@ func TestCoSynthesisSharedPoolAndStats(t *testing.T) {
 	if res.SearchMemoHits <= 0 {
 		t.Errorf("SearchMemoHits = %d, want > 0 (convergent GA populations revisit genomes)", res.SearchMemoHits)
 	}
-	serial, err := RunCoSynthesis(context.Background(), g, lib, CoSynthConfig{
-		Policy: sched.ThermalAware, FloorplanGenerations: 8,
-	})
+	serial, err := RunCoSynthesis(context.Background(), g, lib, withGenerations(sched.ThermalAware, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,9 +90,9 @@ func TestCoSynthesisSharedPoolAndStats(t *testing.T) {
 // evaluations actually run are counted, so a lost architecture memo
 // or a double count moves these numbers.
 func TestCoSynthesisSearchTotalsPinned(t *testing.T) {
-	res, err := RunCoSynthesis(context.Background(), bm(t, "Bm1"), stdLib(t), CoSynthConfig{
-		Policy: sched.ThermalAware, MaxPEs: 4, FloorplanGenerations: 2, Seed: 1,
-	})
+	cfg := withGenerations(sched.ThermalAware, 2)
+	cfg.MaxPEs, cfg.Seed = 4, 1
+	res, err := RunCoSynthesis(context.Background(), bm(t, "Bm1"), stdLib(t), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,9 +118,9 @@ func TestArchMemoScoreBatch(t *testing.T) {
 		return hotspot.NewModel(fp, cfg)
 	}
 	for _, p := range []int{1, 2} {
-		c, err := (&CoSynthConfig{
-			Policy: sched.MinTaskEnergy, FloorplanGenerations: 1, Models: failFast, Search: search.NewPool(p),
-		}).withDefaults(lib)
+		cfg := withGenerations(sched.MinTaskEnergy, 1)
+		cfg.Models, cfg.Search = failFast, search.NewPool(p)
+		c, err := cfg.withCandidates(lib)
 		if err != nil {
 			t.Fatal(err)
 		}

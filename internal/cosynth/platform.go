@@ -12,20 +12,18 @@ import (
 	"thermalsched/internal/techlib"
 )
 
-// PlatformConfig parameterizes the platform-based flow (Fig. 1b).
+// PlatformConfig parameterizes the platform-based flow (Fig. 1b). Every
+// field is used as given; DefaultPlatformConfig holds the calibrated
+// values.
 type PlatformConfig struct {
-	// Policy selects the ASP variant; the thermal oracle is wired
-	// automatically for ThermalAware.
-	Policy sched.Policy
-	// Sched overrides the scheduler configuration. Leave zero to use
-	// sched.DefaultConfig(Policy).
-	Sched *sched.Config
+	// Sched is the scheduler configuration, its Policy the ASP variant;
+	// the thermal oracle is wired automatically for ThermalAware.
+	Sched sched.Config
 	// BusTimePerUnit is the shared-bus communication rate (time units per
-	// data unit). Zero means DefaultBusTimePerUnit.
+	// data unit).
 	BusTimePerUnit float64
-	// HotSpot overrides the thermal model configuration; nil means
-	// hotspot.DefaultConfig.
-	HotSpot *hotspot.Config
+	// HotSpot is the thermal model configuration.
+	HotSpot hotspot.Config
 	// Models supplies thermal models; nil means hotspot.NewModel. The
 	// Engine layer injects its factorization cache here.
 	Models ModelProvider
@@ -33,6 +31,17 @@ type PlatformConfig struct {
 	// platform description — generated scenarios route their
 	// heterogeneous platforms here. Nil keeps the paper platform.
 	Platform *PlatformDesc
+}
+
+// DefaultPlatformConfig returns the calibrated platform-flow
+// configuration for a policy: sched.DefaultConfig, the experiments' bus
+// rate and hotspot.DefaultConfig.
+func DefaultPlatformConfig(p sched.Policy) PlatformConfig {
+	return PlatformConfig{
+		Sched:          sched.DefaultConfig(p),
+		BusTimePerUnit: techlib.DefaultBusTimePerUnit,
+		HotSpot:        hotspot.DefaultConfig(),
+	}
 }
 
 // PlatformDesc describes a custom platform substrate: one PE instance
@@ -45,11 +54,6 @@ type PlatformDesc struct {
 	// Layout is "row" (default) or "grid".
 	Layout string
 }
-
-// DefaultBusTimePerUnit is the communication rate used throughout the
-// experiments: a 40-unit transfer costs two time units, small against
-// ~100-unit tasks.
-const DefaultBusTimePerUnit = 0.05
 
 // BuildPlatformDesc constructs a platform substrate: the architecture,
 // its floorplan, thermal model and oracle. A nil desc gives the paper's
@@ -106,38 +110,24 @@ func platformFloorplan(lib *techlib.Library, arch sched.Architecture, desc *Plat
 // 4-PE platform under the configured policy and extract the final
 // temperature profile. ctx is threaded into the ASP's greedy loop.
 func RunPlatform(ctx context.Context, g *taskgraph.Graph, lib *techlib.Library, cfg PlatformConfig) (*Result, error) {
-	bus := cfg.BusTimePerUnit
-	if bus == 0 {
-		bus = DefaultBusTimePerUnit
-	}
-	hs := hotspot.DefaultConfig()
-	if cfg.HotSpot != nil {
-		hs = *cfg.HotSpot
-	}
-	arch, fp, model, oracle, err := BuildPlatformDesc(lib, bus, hs, cfg.Models, cfg.Platform)
+	arch, fp, model, oracle, err := BuildPlatformDesc(lib, cfg.BusTimePerUnit, cfg.HotSpot, cfg.Models, cfg.Platform)
 	if err != nil {
 		return nil, err
 	}
-	sc := sched.DefaultConfig(cfg.Policy)
-	if cfg.Sched != nil {
-		sc = *cfg.Sched
-		sc.Policy = cfg.Policy
-	}
-	if cfg.Policy == sched.ThermalAware {
+	sc := cfg.Sched
+	if sc.Policy == sched.ThermalAware {
 		sc.Oracle = oracle
 	}
 	s, err := sched.AllocateAndSchedule(ctx, g, arch, lib, sc)
 	if err != nil {
 		return nil, fmt.Errorf("cosynth: platform schedule: %w", err)
 	}
-	m, err := computeMetrics(s, oracle)
+	res, err := computeMetrics(s, fp, model, oracle)
 	if err != nil {
 		return nil, err
 	}
-	if math.IsNaN(m.MaxTemp) {
+	if math.IsNaN(res.Metrics.MaxTemp) {
 		return nil, fmt.Errorf("cosynth: platform produced NaN temperature")
 	}
-	return &Result{
-		Schedule: s, Arch: arch, Plan: fp, Model: model, Oracle: oracle, Metrics: m,
-	}, nil
+	return res, nil
 }

@@ -9,12 +9,6 @@ import (
 	"thermalsched/internal/techlib"
 )
 
-// defaultBusTimePerUnit mirrors cosynth.DefaultBusTimePerUnit: the bus
-// rate the CCR calibration assumes. Duplicated here (and pinned by a
-// test against the cosynth constant) so the generator does not depend
-// on the flow layer.
-const defaultBusTimePerUnit = 0.05
-
 // edge is a graph edge under construction, before it is committed to a
 // taskgraph.Graph.
 type edge struct {
@@ -55,7 +49,7 @@ func generateGraph(spec Spec, lib *techlib.Library) (*taskgraph.Graph, error) {
 	// uniformly in [0.5, 1.5] × mean (floor 1, the .tg format's minimum
 	// meaningful volume).
 	meanWCET := meanLibraryWCET(lib, types)
-	meanData := g.CCR * meanWCET / defaultBusTimePerUnit
+	meanData := g.CCR * meanWCET / techlib.DefaultBusTimePerUnit
 	for i := range edges {
 		d := meanData * (0.5 + rng.Float64())
 		if d < 1 {
@@ -122,7 +116,7 @@ func lowerBound(g *taskgraph.Graph, lib *techlib.Library, pes int) (float64, err
 		return w
 	}
 	cp, err := g.CriticalPathLength(weight, func(e taskgraph.Edge) float64 {
-		return e.Data * defaultBusTimePerUnit
+		return e.Data * techlib.DefaultBusTimePerUnit
 	})
 	if err != nil {
 		return 0, err

@@ -378,7 +378,7 @@ func realizedCCR(g *taskgraph.Graph, lib *techlib.Library) float64 {
 	}
 	var comm float64
 	for _, e := range g.Edges() {
-		comm += e.Data * defaultBusTimePerUnit
+		comm += e.Data * techlib.DefaultBusTimePerUnit
 	}
 	comm /= float64(g.NumEdges())
 	return comm / comp

@@ -294,10 +294,9 @@ func TestScenarioSchedulesOnGeneratedPlatform(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, policy := range []sched.Policy{sched.MinTaskEnergy, sched.ThermalAware} {
-		res, err := cosynth.RunPlatform(context.Background(), s.Graph, s.Lib, cosynth.PlatformConfig{
-			Policy:   policy,
-			Platform: &cosynth.PlatformDesc{TypeNames: s.PETypeNames, Layout: s.Layout},
-		})
+		cfg := cosynth.DefaultPlatformConfig(policy)
+		cfg.Platform = &cosynth.PlatformDesc{TypeNames: s.PETypeNames, Layout: s.Layout}
+		res, err := cosynth.RunPlatform(context.Background(), s.Graph, s.Lib, cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", policy, err)
 		}
@@ -311,15 +310,6 @@ func TestScenarioSchedulesOnGeneratedPlatform(t *testing.T) {
 		if len(res.Arch.PEs) != 6 {
 			t.Errorf("%v: architecture has %d PEs, want 6", policy, len(res.Arch.PEs))
 		}
-	}
-}
-
-// The CCR calibration assumes the flow layer's default bus rate; keep
-// the duplicated constant pinned to the real one.
-func TestBusRateMatchesCosynth(t *testing.T) {
-	if defaultBusTimePerUnit != cosynth.DefaultBusTimePerUnit {
-		t.Errorf("defaultBusTimePerUnit %g != cosynth.DefaultBusTimePerUnit %g",
-			defaultBusTimePerUnit, cosynth.DefaultBusTimePerUnit)
 	}
 }
 

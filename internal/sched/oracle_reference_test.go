@@ -206,9 +206,9 @@ func TestInfluenceColumnsMatchMatrixBitForBit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := cosynth.RunCoSynthesis(context.Background(), g, lib, cosynth.CoSynthConfig{
-			Policy: sched.ThermalAware, MaxPEs: 4, FloorplanGenerations: 2,
-		})
+		cfg := cosynth.DefaultCoSynthConfig(sched.ThermalAware)
+		cfg.MaxPEs, cfg.FloorplanGenerations = 4, 2
+		res, err := cosynth.RunCoSynthesis(context.Background(), g, lib, cfg)
 		if err != nil {
 			t.Fatalf("%s co-synthesis: %v", bench, err)
 		}

@@ -12,6 +12,7 @@ import (
 	"thermalsched/internal/hotspot"
 	"thermalsched/internal/scenario"
 	"thermalsched/internal/stream"
+	"thermalsched/internal/techlib"
 )
 
 // supervisorFor builds the proactive thermal supervisor the admit and
@@ -46,7 +47,7 @@ func testInput(t *testing.T, spec scenario.StreamSpec) stream.Input {
 		t.Fatal(err)
 	}
 	arch, _, model, oracle, err := cosynth.BuildPlatformDesc(
-		wl.Lib, cosynth.DefaultBusTimePerUnit, hotspot.DefaultConfig(), nil,
+		wl.Lib, techlib.DefaultBusTimePerUnit, hotspot.DefaultConfig(), nil,
 		&cosynth.PlatformDesc{TypeNames: wl.PETypeNames, Layout: wl.Layout})
 	if err != nil {
 		t.Fatal(err)

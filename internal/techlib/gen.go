@@ -149,3 +149,10 @@ func StandardLibrary() (*Library, error) {
 // PlatformPEType is the nominal core type name (used by tests and as the
 // co-synthesis seed PE).
 const PlatformPEType = "pe-med"
+
+// DefaultBusTimePerUnit is the shared-bus communication rate used
+// throughout the experiments, in time units per data unit: a 40-unit
+// transfer costs two time units, small against ~100-unit tasks. The
+// scenario generator calibrates its CCR against it, and a request that
+// leaves its bus rate unset runs at it.
+const DefaultBusTimePerUnit = 0.05

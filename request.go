@@ -1,6 +1,7 @@
 package thermalsched
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"reflect"
@@ -11,6 +12,7 @@ import (
 	"thermalsched/internal/dtm"
 	"thermalsched/internal/sched"
 	"thermalsched/internal/taskgraph"
+	"thermalsched/internal/techlib"
 )
 
 // FlowKind names one of the Engine's execution flows.
@@ -146,30 +148,14 @@ type SupervisorSpec struct {
 }
 
 func (s SupervisorSpec) withDefaults() SupervisorSpec {
-	if s.FairC == 0 {
-		s.FairC = dtm.DefaultLadder.FairC
-	}
-	if s.SeriousC == 0 {
-		s.SeriousC = dtm.DefaultLadder.SeriousC
-	}
-	if s.CriticalC == 0 {
-		s.CriticalC = dtm.DefaultLadder.CriticalC
-	}
-	if s.SeriousScale == 0 {
-		s.SeriousScale = 0.7
-	}
-	if s.CriticalScale == 0 {
-		s.CriticalScale = 0.4
-	}
-	if s.RetryAfter == 0 {
-		s.RetryAfter = 2
-	}
-	if s.Hysteresis == 0 {
-		s.Hysteresis = 2
-	}
-	if s.CoolTime == 0 {
-		s.CoolTime = 5
-	}
+	s.FairC = cmp.Or(s.FairC, dtm.DefaultLadder.FairC)
+	s.SeriousC = cmp.Or(s.SeriousC, dtm.DefaultLadder.SeriousC)
+	s.CriticalC = cmp.Or(s.CriticalC, dtm.DefaultLadder.CriticalC)
+	s.SeriousScale = cmp.Or(s.SeriousScale, 0.7)
+	s.CriticalScale = cmp.Or(s.CriticalScale, 0.4)
+	s.RetryAfter = cmp.Or(s.RetryAfter, 2)
+	s.Hysteresis = cmp.Or(s.Hysteresis, 2)
+	s.CoolTime = cmp.Or(s.CoolTime, 5)
 	return s
 }
 
@@ -283,40 +269,18 @@ func (s *SimulateSpec) withDefaults() SimulateSpec {
 	if s != nil {
 		out = *s
 	}
-	if out.Controller == "" {
-		out.Controller = "toggle"
-	}
-	if out.TriggerC == 0 {
-		out.TriggerC = 80
-	}
-	if out.Throttle == 0 {
-		out.Throttle = 0.5
-	}
-	if out.SetpointC == 0 {
-		out.SetpointC = 80
-	}
-	if out.Kp == 0 {
-		out.Kp = 0.05
-	}
-	if out.Ki == 0 {
-		out.Ki = 0.002
-	}
-	if out.MinScale == 0 {
-		out.MinScale = 0.1
-	}
+	out.Controller = cmp.Or(out.Controller, "toggle")
+	out.TriggerC = cmp.Or(out.TriggerC, 80)
+	out.Throttle = cmp.Or(out.Throttle, 0.5)
+	out.SetpointC = cmp.Or(out.SetpointC, 80)
+	out.Kp = cmp.Or(out.Kp, 0.05)
+	out.Ki = cmp.Or(out.Ki, 0.002)
+	out.MinScale = cmp.Or(out.MinScale, 0.1)
 	out.SupervisorSpec = out.SupervisorSpec.withDefaults()
-	if out.DT == 0 {
-		out.DT = 1
-	}
-	if out.TimeScale == 0 {
-		out.TimeScale = 0.1
-	}
-	if out.MinFactor == 0 {
-		out.MinFactor = 1
-	}
-	if out.Replicas == 0 {
-		out.Replicas = 1
-	}
+	out.DT = cmp.Or(out.DT, 1)
+	out.TimeScale = cmp.Or(out.TimeScale, 0.1)
+	out.MinFactor = cmp.Or(out.MinFactor, 1)
+	out.Replicas = cmp.Or(out.Replicas, 1)
 	return out
 }
 
@@ -345,22 +309,24 @@ type Request struct {
 	// ("baseline", "h1" … "h3", "thermal"). Empty means "thermal".
 	Policy string `json:"policy,omitempty"`
 
-	// BusTimePerUnit overrides the shared-bus communication rate; zero
-	// means the experiments' default.
+	// BusTimePerUnit overrides the shared-bus communication rate; the
+	// canonical form resolves zero to the experiments' default (0.05).
 	BusTimePerUnit float64 `json:"busTimePerUnit,omitempty"`
 	// TempWeight, PowerWeight and EnergyWeight override the ASP's
 	// °C-, W- and energy-to-time weights (thermal-aware, heuristics 1/2
 	// and heuristic 3); ThermalHorizon overrides the window, in schedule
 	// time units, over which a thermal inquiry averages a PE's
-	// accumulated energy into power. Nil keeps the calibrated defaults;
-	// Validate rejects negative weights and a horizon that is not
-	// positive.
+	// accumulated energy into power. The canonical form resolves nil to
+	// the calibrated defaults (10, 20, 0.3 and 1000); Validate rejects
+	// negative weights and a horizon that is not positive.
 	TempWeight     *float64 `json:"tempWeight,omitempty"`
 	PowerWeight    *float64 `json:"powerWeight,omitempty"`
 	EnergyWeight   *float64 `json:"energyWeight,omitempty"`
 	ThermalHorizon *float64 `json:"thermalHorizon,omitempty"`
 
-	// MaxPEs, CandidateTypes and FloorplanGenerations tune FlowCoSynthesis.
+	// MaxPEs, CandidateTypes and FloorplanGenerations tune
+	// FlowCoSynthesis; the canonical form resolves a zero MaxPEs to 6
+	// and zero FloorplanGenerations to 30.
 	MaxPEs               int      `json:"maxPEs,omitempty"`
 	CandidateTypes       []string `json:"candidateTypes,omitempty"`
 	FloorplanGenerations int      `json:"floorplanGenerations,omitempty"`
@@ -407,11 +373,19 @@ func aspPolicy(name string) (Policy, error) {
 // malformed requests fail fast with a clear message — the service's 400
 // bodies and the CLI's usage errors carry these messages verbatim.
 //
-// The generic rules (flow existence, the fields each flow reads, input
-// arity, policy family, shared knob ranges) are driven entirely by the
-// flow registry; flow-specific checks run through each registry row's
+// Validate checks the canonical form, the copy the flow reads, so a
+// defaulted knob is checked at the value it runs with. The generic
+// rules (flow existence, the fields each flow reads, input arity,
+// policy family, shared knob ranges) are driven entirely by the flow
+// registry; flow-specific checks run through each registry row's
 // validate hook.
 func (r *Request) Validate() error {
+	c := r.canonical()
+	return c.validate()
+}
+
+// validate is Validate on a request already in canonical form.
+func (r *Request) validate() error {
 	if r.Flow == "" {
 		return fieldErr("flow", "request missing flow (want one of %v)", FlowKinds())
 	}
@@ -455,7 +429,7 @@ func (r *Request) Validate() error {
 		}
 	}
 	if r.Campaign != nil {
-		if err := r.Campaign.Validate(); err != nil {
+		if err := r.Campaign.validate(); err != nil {
 			return err
 		}
 	}
@@ -534,31 +508,51 @@ func nonFinite(v reflect.Value) (path string, f float64, ok bool) {
 	return "", 0, false
 }
 
-// canonical returns the request as its flow reads it: the defaults of
-// the Simulate, Stream and Campaign specs applied (the campaign's
-// nested specs included), Scenario normalized, a nil co-synthesis Seed
-// set to 1 and every policy name spelled canonically. A policy name
-// that does not parse stays as written, for Validate to report. The
-// campaign's Template stays as written: an empty Graph.Shape there
-// means "draw each scenario's shape". Engine.Run hands the flow this
-// copy and Fingerprint digests it, so requests the flows cannot tell
-// apart share one coalescing key. The receiver is not modified.
+// canonical returns the request as its flow reads it: every knob its
+// registry row lists takes its default when unset (a nil co-synthesis
+// seed becomes 1), the Simulate, Stream and Campaign specs take theirs,
+// Scenario is normalized and every policy name is spelled canonically.
+// It sets no field the row does not list, so Validate can check this
+// copy. A policy name that does not parse stays as written, for
+// Validate to report. Engine.Run hands the flow this copy and
+// Fingerprint digests it, so requests the flows cannot tell apart
+// share one coalescing key. The receiver is not modified.
 func (r *Request) canonical() Request {
 	c := *r
-	if fs, ok := flowFor(r.Flow); ok && slices.Contains(fs.reads, "policy") {
+	fs, known := flowFor(r.Flow)
+	reads := func(key string) bool { return known && slices.Contains(fs.reads, key) }
+	if reads("policy") {
 		if p, err := fs.policyName(r.Policy); err == nil {
 			c.Policy = p
 		}
+	}
+	if reads("busTimePerUnit") {
+		c.BusTimePerUnit = cmp.Or(c.BusTimePerUnit, techlib.DefaultBusTimePerUnit)
+	}
+	if reads("tempWeight") {
+		if p, err := aspPolicy(c.Policy); err == nil {
+			d := sched.DefaultConfig(p)
+			c.TempWeight = cmp.Or(c.TempWeight, &d.TempWeight)
+			c.PowerWeight = cmp.Or(c.PowerWeight, &d.PowerWeight)
+			c.EnergyWeight = cmp.Or(c.EnergyWeight, &d.EnergyWeight)
+			c.ThermalHorizon = cmp.Or(c.ThermalHorizon, &d.ThermalHorizon)
+		}
+	}
+	if reads("maxPEs") {
+		c.MaxPEs = cmp.Or(c.MaxPEs, cosynth.DefaultMaxPEs)
+	}
+	if reads("floorplanGenerations") {
+		c.FloorplanGenerations = cmp.Or(c.FloorplanGenerations, cosynth.DefaultFloorplanGenerations)
+	}
+	if reads("seed") && r.Seed == nil {
+		seed := int64(1) // nil keeps the historical default
+		c.Seed = &seed
 	}
 	if r.Scenario != nil {
 		s := r.Scenario.Normalized()
 		c.Scenario = &s
 	}
-	if r.Seed == nil && r.Flow == FlowCoSynthesis {
-		seed := int64(1) // nil keeps the historical default
-		c.Seed = &seed
-	}
-	if r.Simulate != nil || r.Flow == FlowSimulate {
+	if reads("simulate") {
 		s := r.Simulate.withDefaults()
 		c.Simulate = &s
 	}
@@ -566,58 +560,49 @@ func (r *Request) canonical() Request {
 		s := r.Stream.withDefaults()
 		c.Stream = &s
 	}
-	if r.Campaign != nil || r.Flow == FlowCampaign {
+	if reads("campaign") {
 		s := r.Campaign.withDefaults()
 		c.Campaign = &s
 	}
 	return c
 }
 
-// schedOverrides reports whether any scheduler knob is set and builds
-// the resulting configuration for the policy.
-func (r *Request) schedOverrides(p Policy) *SchedConfig {
-	if r.TempWeight == nil && r.PowerWeight == nil && r.EnergyWeight == nil && r.ThermalHorizon == nil {
-		return nil
+// schedConfig lowers the canonical request's ASP knobs to the
+// scheduler configuration.
+func (r *Request) schedConfig() (SchedConfig, error) {
+	p, err := aspPolicy(r.Policy)
+	if err != nil {
+		return SchedConfig{}, err
 	}
-	sc := sched.DefaultConfig(p)
-	if r.TempWeight != nil {
-		sc.TempWeight = *r.TempWeight
-	}
-	if r.PowerWeight != nil {
-		sc.PowerWeight = *r.PowerWeight
-	}
-	if r.EnergyWeight != nil {
-		sc.EnergyWeight = *r.EnergyWeight
-	}
-	if r.ThermalHorizon != nil {
-		sc.ThermalHorizon = *r.ThermalHorizon
-	}
-	return &sc
+	return SchedConfig{
+		Policy:         p,
+		TempWeight:     *r.TempWeight,
+		PowerWeight:    *r.PowerWeight,
+		EnergyWeight:   *r.EnergyWeight,
+		ThermalHorizon: *r.ThermalHorizon,
+	}, nil
 }
 
-// platformConfig lowers the request to the platform flow's configuration.
+// platformConfig lowers the canonical request to the platform flow's
+// configuration; the Engine adds the thermal calibration, the platform
+// and the model cache.
 func (r *Request) platformConfig() (cosynth.PlatformConfig, error) {
-	p, err := aspPolicy(r.Policy)
+	sc, err := r.schedConfig()
 	if err != nil {
 		return cosynth.PlatformConfig{}, err
 	}
-	return cosynth.PlatformConfig{
-		Policy:         p,
-		Sched:          r.schedOverrides(p),
-		BusTimePerUnit: r.BusTimePerUnit,
-	}, nil
+	return cosynth.PlatformConfig{Sched: sc, BusTimePerUnit: r.BusTimePerUnit}, nil
 }
 
 // cosynthConfig lowers the canonical request to the co-synthesis flow's
 // configuration.
 func (r *Request) cosynthConfig() (cosynth.CoSynthConfig, error) {
-	p, err := aspPolicy(r.Policy)
+	sc, err := r.schedConfig()
 	if err != nil {
 		return cosynth.CoSynthConfig{}, err
 	}
 	return cosynth.CoSynthConfig{
-		Policy:               p,
-		Sched:                r.schedOverrides(p),
+		Sched:                sc,
 		CandidateTypes:       r.CandidateTypes,
 		MaxPEs:               r.MaxPEs,
 		BusTimePerUnit:       r.BusTimePerUnit,

@@ -165,17 +165,8 @@ func flowResponse(flow FlowKind, policy Policy, res *cosynth.Result, includeGant
 			Name: pe.Name, Type: t.Name, AreaMM2: t.Area * 1e6, Cost: t.Cost,
 		})
 	}
-	pow, err := res.Schedule.PEAveragePower(res.Schedule.Graph.Deadline)
-	if err != nil {
-		return nil, err
-	}
-	temps, err := res.Oracle.Temps(pow)
-	if err != nil {
-		return nil, err
-	}
 	for i, name := range res.Arch.PENames() {
-		t, _ := temps.Of(name)
-		resp.PerPE = append(resp.PerPE, PEStat{Name: name, PowerW: pow[i], TempC: t})
+		resp.PerPE = append(resp.PerPE, PEStat{Name: name, PowerW: res.PEPower[i], TempC: res.PETemp[i]})
 	}
 	if includePlan {
 		var b strings.Builder

@@ -1,7 +1,6 @@
 package thermalsched
 
 import (
-	"fmt"
 	"strings"
 
 	"thermalsched/internal/scenario"
@@ -87,11 +86,10 @@ func scenarioReport(sc *Scenario) (*ScenarioReport, error) {
 // the cache only needs to hold a campaign's working set.
 const DefaultScenarioCacheSize = 128
 
-// scenarioFor returns the (possibly cached) scenario for a spec.
+// scenarioFor returns the (possibly cached) scenario for a spec. Every
+// spec it gets has passed Request.Validate, directly or derived from a
+// validated campaign; Generate checks it again on a miss.
 func (e *Engine) scenarioFor(spec ScenarioSpec) (*Scenario, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
 	fp := spec.Fingerprint()
 	if sc, ok := e.scenarios.Get(fp); ok {
 		return sc, nil
@@ -113,9 +111,6 @@ func (e *Engine) ScenarioCacheStats() (hits, misses uint64, size int) {
 // runGenerateFlow materializes the requested scenario and serializes it
 // into the response.
 func (e *Engine) runGenerateFlow(req *Request) (*Response, error) {
-	if req.Scenario == nil { // unreachable after Validate
-		return nil, fmt.Errorf("thermalsched: generate request missing scenario spec")
-	}
 	sc, err := e.scenarioFor(*req.Scenario)
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package thermalsched
 
 import (
+	"cmp"
 	"context"
 
 	"thermalsched/internal/cosynth"
@@ -84,18 +85,10 @@ func (s *StreamSpec) withDefaults() StreamSpec {
 	if s != nil {
 		out = *s
 	}
-	if out.DT == 0 {
-		out.DT = 1
-	}
-	if out.TimeScale == 0 {
-		out.TimeScale = 0.1
-	}
-	if out.MinFactor == 0 {
-		out.MinFactor = 1
-	}
-	if out.Replicas == 0 {
-		out.Replicas = 1
-	}
+	out.DT = cmp.Or(out.DT, 1)
+	out.TimeScale = cmp.Or(out.TimeScale, 0.1)
+	out.MinFactor = cmp.Or(out.MinFactor, 1)
+	out.Replicas = cmp.Or(out.Replicas, 1)
 	out.SupervisorSpec = out.SupervisorSpec.withDefaults()
 	// The workload half normalizes as the generator does, so a zero
 	// field and its explicit default are one request.
@@ -111,9 +104,9 @@ func (s StreamSpec) workloadSpec() scenario.StreamSpec {
 
 // validate reports the first problem with the stream parameters, as a
 // typed field error; prefix is the spec's JSON path ("stream", or
-// "campaign.stream" inside a campaign). The nil receiver reports the
-// missing spec — the registry's validate hook calls this for every
-// FlowStream request.
+// "campaign.stream" inside a campaign). Call on a withDefaults() copy.
+// The nil receiver reports the missing spec — the registry's validate
+// hook calls this for every FlowStream request.
 func (s *StreamSpec) validate(prefix string) error {
 	if s == nil {
 		return fieldErr(prefix, "a stream request needs a stream spec")
@@ -121,11 +114,10 @@ func (s *StreamSpec) validate(prefix string) error {
 	if err := s.workloadSpec().Validate(); err != nil {
 		return fieldErr(prefix, "%v", err)
 	}
-	n := s.withDefaults()
-	if err := checkLoop(prefix, n.DT, n.TimeScale, n.MinFactor, n.Replicas); err != nil {
+	if err := checkLoop(prefix, s.DT, s.TimeScale, s.MinFactor, s.Replicas); err != nil {
 		return err
 	}
-	return n.SupervisorSpec.validate(prefix, n.DT)
+	return s.SupervisorSpec.validate(prefix, s.DT)
 }
 
 // GenerateStreamWorkload builds the workload described by the spec's
@@ -135,12 +127,12 @@ func GenerateStreamWorkload(spec StreamSpec) (*StreamWorkload, error) {
 	return scenario.GenerateStream(spec.workloadSpec())
 }
 
-// streamFor returns the (possibly cached) workload for a spec.
+// streamFor returns the (possibly cached) workload for a spec. Every
+// spec it gets has passed Request.Validate, directly or as a campaign
+// cell of a validated request; GenerateStream checks it again on a
+// miss.
 func (e *Engine) streamFor(spec StreamSpec) (*StreamWorkload, error) {
 	ws := spec.workloadSpec()
-	if err := ws.Validate(); err != nil {
-		return nil, err
-	}
 	fp := ws.Fingerprint()
 	if wl, ok := e.streams.Get(fp); ok {
 		return wl, nil
@@ -209,12 +201,8 @@ func (e *Engine) runStreamFlow(ctx context.Context, req *Request) (*Response, er
 	if err != nil {
 		return nil, err
 	}
-	bus := req.BusTimePerUnit
-	if bus == 0 {
-		bus = cosynth.DefaultBusTimePerUnit
-	}
 	desc := &cosynth.PlatformDesc{TypeNames: wl.PETypeNames, Layout: wl.Layout}
-	arch, _, model, _, err := cosynth.BuildPlatformDesc(wl.Lib, bus, e.thermal, e.modelProvider(), desc)
+	arch, _, model, _, err := cosynth.BuildPlatformDesc(wl.Lib, req.BusTimePerUnit, e.thermal, e.modelProvider(), desc)
 	if err != nil {
 		return nil, err
 	}

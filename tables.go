@@ -293,16 +293,18 @@ func (e *Engine) ScalingTable(ctx context.Context, sizes []int, pes int, seed in
 }
 
 // scalingRow runs one scaling request through the platform flow's own
-// path, Engine.platform, with a fresh counting model provider.
+// path, Engine.platform, with a fresh counting model provider. Like
+// Engine.Run it canonicalizes the request once and runs that copy.
 func (e *Engine) scalingRow(ctx context.Context, req *Request) (ScalingRow, error) {
-	if err := req.Validate(); err != nil {
+	c := req.canonical()
+	if err := c.validate(); err != nil {
 		return ScalingRow{}, err
 	}
-	in, err := e.resolveInput(req)
+	in, err := e.resolveInput(&c)
 	if err != nil {
 		return ScalingRow{}, err
 	}
-	cfg, err := req.platformConfig()
+	cfg, err := c.platformConfig()
 	if err != nil {
 		return ScalingRow{}, err
 	}
@@ -317,7 +319,7 @@ func (e *Engine) scalingRow(ctx context.Context, req *Request) (ScalingRow, erro
 	return ScalingRow{
 		Tasks:       in.graph.NumTasks(),
 		Edges:       in.graph.NumEdges(),
-		PEs:         req.Scenario.Platform.PEs,
+		PEs:         c.Scenario.Platform.PEs,
 		Deadline:    in.graph.Deadline,
 		Makespan:    res.Metrics.Makespan,
 		Feasible:    res.Metrics.Feasible,
