@@ -68,9 +68,7 @@ const (
 )
 
 // DefaultCoSynthConfig returns the calibrated co-synthesis
-// configuration for a policy: sched.DefaultConfig, the experiments'
-// bus rate, hotspot.DefaultConfig, DefaultMaxPEs and
-// DefaultFloorplanGenerations. Seed stays 0 and CandidateTypes nil.
+// configuration for a policy; Seed stays 0 and CandidateTypes nil.
 func DefaultCoSynthConfig(p sched.Policy) CoSynthConfig {
 	return CoSynthConfig{
 		Sched:                sched.DefaultConfig(p),
@@ -81,9 +79,8 @@ func DefaultCoSynthConfig(p sched.Policy) CoSynthConfig {
 	}
 }
 
-// withCandidates returns the config with nil CandidateTypes resolved to
-// the co-synthesis palette, after checking the candidates against lib
-// and the size cap.
+// withCandidates resolves nil CandidateTypes to the co-synthesis
+// palette and checks the candidates against lib and the size cap.
 func (c *CoSynthConfig) withCandidates(lib *techlib.Library) (CoSynthConfig, error) {
 	out := *c
 	if out.CandidateTypes == nil {

@@ -61,12 +61,11 @@ type Result struct {
 	Plan     *floorplan.Floorplan
 	Model    *hotspot.Model
 	Metrics  Metrics
-	// PEPower and PETemp are each PE's steady-state operating point, in
-	// Arch order: its average power over the graph's deadline (W) and
-	// the resulting block temperature (°C) — the solve Metrics'
-	// temperature columns come from.
+	// PEPower is each PE's average power over the graph's deadline (W),
+	// in Arch order, and Temps the steady-state block temperatures it
+	// gives, the solve behind Metrics' temperature columns.
 	PEPower []float64
-	PETemp  []float64
+	Temps   hotspot.Temps
 	// SearchEvals and SearchMemoHits aggregate the floorplanner's
 	// packing-evaluation accounting over every candidate architecture a
 	// co-synthesis run explored (zero for platform runs, whose layout is
@@ -90,10 +89,6 @@ func computeMetrics(s *sched.Schedule, plan *floorplan.Floorplan, model *hotspot
 	if err != nil {
 		return nil, fmt.Errorf("cosynth: final temperature extraction: %w", err)
 	}
-	peTemp := make([]float64, len(pow))
-	for i, name := range s.Arch.PENames() {
-		peTemp[i], _ = temps.Of(name)
-	}
 	return &Result{
 		Schedule: s, Arch: s.Arch, Plan: plan, Model: model,
 		Metrics: Metrics{
@@ -105,6 +100,6 @@ func computeMetrics(s *sched.Schedule, plan *floorplan.Floorplan, model *hotspot
 			Cost:       s.Arch.TotalCost(s.Lib),
 		},
 		PEPower: pow,
-		PETemp:  peTemp,
+		Temps:   temps,
 	}, nil
 }

@@ -34,8 +34,7 @@ type PlatformConfig struct {
 }
 
 // DefaultPlatformConfig returns the calibrated platform-flow
-// configuration for a policy: sched.DefaultConfig, the experiments' bus
-// rate and hotspot.DefaultConfig.
+// configuration for a policy.
 func DefaultPlatformConfig(p sched.Policy) PlatformConfig {
 	return PlatformConfig{
 		Sched:          sched.DefaultConfig(p),

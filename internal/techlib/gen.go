@@ -150,9 +150,7 @@ func StandardLibrary() (*Library, error) {
 // co-synthesis seed PE).
 const PlatformPEType = "pe-med"
 
-// DefaultBusTimePerUnit is the shared-bus communication rate used
-// throughout the experiments, in time units per data unit: a 40-unit
-// transfer costs two time units, small against ~100-unit tasks. The
-// scenario generator calibrates its CCR against it, and a request that
-// leaves its bus rate unset runs at it.
+// DefaultBusTimePerUnit is the shared-bus rate of the experiments, in
+// time units per data unit: a 40-unit transfer costs two time units,
+// small against ~100-unit tasks. Scenario CCRs are calibrated to it.
 const DefaultBusTimePerUnit = 0.05

@@ -166,7 +166,8 @@ func flowResponse(flow FlowKind, policy Policy, res *cosynth.Result, includeGant
 		})
 	}
 	for i, name := range res.Arch.PENames() {
-		resp.PerPE = append(resp.PerPE, PEStat{Name: name, PowerW: res.PEPower[i], TempC: res.PETemp[i]})
+		t, _ := res.Temps.Of(name)
+		resp.PerPE = append(resp.PerPE, PEStat{Name: name, PowerW: res.PEPower[i], TempC: t})
 	}
 	if includePlan {
 		var b strings.Builder

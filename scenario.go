@@ -86,9 +86,8 @@ func scenarioReport(sc *Scenario) (*ScenarioReport, error) {
 // the cache only needs to hold a campaign's working set.
 const DefaultScenarioCacheSize = 128
 
-// scenarioFor returns the (possibly cached) scenario for a spec. Every
-// spec it gets has passed Request.Validate, directly or derived from a
-// validated campaign; Generate checks it again on a miss.
+// scenarioFor returns the (possibly cached) scenario for a spec, which
+// Request.Validate has checked; Generate checks it again on a miss.
 func (e *Engine) scenarioFor(spec ScenarioSpec) (*Scenario, error) {
 	fp := spec.Fingerprint()
 	if sc, ok := e.scenarios.Get(fp); ok {

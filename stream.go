@@ -127,10 +127,8 @@ func GenerateStreamWorkload(spec StreamSpec) (*StreamWorkload, error) {
 	return scenario.GenerateStream(spec.workloadSpec())
 }
 
-// streamFor returns the (possibly cached) workload for a spec. Every
-// spec it gets has passed Request.Validate, directly or as a campaign
-// cell of a validated request; GenerateStream checks it again on a
-// miss.
+// streamFor returns the (possibly cached) workload for a spec, which
+// Request.Validate has checked; GenerateStream checks it again on a miss.
 func (e *Engine) streamFor(spec StreamSpec) (*StreamWorkload, error) {
 	ws := spec.workloadSpec()
 	fp := ws.Fingerprint()

@@ -293,8 +293,7 @@ func (e *Engine) ScalingTable(ctx context.Context, sizes []int, pes int, seed in
 }
 
 // scalingRow runs one scaling request through the platform flow's own
-// path, Engine.platform, with a fresh counting model provider. Like
-// Engine.Run it canonicalizes the request once and runs that copy.
+// path, Engine.platform, with a fresh counting model provider.
 func (e *Engine) scalingRow(ctx context.Context, req *Request) (ScalingRow, error) {
 	c := req.canonical()
 	if err := c.validate(); err != nil {
