@@ -98,7 +98,7 @@ func minimalRequests() map[FlowKind]Request {
 // row omits would fail every request of that flow.
 func TestCanonicalSetsOnlyFieldsTheFlowReads(t *testing.T) {
 	base := minimalRequests()
-	for _, fs := range flowTable() {
+	for _, fs := range flowRegistry {
 		req, ok := base[fs.kind]
 		if !ok {
 			t.Fatalf("no minimal request for flow %s", fs.kind)

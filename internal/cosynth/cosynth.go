@@ -15,9 +15,9 @@ import (
 	"thermalsched/internal/techlib"
 )
 
-// CoSynthConfig parameterizes the co-synthesis flow (Fig. 1a). Every
-// knob is used as given; DefaultCoSynthConfig holds the calibrated
-// values.
+// CoSynthConfig parameterizes the co-synthesis flow (Fig. 1a). The
+// scheduler, bus, thermal and effort values are used as given;
+// DefaultCoSynthConfig holds the calibrated ones.
 type CoSynthConfig struct {
 	// Sched is the ASP configuration used while evaluating candidate
 	// architectures and for the final schedule; its Policy also picks

@@ -12,9 +12,9 @@ import (
 	"thermalsched/internal/techlib"
 )
 
-// PlatformConfig parameterizes the platform-based flow (Fig. 1b). Every
-// field is used as given; DefaultPlatformConfig holds the calibrated
-// values.
+// PlatformConfig parameterizes the platform-based flow (Fig. 1b). The
+// scheduler, bus and thermal values are used as given;
+// DefaultPlatformConfig holds the calibrated ones.
 type PlatformConfig struct {
 	// Sched is the scheduler configuration, its Policy the ASP variant;
 	// the thermal oracle is wired automatically for ThermalAware.
