@@ -87,8 +87,9 @@ type CampaignSpec struct {
 
 // withDefaults returns the campaign as its flow reads it: defaults
 // applied, the nested specs defaulted, the Template normalized (an
-// empty Graph.Shape stays empty, as it draws each scenario's shape,
-// and a Template equal to the nil one's form becomes nil) and every
+// empty Graph.Shape stays empty, as it draws each scenario's shape, the
+// name and seed every scenario overrides take the nil one's values, and
+// a Template equal to the nil one's form becomes nil) and every
 // policy name spelled canonically (a name that does not parse stays as
 // written, for Validate to report). In stream mode the Template stays
 // as written, for Validate to reject.
@@ -126,6 +127,10 @@ func (c *CampaignSpec) withDefaults() CampaignSpec {
 		out.Stream = &s
 	} else if out.Template != nil {
 		t, drawn := out.Template.Normalized(), ScenarioSpec{}.Normalized()
+		// scenarioSpecs overrides every scenario's name and seed, so the
+		// template's do not reach the flow. Its task count is overridden
+		// too but stays, for Validate to range-check.
+		t.Name, t.Seed = drawn.Name, drawn.Seed
 		t.Graph.Shape, drawn.Graph.Shape = out.Template.Graph.Shape, ""
 		if out.Template = &t; t == drawn {
 			out.Template = nil

@@ -411,3 +411,37 @@ func TestRequestFingerprintCanonicalCorpus(t *testing.T) {
 		t.Error("the shape-drawing and all-layered campaigns ran to the same bytes; the pair no longer witnesses two campaigns")
 	}
 }
+
+// A campaign template's name and seed never reach the flow, since
+// every scenario draws its own, so they do not split the coalescing
+// key. Its task count is also overridden per scenario but stays in the
+// key, so Validate still range-checks it.
+func TestCampaignTemplateNameAndSeedShareKey(t *testing.T) {
+	e := testEngine(t)
+	campaign := func(tmpl *ScenarioSpec) Request {
+		return Request{Flow: FlowCampaign, Campaign: &CampaignSpec{
+			Scenarios: 2, Seed: 3, MinTasks: 8, MaxTasks: 10, Template: tmpl}}
+	}
+	for _, tc := range []struct {
+		name string
+		a, b Request
+	}{
+		{"bare against a named, seeded template",
+			campaign(nil),
+			campaign(&ScenarioSpec{Name: "x", Seed: 5})},
+		{"with a task count",
+			campaign(&ScenarioSpec{Graph: ScenarioGraphParams{Tasks: 30}}),
+			campaign(&ScenarioSpec{Name: "x", Seed: 5, Graph: ScenarioGraphParams{Tasks: 30}})},
+	} {
+		if fa, fb := tc.a.Fingerprint(), tc.b.Fingerprint(); fa != fb {
+			t.Errorf("%s: fingerprints %s and %s differ", tc.name, fa, fb)
+		}
+		if ra, rb := runBytes(t, e, tc.a), runBytes(t, e, tc.b); string(ra) != string(rb) {
+			t.Errorf("%s: responses differ\n  %s\n  %s", tc.name, ra, rb)
+		}
+	}
+	bad := campaign(&ScenarioSpec{Name: "x", Graph: ScenarioGraphParams{Tasks: 1 << 20}})
+	if err := bad.Validate(); err == nil {
+		t.Error("a template task count above the scenario limit was accepted")
+	}
+}

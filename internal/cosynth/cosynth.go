@@ -499,13 +499,14 @@ func evaluate(ctx context.Context, g *taskgraph.Graph, lib *techlib.Library, typ
 			Name: name, Area: lib.PEType(ti).Area, MinAspect: 0.5, MaxAspect: 2,
 		})
 	}
-	if err := arch.Validate(lib); err != nil {
+	// One preparation serves both the pilot and the final schedule.
+	prep, err := sched.Prepare(g, arch, lib)
+	if err != nil {
 		return nil, err
 	}
 
 	// Pilot schedule (heuristic 3) for the floorplanner's power estimates.
-	pilotCfg := sched.DefaultConfig(sched.MinTaskEnergy)
-	pilot, err := sched.AllocateAndSchedule(ctx, g, arch, lib, pilotCfg)
+	pilot, err := prep.Schedule(ctx, sched.DefaultConfig(sched.MinTaskEnergy))
 	if err != nil {
 		return nil, fmt.Errorf("cosynth: pilot schedule: %w", err)
 	}
@@ -554,7 +555,7 @@ func evaluate(ctx context.Context, g *taskgraph.Graph, lib *techlib.Library, typ
 	if sc.Policy == sched.ThermalAware {
 		sc.Oracle = oracle
 	}
-	s, err := sched.AllocateAndSchedule(ctx, g, arch, lib, sc)
+	s, err := prep.Schedule(ctx, sc)
 	if err != nil {
 		return nil, fmt.Errorf("cosynth: schedule on %s: %w", arch.Name, err)
 	}

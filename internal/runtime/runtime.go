@@ -35,7 +35,6 @@ import (
 	"thermalsched/internal/dtm"
 	"thermalsched/internal/hotspot"
 	"thermalsched/internal/sched"
-	"thermalsched/internal/taskgraph"
 )
 
 // Config parameterizes one closed-loop co-simulation.
@@ -217,14 +216,6 @@ func Simulate(ctx context.Context, s *sched.Schedule, model *hotspot.Model, cfg 
 		real:          real,
 	}
 
-	// Predecessor edges, materialized once: readyAt runs for every
-	// queue head on every dispatch pass and next-event search, and
-	// Graph.Predecessors copies the edges on every call.
-	preds := make([][]taskgraph.Edge, n)
-	for id := range preds {
-		preds[id] = s.Graph.Predecessors(id)
-	}
-
 	// readyAt is the dispatch ready rule: when task id's inputs are
 	// available on PE pe, with ok false while any predecessor is still
 	// pending. Only fired edges carry data, with bus delay across PEs;
@@ -232,7 +223,7 @@ func Simulate(ctx context.Context, s *sched.Schedule, model *hotspot.Model, cfg 
 	// records against the same rule.
 	readyAt := func(id, pe int) (float64, bool) {
 		t := 0.0
-		for _, e := range preds[id] {
+		for _, e := range s.Graph.Predecessors(id) {
 			if !done[e.From] {
 				return 0, false
 			}

@@ -18,18 +18,36 @@ import (
 // the (ready task, PE) pair with the highest DC is committed, exactly the
 // greedy loop of Xie & Wolf's ASP with the paper's extra term.
 //
-// The returned schedule may miss the deadline; callers (co-synthesis)
-// check MeetsDeadline and react. Scheduling only fails on structural
-// problems: invalid inputs or a task no PE in arch can run.
-//
-// The greedy loop checks ctx before every task commitment (each step
-// of a thermal-aware run issues tasks×PEs thermal inquiries, so this is
-// the natural abort granularity) and returns a ctx-wrapping error
-// promptly after cancellation.
+// It is Prepare followed by Prepared.Schedule; callers that schedule
+// one architecture under several configurations prepare it once.
 func AllocateAndSchedule(ctx context.Context, g *taskgraph.Graph, arch Architecture, lib *techlib.Library, cfg Config) (*Schedule, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	p, err := Prepare(g, arch, lib)
+	if err != nil {
+		return nil, err
+	}
+	return p.Schedule(ctx, cfg)
+}
+
+// Prepared is one (graph, architecture, library) triple, validated and
+// reduced to what every ASP run on it reads: the static criticality and
+// the library row of every (task, PE) pair. It is read-only once built,
+// so schedules under any number of configurations, concurrent ones
+// included, may run from one Prepared.
+type Prepared struct {
+	g       *taskgraph.Graph
+	arch    Architecture
+	lib     *techlib.Library
+	sc      []float64
+	entries []techlib.Entry // entries[task*len(arch.PEs)+pe]
+	entryOK []bool
+}
+
+// Prepare validates g, lib and arch and computes what the ASP reads of
+// them under every policy.
+func Prepare(g *taskgraph.Graph, arch Architecture, lib *techlib.Library) (*Prepared, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
@@ -43,54 +61,57 @@ func AllocateAndSchedule(ctx context.Context, g *taskgraph.Graph, arch Architect
 	// Static criticality: longest path to the end of the graph, weighting
 	// each task with its mean WCET over the library and each edge with
 	// its bus transfer time (zero when communication is not modelled).
-	meanWCET := make(map[int]float64)
-	scWeight := func(t taskgraph.Task) float64 {
-		if v, ok := meanWCET[t.Type]; ok {
-			return v
-		}
-		v, err := lib.MeanWCET(t.Type)
-		if err != nil {
-			v = 0 // unreachable for validated libraries; SC stays conservative
-		}
-		meanWCET[t.Type] = v
+	sc, err := g.StaticCriticality(func(t taskgraph.Task) float64 {
+		v, _ := lib.MeanWCET(t.Type) // 0 for a type no PE type runs; SC stays conservative
 		return v
-	}
-	sc, err := g.StaticCriticality(scWeight, func(e taskgraph.Edge) float64 {
+	}, func(e taskgraph.Edge) float64 {
 		return e.Data * arch.BusTimePerUnit
 	})
 	if err != nil {
 		return nil, err
 	}
 
+	n, nPE := g.NumTasks(), len(arch.PEs)
+	p := &Prepared{
+		g: g, arch: arch, lib: lib, sc: sc,
+		entries: make([]techlib.Entry, n*nPE),
+		entryOK: make([]bool, n*nPE),
+	}
+	for task := 0; task < n; task++ {
+		for pe := 0; pe < nPE; pe++ {
+			p.entries[task*nPE+pe], p.entryOK[task*nPE+pe] = lib.Lookup(arch.PEs[pe].Type, g.Task(task).Type)
+		}
+	}
+	return p, nil
+}
+
+// Schedule runs the ASP (see AllocateAndSchedule) under cfg.
+//
+// The returned schedule may miss the deadline; callers (co-synthesis)
+// check MeetsDeadline and react. Scheduling only fails on structural
+// problems: an invalid cfg or a task no PE of the architecture can run.
+//
+// The greedy loop checks ctx before every task commitment (each step
+// of a thermal-aware run issues tasks×PEs thermal inquiries, so this is
+// the natural abort granularity) and returns a ctx-wrapping error
+// promptly after cancellation.
+func (p *Prepared) Schedule(ctx context.Context, cfg Config) (*Schedule, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	g, arch, sc, entries, entryOK := p.g, p.arch, p.sc, p.entries, p.entryOK
 	n := g.NumTasks()
 	nPE := len(arch.PEs)
-	assigned := make([]bool, n)
 	assignments := make([]Assignment, n)
-	remainingPreds := make([]int, n)
-	for id := 0; id < n; id++ {
-		remainingPreds[id] = g.InDegree(id)
+	// remaining[task] counts the task's unscheduled predecessors, and
+	// is -1 once the task itself is scheduled.
+	remaining := make([]int32, n)
+	for id := range remaining {
+		remaining[id] = int32(g.InDegree(id))
 	}
 	peAvail := make([]float64, nPE)
 	peEnergy := make([]float64, nPE)
 	scheduledCount := 0
-
-	// Adjacency and library rows, materialized once: Predecessors and
-	// Lookup are called for every (ready task, PE) candidate of every
-	// greedy step, and per-call slice allocation there dominates the
-	// non-thermal scheduling cost.
-	preds := make([][]taskgraph.Edge, n)
-	succs := make([][]taskgraph.Edge, n)
-	for id := 0; id < n; id++ {
-		preds[id] = g.Predecessors(id)
-		succs[id] = g.Successors(id)
-	}
-	entries := make([]techlib.Entry, n*nPE)
-	entryOK := make([]bool, n*nPE)
-	for task := 0; task < n; task++ {
-		for pe := 0; pe < nPE; pe++ {
-			entries[task*nPE+pe], entryOK[task*nPE+pe] = lib.Lookup(arch.PEs[pe].Type, g.Task(task).Type)
-		}
-	}
 
 	// Thermal-inquiry machinery, hoisted out of the candidate loop: each
 	// greedy step solves the shared base power once, and every
@@ -104,10 +125,11 @@ func AllocateAndSchedule(ctx context.Context, g *taskgraph.Graph, arch Architect
 		basePower = make([]float64, nPE)
 	}
 
-	// ready(i, j): earliest time task i's inputs are available on PE j.
-	readyOn := func(task, pe int) float64 {
+	// ready(i, j): earliest time task i's inputs, over its predecessor
+	// edges preds, are available on PE j.
+	readyOn := func(preds []taskgraph.Edge, pe int) float64 {
 		t := 0.0
-		for _, e := range preds[task] {
+		for _, e := range preds {
 			// By pointer, not by copy: a copied Assignment goes through
 			// a stack slot, and whether its 16-byte stores forward to
 			// the loads below depends on the frame's alignment — a
@@ -181,9 +203,10 @@ func AllocateAndSchedule(ctx context.Context, g *taskgraph.Graph, arch Architect
 		var bestStart, bestFinish, bestPower float64
 		progress := false
 		for task := 0; task < n; task++ {
-			if assigned[task] || remainingPreds[task] > 0 {
+			if remaining[task] != 0 {
 				continue
 			}
+			preds := g.Predecessors(task) // hoisted out of the candidate loop
 			runnableSomewhere := false
 			for pe := 0; pe < nPE; pe++ {
 				entry, ok := entries[task*nPE+pe], entryOK[task*nPE+pe]
@@ -191,7 +214,7 @@ func AllocateAndSchedule(ctx context.Context, g *taskgraph.Graph, arch Architect
 					continue
 				}
 				runnableSomewhere = true
-				ready := readyOn(task, pe)
+				ready := readyOn(preds, pe)
 				start := math.Max(peAvail[pe], ready)
 				finish := start + entry.WCET
 				penalty, err := term(task, pe, entry, finish)
@@ -218,12 +241,12 @@ func AllocateAndSchedule(ctx context.Context, g *taskgraph.Graph, arch Architect
 			Task: bestTask, PE: bestPE,
 			Start: bestStart, Finish: bestFinish, Power: bestPower,
 		}
-		assigned[bestTask] = true
+		remaining[bestTask] = -1
 		scheduledCount++
 		peAvail[bestPE] = bestFinish
 		peEnergy[bestPE] += (bestFinish - bestStart) * bestPower
-		for _, e := range succs[bestTask] {
-			remainingPreds[e.To]--
+		for _, e := range g.Successors(bestTask) {
+			remaining[e.To]--
 		}
 	}
 
@@ -236,7 +259,7 @@ func AllocateAndSchedule(ctx context.Context, g *taskgraph.Graph, arch Architect
 	return &Schedule{
 		Graph:       g,
 		Arch:        arch,
-		Lib:         lib,
+		Lib:         p.lib,
 		Assignments: assignments,
 		Makespan:    makespan,
 	}, nil

@@ -1,9 +1,6 @@
 package taskgraph
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Conditional task graphs. The ASP the paper builds on (Xie & Wolf,
 // DATE 2001) schedules *conditional* task graphs: some edges fire only
@@ -33,21 +30,16 @@ func (e Edge) effectiveProb() float64 {
 // IsConditional reports whether the edge fires with probability < 1.
 func (e Edge) IsConditional() bool { return e.Prob != 0 && e.Prob < 1 }
 
-// ValidateProbabilities checks the CTG annotation: every edge
-// probability lies in (0, 1], and for every branch node the outgoing
-// probabilities do not exceed 1 in total when any of them is
-// conditional (mutually exclusive branches).
+// ValidateProbabilities checks the CTG annotation: for every branch
+// node the outgoing probabilities do not exceed 1 in total when any of
+// them is conditional (mutually exclusive branches). Each edge's own
+// probability already lies in [0, 1], which AddEdge enforces.
 func (g *Graph) ValidateProbabilities() error {
-	for _, e := range g.edges {
-		p := e.effectiveProb()
-		if !(p > 0 && p <= 1) || math.IsNaN(p) {
-			return fmt.Errorf("taskgraph: edge %d->%d has invalid probability %g", e.From, e.To, e.Prob)
-		}
-	}
+	ix := g.index()
 	for id := range g.tasks {
 		var sum float64
 		conditional := false
-		for _, e := range g.Successors(id) {
+		for _, e := range ix.succOf(id) {
 			sum += e.effectiveProb()
 			if e.IsConditional() {
 				conditional = true
@@ -73,15 +65,16 @@ func (g *Graph) ExecutionProbabilities() ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
+	ix := g.index()
 	probs := make([]float64, len(g.tasks))
 	for _, id := range order {
-		if len(g.pred[id]) == 0 {
+		preds := ix.predOf(id)
+		if len(preds) == 0 {
 			probs[id] = 1
 			continue
 		}
 		var p float64
-		for _, ei := range g.pred[id] {
-			e := g.edges[ei]
+		for _, e := range preds {
 			p += probs[e.From] * e.effectiveProb()
 		}
 		if p > 1 {

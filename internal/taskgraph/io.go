@@ -24,7 +24,7 @@ func (g *Graph) Write(w io.Writer) error {
 	for _, t := range g.tasks {
 		fmt.Fprintf(bw, "task %d %s %d\n", t.ID, t.Name, t.Type)
 	}
-	for _, e := range g.edges {
+	for _, e := range g.Edges() {
 		if e.IsConditional() {
 			fmt.Fprintf(bw, "edge %d %d %g %g\n", e.From, e.To, e.Data, e.Prob)
 		} else {
@@ -135,7 +135,7 @@ func (g *Graph) WriteDOT(w io.Writer) error {
 	for _, t := range g.tasks {
 		fmt.Fprintf(bw, "  %d [label=\"%s\\ntype %d\"];\n", t.ID, t.Name, t.Type)
 	}
-	for _, e := range g.edges {
+	for _, e := range g.Edges() {
 		fmt.Fprintf(bw, "  %d -> %d [label=\"%g\"];\n", e.From, e.To, e.Data)
 	}
 	fmt.Fprintf(bw, "}\n")

@@ -1,0 +1,7 @@
+//go:build race
+
+package taskgraph
+
+// raceEnabled reports a -race build. The race runtime instruments
+// allocations, so allocation-count tests skip themselves under it.
+const raceEnabled = true
