@@ -22,11 +22,12 @@
 package stream
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"thermalsched/internal/coloop"
 	"thermalsched/internal/dtm"
@@ -450,20 +451,17 @@ func Run(ctx context.Context, in Input, cfg Config) (*Result, error) {
 					}
 				}
 			}
-			grew := false
 			for released < n && in.Jobs[released].Arrival <= t {
-				pending = append(pending, released)
+				if edf {
+					// pending stays sorted by (deadline, job index).
+					at, _ := slices.BinarySearchFunc(pending, released, func(p, j int) int {
+						return cmp.Or(cmp.Compare(in.Jobs[p].Deadline, in.Jobs[j].Deadline), cmp.Compare(p, j))
+					})
+					pending = slices.Insert(pending, at, released)
+				} else {
+					pending = append(pending, released)
+				}
 				released++
-				grew = true
-			}
-			if grew && edf {
-				sort.Slice(pending, func(a, b int) bool {
-					da, db := in.Jobs[pending[a]].Deadline, in.Jobs[pending[b]].Deadline
-					if da != db {
-						return da < db
-					}
-					return pending[a] < pending[b]
-				})
 			}
 			if err := dispatch(t); err != nil {
 				return err
