@@ -56,12 +56,8 @@ func main() {
 		}
 	}
 	if *stats {
-		lv, err := g.Levels()
-		if err != nil {
-			fatal(err)
-		}
 		depth := 0
-		for _, l := range lv {
+		for _, l := range g.Levels() {
 			if l > depth {
 				depth = l
 			}

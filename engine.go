@@ -175,18 +175,18 @@ func NewEngine(opts ...Option) (*Engine, error) {
 func (e *Engine) Library() *Library { return e.lib }
 
 // Benchmark returns a copy of the engine's pre-parsed paper benchmark.
-// The copy is the caller's to mutate; the engine's cached graph stays
-// pristine for subsequent runs.
+// The copy shares the cached graph's immutable tasks and index; its
+// Name and Deadline are the caller's to change.
 func (e *Engine) Benchmark(name string) (*Graph, error) {
 	g, err := e.benchmark(name)
 	if err != nil {
 		return nil, err
 	}
-	return g.Clone(), nil
+	c := *g
+	return &c, nil
 }
 
-// benchmark returns the shared parsed graph. Internal callers only
-// read it (scheduling never mutates the input graph).
+// benchmark returns the shared parsed graph, which every run only reads.
 func (e *Engine) benchmark(name string) (*Graph, error) {
 	if g, ok := e.benches[name]; ok {
 		return g, nil

@@ -9,6 +9,7 @@ import (
 	"math"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -461,6 +462,50 @@ func TestEngineConcurrentThermalRunsShareModel(t *testing.T) {
 	}
 	if _, misses, _ := e.ModelCacheStats(); misses != 1 {
 		t.Errorf("concurrent thermal runs built the model %d times, want 1", misses)
+	}
+}
+
+// Every run reads the engine's one parsed copy of a benchmark, while
+// Benchmark hands callers a value copy of it: eight concurrent runs on
+// Bm1 answer byte-identically while a caller edits the Deadline of its
+// copy, and the engine's graph keeps the paper's deadline.
+func TestEngineBenchmarkCopySharedAcrossRuns(t *testing.T) {
+	e := testEngine(t)
+	ctx := context.Background()
+	req := Request{Flow: FlowPlatform, Benchmark: "Bm1", Policy: "thermal"}
+	first, err := e.Run(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := respJSON(t, first)
+	out := make([]*Response, 8)
+	errs := make([]error, len(out))
+	var wg sync.WaitGroup
+	for i := range out {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[i], errs[i] = e.Run(ctx, req)
+		}()
+	}
+	c, err := e.Benchmark("Bm1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for d := 1.0; d <= 100; d++ {
+		c.Deadline = d
+	}
+	wg.Wait()
+	for i, resp := range out {
+		if errs[i] != nil {
+			t.Fatalf("run %d: %v", i, errs[i])
+		}
+		if respJSON(t, resp) != want {
+			t.Errorf("run %d answered differently while a Benchmark copy was edited", i)
+		}
+	}
+	if g, _ := e.benchmark("Bm1"); g.Deadline != 790 {
+		t.Errorf("engine's Bm1 deadline is %g after editing a copy, want 790", g.Deadline)
 	}
 }
 

@@ -183,7 +183,7 @@ func TestRunCoSynthesisErrors(t *testing.T) {
 			t.Errorf("MaxPEs %d accepted", n)
 		}
 	}
-	if _, err := RunCoSynthesis(context.Background(), taskgraph.NewGraph("empty", 1), lib, DefaultCoSynthConfig(sched.Baseline)); err == nil {
+	if _, err := RunCoSynthesis(context.Background(), &taskgraph.Graph{Name: "empty", Deadline: 1}, lib, DefaultCoSynthConfig(sched.Baseline)); err == nil {
 		t.Error("empty graph accepted")
 	}
 }

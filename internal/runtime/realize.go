@@ -72,11 +72,7 @@ func Realize(s *sched.Schedule, cfg Config) (*Realization, error) {
 		if err := s.Graph.ValidateProbabilities(); err != nil {
 			return nil, fmt.Errorf("runtime: %w", err)
 		}
-		order, err := s.Graph.TopoOrder()
-		if err != nil {
-			return nil, fmt.Errorf("runtime: %w", err)
-		}
-		for _, id := range order {
+		for _, id := range s.Graph.TopoOrder() {
 			if s.Graph.InDegree(id) == 0 {
 				executes[id] = true
 			}

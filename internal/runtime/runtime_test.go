@@ -256,9 +256,9 @@ func ctgPlatform(t *testing.T) (*sched.Schedule, *cosynth.Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := taskgraph.NewGraph("ctg", 2000)
+	b := taskgraph.NewBuilder("ctg", 2000)
 	for i := 0; i < 4; i++ {
-		if err := g.AddTask(taskgraph.Task{ID: i, Name: "t", Type: i % taskgraph.NumTaskTypes}); err != nil {
+		if err := b.AddTask(taskgraph.Task{ID: i, Name: "t", Type: i % taskgraph.NumTaskTypes}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -268,9 +268,13 @@ func ctgPlatform(t *testing.T) (*sched.Schedule, *cosynth.Result) {
 		{From: 1, To: 3, Data: 1},
 		{From: 2, To: 3, Data: 1},
 	} {
-		if err := g.AddEdge(e); err != nil {
+		if err := b.AddEdge(e); err != nil {
 			t.Fatal(err)
 		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
 	}
 	res, err := cosynth.RunPlatform(context.Background(), g, lib, cosynth.DefaultPlatformConfig(sched.Baseline))
 	if err != nil {
@@ -363,9 +367,9 @@ func TestValidateIgnoresUnfiredEdgeAtORJoin(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	g := taskgraph.NewGraph("orjoin", 1000)
+	b := taskgraph.NewBuilder("orjoin", 1000)
 	for i := 0; i < 3; i++ {
-		if err := g.AddTask(taskgraph.Task{ID: i, Name: "t", Type: 0}); err != nil {
+		if err := b.AddTask(taskgraph.Task{ID: i, Name: "t", Type: 0}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -374,9 +378,13 @@ func TestValidateIgnoresUnfiredEdgeAtORJoin(t *testing.T) {
 		{From: 0, To: 2, Data: 1000, Prob: 0.5},
 		{From: 1, To: 2, Data: 1},
 	} {
-		if err := g.AddEdge(e); err != nil {
+		if err := b.AddEdge(e); err != nil {
 			t.Fatal(err)
 		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
 	}
 	const bus = 0.05
 	s := &sched.Schedule{

@@ -62,25 +62,25 @@ func generateGraph(spec Spec, lib *techlib.Library) (*taskgraph.Graph, error) {
 		markBranchEdges(edges, g.Tasks, g.BranchDensity, rng)
 	}
 
-	// Deadline: Tightness × max(critical path, work bound). Built on a
-	// throwaway graph first because the critical path needs the final
-	// structure and volumes.
-	tg := taskgraph.NewGraph(spec.Name, 1) // placeholder deadline, fixed below
+	// Deadline: Tightness × max(critical path, work bound), set on the
+	// built graph because the critical path needs the final structure
+	// and volumes.
+	b := taskgraph.NewBuilder(spec.Name, 1) // placeholder deadline, fixed below
 	for i := 0; i < g.Tasks; i++ {
-		if err := tg.AddTask(taskgraph.Task{ID: i, Name: fmt.Sprintf("t%d", i), Type: types[i]}); err != nil {
+		if err := b.AddTask(taskgraph.Task{ID: i, Name: fmt.Sprintf("t%d", i), Type: types[i]}); err != nil {
 			return nil, err
 		}
 	}
 	for _, e := range edges {
-		if err := tg.AddEdge(taskgraph.Edge{From: e.from, To: e.to, Data: e.data, Prob: e.prob}); err != nil {
+		if err := b.AddEdge(taskgraph.Edge{From: e.from, To: e.to, Data: e.data, Prob: e.prob}); err != nil {
 			return nil, err
 		}
 	}
-	lb, err := lowerBound(tg, lib, spec.Platform.PEs)
+	tg, err := b.Build()
 	if err != nil {
 		return nil, err
 	}
-	tg.Deadline = math.Round(g.Tightness * lb)
+	tg.Deadline = math.Round(g.Tightness * lowerBound(tg, lib, spec.Platform.PEs))
 	if err := tg.Validate(); err != nil {
 		return nil, err
 	}
@@ -107,7 +107,7 @@ func meanLibraryWCET(lib *techlib.Library, types []int) float64 {
 // lowerBound estimates the schedule length floor: the critical path
 // (mean WCETs plus bus transfer times) or the aggregate work spread
 // over the platform's PEs, whichever is larger.
-func lowerBound(g *taskgraph.Graph, lib *techlib.Library, pes int) (float64, error) {
+func lowerBound(g *taskgraph.Graph, lib *techlib.Library, pes int) float64 {
 	weight := func(t taskgraph.Task) float64 {
 		w, err := lib.MeanWCET(t.Type)
 		if err != nil {
@@ -115,20 +115,17 @@ func lowerBound(g *taskgraph.Graph, lib *techlib.Library, pes int) (float64, err
 		}
 		return w
 	}
-	cp, err := g.CriticalPathLength(weight, func(e taskgraph.Edge) float64 {
+	cp := g.CriticalPathLength(weight, func(e taskgraph.Edge) float64 {
 		return e.Data * techlib.DefaultBusTimePerUnit
 	})
-	if err != nil {
-		return 0, err
-	}
 	var work float64
 	for _, t := range g.Tasks() {
 		work += weight(t)
 	}
 	if bound := work / float64(pes); bound > cp {
-		return bound, nil
+		return bound
 	}
-	return cp, nil
+	return cp
 }
 
 // layeredEdges builds the layered (TGFF-style) structure: tasks are

@@ -325,13 +325,9 @@ type Summary struct {
 }
 
 // Summarize computes the scenario's summary statistics.
-func (s *Scenario) Summarize() (Summary, error) {
-	lv, err := s.Graph.Levels()
-	if err != nil {
-		return Summary{}, err
-	}
+func (s *Scenario) Summarize() Summary {
 	depth := 0
-	for _, l := range lv {
+	for _, l := range s.Graph.Levels() {
 		if l > depth {
 			depth = l
 		}
@@ -357,7 +353,7 @@ func (s *Scenario) Summarize() (Summary, error) {
 		}
 	}
 	sum.CCR = realizedCCR(s.Graph, s.Lib)
-	return sum, nil
+	return sum
 }
 
 // realizedCCR is the generated graph's actual communication-to-

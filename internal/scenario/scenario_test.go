@@ -168,10 +168,7 @@ func TestLayeredShapeStructure(t *testing.T) {
 			t.Errorf("task %d has fan-in %d > MaxFanIn 2", id, in)
 		}
 	}
-	sum, err := s.Summarize()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sum := s.Summarize()
 	if sum.Depth < 2 {
 		t.Errorf("layered graph depth %d, want >= 2", sum.Depth)
 	}
@@ -207,10 +204,7 @@ func TestCCRCalibration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum, err := s.Summarize()
-		if err != nil {
-			t.Fatal(err)
-		}
+		sum := s.Summarize()
 		// The volume draw is uniform in [0.5, 1.5]×mean, so the sample
 		// mean should land well within ±35% of the target at 100+ edges.
 		if sum.CCR < 0.65*ccr || sum.CCR > 1.35*ccr {
@@ -247,10 +241,7 @@ func TestBranchDensityMarksConditionals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := s.Summarize()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sum := s.Summarize()
 	if sum.BranchNodes == 0 {
 		t.Fatal("BranchDensity 1 marked no branch nodes")
 	}

@@ -24,9 +24,9 @@ func ctgSchedule(t *testing.T) *Schedule {
 			t.Fatal(err)
 		}
 	}
-	g := taskgraph.NewGraph("ctg", 1000)
+	b := taskgraph.NewBuilder("ctg", 1000)
 	for i := 0; i < 4; i++ {
-		if err := g.AddTask(taskgraph.Task{ID: i, Name: "t", Type: 0}); err != nil {
+		if err := b.AddTask(taskgraph.Task{ID: i, Name: "t", Type: 0}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -36,9 +36,13 @@ func ctgSchedule(t *testing.T) *Schedule {
 		{From: 1, To: 3, Data: 1},
 		{From: 2, To: 3, Data: 1},
 	} {
-		if err := g.AddEdge(e); err != nil {
+		if err := b.AddEdge(e); err != nil {
 			t.Fatal(err)
 		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
 	}
 	arch := Architecture{
 		Name: "duo",

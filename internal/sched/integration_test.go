@@ -267,12 +267,9 @@ func TestMakespanLowerBoundsProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		cp, err := g.CriticalPathLength(func(tk taskgraph.Task) float64 {
+		cp := g.CriticalPathLength(func(tk taskgraph.Task) float64 {
 			return fastest(tk.Type)
 		}, nil)
-		if err != nil {
-			return false
-		}
 		var work float64
 		for _, tk := range g.Tasks() {
 			work += fastest(tk.Type)

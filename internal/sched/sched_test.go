@@ -37,16 +37,20 @@ func testLib(t testing.TB) *techlib.Library {
 // chainGraph builds t0 -> t1 -> t2, all type 0.
 func chainGraph(t testing.TB, deadline float64) *taskgraph.Graph {
 	t.Helper()
-	g := taskgraph.NewGraph("chain", deadline)
+	b := taskgraph.NewBuilder("chain", deadline)
 	for i := 0; i < 3; i++ {
-		if err := g.AddTask(taskgraph.Task{ID: i, Name: "t", Type: 0}); err != nil {
+		if err := b.AddTask(taskgraph.Task{ID: i, Name: "t", Type: 0}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 2; i++ {
-		if err := g.AddEdge(taskgraph.Edge{From: i, To: i + 1, Data: 10}); err != nil {
+		if err := b.AddEdge(taskgraph.Edge{From: i, To: i + 1, Data: 10}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
 	}
 	return g
 }
@@ -54,16 +58,20 @@ func chainGraph(t testing.TB, deadline float64) *taskgraph.Graph {
 // forkGraph builds t0 -> {t1..t4}, all type 0: four independent children.
 func forkGraph(t testing.TB, deadline float64) *taskgraph.Graph {
 	t.Helper()
-	g := taskgraph.NewGraph("fork", deadline)
+	b := taskgraph.NewBuilder("fork", deadline)
 	for i := 0; i < 5; i++ {
-		if err := g.AddTask(taskgraph.Task{ID: i, Name: "t", Type: 0}); err != nil {
+		if err := b.AddTask(taskgraph.Task{ID: i, Name: "t", Type: 0}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 1; i < 5; i++ {
-		if err := g.AddEdge(taskgraph.Edge{From: 0, To: i, Data: 5}); err != nil {
+		if err := b.AddEdge(taskgraph.Edge{From: 0, To: i, Data: 5}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
 	}
 	return g
 }
@@ -357,7 +365,7 @@ func TestSchedulerErrors(t *testing.T) {
 		t.Error("empty arch accepted")
 	}
 	// Invalid graph.
-	if _, err := AllocateAndSchedule(context.Background(), taskgraph.NewGraph("e", 1), twoPEArch(0), lib, DefaultConfig(Baseline)); err == nil {
+	if _, err := AllocateAndSchedule(context.Background(), &taskgraph.Graph{Name: "e", Deadline: 1}, twoPEArch(0), lib, DefaultConfig(Baseline)); err == nil {
 		t.Error("empty graph accepted")
 	}
 	// Invalid config.
@@ -440,11 +448,15 @@ func TestScheduleValidateCatchesCorruption(t *testing.T) {
 func TestOverlapDetection(t *testing.T) {
 	lib := testLib(t)
 	// Two independent tasks forced onto one PE at overlapping times.
-	g := taskgraph.NewGraph("pair", 1000)
+	b := taskgraph.NewBuilder("pair", 1000)
 	for i := 0; i < 2; i++ {
-		if err := g.AddTask(taskgraph.Task{ID: i, Name: "t", Type: 0}); err != nil {
+		if err := b.AddTask(taskgraph.Task{ID: i, Name: "t", Type: 0}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
 	}
 	arch := Architecture{Name: "solo", PEs: []PE{{Name: "a", Type: 0}}}
 	s, err := AllocateAndSchedule(context.Background(), g, arch, lib, DefaultConfig(Baseline))

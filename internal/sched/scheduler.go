@@ -61,15 +61,12 @@ func Prepare(g *taskgraph.Graph, arch Architecture, lib *techlib.Library) (*Prep
 	// Static criticality: longest path to the end of the graph, weighting
 	// each task with its mean WCET over the library and each edge with
 	// its bus transfer time (zero when communication is not modelled).
-	sc, err := g.StaticCriticality(func(t taskgraph.Task) float64 {
+	sc := g.StaticCriticality(func(t taskgraph.Task) float64 {
 		v, _ := lib.MeanWCET(t.Type) // 0 for a type no PE type runs; SC stays conservative
 		return v
 	}, func(e taskgraph.Edge) float64 {
 		return e.Data * arch.BusTimePerUnit
 	})
-	if err != nil {
-		return nil, err
-	}
 
 	n, nPE := g.NumTasks(), len(arch.PEs)
 	p := &Prepared{

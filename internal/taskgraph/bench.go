@@ -41,8 +41,8 @@ func Benchmarks() ([]*Graph, error) {
 	return out, nil
 }
 
-// Benchmark returns one paper benchmark by name ("Bm1" … "Bm4"). Each
-// call returns a fresh graph the caller may modify.
+// Benchmark returns one paper benchmark by name ("Bm1" … "Bm4"), parsed
+// afresh on each call.
 func Benchmark(name string) (*Graph, error) {
 	if !slices.Contains(benchNames, name) {
 		return nil, fmt.Errorf("taskgraph: unknown benchmark %q (want Bm1..Bm4)", name)

@@ -39,25 +39,6 @@ func TestBenchmarkFilesRoundTrip(t *testing.T) {
 	}
 }
 
-// Benchmark hands out a fresh graph on every call: editing one leaves
-// the next call's graph as the file describes it.
-func TestBenchmarkReturnsFreshGraph(t *testing.T) {
-	g, err := Benchmark("Bm1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddTask(Task{ID: g.NumTasks(), Name: "extra", Type: 0}); err != nil {
-		t.Fatal(err)
-	}
-	again, err := Benchmark("Bm1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.NumTasks() != 19 {
-		t.Errorf("Bm1 has %d tasks after editing an earlier copy, want 19", again.NumTasks())
-	}
-}
-
 func TestBenchmarksMatchPaperSpecs(t *testing.T) {
 	want := []struct {
 		name     string

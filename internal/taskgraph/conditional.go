@@ -35,11 +35,10 @@ func (e Edge) IsConditional() bool { return e.Prob != 0 && e.Prob < 1 }
 // them is conditional (mutually exclusive branches). Each edge's own
 // probability already lies in [0, 1], which AddEdge enforces.
 func (g *Graph) ValidateProbabilities() error {
-	ix := g.index()
 	for id := range g.tasks {
 		var sum float64
 		conditional := false
-		for _, e := range ix.succOf(id) {
+		for _, e := range g.ix.succOf(id) {
 			sum += e.effectiveProb()
 			if e.IsConditional() {
 				conditional = true
@@ -61,14 +60,9 @@ func (g *Graph) ExecutionProbabilities() ([]float64, error) {
 	if err := g.ValidateProbabilities(); err != nil {
 		return nil, err
 	}
-	order, err := g.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	ix := g.index()
 	probs := make([]float64, len(g.tasks))
-	for _, id := range order {
-		preds := ix.predOf(id)
+	for _, id := range g.ix.order {
+		preds := g.ix.predOf(id)
 		if len(preds) == 0 {
 			probs[id] = 1
 			continue

@@ -16,9 +16,9 @@ import (
 //	t4   t3
 func branchGraph(t *testing.T) *Graph {
 	t.Helper()
-	g := NewGraph("ctg", 100)
+	b := NewBuilder("ctg", 100)
 	for i := 0; i < 5; i++ {
-		if err := g.AddTask(Task{ID: i, Name: "t", Type: 0}); err != nil {
+		if err := b.AddTask(Task{ID: i, Name: "t", Type: 0}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -29,9 +29,13 @@ func branchGraph(t *testing.T) *Graph {
 		{From: 2, To: 3, Data: 1},
 		{From: 1, To: 4, Data: 1},
 	} {
-		if err := g.AddEdge(e); err != nil {
+		if err := b.AddEdge(e); err != nil {
 			t.Fatal(err)
 		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
 	}
 	return g
 }
@@ -49,14 +53,14 @@ func TestEdgeProbabilitySemantics(t *testing.T) {
 }
 
 func TestAddEdgeRejectsBadProb(t *testing.T) {
-	g := NewGraph("g", 10)
+	b := NewBuilder("g", 10)
 	for i := 0; i < 2; i++ {
-		if err := g.AddTask(Task{ID: i, Name: "t", Type: 0}); err != nil {
+		if err := b.AddTask(Task{ID: i, Name: "t", Type: 0}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, p := range []float64{-0.1, 1.5, math.NaN()} {
-		if err := g.AddEdge(Edge{From: 0, To: 1, Data: 1, Prob: p}); err == nil {
+		if err := b.AddEdge(Edge{From: 0, To: 1, Data: 1, Prob: p}); err == nil {
 			t.Errorf("probability %v accepted", p)
 		}
 	}
@@ -68,16 +72,20 @@ func TestValidateProbabilities(t *testing.T) {
 		t.Errorf("valid CTG rejected: %v", err)
 	}
 	// Branch probabilities summing past 1 must be rejected.
-	bad := NewGraph("bad", 100)
+	b := NewBuilder("bad", 100)
 	for i := 0; i < 3; i++ {
-		if err := bad.AddTask(Task{ID: i, Name: "t", Type: 0}); err != nil {
+		if err := b.AddTask(Task{ID: i, Name: "t", Type: 0}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := bad.AddEdge(Edge{From: 0, To: 1, Data: 1, Prob: 0.8}); err != nil {
+	if err := b.AddEdge(Edge{From: 0, To: 1, Data: 1, Prob: 0.8}); err != nil {
 		t.Fatal(err)
 	}
-	if err := bad.AddEdge(Edge{From: 0, To: 2, Data: 1, Prob: 0.8}); err != nil {
+	if err := b.AddEdge(Edge{From: 0, To: 2, Data: 1, Prob: 0.8}); err != nil {
+		t.Fatal(err)
+	}
+	bad, err := b.Build()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := bad.ValidateProbabilities(); err == nil {
@@ -178,9 +186,9 @@ func TestConditionalGraphRoundTrip(t *testing.T) {
 //	     t5
 func nestedBranchGraph(t *testing.T) *Graph {
 	t.Helper()
-	g := NewGraph("nested", 100)
+	b := NewBuilder("nested", 100)
 	for i := 0; i < 7; i++ {
-		if err := g.AddTask(Task{ID: i, Name: "t", Type: 0}); err != nil {
+		if err := b.AddTask(Task{ID: i, Name: "t", Type: 0}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -193,9 +201,13 @@ func nestedBranchGraph(t *testing.T) *Graph {
 		{From: 4, To: 5, Data: 1},
 		{From: 2, To: 6, Data: 1},
 	} {
-		if err := g.AddEdge(e); err != nil {
+		if err := b.AddEdge(e); err != nil {
 			t.Fatal(err)
 		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
 	}
 	return g
 }

@@ -4,18 +4,16 @@
 // criticality (longest path to the end of the graph, the list-scheduling
 // priority the paper's ASP starts from), and text/DOT serialization.
 //
-// A graph is indexed on its first structural read (see Graph): the
-// slices Predecessors, Successors and TopoOrder return are read-only
-// views into the index, and a mutation drops it for the next read to
-// rebuild.
+// A Builder collects tasks and edges; Build validates them once and
+// returns a Graph, indexed for reading and never changed after (see
+// Graph). The slices Predecessors, Successors and TopoOrder return are
+// read-only views into that index.
 package taskgraph
 
 import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
-	"sync/atomic"
 )
 
 // Task is one node of a task graph. Type selects a row of the technology
@@ -38,57 +36,58 @@ type Edge struct {
 	Prob     float64
 }
 
-// Graph is a task graph with a deadline. Construct with NewGraph and
-// AddTask/AddEdge, read one with ReadGraph, or load a paper benchmark
-// with Benchmark.
+// Graph is a task graph with a deadline, built once by a Builder (or
+// read with ReadGraph, or loaded with Benchmark) and only read after.
 //
-// The first read of the graph's structure (Predecessors, Successors,
-// TopoOrder, Validate and the passes built on them) indexes it: the
-// topological order and the predecessor and successor edges, each side
-// in one shared array with per-task offsets (compressed sparse row
-// form). Every later read is served from that index, and the slices
-// those accessors return are read-only views into it. AddTask and
-// AddEdge drop the index, and the next read rebuilds it. The first read
-// may come from several goroutines at once; mutating a graph while
-// another goroutine reads it is not supported.
+// Build indexes the graph: the topological order and the predecessor
+// and successor edges, each side in one shared array with per-task
+// offsets (compressed sparse row form). Every read is served from that
+// index, and the slices Predecessors, Successors and TopoOrder return
+// are read-only views into it. A Graph has no method that changes its
+// tasks or edges, so one graph may be read from any number of
+// goroutines, and a value copy shares the tasks and index with the
+// original while its Name and Deadline stay its own. The zero Graph is
+// empty: it reads as no tasks and no edges, and Validate rejects it.
 type Graph struct {
 	Name     string
 	Deadline float64
 	tasks    []Task
-
-	// Build state, held only while the graph is not indexed: the edges
-	// in insertion order and, per task, the insertion indices of its
-	// outgoing edges (for the duplicate check).
-	edges []Edge
-	out   [][]int32
-
-	mu  sync.Mutex // serializes building the index
-	idx atomic.Pointer[index]
+	ix       index
 }
 
-// index is the read side of a graph, immutable once built (clones share
-// it). Within a task, edges keep the order they were added in, and
-// order is Kahn's order with sources seeded by ID, so every pass reads
-// edges and tasks in the same order the copying accessors once did.
+// index is the read side of a graph. Within a task, edges keep the
+// order they were added in, and order is Kahn's order with sources
+// seeded by ID, so every pass reads edges and tasks in the same order
+// as the copying reference in index_test.go.
 type index struct {
 	succ, pred       []Edge  // edges grouped by From and by To
 	succOff, predOff []int32 // task id's edges are succ[succOff[id]:succOff[id+1]]
 	// perm[i] is the position in succ of the i-th edge added, which
 	// keeps insertion order without a third copy of the edges.
 	perm  []int32
-	order []int // topological order; shorter than the task count on a cycle
+	order []int // topological order; Build rejects a graph it falls short of
 }
 
-// NewGraph returns an empty graph with the given name and deadline.
-func NewGraph(name string, deadline float64) *Graph {
-	return &Graph{Name: name, Deadline: deadline}
+// Builder accumulates the tasks and edges of a graph until Build.
+type Builder struct {
+	name     string
+	deadline float64
+	tasks    []Task
+	edges    []Edge    // in insertion order
+	out      [][]int32 // per task, the insertion indices of its outgoing edges
+}
+
+// NewBuilder returns an empty builder for a graph with the given name
+// and deadline.
+func NewBuilder(name string, deadline float64) *Builder {
+	return &Builder{name: name, deadline: deadline}
 }
 
 // AddTask appends a task; IDs must be assigned densely in order
 // (0, 1, 2, ...), which keeps every per-task lookup a slice index.
-func (g *Graph) AddTask(t Task) error {
-	if t.ID != len(g.tasks) {
-		return fmt.Errorf("taskgraph: task ID %d out of order, want %d", t.ID, len(g.tasks))
+func (b *Builder) AddTask(t Task) error {
+	if t.ID != len(b.tasks) {
+		return fmt.Errorf("taskgraph: task ID %d out of order, want %d", t.ID, len(b.tasks))
 	}
 	if t.Name == "" {
 		return fmt.Errorf("taskgraph: task %d has empty name", t.ID)
@@ -96,17 +95,16 @@ func (g *Graph) AddTask(t Task) error {
 	if t.Type < 0 {
 		return fmt.Errorf("taskgraph: task %d has negative type %d", t.ID, t.Type)
 	}
-	g.unindex()
-	g.tasks = append(g.tasks, t)
-	g.out = append(g.out, nil)
+	b.tasks = append(b.tasks, t)
+	b.out = append(b.out, nil)
 	return nil
 }
 
 // AddEdge appends a dependency edge. Both endpoints must exist, self
 // loops and duplicate edges are rejected; cycle detection happens in
-// Validate (cheaper once, after construction).
-func (g *Graph) AddEdge(e Edge) error {
-	if e.From < 0 || e.From >= len(g.tasks) || e.To < 0 || e.To >= len(g.tasks) {
+// Build (cheaper once, after construction).
+func (b *Builder) AddEdge(e Edge) error {
+	if e.From < 0 || e.From >= len(b.tasks) || e.To < 0 || e.To >= len(b.tasks) {
 		return fmt.Errorf("taskgraph: edge %d->%d references missing task", e.From, e.To)
 	}
 	if e.From == e.To {
@@ -118,53 +116,37 @@ func (g *Graph) AddEdge(e Edge) error {
 	if e.Prob < 0 || e.Prob > 1 || math.IsNaN(e.Prob) {
 		return fmt.Errorf("taskgraph: edge %d->%d has invalid probability %g", e.From, e.To, e.Prob)
 	}
-	g.unindex()
-	for _, ei := range g.out[e.From] {
-		if g.edges[ei].To == e.To {
+	for _, ei := range b.out[e.From] {
+		if b.edges[ei].To == e.To {
 			return fmt.Errorf("taskgraph: duplicate edge %d->%d", e.From, e.To)
 		}
 	}
-	g.out[e.From] = append(g.out[e.From], int32(len(g.edges)))
-	g.edges = append(g.edges, e)
+	b.out[e.From] = append(b.out[e.From], int32(len(b.edges)))
+	b.edges = append(b.edges, e)
 	return nil
 }
 
-// unindex restores the build state from the index and drops the index,
-// ahead of a mutation.
-func (g *Graph) unindex() {
-	ix := g.idx.Load()
-	if ix == nil {
-		return
+// Build checks that the graph is non-empty, has a positive deadline and
+// is acyclic, and returns it indexed. The builder may go on adding
+// after Build; a graph it built earlier never changes.
+func (b *Builder) Build() (*Graph, error) {
+	n := len(b.tasks)
+	g := &Graph{Name: b.name, Deadline: b.deadline, tasks: b.tasks[:n:n]}
+	if err := g.Validate(); err != nil {
+		return nil, err
 	}
-	g.edges = ix.inserted()
-	g.out = make([][]int32, len(g.tasks))
-	for i, e := range g.edges {
-		g.out[e.From] = append(g.out[e.From], int32(i))
+	g.ix = buildIndex(n, b.edges)
+	if len(g.ix.order) != n {
+		return nil, fmt.Errorf("taskgraph: graph %q contains a cycle", g.Name)
 	}
-	g.idx.Store(nil)
-}
-
-// index returns the graph's index, building it on the first read.
-func (g *Graph) index() *index {
-	if ix := g.idx.Load(); ix != nil {
-		return ix
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if ix := g.idx.Load(); ix != nil {
-		return ix
-	}
-	ix := buildIndex(len(g.tasks), g.edges)
-	g.edges, g.out = nil, nil
-	g.idx.Store(ix)
-	return ix
+	return g, nil
 }
 
 // buildIndex groups the edges by source and by target with a counting
 // sort that keeps insertion order within a task, then runs Kahn's
 // algorithm over the grouped successors.
-func buildIndex(n int, edges []Edge) *index {
-	ix := &index{
+func buildIndex(n int, edges []Edge) index {
+	ix := index{
 		succ:    make([]Edge, len(edges)),
 		pred:    make([]Edge, len(edges)),
 		succOff: make([]int32, n+1),
@@ -234,7 +216,7 @@ func (ix *index) inserted() []Edge {
 func (g *Graph) NumTasks() int { return len(g.tasks) }
 
 // NumEdges returns the edge count.
-func (g *Graph) NumEdges() int { return len(g.index().succ) }
+func (g *Graph) NumEdges() int { return len(g.ix.succ) }
 
 // Task returns the task with the given ID.
 func (g *Graph) Task(id int) Task { return g.tasks[id] }
@@ -243,28 +225,26 @@ func (g *Graph) Task(id int) Task { return g.tasks[id] }
 func (g *Graph) Tasks() []Task { return slices.Clone(g.tasks) }
 
 // Edges returns a copy of the edge list, in insertion order.
-func (g *Graph) Edges() []Edge { return g.index().inserted() }
+func (g *Graph) Edges() []Edge { return g.ix.inserted() }
 
 // Successors returns the edges leaving task id, in insertion order. The
 // slice is a read-only view into the graph's index.
-func (g *Graph) Successors(id int) []Edge { return g.index().succOf(id) }
+func (g *Graph) Successors(id int) []Edge { return g.ix.succOf(id) }
 
 // Predecessors returns the edges entering task id, in insertion order.
 // The slice is a read-only view into the graph's index.
-func (g *Graph) Predecessors(id int) []Edge { return g.index().predOf(id) }
+func (g *Graph) Predecessors(id int) []Edge { return g.ix.predOf(id) }
 
 // InDegree returns the number of predecessors of task id.
 func (g *Graph) InDegree(id int) int {
-	ix := g.index()
-	return int(ix.predOff[id+1] - ix.predOff[id])
+	return int(g.ix.predOff[id+1] - g.ix.predOff[id])
 }
 
 // Sources returns the IDs of tasks with no predecessors.
 func (g *Graph) Sources() []int {
-	ix := g.index()
 	var out []int
 	for id := range g.tasks {
-		if ix.predOff[id+1] == ix.predOff[id] {
+		if g.ix.predOff[id+1] == g.ix.predOff[id] {
 			out = append(out, id)
 		}
 	}
@@ -273,10 +253,9 @@ func (g *Graph) Sources() []int {
 
 // Sinks returns the IDs of tasks with no successors.
 func (g *Graph) Sinks() []int {
-	ix := g.index()
 	var out []int
 	for id := range g.tasks {
-		if ix.succOff[id+1] == ix.succOff[id] {
+		if g.ix.succOff[id+1] == g.ix.succOff[id] {
 			out = append(out, id)
 		}
 	}
@@ -284,18 +263,16 @@ func (g *Graph) Sinks() []int {
 }
 
 // TopoOrder returns a topological ordering of the task IDs (Kahn's
-// algorithm, sources seeded in ID order), or an error if the graph has
-// a cycle. The slice is a read-only view into the graph's index.
-func (g *Graph) TopoOrder() ([]int, error) {
-	order := g.index().order
-	if len(order) != len(g.tasks) {
-		return nil, fmt.Errorf("taskgraph: graph %q contains a cycle", g.Name)
-	}
-	return order[:len(order):len(order)], nil
+// algorithm, sources seeded in ID order). The slice is a read-only view
+// into the graph's index.
+func (g *Graph) TopoOrder() []int {
+	order := g.ix.order
+	return order[:len(order):len(order)]
 }
 
-// Validate checks structural sanity: non-empty, positive deadline,
-// acyclic.
+// Validate checks that the graph has tasks and a positive deadline. A
+// built graph is acyclic, so only a zero Graph or an edited Deadline
+// fails it.
 func (g *Graph) Validate() error {
 	if len(g.tasks) == 0 {
 		return fmt.Errorf("taskgraph: graph %q has no tasks", g.Name)
@@ -303,8 +280,7 @@ func (g *Graph) Validate() error {
 	if !(g.Deadline > 0) {
 		return fmt.Errorf("taskgraph: graph %q has non-positive deadline %g", g.Name, g.Deadline)
 	}
-	_, err := g.TopoOrder()
-	return err
+	return nil
 }
 
 // StaticCriticality computes the paper's SC value for every task: the
@@ -312,19 +288,15 @@ func (g *Graph) Validate() error {
 // weight(task) and each traversed edge contributes edgeWeight(edge).
 // Pass the mean WCET as weight (as list schedulers conventionally do)
 // and zero edge weight to match the paper's definition.
-func (g *Graph) StaticCriticality(weight func(Task) float64, edgeWeight func(Edge) float64) ([]float64, error) {
-	order, err := g.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	ix := g.index()
+func (g *Graph) StaticCriticality(weight func(Task) float64, edgeWeight func(Edge) float64) []float64 {
+	order := g.ix.order
 	sc := make([]float64, len(g.tasks))
 	// Walk in reverse topological order: every successor is finalized
 	// before its predecessors.
 	for i := len(order) - 1; i >= 0; i-- {
 		id := order[i]
 		best := 0.0
-		for _, e := range ix.succOf(id) {
+		for _, e := range g.ix.succOf(id) {
 			v := sc[e.To]
 			if edgeWeight != nil {
 				v += edgeWeight(e)
@@ -335,55 +307,37 @@ func (g *Graph) StaticCriticality(weight func(Task) float64, edgeWeight func(Edg
 		}
 		sc[id] = best + weight(g.tasks[id])
 	}
-	return sc, nil
+	return sc
 }
 
 // CriticalPathLength returns the maximum StaticCriticality value — the
 // schedule length lower bound on infinitely many PEs.
-func (g *Graph) CriticalPathLength(weight func(Task) float64, edgeWeight func(Edge) float64) (float64, error) {
-	sc, err := g.StaticCriticality(weight, edgeWeight)
-	if err != nil {
-		return 0, err
-	}
+func (g *Graph) CriticalPathLength(weight func(Task) float64, edgeWeight func(Edge) float64) float64 {
 	best := 0.0
-	for _, v := range sc {
+	for _, v := range g.StaticCriticality(weight, edgeWeight) {
 		if v > best {
 			best = v
 		}
 	}
-	return best, nil
+	return best
 }
 
 // Levels assigns each task its depth (longest hop count from a source),
 // useful for reporting and layout.
-func (g *Graph) Levels() ([]int, error) {
-	order, err := g.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	ix := g.index()
+func (g *Graph) Levels() []int {
 	lv := make([]int, len(g.tasks))
-	for _, id := range order {
-		for _, e := range ix.predOf(id) {
+	for _, id := range g.ix.order {
+		for _, e := range g.ix.predOf(id) {
 			if lv[e.From]+1 > lv[id] {
 				lv[id] = lv[e.From] + 1
 			}
 		}
 	}
-	return lv, nil
+	return lv
 }
 
 // String summarizes the graph.
 func (g *Graph) String() string {
 	return fmt.Sprintf("Graph{%s: %d tasks, %d edges, deadline %g}",
 		g.Name, len(g.tasks), g.NumEdges(), g.Deadline)
-}
-
-// Clone returns a deep copy of the graph. The copy shares g's immutable
-// index until either graph is mutated.
-func (g *Graph) Clone() *Graph {
-	c := NewGraph(g.Name, g.Deadline)
-	c.tasks = slices.Clone(g.tasks)
-	c.idx.Store(g.index())
-	return c
 }

@@ -9,9 +9,9 @@ import (
 // diamond builds the four-task diamond t0 -> {t1, t2} -> t3.
 func diamond(t *testing.T) *Graph {
 	t.Helper()
-	g := NewGraph("diamond", 100)
+	b := NewBuilder("diamond", 100)
 	for i := 0; i < 4; i++ {
-		if err := g.AddTask(Task{ID: i, Name: "t" + string(rune('0'+i)), Type: i % 2}); err != nil {
+		if err := b.AddTask(Task{ID: i, Name: "t" + string(rune('0'+i)), Type: i % 2}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -21,15 +21,19 @@ func diamond(t *testing.T) *Graph {
 		{From: 1, To: 3, Data: 2},
 		{From: 2, To: 3, Data: 4},
 	} {
-		if err := g.AddEdge(e); err != nil {
+		if err := b.AddEdge(e); err != nil {
 			t.Fatal(err)
 		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
 	}
 	return g
 }
 
 func TestAddTaskValidation(t *testing.T) {
-	g := NewGraph("g", 10)
+	g := NewBuilder("g", 10)
 	if err := g.AddTask(Task{ID: 1, Name: "x", Type: 0}); err == nil {
 		t.Error("out-of-order ID accepted")
 	}
@@ -45,7 +49,7 @@ func TestAddTaskValidation(t *testing.T) {
 }
 
 func TestAddEdgeValidation(t *testing.T) {
-	g := NewGraph("g", 10)
+	g := NewBuilder("g", 10)
 	for i := 0; i < 3; i++ {
 		if err := g.AddTask(Task{ID: i, Name: "t", Type: 0}); err != nil {
 			t.Fatal(err)
@@ -97,10 +101,7 @@ func TestDegreesAndNeighbours(t *testing.T) {
 
 func TestTopoOrder(t *testing.T) {
 	g := diamond(t)
-	order, err := g.TopoOrder()
-	if err != nil {
-		t.Fatal(err)
-	}
+	order := g.TopoOrder()
 	pos := make(map[int]int)
 	for i, id := range order {
 		pos[id] = i
@@ -113,7 +114,7 @@ func TestTopoOrder(t *testing.T) {
 }
 
 func TestValidateCatchesCycle(t *testing.T) {
-	g := NewGraph("cyc", 10)
+	g := NewBuilder("cyc", 10)
 	for i := 0; i < 3; i++ {
 		if err := g.AddTask(Task{ID: i, Name: "t", Type: 0}); err != nil {
 			t.Fatal(err)
@@ -128,19 +129,31 @@ func TestValidateCatchesCycle(t *testing.T) {
 	mustEdge(Edge{From: 0, To: 1, Data: 1})
 	mustEdge(Edge{From: 1, To: 2, Data: 1})
 	mustEdge(Edge{From: 2, To: 0, Data: 1})
-	if err := g.Validate(); err == nil {
+	if _, err := g.Build(); err == nil {
 		t.Error("cycle not detected")
 	}
 }
 
 func TestValidateOtherErrors(t *testing.T) {
-	if err := NewGraph("empty", 10).Validate(); err == nil {
+	if _, err := NewBuilder("empty", 10).Build(); err == nil {
+		t.Error("empty graph built")
+	}
+	empty := &Graph{Name: "empty", Deadline: 10}
+	if err := empty.Validate(); err == nil {
 		t.Error("empty graph accepted")
 	}
-	g := NewGraph("nodl", 0)
-	if err := g.AddTask(Task{ID: 0, Name: "t", Type: 0}); err != nil {
+	if empty.NumEdges() != 0 || len(empty.TopoOrder()) != 0 || len(empty.Edges()) != 0 || len(empty.Levels()) != 0 {
+		t.Errorf("zero graph does not read as empty: %s", empty)
+	}
+	b := NewBuilder("nodl", 0)
+	if err := b.AddTask(Task{ID: 0, Name: "t", Type: 0}); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := b.Build(); err == nil {
+		t.Error("zero deadline built")
+	}
+	g := diamond(t)
+	g.Deadline = 0
 	if err := g.Validate(); err == nil {
 		t.Error("zero deadline accepted")
 	}
@@ -149,10 +162,7 @@ func TestValidateOtherErrors(t *testing.T) {
 func TestStaticCriticality(t *testing.T) {
 	g := diamond(t)
 	// Unit weights, zero edge weight: SC(t3)=1, SC(t1)=SC(t2)=2, SC(t0)=3.
-	sc, err := g.StaticCriticality(func(Task) float64 { return 1 }, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc := g.StaticCriticality(func(Task) float64 { return 1 }, nil)
 	want := []float64{3, 2, 2, 1}
 	for i, w := range want {
 		if math.Abs(sc[i]-w) > 1e-12 {
@@ -165,50 +175,29 @@ func TestStaticCriticalityWithEdgeWeights(t *testing.T) {
 	g := diamond(t)
 	// Weight 1 per task plus the edge data as path cost:
 	// SC(t3)=1; SC(t1)=1+2+1=4; SC(t2)=1+4+1=6; SC(t0)=1+max(5+4, 3+6)=10.
-	sc, err := g.StaticCriticality(
+	sc := g.StaticCriticality(
 		func(Task) float64 { return 1 },
 		func(e Edge) float64 { return e.Data },
 	)
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := []float64{10, 4, 6, 1}
 	for i, w := range want {
 		if math.Abs(sc[i]-w) > 1e-12 {
 			t.Errorf("SC[%d] = %v, want %v", i, sc[i], w)
 		}
 	}
-	cp, err := g.CriticalPathLength(func(Task) float64 { return 1 }, func(e Edge) float64 { return e.Data })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp != 10 {
+	if cp := g.CriticalPathLength(func(Task) float64 { return 1 }, func(e Edge) float64 { return e.Data }); cp != 10 {
 		t.Errorf("critical path = %v, want 10", cp)
 	}
 }
 
 func TestLevels(t *testing.T) {
 	g := diamond(t)
-	lv, err := g.Levels()
-	if err != nil {
-		t.Fatal(err)
-	}
+	lv := g.Levels()
 	want := []int{0, 1, 1, 2}
 	for i, w := range want {
 		if lv[i] != w {
 			t.Errorf("level[%d] = %d, want %d", i, lv[i], w)
 		}
-	}
-}
-
-func TestCloneIndependent(t *testing.T) {
-	g := diamond(t)
-	c := g.Clone()
-	if err := c.AddTask(Task{ID: 4, Name: "t4", Type: 0}); err != nil {
-		t.Fatal(err)
-	}
-	if g.NumTasks() != 4 || c.NumTasks() != 5 {
-		t.Error("Clone not independent")
 	}
 }
 

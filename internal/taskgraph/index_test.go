@@ -5,7 +5,6 @@ import (
 	"math"
 	"reflect"
 	"slices"
-	"sync"
 	"testing"
 
 	"thermalsched/internal/scenario"
@@ -180,22 +179,23 @@ func (r *refGraph) executionProbabilities(order []int) []float64 {
 func scTask(t taskgraph.Task) float64 { return float64(t.Type) + 1.5 }
 func scEdge(e taskgraph.Edge) float64 { return e.Data * 0.25 }
 
-// builder adds to a Graph and its reference in lockstep, failing the
+// builder adds to a Builder and its reference in lockstep, failing the
 // test if they disagree on accepting an addition.
 type builder struct {
 	t   testing.TB
-	g   *taskgraph.Graph
+	b   *taskgraph.Builder
 	ref *refGraph
 }
 
 func newBuilder(t testing.TB, name string) *builder {
-	return &builder{t: t, g: taskgraph.NewGraph(name, 100), ref: &refGraph{}}
+	return &builder{t: t, b: taskgraph.NewBuilder(name, 100), ref: &refGraph{}}
 }
 
 func (b *builder) task(typ int) {
 	b.t.Helper()
-	t := taskgraph.Task{ID: b.g.NumTasks(), Name: fmt.Sprintf("t%d", b.g.NumTasks()), Type: typ}
-	if err := b.g.AddTask(t); err != nil {
+	id := len(b.ref.tasks)
+	t := taskgraph.Task{ID: id, Name: fmt.Sprintf("t%d", id), Type: typ}
+	if err := b.b.AddTask(t); err != nil {
 		b.t.Fatal(err)
 	}
 	b.ref.addTask(t)
@@ -203,14 +203,33 @@ func (b *builder) task(typ int) {
 
 func (b *builder) edge(e taskgraph.Edge) {
 	b.t.Helper()
-	err := b.g.AddEdge(e)
+	err := b.b.AddEdge(e)
 	if want := b.ref.addEdge(e); (err == nil) != want {
 		b.t.Fatalf("AddEdge(%v) = %v, reference accepts: %v", e, err, want)
 	}
 }
 
-// copyOf rebuilds g addition by addition, so the copy's first read
-// indexes it from scratch.
+// build builds the graph and checks it against the reference. An empty
+// or cyclic graph must be rejected (nil, nil); any other is returned
+// with a copy of the reference as it stands.
+func (b *builder) build() (*taskgraph.Graph, *refGraph) {
+	b.t.Helper()
+	g, err := b.b.Build()
+	if len(b.ref.tasks) == 0 || b.ref.topoOrder() == nil {
+		if err == nil {
+			b.t.Fatalf("Build() accepted a graph with %d tasks and a cycle or none", len(b.ref.tasks))
+		}
+		return nil, nil
+	}
+	if err != nil {
+		b.t.Fatal(err)
+	}
+	checkIndex(b.t, g, b.ref)
+	return g, b.ref.clone()
+}
+
+// copyOf rebuilds g addition by addition, so its build indexes it from
+// scratch.
 func copyOf(t testing.TB, g *taskgraph.Graph) *builder {
 	t.Helper()
 	b := newBuilder(t, g.Name)
@@ -223,7 +242,7 @@ func copyOf(t testing.TB, g *taskgraph.Graph) *builder {
 	return b
 }
 
-// checkIndex compares every structural read of g with the reference.
+// checkIndex compares every read of a built graph with the reference.
 func checkIndex(t testing.TB, g *taskgraph.Graph, r *refGraph) {
 	t.Helper()
 	if g.NumTasks() != len(r.tasks) || g.NumEdges() != len(r.edges) {
@@ -256,27 +275,17 @@ func checkIndex(t testing.TB, g *taskgraph.Graph, r *refGraph) {
 		t.Fatalf("ValidateProbabilities() = %v, reference accepts: %v", err, r.branchesOK())
 	}
 	order := r.topoOrder()
-	got, err := g.TopoOrder()
-	if order == nil {
-		if err == nil {
-			t.Fatalf("TopoOrder() = %v on a cyclic graph", got)
-		}
-		if err := g.Validate(); err == nil && len(r.tasks) > 0 {
-			t.Fatal("Validate accepted a cyclic graph")
-		}
-		return
+	if got := g.TopoOrder(); !reflect.DeepEqual(got, order) {
+		t.Fatalf("TopoOrder() = %v, want %v", got, order)
 	}
-	if err != nil || !reflect.DeepEqual(got, order) {
-		t.Fatalf("TopoOrder() = %v, %v; want %v", got, err, order)
+	if err := g.Validate(); err != nil {
+		t.Fatalf("Validate() = %v on a built graph", err)
 	}
-	if err := g.Validate(); (err == nil) != (len(r.tasks) > 0) {
-		t.Fatalf("Validate() = %v with %d tasks", err, len(r.tasks))
+	if lv := g.Levels(); !reflect.DeepEqual(lv, r.levels(order)) {
+		t.Fatalf("Levels() = %v, want %v", lv, r.levels(order))
 	}
-	if lv, err := g.Levels(); err != nil || !reflect.DeepEqual(lv, r.levels(order)) {
-		t.Fatalf("Levels() = %v, %v; want %v", lv, err, r.levels(order))
-	}
-	if sc, err := g.StaticCriticality(scTask, scEdge); err != nil || !reflect.DeepEqual(sc, r.staticCriticality(order)) {
-		t.Fatalf("StaticCriticality() = %v, %v; want %v", sc, err, r.staticCriticality(order))
+	if sc := g.StaticCriticality(scTask, scEdge); !reflect.DeepEqual(sc, r.staticCriticality(order)) {
+		t.Fatalf("StaticCriticality() = %v, want %v", sc, r.staticCriticality(order))
 	}
 	if r.branchesOK() {
 		if p, err := g.ExecutionProbabilities(); err != nil || !reflect.DeepEqual(p, r.executionProbabilities(order)) {
@@ -315,16 +324,16 @@ func TestIndexMatchesReference(t *testing.T) {
 	for name, g := range indexCorpus(t) {
 		t.Run(name, func(t *testing.T) {
 			b := copyOf(t, g)
-			checkIndex(t, b.g, b.ref)
-			// The graph as loaded (indexed when it was validated) reads
-			// the same as the one indexed here.
+			b.build()
+			// The graph as loaded reads the same as the one rebuilt here.
 			checkIndex(t, g, b.ref)
 		})
 	}
 }
 
-// A mutation after a read drops the index; the next read rebuilds it,
-// and the duplicate check still sees edges added before the read.
+// A builder goes on adding after Build: each later build sees every
+// earlier addition, the duplicate check included, and a cycle makes the
+// build fail.
 func TestIndexMutateAfterRead(t *testing.T) {
 	b := newBuilder(t, "grow")
 	for i := 0; i < 4; i++ {
@@ -332,55 +341,47 @@ func TestIndexMutateAfterRead(t *testing.T) {
 	}
 	b.edge(taskgraph.Edge{From: 0, To: 2, Data: 3})
 	b.edge(taskgraph.Edge{From: 0, To: 1, Data: 5, Prob: 0.5})
-	checkIndex(t, b.g, b.ref)
+	b.build()
 	b.edge(taskgraph.Edge{From: 0, To: 3, Data: 1, Prob: 0.5})
-	checkIndex(t, b.g, b.ref)
-	b.edge(taskgraph.Edge{From: 0, To: 2, Data: 9}) // duplicate of an indexed edge
+	b.build()
+	b.edge(taskgraph.Edge{From: 0, To: 2, Data: 9}) // duplicate of an edge built before
 	b.task(1)
 	b.edge(taskgraph.Edge{From: 4, To: 0, Data: 2})
 	b.edge(taskgraph.Edge{From: 2, To: 3, Data: 2})
-	checkIndex(t, b.g, b.ref)
+	b.build()
 	b.edge(taskgraph.Edge{From: 3, To: 4, Data: 1}) // closes a cycle
-	checkIndex(t, b.g, b.ref)
-
-	// A clone shares the index until it is mutated; mutating it leaves
-	// the original as it was.
-	c := &builder{t: t, g: b.g.Clone(), ref: b.ref.clone()}
-	checkIndex(t, c.g, c.ref)
-	c.task(0)
-	c.edge(taskgraph.Edge{From: 5, To: 1, Data: 4})
-	checkIndex(t, c.g, c.ref)
-	checkIndex(t, b.g, b.ref)
+	b.build()
 }
 
-// The search pool shares one graph across workers, so the first read
-// may come from several goroutines at once.
-func TestIndexFirstReadConcurrent(t *testing.T) {
-	bm, err := taskgraph.Benchmark("Bm4")
+// A built graph never changes: later additions to its builder leave it
+// reading as it did at Build, a value copy's Name and Deadline are the
+// copy's own, and each Benchmark call parses its own graph.
+func TestEarlierBuildUnchangedByLaterAdds(t *testing.T) {
+	bm, err := taskgraph.Benchmark("Bm1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := copyOf(t, bm)
-	want := b.ref.topoOrder()
-	var wg sync.WaitGroup
-	orders := make([][]int, 8)
-	for i := range orders {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if i%2 == 0 {
-				_ = b.g.Predecessors(i)
-			}
-			orders[i], _ = b.g.TopoOrder()
-		}()
+	first, firstRef := b.build()
+	n := bm.NumTasks()
+	b.task(0)
+	b.edge(taskgraph.Edge{From: n - 1, To: n, Data: 4})
+	b.edge(taskgraph.Edge{From: 0, To: n, Data: 2, Prob: 0.5})
+	second, secondRef := b.build()
+	checkIndex(t, first, firstRef)
+	checkIndex(t, second, secondRef)
+
+	c := *first
+	c.Name, c.Deadline = "edited", 1
+	if first.Name != "Bm1" || first.Deadline != 100 {
+		t.Errorf("editing a copy changed the original to %s/%g", first.Name, first.Deadline)
 	}
-	wg.Wait()
-	for i, order := range orders {
-		if !reflect.DeepEqual(order, want) {
-			t.Errorf("goroutine %d read TopoOrder %v, want %v", i, order, want)
-		}
+	checkIndex(t, &c, firstRef)
+
+	bm.Deadline = 1
+	if again, err := taskgraph.Benchmark("Bm1"); err != nil || again.Deadline != 790 {
+		t.Errorf("Benchmark(Bm1) after editing an earlier one: %v, %v", again, err)
 	}
-	checkIndex(t, b.g, b.ref)
 }
 
 func TestIndexedReadsDoNotAllocate(t *testing.T) {
@@ -408,7 +409,7 @@ func TestIndexedReadsDoNotAllocate(t *testing.T) {
 				_ = g.InDegree(id)
 			}
 		},
-		"TopoOrder": func() { _, _ = g.TopoOrder() },
+		"TopoOrder": func() { _ = g.TopoOrder() },
 		"Validate":  func() { _ = g.Validate() },
 	} {
 		if allocs := testing.AllocsPerRun(100, read); allocs != 0 {
@@ -417,31 +418,39 @@ func TestIndexedReadsDoNotAllocate(t *testing.T) {
 	}
 }
 
-// FuzzGraphIndex drives random AddTask/AddEdge/read sequences and
-// checks every read against the reference. Each op is three bytes: a
-// kind (task, edge, read) and two operands.
+// FuzzGraphIndex drives random AddTask/AddEdge/Build sequences: every
+// build is checked against the reference, and every graph built along
+// the way still reads as its reference did once the sequence ends. Each
+// op is three bytes: a kind (task, edge, build) and two operands.
 func FuzzGraphIndex(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 1, 0, 1, 0, 1, 2, 0, 0, 0, 0, 0, 1, 1, 2, 2, 0, 0})
 	f.Add([]byte{0, 2, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 1, 1, 0, 1, 2, 2, 2, 0, 0, 1, 2, 0, 2, 0, 0})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 3, 5, 1, 1, 6, 1, 0, 0, 2, 0, 0, 1, 2, 1})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		b := newBuilder(t, "fuzz")
+		var built []*taskgraph.Graph
+		var refs []*refGraph
 		for i := 0; i+2 < len(ops); i += 3 {
 			x, y := int(ops[i+1]), int(ops[i+2])
 			switch ops[i] % 3 {
 			case 0:
 				b.task(x % 4)
 			case 1:
-				n := b.g.NumTasks() + 1 // one past the end exercises the missing-task check
+				n := len(b.ref.tasks) + 1 // one past the end exercises the missing-task check
 				e := taskgraph.Edge{From: x % n, To: y % n, Data: float64(x ^ y)}
 				if y%4 == 0 {
 					e.Prob = float64(x%4+1) / 8
 				}
 				b.edge(e)
 			default:
-				checkIndex(t, b.g, b.ref)
+				if g, r := b.build(); g != nil {
+					built, refs = append(built, g), append(refs, r)
+				}
 			}
 		}
-		checkIndex(t, b.g, b.ref)
+		b.build()
+		for i, g := range built {
+			checkIndex(t, g, refs[i])
+		}
 	})
 }

@@ -37,16 +37,8 @@ func (g *Graph) Write(w io.Writer) error {
 // ReadGraph parses a .tg stream (see Write).
 func ReadGraph(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
-	var g *Graph
-	name := ""
-	deadline := 0.0
+	b := NewBuilder("", 0) // graph and deadline directives may come in any order
 	lineNo := 0
-	ensure := func() *Graph {
-		if g == nil {
-			g = NewGraph(name, deadline)
-		}
-		return g
-	}
 	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
@@ -62,10 +54,7 @@ func ReadGraph(r io.Reader) (*Graph, error) {
 			if len(fields) != 2 {
 				return nil, bad("graph wants 1 argument")
 			}
-			name = fields[1]
-			if g != nil {
-				g.Name = name
-			}
+			b.name = fields[1]
 		case "deadline":
 			if len(fields) != 2 {
 				return nil, bad("deadline wants 1 argument")
@@ -74,10 +63,7 @@ func ReadGraph(r io.Reader) (*Graph, error) {
 			if err != nil {
 				return nil, bad("bad deadline")
 			}
-			deadline = v
-			if g != nil {
-				g.Deadline = v
-			}
+			b.deadline = v
 		case "task":
 			if len(fields) != 4 {
 				return nil, bad("task wants 3 arguments")
@@ -87,7 +73,7 @@ func ReadGraph(r io.Reader) (*Graph, error) {
 			if err1 != nil || err2 != nil {
 				return nil, bad("bad task numbers")
 			}
-			if err := ensure().AddTask(Task{ID: id, Name: fields[2], Type: typ}); err != nil {
+			if err := b.AddTask(Task{ID: id, Name: fields[2], Type: typ}); err != nil {
 				return nil, fmt.Errorf("taskgraph: line %d: %w", lineNo, err)
 			}
 		case "edge":
@@ -108,7 +94,7 @@ func ReadGraph(r io.Reader) (*Graph, error) {
 				}
 				prob = p
 			}
-			if err := ensure().AddEdge(Edge{From: from, To: to, Data: data, Prob: prob}); err != nil {
+			if err := b.AddEdge(Edge{From: from, To: to, Data: data, Prob: prob}); err != nil {
 				return nil, fmt.Errorf("taskgraph: line %d: %w", lineNo, err)
 			}
 		default:
@@ -118,13 +104,10 @@ func ReadGraph(r io.Reader) (*Graph, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("taskgraph: read: %w", err)
 	}
-	if g == nil {
+	if len(b.tasks) == 0 {
 		return nil, fmt.Errorf("taskgraph: empty input")
 	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
+	return b.Build()
 }
 
 // WriteDOT emits the graph in Graphviz DOT syntax for visualization.

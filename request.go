@@ -94,21 +94,18 @@ func GraphSpecOf(g *Graph) *GraphSpec {
 
 // Graph materializes and validates the task graph described by the spec.
 func (s *GraphSpec) Graph() (*Graph, error) {
-	g := taskgraph.NewGraph(s.Name, s.Deadline)
+	b := taskgraph.NewBuilder(s.Name, s.Deadline)
 	for _, t := range s.Tasks {
-		if err := g.AddTask(taskgraph.Task{ID: t.ID, Name: t.Name, Type: t.Type}); err != nil {
+		if err := b.AddTask(taskgraph.Task{ID: t.ID, Name: t.Name, Type: t.Type}); err != nil {
 			return nil, err
 		}
 	}
 	for _, e := range s.Edges {
-		if err := g.AddEdge(taskgraph.Edge{From: e.From, To: e.To, Data: e.Data, Prob: e.Prob}); err != nil {
+		if err := b.AddEdge(taskgraph.Edge{From: e.From, To: e.To, Data: e.Data, Prob: e.Prob}); err != nil {
 			return nil, err
 		}
 	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
+	return b.Build()
 }
 
 // SupervisorSpec holds the thermal-supervisor knobs the simulate and
@@ -234,9 +231,11 @@ type SimulateSpec struct {
 	MinScale  float64 `json:"minScale,omitempty"`
 	// SupervisorSpec holds the ladder, admit and zigzag knobs.
 	SupervisorSpec
-	// DT is the co-simulation step in schedule time units (default 1);
-	// TimeScale converts one schedule time unit to seconds of transient
-	// simulation (default 0.1).
+	// DT is the co-simulation step in schedule time units (default 1).
+	// It is also the sensing period: every controller reads the
+	// temperatures and acts once per DT, so a controlled result holds at
+	// the DT it was run at. TimeScale converts one schedule time unit to
+	// seconds of transient simulation (default 0.1).
 	DT        float64 `json:"dt,omitempty"`
 	TimeScale float64 `json:"timeScale,omitempty"`
 	// MinFactor is the executor's execution-time factor lower bound in

@@ -60,10 +60,6 @@ type ScenarioReport struct {
 // scenarioReport serializes a generated scenario into the response
 // payload.
 func scenarioReport(sc *Scenario) (*ScenarioReport, error) {
-	sum, err := sc.Summarize()
-	if err != nil {
-		return nil, err
-	}
 	var tg, lib strings.Builder
 	if err := sc.Graph.Write(&tg); err != nil {
 		return nil, err
@@ -74,7 +70,7 @@ func scenarioReport(sc *Scenario) (*ScenarioReport, error) {
 	return &ScenarioReport{
 		Name:            sc.Graph.Name,
 		Fingerprint:     sc.Fingerprint,
-		ScenarioSummary: sum,
+		ScenarioSummary: sc.Summarize(),
 		TG:              tg.String(),
 		Lib:             lib.String(),
 		Graph:           GraphSpecOf(sc.Graph),

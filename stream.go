@@ -59,9 +59,11 @@ type StreamSpec struct {
 	// generated platform (defaults documented in internal/scenario).
 	Arrivals StreamArrivalParams    `json:"arrivals,omitempty"`
 	Platform ScenarioPlatformParams `json:"platform,omitempty"`
-	// DT is the co-simulation step in schedule time units (default 1);
-	// TimeScale converts one schedule time unit to seconds of transient
-	// simulation (default 0.1).
+	// DT is the co-simulation step in schedule time units (default 1).
+	// It is also the sensing period: every controller reads the
+	// temperatures and acts once per DT, so a controlled result holds at
+	// the DT it was run at. TimeScale converts one schedule time unit to
+	// seconds of transient simulation (default 0.1).
 	DT        float64 `json:"dt,omitempty"`
 	TimeScale float64 `json:"timeScale,omitempty"`
 	// MinFactor draws each job's realized duration uniformly from

@@ -76,9 +76,6 @@ type (
 	GraphEdge = taskgraph.Edge
 )
 
-// NewGraph returns an empty task graph.
-func NewGraph(name string, deadline float64) *Graph { return taskgraph.NewGraph(name, deadline) }
-
 // Benchmark returns one of the paper's benchmarks ("Bm1" … "Bm4").
 func Benchmark(name string) (*Graph, error) { return taskgraph.Benchmark(name) }
 
