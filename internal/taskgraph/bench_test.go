@@ -39,6 +39,23 @@ func TestBenchmarkFilesRoundTrip(t *testing.T) {
 	}
 }
 
+// Benchmark hands out a fresh graph on every call: editing one leaves
+// the next call's graph as the file describes it.
+func TestBenchmarkReturnsFreshGraph(t *testing.T) {
+	g, err := Benchmark("Bm1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Name, g.Deadline = "edited", 1
+	again, err := Benchmark("Bm1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again == g || again.Name != "Bm1" || again.Deadline != 790 || again.NumTasks() != 19 {
+		t.Errorf("Bm1 after editing an earlier copy: %s, deadline %g", again, again.Deadline)
+	}
+}
+
 func TestBenchmarksMatchPaperSpecs(t *testing.T) {
 	want := []struct {
 		name     string

@@ -201,6 +201,37 @@ func TestLevels(t *testing.T) {
 	}
 }
 
+// A value copy of a graph has its own Name and Deadline, and a builder
+// that goes on adding after Build leaves the graph it built as it was.
+func TestCloneIndependent(t *testing.T) {
+	g := diamond(t)
+	c := *g
+	c.Name, c.Deadline = "copy", 1
+	if g.Name != "diamond" || g.Deadline != 100 || c.NumTasks() != 4 {
+		t.Errorf("editing a copy changed the original to %s/%g", g.Name, g.Deadline)
+	}
+	b := NewBuilder("grow", 10)
+	for i := 0; i < 4; i++ {
+		if err := b.AddTask(Task{ID: i, Name: "t", Type: 0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AddTask(Task{ID: 4, Name: "t4", Type: 0}); err != nil {
+		t.Fatal(err)
+	}
+	second, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.NumTasks() != 4 || second.NumTasks() != 5 {
+		t.Errorf("builds not independent: %d and %d tasks, want 4 and 5", first.NumTasks(), second.NumTasks())
+	}
+}
+
 func TestStringer(t *testing.T) {
 	if s := diamond(t).String(); !strings.Contains(s, "4 tasks") {
 		t.Errorf("String = %q", s)
