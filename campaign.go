@@ -393,8 +393,8 @@ type CampaignReport struct {
 // runCampaignFlow generates the campaign's scenario family and fans the
 // scenario × policy grid across the engine's RunBatch worker pool, then
 // aggregates rows, per-policy percentiles and win rates.
-func (e *Engine) runCampaignFlow(ctx context.Context, req *Request) (*Response, error) {
-	spec := *req.Campaign
+func (e *Engine) runCampaignFlow(ctx context.Context, c *Checked) (*Response, error) {
+	spec := *c.req.Campaign
 	policies := spec.Policies
 	if spec.Stream != nil {
 		return e.runStreamCampaign(ctx, spec, policies)
@@ -509,12 +509,17 @@ func (e *Engine) runStreamCampaign(ctx context.Context, spec CampaignSpec, polic
 	return e.runCampaignGrid(ctx, report, rows, subs)
 }
 
-// runCampaignGrid is the tail both campaign modes share: it runs subs,
-// the row-major scenario × column grid, on the engine's RunBatch pool,
-// files each response as a cell of its row in report.Policies order,
-// and aggregates the report's statistics and duels.
+// runCampaignGrid is the tail both campaign modes share: it checks and
+// runs subs, the row-major scenario × column grid, on the engine's
+// RunBatch pool, files each response as a cell of its row in
+// report.Policies order, and aggregates the report's statistics and
+// duels. A checked campaign expands only to valid cells.
 func (e *Engine) runCampaignGrid(ctx context.Context, report *CampaignReport, rows []CampaignRow, subs []Request) (*Response, error) {
-	resps, err := e.RunBatch(ctx, subs)
+	cells, err := e.checkAll(subs)
+	if err != nil {
+		return nil, err
+	}
+	resps, err := e.RunBatch(ctx, cells)
 	if err != nil {
 		return nil, err
 	}

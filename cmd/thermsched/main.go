@@ -249,7 +249,7 @@ func main() {
 	switch req.Flow {
 	case thermalsched.FlowCampaign, thermalsched.FlowStream:
 		// These flows generate their own inputs; the benchmark/graph
-		// knobs still flow through below so Request.Validate rejects
+		// knobs still flow through below so Engine.Check rejects
 		// them with its canonical extraneous-input message instead of
 		// the CLI silently dropping them.
 	case thermalsched.FlowGenerate:
@@ -260,7 +260,7 @@ func main() {
 			req.Scenario = scenarioSpec()
 		}
 	}
-	// Pass both input knobs through for every flow so Request.Validate
+	// Pass both input knobs through for every flow so Engine.Check
 	// reports the missing-input, both-set and extraneous-input cases
 	// with the same canonical messages the service's 400 bodies carry.
 	g, err := loadGraph(*graphFile)
@@ -303,7 +303,7 @@ func main() {
 
 // loadGraph parses the -graph file when one was given; input-arity
 // errors (no input, both -benchmark and -graph) are left to
-// Request.Validate so the CLI and the service share one message.
+// Engine.Check so the CLI and the service share one message.
 func loadGraph(file string) (*thermalsched.Graph, error) {
 	if file == "" {
 		return nil, nil

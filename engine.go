@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"thermalsched/internal/cosynth"
 	"thermalsched/internal/dtm"
@@ -178,29 +177,13 @@ func (e *Engine) Library() *Library { return e.lib }
 // The copy shares the cached graph's immutable tasks and index; its
 // Name and Deadline are the caller's to change.
 func (e *Engine) Benchmark(name string) (*Graph, error) {
-	g, err := e.benchmark(name)
-	if err != nil {
-		return nil, err
+	g, ok := e.benches[name]
+	if !ok {
+		return nil, fmt.Errorf("thermalsched: unknown benchmark %q (want one of %s)",
+			name, strings.Join(e.ordered, ", "))
 	}
 	c := *g
 	return &c, nil
-}
-
-// benchmark returns the shared parsed graph, which every run only reads.
-func (e *Engine) benchmark(name string) (*Graph, error) {
-	if g, ok := e.benches[name]; ok {
-		return g, nil
-	}
-	return nil, fmt.Errorf("thermalsched: unknown benchmark %q (want one of %s)",
-		name, strings.Join(e.ordered, ", "))
-}
-
-// resolveGraph materializes the request's input graph.
-func (e *Engine) resolveGraph(req *Request) (*Graph, error) {
-	if req.Graph != nil {
-		return req.Graph.Graph()
-	}
-	return e.benchmark(req.Benchmark)
 }
 
 // runInput is a resolved request input: the task graph plus the
@@ -214,62 +197,39 @@ type runInput struct {
 	scen     *Scenario             // non-nil when generated
 }
 
-// resolveInput materializes the request's graph, library and platform.
-func (e *Engine) resolveInput(req *Request) (*runInput, error) {
-	if req.Scenario != nil {
-		sc, err := e.scenarioFor(*req.Scenario)
-		if err != nil {
-			return nil, err
-		}
-		return &runInput{
-			graph:    sc.Graph,
-			lib:      sc.Lib,
-			platform: &cosynth.PlatformDesc{TypeNames: sc.PETypeNames, Layout: sc.Layout},
-			scen:     sc,
-		}, nil
+// input returns the checked request's graph, library and platform: its
+// graph on the engine's library, or its (possibly cached) scenario.
+func (e *Engine) input(c *Checked) (*runInput, error) {
+	if c.req.Scenario == nil {
+		return &runInput{graph: c.graph, lib: e.lib}, nil
 	}
-	g, err := e.resolveGraph(req)
+	sc, err := e.scenarioFor(*c.req.Scenario)
 	if err != nil {
 		return nil, err
 	}
-	return &runInput{graph: g, lib: e.lib}, nil
+	return &runInput{
+		graph:    sc.Graph,
+		lib:      sc.Lib,
+		platform: &cosynth.PlatformDesc{TypeNames: sc.PETypeNames, Layout: sc.Layout},
+		scen:     sc,
+	}, nil
 }
 
-// Run validates and executes one request. Cancellation is threaded into
-// every flow's hot loop — the ASP's greedy step, the GA floorplanner's
-// packing evaluations and co-synthesis's candidate evaluations — so a
-// cancelled context aborts promptly with an error wrapping ctx.Err().
+// Run checks and executes one request: Check, then RunChecked.
 func (e *Engine) Run(ctx context.Context, req Request) (*Response, error) {
-	//thermalvet:allow walltime(elapsedMs is an observability stamp, documented as excluded from the byte-identity contract)
-	start := time.Now()
-	// The flow reads the canonical form, the one Validate checks and
-	// Fingerprint digests.
-	c := req.canonical()
-	if err := c.validate(); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	// Dispatch through the flow registry — the same table Validate,
-	// FlowKinds() and the CLI help read, so a flow exists on every
-	// surface or none.
-	fs, _ := flowFor(c.Flow)
-	resp, err := fs.run(e, ctx, &c)
+	c, err := e.Check(req)
 	if err != nil {
 		return nil, err
 	}
-	//thermalvet:allow walltime(elapsedMs is an observability stamp, documented as excluded from the byte-identity contract)
-	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
-	return resp, nil
+	return e.RunChecked(ctx, c)
 }
 
-// RunBatch fans requests out across a bounded worker pool (WithWorkers)
-// and returns one response per request, in order. Individual failures
+// RunBatch fans checked requests out across a bounded worker pool
+// (WithWorkers) and returns one response per request, in order. Failures
 // are reported in Response.Error rather than failing the batch; the
 // returned error is non-nil only when ctx is cancelled, in which case
 // unfinished entries carry the cancellation error.
-func (e *Engine) RunBatch(ctx context.Context, reqs []Request) ([]*Response, error) {
+func (e *Engine) RunBatch(ctx context.Context, reqs []*Checked) ([]*Response, error) {
 	out := make([]*Response, len(reqs))
 	if len(reqs) == 0 {
 		return out, nil
@@ -285,9 +245,9 @@ func (e *Engine) RunBatch(ctx context.Context, reqs []Request) ([]*Response, err
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				resp, err := e.Run(ctx, reqs[i])
+				resp, err := e.RunChecked(ctx, reqs[i])
 				if err != nil {
-					resp = &Response{Flow: reqs[i].Flow, Error: err.Error()}
+					resp = &Response{Flow: reqs[i].Flow(), Error: err.Error()}
 				}
 				out[i] = resp
 			}
@@ -306,7 +266,7 @@ feed:
 	if err := ctx.Err(); err != nil {
 		for i, r := range out {
 			if r == nil {
-				out[i] = &Response{Flow: reqs[i].Flow, Error: err.Error()}
+				out[i] = &Response{Flow: reqs[i].Flow(), Error: err.Error()}
 			}
 		}
 		return out, err
@@ -315,91 +275,93 @@ feed:
 }
 
 // platform executes the platform flow on a resolved input, with the
-// engine's thermal calibration and model cache wired in. A caller that
-// sets cfg.Models (the scaling study's counting provider) keeps it.
-func (e *Engine) platform(ctx context.Context, in *runInput, cfg cosynth.PlatformConfig) (*cosynth.Result, error) {
-	cfg.HotSpot = e.thermal
-	cfg.Platform = in.platform
-	if cfg.Models == nil {
-		cfg.Models = e.modelProvider()
+// engine's thermal calibration and model cache wired in; non-nil
+// models (the scaling study's counting provider) replace the cache.
+func (e *Engine) platform(ctx context.Context, in *runInput, c *Checked, models cosynth.ModelProvider) (*cosynth.Result, error) {
+	if models == nil {
+		models = e.modelProvider()
 	}
-	return cosynth.RunPlatform(ctx, in.graph, in.lib, cfg)
+	return cosynth.RunPlatform(ctx, in.graph, in.lib, cosynth.PlatformConfig{Sched: c.sched,
+		BusTimePerUnit: c.req.BusTimePerUnit, HotSpot: e.thermal, Models: models, Platform: in.platform})
 }
 
 // poolFor returns the token pool a request fans out on: a pool of its
 // own when the request sets Parallelism, otherwise the engine-wide
 // pool, so concurrent RunBatch workers draw parallelism from one
 // budget.
-func (e *Engine) poolFor(req *Request) *search.Pool {
-	if req.Parallelism > 0 {
-		return search.NewPool(req.Parallelism)
+func (e *Engine) poolFor(c *Checked) *search.Pool {
+	if c.req.Parallelism > 0 {
+		return search.NewPool(c.req.Parallelism)
 	}
 	return e.search
 }
 
-func (e *Engine) runPlatformFlow(ctx context.Context, req *Request) (*Response, error) {
-	in, err := e.resolveInput(req)
+func (e *Engine) runPlatformFlow(ctx context.Context, c *Checked) (*Response, error) {
+	in, err := e.input(c)
 	if err != nil {
 		return nil, err
 	}
-	cfg, err := req.platformConfig()
+	res, err := e.platform(ctx, in, c, nil)
 	if err != nil {
 		return nil, err
 	}
-	res, err := e.platform(ctx, in, cfg)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := flowResponse(FlowPlatform, cfg.Sched.Policy, res, req.IncludeGantt, false)
-	if err != nil {
-		return nil, err
-	}
-	in.stamp(resp)
-	return resp, nil
+	return in.response(FlowPlatform, c, res, false)
 }
 
-func (e *Engine) runCoSynthFlow(ctx context.Context, req *Request) (*Response, error) {
-	in, err := e.resolveInput(req)
+func (e *Engine) runCoSynthFlow(ctx context.Context, c *Checked) (*Response, error) {
+	in, err := e.input(c)
 	if err != nil {
 		return nil, err
 	}
-	cfg, err := req.cosynthConfig()
-	if err != nil {
-		return nil, err
-	}
-	for _, name := range cfg.CandidateTypes {
-		if _, ok := in.lib.PETypeIndex(name); !ok {
-			return nil, fieldErr("candidateTypes", "candidate PE type %q not in the input's library", name)
+	req := &c.req
+	if in.scen != nil { // Check could not see the generated palette
+		if err := checkCandidates(in.lib, req.CandidateTypes); err != nil {
+			return nil, err
 		}
 	}
-	cfg.HotSpot = e.thermal
-	cfg.Search = e.poolFor(req)
+	cfg := cosynth.CoSynthConfig{
+		Sched:                c.sched,
+		CandidateTypes:       req.CandidateTypes,
+		MaxPEs:               req.MaxPEs,
+		BusTimePerUnit:       req.BusTimePerUnit,
+		FloorplanGenerations: req.FloorplanGenerations,
+		Seed:                 *req.Seed,
+		HotSpot:              e.thermal,
+		Search:               e.poolFor(c),
+		Models:               e.modelProvider(),
+	}
 	if in.scen != nil && cfg.CandidateTypes == nil {
 		// A generated scenario brings its own library; co-synthesis
 		// selects from its PE palette rather than the standard one.
 		cfg.CandidateTypes = in.scen.PETypeNames
 	}
-	cfg.Models = e.modelProvider()
 	res, err := cosynth.RunCoSynthesis(ctx, in.graph, in.lib, cfg)
 	if err != nil {
 		return nil, err
 	}
 	e.searchEvals.Add(uint64(res.SearchEvals))
 	e.searchMemoHits.Add(uint64(res.SearchMemoHits))
-	resp, err := flowResponse(FlowCoSynthesis, cfg.Sched.Policy, res, req.IncludeGantt, true)
-	if err != nil {
-		return nil, err
-	}
-	in.stamp(resp)
-	return resp, nil
+	return in.response(FlowCoSynthesis, c, res, true)
 }
 
-// stamp records the generated scenario's fingerprint on a response so
-// clients can key caches and reproduce the run.
-func (in *runInput) stamp(resp *Response) {
-	if in.scen != nil {
+// checkCandidates reports the first candidate PE type lib lacks.
+func checkCandidates(lib *Library, names []string) error {
+	for _, name := range names {
+		if _, ok := lib.PETypeIndex(name); !ok {
+			return fieldErr("candidateTypes", "candidate PE type %q not in the input's library", name)
+		}
+	}
+	return nil
+}
+
+// response builds a flow's Response and stamps a generated scenario's
+// fingerprint on it, so clients can key caches and reproduce the run.
+func (in *runInput) response(flow FlowKind, c *Checked, res *cosynth.Result, includePlan bool) (*Response, error) {
+	resp, err := flowResponse(flow, c.sched.Policy, res, c.req.IncludeGantt, includePlan)
+	if err == nil && in.scen != nil {
 		resp.Fingerprint = in.scen.Fingerprint
 	}
+	return resp, err
 }
 
 // simSupervisor materializes a fresh thermal controller for the spec,
@@ -416,11 +378,8 @@ func simSupervisor(spec SimulateSpec) (dtm.Controller, error) {
 		return dtm.NewPIController(spec.SetpointC, spec.Kp, spec.Ki, spec.MinScale)
 	case "admit", "zigzag":
 		return spec.supervisor(spec.Controller, spec.DT)
-	case "none":
-		return nil, nil
 	}
-	// unreachable after Validate
-	return nil, fmt.Errorf("thermalsched: unknown simulate controller %q", spec.Controller)
+	return nil, nil // "none": Check rejects every other kind
 }
 
 // runReplicas runs n seeded Monte-Carlo replicas on pool. Replica i
@@ -451,22 +410,18 @@ func runReplicas[R any](ctx context.Context, pool *search.Pool, n int, run func(
 // schedule, the transient thermal model and the DTM controller in
 // lockstep — Replicas seeded Monte-Carlo runs fanned across poolFor's
 // token pool (replica i draws its realization from Seed+i).
-func (e *Engine) runSimulateFlow(ctx context.Context, req *Request) (*Response, error) {
-	in, err := e.resolveInput(req)
+func (e *Engine) runSimulateFlow(ctx context.Context, c *Checked) (*Response, error) {
+	in, err := e.input(c)
 	if err != nil {
 		return nil, err
 	}
-	cfg, err := req.platformConfig()
+	res, err := e.platform(ctx, in, c, nil)
 	if err != nil {
 		return nil, err
 	}
-	res, err := e.platform(ctx, in, cfg)
-	if err != nil {
-		return nil, err
-	}
-	spec := *req.Simulate
+	spec := *c.req.Simulate
 
-	results, err := runReplicas(ctx, e.poolFor(req), spec.Replicas, func(i int) (*rt.Result, error) {
+	results, err := runReplicas(ctx, e.poolFor(c), spec.Replicas, func(i int) (*rt.Result, error) {
 		sup, err := simSupervisor(spec)
 		if err != nil {
 			return nil, err
@@ -503,12 +458,11 @@ func (e *Engine) runSimulateFlow(ctx context.Context, req *Request) (*Response, 
 		MeanEnergy:           replicaMean(results, func(r *rt.Result) float64 { return r.Energy }),
 		MeanAdmissionDenials: replicaMean(results, func(r *rt.Result) float64 { return float64(r.AdmissionDenials) }),
 	}
-	resp, err := flowResponse(FlowSimulate, cfg.Sched.Policy, res, req.IncludeGantt, false)
+	resp, err := in.response(FlowSimulate, c, res, false)
 	if err != nil {
 		return nil, err
 	}
 	resp.Simulate = report
-	in.stamp(resp)
 	return resp, nil
 }
 

@@ -33,6 +33,16 @@ func testEngine(t *testing.T) *Engine {
 	return e
 }
 
+// mustCheckAll checks every request on e, for RunBatch.
+func mustCheckAll(t *testing.T, e *Engine, reqs []Request) []*Checked {
+	t.Helper()
+	out, err := e.checkAll(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // ptr returns a pointer to a copy of v, for the Request knobs whose
 // nil means "unset".
 func ptr[T any](v T) *T { return &v }
@@ -265,7 +275,7 @@ func TestEngineRunBatchMatchesSequential(t *testing.T) {
 	for _, name := range benchmarkNames {
 		reqs = append(reqs, Request{Flow: FlowPlatform, Benchmark: name, Policy: "thermal"})
 	}
-	batch, err := e.RunBatch(context.Background(), reqs)
+	batch, err := e.RunBatch(context.Background(), mustCheckAll(t, e, reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +458,7 @@ func TestEngineConcurrentThermalRunsShareModel(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = req
 	}
-	out, err := e.RunBatch(context.Background(), reqs)
+	out, err := e.RunBatch(context.Background(), mustCheckAll(t, e, reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +514,7 @@ func TestEngineBenchmarkCopySharedAcrossRuns(t *testing.T) {
 			t.Errorf("run %d answered differently while a Benchmark copy was edited", i)
 		}
 	}
-	if g, _ := e.benchmark("Bm1"); g.Deadline != 790 {
+	if g := e.benches["Bm1"]; g.Deadline != 790 {
 		t.Errorf("engine's Bm1 deadline is %g after editing a copy, want 790", g.Deadline)
 	}
 }

@@ -1,7 +1,8 @@
 // Platform design (paper Fig. 1b): evaluate every ASP policy on the
 // fixed platform of four identical PEs across all four paper
-// benchmarks, reproducing the platform columns of Tables 1 and 3. The
-// full 4×5 grid is submitted as one Engine.RunBatch call, which fans
+// benchmarks, reproducing the platform columns of Tables 1 and 3. Each
+// request is checked once with Engine.Check, and the full 4×5 grid of
+// checked requests is submitted as one Engine.RunBatch call, which fans
 // the twenty runs out across a bounded worker pool while every run
 // shares one cached thermal-model factorization of the platform.
 //
@@ -25,14 +26,18 @@ func main() {
 	benchmarks := []string{"Bm1", "Bm2", "Bm3", "Bm4"}
 	policies := thermalsched.Policies()
 
-	var reqs []thermalsched.Request
+	var reqs []*thermalsched.Checked
 	for _, b := range benchmarks {
 		for _, p := range policies {
-			reqs = append(reqs, thermalsched.Request{
+			req, err := engine.Check(thermalsched.Request{
 				Flow:      thermalsched.FlowPlatform,
 				Benchmark: b,
 				Policy:    p.String(),
 			})
+			if err != nil {
+				log.Fatal(err)
+			}
+			reqs = append(reqs, req)
 		}
 	}
 	resps, err := engine.RunBatch(context.Background(), reqs)

@@ -18,9 +18,9 @@ const fingerprintVersion = "req/v5\n"
 // requests onto one Engine evaluation.
 //
 // The digest is FNV-64a over a version tag and the encoding/json bytes
-// of canonical(), the copy Engine.Run hands the flow, with Parallelism
-// zeroed: results are byte-identical at every parallelism level, so
-// requests differing only there coalesce. encoding/json writes struct
+// of canonical(), the copy Engine.Check keeps for the flow, with
+// Parallelism zeroed: results are byte-identical at every parallelism
+// level, so requests differing only there coalesce. encoding/json writes struct
 // fields in declaration order and encodes what pointers point to, so
 // the bytes are stable and every field is covered;
 // TestRequestFingerprintCoversFields checks that no field reachable
@@ -35,8 +35,11 @@ const fingerprintVersion = "req/v5\n"
 // Distinct fingerprints do NOT imply distinct responses (two different
 // seeds can happen to schedule identically); the guarantee is one-way,
 // which is the safe direction for a coalescing key.
-func (r *Request) Fingerprint() string {
-	c := r.canonical()
+func (r *Request) Fingerprint() string { return fingerprintOf(r.canonical()) }
+
+// fingerprintOf is the digest Request.Fingerprint and
+// Checked.Fingerprint share, of a request in canonical form.
+func fingerprintOf(c Request) string {
 	c.Parallelism = 0
 	b, err := json.Marshal(&c)
 	if err != nil {

@@ -34,10 +34,10 @@ func fieldErr(field, format string, args ...any) *FieldError {
 }
 
 // flowSpec is one row of the flow registry — the single place a flow
-// registers its dispatch, validation and help text. Engine.Run,
-// FlowKinds(), Request.Validate(), the service's routing (via Validate)
-// and the CLI's -flow help all read from this table, so adding a flow
-// is exactly one new entry plus its run function.
+// registers its dispatch, validation and help text. Engine.Check,
+// Engine.RunChecked, FlowKinds(), Request.Validate and the CLI's -flow
+// help all read from this table, so adding a flow is exactly one new
+// entry plus its run function.
 type flowSpec struct {
 	kind FlowKind
 	// summary is the one-line help text the CLI renders for -flow.
@@ -46,8 +46,8 @@ type flowSpec struct {
 	// besides flow itself. Validate rejects any other field that is set,
 	// so a Request field no row lists is rejected on every flow.
 	reads []string
-	// run executes the flow (after Validate) on the engine.
-	run func(*Engine, context.Context, *Request) (*Response, error)
+	// run executes the flow on a checked request.
+	run func(*Engine, context.Context, *Checked) (*Response, error)
 	// validate holds flow-specific checks beyond the generic rules;
 	// nil means none.
 	validate func(*Request) error
@@ -129,7 +129,7 @@ func flowTable() []flowSpec {
 			kind:    FlowGenerate,
 			summary: "materialize a synthetic scenario without scheduling it",
 			reads:   []string{"scenario"},
-			run:     runGenerateFlowCtx,
+			run:     (*Engine).runGenerateFlow,
 		},
 		{
 			kind:    FlowCampaign,
@@ -180,12 +180,6 @@ func FlowUsage() string {
 		fmt.Fprintf(&b, "  %-12s %s\n", fs.kind, fs.summary)
 	}
 	return b.String()
-}
-
-// runGenerateFlowCtx adapts the generate flow (which never blocks long
-// enough to need cancellation) to the registry signature.
-func runGenerateFlowCtx(e *Engine, _ context.Context, req *Request) (*Response, error) {
-	return e.runGenerateFlow(req)
 }
 
 // Flow-specific validation hooks. The generic rules (flow existence,

@@ -8,7 +8,7 @@
 //     restart),
 //   - a bounded dispatcher (queue-depth cap for backpressure, a fixed
 //     worker pool draining it), and
-//   - request coalescing keyed on Request.Fingerprint(): identical
+//   - request coalescing keyed on Checked.Fingerprint(): identical
 //     in-flight requests attach to one Engine evaluation and share its
 //     Response, and identical completed (or journal-replayed) requests
 //     are served from the stored result without re-evaluation.
@@ -92,7 +92,7 @@ type Event struct {
 // Evaluator is the slice of thermalsched.Engine the dispatcher
 // consumes; tests substitute counting or failing fakes.
 type Evaluator interface {
-	Run(ctx context.Context, req thermalsched.Request) (*thermalsched.Response, error)
+	RunChecked(ctx context.Context, c *thermalsched.Checked) (*thermalsched.Response, error)
 }
 
 // Config tunes a Manager. The zero value uses the defaults.
@@ -181,16 +181,16 @@ type job struct {
 // evaluation is one Engine run shared by every job coalesced onto it.
 type evaluation struct {
 	fp     string
-	req    thermalsched.Request
+	req    *thermalsched.Checked
 	ctx    context.Context
 	cancel context.CancelFunc
 	jobs   []*job // attached, in submission order
 	live   int    // attached jobs not yet cancelled
 }
 
-// Manager is the async job tier. Construct with Open, feed it
-// validated requests with Submit, and Close it on shutdown. Safe for
-// concurrent use.
+// Manager is the async job tier. Construct with Open, feed it checked
+// requests with Submit, and Close it on shutdown. Safe for concurrent
+// use.
 type Manager struct {
 	eval    Evaluator
 	cfg     Config
@@ -297,12 +297,12 @@ func (m *Manager) newID() string {
 	return fmt.Sprintf("j-%s-%d", m.idNonce, m.seq)
 }
 
-// Submit accepts one validated request: it computes the coalescing
+// Submit accepts one checked request: it computes the coalescing
 // fingerprint, attaches to an identical stored result or in-flight
 // evaluation when one exists, and otherwise enqueues a fresh
 // evaluation. It returns the job's initial snapshot immediately.
-func (m *Manager) Submit(req thermalsched.Request) (Job, error) {
-	fp := req.Fingerprint()
+func (m *Manager) Submit(req *thermalsched.Checked) (Job, error) {
+	fp, flow := req.Fingerprint(), req.Flow()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
@@ -313,7 +313,7 @@ func (m *Manager) Submit(req thermalsched.Request) (Job, error) {
 	// serves the job without running anything.
 	if resp, ok := m.results[fp]; ok {
 		j := &job{
-			id: m.newID(), fp: fp, flow: req.Flow,
+			id: m.newID(), fp: fp, flow: flow,
 			state: StateDone, fromJournal: true,
 			submitted: m.cfg.now(), finished: m.cfg.now(),
 			resp: resp,
@@ -329,7 +329,7 @@ func (m *Manager) Submit(req thermalsched.Request) (Job, error) {
 	// An identical in-flight evaluation: attach and share its Response.
 	if ev, ok := m.inflight[fp]; ok {
 		j := &job{
-			id: m.newID(), fp: fp, flow: req.Flow,
+			id: m.newID(), fp: fp, flow: flow,
 			state: StateQueued, coalesced: true,
 			submitted: m.cfg.now(), eval: ev,
 		}
@@ -355,7 +355,7 @@ func (m *Manager) Submit(req thermalsched.Request) (Job, error) {
 	ctx, cancel := context.WithCancel(m.base)
 	ev := &evaluation{fp: fp, req: req, ctx: ctx, cancel: cancel}
 	j := &job{
-		id: m.newID(), fp: fp, flow: req.Flow,
+		id: m.newID(), fp: fp, flow: flow,
 		state: StateQueued, submitted: m.cfg.now(), eval: ev,
 	}
 	ev.jobs = []*job{j}
@@ -497,7 +497,7 @@ func (m *Manager) run(ev *evaluation) {
 	m.mu.Unlock()
 
 	m.metrics.Evaluations.Add(1)
-	resp, err := m.eval.Run(ev.ctx, ev.req)
+	resp, err := m.eval.RunChecked(ev.ctx, ev.req)
 
 	m.mu.Lock()
 	m.busy--
@@ -548,10 +548,10 @@ func (m *Manager) journalLocked(ev *evaluation, resp *thermalsched.Response, err
 		state = StateFailed
 	}
 	rec := record{
-		V: 1, ID: j.id, Fingerprint: ev.fp, Flow: ev.req.Flow, State: state,
+		V: 1, ID: j.id, Fingerprint: ev.fp, Flow: j.flow, State: state,
 		SubmittedAt: j.submitted.UnixMilli(), StartedAt: j.started.UnixMilli(),
 		FinishedAt: j.finished.UnixMilli(),
-		Request:    &ev.req, Response: resp, Error: errMsg,
+		Request:    ev.req, Response: resp, Error: errMsg,
 	}
 	if err := m.journal.append(rec); err != nil {
 		m.metrics.JournalErrors.Add(1)

@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -23,7 +24,7 @@ type fakeEval struct {
 	err     error
 }
 
-func (f *fakeEval) Run(ctx context.Context, req thermalsched.Request) (*thermalsched.Response, error) {
+func (f *fakeEval) RunChecked(ctx context.Context, c *thermalsched.Checked) (*thermalsched.Response, error) {
 	f.runs.Add(1)
 	if f.started != nil {
 		select {
@@ -41,6 +42,15 @@ func (f *fakeEval) Run(ctx context.Context, req thermalsched.Request) (*thermals
 	if f.err != nil {
 		return nil, f.err
 	}
+	// The checked value's JSON is its canonical request.
+	blob, err := json.Marshal(c)
+	if err != nil {
+		return nil, err
+	}
+	var req thermalsched.Request
+	if err := json.Unmarshal(blob, &req); err != nil {
+		return nil, err
+	}
 	return &thermalsched.Response{Flow: req.Flow, Graph: req.Benchmark, Policy: req.Policy}, nil
 }
 
@@ -54,8 +64,26 @@ func openTest(t *testing.T, eval Evaluator, cfg Config) *Manager {
 	return m
 }
 
-func req(bench string) thermalsched.Request {
-	return thermalsched.Request{Flow: thermalsched.FlowPlatform, Benchmark: bench}
+// checkEngine checks the tests' requests; the fakes never run it.
+var checkEngine = sync.OnceValue(func() *thermalsched.Engine {
+	e, err := thermalsched.NewEngine()
+	if err != nil {
+		panic(err)
+	}
+	return e
+})
+
+// check checks a request the test knows to be valid.
+func check(r thermalsched.Request) *thermalsched.Checked {
+	c, err := checkEngine().Check(r)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
+func req(bench string) *thermalsched.Checked {
+	return check(thermalsched.Request{Flow: thermalsched.FlowPlatform, Benchmark: bench})
 }
 
 // ptr returns a pointer to a copy of v, for the Request knobs whose
@@ -170,11 +198,11 @@ func TestCoalesceStoredResult(t *testing.T) {
 func TestCoalesceNormalizesParallelism(t *testing.T) {
 	f := &fakeEval{}
 	m := openTest(t, f, Config{})
-	a, _ := m.Submit(thermalsched.Request{Flow: thermalsched.FlowCoSynthesis,
-		Benchmark: "Bm1", Parallelism: 1})
+	a, _ := m.Submit(check(thermalsched.Request{Flow: thermalsched.FlowCoSynthesis,
+		Benchmark: "Bm1", Parallelism: 1}))
 	waitState(t, m, a.ID, StateDone)
-	b, err := m.Submit(thermalsched.Request{Flow: thermalsched.FlowCoSynthesis,
-		Benchmark: "Bm1", Parallelism: 4})
+	b, err := m.Submit(check(thermalsched.Request{Flow: thermalsched.FlowCoSynthesis,
+		Benchmark: "Bm1", Parallelism: 4}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +226,7 @@ func TestDistinctCampaignsDoNotCoalesce(t *testing.T) {
 			Template: &thermalsched.ScenarioSpec{Graph: thermalsched.ScenarioGraphParams{Shape: shape}}}}
 	}
 	for _, shape := range []string{"", thermalsched.ScenarioShapeLayered} {
-		j, err := m.Submit(campaign(shape))
+		j, err := m.Submit(check(campaign(shape)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -427,9 +455,9 @@ func TestEviction(t *testing.T) {
 	m := openTest(t, f, Config{Workers: 1, MaxJobs: 2})
 	var ids []string
 	for i := 0; i < 4; i++ {
-		j, err := m.Submit(thermalsched.Request{Flow: thermalsched.FlowPlatform,
+		j, err := m.Submit(check(thermalsched.Request{Flow: thermalsched.FlowPlatform,
 			Benchmark:  "Bm1",
-			TempWeight: ptr(float64(i + 1))}) // distinct fingerprints
+			TempWeight: ptr(float64(i + 1))})) // distinct fingerprints
 		if err != nil {
 			t.Fatal(err)
 		}

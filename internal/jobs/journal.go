@@ -11,7 +11,9 @@ import (
 )
 
 // record is one journal line: a terminal evaluation in the shared
-// Request/Response wire schema, plus the job-tier envelope. The
+// Request/Response wire schema, plus the job-tier envelope. Request
+// encodes as the checked request's canonical form, the request that
+// ran; replay never reads it back, and it decodes to an empty value. The
 // format is append-only JSON lines so a crashed process loses at most
 // the final partial line, which replay skips.
 type record struct {
@@ -23,7 +25,7 @@ type record struct {
 	SubmittedAt int64                  `json:"submittedAt"`
 	StartedAt   int64                  `json:"startedAt,omitempty"`
 	FinishedAt  int64                  `json:"finishedAt,omitempty"`
-	Request     *thermalsched.Request  `json:"request,omitempty"`
+	Request     *thermalsched.Checked  `json:"request,omitempty"`
 	Response    *thermalsched.Response `json:"response,omitempty"`
 	Error       string                 `json:"error,omitempty"`
 }

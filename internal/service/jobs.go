@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"net/http"
 
-	"thermalsched"
 	"thermalsched/internal/jobs"
 )
 
@@ -22,13 +21,8 @@ func (s *Service) Jobs() *jobs.Manager { return s.jobs }
 // terminal for coalesced stored-result hits), 429 under backpressure
 // or rate limiting.
 func (s *Service) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	var req thermalsched.Request
-	if err := s.decode(w, r, &req); err != nil {
-		writeError(w, decodeStatus(err), err)
-		return
-	}
-	if err := req.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	c := s.decodeChecked(w, r)
+	if c == nil {
 		return
 	}
 	if !s.rate.Allow(clientKey(r)) {
@@ -38,7 +32,7 @@ func (s *Service) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("service: client %q over the submission rate limit", clientKey(r)))
 		return
 	}
-	job, err := s.jobs.Submit(req)
+	job, err := s.jobs.Submit(c)
 	if err != nil {
 		status := http.StatusInternalServerError
 		if errors.Is(err, jobs.ErrQueueFull) {

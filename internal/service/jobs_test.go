@@ -98,38 +98,31 @@ func TestJobUnknownIs404(t *testing.T) {
 }
 
 // blockingEngine parks every evaluation until released, so tests can
-// hold a worker busy and fill the queue deterministically.
+// hold a worker busy and fill the queue deterministically. It checks
+// requests like the real engine.
 type blockingEngine struct {
+	*thermalsched.Engine
 	started chan string
 	release chan struct{}
 }
 
-func newBlockingEngine() *blockingEngine {
-	return &blockingEngine{started: make(chan string, 16), release: make(chan struct{})}
-}
-
-func (b *blockingEngine) Run(ctx context.Context, req thermalsched.Request) (*thermalsched.Response, error) {
-	b.started <- req.Benchmark
+func (b *blockingEngine) RunChecked(ctx context.Context, c *thermalsched.Checked) (*thermalsched.Response, error) {
+	b.started <- c.Fingerprint()
 	select {
 	case <-b.release:
-		return &thermalsched.Response{Flow: req.Flow, Graph: req.Benchmark}, nil
+		return &thermalsched.Response{Flow: c.Flow()}, nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
 }
 
-func (b *blockingEngine) RunBatch(context.Context, []thermalsched.Request) ([]*thermalsched.Response, error) {
+func (b *blockingEngine) RunBatch(context.Context, []*thermalsched.Checked) ([]*thermalsched.Response, error) {
 	return nil, errors.New("unused")
 }
 
-func (b *blockingEngine) ModelCacheStats() (uint64, uint64, int)    { return 0, 0, 0 }
-func (b *blockingEngine) ScenarioCacheStats() (uint64, uint64, int) { return 0, 0, 0 }
-func (b *blockingEngine) StreamCacheStats() (uint64, uint64, int)   { return 0, 0, 0 }
-func (b *blockingEngine) SearchMemoStats() (uint64, uint64)         { return 0, 0 }
-
 func blockingServer(t *testing.T, cfg Config) (*httptest.Server, *blockingEngine) {
 	t.Helper()
-	eng := newBlockingEngine()
+	eng := &blockingEngine{Engine: newEngine(t), started: make(chan string, 16), release: make(chan struct{})}
 	svc, err := newWith(eng, cfg)
 	if err != nil {
 		t.Fatal(err)

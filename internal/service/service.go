@@ -19,8 +19,9 @@
 // byte-identical to the synchronous /v1/run response for the same
 // request. Every Engine flow is served, including the
 // synthetic-scenario generate and campaign flows; their size limits
-// (scenario.MaxTasks/MaxPEs, MaxCampaignScenarios) are enforced by
-// Request.Validate before any work is admitted.
+// (scenario.MaxTasks/MaxPEs, MaxCampaignScenarios) and an inline
+// graph's faults are enforced by Engine.Check, once per request or
+// batch entry, before any work is admitted.
 package service
 
 import (
@@ -39,8 +40,9 @@ import (
 // It exists so tests can substitute a failing engine; production code
 // always passes a real *thermalsched.Engine through New.
 type engineAPI interface {
-	Run(ctx context.Context, req thermalsched.Request) (*thermalsched.Response, error)
-	RunBatch(ctx context.Context, reqs []thermalsched.Request) ([]*thermalsched.Response, error)
+	Check(req thermalsched.Request) (*thermalsched.Checked, error)
+	RunChecked(ctx context.Context, c *thermalsched.Checked) (*thermalsched.Response, error)
+	RunBatch(ctx context.Context, reqs []*thermalsched.Checked) ([]*thermalsched.Response, error)
 	ModelCacheStats() (hits, misses uint64, size int)
 	ScenarioCacheStats() (hits, misses uint64, size int)
 	StreamCacheStats() (hits, misses uint64, size int)
@@ -167,7 +169,7 @@ func (s *Service) Handler() http.Handler {
 // set on validation failures: the request field the error names, so
 // clients can map 400s back to their inputs without parsing the
 // message. Error always carries thermalsched's canonical message — the
-// same text Request.Validate returns and the CLI prints.
+// same text Engine.Check returns and the CLI prints.
 type errorBody struct {
 	Error string `json:"error"`
 	Field string `json:"field,omitempty"`
@@ -207,27 +209,38 @@ func (s *Service) acquire(r *http.Request) error {
 
 func (s *Service) release() { <-s.slots }
 
-func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
+// decodeChecked decodes and checks one request, answering the client
+// itself and returning nil when either step fails.
+func (s *Service) decodeChecked(w http.ResponseWriter, r *http.Request) *thermalsched.Checked {
 	var req thermalsched.Request
 	if err := s.decode(w, r, &req); err != nil {
 		writeError(w, decodeStatus(err), err)
-		return
+		return nil
 	}
-	if err := req.Validate(); err != nil {
+	c, err := s.engine.Check(req)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
+	}
+	return c
+}
+
+func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
+	c := s.decodeChecked(w, r)
+	if c == nil {
 		return
 	}
 	if err := s.acquire(r); err != nil {
 		return // client cancelled while queued; nothing to write
 	}
 	defer s.release()
-	resp, err := s.engine.Run(r.Context(), req)
+	resp, err := s.engine.RunChecked(r.Context(), c)
 	if err != nil {
 		if errors.Is(err, r.Context().Err()) && r.Context().Err() != nil {
 			return // client cancelled mid-run
 		}
 		// A flow that finds a bad field only once its input resolves
-		// (an unknown candidate PE type) reports it as a FieldError.
+		// (a candidate PE type missing from a generated scenario's
+		// palette) reports it as a FieldError.
 		status := http.StatusInternalServerError
 		var fe *thermalsched.FieldError
 		if errors.As(err, &fe) {
@@ -254,13 +267,16 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("service: batch of %d exceeds limit %d", len(reqs), s.cfg.MaxBatch))
 		return
 	}
-	// Validate the whole batch up front so a malformed entry rejects the
+	// Check the whole batch up front so a malformed entry rejects the
 	// request before any work runs.
+	checked := make([]*thermalsched.Checked, len(reqs))
 	for i := range reqs {
-		if err := reqs[i].Validate(); err != nil {
+		c, err := s.engine.Check(reqs[i])
+		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("service: batch entry %d: %w", i, err))
 			return
 		}
+		checked[i] = c
 	}
 	if err := s.acquire(r); err != nil {
 		return
@@ -269,7 +285,7 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// The engine's own worker pool fans the batch out; the service-level
 	// semaphore treats the batch as one unit of admission so a single
 	// large batch cannot starve /v1/run callers of all slots.
-	resps, err := s.engine.RunBatch(r.Context(), reqs)
+	resps, err := s.engine.RunBatch(r.Context(), checked)
 	if err != nil {
 		if r.Context().Err() != nil {
 			return // client cancelled; partial results are moot

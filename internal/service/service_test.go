@@ -9,21 +9,35 @@ import (
 	"net/http/httptest"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"thermalsched"
+	"thermalsched/internal/jobs"
 )
 
 func testServer(t *testing.T, cfg Config) *httptest.Server {
+	t.Helper()
+	svc, err := New(newEngine(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return serve(t, svc)
+}
+
+func newEngine(t *testing.T) *thermalsched.Engine {
 	t.Helper()
 	engine, err := thermalsched.NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := New(engine, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	return engine
+}
+
+// serve serves svc until the test ends.
+func serve(t *testing.T, svc *Service) *httptest.Server {
+	t.Helper()
 	srv := httptest.NewServer(svc.Handler())
 	t.Cleanup(func() {
 		srv.Close()
@@ -123,36 +137,30 @@ func TestServeRunSimulate(t *testing.T) {
 	}
 }
 
-// failingEngine stands in for an Engine whose RunBatch fails while the
-// client is still connected.
-type failingEngine struct{ err error }
+// failingEngine stands in for an Engine whose runs fail while the
+// client is still connected; it checks requests like the real one.
+type failingEngine struct {
+	*thermalsched.Engine
+	err error
+}
 
-func (f *failingEngine) Run(context.Context, thermalsched.Request) (*thermalsched.Response, error) {
+func (f *failingEngine) RunChecked(context.Context, *thermalsched.Checked) (*thermalsched.Response, error) {
 	return nil, f.err
 }
 
-func (f *failingEngine) RunBatch(context.Context, []thermalsched.Request) ([]*thermalsched.Response, error) {
+func (f *failingEngine) RunBatch(context.Context, []*thermalsched.Checked) ([]*thermalsched.Response, error) {
 	return nil, f.err
 }
-
-func (f *failingEngine) ModelCacheStats() (uint64, uint64, int)    { return 0, 0, 0 }
-func (f *failingEngine) ScenarioCacheStats() (uint64, uint64, int) { return 0, 0, 0 }
-func (f *failingEngine) StreamCacheStats() (uint64, uint64, int)   { return 0, 0, 0 }
-func (f *failingEngine) SearchMemoStats() (uint64, uint64)         { return 0, 0 }
 
 // Regression: an engine-level batch failure with a live client must
 // surface as a 500 JSON error envelope, never as HTTP 200 with a null
 // body.
 func TestServeBatchEngineFailure(t *testing.T) {
-	svc, err := newWith(&failingEngine{err: errors.New("engine exploded")}, Config{})
+	svc, err := newWith(&failingEngine{Engine: newEngine(t), err: errors.New("engine exploded")}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(svc.Handler())
-	t.Cleanup(func() {
-		srv.Close()
-		svc.Close()
-	})
+	srv := serve(t, svc)
 
 	resp, body := post(t, srv.URL+"/v1/batch", `[{"flow":"platform","benchmark":"Bm1"}]`)
 	if resp.StatusCode != http.StatusInternalServerError {
@@ -201,25 +209,31 @@ func TestServeValidationErrors(t *testing.T) {
 	}
 }
 
-// A candidate PE type the input's library lacks can only be found once
-// the flow resolves its input; it is still the client's fault, so the
-// run answers 400 naming the field rather than 500.
+// A candidate PE type the input's library lacks is the client's fault,
+// so the run answers 400 naming the field rather than 500: Check finds
+// it against the engine's library, and the flow finds it against a
+// generated scenario's palette, which only exists once the input
+// resolves.
 func TestServeRunUnknownCandidateType(t *testing.T) {
 	srv := testServer(t, Config{})
-	resp, body := post(t, srv.URL+"/v1/run",
-		`{"flow":"cosynthesis","benchmark":"Bm1","candidateTypes":["nope"]}`)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400 (%s)", resp.StatusCode, body)
-	}
-	var e struct {
-		Error string `json:"error"`
-		Field string `json:"field"`
-	}
-	if err := json.Unmarshal(body, &e); err != nil {
-		t.Fatalf("decoding error envelope: %v\n%s", err, body)
-	}
-	if e.Field != "candidateTypes" || !strings.Contains(e.Error, `"nope"`) {
-		t.Errorf("error envelope %+v, want field candidateTypes naming \"nope\"", e)
+	for _, body := range []string{
+		`{"flow":"cosynthesis","benchmark":"Bm1","candidateTypes":["nope"]}`,
+		`{"flow":"cosynthesis","scenario":{"seed":1,"graph":{"tasks":8}},"candidateTypes":["nope"]}`,
+	} {
+		resp, out := post(t, srv.URL+"/v1/run", body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400 (%s)", body, resp.StatusCode, out)
+		}
+		var e struct {
+			Error string `json:"error"`
+			Field string `json:"field"`
+		}
+		if err := json.Unmarshal(out, &e); err != nil {
+			t.Fatalf("decoding error envelope: %v\n%s", err, out)
+		}
+		if e.Field != "candidateTypes" || !strings.Contains(e.Error, `"nope"`) {
+			t.Errorf("%s: error envelope %+v, want field candidateTypes naming \"nope\"", body, e)
+		}
 	}
 }
 
@@ -331,4 +345,77 @@ func TestServeMethodNotAllowed(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/run status %d, want 405", resp.StatusCode)
 	}
+}
+
+// countingEngine is a real engine that counts its Check calls. While
+// gate is open, RunChecked waits for it to close.
+type countingEngine struct {
+	*thermalsched.Engine
+	checks atomic.Int64
+	gate   chan struct{}
+}
+
+func (c *countingEngine) Check(req thermalsched.Request) (*thermalsched.Checked, error) {
+	c.checks.Add(1)
+	return c.Engine.Check(req)
+}
+
+func (c *countingEngine) RunChecked(ctx context.Context, ch *thermalsched.Checked) (*thermalsched.Response, error) {
+	select {
+	case <-c.gate:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	return c.Engine.RunChecked(ctx, ch)
+}
+
+// Each surface checks a request exactly once and hands the checked
+// value on: one Check per /v1/run request, per /v1/batch entry and per
+// /v1/jobs submit, a coalesced or stored-result submit included.
+func TestEachSurfaceChecksOnce(t *testing.T) {
+	eng := &countingEngine{Engine: newEngine(t), gate: make(chan struct{})}
+	svc, err := newWith(eng, Config{Jobs: jobs.Config{Workers: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := serve(t, svc)
+	var open sync.Once
+	release := func() { open.Do(func() { close(eng.gate) }) }
+	t.Cleanup(release)
+	want := int64(0)
+	expect := func(surface string, n int64) {
+		t.Helper()
+		want += n
+		if got := eng.checks.Load(); got != want {
+			t.Errorf("after %s: %d checks in all, want %d", surface, got, want)
+		}
+	}
+
+	body := `{"flow":"platform","benchmark":"Bm1"}`
+	_, first := submitJob(t, srv.URL, body)
+	expect("a fresh job submit", 1)
+	_, twin := submitJob(t, srv.URL, body)
+	if !twin.Coalesced {
+		t.Errorf("second submit not coalesced onto the first: %+v", twin)
+	}
+	expect("a coalesced job submit", 1)
+	release()
+	if done := pollJob(t, srv.URL, first.ID); done.State != jobs.StateDone {
+		t.Fatalf("job ended %s: %s", done.State, done.Error)
+	}
+	_, stored := submitJob(t, srv.URL, body)
+	if stored.State != jobs.StateDone || !stored.FromJournal {
+		t.Errorf("third submit not served from the stored result: %+v", stored)
+	}
+	expect("a stored-result job submit", 1)
+
+	if resp, out := post(t, srv.URL+"/v1/run", body); resp.StatusCode != http.StatusOK {
+		t.Fatalf("run status %d: %s", resp.StatusCode, out)
+	}
+	expect("a run", 1)
+	batch := `[{"flow":"platform","benchmark":"Bm1"},{"flow":"platform","benchmark":"Bm2"},{"flow":"generate","scenario":{"seed":1}}]`
+	if resp, out := post(t, srv.URL+"/v1/batch", batch); resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch status %d: %s", resp.StatusCode, out)
+	}
+	expect("a 3-entry batch", 3)
 }

@@ -338,3 +338,42 @@ func TestRunQueriesHeldPEOncePerInstant(t *testing.T) {
 		t.Logf("%s: %d denials, %d supervisor queries", pol, got.AdmissionDenials, sup.queries)
 	}
 }
+
+// The EDF policies order pending jobs by deadline, and equal deadlines
+// by job index, so an older job goes first. On a one-PE platform kept
+// busy by job 0, jobs 1 and 2 arrive with one deadline; when the PE
+// frees, job 1 must start before job 2.
+func TestEDFEqualDeadlinesServeOlderJobFirst(t *testing.T) {
+	lib, err := techlib.StandardLibrary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	arch, _, model, oracle, err := cosynth.BuildPlatformDesc(lib, techlib.DefaultBusTimePerUnit,
+		hotspot.DefaultConfig(), nil, &cosynth.PlatformDesc{TypeNames: []string{"pe-med"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := stream.Input{
+		Jobs: []stream.Job{
+			{ID: 0, Type: 0, Arrival: 0, Deadline: 1000},
+			{ID: 1, Type: 0, Arrival: 1, Deadline: 500},
+			{ID: 2, Type: 0, Arrival: 2, Deadline: 500},
+		},
+		Lib: lib, Arch: arch, Model: model, Oracle: oracle,
+	}
+	for _, pol := range []string{stream.PolicyCoolest, stream.PolicyGreedy} {
+		res, err := stream.Run(context.Background(), in, stream.Config{
+			Policy: pol, DT: 1, TimeScale: 0.1, MinFactor: 1,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", pol, err)
+		}
+		rec := res.Records
+		if rec[0].Start != 0 || rec[0].Finish <= in.Jobs[2].Arrival {
+			t.Fatalf("%s: job 0 ran [%g, %g], want the PE busy from 0 past job 2's arrival", pol, rec[0].Start, rec[0].Finish)
+		}
+		if !(rec[1].Start < rec[2].Start) {
+			t.Errorf("%s: equal-deadline jobs started 1 at %g, 2 at %g; want the older job 1 first", pol, rec[1].Start, rec[2].Start)
+		}
+	}
+}

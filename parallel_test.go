@@ -102,7 +102,7 @@ func TestRunBatchComposesWithSearchPool(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = Request{Flow: FlowCoSynthesis, Benchmark: "Bm1", FloorplanGenerations: 6}
 	}
-	resps, err := e.RunBatch(ctx, reqs)
+	resps, err := e.RunBatch(ctx, mustCheckAll(t, e, reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestRunBatchComposesWithReplicaPool(t *testing.T) {
 		{Flow: FlowStream, Stream: &StreamSpec{Seed: 4, MinFactor: 0.7, Replicas: 6},
 			Policy: StreamPolicyAdmit},
 	}
-	resps, err := e.RunBatch(ctx, reqs)
+	resps, err := e.RunBatch(ctx, mustCheckAll(t, e, reqs))
 	if err != nil {
 		t.Fatal(err)
 	}

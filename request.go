@@ -92,20 +92,33 @@ func GraphSpecOf(g *Graph) *GraphSpec {
 	return spec
 }
 
-// Graph materializes and validates the task graph described by the spec.
+// Graph materializes and validates the task graph described by the
+// spec. Its errors are *FieldErrors on the fields of a Request's
+// inline graph (graph.tasks[i], graph.edges[j], graph.deadline, …).
 func (s *GraphSpec) Graph() (*Graph, error) {
 	b := taskgraph.NewBuilder(s.Name, s.Deadline)
-	for _, t := range s.Tasks {
+	for i, t := range s.Tasks {
 		if err := b.AddTask(taskgraph.Task{ID: t.ID, Name: t.Name, Type: t.Type}); err != nil {
-			return nil, err
+			return nil, fieldErr(fmt.Sprintf("graph.tasks[%d]", i), "%v", err)
 		}
 	}
-	for _, e := range s.Edges {
+	for j, e := range s.Edges {
 		if err := b.AddEdge(taskgraph.Edge{From: e.From, To: e.To, Data: e.Data, Prob: e.Prob}); err != nil {
-			return nil, err
+			return nil, fieldErr(fmt.Sprintf("graph.edges[%d]", j), "%v", err)
 		}
 	}
-	return b.Build()
+	g, err := b.Build()
+	if err != nil {
+		field := "graph.edges" // Build checks the tasks, the deadline, then for a cycle
+		switch {
+		case len(s.Tasks) == 0:
+			field = "graph.tasks"
+		case !(s.Deadline > 0):
+			field = "graph.deadline"
+		}
+		return nil, fieldErr(field, "%v", err)
+	}
+	return g, nil
 }
 
 // SupervisorSpec holds the thermal-supervisor knobs the simulate and
@@ -367,10 +380,11 @@ func aspPolicy(name string) (Policy, error) {
 }
 
 // Validate reports the first problem that makes the request unrunnable,
-// as a *FieldError naming the offending field. The Engine validates
-// every request; services should call this before accepting work so
-// malformed requests fail fast with a clear message — the service's 400
-// bodies and the CLI's usage errors carry these messages verbatim.
+// as a *FieldError naming the offending field. It is Engine.Check
+// without an engine: the same check, an inline graph's structure
+// included, minus the task types checked against a library. The
+// service's 400 bodies and the CLI's usage errors carry these messages
+// verbatim.
 //
 // Validate checks the canonical form, the copy the flow reads, so a
 // defaulted knob is checked at the value it runs with. The generic
@@ -379,8 +393,8 @@ func aspPolicy(name string) (Policy, error) {
 // registry; flow-specific checks run through each registry row's
 // validate hook.
 func (r *Request) Validate() error {
-	c := r.canonical()
-	return c.validate()
+	_, err := r.check(nil)
+	return err
 }
 
 // validate is Validate on a request already in canonical form.
@@ -513,11 +527,21 @@ func nonFinite(v reflect.Value) (path string, f float64, ok bool) {
 // Scenario is normalized and every policy name is spelled canonically.
 // It sets no field the row does not list, so Validate can check this
 // copy. A policy name that does not parse stays as written, for
-// Validate to report. Engine.Run hands the flow this copy and
+// Validate to report. Engine.Check keeps this copy for the flow and
 // Fingerprint digests it, so requests the flows cannot tell apart
-// share one coalescing key. The receiver is not modified.
+// share one coalescing key. The receiver is not modified, and the copy
+// shares no mutable memory with it: pointer knobs, slices and the
+// inline graph are copied.
 func (r *Request) canonical() Request {
 	c := *r
+	c.TempWeight, c.PowerWeight, c.EnergyWeight = own(r.TempWeight), own(r.PowerWeight), own(r.EnergyWeight)
+	c.ThermalHorizon, c.Seed = own(r.ThermalHorizon), own(r.Seed)
+	c.CandidateTypes = slices.Clone(r.CandidateTypes)
+	if r.Graph != nil {
+		g := *r.Graph
+		g.Tasks, g.Edges = slices.Clone(g.Tasks), slices.Clone(g.Edges)
+		c.Graph = &g
+	}
 	fs, known := flowFor(r.Flow)
 	reads := func(key string) bool { return known && slices.Contains(fs.reads, key) }
 	if reads("policy") {
@@ -561,51 +585,17 @@ func (r *Request) canonical() Request {
 	}
 	if reads("campaign") {
 		s := r.Campaign.withDefaults()
+		s.Controllers = slices.Clone(s.Controllers)
 		c.Campaign = &s
 	}
 	return c
 }
 
-// schedConfig lowers the canonical request's ASP knobs to the
-// scheduler configuration.
-func (r *Request) schedConfig() (SchedConfig, error) {
-	p, err := aspPolicy(r.Policy)
-	if err != nil {
-		return SchedConfig{}, err
+// own returns a pointer to a copy of *p, or nil for nil.
+func own[T any](p *T) *T {
+	if p == nil {
+		return nil
 	}
-	return SchedConfig{
-		Policy:         p,
-		TempWeight:     *r.TempWeight,
-		PowerWeight:    *r.PowerWeight,
-		EnergyWeight:   *r.EnergyWeight,
-		ThermalHorizon: *r.ThermalHorizon,
-	}, nil
-}
-
-// platformConfig lowers the canonical request to the platform flow's
-// configuration; the Engine adds the thermal calibration, the platform
-// and the model cache.
-func (r *Request) platformConfig() (cosynth.PlatformConfig, error) {
-	sc, err := r.schedConfig()
-	if err != nil {
-		return cosynth.PlatformConfig{}, err
-	}
-	return cosynth.PlatformConfig{Sched: sc, BusTimePerUnit: r.BusTimePerUnit}, nil
-}
-
-// cosynthConfig lowers the canonical request to the co-synthesis flow's
-// configuration.
-func (r *Request) cosynthConfig() (cosynth.CoSynthConfig, error) {
-	sc, err := r.schedConfig()
-	if err != nil {
-		return cosynth.CoSynthConfig{}, err
-	}
-	return cosynth.CoSynthConfig{
-		Sched:                sc,
-		CandidateTypes:       r.CandidateTypes,
-		MaxPEs:               r.MaxPEs,
-		BusTimePerUnit:       r.BusTimePerUnit,
-		FloorplanGenerations: r.FloorplanGenerations,
-		Seed:                 *r.Seed,
-	}, nil
+	v := *p
+	return &v
 }

@@ -1,6 +1,7 @@
 package thermalsched
 
 import (
+	"context"
 	"strings"
 
 	"thermalsched/internal/scenario"
@@ -82,8 +83,9 @@ func scenarioReport(sc *Scenario) (*ScenarioReport, error) {
 // the cache only needs to hold a campaign's working set.
 const DefaultScenarioCacheSize = 128
 
-// scenarioFor returns the (possibly cached) scenario for a spec, which
-// Request.Validate has checked; Generate checks it again on a miss.
+// scenarioFor returns the (possibly cached) scenario for a spec, a
+// checked request's key: Check generates nothing, so a scenario is
+// generated here, when the flow runs (Generate checks the spec again).
 func (e *Engine) scenarioFor(spec ScenarioSpec) (*Scenario, error) {
 	fp := spec.Fingerprint()
 	if sc, ok := e.scenarios.Get(fp); ok {
@@ -104,9 +106,9 @@ func (e *Engine) ScenarioCacheStats() (hits, misses uint64, size int) {
 }
 
 // runGenerateFlow materializes the requested scenario and serializes it
-// into the response.
-func (e *Engine) runGenerateFlow(req *Request) (*Response, error) {
-	sc, err := e.scenarioFor(*req.Scenario)
+// into the response; it never runs long enough to need cancellation.
+func (e *Engine) runGenerateFlow(_ context.Context, c *Checked) (*Response, error) {
+	sc, err := e.scenarioFor(*c.req.Scenario)
 	if err != nil {
 		return nil, err
 	}

@@ -129,8 +129,9 @@ func GenerateStreamWorkload(spec StreamSpec) (*StreamWorkload, error) {
 	return scenario.GenerateStream(spec.workloadSpec())
 }
 
-// streamFor returns the (possibly cached) workload for a spec, which
-// Request.Validate has checked; GenerateStream checks it again on a miss.
+// streamFor returns the (possibly cached) workload for a spec, a
+// checked request's key: Check generates nothing, so a workload is
+// generated here, when the flow runs (GenerateStream checks it again).
 func (e *Engine) streamFor(spec StreamSpec) (*StreamWorkload, error) {
 	ws := spec.workloadSpec()
 	fp := ws.Fingerprint()
@@ -195,7 +196,8 @@ type StreamReport struct {
 // through the shared cosynth path (thermal-model cache included), and
 // fans Replicas seeded online dispatches across the search pool —
 // replica i draws its realization from SimSeed + i.
-func (e *Engine) runStreamFlow(ctx context.Context, req *Request) (*Response, error) {
+func (e *Engine) runStreamFlow(ctx context.Context, c *Checked) (*Response, error) {
+	req := &c.req
 	spec, policy := *req.Stream, req.Policy
 	wl, err := e.streamFor(spec)
 	if err != nil {
@@ -214,7 +216,7 @@ func (e *Engine) runStreamFlow(ctx context.Context, req *Request) (*Response, er
 	// Each replica gets its own influence oracle and supervisor: both
 	// are incremental state, not safe for concurrent use, and oracle
 	// rows are built lazily so unused policies pay nothing.
-	results, err := runReplicas(ctx, e.poolFor(req), spec.Replicas, func(i int) (*stream.Result, error) {
+	results, err := runReplicas(ctx, e.poolFor(c), spec.Replicas, func(i int) (*stream.Result, error) {
 		oracle, err := sched.NewModelOracle(model, arch)
 		if err != nil {
 			return nil, err

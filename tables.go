@@ -156,15 +156,16 @@ func (e *Engine) PaperTables(ctx context.Context, table, floorplanGenerations in
 				if c.flow == FlowCoSynthesis {
 					req.FloorplanGenerations = floorplanGenerations
 				}
-				if err := req.Validate(); err != nil {
-					return nil, err
-				}
 				index[c] = len(reqs)
 				reqs = append(reqs, req)
 			}
 		}
 	}
-	resps, err := e.RunBatch(ctx, reqs)
+	checked, err := e.checkAll(reqs)
+	if err != nil {
+		return nil, err
+	}
+	resps, err := e.RunBatch(ctx, checked)
 	if err != nil {
 		return nil, fmt.Errorf("thermalsched: paper tables: %w", err)
 	}
@@ -260,8 +261,8 @@ func defaultScalingSizes() []int { return []int{20, 50, 100, 200, 500} }
 // ScalingTable runs the beyond-the-paper scaling study. Each row is
 // one platform request under the thermal-aware policy on a generated
 // scenario (layered shape, CCR 0.1, heterogeneous speed spread
-// 0.6–2.0, grid floorplan, seed+tasks), validated and resolved like
-// any Run request. Nil sizes means 20 → 500 tasks; zero pes means 8.
+// 0.6–2.0, grid floorplan, seed+tasks), checked and resolved like any
+// Run request. Nil sizes means 20 → 500 tasks; zero pes means 8.
 //
 // The rows run one at a time, so each row's wall-clock SchedMillis
 // is not shared with the other rows, and each row counts its
@@ -283,7 +284,11 @@ func (e *Engine) ScalingTable(ctx context.Context, sizes []int, pes int, seed in
 			Graph:    ScenarioGraphParams{Tasks: n, CCR: 0.1},
 			Platform: ScenarioPlatformParams{PEs: pes, MinSpeed: 0.6, MaxSpeed: 2.0},
 		}}
-		row, err := e.scalingRow(ctx, &req)
+		c, err := e.Check(req)
+		if err != nil {
+			return nil, fmt.Errorf("thermalsched: scaling %d tasks: %w", n, err)
+		}
+		row, err := e.scalingRow(ctx, c)
 		if err != nil {
 			return nil, fmt.Errorf("thermalsched: scaling %d tasks: %w", n, err)
 		}
@@ -294,31 +299,22 @@ func (e *Engine) ScalingTable(ctx context.Context, sizes []int, pes int, seed in
 
 // scalingRow runs one scaling request through the platform flow's own
 // path, Engine.platform, with a fresh counting model provider.
-func (e *Engine) scalingRow(ctx context.Context, req *Request) (ScalingRow, error) {
-	c := req.canonical()
-	if err := c.validate(); err != nil {
-		return ScalingRow{}, err
-	}
-	in, err := e.resolveInput(&c)
-	if err != nil {
-		return ScalingRow{}, err
-	}
-	cfg, err := c.platformConfig()
+func (e *Engine) scalingRow(ctx context.Context, c *Checked) (ScalingRow, error) {
+	in, err := e.input(c)
 	if err != nil {
 		return ScalingRow{}, err
 	}
 	var hits, misses atomic.Uint64
-	cfg.Models = e.countingModelProvider(&hits, &misses)
 	//thermalvet:allow walltime(SchedMillis measures scheduler latency for the scaling table; the table is documented deterministic modulo wall-clock)
 	start := time.Now()
-	res, err := e.platform(ctx, in, cfg)
+	res, err := e.platform(ctx, in, c, e.countingModelProvider(&hits, &misses))
 	if err != nil {
 		return ScalingRow{}, err
 	}
 	return ScalingRow{
 		Tasks:       in.graph.NumTasks(),
 		Edges:       in.graph.NumEdges(),
-		PEs:         c.Scenario.Platform.PEs,
+		PEs:         c.req.Scenario.Platform.PEs,
 		Deadline:    in.graph.Deadline,
 		Makespan:    res.Metrics.Makespan,
 		Feasible:    res.Metrics.Feasible,

@@ -22,11 +22,12 @@
 //	})
 //	fmt.Printf("peak %.1f °C\n", resp.Metrics.MaxTemp)
 //
-// Run and RunBatch are the one entry path to every flow: a Response
-// carries the paper's metrics (Metrics), the architecture, per-PE
-// operating points and, on request, the floorplan and Gantt chart.
-// Engine.PaperTables regenerates the paper's Tables 1–3 as one batch of
-// such requests, and cmd/thermschedd serves Engine.Run over HTTP/JSON.
+// Engine.Check is the one way in to every flow: its Checked value is
+// what RunChecked and RunBatch run (Run is Check, then RunChecked). A
+// Response carries the paper's metrics (Metrics), the architecture,
+// per-PE operating points and, on request, the floorplan and Gantt
+// chart. Engine.PaperTables regenerates the paper's Tables 1–3 as one
+// batch of such requests, and cmd/thermschedd serves them over HTTP/JSON.
 // Callers that need a Schedule value itself call AllocateAndSchedule on
 // an explicit architecture.
 //
@@ -50,7 +51,7 @@
 //	internal/runtime     the schedule executor: realized replay under DTM
 //	internal/stream      online dispatcher and placement policies
 //	internal/search      deterministic parallel search pool and LRU memo
-//	internal/service     request validation/routing for cmd/thermschedd
+//	internal/service     request checking/routing for cmd/thermschedd
 //	internal/jobs        async job tier: coalescing, journal, eviction
 package thermalsched
 

@@ -18,13 +18,16 @@ import (
 // validationCase names a request shape, the field its FieldError
 // names, and the CLI flags that reproduce it (nil when no flag
 // spelling exists). noJSON marks a request JSON cannot carry (a NaN
-// knob), which has no service spelling.
+// knob), which has no service spelling; library marks a fault only
+// Engine.Check finds, against the engine's library, which
+// Request.Validate therefore accepts.
 type validationCase struct {
-	name   string
-	req    thermalsched.Request
-	field  string
-	cli    []string
-	noJSON bool
+	name    string
+	req     thermalsched.Request
+	field   string
+	cli     []string
+	noJSON  bool
+	library bool
 }
 
 // nanCase marks tc as a NaN- or Inf-knob case: Go callers and the
@@ -39,8 +42,9 @@ func nanCase(tc validationCase) validationCase {
 func ptr[T any](v T) *T { return &v }
 
 // One validation message per surface is the consolidation contract:
-// Request.Validate's typed field error is the text the service's 400
-// body carries verbatim (plus the machine-readable field name), and
+// Engine.Check's typed field error is the text Request.Validate returns
+// (for every fault that needs no library), the text the service's 400
+// bodies carry verbatim (plus the machine-readable field name), and
 // the text the CLI prints to stderr. These cases cover the redesigned
 // flows — each names the request shape, the expected field and the CLI
 // flags that reproduce it.
@@ -328,7 +332,54 @@ func validationCases() []validationCase {
 		nanCase(simulateCase("infinite simulate coolTime", thermalsched.SimulateSpec{Controller: "zigzag",
 			SupervisorSpec: thermalsched.SupervisorSpec{CoolTime: math.Inf(1)}}, "simulate.coolTime",
 			[]string{"-controller", "zigzag", "-cooltime", "Inf"})),
+		// A malformed inline graph once passed Validate and failed in
+		// the flow with a plain error: a 500 on /v1/run and a journaled
+		// failure on /v1/jobs. None has a CLI spelling: -graph files
+		// fail in ReadGraph first.
+		graphCase("inline graph with a 2-task cycle", "graph.edges", func(g *thermalsched.GraphSpec) {
+			g.Edges = append(g.Edges, thermalsched.EdgeSpec{From: 1, To: 0})
+		}),
+		graphCase("inline task of an unknown type", "graph.tasks[1].type", func(g *thermalsched.GraphSpec) {
+			g.Tasks[1].Type = 999
+		}),
+		graphCase("inline graph with no tasks", "graph.tasks", func(g *thermalsched.GraphSpec) {
+			g.Tasks, g.Edges = nil, nil
+		}),
+		graphCase("inline task ID out of order", "graph.tasks[1]", func(g *thermalsched.GraphSpec) {
+			g.Tasks[1].ID = 5
+		}),
+		graphCase("inline task with an empty name", "graph.tasks[0]", func(g *thermalsched.GraphSpec) {
+			g.Tasks[0].Name = ""
+		}),
+		graphCase("inline task of a negative type", "graph.tasks[1]", func(g *thermalsched.GraphSpec) {
+			g.Tasks[1].Type = -1
+		}),
+		graphCase("inline graph with a non-positive deadline", "graph.deadline", func(g *thermalsched.GraphSpec) {
+			g.Deadline = 0
+		}),
+		graphCase("inline edge to a missing task", "graph.edges[0]", func(g *thermalsched.GraphSpec) {
+			g.Edges[0].To = 7
+		}),
+		{
+			// Once found only when the flow ran: /v1/jobs accepted it
+			// and journaled a failure.
+			name: "candidate PE type the library lacks",
+			req: thermalsched.Request{Flow: thermalsched.FlowCoSynthesis,
+				Benchmark: "Bm1", CandidateTypes: []string{"nope"}},
+			field:   "candidateTypes",
+			library: true,
+		},
 	}
+}
+
+// graphCase is a platform request on a valid two-task inline graph
+// that edit breaks. A fault in a task's type is found against the
+// engine's library.
+func graphCase(name, field string, edit func(*thermalsched.GraphSpec)) validationCase {
+	g := nanGraph(100, 1)
+	edit(g)
+	return validationCase{name: name, field: field, library: strings.HasSuffix(field, ".type"),
+		req: thermalsched.Request{Flow: thermalsched.FlowPlatform, Graph: g}}
 }
 
 // nanGraph is a valid two-task inline graph with the given deadline
@@ -370,14 +421,15 @@ func TestValidationMessagesSharedAcrossSurfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer svc.Close()
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 
 	for _, tc := range validationCases() {
 		// Canonical message and field from the library surface.
-		verr := tc.req.Validate()
+		_, verr := engine.Check(tc.req)
 		if verr == nil {
-			t.Errorf("%s: Validate accepted the request", tc.name)
+			t.Errorf("%s: Check accepted the request", tc.name)
 			continue
 		}
 		var fe *thermalsched.FieldError
@@ -391,38 +443,59 @@ func TestValidationMessagesSharedAcrossSurfaces(t *testing.T) {
 		if !strings.HasPrefix(verr.Error(), "thermalsched: invalid "+tc.field+":") {
 			t.Errorf("%s: message %q does not follow the canonical shape", tc.name, verr)
 		}
+		// Validate is the same check without the library.
+		switch err := tc.req.Validate(); {
+		case tc.library && err != nil:
+			t.Errorf("%s: Validate, which checks no library, rejected the request: %v", tc.name, err)
+		case !tc.library && (err == nil || err.Error() != verr.Error()):
+			t.Errorf("%s: Validate returned %v, want Check's %q", tc.name, err, verr)
+		}
 		if tc.noJSON {
 			continue
 		}
 
-		// The service 400 body carries the message verbatim plus the
-		// field name.
+		// Every service surface answers 400 with the message verbatim
+		// (a batch names the entry first) plus the field name.
 		blob, err := json.Marshal(tc.req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := http.Post(srv.URL+"/v1/run", "application/json", bytes.NewReader(blob))
-		if err != nil {
-			t.Fatal(err)
+		for _, s := range []struct {
+			path   string
+			body   []byte
+			prefix string
+		}{
+			{"/v1/run", blob, ""},
+			{"/v1/batch", append(append([]byte("["), blob...), ']'), "service: batch entry 0: "},
+			{"/v1/jobs", blob, ""},
+		} {
+			resp, err := http.Post(srv.URL+s.path, "application/json", bytes.NewReader(s.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var body struct {
+				Error string `json:"error"`
+				Field string `json:"field"`
+			}
+			err = json.NewDecoder(resp.Body).Decode(&body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s: %s status %d, want 400", tc.name, s.path, resp.StatusCode)
+			}
+			if body.Error != s.prefix+verr.Error() {
+				t.Errorf("%s: %s message %q diverges from Check's %q", tc.name, s.path, body.Error, verr)
+			}
+			if body.Field != tc.field {
+				t.Errorf("%s: %s field %q, want %q", tc.name, s.path, body.Field, tc.field)
+			}
 		}
-		var body struct {
-			Error string `json:"error"`
-			Field string `json:"field"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: service status %d, want 400", tc.name, resp.StatusCode)
-		}
-		if body.Error != verr.Error() {
-			t.Errorf("%s: service message %q diverges from Validate's %q", tc.name, body.Error, verr)
-		}
-		if body.Field != tc.field {
-			t.Errorf("%s: service field %q, want %q", tc.name, body.Field, tc.field)
-		}
+	}
+	// A rejected submit creates no job.
+	if st := svc.Jobs().Stats(); st.Counters.Submitted != 0 || st.Counters.Evaluations != 0 {
+		t.Errorf("rejected submits created jobs: %+v", st.Counters)
 	}
 }
 
@@ -437,13 +510,17 @@ func TestValidationMessagesMatchCLI(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("go toolchain not on PATH")
 	}
+	engine, err := thermalsched.NewEngine()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range validationCases() {
 		if tc.cli == nil {
 			continue
 		}
-		verr := tc.req.Validate()
+		_, verr := engine.Check(tc.req)
 		if verr == nil {
-			t.Fatalf("%s: Validate accepted the request", tc.name)
+			t.Fatalf("%s: Check accepted the request", tc.name)
 		}
 		out, err := exec.Command("go", append([]string{"run", "./cmd/thermsched"}, tc.cli...)...).CombinedOutput()
 		if err == nil {
