@@ -19,8 +19,13 @@ type Checked struct {
 	sched SchedConfig // the offline flows' lowered ASP knobs
 }
 
-// Flow reports the checked request's flow.
-func (c *Checked) Flow() FlowKind { return c.req.Flow }
+// Flow reports the checked request's flow; a nil value has none.
+func (c *Checked) Flow() FlowKind {
+	if c == nil {
+		return ""
+	}
+	return c.req.Flow
+}
 
 // Fingerprint returns the coalescing key of the checked request; it
 // equals the Fingerprint of the Request it was checked from.
@@ -110,7 +115,8 @@ func (e *Engine) RunChecked(ctx context.Context, c *Checked) (*Response, error) 
 	start := time.Now()
 	// Dispatch through the flow registry, which Check, FlowKinds() and
 	// the CLI help read too, so a flow exists on every surface or none.
-	fs, ok := flowFor(c.req.Flow)
+	// A nil or zero value names no flow.
+	fs, ok := flowFor(c.Flow())
 	if !ok {
 		return nil, errors.New("thermalsched: RunChecked needs a value from Engine.Check")
 	}

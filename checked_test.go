@@ -136,8 +136,26 @@ func TestCanonicalHasTwoCallers(t *testing.T) {
 
 // A zero Checked, made without Check, is refused rather than run.
 func TestRunCheckedRefusesUncheckedValue(t *testing.T) {
-	if _, err := testEngine(t).RunChecked(context.Background(), &Checked{}); err == nil {
-		t.Fatal("RunChecked ran a value Check never made")
+	e := testEngine(t)
+	for _, c := range []*Checked{{}, nil} {
+		if _, err := e.RunChecked(context.Background(), c); err == nil {
+			t.Fatalf("RunChecked ran %#v, a value Check never made", c)
+		}
+	}
+	// In a batch the refusal is the entry's error; the other entries run.
+	good, err := e.Check(Request{Flow: FlowPlatform, Benchmark: "Bm1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := e.RunBatch(context.Background(), []*Checked{nil, good})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "thermalsched: RunChecked needs a value from Engine.Check"; out[0].Error != want {
+		t.Errorf("nil entry error %q, want %q", out[0].Error, want)
+	}
+	if out[1].Error != "" || out[1].Metrics == nil {
+		t.Errorf("the entry after a nil one did not run: %+v", out[1])
 	}
 }
 

@@ -1,6 +1,6 @@
 // Command taskgen emits one of the paper's benchmark graphs in the
 // repository's .tg format or Graphviz DOT. Random task graphs come from
-// the scenario generator: thermsched -flow generate.
+// the scenario generator: a thermsched request of flow "generate".
 //
 // Usage:
 //

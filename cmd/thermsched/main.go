@@ -1,42 +1,37 @@
-// Command thermsched runs one Engine flow on a task graph and reports
-// the schedule, power and steady-state temperatures. The default flow
-// maps the graph onto the paper's 4-PE platform (Fig. 1b); -flow
-// selects any registered Engine flow — the value set, the per-flow help
-// text and the validation rules all come from the same flow registry
-// the library and the thermschedd service read.
+// Command thermsched runs one Engine request and reports the schedule,
+// power and steady-state temperatures. The request is the JSON
+// thermalsched.Request that the thermschedd service decodes, given as
+// the one argument or, when there is none, on stdin; it is decoded by
+// the service's rules (unknown fields and trailing data are errors) and
+// run through Engine.Run, so the library, the service and the CLI accept
+// the same requests and report the same validation messages.
 //
 // Usage:
 //
-//	thermsched -benchmark Bm1 -policy thermal
-//	thermsched -graph my.tg -policy h3 -gantt
-//	thermsched -flow cosynthesis -benchmark Bm2 -json
-//	thermsched -flow cosynthesis -benchmark Bm2 -parallelism 4 -json
-//	thermsched -flow cosynthesis -benchmark Bm1 -maxpes 4 -fpgens 2 -flp out.flp
-//	thermsched -flow simulate -benchmark Bm3 -replicas 16 -seed 1 -json
-//	thermsched -flow generate -tasks 80 -pes 8 -seed 7 -json
-//	thermsched -flow platform -tasks 80 -pes 8 -seed 7
-//	thermsched -flow campaign -scenarios 50 -mintasks 20 -maxtasks 200 -seed 1
-//	thermsched -flow stream -seed 3 -policy greedy -replicas 4 -json
-//	thermsched -flow campaign -stream -scenarios 8 -seed 1
-//	thermsched -flow simulate -benchmark Bm2 -controller admit -warmstart -json
-//	thermsched -flow stream -seed 3 -policy admit -replicas 4
-//	thermsched -flow campaign -controllers toggle,admit -scenarios 8 -seed 1
+//	thermsched [-json] [-flp FILE] [-graph FILE.tg] [REQUEST]
 //
-// Graph-consuming flows accept -tasks/-pes/… instead of a benchmark or
-// graph file: the run then schedules a generated scenario on its own
-// generated platform. The stream flow generates an online workload
-// (periodic sources plus Poisson/bursty aperiodic arrivals) and
-// dispatches it with -policy fifo|random|coolest|greedy. With -json the
-// output is the same serializable Response schema that cmd/thermschedd
-// serves over HTTP. -flp writes the response's floorplan in HotSpot
-// .flp form, which cmd/hotspotsim reads.
+//	thermsched '{"flow":"platform","benchmark":"Bm1","policy":"thermal"}'
+//	thermsched -graph my.tg '{"flow":"platform","policy":"h3","includeGantt":true}'
+//	thermsched -json '{"flow":"cosynthesis","benchmark":"Bm2","parallelism":4}'
+//	thermsched -flp out.flp '{"flow":"cosynthesis","benchmark":"Bm1","maxPEs":4,"floorplanGenerations":2}'
+//	thermsched -json '{"flow":"simulate","benchmark":"Bm3","simulate":{"replicas":16,"seed":1}}'
+//	thermsched -json '{"flow":"generate","scenario":{"seed":7,"graph":{"tasks":80},"platform":{"pes":8}}}'
+//	thermsched '{"flow":"campaign","campaign":{"scenarios":8,"seed":1,"stream":{}}}'
+//	thermsched -json < request.json
+//
+// -json prints the Response schema thermschedd serves; without it the
+// output is a human summary. -graph reads a .tg task graph file into
+// the request's graph field. -flp writes the response's floorplan in
+// HotSpot .flp form, which cmd/hotspotsim reads.
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -45,232 +40,39 @@ import (
 )
 
 func main() {
-	var (
-		flow      = flag.String("flow", "platform", "flow: "+thermalsched.FlowNames())
-		benchmark = flag.String("benchmark", "", "paper benchmark (Bm1..Bm4)")
-		graphFile = flag.String("graph", "", "task graph file (.tg)")
-		policyStr = flag.String("policy", "", "ASP policy (baseline, h1, h2, h3, thermal; default thermal) or, for -flow stream, an online policy (fifo, random, coolest, greedy, admit, zigzag; default greedy)")
-		gantt     = flag.Bool("gantt", false, "print the per-PE timeline")
-		tempW     = flag.Float64("tempweight", 0, "override the thermal DC weight (0 = default)")
-		seed      = flag.Int64("seed", -1, "run seed (0 is a valid seed, honored verbatim; negative = default)")
-		parallel  = flag.Int("parallelism", 0, "parallelism for cosynthesis search and simulate/stream replicas (0 = engine default GOMAXPROCS, 1 = serial; results are byte-identical at every value)")
-		asJSON    = flag.Bool("json", false, "emit the serializable Response schema as JSON")
-
-		// FlowCoSynthesis knobs.
-		maxPEs = flag.Int("maxpes", 0, "cosynthesis: maximum PEs in the architecture (0 = default 6)")
-		fpGens = flag.Int("fpgens", 0, "cosynthesis: GA floorplanner generations per candidate (0 = default 30)")
-		flpOut = flag.String("flp", "", "write the response's floorplan to this .flp file (cosynthesis)")
-
-		// FlowSimulate knobs (closed-loop DTM co-simulation).
-		controller = flag.String("controller", "", "simulate controller: toggle, pi, none, admit, zigzag (default toggle)")
-		trigger    = flag.Float64("trigger", 0, "simulate toggle trigger / PI setpoint °C (0 = default)")
-		replicas   = flag.Int("replicas", 0, "simulate Monte-Carlo replicas (0 = default 1)")
-		minFactor  = flag.Float64("minfactor", 0, "simulate execution-time factor lower bound (0 = default 1)")
-		warmStart  = flag.Bool("warmstart", false, "simulate from the steady-state operating point")
-
-		// Thermal-supervisor knobs (simulate and stream flows; 0 = default).
-		fairC      = flag.Float64("fairc", 0, "thermal-state ladder fair threshold °C (0 = default 72)")
-		seriousC   = flag.Float64("seriousc", 0, "thermal-state ladder serious threshold °C (0 = default 80)")
-		criticalC  = flag.Float64("criticalc", 0, "thermal-state ladder critical threshold °C (0 = default 88)")
-		serScale   = flag.Float64("seriousscale", 0, "admit controller throttle factor in the serious state (0 = default 0.7)")
-		critScale  = flag.Float64("criticalscale", 0, "admit controller throttle factor in the critical state (0 = default 0.4)")
-		retryAfter = flag.Float64("retryafter", 0, "admit controller denial hold in loop time units (0 = default 2)")
-		coolTime   = flag.Float64("cooltime", 0, "zigzag controller cooling-gap length in loop time units (0 = default 5)")
-
-		// Synthetic-scenario knobs (-flow generate, or any graph flow
-		// with -tasks set).
-		tasks      = flag.Int("tasks", 0, "generate a scenario with this many tasks instead of using a benchmark/graph")
-		pes        = flag.Int("pes", 0, "generated platform PE count (0 = default 4)")
-		shape      = flag.String("shape", "", "generated graph shape: layered, series-parallel (default layered)")
-		ccr        = flag.Float64("ccr", 0, "generated communication-to-computation ratio (0 = default 0.1)")
-		tightness  = flag.Float64("tightness", 0, "generated deadline tightness factor (0 = default 1.6)")
-		branchFrac = flag.Float64("branchfrac", 0, "fraction of fan-out tasks made conditional branches")
-		minSpeed   = flag.Float64("minspeed", 0, "generated platform minimum relative PE speed (0 = default 1)")
-		maxSpeed   = flag.Float64("maxspeed", 0, "generated platform maximum relative PE speed (0 = default 1)")
-		layout     = flag.String("layout", "", "generated floorplan layout: grid, row (default grid)")
-
-		// FlowCampaign knobs.
-		scenarios = flag.Int("scenarios", 0, "campaign scenario count (0 = default 8)")
-		minTasks  = flag.Int("mintasks", 0, "campaign minimum tasks per scenario (0 = default 20)")
-		maxTasks  = flag.Int("maxtasks", 0, "campaign maximum tasks per scenario (0 = default 60)")
-		policies  = flag.String("policies", "", "campaign comma-separated policy list (default h3,thermal; stream mode fifo,greedy)")
-		coSim     = flag.Bool("cosim", false, "campaign: run every cell through the closed-loop co-simulator")
-		ctrlDuel  = flag.String("controllers", "", "campaign comma-separated controller duel list (e.g. toggle,admit); implies -cosim with one scheduling policy")
-
-		// FlowStream knobs (-flow stream, or -flow campaign -stream).
-		// The generated platform reuses -pes/-minspeed/-maxspeed/-layout,
-		// the dispatch reuses -replicas/-minfactor.
-		streamMode = flag.Bool("stream", false, "campaign: online stream mode (cells are stream dispatches, policies are online)")
-		horizon    = flag.Float64("horizon", 0, "stream arrival horizon in schedule time units (0 = default 600)")
-		sources    = flag.Int("sources", 0, "stream periodic source count (0 = default 3)")
-		arrRate    = flag.Float64("arrivalrate", 0, "stream aperiodic Poisson arrival rate per time unit (0 = default 0.05)")
-		burst      = flag.Float64("burst", 0, "stream mean aperiodic burst size (0 = default 1: no bursts)")
-		laxity     = flag.Float64("laxity", 0, "stream aperiodic deadline laxity in mean-WCET multiples (0 = default 4)")
-		simSeed    = flag.Int64("simseed", 0, "stream replica-0 dispatch seed (replica i uses simseed+i; verbatim)")
-	)
+	asJSON := flag.Bool("json", false, "print the Response as JSON, the schema thermschedd serves")
+	flpOut := flag.String("flp", "", "write the response's floorplan to this .flp file")
+	graphFile := flag.String("graph", "", "read this task graph file (.tg) into the request's graph field")
 	flag.Usage = func() {
 		out := flag.CommandLine.Output()
-		fmt.Fprintf(out, "Usage of %s:\n", os.Args[0])
+		fmt.Fprintf(out, "Usage: %s [-json] [-flp FILE] [-graph FILE.tg] [REQUEST]\n\n", os.Args[0])
+		fmt.Fprintf(out, "REQUEST is one JSON thermalsched.Request; without it the request is read from stdin.\n\n")
 		flag.PrintDefaults()
 		fmt.Fprintf(out, "\nflows:\n%s", thermalsched.FlowUsage())
 	}
 	flag.Parse()
 
-	scenarioSpec := func() *thermalsched.ScenarioSpec {
-		spec := &thermalsched.ScenarioSpec{
-			Graph: thermalsched.ScenarioGraphParams{
-				Tasks:         *tasks,
-				Shape:         *shape,
-				CCR:           *ccr,
-				Tightness:     *tightness,
-				BranchDensity: *branchFrac,
-			},
-			Platform: thermalsched.ScenarioPlatformParams{
-				PEs:      *pes,
-				MinSpeed: *minSpeed,
-				MaxSpeed: *maxSpeed,
-				Layout:   *layout,
-			},
-		}
-		if *seed >= 0 {
-			spec.Seed = *seed
-		}
-		return spec
+	if flag.NArg() > 1 {
+		usageError("want at most one REQUEST argument, got %d", flag.NArg())
 	}
-	supervisor := thermalsched.SupervisorSpec{
-		FairC:         *fairC,
-		SeriousC:      *seriousC,
-		CriticalC:     *criticalC,
-		SeriousScale:  *serScale,
-		CriticalScale: *critScale,
-		RetryAfter:    *retryAfter,
-		CoolTime:      *coolTime,
+	var src io.Reader = os.Stdin
+	if flag.NArg() == 1 {
+		src = strings.NewReader(flag.Arg(0))
 	}
-	streamSpec := func() *thermalsched.StreamSpec {
-		spec := &thermalsched.StreamSpec{
-			Arrivals: thermalsched.StreamArrivalParams{
-				Horizon:   *horizon,
-				Sources:   *sources,
-				Rate:      *arrRate,
-				BurstMean: *burst,
-				Laxity:    *laxity,
-			},
-			Platform: thermalsched.ScenarioPlatformParams{
-				PEs:      *pes,
-				MinSpeed: *minSpeed,
-				MaxSpeed: *maxSpeed,
-				Layout:   *layout,
-			},
-			MinFactor:      *minFactor,
-			SimSeed:        *simSeed,
-			Replicas:       *replicas,
-			SupervisorSpec: supervisor,
-		}
-		if *seed >= 0 {
-			spec.Seed = *seed
-		}
-		return spec
-	}
-	simulateSpec := func() *thermalsched.SimulateSpec {
-		spec := &thermalsched.SimulateSpec{
-			Controller:     *controller,
-			TriggerC:       *trigger,
-			SetpointC:      *trigger,
-			Replicas:       *replicas,
-			MinFactor:      *minFactor,
-			WarmStart:      *warmStart,
-			SupervisorSpec: supervisor,
-		}
-		if *seed >= 0 {
-			spec.Seed = *seed
-		}
-		return spec
-	}
-
-	req := thermalsched.Request{Flow: thermalsched.FlowKind(*flow), Policy: *policyStr, IncludeGantt: *gantt}
-	// Non-zero numeric knobs pass through verbatim, negative values
-	// included, so Validate rejects them with the same diagnostic the
-	// API surfaces.
-	if *tempW != 0 {
-		req.TempWeight = tempW
-	}
-	if *parallel != 0 {
-		req.Parallelism = *parallel
-	}
-	if *maxPEs != 0 {
-		req.MaxPEs = *maxPEs
-	}
-	if *fpGens != 0 {
-		req.FloorplanGenerations = *fpGens
-	}
-	switch req.Flow {
-	case thermalsched.FlowSimulate:
-		req.Simulate = simulateSpec()
-	case thermalsched.FlowCampaign:
-		camp := thermalsched.CampaignSpec{
-			Scenarios: *scenarios,
-			MinTasks:  *minTasks,
-			MaxTasks:  *maxTasks,
-		}
-		if *seed >= 0 {
-			camp.Seed = *seed
-		}
-		if *policies != "" {
-			camp.Policies = strings.Split(*policies, ",")
-		}
-		if *ctrlDuel != "" {
-			camp.Controllers = strings.Split(*ctrlDuel, ",")
-		}
-		if *coSim || *ctrlDuel != "" {
-			camp.Simulate = simulateSpec()
-			// The duel's column axis names the controllers; the shared
-			// spec's kind comes from each column, not -controller.
-			if *ctrlDuel != "" {
-				camp.Simulate.Controller = ""
-			}
-		}
-		if *streamMode {
-			st := streamSpec()
-			st.Seed = 0 // per-workload seeds come from the campaign master seed
-			camp.Stream = st
-		} else if *tasks > 0 || *pes > 0 || *shape != "" || *layout != "" {
-			tpl := scenarioSpec()
-			tpl.Seed = 0 // per-scenario seeds come from the campaign master seed
-			camp.Template = tpl
-		}
-		req.Campaign = &camp
-	case thermalsched.FlowStream:
-		req.Stream = streamSpec()
-	case thermalsched.FlowCoSynthesis:
-		if *seed >= 0 {
-			req.Seed = seed
-		}
-	}
-	switch req.Flow {
-	case thermalsched.FlowCampaign, thermalsched.FlowStream:
-		// These flows generate their own inputs; the benchmark/graph
-		// knobs still flow through below so Engine.Check rejects
-		// them with its canonical extraneous-input message instead of
-		// the CLI silently dropping them.
-	case thermalsched.FlowGenerate:
-		req.Scenario = scenarioSpec()
-	default:
-		if *tasks > 0 {
-			req.Seed = nil
-			req.Scenario = scenarioSpec()
-		}
-	}
-	// Pass both input knobs through for every flow so Engine.Check
-	// reports the missing-input, both-set and extraneous-input cases
-	// with the same canonical messages the service's 400 bodies carry.
-	g, err := loadGraph(*graphFile)
+	req, err := decode(src)
 	if err != nil {
 		fatal(err)
 	}
-	if g != nil {
+	if *graphFile != "" {
+		if req.Graph != nil {
+			usageError("-graph and a request that carries graph both give the graph")
+		}
+		g, err := loadGraph(*graphFile)
+		if err != nil {
+			fatal(err)
+		}
 		req.Graph = thermalsched.GraphSpecOf(g)
 	}
-	req.Benchmark = *benchmark
 
 	engine, err := thermalsched.NewEngine()
 	if err != nil {
@@ -301,13 +103,23 @@ func main() {
 	printHuman(resp)
 }
 
-// loadGraph parses the -graph file when one was given; input-arity
-// errors (no input, both -benchmark and -graph) are left to
-// Engine.Check so the CLI and the service share one message.
-func loadGraph(file string) (*thermalsched.Graph, error) {
-	if file == "" {
-		return nil, nil
+// decode reads one request by the rules the service decodes a body
+// with: an unknown field and data after the object are errors.
+func decode(r io.Reader) (thermalsched.Request, error) {
+	var req thermalsched.Request
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return req, fmt.Errorf("decoding request: %w", err)
 	}
+	if dec.More() {
+		return req, errors.New("trailing data after JSON request")
+	}
+	return req, nil
+}
+
+// loadGraph parses a .tg task graph file.
+func loadGraph(file string) (*thermalsched.Graph, error) {
 	f, err := os.Open(file)
 	if err != nil {
 		return nil, err
@@ -410,4 +222,12 @@ func feasStr(ok bool) string {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "thermsched:", err)
 	os.Exit(1)
+}
+
+// usageError reports a malformed command line and exits 2, as the flag
+// package does for an unknown flag.
+func usageError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "thermsched: "+format+"\n", args...)
+	flag.Usage()
+	os.Exit(2)
 }

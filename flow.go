@@ -35,12 +35,12 @@ func fieldErr(field, format string, args ...any) *FieldError {
 
 // flowSpec is one row of the flow registry — the single place a flow
 // registers its dispatch, validation and help text. Engine.Check,
-// Engine.RunChecked, FlowKinds(), Request.Validate and the CLI's -flow
+// Engine.RunChecked, FlowKinds(), Request.Validate and the CLI's
 // help all read from this table, so adding a flow is exactly one new
 // entry plus its run function.
 type flowSpec struct {
 	kind FlowKind
-	// summary is the one-line help text the CLI renders for -flow.
+	// summary is the one-line help text the CLI help renders.
 	summary string
 	// reads lists, by JSON key, the Request fields the flow consumes
 	// besides flow itself. Validate rejects any other field that is set,
@@ -163,17 +163,7 @@ func FlowKinds() []FlowKind {
 	return out
 }
 
-// FlowNames renders the registry as a comma-separated name list — the
-// CLI's -flow value set.
-func FlowNames() string {
-	names := make([]string, len(flowRegistry))
-	for i := range flowRegistry {
-		names[i] = string(flowRegistry[i].kind)
-	}
-	return strings.Join(names, ", ")
-}
-
-// FlowUsage renders one help line per flow for the CLI's -flow text.
+// FlowUsage renders one help line per flow for the CLI's help text.
 func FlowUsage() string {
 	var b strings.Builder
 	for _, fs := range flowRegistry {

@@ -7,7 +7,6 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"os/exec"
 	"strings"
 	"testing"
 
@@ -15,23 +14,21 @@ import (
 	"thermalsched/internal/service"
 )
 
-// validationCase names a request shape, the field its FieldError
-// names, and the CLI flags that reproduce it (nil when no flag
-// spelling exists). noJSON marks a request JSON cannot carry (a NaN
-// knob), which has no service spelling; library marks a fault only
+// validationCase names a request shape and the field its FieldError
+// names. noJSON marks a request JSON cannot carry (a NaN knob), which
+// has no service or CLI spelling; library marks a fault only
 // Engine.Check finds, against the engine's library, which
 // Request.Validate therefore accepts.
 type validationCase struct {
 	name    string
 	req     thermalsched.Request
 	field   string
-	cli     []string
 	noJSON  bool
 	library bool
 }
 
-// nanCase marks tc as a NaN- or Inf-knob case: Go callers and the
-// CLI's float flags can pass them, JSON cannot.
+// nanCase marks tc as a NaN- or Inf-knob case: Go callers can pass
+// them, JSON cannot.
 func nanCase(tc validationCase) validationCase {
 	tc.noJSON = true
 	return tc
@@ -46,54 +43,45 @@ func ptr[T any](v T) *T { return &v }
 // (for every fault that needs no library), the text the service's 400
 // bodies carry verbatim (plus the machine-readable field name), and
 // the text the CLI prints to stderr. These cases cover the redesigned
-// flows — each names the request shape, the expected field and the CLI
-// flags that reproduce it.
+// flows — each names the request shape and the expected field.
 func validationCases() []validationCase {
 	return []validationCase{
 		{
 			name:  "unknown flow",
 			req:   thermalsched.Request{Flow: "psychic"},
 			field: "flow",
-			cli:   []string{"-flow", "psychic"},
 		},
 		{
 			name:  "missing input",
 			req:   thermalsched.Request{Flow: thermalsched.FlowPlatform, Policy: "thermal"},
 			field: "input",
-			cli:   []string{"-flow", "platform"},
 		},
 		{
 			name: "stream with offline input",
 			req: thermalsched.Request{Flow: thermalsched.FlowStream, Benchmark: "Bm1",
 				Stream: &thermalsched.StreamSpec{Seed: 1}},
 			field: "input",
-			cli:   []string{"-flow", "stream", "-benchmark", "Bm1", "-seed", "1"},
 		},
 		{
 			name: "offline policy on stream",
 			req: thermalsched.Request{Flow: thermalsched.FlowStream, Policy: "thermal",
 				Stream: &thermalsched.StreamSpec{Seed: 1}},
 			field: "policy",
-			cli:   []string{"-flow", "stream", "-policy", "thermal", "-seed", "1"},
 		},
 		{
 			name: "online policy on offline flow",
 			req: thermalsched.Request{Flow: thermalsched.FlowPlatform,
 				Benchmark: "Bm1", Policy: "coolest"},
 			field: "policy",
-			cli:   []string{"-flow", "platform", "-benchmark", "Bm1", "-policy", "coolest"},
 		},
 		{
 			name: "parallelism on a serial flow",
 			req: thermalsched.Request{Flow: thermalsched.FlowPlatform,
 				Benchmark: "Bm1", Policy: "thermal", Parallelism: 4},
 			field: "parallelism",
-			cli:   []string{"-flow", "platform", "-benchmark", "Bm1", "-parallelism", "4"},
 		},
 		{
-			// Only the cosynthesis flow's GA floorplanner consumes the
-			// seed; the CLI's -seed feeds the other flows' specs, so it
-			// has no spelling of this request.
+			// Only the cosynthesis flow's GA floorplanner consumes the seed.
 			name: "seed on a platform request",
 			req: thermalsched.Request{Flow: thermalsched.FlowPlatform,
 				Benchmark: "Bm1", Seed: ptr(int64(5))},
@@ -104,7 +92,6 @@ func validationCases() []validationCase {
 			req: thermalsched.Request{Flow: thermalsched.FlowPlatform,
 				Benchmark: "Bm1", TempWeight: ptr(-1.0)},
 			field: "tempWeight",
-			cli:   []string{"-flow", "platform", "-benchmark", "Bm1", "-tempweight", "-1"},
 		},
 		{
 			name: "negative powerWeight",
@@ -131,35 +118,32 @@ func validationCases() []validationCase {
 			req: thermalsched.Request{Flow: thermalsched.FlowCoSynthesis,
 				Benchmark: "Bm1", Policy: "thermal", MaxPEs: -1},
 			field: "maxPEs",
-			cli:   []string{"-flow", "cosynthesis", "-benchmark", "Bm1", "-maxpes", "-1"},
 		},
 		{
 			name: "negative floorplanGenerations",
 			req: thermalsched.Request{Flow: thermalsched.FlowCoSynthesis,
 				Benchmark: "Bm1", Policy: "thermal", FloorplanGenerations: -1},
 			field: "floorplanGenerations",
-			cli:   []string{"-flow", "cosynthesis", "-benchmark", "Bm1", "-fpgens", "-1"},
 		},
 		simulateCase("negative simulate hysteresis", thermalsched.SimulateSpec{
-			SupervisorSpec: thermalsched.SupervisorSpec{Hysteresis: -1}}, "simulate.hysteresis", nil),
-		simulateCase("simulate throttle above 1", thermalsched.SimulateSpec{Throttle: 1.5}, "simulate.throttle", nil),
-		simulateCase("negative simulate kp", thermalsched.SimulateSpec{Controller: "pi", Kp: -1}, "simulate.kp", nil),
-		simulateCase("negative simulate ki", thermalsched.SimulateSpec{Controller: "pi", Ki: -1}, "simulate.ki", nil),
-		simulateCase("simulate minScale above 1", thermalsched.SimulateSpec{Controller: "pi", MinScale: 1.5}, "simulate.minScale", nil),
+			SupervisorSpec: thermalsched.SupervisorSpec{Hysteresis: -1}}, "simulate.hysteresis"),
+		simulateCase("simulate throttle above 1", thermalsched.SimulateSpec{Throttle: 1.5}, "simulate.throttle"),
+		simulateCase("negative simulate kp", thermalsched.SimulateSpec{Controller: "pi", Kp: -1}, "simulate.kp"),
+		simulateCase("negative simulate ki", thermalsched.SimulateSpec{Controller: "pi", Ki: -1}, "simulate.ki"),
+		simulateCase("simulate minScale above 1", thermalsched.SimulateSpec{Controller: "pi", MinScale: 1.5}, "simulate.minScale"),
 		simulateCase("simulate ladder out of order", thermalsched.SimulateSpec{
-			SupervisorSpec: thermalsched.SupervisorSpec{FairC: 90}}, "simulate.fairC", []string{"-fairc", "90"}),
+			SupervisorSpec: thermalsched.SupervisorSpec{FairC: 90}}, "simulate.fairC"),
 		simulateCase("negative simulate coolTime", thermalsched.SimulateSpec{
-			SupervisorSpec: thermalsched.SupervisorSpec{CoolTime: -1}}, "simulate.coolTime", []string{"-cooltime", "-1"}),
+			SupervisorSpec: thermalsched.SupervisorSpec{CoolTime: -1}}, "simulate.coolTime"),
 		// NaN fails every plain range comparison, so these knobs once
 		// passed Validate and then stalled the run or finished on NaN
 		// arithmetic.
 		nanCase(simulateCase("NaN simulate kp", thermalsched.SimulateSpec{Controller: "pi", Kp: math.NaN()},
-			"simulate.kp", nil)),
+			"simulate.kp")),
 		nanCase(simulateCase("NaN simulate seriousScale", thermalsched.SimulateSpec{
-			SupervisorSpec: thermalsched.SupervisorSpec{SeriousScale: math.NaN()}}, "simulate.seriousScale",
-			[]string{"-seriousscale", "NaN"})),
+			SupervisorSpec: thermalsched.SupervisorSpec{SeriousScale: math.NaN()}}, "simulate.seriousScale")),
 		nanCase(simulateCase("NaN simulate triggerC", thermalsched.SimulateSpec{TriggerC: math.NaN()},
-			"simulate.triggerC", []string{"-trigger", "NaN"})),
+			"simulate.triggerC")),
 		nanCase(validationCase{
 			name: "NaN stream hysteresis",
 			req: thermalsched.Request{Flow: thermalsched.FlowStream, Stream: &thermalsched.StreamSpec{
@@ -169,25 +153,23 @@ func validationCases() []validationCase {
 		// The campaign checked only its simulate spec's controller, so
 		// these were accepted and then failed in every cell.
 		campaignSimulateCase("negative campaign simulate hysteresis", thermalsched.SimulateSpec{
-			SupervisorSpec: thermalsched.SupervisorSpec{Hysteresis: -1}}, "campaign.simulate.hysteresis", nil),
+			SupervisorSpec: thermalsched.SupervisorSpec{Hysteresis: -1}}, "campaign.simulate.hysteresis"),
 		campaignSimulateCase("negative campaign simulate replicas", thermalsched.SimulateSpec{Replicas: -2},
-			"campaign.simulate.replicas", []string{"-replicas", "-2"}),
+			"campaign.simulate.replicas"),
 		campaignSimulateCase("campaign simulate minFactor above 1", thermalsched.SimulateSpec{MinFactor: 3},
-			"campaign.simulate.minFactor", []string{"-minfactor", "3"}),
+			"campaign.simulate.minFactor"),
 		campaignSimulateCase("campaign simulate throttle of 1", thermalsched.SimulateSpec{Throttle: 1},
-			"campaign.simulate.throttle", nil),
+			"campaign.simulate.throttle"),
 		{
 			name:  "negative campaign stream replicas",
 			req:   thermalsched.Request{Flow: thermalsched.FlowCampaign, Campaign: &thermalsched.CampaignSpec{Stream: &thermalsched.StreamSpec{Replicas: -1}}},
 			field: "campaign.stream.replicas",
-			cli:   []string{"-flow", "campaign", "-stream", "-replicas", "-1"},
 		},
 		{
 			// The open-loop replay flow is gone; simulate supersedes it.
 			name:  "deleted dtm flow",
 			req:   thermalsched.Request{Flow: "dtm", Benchmark: "Bm1"},
 			field: "flow",
-			cli:   []string{"-flow", "dtm", "-benchmark", "Bm1"},
 		},
 		{
 			// The randomized sweep is gone; a default campaign is the
@@ -195,7 +177,6 @@ func validationCases() []validationCase {
 			name:  "deleted sweep flow",
 			req:   thermalsched.Request{Flow: "sweep"},
 			field: "flow",
-			cli:   []string{"-flow", "sweep"},
 		},
 		// Each flow reads only the fields its registry row lists; these
 		// were once accepted and ignored, under a fingerprint of their
@@ -205,7 +186,6 @@ func validationCases() []validationCase {
 			req: thermalsched.Request{Flow: thermalsched.FlowPlatform,
 				Benchmark: "Bm1", MaxPEs: 3},
 			field: "maxPEs",
-			cli:   []string{"-flow", "platform", "-benchmark", "Bm1", "-maxpes", "3"},
 		},
 		{
 			name: "candidateTypes on a platform request",
@@ -218,64 +198,54 @@ func validationCases() []validationCase {
 			req: thermalsched.Request{Flow: thermalsched.FlowStream,
 				Stream: &thermalsched.StreamSpec{Seed: 1}, TempWeight: ptr(1.0)},
 			field: "tempWeight",
-			cli:   []string{"-flow", "stream", "-seed", "1", "-tempweight", "1"},
 		},
 		{
 			name:  "policy on a campaign request",
 			req:   thermalsched.Request{Flow: thermalsched.FlowCampaign, Policy: "thermal"},
 			field: "policy",
-			cli:   []string{"-flow", "campaign", "-policy", "thermal"},
 		},
 		{
 			name: "includeGantt on a generate request",
 			req: thermalsched.Request{Flow: thermalsched.FlowGenerate,
 				Scenario: &thermalsched.ScenarioSpec{Graph: thermalsched.ScenarioGraphParams{Tasks: 10}}, IncludeGantt: true},
 			field: "includeGantt",
-			cli:   []string{"-flow", "generate", "-tasks", "10", "-gantt"},
 		},
 		{
 			name: "negative campaign scenarios",
 			req: thermalsched.Request{Flow: thermalsched.FlowCampaign,
 				Campaign: &thermalsched.CampaignSpec{Scenarios: -1}},
 			field: "campaign.scenarios",
-			cli:   []string{"-flow", "campaign", "-scenarios", "-1"},
 		},
 		{
 			name: "unknown campaign policy",
 			req: thermalsched.Request{Flow: thermalsched.FlowCampaign,
 				Campaign: &thermalsched.CampaignSpec{Policies: []string{"nope"}}},
 			field: "campaign.policies",
-			cli:   []string{"-flow", "campaign", "-policies", "nope"},
 		},
 		{
 			name: "negative stream retryAfter",
 			req: thermalsched.Request{Flow: thermalsched.FlowStream, Stream: &thermalsched.StreamSpec{
 				Seed: 1, SupervisorSpec: thermalsched.SupervisorSpec{RetryAfter: -1}}},
 			field: "stream.retryAfter",
-			cli:   []string{"-flow", "stream", "-seed", "1", "-retryafter", "-1"},
 		},
 		// A zigzag gap past MaxInt64 steps once converted to a negative
 		// int, clamped to one step and silently ran a one-step gap; the
 		// gap is now capped at MaxInt32 steps of the spec's dt.
 		simulateCase("simulate coolTime past MaxInt32 steps", thermalsched.SimulateSpec{Controller: "zigzag",
-			SupervisorSpec: thermalsched.SupervisorSpec{CoolTime: 1e19}}, "simulate.coolTime",
-			[]string{"-controller", "zigzag", "-cooltime", "1e19"}),
+			SupervisorSpec: thermalsched.SupervisorSpec{CoolTime: 1e19}}, "simulate.coolTime"),
 		{
 			name: "stream coolTime past MaxInt32 steps",
 			req: thermalsched.Request{Flow: thermalsched.FlowStream, Policy: thermalsched.StreamPolicyZigzag,
 				Stream: &thermalsched.StreamSpec{Seed: 1, SupervisorSpec: thermalsched.SupervisorSpec{CoolTime: 1e19}}},
 			field: "stream.coolTime",
-			cli:   []string{"-flow", "stream", "-seed", "1", "-policy", "zigzag", "-cooltime", "1e19"},
 		},
 		campaignSimulateCase("campaign simulate coolTime past MaxInt32 steps", thermalsched.SimulateSpec{
-			SupervisorSpec: thermalsched.SupervisorSpec{CoolTime: 1e19}}, "campaign.simulate.coolTime",
-			[]string{"-cooltime", "1e19"}),
+			SupervisorSpec: thermalsched.SupervisorSpec{CoolTime: 1e19}}, "campaign.simulate.coolTime"),
 		{
 			name: "campaign stream coolTime past MaxInt32 steps",
 			req: thermalsched.Request{Flow: thermalsched.FlowCampaign, Campaign: &thermalsched.CampaignSpec{
 				Stream: &thermalsched.StreamSpec{SupervisorSpec: thermalsched.SupervisorSpec{CoolTime: 1e19}}}},
 			field: "campaign.stream.coolTime",
-			cli:   []string{"-flow", "campaign", "-stream", "-cooltime", "1e19"},
 		},
 		// A NaN or infinite float that no range check above covers once
 		// passed Validate and then stalled the scheduler, failed inside
@@ -285,14 +255,12 @@ func validationCases() []validationCase {
 			req: thermalsched.Request{Flow: thermalsched.FlowPlatform, Benchmark: "Bm1",
 				TempWeight: ptr(math.NaN())},
 			field: "tempWeight",
-			cli:   []string{"-flow", "platform", "-benchmark", "Bm1", "-tempweight", "NaN"},
 		}),
 		nanCase(validationCase{
 			name: "NaN scenario ccr",
 			req: thermalsched.Request{Flow: thermalsched.FlowGenerate, Scenario: &thermalsched.ScenarioSpec{
 				Seed: 3, Graph: thermalsched.ScenarioGraphParams{CCR: math.NaN()}}},
 			field: "scenario.graph.ccr",
-			cli:   []string{"-flow", "generate", "-seed", "3", "-ccr", "NaN"},
 		}),
 		nanCase(validationCase{
 			name: "infinite busTimePerUnit",
@@ -328,14 +296,12 @@ func validationCases() []validationCase {
 				Template: &thermalsched.ScenarioSpec{Graph: thermalsched.ScenarioGraphParams{CCR: math.NaN()}}}},
 			field: "campaign.template.graph.ccr",
 		}),
-		// JSON cannot carry an infinite gap; Go callers and the CLI can.
+		// JSON cannot carry an infinite gap; Go callers can.
 		nanCase(simulateCase("infinite simulate coolTime", thermalsched.SimulateSpec{Controller: "zigzag",
-			SupervisorSpec: thermalsched.SupervisorSpec{CoolTime: math.Inf(1)}}, "simulate.coolTime",
-			[]string{"-controller", "zigzag", "-cooltime", "Inf"})),
+			SupervisorSpec: thermalsched.SupervisorSpec{CoolTime: math.Inf(1)}}, "simulate.coolTime")),
 		// A malformed inline graph once passed Validate and failed in
 		// the flow with a plain error: a 500 on /v1/run and a journaled
-		// failure on /v1/jobs. None has a CLI spelling: -graph files
-		// fail in ReadGraph first.
+		// failure on /v1/jobs.
 		graphCase("inline graph with a 2-task cycle", "graph.edges", func(g *thermalsched.GraphSpec) {
 			g.Edges = append(g.Edges, thermalsched.EdgeSpec{From: 1, To: 0})
 		}),
@@ -390,26 +356,16 @@ func nanGraph(deadline, data float64) *thermalsched.GraphSpec {
 		Edges: []thermalsched.EdgeSpec{{From: 0, To: 1, Data: data}}}
 }
 
-// simulateCase is a Bm1 simulate request carrying spec; flags, when
-// set, are the CLI spelling of spec.
-func simulateCase(name string, spec thermalsched.SimulateSpec, field string, flags []string) validationCase {
-	tc := validationCase{name: name, field: field, req: thermalsched.Request{Flow: thermalsched.FlowSimulate,
+// simulateCase is a Bm1 simulate request carrying spec.
+func simulateCase(name string, spec thermalsched.SimulateSpec, field string) validationCase {
+	return validationCase{name: name, field: field, req: thermalsched.Request{Flow: thermalsched.FlowSimulate,
 		Benchmark: "Bm1", Simulate: &spec}}
-	if flags != nil {
-		tc.cli = append([]string{"-flow", "simulate", "-benchmark", "Bm1"}, flags...)
-	}
-	return tc
 }
 
-// campaignSimulateCase is a closed-loop campaign carrying spec; flags,
-// when set, are the CLI spelling of spec.
-func campaignSimulateCase(name string, spec thermalsched.SimulateSpec, field string, flags []string) validationCase {
-	tc := validationCase{name: name, field: field, req: thermalsched.Request{Flow: thermalsched.FlowCampaign,
+// campaignSimulateCase is a closed-loop campaign carrying spec.
+func campaignSimulateCase(name string, spec thermalsched.SimulateSpec, field string) validationCase {
+	return validationCase{name: name, field: field, req: thermalsched.Request{Flow: thermalsched.FlowCampaign,
 		Campaign: &thermalsched.CampaignSpec{Simulate: &spec}}}
-	if flags != nil {
-		tc.cli = append([]string{"-flow", "campaign", "-cosim"}, flags...)
-	}
-	return tc
 }
 
 func TestValidationMessagesSharedAcrossSurfaces(t *testing.T) {
@@ -499,36 +455,95 @@ func TestValidationMessagesSharedAcrossSurfaces(t *testing.T) {
 	}
 }
 
-// The CLI prints the same canonical text on its stderr. Subprocess
-// round-trips are slow, so this covers the cases whose flags map
-// directly (a case with no cli flags has no CLI spelling); -short
-// skips it like the other subprocess suites.
+// The CLI prints the same canonical text on its stderr, given the JSON
+// body the service gets: every case JSON can carry. -short skips it
+// like the other subprocess suites.
 func TestValidationMessagesMatchCLI(t *testing.T) {
-	if testing.Short() {
-		t.Skip("CLI subprocess skipped in -short mode")
-	}
-	if _, err := exec.LookPath("go"); err != nil {
-		t.Skip("go toolchain not on PATH")
-	}
 	engine, err := thermalsched.NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range validationCases() {
-		if tc.cli == nil {
+		if tc.noJSON {
 			continue
 		}
 		_, verr := engine.Check(tc.req)
 		if verr == nil {
 			t.Fatalf("%s: Check accepted the request", tc.name)
 		}
-		out, err := exec.Command("go", append([]string{"run", "./cmd/thermsched"}, tc.cli...)...).CombinedOutput()
+		blob, err := json.Marshal(tc.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stdout, stderr, err := runCLI(t, nil, string(blob))
 		if err == nil {
-			t.Errorf("%s: CLI accepted invalid flags %v", tc.name, tc.cli)
+			t.Errorf("%s: CLI accepted %s\n%s", tc.name, blob, stdout)
 			continue
 		}
-		if !strings.Contains(string(out), verr.Error()) {
-			t.Errorf("%s: CLI output does not carry the canonical message\n  want %q\n  got  %s", tc.name, verr, out)
+		if want := "thermsched: " + verr.Error() + "\n"; string(stderr) != want {
+			t.Errorf("%s: CLI stderr is not the canonical message\n  want %q\n  got  %q", tc.name, want, stderr)
+		}
+	}
+}
+
+// decodeFaults are bodies that decode into no Request; want is the
+// decoder's message, which every surface reports.
+var decodeFaults = []struct{ name, body, want string }{
+	{"unknown field", `{"flow":"platform","benchmark":"Bm1","bogus":1}`, `json: unknown field "bogus"`},
+	{"trailing data", `{"flow":"platform","benchmark":"Bm1"} {}`, "trailing data after JSON"},
+	{"string for a number", `{"flow":"cosynthesis","benchmark":"Bm1","maxPEs":"4"}`,
+		"json: cannot unmarshal string into Go struct field Request.maxPEs of type int"},
+	{"empty input", "", "EOF"},
+}
+
+// The CLI decodes by the service's rules: a body /v1/run answers 400
+// makes the CLI exit non-zero with the same decoder message, whether
+// the body is its argument or its stdin.
+func TestDecodeFaultsSharedAcrossSurfaces(t *testing.T) {
+	engine, err := thermalsched.NewEngine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := service.New(engine, service.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+
+	for _, f := range decodeFaults {
+		resp, err := http.Post(srv.URL+"/v1/run", "application/json", strings.NewReader(f.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body struct {
+			Error string `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body.Error, f.want) {
+			t.Errorf("%s: /v1/run answered %d %q, want 400 carrying %q", f.name, resp.StatusCode, body.Error, f.want)
+		}
+		for _, via := range []struct {
+			name  string
+			stdin []byte
+			args  []string
+		}{
+			{"argument", nil, []string{f.body}},
+			{"stdin", []byte(f.body), nil},
+		} {
+			stdout, stderr, err := runCLI(t, via.stdin, via.args...)
+			if err == nil {
+				t.Errorf("%s on %s: CLI accepted %q\n%s", f.name, via.name, f.body, stdout)
+				continue
+			}
+			if !strings.Contains(string(stderr), f.want) {
+				t.Errorf("%s on %s: CLI stderr %q does not carry %q", f.name, via.name, stderr, f.want)
+			}
 		}
 	}
 }
